@@ -16,7 +16,6 @@ from .graph_model import (
     adjacency_matrix,
     parse_dynamic_graph,
     period,
-    reduce_time,
     serialize_dynamic_graph,
     support,
     supports_disjoint,
@@ -75,7 +74,6 @@ __all__ = [
     "support",
     "supports_disjoint",
     "period",
-    "reduce_time",
     "parse_dynamic_graph",
     "serialize_dynamic_graph",
     "EigenDecomposition",

@@ -182,7 +182,7 @@ def cmd_optimize(args: argparse.Namespace) -> CommandResult:
     walk = _load_walk(args.walk)
     passes = _parse_passes(args.passes)
     simplified, report = optimize(walk, passes=passes, max_iterations=args.max_iter)
-    distance = phase_distance(total_unitary(walk), total_unitary(simplified))
+    distance = report.phase_distance
     _write_text(args.output, serialize_dynamic_graph(simplified))
     if args.report:
         payload = report.to_dict()
@@ -198,7 +198,7 @@ def cmd_optimize(args: argparse.Namespace) -> CommandResult:
         f"phase distance to input: {distance:.3e}",
         f"wrote {args.output}",
     ]
-    if report.rejected or distance >= EQUIVALENCE_TOLERANCE:
+    if not report.verified:
         for item in report.rejected:
             lines.append(f"rejected: {item}")
         lines.append("verification FAILED")

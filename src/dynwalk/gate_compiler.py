@@ -35,6 +35,10 @@ from .graph_model import (
     ParseError,
     RationalAngle,
     TimedGraph,
+    _expect_int,
+    _expect_keys,
+    _fail,
+    _parse_time,
 )
 
 __all__ = [
@@ -124,12 +128,6 @@ class PhaseSchedule:
 
     phases: Tuple[Tuple[int, RationalAngle], ...]
     steps: Tuple[TimedGraph, ...]
-
-    def total_time(self) -> RationalAngle:
-        total = Fraction(0)
-        for step in self.steps:
-            total += step.duration.as_fraction()
-        return RationalAngle.from_fraction(total)
 
 
 def _gate_qubits(gate: Gate) -> Tuple[int, ...]:
@@ -374,24 +372,6 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
     return u
 
 
-def _parse_angle(obj: object, path: str) -> RationalAngle:
-    if not isinstance(obj, dict):
-        raise ParseError(f"{path}: expected an object with pi_num and pi_den")
-    for key in obj:
-        if key not in ("pi_num", "pi_den"):
-            raise ParseError(f"{path}: unknown field {key!r}")
-    for key in ("pi_num", "pi_den"):
-        if key not in obj:
-            raise ParseError(f"{path}: missing field {key!r}")
-    num, den = obj["pi_num"], obj["pi_den"]
-    for key, value in (("pi_num", num), ("pi_den", den)):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ParseError(f"{path}.{key}: expected an integer, got {value!r}")
-    if num < 0 or den < 1:
-        raise ParseError(f"{path}: angle must be a nonnegative fraction of pi")
-    return RationalAngle(num, den)
-
-
 _GATE_FIELDS = {
     "X": ("target",),
     "Y": ("target",),
@@ -407,46 +387,37 @@ _GATE_FIELDS = {
 
 def _parse_gate(obj: object, n_qubits: int, path: str) -> Gate:
     if not isinstance(obj, dict):
-        raise ParseError(f"{path}: expected a gate object")
+        _fail(path, "expected a gate object")
     kind = obj.get("kind")
     if kind not in GATE_KINDS:
-        raise ParseError(f"{path}.kind: expected one of {', '.join(GATE_KINDS)}, got {kind!r}")
-    fields = _GATE_FIELDS[kind]
-    for key in obj:
-        if key != "kind" and key not in fields:
-            raise ParseError(f"{path}: unknown field {key!r} for {kind}")
-    for key in fields:
-        if key not in obj:
-            raise ParseError(f"{path}: missing field {key!r} for {kind}")
+        _fail(f"{path}.kind", f"expected one of {', '.join(GATE_KINDS)}, got {kind!r}")
+    fields = ("kind",) + _GATE_FIELDS[kind]
+    _expect_keys(obj, fields, fields, path)
 
-    def qubit(key: str) -> int:
-        value = obj[key]
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ParseError(f"{path}.{key}: expected a qubit index, got {value!r}")
-        if not (0 <= value < n_qubits):
-            raise ParseError(f"{path}.{key}: qubit {value} out of range 0..{n_qubits - 1}")
-        return value
+    def qubit(value: object, where: str) -> int:
+        index = _expect_int(value, where)
+        if not (0 <= index < n_qubits):
+            _fail(where, f"qubit {index} out of range 0..{n_qubits - 1}")
+        return index
 
     try:
         if kind == "HLAYER":
             raw = obj["targets"]
             if not isinstance(raw, list) or not raw:
-                raise ParseError(f"{path}.targets: expected a nonempty list of qubits")
+                _fail(f"{path}.targets", "expected a nonempty list of qubits")
             seen = []
             for k, value in enumerate(raw):
-                if isinstance(value, bool) or not isinstance(value, int):
-                    raise ParseError(f"{path}.targets[{k}]: expected a qubit index")
-                if not (0 <= value < n_qubits):
-                    raise ParseError(f"{path}.targets[{k}]: qubit {value} out of range")
-                if value in seen:
-                    raise ParseError(f"{path}.targets[{k}]: duplicate qubit {value}")
-                seen.append(value)
+                target = qubit(value, f"{path}.targets[{k}]")
+                if target in seen:
+                    _fail(f"{path}.targets[{k}]", f"duplicate qubit {target}")
+                seen.append(target)
             return Gate("HLAYER", targets=tuple(seen))
+        target = qubit(obj["target"], f"{path}.target")
         if kind == "CNOT":
-            return Gate("CNOT", control=qubit("control"), target=qubit("target"))
+            return Gate("CNOT", control=qubit(obj["control"], f"{path}.control"), target=target)
         if kind == "PHASE":
-            return Gate("PHASE", target=qubit("target"), theta=_parse_angle(obj["theta"], f"{path}.theta"))
-        return Gate(kind, target=qubit("target"))
+            return Gate("PHASE", target=target, theta=_parse_time(obj["theta"], f"{path}.theta"))
+        return Gate(kind, target=target)
     except ValueError as err:
         if isinstance(err, ParseError):
             raise
@@ -460,19 +431,14 @@ def parse_circuit(text: str) -> Circuit:
     except json.JSONDecodeError as err:
         raise ParseError(f"invalid JSON: {err}") from err
     if not isinstance(data, dict):
-        raise ParseError("$: expected a top-level object")
-    for key in data:
-        if key not in ("n_qubits", "gates"):
-            raise ParseError(f"$: unknown field {key!r}")
-    for key in ("n_qubits", "gates"):
-        if key not in data:
-            raise ParseError(f"$: missing field {key!r}")
-    n_qubits = data["n_qubits"]
-    if isinstance(n_qubits, bool) or not isinstance(n_qubits, int) or n_qubits < 1:
-        raise ParseError("n_qubits: expected a positive integer")
+        _fail("$", "expected a top-level object")
+    _expect_keys(data, ("n_qubits", "gates"), ("n_qubits", "gates"), "$")
+    n_qubits = _expect_int(data["n_qubits"], "n_qubits")
+    if n_qubits < 1:
+        _fail("n_qubits", "must be at least 1")
     raw_gates = data["gates"]
     if not isinstance(raw_gates, list):
-        raise ParseError("gates: expected a list")
+        _fail("gates", "expected a list")
     gates = tuple(
         _parse_gate(obj, n_qubits, f"gates[{index}]") for index, obj in enumerate(raw_gates)
     )

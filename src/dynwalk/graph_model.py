@@ -38,7 +38,6 @@ __all__ = [
     "support",
     "supports_disjoint",
     "period",
-    "reduce_time",
     "parse_dynamic_graph",
     "serialize_dynamic_graph",
     "rationalize",
@@ -341,14 +340,6 @@ def period(graph: Graph) -> Period:
     return Period.finite(RationalAngle(2 * lcm_q, gcd_p))
 
 
-def reduce_time(step: TimedGraph) -> TimedGraph:
-    """Reduce a step's duration modulo its graph's period, when finite."""
-    p = period(step.graph)
-    if not p.is_finite:
-        return step
-    return TimedGraph(step.graph, step.duration % p.value)
-
-
 class ParseError(ValueError):
     """Raised for malformed walk JSON; the message carries the JSON path."""
 
@@ -379,7 +370,7 @@ def _parse_time(obj: object, path: str) -> RationalAngle:
     num = _expect_int(obj["pi_num"], f"{path}.pi_num")
     den = _expect_int(obj["pi_den"], f"{path}.pi_den")
     if num < 0:
-        _fail(f"{path}.pi_num", "durations are nonnegative")
+        _fail(f"{path}.pi_num", "must be nonnegative")
     if den < 1:
         _fail(f"{path}.pi_den", "denominator must be at least 1")
     return RationalAngle(num, den)

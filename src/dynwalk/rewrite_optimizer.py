@@ -21,13 +21,25 @@ Six rewrite rules shrink a walk program without changing its total unitary
   bit subset is replaced by the staircase/walk/staircase realization when
   that is strictly cheaper.
 
-Every accepted rewrite is re-verified numerically against the program
-unitary it replaced; a failure rolls back and is reported rather than
-silently kept. Cost is lexicographic (total time, then graph count) and
-every accepted step strictly decreases it, so the driver terminates. When
-no rule fires, the driver spends a bounded search on cost-neutral enabling
-moves (commuting swaps of adjacent blocks, or neutral applications of the
-merge rules) that let a strictly improving rewrite land immediately after.
+The driver works from one table of rule sites. A site is a span
+[start, stop) of the program, the steps that would replace it and a note
+for the report; each rule produces its sites through its public ``pass_*``
+function. Only the driver prices a site, from the span alone, records it
+and splices it in. Cost is lexicographic (total time, then graph count)
+and every accepted step strictly decreases it, so the driver terminates.
+When no rule fires, the driver spends a bounded search on cost-neutral
+enabling moves (commuting swaps of adjacent blocks, or neutral
+applications of the merge rules) that let a strictly improving rewrite
+land immediately after.
+
+Every accepted rewrite is verified on its span alone. With Q the product
+of the steps before the span, P that of the steps after it, and S, S' the
+old and new span products, tr((P S Q)^dag P S' Q) = tr(S^dag S'), so the
+phase distance of the two spans is exactly that of the two programs. A
+failure rolls back and is reported rather than silently kept. At the end
+``optimize`` compares the total unitaries of its input and its output,
+which also covers the period reductions of the normalization, and reports
+that distance.
 """
 
 from __future__ import annotations
@@ -37,12 +49,19 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
-from .gate_compiler import all_loops_graph, compile_hadamard_layer, matching_graph, schedule_phases
+from .gate_compiler import (
+    Gate,
+    all_loops_graph,
+    bit_value,
+    compile_hadamard_layer,
+    gate_unitary,
+    matching_graph,
+    schedule_phases,
+)
 from .graph_model import (
     DynamicGraph,
     Graph,
@@ -55,7 +74,7 @@ from .graph_model import (
     supports_disjoint,
 )
 from .numerics import phase_distance, spectral_norm
-from .walk_engine import classify_phased_bitflip, step_unitary
+from .walk_engine import classify_phased_bitflip, graphs_commute, step_unitary, total_unitary
 
 __all__ = [
     "RULE_SWAP_COMMUTING",
@@ -124,6 +143,8 @@ class OptimizationReport:
     final_count: int
     rewrites: Tuple[RewriteStep, ...]
     rejected: Tuple[str, ...] = ()
+    # phase distance between the total unitaries of the input and the output
+    phase_distance: float = 0.0
 
     @property
     def verified(self) -> bool:
@@ -151,13 +172,6 @@ class OptimizationReport:
         }
 
 
-Cost = Tuple[Fraction, int]
-
-
-def _cost(walk: DynamicGraph) -> Cost:
-    return (walk.total_time().as_fraction(), walk.graph_count)
-
-
 @lru_cache(maxsize=8192)
 def _cached_step_unitary(step: TimedGraph) -> np.ndarray:
     return step_unitary(step)
@@ -178,11 +192,16 @@ def _cached_period(graph: Graph) -> Period:
     return period(graph)
 
 
-def _program_unitary(walk: DynamicGraph) -> np.ndarray:
-    u = np.eye(walk.n_vertices, dtype=np.complex128)
-    for step in walk.steps:
+def _product(n_vertices: int, steps: Iterable[TimedGraph]) -> np.ndarray:
+    """Unitary of a run of steps, later steps applied on the left."""
+    u = np.eye(n_vertices, dtype=np.complex128)
+    for step in steps:
         u = _cached_step_unitary(step) @ u
     return u
+
+
+def _span_time(steps: Iterable[TimedGraph]) -> Fraction:
+    return sum((step.duration.as_fraction() for step in steps), Fraction(0))
 
 
 def _check_adjacent(walk: DynamicGraph, index: int) -> Tuple[TimedGraph, TimedGraph]:
@@ -194,9 +213,7 @@ def _check_adjacent(walk: DynamicGraph, index: int) -> Tuple[TimedGraph, TimedGr
 def pass_swap_commuting(walk: DynamicGraph, index: int) -> DynamicGraph:
     """Exchange steps index and index+1 when their graphs commute exactly."""
     first, second = _check_adjacent(walk, index)
-    a = adjacency_matrix(first.graph)
-    b = adjacency_matrix(second.graph)
-    if not np.array_equal(a @ b, b @ a):
+    if not graphs_commute(first.graph, second.graph):
         raise RuleNotApplicable("adjacency matrices do not commute")
     return walk.replaced(index, index + 2, (second, first))
 
@@ -376,19 +393,16 @@ def pass_move_singleton(walk: DynamicGraph, source: int, vertex: int, target: in
     return DynamicGraph(walk.n_vertices, tuple(pieces))
 
 
-def _hadamard_on_subset(targets: Sequence[int], n_qubits: int) -> np.ndarray:
-    h = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / math.sqrt(2.0)
-    u = np.array([[1.0]], dtype=np.complex128)
-    for q in range(n_qubits):
-        u = np.kron(u, h if q in targets else np.eye(2, dtype=np.complex128))
-    return u
-
-
 def pass_hypercube_hadamard(walk: DynamicGraph, start: int, stop: int) -> DynamicGraph:
     """Replace a fragment equal (up to phase) to Hadamards on a bit subset.
 
-    Tries every nonempty subset of bit positions, largest first, and swaps
-    in the staircase/walk/staircase layer only when that strictly reduces
+    The subset is read off column 0 of the fragment unitary. Hadamards on
+    k bits spread vertex 0 evenly over the 2^k vertices that differ from it
+    only in those bits, each with weight 2^-k >= 1/n, so the bit mask is
+    the OR of the indices weighing more than 1/(2n). One phase-distance
+    comparison against that layer then decides: layers on two different
+    subsets have trace overlap 0, so no other subset could match. The
+    staircase/walk/staircase layer goes in only when that strictly reduces
     (total time, graph count). Unlike the merge rules this pass enforces
     the cost drop itself: the layer is a fixed-price replacement, not a
     local fusion, so applying it blindly could pessimize a cheap fragment.
@@ -399,29 +413,21 @@ def pass_hypercube_hadamard(walk: DynamicGraph, start: int, stop: int) -> Dynami
     if n < 2 or n & (n - 1):
         raise RuleNotApplicable("vertex count is not a power of two")
     n_qubits = n.bit_length() - 1
-    fragment = np.eye(n, dtype=np.complex128)
-    for step in walk.steps[start:stop]:
-        fragment = _cached_step_unitary(step) @ fragment
-
-    found: Optional[Tuple[int, ...]] = None
-    for size in range(n_qubits, 0, -1):
-        for subset in combinations(range(n_qubits), size):
-            if phase_distance(fragment, _hadamard_on_subset(subset, n_qubits)) < VERIFY_TOLERANCE:
-                found = subset
-                break
-        if found:
-            break
-    if found is None:
+    fragment = _product(n, walk.steps[start:stop])
+    mask = 0
+    for index in np.flatnonzero(np.abs(fragment[:, 0]) ** 2 > 1.0 / (2 * n)):
+        mask |= int(index)
+    targets = tuple(q for q in range(n_qubits) if mask & bit_value(q, n_qubits))
+    if not targets or not (
+        phase_distance(fragment, gate_unitary(Gate("HLAYER", targets=targets), n_qubits))
+        < VERIFY_TOLERANCE
+    ):
         raise RuleNotApplicable("fragment is not a Hadamard layer")
 
-    layer = compile_hadamard_layer(found, n_qubits)
-    old_time = sum((s.duration.as_fraction() for s in walk.steps[start:stop]), Fraction(0))
-    new_time = layer.total_time().as_fraction()
-    old_cost = (old_time, stop - start)
-    new_cost = (new_time, layer.graph_count)
-    if not new_cost < old_cost:
+    layer = compile_hadamard_layer(targets, n_qubits).steps
+    if not (_span_time(layer), len(layer)) < (_span_time(walk.steps[start:stop]), stop - start):
         raise RuleNotApplicable("layer replacement is not strictly cheaper")
-    return walk.replaced(start, stop, layer.steps)
+    return walk.replaced(start, stop, layer)
 
 
 # ---------------------------------------------------------------------------
@@ -459,87 +465,30 @@ def _normalize(walk: DynamicGraph) -> Tuple[DynamicGraph, List[RewriteStep]]:
     return DynamicGraph(walk.n_vertices, tuple(steps)), records
 
 
-def _loops_only_run(walk: DynamicGraph, start: int) -> int:
-    stop = start
-    while stop < walk.graph_count and walk.steps[stop].graph.is_loops_only:
-        stop += 1
-    return stop
+# A site: the span [start, stop) a rule would rewrite, the steps that would
+# replace it, and a note for the report.
+Site = Tuple[int, int, Tuple[TimedGraph, ...], str]
+PositionSites = Callable[[DynamicGraph, int], Iterator[Site]]
+WalkSites = Callable[[DynamicGraph], Iterator[Site]]
+# A priced site: its record and its replacement steps.
+Rewrite = Tuple[RewriteStep, Tuple[TimedGraph, ...]]
 
 
-def _collapse_loop_run(walk: DynamicGraph, start: int) -> Optional[Tuple[DynamicGraph, RewriteStep]]:
-    """Re-emit a run of loops-only steps as one optimal staircase.
+def _site(walk: DynamicGraph, start: int, stop: int, rule_pass, *args, note="") -> Iterator[Site]:
+    """The site of one public rule pass, when the pass applies.
 
-    The run's per-vertex phase totals (mod 2pi) determine it up to
-    reordering, so the descending staircase is the cheapest equivalent
-    form. Recorded as MOVE_SINGLETON over the run's span: it is a
-    composition of singleton extractions, moves and merges.
+    A pass leaves the steps outside [start, stop) alone, so its result
+    minus the untouched prefix and suffix is the replacement for the span.
     """
-    stop = _loops_only_run(walk, start)
-    if stop - start < 2:
-        return None
-    totals: Dict[int, Fraction] = {}
-    for step in walk.steps[start:stop]:
-        for v in step.graph.loops:
-            totals[v] = (totals.get(v, Fraction(0)) + step.duration.as_fraction()) % 2
-    phases = {v: RationalAngle.from_fraction(t) for v, t in totals.items() if t != 0}
-    stair = schedule_phases(phases, walk.n_vertices).steps
-    old_time = sum((s.duration.as_fraction() for s in walk.steps[start:stop]), Fraction(0))
-    new_time = sum((s.duration.as_fraction() for s in stair), Fraction(0))
-    if not (new_time, len(stair)) < (old_time, stop - start):
-        return None
-    candidate = walk.replaced(start, stop, stair)
-    record = RewriteStep(
-        RULE_MOVE_SINGLETON,
-        (start, stop),
-        RationalAngle.from_fraction(old_time - new_time),
-        (stop - start) - len(stair),
-        f"staircase over {len(phases)} vertices",
-    )
-    return candidate, record
+    try:
+        result = rule_pass(walk, *args)
+    except RuleNotApplicable:
+        return
+    yield start, stop, result.steps[start : result.graph_count - (walk.graph_count - stop)], note
 
 
-def _best_move_singleton(
-    walk: DynamicGraph, source: int
-) -> Optional[Tuple[DynamicGraph, RewriteStep]]:
-    """Strongest elementary singleton move out of the given source step.
-
-    Preference order: moves that delete a step outright, then largest time
-    saving, then the leftmost target. Only strictly improving moves are
-    returned; neutral ones surface through the enabling search instead.
-    """
-    src = walk.steps[source]
-    if not src.graph.loops:
-        return None
-    base_cost = _cost(walk)
-    best: Optional[Tuple[Tuple[int, Fraction, int], DynamicGraph, RewriteStep]] = None
-    for vertex in src.graph.sorted_loops():
-        if not src.graph.degree_free(vertex):
-            continue
-        for target in range(walk.graph_count):
-            if target == source:
-                continue
-            try:
-                candidate = pass_move_singleton(walk, source, vertex, target)
-            except RuleNotApplicable:
-                continue
-            cost = _cost(candidate)
-            if not cost < base_cost:
-                continue
-            removed = walk.graph_count - candidate.graph_count
-            saved = base_cost[0] - cost[0]
-            rank = (-removed, -saved, target)
-            record = RewriteStep(
-                RULE_MOVE_SINGLETON,
-                (min(source, target), max(source, target) + 1),
-                RationalAngle.from_fraction(saved),
-                removed,
-                f"vertex {vertex}: step {source} -> step {target}",
-            )
-            if best is None or rank < best[0]:
-                best = (rank, candidate, record)
-    if best is None:
-        return None
-    return best[1], best[2]
+def _merge_identical_sites(walk: DynamicGraph, index: int) -> Iterator[Site]:
+    return _site(walk, index, index + 2, pass_merge_identical, index)
 
 
 def _classifiable_run(walk: DynamicGraph, start: int) -> int:
@@ -552,184 +501,176 @@ def _classifiable_run(walk: DynamicGraph, start: int) -> int:
     return stop
 
 
-def _scan_rules(
-    walk: DynamicGraph, enabled: Set[str]
-) -> Iterator[Tuple[DynamicGraph, RewriteStep]]:
-    """Yield strictly improving rewrites, leftmost position first."""
-    base_cost = _cost(walk)
-    for index in range(walk.graph_count):
-        if RULE_MERGE_IDENTICAL in enabled:
-            try:
-                candidate = pass_merge_identical(walk, index)
-            except RuleNotApplicable:
-                candidate = None
-            if candidate is not None and _cost(candidate) < base_cost:
-                saved = base_cost[0] - _cost(candidate)[0]
-                yield candidate, RewriteStep(
-                    RULE_MERGE_IDENTICAL,
-                    (index, index + 2),
-                    RationalAngle.from_fraction(saved),
-                    walk.graph_count - candidate.graph_count,
-                )
-        if RULE_COMBINE_PST in enabled:
-            stop = _classifiable_run(walk, index)
-            if stop - index >= 2:
-                try:
-                    candidate = pass_combine_pst(walk, index, stop)
-                except RuleNotApplicable:
-                    candidate = None
-                if candidate is not None and _cost(candidate) < base_cost:
-                    saved = base_cost[0] - _cost(candidate)[0]
-                    yield candidate, RewriteStep(
-                        RULE_COMBINE_PST,
-                        (index, stop),
-                        RationalAngle.from_fraction(saved),
-                        walk.graph_count - candidate.graph_count,
-                    )
-        if RULE_MERGE_COMPLEMENTARY in enabled:
-            try:
-                candidate = pass_merge_complementary(walk, index)
-            except RuleNotApplicable:
-                candidate = None
-            if candidate is not None and _cost(candidate) < base_cost:
-                saved = base_cost[0] - _cost(candidate)[0]
-                yield candidate, RewriteStep(
-                    RULE_MERGE_COMPLEMENTARY,
-                    (index, index + 2),
-                    RationalAngle.from_fraction(saved),
-                    walk.graph_count - candidate.graph_count,
-                )
-        if RULE_MOVE_SINGLETON in enabled:
-            collapsed = _collapse_loop_run(walk, index)
-            if collapsed is not None:
-                yield collapsed
-            moved = _best_move_singleton(walk, index)
-            if moved is not None:
-                yield moved
-        if RULE_HYPERCUBE_HADAMARD in enabled:
-            for stop in range(walk.graph_count, index, -1):
-                try:
-                    candidate = pass_hypercube_hadamard(walk, index, stop)
-                except RuleNotApplicable:
-                    continue
-                saved = base_cost[0] - _cost(candidate)[0]
-                yield candidate, RewriteStep(
-                    RULE_HYPERCUBE_HADAMARD,
-                    (index, stop),
-                    RationalAngle.from_fraction(saved),
-                    walk.graph_count - candidate.graph_count,
-                )
-                break
+def _combine_pst_sites(walk: DynamicGraph, index: int) -> Iterator[Site]:
+    stop = _classifiable_run(walk, index)
+    if stop - index >= 2:
+        yield from _site(walk, index, stop, pass_combine_pst, index, stop)
 
 
-def _scan(
-    walk: DynamicGraph, enabled: Set[str], skip: Set[str]
-) -> Optional[Tuple[DynamicGraph, RewriteStep]]:
-    for candidate, record in _scan_rules(walk, enabled):
-        if _signature(walk, record) in skip:
+def _merge_complementary_sites(walk: DynamicGraph, index: int) -> Iterator[Site]:
+    return _site(walk, index, index + 2, pass_merge_complementary, index)
+
+
+def _staircase_sites(walk: DynamicGraph, start: int) -> Iterator[Site]:
+    """Re-emit a run of loops-only steps as one optimal staircase.
+
+    The run's per-vertex phase totals (mod 2pi) determine it up to
+    reordering, so the descending staircase is the cheapest equivalent
+    form. Recorded as MOVE_SINGLETON over the run's span: it is a
+    composition of singleton extractions, moves and merges.
+    """
+    stop = start
+    while stop < walk.graph_count and walk.steps[stop].graph.is_loops_only:
+        stop += 1
+    if stop - start < 2:
+        return
+    totals: Dict[int, Fraction] = {}
+    for step in walk.steps[start:stop]:
+        for v in step.graph.loops:
+            totals[v] = (totals.get(v, Fraction(0)) + step.duration.as_fraction()) % 2
+    phases = {v: RationalAngle.from_fraction(t) for v, t in totals.items() if t != 0}
+    stair = schedule_phases(phases, walk.n_vertices).steps
+    yield start, stop, stair, f"staircase over {len(phases)} vertices"
+
+
+def _singleton_moves(walk: DynamicGraph, source: int, note: str) -> Iterator[Site]:
+    """Every elementary singleton move out of the source step.
+
+    ``note`` is formatted with the vertex, source and target of the move.
+    """
+    src = walk.steps[source].graph
+    for vertex in src.sorted_loops():
+        if not src.degree_free(vertex):
             continue
-        return candidate, record
-    return None
+        for target in range(walk.graph_count):
+            if target == source:
+                continue
+            lo, hi = sorted((source, target))
+            text = note.format(vertex=vertex, source=source, target=target)
+            args = (source, vertex, target)
+            yield from _site(walk, lo, hi + 1, pass_move_singleton, *args, note=text)
+
+
+def _singleton_sites(walk: DynamicGraph, source: int) -> Iterator[Site]:
+    return _singleton_moves(walk, source, "vertex {vertex}: step {source} -> step {target}")
+
+
+def _hypercube_sites(walk: DynamicGraph, index: int) -> Iterator[Site]:
+    """The longest Hadamard-layer fragment starting at the index."""
+    for stop in range(walk.graph_count, index, -1):
+        for site in _site(walk, index, stop, pass_hypercube_hadamard, index, stop):
+            yield site
+            return
+
+
+def _block_swap_sites(walk: DynamicGraph) -> Iterator[Site]:
+    """Exchanges of adjacent commuting blocks, small blocks before large."""
+    count = walk.graph_count
+    for total in range(2, count + 1):
+        for a in range(1, total):
+            for i in range(0, count - total + 1):
+                left = walk.steps[i : i + a]
+                right = walk.steps[i + a : i + total]
+                if left == right:
+                    continue
+                if all(graphs_commute(s.graph, t.graph) for s in left for t in right):
+                    yield i, i + total, right + left, f"swap blocks {a}+{total - a}"
+
+
+def _everywhere(sites: PositionSites) -> WalkSites:
+    """A scan rule's sites at every position, noted as enabling moves."""
+
+    def enabling(walk: DynamicGraph) -> Iterator[Site]:
+        for index in range(walk.graph_count):
+            for start, stop, replacement, _ in sites(walk, index):
+                yield start, stop, replacement, "enabling"
+
+    return enabling
+
+
+def _enabling_singleton_sites(walk: DynamicGraph) -> Iterator[Site]:
+    for source in range(walk.graph_count):
+        yield from _singleton_moves(walk, source, "enabling move of vertex {vertex}")
+
+
+# The rule table, in the order the driver tries the rules: each row holds
+# the rule, its sites at one position for the improving scan, and its
+# sites over the whole walk for the enabling search.
+_RULE_TABLE: Tuple[Tuple[str, Optional[PositionSites], Optional[WalkSites]], ...] = (
+    (RULE_SWAP_COMMUTING, None, _block_swap_sites),
+    (RULE_MERGE_IDENTICAL, _merge_identical_sites, None),
+    (RULE_COMBINE_PST, _combine_pst_sites, _everywhere(_combine_pst_sites)),
+    (RULE_MERGE_COMPLEMENTARY, _merge_complementary_sites, _everywhere(_merge_complementary_sites)),
+    (RULE_MOVE_SINGLETON, _staircase_sites, None),
+    (RULE_MOVE_SINGLETON, _singleton_sites, _enabling_singleton_sites),
+    (RULE_HYPERCUBE_HADAMARD, _hypercube_sites, None),
+)
+
+
+def _gain(walk: DynamicGraph, start: int, stop: int, replacement: Tuple[TimedGraph, ...]):
+    """(time saved, graphs removed) by replacing steps[start:stop]."""
+    saved = _span_time(walk.steps[start:stop]) - _span_time(replacement)
+    return saved, (stop - start) - len(replacement)
 
 
 def _signature(walk: DynamicGraph, record: RewriteStep) -> str:
     return f"{record.rule}@{record.span}#{hash(walk.steps)}"
 
 
-def _block_commutes(walk: DynamicGraph, i: int, a: int, b: int) -> bool:
-    left = walk.steps[i : i + a]
-    right = walk.steps[i + a : i + a + b]
-    for s in left:
-        ms = adjacency_matrix(s.graph)
-        for t in right:
-            mt = adjacency_matrix(t.graph)
-            if not np.array_equal(ms @ mt, mt @ ms):
-                return False
-    return True
+def _scan(walk: DynamicGraph, enabled: Set[str], skip: Set[str]) -> Optional[Rewrite]:
+    """First strictly improving rewrite, leftmost position first.
 
-
-def _enabling_candidates(
-    walk: DynamicGraph, enabled: Set[str]
-) -> Iterator[Tuple[DynamicGraph, RewriteStep]]:
-    """Cost-neutral moves worth trying when the scan is stuck.
-
-    Commuting swaps of adjacent blocks come first (small blocks before
-    large), then cost-neutral applications of the fusion rules. All are
-    verified like any other rewrite when a pair is committed.
+    At one position each rule offers its best improving site: the one that
+    removes the most steps, then saves the most time, then lies leftmost.
     """
-    count = walk.graph_count
-    base_cost = _cost(walk)
-    if RULE_SWAP_COMMUTING in enabled:
-        for total in range(2, count + 1):
-            for a in range(1, total):
-                b = total - a
-                for i in range(0, count - total + 1):
-                    left = walk.steps[i : i + a]
-                    right = walk.steps[i + a : i + a + b]
-                    if left == right:
-                        continue
-                    if not _block_commutes(walk, i, a, b):
-                        continue
-                    candidate = walk.replaced(i, i + total, right + left)
-                    yield candidate, RewriteStep(
-                        RULE_SWAP_COMMUTING,
-                        (i, i + total),
-                        RationalAngle.zero(),
-                        0,
-                        f"swap blocks {a}+{b}",
-                    )
-    for rule in (RULE_COMBINE_PST, RULE_MERGE_COMPLEMENTARY):
-        if rule not in enabled:
-            continue
-        for index in range(count):
-            try:
-                if rule == RULE_COMBINE_PST:
-                    stop = _classifiable_run(walk, index)
-                    if stop - index < 2:
-                        continue
-                    candidate = pass_combine_pst(walk, index, stop)
-                    span = (index, stop)
-                else:
-                    candidate = pass_merge_complementary(walk, index)
-                    span = (index, index + 2)
-            except RuleNotApplicable:
+    for index in range(walk.graph_count):
+        for rule, sites, _ in _RULE_TABLE:
+            if sites is None or rule not in enabled:
                 continue
-            if _cost(candidate) != base_cost:
-                continue
-            yield candidate, RewriteStep(rule, span, RationalAngle.zero(), 0, "enabling")
-    if RULE_MOVE_SINGLETON in enabled:
-        for source in range(count):
-            src = walk.steps[source]
-            for vertex in src.graph.sorted_loops():
-                if not src.graph.degree_free(vertex):
+            best: Optional[Tuple[tuple, Rewrite]] = None
+            for start, stop, replacement, note in sites(walk, index):
+                saved, removed = _gain(walk, start, stop, replacement)
+                if (saved, removed) <= (0, 0):
                     continue
-                for target in range(count):
-                    if target == source:
-                        continue
-                    try:
-                        candidate = pass_move_singleton(walk, source, vertex, target)
-                    except RuleNotApplicable:
-                        continue
-                    if _cost(candidate) != base_cost:
-                        continue
-                    yield candidate, RewriteStep(
-                        RULE_MOVE_SINGLETON,
-                        (min(source, target), max(source, target) + 1),
-                        RationalAngle.zero(),
-                        0,
-                        f"enabling move of vertex {vertex}",
+                rank = (-removed, -saved, start, stop)
+                if best is None or rank < best[0]:
+                    record = RewriteStep(
+                        rule, (start, stop), RationalAngle.from_fraction(saved), removed, note
                     )
+                    best = (rank, (record, replacement))
+            if best is not None and _signature(walk, best[1][0]) not in skip:
+                return best[1]
+    return None
 
 
 def _find_enabling_pair(
     walk: DynamicGraph, enabled: Set[str], skip: Set[str]
-) -> Optional[Tuple[DynamicGraph, RewriteStep, DynamicGraph, RewriteStep]]:
-    for staged, staged_record in _enabling_candidates(walk, enabled):
-        follow = _scan(staged, enabled, skip)
-        if follow is not None:
-            improved, improve_record = follow
-            return staged, staged_record, improved, improve_record
+) -> Optional[List[Rewrite]]:
+    """A cost-neutral move that lets the scan land a strict improvement."""
+    for rule, _, sites in _RULE_TABLE:
+        if sites is None or rule not in enabled:
+            continue
+        for start, stop, replacement, note in sites(walk):
+            if _gain(walk, start, stop, replacement) != (0, 0):
+                continue
+            staged = (RewriteStep(rule, (start, stop), RationalAngle.zero(), 0, note), replacement)
+            follow = _scan(_apply(walk, staged), enabled, skip)
+            if follow is not None:
+                return [staged, follow]
     return None
+
+
+def _apply(walk: DynamicGraph, rewrite: Rewrite) -> DynamicGraph:
+    record, replacement = rewrite
+    return walk.replaced(*record.span, replacement)
+
+
+def _span_verified(walk: DynamicGraph, rewrite: Rewrite) -> bool:
+    """Whether the rewrite keeps the program unitary, checked on its span."""
+    record, replacement = rewrite
+    start, stop = record.span
+    before = _product(walk.n_vertices, walk.steps[start:stop])
+    return phase_distance(before, _product(walk.n_vertices, replacement)) < VERIFY_TOLERANCE
 
 
 def optimize(
@@ -743,18 +684,16 @@ def optimize(
     strictly (time, count)-decreasing rewrite, and when none exists search
     for one cost-neutral enabling move whose successor rewrite strictly
     improves, committing the two together. Every accepted change is
-    checked against the previous program unitary to VERIFY_TOLERANCE; a
-    failed check rolls back, is recorded in the report, and that rewrite
-    is not retried.
+    checked on its span to VERIFY_TOLERANCE; a failed check rolls back, is
+    recorded in the report, and that rewrite is not retried. Finally the
+    output's total unitary is compared with the input's; the report keeps
+    that distance, and a failure there is recorded as a rejection too.
     """
     enabled = set(ALL_RULES if passes is None else passes)
     unknown = enabled - set(ALL_RULES)
     if unknown:
         raise ValueError(f"unknown passes: {sorted(unknown)}")
     limit = max_iterations if max_iterations is not None else 10 * max(walk.graph_count, 1) ** 2
-
-    initial_time = walk.total_time()
-    initial_count = walk.graph_count
 
     records: List[RewriteStep] = []
     rejected: List[str] = []
@@ -767,39 +706,31 @@ def optimize(
     while iterations < limit:
         iterations += 1
         found = _scan(current, enabled, skip)
-        if found is not None:
-            candidate, record = found
-            if phase_distance(_program_unitary(current), _program_unitary(candidate)) < VERIFY_TOLERANCE:
-                current, extra = _normalize(candidate)
-                records.append(record)
-                records.extend(extra)
-            else:
-                rejected.append(f"{record.rule} at {record.span}: verification failed")
-                skip.add(_signature(current, record))
-            continue
-        pair = _find_enabling_pair(current, enabled, skip)
-        if pair is None:
+        chain = [found] if found is not None else _find_enabling_pair(current, enabled, skip)
+        if chain is None:
             break
-        staged, staged_record, improved, improve_record = pair
-        ok_stage = phase_distance(_program_unitary(current), _program_unitary(staged)) < VERIFY_TOLERANCE
-        ok_improve = phase_distance(_program_unitary(staged), _program_unitary(improved)) < VERIFY_TOLERANCE
-        if ok_stage and ok_improve:
-            current, extra = _normalize(improved)
-            records.append(staged_record)
-            records.append(improve_record)
+        programs = [current]
+        for rewrite in chain:
+            programs.append(_apply(programs[-1], rewrite))
+        if all(_span_verified(program, rewrite) for program, rewrite in zip(programs, chain)):
+            current, extra = _normalize(programs[-1])
+            records.extend(record for record, _ in chain)
             records.extend(extra)
         else:
-            rejected.append(
-                f"{staged_record.rule}+{improve_record.rule} at {staged_record.span}: verification failed"
-            )
-            skip.add(_signature(staged, improve_record))
+            rules = "+".join(record.rule for record, _ in chain)
+            rejected.append(f"{rules} at {chain[0][0].span}: verification failed")
+            skip.add(_signature(programs[-2], chain[-1][0]))
 
+    distance = phase_distance(total_unitary(walk), total_unitary(current))
+    if not distance < VERIFY_TOLERANCE:
+        rejected.append(f"output against input: verification failed, distance {distance:.3e}")
     report = OptimizationReport(
-        initial_time=initial_time,
+        initial_time=walk.total_time(),
         final_time=current.total_time(),
-        initial_count=initial_count,
+        initial_count=walk.graph_count,
         final_count=current.graph_count,
         rewrites=tuple(records),
         rejected=tuple(rejected),
+        phase_distance=distance,
     )
     return current, report

@@ -228,7 +228,7 @@ def test_optimize_max_iter_caps_rewrites(tmp_path, capsys):
 
 
 def test_optimize_verification_failure_exits_1(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "phase_distance", lambda u, v: 1.0)
+    monkeypatch.setattr("dynwalk.rewrite_optimizer.phase_distance", lambda u, v: 1.0)
     walk_file = write_walk(tmp_path / "in.json", double_flip_walk())
     out_file = tmp_path / "out.json"
     assert main(["optimize", walk_file, "-o", str(out_file)]) == 1

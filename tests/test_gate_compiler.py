@@ -122,7 +122,7 @@ def test_schedule_phases_explicit_staircase():
         ([1, 2, 3], angle(1, 2)),
         ([0, 1, 2, 3], angle(1, 2)),
     ]
-    assert schedule.total_time() == angle(3, 2)
+    assert DynamicGraph(4, schedule.steps).total_time() == angle(3, 2)
     assert all(step.graph.is_loops_only for step in schedule.steps)
 
 
@@ -143,7 +143,7 @@ def test_schedule_phases_drops_zero_entries():
 def test_schedule_phases_empty_map():
     schedule = schedule_phases({}, 4)
     assert schedule.steps == ()
-    assert schedule.total_time() == angle(0)
+    assert DynamicGraph(4, schedule.steps).total_time() == angle(0)
 
 
 def test_schedule_phases_rejects_bad_input():
@@ -164,7 +164,7 @@ def test_schedule_phases_property(raw):
     expected = np.diag([np.exp(-1j * float(phases.get(v, angle(0)))) for v in range(8)])
     assert np.abs(u - expected).max() < 1e-10
     nonzero = [a for a in phases.values() if not a.is_zero]
-    assert schedule.total_time() == (max(nonzero) if nonzero else angle(0))
+    assert DynamicGraph(8, schedule.steps).total_time() == (max(nonzero) if nonzero else angle(0))
     assert len(schedule.steps) == len({a for a in nonzero})
 
 

@@ -19,7 +19,6 @@ from dynwalk.graph_model import (
     parse_dynamic_graph,
     period,
     rationalize,
-    reduce_time,
     serialize_dynamic_graph,
     support,
     supports_disjoint,
@@ -241,18 +240,6 @@ def test_period_is_an_actual_recurrence(graph):
     assert p.is_finite
     u = evolve_unitary(adjacency_matrix(graph), p.value)
     assert np.abs(u - np.eye(graph.n_vertices)).max() < PERIOD_TOL
-
-
-def test_reduce_time_wraps_modulo_period():
-    g = Graph.make(2, loops=[0, 1])
-    step = TimedGraph(g, RationalAngle(5, 2))
-    assert reduce_time(step).duration == RationalAngle(1, 2)
-
-
-def test_reduce_time_keeps_aperiodic_steps():
-    g = Graph.make(5, edges=[(0, 1), (2, 3), (3, 4)])
-    step = TimedGraph(g, RationalAngle(7, 2))
-    assert reduce_time(step) == step
 
 
 def test_period_str():

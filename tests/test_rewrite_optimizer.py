@@ -11,10 +11,21 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dynwalk.rewrite_optimizer as ro
-from dynwalk.gate_compiler import all_loops_graph, compile_hadamard_layer, matching_graph
-from dynwalk.graph_model import DynamicGraph, Graph, RationalAngle, TimedGraph
+from dynwalk.gate_compiler import (
+    Circuit,
+    Gate,
+    all_loops_graph,
+    circuit_unitary,
+    compile_circuit,
+    compile_gate,
+    compile_hadamard_layer,
+    matching_graph,
+)
+from dynwalk.graph_model import DynamicGraph, Graph, Period, RationalAngle, TimedGraph
 from dynwalk.numerics import phase_distance
 from dynwalk.rewrite_optimizer import (
     RULE_COMBINE_PST,
@@ -332,6 +343,24 @@ def test_hypercube_hadamard_rejects_when_not_cheaper():
         pass_hypercube_hadamard(layer, 0, 3)
 
 
+def test_hypercube_hadamard_reads_a_non_contiguous_subset():
+    first = compile_gate(Gate("H", target=0), 3)
+    second = compile_gate(Gate("H", target=2), 3)
+    walk = DynamicGraph(8, first.steps + second.steps)
+    replaced = pass_hypercube_hadamard(walk, 0, walk.graph_count)
+    assert replaced.steps == compile_hadamard_layer([0, 2], 3).steps
+    assert_same_program(walk, replaced)
+
+
+def test_hypercube_hadamard_rejects_right_support_with_wrong_phases():
+    # Z after the layer keeps column 0's support but flips half its signs
+    walk = DynamicGraph(
+        8, compile_hadamard_layer([0, 2], 3).steps + compile_gate(Gate("Z", target=2), 3).steps
+    )
+    with pytest.raises(RuleNotApplicable):
+        pass_hypercube_hadamard(walk, 0, walk.graph_count)
+
+
 def test_hypercube_hadamard_rejects_bad_span_and_size():
     walk = single_qubit_h_fixture()
     with pytest.raises(RuleNotApplicable):
@@ -485,6 +514,24 @@ def test_optimize_rolls_back_failed_verification(monkeypatch):
     assert report.rewrites == ()
 
 
+def test_optimize_checks_output_against_input(monkeypatch):
+    # a wrong period makes the normalization cut 3pi/4 down to pi/4
+    monkeypatch.setattr(ro, "_cached_period", lambda graph: Period.finite(angle(1, 2)))
+    walk = walk_of(loops(2, [0], 3, 4))
+    final, report = optimize(walk)
+    assert final.steps[0].duration == angle(1, 4)
+    assert not report.verified
+    assert any("verification failed" in line for line in report.rejected)
+    assert report.phase_distance > ro.VERIFY_TOLERANCE
+
+
+def test_optimize_reports_end_to_end_distance():
+    walk = walk_of(match(4, 1, 1, 2), match(4, 1, 1, 2))
+    final, report = optimize(walk)
+    assert report.verified
+    assert report.phase_distance == phase_distance(total_unitary(walk), total_unitary(final))
+
+
 def random_step(rng, n):
     kind = rng.randrange(3)
     duration = angle(rng.randrange(1, 8), 4)
@@ -510,6 +557,42 @@ def test_optimize_preserves_unitary_and_never_pessimizes(seed):
     final, report = optimize(walk)
     assert report.verified
     assert_same_program(walk, final)
+    before = (walk.total_time().as_fraction(), walk.graph_count)
+    after = (final.total_time().as_fraction(), final.graph_count)
+    assert after <= before
+
+
+@st.composite
+def small_circuits(draw):
+    n_qubits = draw(st.integers(1, 2))
+    qubit = st.integers(0, n_qubits - 1)
+    kinds = ["X", "Y", "Z", "S", "T", "PHASE", "H", "HLAYER"]
+    if n_qubits == 2:
+        kinds.append("CNOT")
+    gates = []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "HLAYER":
+            targets = draw(st.lists(qubit, min_size=1, max_size=n_qubits, unique=True))
+            gates.append(Gate("HLAYER", targets=tuple(targets)))
+        elif kind == "CNOT":
+            control = draw(qubit)
+            gates.append(Gate("CNOT", control=control, target=1 - control))
+        elif kind == "PHASE":
+            theta = angle(draw(st.integers(0, 7)), 4)
+            gates.append(Gate("PHASE", target=draw(qubit), theta=theta))
+        else:
+            gates.append(Gate(kind, target=draw(qubit)))
+    return Circuit(n_qubits, tuple(gates))
+
+
+@settings(max_examples=25, deadline=None)
+@given(circuit=small_circuits())
+def test_optimize_compiled_circuit_matches_circuit_unitary(circuit):
+    walk = compile_circuit(circuit)
+    final, report = optimize(walk)
+    assert report.verified
+    assert phase_distance(total_unitary(final), circuit_unitary(circuit)) < 1e-9
     before = (walk.total_time().as_fraction(), walk.graph_count)
     after = (final.total_time().as_fraction(), final.graph_count)
     assert after <= before
