@@ -52,8 +52,6 @@ from .rewrite_optimizer import (
     pass_swap_commuting,
 )
 from .walk_engine import (
-    PhasedBitFlip,
-    classify_phased_bitflip,
     evolve_state,
     graphs_commute,
     step_unitary,
@@ -82,12 +80,10 @@ __all__ = [
     "evolve_unitary",
     "phase_distance",
     "apply",
-    "PhasedBitFlip",
     "step_unitary",
     "total_unitary",
     "evolve_state",
     "graphs_commute",
-    "classify_phased_bitflip",
     "Gate",
     "Circuit",
     "parse_circuit",

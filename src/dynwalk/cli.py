@@ -32,12 +32,12 @@ from .gate_compiler import circuit_unitary, compile_circuit, parse_circuit
 from .graph_model import (
     DynamicGraph,
     ParseError,
-    adjacency_matrix,
     parse_dynamic_graph,
     period,
     serialize_dynamic_graph,
+    spectrum,
 )
-from .numerics import phase_distance, spectral_norm
+from .numerics import phase_distance
 from .rewrite_optimizer import ALL_RULES, optimize
 from .walk_engine import evolve_state, total_unitary
 
@@ -243,7 +243,7 @@ def cmd_stats(args: argparse.Namespace) -> CommandResult:
     total = walk.total_time()
     lines.append(f"total time: {total} ({total.radians:.4f})")
     for index, step in enumerate(walk.steps):
-        norm = spectral_norm(adjacency_matrix(step.graph))
+        norm = spectrum(step.graph).norm
         p = period(step.graph)
         lines.append(
             f"step {index}: {len(step.graph.edges)} edges, {len(step.graph.loops)} loops,"

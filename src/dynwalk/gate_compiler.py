@@ -16,7 +16,10 @@ Every gate in the catalog becomes a short sequence of timed graphs on the
 
 Qubit 0 is the leftmost wire, i.e. the most significant bit of a vertex
 index. Composition order matches program order: later gates multiply on
-the left.
+the left. The reference unitaries (``gate_unitary``, ``circuit_unitary``)
+apply each gate on its own qubit axis, so a gate costs O(4^n), never a
+dense 2^n x 2^n product. ``parse_circuit`` refuses more than ``MAX_QUBITS``
+qubits, the walk vertex ceiling.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .graph_model import (
+    MAX_VERTICES,
     DynamicGraph,
     Graph,
     ParseError,
@@ -43,6 +47,7 @@ from .graph_model import (
 
 __all__ = [
     "GATE_KINDS",
+    "MAX_QUBITS",
     "Gate",
     "Circuit",
     "PhaseSchedule",
@@ -60,6 +65,9 @@ __all__ = [
 ]
 
 GATE_KINDS = ("X", "Y", "Z", "S", "T", "PHASE", "H", "CNOT", "HLAYER")
+
+# a circuit on n qubits compiles to a walk on 2^n vertices
+MAX_QUBITS = MAX_VERTICES.bit_length() - 1
 
 _QUARTER = RationalAngle(1, 4)
 _HALF = RationalAngle(1, 2)
@@ -337,38 +345,39 @@ _SINGLE_QUBIT_MATRICES = {
 }
 
 
-def gate_unitary(gate: Gate, n_qubits: int) -> np.ndarray:
-    """Reference dense unitary of one gate (the compiler's oracle side)."""
-    n = 2 ** n_qubits
+def _apply_gate(gate: Gate, n_qubits: int, rows: np.ndarray) -> np.ndarray:
+    """The gate's unitary times ``rows`` (2^n x m), one qubit axis at a time.
+
+    A 2x2 gate acts on the axis of its qubit after reshaping the rows to
+    (2^q, 2, rest); CNOT permutes rows.
+    """
     if gate.kind == "CNOT":
         control_mask = bit_value(gate.control, n_qubits)  # type: ignore[arg-type]
         target_mask = bit_value(gate.target, n_qubits)  # type: ignore[arg-type]
-        u = np.zeros((n, n), dtype=np.complex128)
-        for v in range(n):
-            u[v ^ target_mask if v & control_mask else v, v] = 1.0
-        return u
+        index = np.arange(2**n_qubits)
+        return rows[np.where(index & control_mask, index ^ target_mask, index)]
     if gate.kind == "HLAYER":
-        factors = [
-            _SINGLE_QUBIT_MATRICES["H"] if q in (gate.targets or ()) else np.eye(2)
-            for q in range(n_qubits)
-        ]
+        targets, local = tuple(gate.targets or ()), _SINGLE_QUBIT_MATRICES["H"]
+    elif gate.kind == "PHASE":
+        theta = gate.theta.radians if gate.theta else 0.0
+        targets, local = (gate.target,), np.diag([1.0, np.exp(1j * theta)])
     else:
-        if gate.kind == "PHASE":
-            local = np.diag([1.0, np.exp(1j * (gate.theta.radians if gate.theta else 0.0))])
-        else:
-            local = _SINGLE_QUBIT_MATRICES[gate.kind]
-        factors = [local if q == gate.target else np.eye(2) for q in range(n_qubits)]
-    u = np.array([[1.0]], dtype=np.complex128)
-    for factor in factors:
-        u = np.kron(u, factor)
-    return u
+        targets, local = (gate.target,), _SINGLE_QUBIT_MATRICES[gate.kind]
+    for qubit in targets:
+        rows = (local @ rows.reshape(2**qubit, 2, -1)).reshape(rows.shape)
+    return rows
+
+
+def gate_unitary(gate: Gate, n_qubits: int) -> np.ndarray:
+    """Reference dense unitary of one gate (the compiler's oracle side)."""
+    return _apply_gate(gate, n_qubits, np.eye(2**n_qubits, dtype=np.complex128))
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
-    """Reference dense unitary of the whole circuit."""
+    """Reference dense unitary of the whole circuit, built gate by gate."""
     u = np.eye(circuit.n_vertices, dtype=np.complex128)
     for gate in circuit.gates:
-        u = gate_unitary(gate, circuit.n_qubits) @ u
+        u = _apply_gate(gate, circuit.n_qubits, u)
     return u
 
 
@@ -436,6 +445,8 @@ def parse_circuit(text: str) -> Circuit:
     n_qubits = _expect_int(data["n_qubits"], "n_qubits")
     if n_qubits < 1:
         _fail("n_qubits", "must be at least 1")
+    if n_qubits > MAX_QUBITS:
+        _fail("n_qubits", f"must be at most {MAX_QUBITS}")
     raw_gates = data["gates"]
     if not isinstance(raw_gates, list):
         _fail("gates", "expected a list")

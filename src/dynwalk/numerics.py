@@ -1,9 +1,16 @@
-"""Dense Hermitian linear algebra for walk evolution.
+"""Hermitian linear algebra for walk evolution.
 
 Everything downstream (stepping a walk, comparing programs, checking a
 compiled circuit) reduces to exponentials of real symmetric {0,1} matrices.
 This module owns that numerical kernel so the rest of the package can stay
 exact-rational until the moment a unitary is actually needed.
+
+A walk step never needs the exponential of its whole n x n adjacency
+matrix: the graph splits into connected components, and the walk engine
+hands this module one stack of equal-size component blocks at a time.
+``block_eigh`` decomposes such a stack in one batched call, and
+``block_exponential`` turns the decompositions into the blocks' unitaries.
+``evolve_unitary`` is the same exponential for a single checked matrix.
 
 Matrices are plain numpy arrays. ``ComplexMatrix`` and ``StateVector`` are
 aliases, not wrappers: adjacency matrices arrive as integer arrays and leave
@@ -24,6 +31,8 @@ __all__ = [
     "StateVector",
     "EigenDecomposition",
     "symmetric_eigh",
+    "block_eigh",
+    "block_exponential",
     "spectral_norm",
     "evolve_unitary",
     "phase_distance",
@@ -32,7 +41,10 @@ __all__ = [
 
 
 class EigenDecomposition(NamedTuple):
-    """Spectral factorization A = V diag(w) V^T of a real symmetric matrix."""
+    """Spectral factorization A = V diag(w) V^T of a real symmetric matrix.
+
+    For a stack of matrices both fields carry the stack axis first.
+    """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
@@ -64,6 +76,28 @@ def symmetric_eigh(matrix: np.ndarray) -> EigenDecomposition:
     return EigenDecomposition(eigenvalues, eigenvectors)
 
 
+def block_eigh(blocks: np.ndarray) -> EigenDecomposition:
+    """Eigendecompositions of a (b, k, k) stack of real symmetric blocks.
+
+    One batched call for the whole stack: eigenvalues come back (b, k),
+    ascending per block, and eigenvectors (b, k, k), one per column. The
+    blocks are not checked for symmetry; callers build them symmetric.
+    """
+    eigenvalues, eigenvectors = np.linalg.eigh(blocks)
+    return EigenDecomposition(eigenvalues, eigenvectors)
+
+
+def block_exponential(decomposition: EigenDecomposition, rate: float) -> ComplexMatrix:
+    """exp(-i A rate) for every matrix A of a decomposed stack (or one matrix).
+
+    Rebuilds V diag(exp(-i w rate)) V^T; the eigenvectors of a real
+    symmetric matrix are real, so V^T is V^dag.
+    """
+    eigenvalues, vectors = decomposition
+    phases = np.exp(-1j * rate * eigenvalues)
+    return (vectors * phases[..., None, :]) @ np.swapaxes(vectors, -1, -2)
+
+
 def spectral_norm(matrix: np.ndarray) -> float:
     """Largest absolute eigenvalue of a real symmetric matrix."""
     arr = _require_symmetric(matrix)
@@ -80,13 +114,11 @@ def evolve_unitary(matrix: np.ndarray, time: Union[float, SupportsFloat]) -> Com
     [-1, 1] scale. A zero matrix (no edges, no loops) has no dynamics and
     yields the identity.
     """
-    arr = _require_symmetric(matrix)
-    norm = float(np.abs(np.linalg.eigvalsh(arr)).max()) if arr.size else 0.0
+    decomposition = symmetric_eigh(matrix)
+    norm = float(np.abs(decomposition.eigenvalues).max(initial=0.0))
     if norm == 0.0:
-        return np.eye(arr.shape[0], dtype=np.complex128)
-    eigenvalues, vectors = np.linalg.eigh(arr)
-    phases = np.exp(-1j * eigenvalues * (float(time) / norm))
-    return (vectors * phases) @ vectors.conj().T
+        return np.eye(decomposition.eigenvalues.shape[0], dtype=np.complex128)
+    return block_exponential(decomposition, float(time) / norm)
 
 
 def phase_distance(u: ComplexMatrix, v: ComplexMatrix) -> float:
@@ -94,6 +126,8 @@ def phase_distance(u: ComplexMatrix, v: ComplexMatrix) -> float:
 
     Zero exactly when U and V agree up to a global phase; for unitaries it is
     bounded by [0, 1] up to rounding. Raises ``ValueError`` on shape mismatch.
+    The trace is the entrywise inner product sum conj(U_ij) V_ij, so no
+    matrix product is formed.
     """
     a = np.asarray(u)
     b = np.asarray(v)
@@ -102,7 +136,7 @@ def phase_distance(u: ComplexMatrix, v: ComplexMatrix) -> float:
     dim = a.shape[0]
     if dim == 0:
         return 0.0
-    overlap = np.trace(a.conj().T @ b)
+    overlap = np.vdot(a, b)
     return float(1.0 - abs(overlap) / dim)
 
 

@@ -73,12 +73,12 @@ from .graph_model import (
     Period,
     RationalAngle,
     TimedGraph,
-    adjacency_matrix,
     period,
     rationalize,
+    spectrum,
     supports_disjoint,
 )
-from .numerics import phase_distance, spectral_norm
+from .numerics import phase_distance
 from .walk_engine import graphs_commute, step_unitary, total_unitary
 
 __all__ = [
@@ -225,11 +225,6 @@ def _cached_permutation(step: TimedGraph) -> Optional[PhasedPermutation]:
 
 
 @lru_cache(maxsize=4096)
-def _cached_norm(graph: Graph) -> float:
-    return spectral_norm(adjacency_matrix(graph))
-
-
-@lru_cache(maxsize=4096)
 def _cached_period(graph: Graph) -> Period:
     return period(graph)
 
@@ -338,7 +333,7 @@ def pass_merge_complementary(walk: DynamicGraph, index: int) -> DynamicGraph:
         raise RuleNotApplicable("empty step")
     if not supports_disjoint(first.graph, second.graph):
         raise RuleNotApplicable("supports overlap")
-    if abs(_cached_norm(first.graph) - _cached_norm(second.graph)) > NORM_TOLERANCE:
+    if abs(spectrum(first.graph).norm - spectrum(second.graph).norm) > NORM_TOLERANCE:
         raise RuleNotApplicable("spectral norms differ")
     union = first.graph.union(second.graph)
     if first.duration <= second.duration:
@@ -353,7 +348,7 @@ def pass_merge_complementary(walk: DynamicGraph, index: int) -> DynamicGraph:
 
 
 def _rational_norm(graph: Graph) -> Optional[Fraction]:
-    value = _cached_norm(graph)
+    value = spectrum(graph).norm
     if value <= 0.0:
         return None
     guess = rationalize(value)
@@ -397,7 +392,7 @@ def pass_move_singleton(walk: DynamicGraph, source: int, vertex: int, target: in
         src_step.graph.n_vertices, src_step.graph.edges, src_step.graph.loops - {vertex}
     )
     if not remainder_graph.is_empty:
-        if abs(_cached_norm(remainder_graph) - _cached_norm(src_step.graph)) > NORM_TOLERANCE:
+        if abs(spectrum(remainder_graph).norm - spectrum(src_step.graph).norm) > NORM_TOLERANCE:
             raise RuleNotApplicable("removing the loop would change the source norm")
 
     tgt_step = walk.steps[target]

@@ -1,73 +1,70 @@
-"""Running walk programs and classifying what a step does.
+"""Running walk programs one connected component at a time.
 
 A program step (graph G, duration t) acts on amplitudes as the unitary
 exp(-i A t / ||A||), with A the adjacency matrix of G. Steps compose left
 to right in program order, so the total unitary of [s1, s2, s3] is
-U3 U2 U1. Simulation applies steps one at a time; the dense total unitary
-exists for verification and for the rewrite passes.
+U3 U2 U1.
 
-``classify_phased_bitflip`` recognizes the steps that act as a bit-flip
-permutation times a phase, such as full matchings at quarter-period and
-uniform loop sets on power-of-two vertex counts. The rewrite optimizer
-fuses the wider class of phased permutations and classifies those itself.
+A step never forms its n x n unitary. ``graph_model.spectrum`` splits the
+graph into connected components: an edge-free looped vertex only picks up
+the phase exp(-i t / ||A||), an edge-free vertex without a loop stays put,
+and every other component is a k x k block whose exponential acts on the
+k rows it owns. Applying a step to an n x m matrix therefore costs
+O(n k m) for the largest block size k, so ``evolve_state`` costs O(n k)
+per step and ``total_unitary`` O(n^2 k), and a connected graph is simply
+one block. ``step_unitary`` is the same kernel applied to the identity.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
-from .graph_model import DynamicGraph, Graph, TimedGraph, adjacency_matrix
-from .numerics import ComplexMatrix, StateVector, apply, evolve_unitary
+from .graph_model import DynamicGraph, Graph, TimedGraph, adjacency_matrix, spectrum
+from .numerics import ComplexMatrix, StateVector, block_exponential
 
 __all__ = [
-    "PhasedBitFlip",
-    "CLASSIFY_TOLERANCE",
     "step_unitary",
     "total_unitary",
     "evolve_state",
     "graphs_commute",
-    "classify_phased_bitflip",
-    "phased_bitflip_unitary",
 ]
 
-CLASSIFY_TOLERANCE = 1e-9
 
-
-@dataclass(frozen=True)
-class PhasedBitFlip:
-    """A step unitary of the form phase * X_mask.
-
-    ``flip_mask`` XORs every basis index; mask 0 is a pure global phase.
-    ``phase`` is the unit complex factor in front of the permutation.
-    """
-
-    flip_mask: int
-    phase: complex
+def _apply_step(step: TimedGraph, rows: np.ndarray) -> None:
+    """Multiply an n x m complex array in place by the step's unitary."""
+    spec = spectrum(step.graph)
+    if spec.norm == 0.0:
+        return
+    rate = float(step.duration) / spec.norm
+    if spec.looped.size:
+        rows[spec.looped] *= np.exp(-1j * rate)
+    for members, decomposition in spec.blocks:
+        rows[members] = block_exponential(decomposition, rate) @ rows[members]
 
 
 def step_unitary(step: TimedGraph) -> ComplexMatrix:
-    """Dense unitary of one timed graph step."""
-    return evolve_unitary(adjacency_matrix(step.graph), step.duration)
+    """Unitary of one timed graph step, as a dense matrix."""
+    u = np.eye(step.graph.n_vertices, dtype=np.complex128)
+    _apply_step(step, u)
+    return u
 
 
 def total_unitary(walk: DynamicGraph) -> ComplexMatrix:
     """Product of all step unitaries, later steps applied on the left."""
     u = np.eye(walk.n_vertices, dtype=np.complex128)
     for step in walk.steps:
-        u = step_unitary(step) @ u
+        _apply_step(step, u)
     return u
 
 
 def evolve_state(walk: DynamicGraph, state: StateVector) -> StateVector:
     """Run the program on a state, one step at a time."""
-    psi = np.asarray(state, dtype=np.complex128)
+    psi = np.array(state, dtype=np.complex128)
     if psi.shape != (walk.n_vertices,):
         raise ValueError(f"state has shape {psi.shape}, expected ({walk.n_vertices},)")
+    column = psi.reshape(-1, 1)
     for step in walk.steps:
-        psi = apply(step_unitary(step), psi)
+        _apply_step(step, column)
     return psi
 
 
@@ -78,35 +75,3 @@ def graphs_commute(a: Graph, b: Graph) -> bool:
     ma = adjacency_matrix(a)
     mb = adjacency_matrix(b)
     return np.array_equal(ma @ mb, mb @ ma)
-
-
-def phased_bitflip_unitary(flip_mask: int, phase: complex, n_vertices: int) -> ComplexMatrix:
-    """Dense matrix phase * X_mask on n_vertices basis states."""
-    indices = np.arange(n_vertices)
-    u = np.zeros((n_vertices, n_vertices), dtype=np.complex128)
-    u[indices ^ flip_mask, indices] = phase
-    return u
-
-
-def classify_phased_bitflip(step: TimedGraph) -> Optional[PhasedBitFlip]:
-    """Recognize a step acting as phase * X_mask, else None.
-
-    The vertex count must be a power of two so that XOR masks make sense;
-    anything else raises ValueError. The candidate mask is read off column
-    0 of the step unitary and then verified globally to CLASSIFY_TOLERANCE,
-    so a false positive would need the whole matrix to conspire. A
-    zero-duration or empty step classifies as (mask 0, phase 1).
-    """
-    n = step.graph.n_vertices
-    if n < 1 or n & (n - 1):
-        raise ValueError(f"vertex count {n} is not a power of two")
-    u = step_unitary(step)
-    column = np.abs(u[:, 0])
-    mask = int(column.argmax())
-    phase = complex(u[mask, 0])
-    if abs(abs(phase) - 1.0) > CLASSIFY_TOLERANCE:
-        return None
-    expected = phased_bitflip_unitary(mask, phase, n)
-    if np.abs(u - expected).max() > CLASSIFY_TOLERANCE:
-        return None
-    return PhasedBitFlip(mask, phase)

@@ -283,6 +283,17 @@ def test_compile_bad_circuit_exits_2(tmp_path, capsys):
     assert not out_file.exists()
 
 
+def test_oversized_inputs_exit_2(tmp_path, capsys):
+    circuit_file = tmp_path / "c.json"
+    circuit_file.write_text('{"n_qubits": 40, "gates": [{"kind": "H", "target": 0}]}')
+    assert main(["compile", str(circuit_file), "-o", str(tmp_path / "walk.json")]) == 2
+    assert "n_qubits: must be at most" in capsys.readouterr().err
+    walk_file = tmp_path / "w.json"
+    walk_file.write_text('{"n_vertices": 1099511627776, "sequence": []}')
+    assert main(["simulate", str(walk_file)]) == 2
+    assert "n_vertices: must be at most" in capsys.readouterr().err
+
+
 def test_compile_verification_failure_writes_nothing(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "phase_distance", lambda u, v: 1.0)
     circuit_file = write_circuit(

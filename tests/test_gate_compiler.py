@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynwalk.gate_compiler import (
+    MAX_QUBITS,
     Circuit,
     Gate,
     all_loops_graph,
@@ -216,6 +217,60 @@ def test_layer_rejects_empty_targets():
 # -- single gates against the dense reference ---------------------------------
 
 
+LOCAL = {
+    "X": X,
+    "Y": np.array([[0, -1j], [1j, 0]]),
+    "Z": np.diag([1, -1]).astype(complex),
+    "S": np.diag([1, 1j]),
+    "T": np.diag([1, np.exp(1j * np.pi / 4)]),
+    "H": H,
+}
+
+
+def kron_gate_matrix(gate, n_qubits):
+    """Whole-register matrix of one gate: a kron product, or CNOT's permutation."""
+    if gate.kind == "CNOT":
+        u = np.zeros((2**n_qubits, 2**n_qubits), dtype=complex)
+        for v in range(2**n_qubits):
+            bits = [(v >> (n_qubits - 1 - q)) & 1 for q in range(n_qubits)]
+            if bits[gate.control]:
+                bits[gate.target] ^= 1
+            u[int("".join(map(str, bits)), 2), v] = 1
+        return u
+    if gate.kind == "PHASE":
+        local = np.diag([1, np.exp(1j * gate.theta.radians)])
+    else:
+        local = LOCAL["H" if gate.kind == "HLAYER" else gate.kind]
+    acted = gate.targets if gate.kind == "HLAYER" else (gate.target,)
+    return kron(*(local if q in acted else I2 for q in range(n_qubits)))
+
+
+def random_gate(rng, n_qubits):
+    kinds = ["X", "Y", "Z", "S", "T", "H", "PHASE", "HLAYER"] + (["CNOT"] if n_qubits > 1 else [])
+    kind = kinds[int(rng.integers(len(kinds)))]
+    if kind == "CNOT":
+        control, target = rng.choice(n_qubits, size=2, replace=False).tolist()
+        return Gate("CNOT", control=control, target=target)
+    if kind == "HLAYER":
+        size = int(rng.integers(1, n_qubits + 1))
+        return Gate("HLAYER", targets=tuple(rng.choice(n_qubits, size=size, replace=False).tolist()))
+    target = int(rng.integers(n_qubits))
+    if kind == "PHASE":
+        return Gate("PHASE", target=target, theta=angle(int(rng.integers(0, 16)), 8))
+    return Gate(kind, target=target)
+
+
+@pytest.mark.parametrize("seed", range(15))
+def test_circuit_unitary_matches_kron_products(seed):
+    rng = np.random.default_rng(seed)
+    n_qubits = int(rng.integers(1, 6))
+    gates = [random_gate(rng, n_qubits) for _ in range(int(rng.integers(0, 9)))]
+    expected = np.eye(2**n_qubits, dtype=complex)
+    for gate in gates:
+        expected = kron_gate_matrix(gate, n_qubits) @ expected
+    assert np.abs(circuit_unitary(Circuit(n_qubits, tuple(gates))) - expected).max() < TOL
+
+
 def test_gate_unitary_reference_values():
     assert np.array_equal(gate_unitary(Gate("X", target=0), 2), kron(X, I2))
     cnot01 = gate_unitary(Gate("CNOT", control=0, target=1), 2)
@@ -388,6 +443,15 @@ def test_parse_circuit_errors(mutate, fragment):
     with pytest.raises(ParseError) as err:
         parse_circuit(json.dumps(doc))
     assert fragment in str(err.value)
+
+
+def test_parse_circuit_refuses_qubit_counts_above_the_ceiling():
+    # 2^40 basis states would never fit; the declared count alone is refused
+    with pytest.raises(ParseError, match=r"n_qubits: must be at most 12"):
+        parse_circuit(json.dumps({"n_qubits": 40, "gates": []}))
+    with pytest.raises(ParseError, match="n_qubits"):
+        parse_circuit(json.dumps({"n_qubits": MAX_QUBITS + 1, "gates": [{"kind": "X", "target": 0}]}))
+    assert parse_circuit(json.dumps({"n_qubits": MAX_QUBITS, "gates": []})).n_qubits == MAX_QUBITS
 
 
 def test_parse_circuit_rejects_bad_json_and_shape():

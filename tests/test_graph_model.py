@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynwalk.graph_model import (
+    MAX_VERTICES,
     DynamicGraph,
     Graph,
     ParseError,
@@ -318,6 +319,15 @@ def test_parse_rejects_invalid_json():
 def test_parse_rejects_non_object_top_level():
     with pytest.raises(ParseError, match="top-level"):
         parse_dynamic_graph("[1, 2]")
+
+
+def test_parse_refuses_vertex_counts_above_the_ceiling():
+    # only the declared count is read: nothing of that size is built
+    for count in (MAX_VERTICES + 1, 2**40):
+        with pytest.raises(ParseError, match=r"n_vertices: must be at most 4096"):
+            parse_dynamic_graph(json.dumps({"n_vertices": count, "sequence": []}))
+    walk = parse_dynamic_graph(json.dumps({"n_vertices": MAX_VERTICES, "sequence": []}))
+    assert walk.n_vertices == MAX_VERTICES
 
 
 @st.composite

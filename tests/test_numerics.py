@@ -194,6 +194,21 @@ def test_phase_distance_single_row_change():
     assert phase_distance(u, v) == pytest.approx(0.5)
 
 
+def random_unitary(n, rng):
+    q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 16, 64])
+def test_phase_distance_equals_the_trace_formula(n):
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        u, v = random_unitary(n, rng), random_unitary(n, rng)
+        for w in (v, np.exp(0.3j) * u, u):
+            trace_formula = 1.0 - abs(np.trace(u.conj().T @ w)) / n
+            assert abs(phase_distance(u, w) - trace_formula) < 1e-12
+
+
 def test_phase_distance_shape_mismatch():
     with pytest.raises(ValueError):
         phase_distance(np.eye(2), np.eye(3))

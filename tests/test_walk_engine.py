@@ -1,18 +1,19 @@
-"""Step evaluation, program composition, and phased bit-flip recognition."""
+"""Step evaluation and program composition, block by block."""
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from dynwalk.graph_model import DynamicGraph, Graph, RationalAngle, TimedGraph, adjacency_matrix
-from dynwalk.walk_engine import (
-    classify_phased_bitflip,
-    evolve_state,
-    graphs_commute,
-    phased_bitflip_unitary,
-    step_unitary,
-    total_unitary,
+from dynwalk.gate_compiler import compile_hadamard_layer
+from dynwalk.graph_model import (
+    DynamicGraph,
+    Graph,
+    RationalAngle,
+    TimedGraph,
+    adjacency_matrix,
+    spectrum,
 )
+from dynwalk.walk_engine import evolve_state, graphs_commute, step_unitary, total_unitary
 
 TOL = 1e-12
 
@@ -79,69 +80,111 @@ def test_graphs_commute_cases():
         graphs_commute(Graph.make(3), Graph.make(4))
 
 
-def test_phased_bitflip_unitary_explicit():
-    u = phased_bitflip_unitary(3, 1j, 4)
-    expected = np.zeros((4, 4), dtype=complex)
-    for col in range(4):
-        expected[col ^ 3, col] = 1j
-    assert np.array_equal(u, expected)
-    assert np.array_equal(phased_bitflip_unitary(0, 1.0, 2), np.eye(2))
+def dense_step_unitary(step):
+    """exp(-i A t / ||A||) from the whole adjacency matrix, through expm."""
+    a = adjacency_matrix(step.graph).astype(float)
+    norm = np.abs(np.linalg.eigvalsh(a)).max(initial=0.0)
+    if norm == 0.0:
+        return np.eye(step.graph.n_vertices)
+    return scipy.linalg.expm(-1j * a * (float(step.duration) / norm))
 
 
-def classify(graph, num, den=1):
-    return classify_phased_bitflip(TimedGraph(graph, RationalAngle(num, den)))
+def random_graph(rng, n_vertices, edge_chance, loop_chance):
+    edges = [
+        (i, j)
+        for i in range(n_vertices)
+        for j in range(i + 1, n_vertices)
+        if rng.random() < edge_chance
+    ]
+    loops = [v for v in range(n_vertices) if rng.random() < loop_chance]
+    return Graph.make(n_vertices, edges, loops)
 
 
-def test_classify_matching_quarter_periods():
-    got = classify(matching(4, 2), 1, 2)
-    assert got is not None
-    assert got.flip_mask == 2
-    assert got.phase == pytest.approx(-1j)
-
-    got = classify(matching(4, 2), 3, 2)
-    assert got is not None
-    assert got.flip_mask == 2
-    assert got.phase == pytest.approx(1j)
+DURATIONS = [RationalAngle(0), RationalAngle(5, 13), RationalAngle(17, 11), RationalAngle(1, 2)]
 
 
-def test_classify_matching_half_period_is_global_minus():
-    got = classify(matching(8, 5), 1)
-    assert got is not None
-    assert got.flip_mask == 0
-    assert got.phase == pytest.approx(-1)
+@pytest.mark.parametrize("seed", range(12))
+def test_step_unitary_matches_expm_on_split_graphs(seed):
+    """Disconnected, empty, loops-only and isolated-vertex graphs, on and off the pi/4 grid."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 10))
+    graphs = [
+        random_graph(rng, n, 0.2, 0.4),  # usually several components and idle vertices
+        random_graph(rng, n, 0.0, 0.5),  # loops only, or empty
+        Graph.make(n),
+        Graph.make(n, loops=range(n)),
+        random_graph(rng, n, 0.6, 0.0).union(Graph.make(n, loops=[n - 1])),
+    ]
+    for graph in graphs:
+        for duration in DURATIONS:
+            step = TimedGraph(graph, duration)
+            assert np.abs(step_unitary(step) - dense_step_unitary(step)).max() < TOL
 
 
-def test_classify_matching_off_grid_duration_is_none():
-    assert classify(matching(4, 1), 1, 4) is None
+def test_spectrum_matches_dense_eigenvalues():
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        graph = random_graph(rng, int(rng.integers(1, 10)), 0.25, 0.4)
+        dense = np.linalg.eigvalsh(adjacency_matrix(graph).astype(float))
+        spec = spectrum(graph)
+        assert np.abs(np.sort(spec.eigenvalues()) - dense).max() < TOL
+        assert spec.norm == pytest.approx(np.abs(dense).max(initial=0.0), abs=TOL)
 
 
-def test_classify_uniform_loops_is_global_phase():
-    got = classify(Graph.make(4, loops=range(4)), 3, 2)
-    assert got is not None
-    assert got.flip_mask == 0
-    assert got.phase == pytest.approx(1j)
+def test_evolve_state_on_basis_states_gives_unitary_columns():
+    rng = np.random.default_rng(5)
+    steps = tuple(
+        TimedGraph(random_graph(rng, 7, 0.25, 0.4), duration) for duration in DURATIONS * 2
+    )
+    walk = DynamicGraph(7, steps)
+    u = total_unitary(walk)
+    for j in range(7):
+        basis = np.zeros(7)
+        basis[j] = 1.0
+        assert np.abs(evolve_state(walk, basis) - u[:, j]).max() < TOL
 
 
-def test_classify_partial_loops_is_none():
-    assert classify(Graph.make(2, loops=[0]), 1, 2) is None
-    assert classify(Graph.make(8, loops=[1, 3, 5, 7]), 1, 4) is None
+def test_evolve_state_leaves_its_input_alone():
+    walk = DynamicGraph(2, (TimedGraph(Graph.make(2, edges=[(0, 1)]), RationalAngle(1, 2)),))
+    state = np.array([1.0, 0.0], dtype=complex)
+    evolve_state(walk, state)
+    assert np.array_equal(state, [1.0, 0.0])
 
 
-def test_classify_empty_and_zero_duration():
-    got = classify(Graph.make(4), 1, 2)
-    assert got is not None and got.flip_mask == 0 and got.phase == pytest.approx(1)
-    got = classify(matching(4, 1), 0)
-    assert got is not None and got.flip_mask == 0 and got.phase == pytest.approx(1)
+@pytest.mark.parametrize(
+    "graph, largest",
+    [
+        (matching(1024, 0b1000000001), 2),
+        (next(s.graph for s in compile_hadamard_layer([0, 4, 9], 10).steps if s.graph.edges), 8),
+        (Graph.make(1024, loops=range(0, 1024, 3)), 1),
+    ],
+)
+def test_ten_qubit_steps_decompose_only_component_blocks(graph, largest, monkeypatch):
+    """No eigendecomposition sees a matrix larger than the largest component."""
+    seen = []
+    eigh = np.linalg.eigh
+
+    def recording_eigh(matrix):
+        seen.append(matrix.shape[-1])
+        return eigh(matrix)
+
+    def refuse(matrix):
+        raise AssertionError("a dense eigenvalue call on the step path")
+
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    spectrum.cache_clear()
+    step = TimedGraph(graph, RationalAngle(1, 3))
+    state = np.zeros(1024)
+    state[1] = 1.0
+    final = evolve_state(DynamicGraph(1024, (step,)), state)
+    assert np.linalg.norm(final) == pytest.approx(1.0)
+    assert max(seen, default=1) == largest
+    spectrum.cache_clear()
 
 
-def test_classify_requires_power_of_two():
-    with pytest.raises(ValueError):
-        classify(Graph.make(3, loops=[0, 1, 2]), 1, 2)
-
-
-def test_classify_result_reproduces_step_unitary():
-    step = TimedGraph(matching(8, 6), RationalAngle(1, 2))
-    got = classify_phased_bitflip(step)
-    assert got is not None
-    rebuilt = phased_bitflip_unitary(got.flip_mask, got.phase, 8)
-    assert np.abs(rebuilt - step_unitary(step)).max() < 1e-9
+def test_step_unitary_of_quarter_period_matching_is_a_phased_bitflip():
+    u = step_unitary(TimedGraph(matching(8, 6), RationalAngle(1, 2)))
+    expected = np.zeros((8, 8), dtype=complex)
+    expected[np.arange(8) ^ 6, np.arange(8)] = -1j
+    assert np.abs(u - expected).max() < 1e-12
