@@ -32,10 +32,8 @@ from .gate_compiler import (
 )
 from .numerics import (
     EigenDecomposition,
-    apply,
     evolve_unitary,
     phase_distance,
-    spectral_norm,
     symmetric_eigh,
 )
 from .rewrite_optimizer import (
@@ -76,10 +74,8 @@ __all__ = [
     "serialize_dynamic_graph",
     "EigenDecomposition",
     "symmetric_eigh",
-    "spectral_norm",
     "evolve_unitary",
     "phase_distance",
-    "apply",
     "step_unitary",
     "total_unitary",
     "evolve_state",

@@ -197,6 +197,7 @@ def cmd_optimize(args: argparse.Namespace) -> CommandResult:
         f"rewrites applied: {len(report.rewrites)}",
         f"phase distance to input: {distance:.3e}",
         f"wrote {args.output}",
+        f"stop reason: {report.stop_reason}",
     ]
     if not report.verified:
         for item in report.rejected:

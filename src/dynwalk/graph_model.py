@@ -422,20 +422,21 @@ def period(graph: Graph) -> Period:
     ratios |lam| / ||A|| written as reduced fractions p/q, that lcm is
     2*pi * lcm(q) / gcd(p). Ratios that do not rationalize (denominator
     above 16 or residual over 1e-9) make the spectrum incommensurate and
-    the period infinite.
+    the period infinite. Ratios repeat (matchings, sub-cubes and loops
+    repeat the same blocks), so each distinct one is rationalized once.
     """
     if graph.is_empty:
         return Period.finite(RationalAngle.zero())
     spec = spectrum(graph)
-    eigenvalues = spec.eigenvalues()
-    norm = spec.norm
+    # zero eigenvalues sit still and impose no constraint
+    ratios = np.sort(np.abs(spec.eigenvalues()) / spec.norm)
+    ratios = ratios[ratios >= 1e-12]
+    # ratios equal to within 1e-12 are rationalized once
+    distinct = ratios[np.diff(ratios, prepend=-1.0) > 1e-12]
     numerators: set = set()
     denominators: set = set()
-    for lam in eigenvalues:
-        magnitude = abs(float(lam))
-        if magnitude / norm < 1e-12:
-            continue  # zero eigenvalues sit still and impose no constraint
-        ratio = rationalize(magnitude / norm)
+    for value in distinct.tolist():
+        ratio = rationalize(value)
         if ratio is None:
             return Period.infinite()
         if ratio == 0:

@@ -33,10 +33,8 @@ __all__ = [
     "symmetric_eigh",
     "block_eigh",
     "block_exponential",
-    "spectral_norm",
     "evolve_unitary",
     "phase_distance",
-    "apply",
 ]
 
 
@@ -98,14 +96,6 @@ def block_exponential(decomposition: EigenDecomposition, rate: float) -> Complex
     return (vectors * phases[..., None, :]) @ np.swapaxes(vectors, -1, -2)
 
 
-def spectral_norm(matrix: np.ndarray) -> float:
-    """Largest absolute eigenvalue of a real symmetric matrix."""
-    arr = _require_symmetric(matrix)
-    if arr.shape[0] == 0:
-        return 0.0
-    return float(np.abs(np.linalg.eigvalsh(arr)).max())
-
-
 def evolve_unitary(matrix: np.ndarray, time: Union[float, SupportsFloat]) -> ComplexMatrix:
     """Unitary exp(-i A t / ||A||) for a symmetric A, via its spectrum.
 
@@ -138,12 +128,3 @@ def phase_distance(u: ComplexMatrix, v: ComplexMatrix) -> float:
         return 0.0
     overlap = np.vdot(a, b)
     return float(1.0 - abs(overlap) / dim)
-
-
-def apply(u: ComplexMatrix, state: StateVector) -> StateVector:
-    """Apply a unitary to a state vector, checking dimensions."""
-    mat = np.asarray(u)
-    vec = np.asarray(state, dtype=np.complex128)
-    if vec.ndim != 1 or mat.ndim != 2 or mat.shape[1] != vec.shape[0]:
-        raise ValueError(f"cannot apply shape {mat.shape} to state of length {vec.shape}")
-    return mat @ vec

@@ -39,6 +39,22 @@ improving rewrite land immediately after. The fold waits so that it never
 preempts the regular rules, the loop staircase among them: its spans
 start early and reach far, and the scan takes the leftmost position.
 
+The enabling search rescans walks that differ from the current one only
+where a neutral move changed them, so the rules keep their step-local
+verdicts in module-level ``lru_cache``s keyed on the steps they read:
+what a looped singleton carries out of a step (``_singleton_source``, on
+the source step and the vertex), what a target step becomes when it
+absorbs that phase (``_singleton_landing``, on the target step, the
+vertex and the phase), the staircase of a run of loops-only steps
+(``_staircase``, on the run), and the unitary and phased-permutation form
+of each step. Apart from the step unitaries the caches hold steps and
+small tuples, never span products. A singleton is offered only the
+targets of its corridor window: outward from the source on each side, up
+to and including the first step that attaches an edge to the vertex,
+since that step blocks every target beyond it. The Hadamard-layer sites
+build the products of all fragments from one start in a single sweep and
+try them longest first.
+
 Every accepted rewrite is verified on its span alone. With Q the product
 of the steps before the span, P that of the steps after it, and S, S' the
 old and new span products, tr((P S Q)^dag P S' Q) = tr(S^dag S'), so the
@@ -56,7 +72,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Set, Tuple, Union
 
 import numpy as np
 
@@ -111,6 +127,9 @@ RULE_HYPERCUBE_HADAMARD = "HYPERCUBE_HADAMARD"
 RULE_NORMALIZE_TIME = "NORMALIZE_TIME"
 RULE_DROP_ZERO = "DROP_ZERO"
 
+STOP_FIXPOINT = "fixpoint"
+STOP_ITERATION_CAP = "iteration cap"
+
 ALL_RULES = (
     RULE_SWAP_COMMUTING,
     RULE_MERGE_IDENTICAL,
@@ -150,6 +169,9 @@ class OptimizationReport:
     rejected: Tuple[str, ...] = ()
     # phase distance between the total unitaries of the input and the output
     phase_distance: float = 0.0
+    # STOP_FIXPOINT when no rule found another rewrite, STOP_ITERATION_CAP
+    # when the cap on accepted rewrites ended the loop first
+    stop_reason: str = STOP_FIXPOINT
 
     @property
     def verified(self) -> bool:
@@ -174,6 +196,7 @@ class OptimizationReport:
             ],
             "rejected": list(self.rejected),
             "verified": self.verified,
+            "stop_reason": self.stop_reason,
         }
 
 
@@ -238,7 +261,10 @@ def _product(n_vertices: int, steps: Iterable[TimedGraph]) -> np.ndarray:
 
 
 def _span_time(steps: Iterable[TimedGraph]) -> Fraction:
-    return sum((step.duration.as_fraction() for step in steps), Fraction(0))
+    """Total duration of the steps, summed as integers over one denominator."""
+    durations = [step.duration for step in steps]
+    den = math.lcm(*(duration.den for duration in durations))
+    return Fraction(sum(duration.num * (den // duration.den) for duration in durations), den)
 
 
 def _check_adjacent(walk: DynamicGraph, index: int) -> Tuple[TimedGraph, TimedGraph]:
@@ -357,6 +383,63 @@ def _rational_norm(graph: Graph) -> Optional[Fraction]:
     return guess
 
 
+# A verdict is what a rule computed from the steps it reads, or the reason
+# (a string) it does not apply there. The cached verdicts below are keyed on
+# those steps alone, so every walk that shares them shares the answer.
+SourceVerdict = Union[str, Tuple[RationalAngle, Tuple[TimedGraph, ...]]]
+LandingVerdict = Union[str, Tuple[TimedGraph, ...]]
+
+
+@lru_cache(maxsize=8192)
+def _singleton_source(step: TimedGraph, vertex: int) -> SourceVerdict:
+    """The phase tau a looped singleton carries out of a step, and what stays.
+
+    tau = t / ||A||; the step stays behind without the loop, or vanishes
+    when the loop was all it had.
+    """
+    graph = step.graph
+    if vertex not in graph.loops or not graph.degree_free(vertex):
+        return "vertex is not a looped singleton in the source"
+    norm = _rational_norm(graph)
+    if norm is None:
+        return "source norm is not a small rational"
+    tau = step.duration.scaled(Fraction(1) / norm) % RationalAngle(2, 1)
+    remainder = Graph(graph.n_vertices, graph.edges, graph.loops - {vertex})
+    if remainder.is_empty:
+        return tau, ()
+    if abs(spectrum(remainder).norm - spectrum(graph).norm) > NORM_TOLERANCE:
+        return "removing the loop would change the source norm"
+    return tau, (TimedGraph(remainder, step.duration),)
+
+
+@lru_cache(maxsize=8192)
+def _singleton_landing(step: TimedGraph, vertex: int, tau: RationalAngle) -> LandingVerdict:
+    """The steps that replace a target step once it absorbs the phase tau."""
+    graph = step.graph
+    n = graph.n_vertices
+    if vertex in graph.loops:
+        if not graph.is_loops_only:
+            return "target loops the vertex but is not loops-only"
+        phases = {w: step.duration for w in graph.loops}
+        phases[vertex] = (step.duration + tau) % RationalAngle(2, 1)
+        return schedule_phases(phases, n).steps
+    if not graph.degree_free(vertex):
+        return "target attaches edges to the vertex"
+    if graph.is_empty:
+        return "target step is empty"
+    norm = _rational_norm(graph)
+    if norm is None:
+        return "target norm is not a small rational"
+    consumed = step.duration.scaled(Fraction(1) / norm)
+    if tau < consumed:
+        return "singleton phase is shorter than the target"
+    joined = Graph(n, graph.edges, graph.loops | {vertex})
+    residual = (tau - consumed) % RationalAngle(2, 1)
+    if residual.is_zero:
+        return (TimedGraph(joined, step.duration),)
+    return TimedGraph(joined, step.duration), TimedGraph(Graph(n, loops=frozenset({vertex})), residual)
+
+
 def pass_move_singleton(walk: DynamicGraph, source: int, vertex: int, target: int) -> DynamicGraph:
     """Migrate the phase of a looped, edge-free vertex into another step.
 
@@ -371,58 +454,24 @@ def pass_move_singleton(walk: DynamicGraph, source: int, vertex: int, target: in
     * the target leaves the vertex entirely untouched and tau covers at
       least the target's normalized duration: the vertex joins the target
       with a loop, and any remaining phase trails as a one-vertex step.
+
+    What the source gives up and what the target becomes depend on those
+    two steps alone; both verdicts are cached on them.
     """
     count = walk.graph_count
     if not (0 <= source < count and 0 <= target < count) or source == target:
         raise RuleNotApplicable("bad source/target indices")
-    src_step = walk.steps[source]
-    if vertex not in src_step.graph.loops or not src_step.graph.degree_free(vertex):
-        raise RuleNotApplicable("vertex is not a looped singleton in the source")
+    moved = _singleton_source(walk.steps[source], vertex)
+    if isinstance(moved, str):
+        raise RuleNotApplicable(moved)
+    tau, source_replacement = moved
     lo, hi = (source, target) if source < target else (target, source)
     for between in walk.steps[lo + 1 : hi]:
         if not between.graph.degree_free(vertex):
             raise RuleNotApplicable("corridor step attaches edges to the vertex")
-
-    src_norm = _rational_norm(src_step.graph)
-    if src_norm is None:
-        raise RuleNotApplicable("source norm is not a small rational")
-    tau = src_step.duration.scaled(Fraction(1) / src_norm) % RationalAngle(2, 1)
-
-    remainder_graph = Graph(
-        src_step.graph.n_vertices, src_step.graph.edges, src_step.graph.loops - {vertex}
-    )
-    if not remainder_graph.is_empty:
-        if abs(spectrum(remainder_graph).norm - spectrum(src_step.graph).norm) > NORM_TOLERANCE:
-            raise RuleNotApplicable("removing the loop would change the source norm")
-
-    tgt_step = walk.steps[target]
-    n = walk.n_vertices
-    if vertex in tgt_step.graph.loops:
-        if not tgt_step.graph.is_loops_only:
-            raise RuleNotApplicable("target loops the vertex but is not loops-only")
-        phases = {w: tgt_step.duration for w in tgt_step.graph.loops}
-        phases[vertex] = (tgt_step.duration + tau) % RationalAngle(2, 1)
-        target_replacement: Tuple[TimedGraph, ...] = schedule_phases(phases, n).steps
-    else:
-        if not tgt_step.graph.degree_free(vertex):
-            raise RuleNotApplicable("target attaches edges to the vertex")
-        if tgt_step.graph.is_empty:
-            raise RuleNotApplicable("target step is empty")
-        tgt_norm = _rational_norm(tgt_step.graph)
-        if tgt_norm is None:
-            raise RuleNotApplicable("target norm is not a small rational")
-        consumed = tgt_step.duration.scaled(Fraction(1) / tgt_norm)
-        if tau < consumed:
-            raise RuleNotApplicable("singleton phase is shorter than the target")
-        joined = Graph(n, tgt_step.graph.edges, tgt_step.graph.loops | {vertex})
-        residual = (tau - consumed) % RationalAngle(2, 1)
-        target_replacement = (TimedGraph(joined, tgt_step.duration),)
-        if not residual.is_zero:
-            target_replacement += (TimedGraph(Graph(n, loops=frozenset({vertex})), residual),)
-
-    source_replacement: Tuple[TimedGraph, ...] = ()
-    if not remainder_graph.is_empty:
-        source_replacement = (TimedGraph(remainder_graph, src_step.duration),)
+    target_replacement = _singleton_landing(walk.steps[target], vertex, tau)
+    if isinstance(target_replacement, str):
+        raise RuleNotApplicable(target_replacement)
 
     pieces: List[TimedGraph] = []
     for idx, step in enumerate(walk.steps):
@@ -435,7 +484,9 @@ def pass_move_singleton(walk: DynamicGraph, source: int, vertex: int, target: in
     return DynamicGraph(walk.n_vertices, tuple(pieces))
 
 
-def pass_hypercube_hadamard(walk: DynamicGraph, start: int, stop: int) -> DynamicGraph:
+def pass_hypercube_hadamard(
+    walk: DynamicGraph, start: int, stop: int, fragment: Optional[np.ndarray] = None
+) -> DynamicGraph:
     """Replace a fragment equal (up to phase) to Hadamards on a bit subset.
 
     The subset is read off column 0 of the fragment unitary. Hadamards on
@@ -448,6 +499,10 @@ def pass_hypercube_hadamard(walk: DynamicGraph, start: int, stop: int) -> Dynami
     (total time, graph count). Unlike the merge rules this pass enforces
     the cost drop itself: the layer is a fixed-price replacement, not a
     local fusion, so applying it blindly could pessimize a cheap fragment.
+
+    ``fragment`` is the product of steps[start:stop] when the caller has
+    built it already; the driver builds every fragment from one start in
+    a single sweep.
     """
     if not (0 <= start < stop <= walk.graph_count):
         raise RuleNotApplicable("bad span")
@@ -455,7 +510,8 @@ def pass_hypercube_hadamard(walk: DynamicGraph, start: int, stop: int) -> Dynami
     if n < 2 or n & (n - 1):
         raise RuleNotApplicable("vertex count is not a power of two")
     n_qubits = n.bit_length() - 1
-    fragment = _product(n, walk.steps[start:stop])
+    if fragment is None:
+        fragment = _product(n, walk.steps[start:stop])
     mask = 0
     for index in np.flatnonzero(np.abs(fragment[:, 0]) ** 2 > 1.0 / (2 * n)):
         mask |= int(index)
@@ -564,6 +620,18 @@ def _merge_complementary_sites(walk: DynamicGraph, index: int) -> Iterator[Site]
     return _site(walk, index, index + 2, pass_merge_complementary, index)
 
 
+@lru_cache(maxsize=4096)
+def _staircase(run: Tuple[TimedGraph, ...]) -> Tuple[Tuple[TimedGraph, ...], str]:
+    """The descending staircase of a run of loops-only steps, and its note."""
+    totals: Dict[int, Fraction] = {}
+    for step in run:
+        for v in step.graph.loops:
+            totals[v] = (totals.get(v, Fraction(0)) + step.duration.as_fraction()) % 2
+    phases = {v: RationalAngle.from_fraction(t) for v, t in totals.items() if t != 0}
+    stair = schedule_phases(phases, run[0].graph.n_vertices).steps
+    return stair, f"staircase over {len(phases)} vertices"
+
+
 def _staircase_sites(walk: DynamicGraph, start: int) -> Iterator[Site]:
     """Re-emit a run of loops-only steps as one optimal staircase.
 
@@ -577,25 +645,35 @@ def _staircase_sites(walk: DynamicGraph, start: int) -> Iterator[Site]:
         stop += 1
     if stop - start < 2:
         return
-    totals: Dict[int, Fraction] = {}
-    for step in walk.steps[start:stop]:
-        for v in step.graph.loops:
-            totals[v] = (totals.get(v, Fraction(0)) + step.duration.as_fraction()) % 2
-    phases = {v: RationalAngle.from_fraction(t) for v, t in totals.items() if t != 0}
-    stair = schedule_phases(phases, walk.n_vertices).steps
-    yield start, stop, stair, f"staircase over {len(phases)} vertices"
+    stair, note = _staircase(walk.steps[start:stop])
+    yield start, stop, stair, note
 
 
 def _singleton_moves(walk: DynamicGraph, source: int, note: str) -> Iterator[Site]:
     """Every elementary singleton move out of the source step.
 
-    ``note`` is formatted with the vertex, source and target of the move.
+    A vertex can only reach the targets of its corridor window: walking
+    outward from the source on each side, up to and including the first
+    step that attaches an edge to the vertex. Farther targets would have
+    that step in their corridor. ``note`` is formatted with the vertex,
+    source and target of the move.
     """
-    src = walk.steps[source].graph
+    steps = walk.steps
+    src = steps[source].graph
     for vertex in src.sorted_loops():
         if not src.degree_free(vertex):
             continue
-        for target in range(walk.graph_count):
+        first = source
+        while first > 0:
+            first -= 1
+            if not steps[first].graph.degree_free(vertex):
+                break
+        last = source
+        while last < walk.graph_count - 1:
+            last += 1
+            if not steps[last].graph.degree_free(vertex):
+                break
+        for target in range(first, last + 1):
             if target == source:
                 continue
             lo, hi = sorted((source, target))
@@ -609,9 +687,20 @@ def _singleton_sites(walk: DynamicGraph, source: int) -> Iterator[Site]:
 
 
 def _hypercube_sites(walk: DynamicGraph, index: int) -> Iterator[Site]:
-    """The longest Hadamard-layer fragment starting at the index."""
+    """The longest Hadamard-layer fragment starting at the index.
+
+    The products of all fragments from the index come from one sweep, one
+    matrix product per step; they are then tried longest first.
+    """
+    n = walk.n_vertices
+    if n < 2 or n & (n - 1):
+        return
+    fragments = [np.eye(n, dtype=np.complex128)]
+    for step in walk.steps[index:]:
+        fragments.append(_cached_step_unitary(step) @ fragments[-1])
     for stop in range(walk.graph_count, index, -1):
-        for site in _site(walk, index, stop, pass_hypercube_hadamard, index, stop):
+        fragment = fragments[stop - index]
+        for site in _site(walk, index, stop, pass_hypercube_hadamard, index, stop, fragment):
             yield site
             return
 
@@ -745,9 +834,13 @@ def optimize(
     cost-neutral enabling move whose successor rewrite strictly improves,
     committing the two together. Every accepted change is
     checked on its span to VERIFY_TOLERANCE; a failed check rolls back, is
-    recorded in the report, and that rewrite is not retried. Finally the
-    output's total unitary is compared with the input's; the report keeps
-    that distance, and a failure there is recorded as a rejection too.
+    recorded in the report, and that rewrite is not retried.
+    ``max_iterations`` caps the accepted changes (an enabling move and its
+    successor count as one); rejected ones do not use it up. The report's
+    ``stop_reason`` says whether the loop reached a fixpoint or the cap.
+    Finally the output's total unitary is compared with the input's; the
+    report keeps that distance, and a failure there is recorded as a
+    rejection too.
     """
     enabled = set(ALL_RULES if passes is None else passes)
     unknown = enabled - set(ALL_RULES)
@@ -762,19 +855,21 @@ def optimize(
     current, norm_records = _normalize(walk)
     records.extend(norm_records)
 
-    iterations = 0
-    while iterations < limit:
-        iterations += 1
+    accepted = 0
+    stop_reason = STOP_ITERATION_CAP
+    while accepted < limit:
         found = _scan(current, enabled, skip)
         if found is None:
             found = _scan(current, enabled, skip, last_resort=True)
         chain = [found] if found is not None else _find_enabling_pair(current, enabled, skip)
         if chain is None:
+            stop_reason = STOP_FIXPOINT
             break
         programs = [current]
         for rewrite in chain:
             programs.append(_apply(programs[-1], rewrite))
         if all(_span_verified(program, rewrite) for program, rewrite in zip(programs, chain)):
+            accepted += 1
             current, extra = _normalize(programs[-1])
             records.extend(record for record, _ in chain)
             records.extend(extra)
@@ -794,5 +889,6 @@ def optimize(
         rewrites=tuple(records),
         rejected=tuple(rejected),
         phase_distance=distance,
+        stop_reason=stop_reason,
     )
     return current, report

@@ -227,6 +227,22 @@ def test_optimize_max_iter_caps_rewrites(tmp_path, capsys):
     assert parse_dynamic_graph(out_file.read_text()).graph_count == 3
 
 
+def test_optimize_reports_stop_reason(tmp_path, capsys):
+    steps = tuple(
+        TimedGraph(Graph.make(2, loops=[0]), RationalAngle(1, 2)) for _ in range(4)
+    )
+    walk_file = write_walk(tmp_path / "in.json", DynamicGraph(2, steps))
+    out_file = tmp_path / "out.json"
+    report_file = tmp_path / "report.json"
+    argv = ["optimize", walk_file, "-o", str(out_file), "--report", str(report_file)]
+    assert main(argv + ["--max-iter", "1"]) == 0
+    assert "stop reason: iteration cap" in capsys.readouterr().out.splitlines()
+    assert json.loads(report_file.read_text())["stop_reason"] == "iteration cap"
+    assert main(argv) == 0
+    assert "stop reason: fixpoint" in capsys.readouterr().out.splitlines()
+    assert json.loads(report_file.read_text())["stop_reason"] == "fixpoint"
+
+
 def test_optimize_verification_failure_exits_1(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("dynwalk.rewrite_optimizer.phase_distance", lambda u, v: 1.0)
     walk_file = write_walk(tmp_path / "in.json", double_flip_walk())

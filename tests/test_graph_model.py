@@ -1,6 +1,8 @@
 """Graph model, exact angles, periods and the JSON interchange format."""
 
 import json
+import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import catalog
 from dynwalk.graph_model import (
     MAX_VERTICES,
     DynamicGraph,
@@ -21,6 +24,7 @@ from dynwalk.graph_model import (
     period,
     rationalize,
     serialize_dynamic_graph,
+    spectrum,
     support,
     supports_disjoint,
 )
@@ -245,6 +249,47 @@ def test_period_is_an_actual_recurrence(graph):
 
 def test_period_str():
     assert str(Period.finite(RationalAngle(2, 1))) == "2π"
+
+
+def period_per_eigenvalue(graph):
+    """The period with one rationalization per eigenvalue, repeats included."""
+    if graph.is_empty:
+        return Period.finite(RationalAngle.zero())
+    spec = spectrum(graph)
+    numerators, denominators = set(), set()
+    for lam in spec.eigenvalues():
+        magnitude = abs(float(lam))
+        if magnitude / spec.norm < 1e-12:
+            continue
+        ratio = rationalize(magnitude / spec.norm)
+        if ratio is None:
+            return Period.infinite()
+        if ratio == 0:
+            continue
+        numerators.add(ratio.numerator)
+        denominators.add(ratio.denominator)
+    return Period.finite(RationalAngle(2 * math.lcm(*denominators), math.gcd(*numerators)))
+
+
+def random_graph(rng, n):
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    density = rng.random()
+    return Graph.make(
+        n,
+        edges=[pair for pair in pairs if rng.random() < density],
+        loops=[v for v in range(n) if rng.random() < 0.4],
+    )
+
+
+def test_period_matches_the_per_eigenvalue_result():
+    graphs = {entry.graph for entry in catalog.build_catalog()}
+    rng = random.Random(7)
+    graphs |= {random_graph(rng, rng.randrange(1, 11)) for _ in range(300)}
+    graphs |= {hypercube_graph(dim) for dim in range(1, 6)}
+    outcomes = {period(graph).is_finite for graph in graphs}
+    assert outcomes == {True, False}
+    for graph in graphs:
+        assert period(graph) == period_per_eigenvalue(graph), graph
 
 
 # -- JSON parse / serialize --------------------------------------------------

@@ -12,10 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynwalk.numerics import (
-    apply,
     evolve_unitary,
     phase_distance,
-    spectral_norm,
     symmetric_eigh,
 )
 
@@ -103,22 +101,6 @@ def test_frozen_spectrum_loops_only():
 def test_eigh_rejects_non_symmetric(bad):
     with pytest.raises(ValueError):
         symmetric_eigh(bad)
-
-
-# -- spectral_norm -----------------------------------------------------------
-
-
-@pytest.mark.parametrize("n", [1, 2, 4, 6])
-def test_spectral_norm_matches_two_norm(n):
-    a = random_symmetric(n)
-    assert spectral_norm(a) == pytest.approx(np.linalg.norm(a, 2), abs=1e-12)
-
-
-def test_spectral_norm_known_values():
-    assert spectral_norm(cycle_adjacency(4)) == pytest.approx(2.0, abs=1e-12)
-    assert spectral_norm(path_adjacency(2)) == pytest.approx(1.0, abs=1e-12)
-    assert spectral_norm(np.zeros((3, 3))) == 0.0
-    assert spectral_norm(np.zeros((0, 0))) == 0.0
 
 
 # -- evolve_unitary ----------------------------------------------------------
@@ -216,19 +198,3 @@ def test_phase_distance_shape_mismatch():
 
 def test_phase_distance_empty():
     assert phase_distance(np.zeros((0, 0)), np.zeros((0, 0))) == 0.0
-
-
-# -- apply -------------------------------------------------------------------
-
-
-def test_apply_matches_matmul():
-    u = evolve_unitary(cycle_adjacency(4), 0.9)
-    state = np.array([1.0, 0.0, 0.0, 0.0])
-    assert np.array_equal(apply(u, state), u @ state.astype(complex))
-
-
-def test_apply_dimension_mismatch():
-    with pytest.raises(ValueError):
-        apply(np.eye(2), np.zeros(3))
-    with pytest.raises(ValueError):
-        apply(np.eye(2), np.zeros((2, 2)))

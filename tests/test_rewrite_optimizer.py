@@ -14,7 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import catalog
 import dynwalk.rewrite_optimizer as ro
+import trace_fixtures as tf
 from dynwalk.gate_compiler import (
     Circuit,
     Gate,
@@ -421,6 +423,108 @@ def test_hypercube_hadamard_rejects_bad_span_and_size():
         pass_hypercube_hadamard(odd, 0, 1)
 
 
+# -- rule sites against brute-force enumeration ------------------------------------
+
+
+def brute_force_singleton_moves(walk, source, note):
+    """Every (vertex, target) pair offered to pass_move_singleton."""
+    sites = []
+    for vertex in range(walk.n_vertices):
+        for target in range(walk.graph_count):
+            if target == source:
+                continue
+            lo, hi = sorted((source, target))
+            text = note.format(vertex=vertex, source=source, target=target)
+            args = (source, vertex, target)
+            sites.extend(ro._site(walk, lo, hi + 1, pass_move_singleton, *args, note=text))
+    return sites
+
+
+def random_singleton_step(rng, n):
+    duration = angle(rng.randrange(1, 8), 4)
+    kind = rng.randrange(3)
+    if kind == 0:
+        return TimedGraph(Graph.make(n, loops=[v for v in range(n) if rng.random() < 0.5]), duration)
+    if kind == 1:
+        return TimedGraph(Graph.make(n, loops=[rng.randrange(n)]), duration)
+    # a partial matching, with loops on some vertices inside and outside it
+    order = rng.sample(range(n), n)
+    pairs = [(order[i], order[i + 1]) for i in range(0, n - 1, 2) if rng.random() < 0.6]
+    looped = [v for v in range(n) if rng.random() < 0.4]
+    return TimedGraph(Graph.make(n, edges=pairs, loops=looped), duration)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_singleton_moves_match_the_brute_force_enumeration(seed):
+    rng = random.Random(seed)
+    n = rng.randrange(2, 9)
+    walk = DynamicGraph(n, tuple(random_singleton_step(rng, n) for _ in range(rng.randrange(2, 9))))
+    note = "vertex {vertex}: step {source} -> step {target}"
+    for source in range(walk.graph_count):
+        assert list(ro._singleton_moves(walk, source, note)) == brute_force_singleton_moves(
+            walk, source, note
+        )
+
+
+def test_singleton_moves_skip_targets_beyond_the_corridor(monkeypatch):
+    walk = walk_of(
+        loops(3, [0], 1),
+        TimedGraph(Graph.make(3, edges=[(0, 1)]), angle(1, 2)),
+        TimedGraph(Graph.make(3, edges=[(1, 2)]), angle(1, 2)),
+    )
+    calls = []
+    real = ro.pass_move_singleton
+
+    def counted(walk, source, vertex, target):
+        calls.append(target)
+        return real(walk, source, vertex, target)
+
+    monkeypatch.setattr(ro, "pass_move_singleton", counted)
+    assert list(ro._singleton_moves(walk, 0, "")) == []
+    assert calls == [1]
+
+
+def per_stop_hypercube_sites(walk, index):
+    """The longest span from the index that pass_hypercube_hadamard accepts."""
+    for stop in range(walk.graph_count, index, -1):
+        sites = list(ro._site(walk, index, stop, pass_hypercube_hadamard, index, stop))
+        if sites:
+            return sites
+    return []
+
+
+def random_hadamard_walk(rng, n_qubits):
+    n = 2**n_qubits
+    steps = []
+    for _ in range(rng.randrange(2, 6)):
+        kind = rng.randrange(4)
+        if kind == 0:
+            steps.extend(compile_gate(Gate("H", target=rng.randrange(n_qubits)), n_qubits).steps)
+        elif kind == 1:
+            # a layer padded with a global phase, which the pass strips
+            targets = [q for q in range(n_qubits) if rng.random() < 0.6] or [0]
+            steps.extend(compile_hadamard_layer(targets, n_qubits).steps)
+            steps.append(TimedGraph(all_loops_graph(n), angle(rng.randrange(1, 4), 4)))
+        elif kind == 2:
+            steps.append(loops(n, [v for v in range(n) if rng.random() < 0.5] or [0], rng.randrange(1, 8), 4))
+        else:
+            steps.append(match(n, rng.randrange(1, n), rng.randrange(1, 4), 4))
+    return DynamicGraph(n, tuple(steps))
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2, 3])
+def test_hypercube_sites_match_the_per_stop_scan(n_qubits):
+    rng = random.Random(n_qubits)
+    found = 0
+    for _ in range(6):
+        walk = random_hadamard_walk(rng, n_qubits)
+        for index in range(walk.graph_count):
+            sites = list(ro._hypercube_sites(walk, index))
+            assert sites == per_stop_hypercube_sites(walk, index)
+            found += len(sites)
+    assert found > 0
+
+
 # -- the driver -------------------------------------------------------------------
 
 
@@ -518,7 +622,8 @@ def test_optimize_report_dict_shape():
     walk = walk_of(match(4, 1, 1, 2), match(4, 1, 1, 2))
     _, report = optimize(walk)
     d = report.to_dict()
-    assert set(d) == {"initial", "final", "rewrites", "rejected", "verified"}
+    assert set(d) == {"initial", "final", "rewrites", "rejected", "verified", "stop_reason"}
+    assert d["stop_reason"] == "fixpoint"
     assert d["initial"]["graphs"] == 2
     assert d["final"]["time"]["pi_num"] == 1
     assert d["verified"] is True
@@ -570,6 +675,24 @@ def test_optimize_iteration_cap():
     final, report = optimize(walk, max_iterations=1)
     assert final.graph_count == 3
     assert len(report.rewrites) == 1
+
+
+def test_optimize_iteration_cap_counts_only_accepted_rewrites(monkeypatch):
+    walk = walk_of(*(loops(2, [0], 1, 2) for _ in range(4)))
+    real = ro._span_verified
+    checks = []
+
+    def fails_once(program, rewrite):
+        checks.append(rewrite)
+        return len(checks) > 1 and real(program, rewrite)
+
+    monkeypatch.setattr(ro, "_span_verified", fails_once)
+    final, report = optimize(walk, max_iterations=1)
+    assert len(report.rejected) == 1
+    assert len(report.rewrites) == 1
+    assert final.graph_count < walk.graph_count
+    assert report.stop_reason == "iteration cap"
+    assert_same_program(walk, final)
 
 
 def test_optimize_rolls_back_failed_verification(monkeypatch):
@@ -629,6 +752,62 @@ def test_optimize_preserves_unitary_and_never_pessimizes(seed):
     before = (walk.total_time().as_fraction(), walk.graph_count)
     after = (final.total_time().as_fraction(), final.graph_count)
     assert after <= before
+
+
+def steps_of(n, *rows):
+    return tuple(
+        TimedGraph(Graph.make(n, edges=edges, loops=looped), angle(num, den))
+        for edges, looped, num, den in rows
+    )
+
+
+def test_optimize_keeps_the_short_and_recovered_program_results():
+    short, _ = optimize(tf.short_program())
+    assert short.steps == steps_of(
+        8,
+        ([], [0, 2], 1, 2),
+        ([], [0, 1, 2, 3, 4, 6], 1, 2),
+        ([(0, 1), (0, 4), (1, 5), (2, 3), (2, 6), (3, 7), (4, 5), (6, 7)], [], 1, 2),
+        ([(0, 2), (1, 3)], [], 1, 2),
+        ([(0, 4), (1, 7), (2, 6), (3, 5)], [], 1, 2),
+        ([], [4, 5], 1, 2),
+        ([], [1, 2, 5, 6], 1, 4),
+        ([], [3, 4, 5, 6], 1, 2),
+        ([], [0, 1, 3, 4, 5, 6], 1, 2),
+    )
+    recovered, _ = optimize(catalog.reconstruct(tf.LONG_TRACE).program())
+    assert recovered.steps == steps_of(
+        8,
+        ([], [0, 1, 2, 3], 1, 2),
+        ([(0, 4), (1, 5), (2, 6), (3, 7)], [], 1, 4),
+        ([(0, 2), (1, 3), (4, 6), (5, 7)], [], 1, 2),
+        ([], [0, 2, 4, 6], 1, 2),
+        ([(0, 1), (2, 3), (4, 5), (6, 7)], [], 1, 4),
+        ([(4, 6), (5, 7)], [0, 1, 2, 3], 1, 2),
+        ([(0, 4), (1, 7), (2, 6), (3, 5)], [], 1, 2),
+        ([], [2, 5], 1, 2),
+        ([], [2, 5, 6], 3, 4),
+        ([], [2, 3, 4, 5, 6], 1, 4),
+        ([], [1, 2, 3, 4, 5, 6], 1, 4),
+    )
+
+
+# 4,228 calls when the corridor window was introduced; offering every
+# target of the walk again took 14,980.
+SINGLETON_CALL_CEILING = 4650
+
+
+def test_optimize_recovered_program_stays_under_the_singleton_call_ceiling(monkeypatch):
+    calls = []
+    real = ro.pass_move_singleton
+
+    def counted(*args):
+        calls.append(args[1:])
+        return real(*args)
+
+    monkeypatch.setattr(ro, "pass_move_singleton", counted)
+    optimize(catalog.reconstruct(tf.LONG_TRACE).program())
+    assert 0 < len(calls) <= SINGLETON_CALL_CEILING
 
 
 @st.composite
