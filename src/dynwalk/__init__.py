@@ -10,15 +10,10 @@ from .graph_model import (
     DynamicGraph,
     Graph,
     ParseError,
-    Period,
-    RationalAngle,
     TimedGraph,
-    adjacency_matrix,
     parse_dynamic_graph,
     period,
     serialize_dynamic_graph,
-    support,
-    supports_disjoint,
 )
 from .gate_compiler import (
     Circuit,
@@ -30,12 +25,7 @@ from .gate_compiler import (
     parse_circuit,
     schedule_phases,
 )
-from .numerics import (
-    EigenDecomposition,
-    evolve_unitary,
-    phase_distance,
-    symmetric_eigh,
-)
+from .numerics import phase_distance
 from .rewrite_optimizer import (
     ALL_RULES,
     OptimizationReport,
@@ -49,37 +39,23 @@ from .rewrite_optimizer import (
     pass_move_singleton,
     pass_swap_commuting,
 )
-from .walk_engine import (
-    evolve_state,
-    graphs_commute,
-    step_unitary,
-    total_unitary,
-)
+from .walk_engine import evolve_state, step_unitary, total_unitary
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "RationalAngle",
     "Graph",
     "TimedGraph",
     "DynamicGraph",
-    "Period",
     "ParseError",
-    "adjacency_matrix",
-    "support",
-    "supports_disjoint",
     "period",
     "parse_dynamic_graph",
     "serialize_dynamic_graph",
-    "EigenDecomposition",
-    "symmetric_eigh",
-    "evolve_unitary",
     "phase_distance",
     "step_unitary",
     "total_unitary",
     "evolve_state",
-    "graphs_commute",
     "Gate",
     "Circuit",
     "parse_circuit",

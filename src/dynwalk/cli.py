@@ -24,7 +24,7 @@ import os
 import re
 import sys
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,8 +32,10 @@ from .gate_compiler import circuit_unitary, compile_circuit, parse_circuit
 from .graph_model import (
     DynamicGraph,
     ParseError,
+    format_angle,
     parse_dynamic_graph,
     period,
+    radians,
     serialize_dynamic_graph,
     spectrum,
 )
@@ -82,10 +84,11 @@ def _load_walk(path: str) -> DynamicGraph:
         raise CliInputError(f"{path}: {err}") from err
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_text(path: str, chunks: Iterable[str]) -> None:
+    """Write the chunks in turn, so a generator is never held whole."""
     try:
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
     except OSError as err:
         raise CliInputError(f"cannot write {path}: {err.strerror or err}") from err
 
@@ -147,21 +150,18 @@ def cmd_simulate(args: argparse.Namespace) -> CommandResult:
     return CommandResult(0, tuple(lines))
 
 
-def _unitary_rows(u: np.ndarray) -> List[str]:
-    return [
-        ",".join(f"{cell.real:.12f}{cell.imag:+.12f}i" for cell in row)
-        for row in u
-    ]
+def _unitary_rows(u: np.ndarray) -> Iterator[str]:
+    for row in u:
+        yield ",".join(f"{cell.real:.12f}{cell.imag:+.12f}i" for cell in row)
 
 
 def cmd_unitary(args: argparse.Namespace) -> CommandResult:
     walk = _load_walk(args.walk)
     u = total_unitary(walk)
-    rows = _unitary_rows(u)
     if args.csv:
-        _write_text(args.csv, "\n".join(rows) + "\n")
+        _write_text(args.csv, (row + "\n" for row in _unitary_rows(u)))
         return CommandResult(0, (f"wrote {u.shape[0]}x{u.shape[1]} unitary to {args.csv}",))
-    return CommandResult(0, tuple(rows))
+    return CommandResult(0, tuple(_unitary_rows(u)))
 
 
 def _parse_passes(text: Optional[str]) -> Optional[List[str]]:
@@ -183,17 +183,17 @@ def cmd_optimize(args: argparse.Namespace) -> CommandResult:
     passes = _parse_passes(args.passes)
     simplified, report = optimize(walk, passes=passes, max_iterations=args.max_iter)
     distance = report.phase_distance
-    _write_text(args.output, serialize_dynamic_graph(simplified))
+    _write_text(args.output, (serialize_dynamic_graph(simplified),))
     if args.report:
         payload = report.to_dict()
         payload["input"] = args.walk
         payload["output"] = args.output
         payload["phase_distance"] = distance
-        _write_text(args.report, json.dumps(payload, indent=2) + "\n")
+        _write_text(args.report, (json.dumps(payload, indent=2) + "\n",))
     lines = [
         f"graphs {report.initial_count} -> {report.final_count}",
-        f"time {report.initial_time} -> {report.final_time}"
-        f" ({report.initial_time.radians:.4f} -> {report.final_time.radians:.4f})",
+        f"time {format_angle(report.initial_time)} -> {format_angle(report.final_time)}"
+        f" ({radians(report.initial_time):.4f} -> {radians(report.final_time):.4f})",
         f"rewrites applied: {len(report.rewrites)}",
         f"phase distance to input: {distance:.3e}",
         f"wrote {args.output}",
@@ -214,14 +214,15 @@ def cmd_compile(args: argparse.Namespace) -> CommandResult:
         raise CliInputError(f"{args.circuit}: {err}") from err
     walk = compile_circuit(circuit, parallel_hadamards=args.parallel_h)
     distance = phase_distance(total_unitary(walk), circuit_unitary(circuit))
+    total = walk.total_time()
     lines = [
         f"{len(circuit.gates)} gates -> {walk.graph_count} graphs,"
-        f" total time {walk.total_time()} ({walk.total_time().radians:.4f})",
+        f" total time {format_angle(total)} ({radians(total):.4f})",
         f"phase distance to circuit unitary: {distance:.3e}",
     ]
     if distance >= EQUIVALENCE_TOLERANCE:
         return CommandResult(1, tuple(lines) + ("verification FAILED, not writing output",))
-    _write_text(args.output, serialize_dynamic_graph(walk))
+    _write_text(args.output, (serialize_dynamic_graph(walk),))
     return CommandResult(0, tuple(lines) + (f"wrote {args.output}",))
 
 
@@ -242,14 +243,14 @@ def cmd_stats(args: argparse.Namespace) -> CommandResult:
     walk = _load_walk(args.walk)
     lines = [f"vertices: {walk.n_vertices}", f"graphs: {walk.graph_count}"]
     total = walk.total_time()
-    lines.append(f"total time: {total} ({total.radians:.4f})")
+    lines.append(f"total time: {format_angle(total)} ({radians(total):.4f})")
     for index, step in enumerate(walk.steps):
         norm = spectrum(step.graph).norm
-        p = period(step.graph)
+        cycle = period(step.graph)
         lines.append(
             f"step {index}: {len(step.graph.edges)} edges, {len(step.graph.loops)} loops,"
-            f" time {step.duration} ({step.duration.radians:.4f}),"
-            f" norm {norm:.6f}, period {p}"
+            f" time {format_angle(step.duration)} ({radians(step.duration):.4f}),"
+            f" norm {norm:.6f}, period {'infinite' if cycle is None else format_angle(cycle)}"
         )
     return CommandResult(0, tuple(lines))
 

@@ -28,7 +28,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 import numpy as np
 
@@ -37,12 +37,13 @@ from .graph_model import (
     DynamicGraph,
     Graph,
     ParseError,
-    RationalAngle,
     TimedGraph,
     _expect_int,
     _expect_keys,
     _fail,
     _parse_time,
+    format_angle,
+    radians,
 )
 
 __all__ = [
@@ -69,11 +70,11 @@ GATE_KINDS = ("X", "Y", "Z", "S", "T", "PHASE", "H", "CNOT", "HLAYER")
 # a circuit on n qubits compiles to a walk on 2^n vertices
 MAX_QUBITS = MAX_VERTICES.bit_length() - 1
 
-_QUARTER = RationalAngle(1, 4)
-_HALF = RationalAngle(1, 2)
-_PI = RationalAngle(1, 1)
-_THREE_HALVES = RationalAngle(3, 2)
-_FULL = RationalAngle(2, 1)
+_HALF = Fraction(1, 2)
+_PI = Fraction(1)
+_THREE_HALVES = Fraction(3, 2)
+# loop durations of the diagonal gates: loops for d multiply by exp(-i d)
+_LOOP_PHASES = {"Z": _PI, "S": _THREE_HALVES, "T": Fraction(7, 4)}
 
 
 @dataclass(frozen=True)
@@ -83,7 +84,8 @@ class Gate:
     kind: str
     target: Optional[int] = None
     control: Optional[int] = None
-    theta: Optional[RationalAngle] = None
+    # a multiple of pi in [0, 2), for PHASE
+    theta: Optional[Fraction] = None
     targets: Optional[Tuple[int, ...]] = None
 
     def __post_init__(self) -> None:
@@ -102,10 +104,12 @@ class Gate:
                 raise ValueError("CNOT needs a control qubit")
             if self.control == self.target:
                 raise ValueError("CNOT control and target must differ")
-        if self.kind == "PHASE":
-            if self.theta is None:
-                raise ValueError("PHASE needs a theta angle")
-            if self.theta.as_fraction() >= 2:
+        if self.kind == "PHASE" and self.theta is None:
+            raise ValueError("PHASE needs a theta angle")
+        if self.theta is not None:
+            if not isinstance(self.theta, Fraction):
+                raise TypeError(f"theta must be a Fraction multiple of pi, got {self.theta!r}")
+            if not 0 <= self.theta < 2:
                 raise ValueError("PHASE theta must lie in [0, 2pi)")
 
 
@@ -134,7 +138,7 @@ class Circuit:
 class PhaseSchedule:
     """A per-vertex phase target and the staircase realizing it."""
 
-    phases: Tuple[Tuple[int, RationalAngle], ...]
+    phases: Tuple[Tuple[int, Fraction], ...]
     steps: Tuple[TimedGraph, ...]
 
 
@@ -170,7 +174,7 @@ def bit_set_loops_graph(n_vertices: int, bit_mask: int) -> Graph:
     return Graph.make(n_vertices, loops=(v for v in range(n_vertices) if v & bit_mask))
 
 
-def schedule_phases(phases: Mapping[int, RationalAngle], n_vertices: int) -> PhaseSchedule:
+def schedule_phases(phases: Mapping[int, Fraction], n_vertices: int) -> PhaseSchedule:
     """Loop staircase applying exp(-i theta_v) to each vertex v.
 
     Emits one loop graph per distinct nonzero phase, nested by threshold in
@@ -179,20 +183,24 @@ def schedule_phases(phases: Mapping[int, RationalAngle], n_vertices: int) -> Pha
     for at least that long. Phases must lie in [0, 2pi); anything else is a
     caller bug and raises ValueError.
     """
-    cleaned: Dict[int, RationalAngle] = {}
+    cleaned: Dict[int, Fraction] = {}
+    at_level: Dict[Fraction, List[int]] = {}
     for vertex, angle in phases.items():
         if not (0 <= vertex < n_vertices):
             raise ValueError(f"vertex {vertex} out of range")
-        if angle.as_fraction() >= 2:
-            raise ValueError(f"phase {angle} for vertex {vertex} not reduced below 2pi")
-        if not angle.is_zero:
+        if not 0 <= angle < 2:
+            raise ValueError(f"phase {format_angle(angle)} for vertex {vertex} not in [0, 2pi)")
+        if angle:
             cleaned[vertex] = angle
-    thresholds = sorted({angle for angle in cleaned.values()}, reverse=True)
+            at_level.setdefault(angle, []).append(vertex)
+    thresholds = sorted(at_level, reverse=True)
     steps = []
+    loops: Set[int] = set()
     for index, level in enumerate(thresholds):
-        loops = frozenset(v for v, angle in cleaned.items() if angle >= level)
-        lower = thresholds[index + 1] if index + 1 < len(thresholds) else RationalAngle.zero()
-        steps.append(TimedGraph(Graph(n_vertices, loops=loops), level - lower))
+        # the loops at this level are the vertices whose phase reaches it
+        loops.update(at_level[level])
+        lower = thresholds[index + 1] if index + 1 < len(thresholds) else 0
+        steps.append(TimedGraph(Graph(n_vertices, loops=frozenset(loops)), level - lower))
     phase_items = tuple(sorted(cleaned.items()))
     return PhaseSchedule(phase_items, tuple(steps))
 
@@ -235,14 +243,11 @@ def compile_hadamard_layer(targets: Iterable[int], n_qubits: int) -> DynamicGrap
         union |= mask
 
     beta = _choose_beta(len(order))
-    phase_map = {
-        v: RationalAngle.from_fraction((beta - Fraction((v & union).bit_count(), 2)) % 2)
-        for v in range(n)
-    }
+    phase_map = {v: (beta - Fraction((v & union).bit_count(), 2)) % 2 for v in range(n)}
     stair = schedule_phases(phase_map, n).steps
 
     edges = {(v, v ^ mask) for mask in masks for v in range(n) if v < v ^ mask}
-    walk = TimedGraph(Graph.make(n, edges), RationalAngle(len(order), 4))
+    walk = TimedGraph(Graph.make(n, edges), Fraction(len(order), 4))
     return DynamicGraph(n, tuple(stair) + (walk,) + tuple(stair))
 
 
@@ -260,16 +265,13 @@ def _single_qubit_steps(gate: Gate, n_qubits: int) -> Tuple[TimedGraph, ...]:
             TimedGraph(matching_graph(n, mask), _HALF),
             TimedGraph(bit_set_loops_graph(n, mask), _PI),
         )
-    if gate.kind in ("Z", "S", "T", "PHASE"):
-        theta = {
-            "Z": _PI,
-            "S": _THREE_HALVES,
-            "T": RationalAngle(7, 4),
-            "PHASE": (_FULL - gate.theta) % _FULL if gate.theta else RationalAngle.zero(),
-        }[gate.kind]
-        if gate.kind == "PHASE" and gate.theta is not None and gate.theta.is_zero:
+    if gate.kind == "PHASE":
+        if gate.theta == 0:
             return ()
-        return (TimedGraph(bit_set_loops_graph(n, mask), theta),)
+        # theta lies in (0, 2), so 2 - theta needs no reduction
+        return (TimedGraph(bit_set_loops_graph(n, mask), 2 - gate.theta),)  # type: ignore[operator]
+    if gate.kind in _LOOP_PHASES:
+        return (TimedGraph(bit_set_loops_graph(n, mask), _LOOP_PHASES[gate.kind]),)
     raise AssertionError(f"not a single-qubit catalog gate: {gate.kind}")
 
 
@@ -359,8 +361,7 @@ def _apply_gate(gate: Gate, n_qubits: int, rows: np.ndarray) -> np.ndarray:
     if gate.kind == "HLAYER":
         targets, local = tuple(gate.targets or ()), _SINGLE_QUBIT_MATRICES["H"]
     elif gate.kind == "PHASE":
-        theta = gate.theta.radians if gate.theta else 0.0
-        targets, local = (gate.target,), np.diag([1.0, np.exp(1j * theta)])
+        targets, local = (gate.target,), np.diag([1.0, np.exp(1j * radians(gate.theta))])
     else:
         targets, local = (gate.target,), _SINGLE_QUBIT_MATRICES[gate.kind]
     for qubit in targets:

@@ -1,11 +1,13 @@
 """Graphs, exact durations, and the dynamic-graph container.
 
 A walk program is a finite sequence of undirected graphs (self-loops
-allowed) on a fixed vertex set, each paired with a duration. Durations in
-this package are exact nonnegative rational multiples of pi, kept as
-integer pairs until a unitary is actually evaluated. That exactness is what
-lets the rewrite passes cancel full periods and compare costs without
-accumulating float error.
+allowed) on a fixed vertex set, each paired with a duration. Durations,
+periods and gate angles in this package are ``fractions.Fraction``s: the
+exact nonnegative multiple of pi, so ``float(d)`` is that multiple and not
+an angle. ``radians(d)`` converts when a unitary is actually evaluated and
+``format_angle(d)`` prints ``3π/2``. That exactness is what lets the
+rewrite passes cancel full periods and compare costs without accumulating
+float error.
 
 The JSON interchange format mirrors the in-memory model:
 
@@ -29,23 +31,23 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, total_ordering
+from functools import lru_cache
 from itertools import chain
-from typing import Iterable, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .numerics import EigenDecomposition, block_eigh
 
 __all__ = [
-    "RationalAngle",
     "Graph",
     "TimedGraph",
     "DynamicGraph",
-    "Period",
     "ParseError",
     "Spectrum",
     "MAX_VERTICES",
+    "radians",
+    "format_angle",
     "adjacency_matrix",
     "spectrum",
     "support",
@@ -56,105 +58,25 @@ __all__ = [
     "rationalize",
 ]
 
-RationalLike = Union["RationalAngle", Fraction, int]
-
 # 2^12 basis states. Measured on a 2-vCPU x86 machine with one H and one
 # CNOT on 12 qubits: compile 1.1 s and 0.8 GB, equiv 1.7 s and 1.1 GB,
-# unitary --csv 37 s and 1.8 GB, simulate 0.05 s and 34 MB. The commands
+# unitary --csv 33 s and 0.8 GB, simulate 0.05 s and 34 MB. The commands
 # that hold dense n x n unitaries need four times the memory per extra qubit.
 MAX_VERTICES = 4096
 
 
-@total_ordering
-@dataclass(frozen=True)
-class RationalAngle:
-    """An exact nonnegative angle num*pi/den, always stored reduced."""
-
-    num: int
-    den: int = 1
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.num, int) or not isinstance(self.den, int):
-            raise TypeError("RationalAngle components must be ints")
-        if self.den == 0:
-            raise ValueError("zero denominator")
-        num, den = self.num, self.den
-        if den < 0:
-            num, den = -num, -den
-        if num < 0:
-            raise ValueError(f"negative angle {num}*pi/{den}")
-        g = math.gcd(num, den)
-        if g > 1:
-            num //= g
-            den //= g
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    @classmethod
-    def zero(cls) -> "RationalAngle":
-        return cls(0, 1)
-
-    @classmethod
-    def from_fraction(cls, value: Fraction) -> "RationalAngle":
-        return cls(value.numerator, value.denominator)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.num == 0
-
-    def as_fraction(self) -> Fraction:
-        """The multiple of pi as an exact fraction."""
-        return Fraction(self.num, self.den)
-
-    @property
-    def radians(self) -> float:
-        return math.pi * self.num / self.den
-
-    def __float__(self) -> float:
-        return self.radians
-
-    def __add__(self, other: "RationalAngle") -> "RationalAngle":
-        return RationalAngle.from_fraction(self.as_fraction() + other.as_fraction())
-
-    def __sub__(self, other: "RationalAngle") -> "RationalAngle":
-        value = self.as_fraction() - other.as_fraction()
-        if value < 0:
-            raise ValueError(f"angle subtraction went negative: {self} - {other}")
-        return RationalAngle.from_fraction(value)
-
-    def __mod__(self, modulus: "RationalAngle") -> "RationalAngle":
-        if modulus.is_zero:
-            return RationalAngle.zero()
-        return RationalAngle.from_fraction(self.as_fraction() % modulus.as_fraction())
-
-    def scaled(self, factor: Union[Fraction, int]) -> "RationalAngle":
-        value = self.as_fraction() * factor
-        if value < 0:
-            raise ValueError("scaling produced a negative angle")
-        return RationalAngle.from_fraction(value)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RationalAngle):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __lt__(self, other: "RationalAngle") -> bool:
-        return self.as_fraction() < other.as_fraction()
-
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
-
-    def __str__(self) -> str:
-        if self.num == 0:
-            return "0"
-        head = "π" if self.num == 1 else f"{self.num}π"
-        return head if self.den == 1 else f"{head}/{self.den}"
-
-    def __repr__(self) -> str:
-        return f"RationalAngle({self.num}, {self.den})"
+def radians(angle: Fraction) -> float:
+    """The angle in radians, for a multiple of pi held as a Fraction."""
+    return math.pi * angle.numerator / angle.denominator
 
 
-TWO_PI = RationalAngle(2, 1)
+def format_angle(angle: Fraction) -> str:
+    """The multiple of pi as text: 0, π, π/4, 3π/2."""
+    num, den = angle.numerator, angle.denominator
+    if num == 0:
+        return "0"
+    head = "π" if num == 1 else f"{num}π"
+    return head if den == 1 else f"{head}/{den}"
 
 
 def _normalize_edge(pair: Sequence[int]) -> Tuple[int, int]:
@@ -227,10 +149,25 @@ class Graph:
 
 @dataclass(frozen=True)
 class TimedGraph:
-    """One walk step: evolve under graph for an exact duration."""
+    """One walk step: evolve under graph for an exact duration.
+
+    The duration is a nonnegative Fraction, the multiple of pi the step
+    runs for. The optimizer's caches are keyed on steps, so the hash reads
+    the duration's integer parts rather than paying for
+    ``Fraction.__hash__``.
+    """
 
     graph: Graph
-    duration: RationalAngle
+    duration: Fraction
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.duration, Fraction):
+            raise TypeError(f"duration must be a Fraction multiple of pi, got {self.duration!r}")
+        if self.duration.numerator < 0:
+            raise ValueError(f"negative duration {format_angle(self.duration)}")
+
+    def __hash__(self) -> int:
+        return hash((self.graph, self.duration.numerator, self.duration.denominator))
 
 
 @dataclass(frozen=True)
@@ -252,11 +189,8 @@ class DynamicGraph:
     def from_steps(cls, n_vertices: int, steps: Iterable[TimedGraph]) -> "DynamicGraph":
         return cls(n_vertices, tuple(steps))
 
-    def total_time(self) -> RationalAngle:
-        total = Fraction(0)
-        for step in self.steps:
-            total += step.duration.as_fraction()
-        return RationalAngle.from_fraction(total)
+    def total_time(self) -> Fraction:
+        return sum((step.duration for step in self.steps), Fraction(0))
 
     @property
     def graph_count(self) -> int:
@@ -266,33 +200,6 @@ class DynamicGraph:
         """Copy with steps[start:stop] replaced by new_steps."""
         merged = self.steps[:start] + tuple(new_steps) + self.steps[stop:]
         return DynamicGraph(self.n_vertices, merged)
-
-
-@dataclass(frozen=True)
-class Period:
-    """Recurrence time of a walk step: a rational multiple of pi, or none.
-
-    ``value`` is None for aperiodic graphs (incommensurate spectrum). The
-    empty graph gets the degenerate finite period 0, meaning every duration
-    reduces to 0: nothing evolves, so all durations are equivalent.
-    """
-
-    value: Optional[RationalAngle]
-
-    @classmethod
-    def finite(cls, value: RationalAngle) -> "Period":
-        return cls(value)
-
-    @classmethod
-    def infinite(cls) -> "Period":
-        return cls(None)
-
-    @property
-    def is_finite(self) -> bool:
-        return self.value is not None
-
-    def __str__(self) -> str:
-        return str(self.value) if self.value is not None else "infinite"
 
 
 def adjacency_matrix(graph: Graph) -> np.ndarray:
@@ -414,8 +321,8 @@ def rationalize(value: float, max_denominator: int = 16, tolerance: float = 1e-9
     return None
 
 
-def period(graph: Graph) -> Period:
-    """Recurrence time of exp(-i A t / ||A||), if one exists.
+def period(graph: Graph) -> Optional[Fraction]:
+    """Recurrence time of exp(-i A t / ||A||) as a multiple of pi, if any.
 
     Each eigenvalue pair contributes a candidate period 2*pi*||A|| / |lam|;
     the walk period is their least common multiple. With the normalized
@@ -424,9 +331,13 @@ def period(graph: Graph) -> Period:
     above 16 or residual over 1e-9) make the spectrum incommensurate and
     the period infinite. Ratios repeat (matchings, sub-cubes and loops
     repeat the same blocks), so each distinct one is rationalized once.
+
+    None means aperiodic (incommensurate spectrum). The empty graph gets
+    the degenerate period 0: nothing evolves, so every duration reduces
+    to 0.
     """
     if graph.is_empty:
-        return Period.finite(RationalAngle.zero())
+        return Fraction(0)
     spec = spectrum(graph)
     # zero eigenvalues sit still and impose no constraint
     ratios = np.sort(np.abs(spec.eigenvalues()) / spec.norm)
@@ -438,14 +349,14 @@ def period(graph: Graph) -> Period:
     for value in distinct.tolist():
         ratio = rationalize(value)
         if ratio is None:
-            return Period.infinite()
+            return None
         if ratio == 0:
             continue
         numerators.add(ratio.numerator)
         denominators.add(ratio.denominator)
     lcm_q = math.lcm(*denominators)
     gcd_p = math.gcd(*numerators)
-    return Period.finite(RationalAngle(2 * lcm_q, gcd_p))
+    return Fraction(2 * lcm_q, gcd_p)
 
 
 class ParseError(ValueError):
@@ -471,7 +382,7 @@ def _expect_keys(obj: dict, allowed: Sequence[str], required: Sequence[str], pat
             _fail(path, f"missing field {key!r}")
 
 
-def _parse_time(obj: object, path: str) -> RationalAngle:
+def _parse_time(obj: object, path: str) -> Fraction:
     if not isinstance(obj, dict):
         _fail(path, "expected an object with pi_num and pi_den")
     _expect_keys(obj, ("pi_num", "pi_den"), ("pi_num", "pi_den"), path)
@@ -481,7 +392,7 @@ def _parse_time(obj: object, path: str) -> RationalAngle:
         _fail(f"{path}.pi_num", "must be nonnegative")
     if den < 1:
         _fail(f"{path}.pi_den", "denominator must be at least 1")
-    return RationalAngle(num, den)
+    return Fraction(num, den)
 
 
 def _parse_step(obj: object, n_vertices: int, path: str) -> TimedGraph:
@@ -557,7 +468,7 @@ def serialize_dynamic_graph(walk: DynamicGraph) -> str:
             {
                 "edges": [list(pair) for pair in step.graph.sorted_edges()],
                 "loops": step.graph.sorted_loops(),
-                "time": {"pi_num": step.duration.num, "pi_den": step.duration.den},
+                "time": {"pi_num": step.duration.numerator, "pi_den": step.duration.denominator},
             }
             for step in walk.steps
         ],

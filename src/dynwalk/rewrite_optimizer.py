@@ -86,10 +86,10 @@ from .gate_compiler import (
 from .graph_model import (
     DynamicGraph,
     Graph,
-    Period,
-    RationalAngle,
     TimedGraph,
+    format_angle,
     period,
+    radians,
     rationalize,
     spectrum,
     supports_disjoint,
@@ -154,15 +154,15 @@ class RewriteStep:
 
     rule: str
     span: Tuple[int, int]
-    time_saved: RationalAngle
+    time_saved: Fraction
     graphs_removed: int
     detail: str = ""
 
 
 @dataclass(frozen=True)
 class OptimizationReport:
-    initial_time: RationalAngle
-    final_time: RationalAngle
+    initial_time: Fraction
+    final_time: Fraction
     initial_count: int
     final_count: int
     rewrites: Tuple[RewriteStep, ...]
@@ -178,8 +178,13 @@ class OptimizationReport:
         return not self.rejected
 
     def to_dict(self) -> dict:
-        def angle(a: RationalAngle) -> dict:
-            return {"pi_num": a.num, "pi_den": a.den, "text": str(a), "radians": a.radians}
+        def angle(a: Fraction) -> dict:
+            return {
+                "pi_num": a.numerator,
+                "pi_den": a.denominator,
+                "text": format_angle(a),
+                "radians": radians(a),
+            }
 
         return {
             "initial": {"time": angle(self.initial_time), "graphs": self.initial_count},
@@ -238,7 +243,7 @@ def _cached_permutation(step: TimedGraph) -> Optional[PhasedPermutation]:
         angle = _phase_angle(complex(u[row, column]))
         if angle is None:
             return None
-        angles.append(angle.as_fraction())
+        angles.append(angle)
     expected = np.zeros_like(u)
     expected[rows, np.arange(n)] = np.exp(-1j * math.pi * np.array([float(a) for a in angles]))
     if np.abs(u - expected).max() > VERIFY_TOLERANCE:
@@ -248,7 +253,7 @@ def _cached_permutation(step: TimedGraph) -> Optional[PhasedPermutation]:
 
 
 @lru_cache(maxsize=4096)
-def _cached_period(graph: Graph) -> Period:
+def _cached_period(graph: Graph) -> Optional[Fraction]:
     return period(graph)
 
 
@@ -262,9 +267,16 @@ def _product(n_vertices: int, steps: Iterable[TimedGraph]) -> np.ndarray:
 
 def _span_time(steps: Iterable[TimedGraph]) -> Fraction:
     """Total duration of the steps, summed as integers over one denominator."""
-    durations = [step.duration for step in steps]
-    den = math.lcm(*(duration.den for duration in durations))
-    return Fraction(sum(duration.num * (den // duration.den) for duration in durations), den)
+    durations = [(step.duration.numerator, step.duration.denominator) for step in steps]
+    den = math.lcm(*(d for _, d in durations))
+    return Fraction(sum(n * (den // d) for n, d in durations), den)
+
+
+def _reduced(duration: Fraction, cycle: Optional[Fraction]) -> Fraction:
+    """The duration modulo a period; aperiodic (None) keeps it, period 0 zeroes it."""
+    if cycle is None:
+        return duration
+    return duration % cycle if cycle else Fraction(0)
 
 
 def _check_adjacent(walk: DynamicGraph, index: int) -> Tuple[TimedGraph, TimedGraph]:
@@ -286,16 +298,13 @@ def pass_merge_identical(walk: DynamicGraph, index: int) -> DynamicGraph:
     first, second = _check_adjacent(walk, index)
     if first.graph != second.graph:
         raise RuleNotApplicable("graphs differ")
-    total = first.duration + second.duration
-    p = _cached_period(first.graph)
-    if p.is_finite:
-        total = total % p.value
-    if total.is_zero:
+    total = _reduced(first.duration + second.duration, _cached_period(first.graph))
+    if not total:
         return walk.replaced(index, index + 2, ())
     return walk.replaced(index, index + 2, (TimedGraph(first.graph, total),))
 
 
-def _phase_angle(target: complex) -> Optional[RationalAngle]:
+def _phase_angle(target: complex) -> Optional[Fraction]:
     """Exact angle theta in [0, 2pi) with exp(-i theta) = target, or None."""
     if abs(abs(target) - 1.0) > VERIFY_TOLERANCE:
         return None
@@ -303,7 +312,7 @@ def _phase_angle(target: complex) -> Optional[RationalAngle]:
     guess = Fraction(theta / math.pi).limit_denominator(PHASE_DENOMINATOR_LIMIT) % 2
     if abs(cmath.exp(-1j * math.pi * float(guess)) - target) > VERIFY_TOLERANCE:
         return None
-    return RationalAngle.from_fraction(guess)
+    return guess
 
 
 def pass_combine_pst(walk: DynamicGraph, start: int, stop: int) -> DynamicGraph:
@@ -337,9 +346,9 @@ def pass_combine_pst(walk: DynamicGraph, start: int, stop: int) -> DynamicGraph:
     pairs = [(column, row) for column, row in enumerate(perm) if column < row]
     replacement: List[TimedGraph] = []
     if pairs:
-        replacement.append(TimedGraph(Graph.make(n, pairs), RationalAngle(1, 2)))
+        replacement.append(TimedGraph(Graph.make(n, pairs), Fraction(1, 2)))
     residue = {
-        row: RationalAngle.from_fraction((angle - (Fraction(1, 2) if row != column else 0)) % 2)
+        row: (angle - (Fraction(1, 2) if row != column else 0)) % 2
         for column, (row, angle) in enumerate(zip(perm, angles))
     }
     replacement.extend(schedule_phases(residue, n).steps)
@@ -368,7 +377,7 @@ def pass_merge_complementary(walk: DynamicGraph, index: int) -> DynamicGraph:
         shorter, longer = second, first
     remainder = longer.duration - shorter.duration
     replacement = [TimedGraph(union, shorter.duration)]
-    if not remainder.is_zero:
+    if remainder:
         replacement.append(TimedGraph(longer.graph, remainder))
     return walk.replaced(index, index + 2, replacement)
 
@@ -386,7 +395,7 @@ def _rational_norm(graph: Graph) -> Optional[Fraction]:
 # A verdict is what a rule computed from the steps it reads, or the reason
 # (a string) it does not apply there. The cached verdicts below are keyed on
 # those steps alone, so every walk that shares them shares the answer.
-SourceVerdict = Union[str, Tuple[RationalAngle, Tuple[TimedGraph, ...]]]
+SourceVerdict = Union[str, Tuple[Fraction, Tuple[TimedGraph, ...]]]
 LandingVerdict = Union[str, Tuple[TimedGraph, ...]]
 
 
@@ -403,7 +412,7 @@ def _singleton_source(step: TimedGraph, vertex: int) -> SourceVerdict:
     norm = _rational_norm(graph)
     if norm is None:
         return "source norm is not a small rational"
-    tau = step.duration.scaled(Fraction(1) / norm) % RationalAngle(2, 1)
+    tau = step.duration / norm % 2
     remainder = Graph(graph.n_vertices, graph.edges, graph.loops - {vertex})
     if remainder.is_empty:
         return tau, ()
@@ -413,7 +422,7 @@ def _singleton_source(step: TimedGraph, vertex: int) -> SourceVerdict:
 
 
 @lru_cache(maxsize=8192)
-def _singleton_landing(step: TimedGraph, vertex: int, tau: RationalAngle) -> LandingVerdict:
+def _singleton_landing(step: TimedGraph, vertex: int, tau: Fraction) -> LandingVerdict:
     """The steps that replace a target step once it absorbs the phase tau."""
     graph = step.graph
     n = graph.n_vertices
@@ -421,7 +430,7 @@ def _singleton_landing(step: TimedGraph, vertex: int, tau: RationalAngle) -> Lan
         if not graph.is_loops_only:
             return "target loops the vertex but is not loops-only"
         phases = {w: step.duration for w in graph.loops}
-        phases[vertex] = (step.duration + tau) % RationalAngle(2, 1)
+        phases[vertex] = (step.duration + tau) % 2
         return schedule_phases(phases, n).steps
     if not graph.degree_free(vertex):
         return "target attaches edges to the vertex"
@@ -430,12 +439,12 @@ def _singleton_landing(step: TimedGraph, vertex: int, tau: RationalAngle) -> Lan
     norm = _rational_norm(graph)
     if norm is None:
         return "target norm is not a small rational"
-    consumed = step.duration.scaled(Fraction(1) / norm)
+    consumed = step.duration / norm
     if tau < consumed:
         return "singleton phase is shorter than the target"
     joined = Graph(n, graph.edges, graph.loops | {vertex})
-    residual = (tau - consumed) % RationalAngle(2, 1)
-    if residual.is_zero:
+    residual = (tau - consumed) % 2
+    if not residual:
         return (TimedGraph(joined, step.duration),)
     return TimedGraph(joined, step.duration), TimedGraph(Graph(n, loops=frozenset({vertex})), residual)
 
@@ -538,21 +547,19 @@ def _normalize(walk: DynamicGraph) -> Tuple[DynamicGraph, List[RewriteStep]]:
     steps: List[TimedGraph] = []
     for index, step in enumerate(walk.steps):
         reduced = step
-        p = _cached_period(step.graph)
-        if p.is_finite:
-            cut = step.duration % p.value
-            if cut != step.duration:
-                records.append(
-                    RewriteStep(
-                        RULE_NORMALIZE_TIME,
-                        (index, index + 1),
-                        step.duration - cut,
-                        0,
-                        f"{step.duration} -> {cut}",
-                    )
+        cut = _reduced(step.duration, _cached_period(step.graph))
+        if cut != step.duration:
+            records.append(
+                RewriteStep(
+                    RULE_NORMALIZE_TIME,
+                    (index, index + 1),
+                    step.duration - cut,
+                    0,
+                    f"{format_angle(step.duration)} -> {format_angle(cut)}",
                 )
-                reduced = TimedGraph(step.graph, cut)
-        if reduced.duration.is_zero or reduced.graph.is_empty:
+            )
+            reduced = TimedGraph(step.graph, cut)
+        if not reduced.duration or reduced.graph.is_empty:
             records.append(
                 RewriteStep(
                     RULE_DROP_ZERO, (index, index + 1), reduced.duration, 1, "inert step"
@@ -626,8 +633,8 @@ def _staircase(run: Tuple[TimedGraph, ...]) -> Tuple[Tuple[TimedGraph, ...], str
     totals: Dict[int, Fraction] = {}
     for step in run:
         for v in step.graph.loops:
-            totals[v] = (totals.get(v, Fraction(0)) + step.duration.as_fraction()) % 2
-    phases = {v: RationalAngle.from_fraction(t) for v, t in totals.items() if t != 0}
+            totals[v] = (totals.get(v, 0) + step.duration) % 2
+    phases = {v: t for v, t in totals.items() if t}
     stair = schedule_phases(phases, run[0].graph.n_vertices).steps
     return stair, f"staircase over {len(phases)} vertices"
 
@@ -781,9 +788,7 @@ def _scan(
                     continue
                 rank = (-removed, -saved, start, stop)
                 if best is None or rank < best[0]:
-                    record = RewriteStep(
-                        rule, (start, stop), RationalAngle.from_fraction(saved), removed, note
-                    )
+                    record = RewriteStep(rule, (start, stop), saved, removed, note)
                     best = (rank, (record, replacement))
             if best is not None and _signature(walk, best[1][0]) not in skip:
                 return best[1]
@@ -800,7 +805,7 @@ def _find_enabling_pair(
         for start, stop, replacement, note in sites(walk):
             if _gain(walk, start, stop, replacement) != (0, 0):
                 continue
-            staged = (RewriteStep(rule, (start, stop), RationalAngle.zero(), 0, note), replacement)
+            staged = (RewriteStep(rule, (start, stop), Fraction(0), 0, note), replacement)
             follow = _scan(_apply(walk, staged), enabled, skip)
             if follow is not None:
                 return [staged, follow]

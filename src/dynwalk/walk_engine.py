@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph_model import DynamicGraph, Graph, TimedGraph, adjacency_matrix, spectrum
+from .graph_model import DynamicGraph, Graph, TimedGraph, adjacency_matrix, radians, spectrum
 from .numerics import ComplexMatrix, StateVector, block_exponential
 
 __all__ = [
@@ -35,7 +35,7 @@ def _apply_step(step: TimedGraph, rows: np.ndarray) -> None:
     spec = spectrum(step.graph)
     if spec.norm == 0.0:
         return
-    rate = float(step.duration) / spec.norm
+    rate = radians(step.duration) / spec.norm
     if spec.looped.size:
         rows[spec.looped] *= np.exp(-1j * rate)
     for members, decomposition in spec.blocks:

@@ -16,11 +16,12 @@ recorded as a barrier.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from dynwalk.graph_model import DynamicGraph, Graph, RationalAngle, TimedGraph
+from dynwalk.graph_model import DynamicGraph, Graph, TimedGraph
 from dynwalk.walk_engine import step_unitary
 
 N_VERTICES = 8
@@ -37,7 +38,7 @@ class Entry:
 
     family: str
     graph: Graph
-    duration: RationalAngle
+    duration: Fraction
     unitary: np.ndarray
 
     @property
@@ -100,7 +101,7 @@ def build_catalog() -> List[Entry]:
     entries: List[Entry] = []
 
     def add(family: str, graph: Graph, quarters: int) -> None:
-        duration = RationalAngle(quarters, 4)
+        duration = Fraction(quarters, 4)
         entries.append(
             Entry(family, graph, duration, step_unitary(TimedGraph(graph, duration)))
         )
@@ -139,7 +140,7 @@ class Catalog:
             if index2 is None:
                 continue
             second = self.entries[index2]
-            total = first.duration.as_fraction() + second.duration.as_fraction()
+            total = first.duration + second.duration
             rank = (total, index1, index2)
             if best is None or rank < best[0]:
                 best = (rank, first, second)
@@ -167,7 +168,7 @@ class Reconstruction:
     def bridged_indices(self) -> Tuple[int, ...]:
         return tuple(i for i, kind in enumerate(self.kinds) if kind == BRIDGED)
 
-    def total_time(self) -> RationalAngle:
+    def total_time(self) -> Fraction:
         return self.program().total_time()
 
     def program(self) -> DynamicGraph:

@@ -32,10 +32,10 @@ from dynwalk.gate_compiler import (
 from dynwalk.graph_model import (
     DynamicGraph,
     Graph,
-    RationalAngle,
     TimedGraph,
     adjacency_matrix,
     period,
+    radians,
 )
 from dynwalk.numerics import evolve_unitary, phase_distance
 from dynwalk.rewrite_optimizer import (
@@ -58,13 +58,13 @@ def _report(number, ok, detail):
 
 
 def _angle(quarters):
-    return RationalAngle(quarters, 4)
+    return Fraction(quarters, 4)
 
 
 def _flip_pair(n_vertices, mask):
     return (
-        TimedGraph(matching_graph(n_vertices, mask), RationalAngle(1, 2)),
-        TimedGraph(all_loops_graph(n_vertices), RationalAngle(3, 2)),
+        TimedGraph(matching_graph(n_vertices, mask), Fraction(1, 2)),
+        TimedGraph(all_loops_graph(n_vertices), Fraction(3, 2)),
     )
 
 
@@ -79,13 +79,13 @@ def test_criterion_01_two_step_middle_bit_flip_is_exact():
 
 def test_criterion_02_double_flip_halves_to_one_transfer():
     walk = DynamicGraph(4, _flip_pair(4, 2) + _flip_pair(4, 1))
-    assert walk.total_time() == RationalAngle(4, 1)
+    assert walk.total_time() == Fraction(4, 1)
     final, report = optimize(walk)
     distance = phase_distance(total_unitary(final), total_unitary(walk))
     ok = (
         report.verified
         and final.graph_count <= 2
-        and final.total_time() == RationalAngle(2, 1)
+        and final.total_time() == Fraction(2, 1)
         and distance < TOL
     )
     _report(
@@ -96,7 +96,7 @@ def test_criterion_02_double_flip_halves_to_one_transfer():
     )
     assert report.verified
     assert final.graph_count <= 2
-    assert final.total_time() == RationalAngle(2, 1)
+    assert final.total_time() == Fraction(2, 1)
     assert distance < TOL
 
 
@@ -105,26 +105,26 @@ def test_criterion_03_complementary_merge_saves_a_half_pi():
     walk = DynamicGraph(
         2,
         (
-            TimedGraph(loops([1]), RationalAngle(3, 2)),
-            TimedGraph(Graph.make(2, edges=[(0, 1)]), RationalAngle(1, 4)),
-            TimedGraph(loops([0]), RationalAngle(1, 2)),
-            TimedGraph(loops([1]), RationalAngle(1, 1)),
+            TimedGraph(loops([1]), Fraction(3, 2)),
+            TimedGraph(Graph.make(2, edges=[(0, 1)]), Fraction(1, 4)),
+            TimedGraph(loops([0]), Fraction(1, 2)),
+            TimedGraph(loops([1]), Fraction(1, 1)),
         ),
     )
-    assert walk.total_time() == RationalAngle(13, 4)
+    assert walk.total_time() == Fraction(13, 4)
     merged = pass_merge_complementary(walk, 2)
     expected = DynamicGraph(
         2,
         (
-            TimedGraph(loops([1]), RationalAngle(3, 2)),
-            TimedGraph(Graph.make(2, edges=[(0, 1)]), RationalAngle(1, 4)),
-            TimedGraph(loops([0, 1]), RationalAngle(1, 2)),
-            TimedGraph(loops([1]), RationalAngle(1, 2)),
+            TimedGraph(loops([1]), Fraction(3, 2)),
+            TimedGraph(Graph.make(2, edges=[(0, 1)]), Fraction(1, 4)),
+            TimedGraph(loops([0, 1]), Fraction(1, 2)),
+            TimedGraph(loops([1]), Fraction(1, 2)),
         ),
     )
     saved = walk.total_time() - merged.total_time()
     distance = phase_distance(total_unitary(merged), total_unitary(walk))
-    ok = merged == expected and saved == RationalAngle(1, 2) and distance < TOL
+    ok = merged == expected and saved == Fraction(1, 2) and distance < TOL
     _report(
         3,
         ok,
@@ -132,8 +132,8 @@ def test_criterion_03_complementary_merge_saves_a_half_pi():
         f"distance {distance:.3e}",
     )
     assert merged == expected
-    assert merged.total_time() == RationalAngle(11, 4)
-    assert saved == RationalAngle(1, 2)
+    assert merged.total_time() == Fraction(11, 4)
+    assert saved == Fraction(1, 2)
     assert distance < TOL
 
 
@@ -141,9 +141,9 @@ def test_criterion_04_flip_with_phases_compacts_to_two_graphs():
     walk = DynamicGraph(
         4,
         (
-            TimedGraph(matching_graph(4, 2), RationalAngle(1, 2)),
-            TimedGraph(Graph.make(4, loops=[2, 3]), RationalAngle(1, 1)),
-            TimedGraph(Graph.make(4, loops=[1, 3]), RationalAngle(1, 1)),
+            TimedGraph(matching_graph(4, 2), Fraction(1, 2)),
+            TimedGraph(Graph.make(4, loops=[2, 3]), Fraction(1, 1)),
+            TimedGraph(Graph.make(4, loops=[1, 3]), Fraction(1, 1)),
         ),
     )
     final, report = optimize(walk)
@@ -151,7 +151,7 @@ def test_criterion_04_flip_with_phases_compacts_to_two_graphs():
     ok = (
         report.verified
         and final.graph_count == 2
-        and final.total_time() == RationalAngle(3, 2)
+        and final.total_time() == Fraction(3, 2)
         and distance < TOL
     )
     _report(
@@ -162,7 +162,7 @@ def test_criterion_04_flip_with_phases_compacts_to_two_graphs():
     )
     assert report.verified
     assert final.graph_count == 2
-    assert final.total_time() == RationalAngle(3, 2)
+    assert final.total_time() == Fraction(3, 2)
     assert distance < TOL
 
 
@@ -175,19 +175,19 @@ def test_criterion_05_paired_hadamards_fit_five_graphs():
         mask = bit_value(qubit, 2)
         phases = bit_set_loops_graph(4, mask)
         return (
-            TimedGraph(phases, RationalAngle(3, 2)),
-            TimedGraph(matching_graph(4, mask), RationalAngle(1, 4)),
-            TimedGraph(phases, RationalAngle(3, 2)),
+            TimedGraph(phases, Fraction(3, 2)),
+            TimedGraph(matching_graph(4, mask), Fraction(1, 4)),
+            TimedGraph(phases, Fraction(3, 2)),
         )
 
     sequential = DynamicGraph(4, h_fixture(0) + h_fixture(1))
-    assert sequential.total_time() == RationalAngle(13, 2)
+    assert sequential.total_time() == Fraction(13, 2)
     rewritten = pass_hypercube_hadamard(sequential, 0, 6)
     rewrite_distance = phase_distance(
         total_unitary(rewritten), total_unitary(sequential)
     )
 
-    bound = RationalAngle(5, 2)
+    bound = Fraction(5, 2)
     ok = (
         layer.graph_count <= 5
         and layer.total_time() <= bound
@@ -255,7 +255,7 @@ def test_criterion_07_six_fold_hadamard_layer_stays_flat():
     after = layer.steps[walk_at + 1 :]
     target = reduce(np.kron, [H] * 6)
     distance = phase_distance(total_unitary(layer), target)
-    bound = RationalAngle(9, 2)
+    bound = Fraction(9, 2)
     ok = (
         len(before) <= 3
         and len(after) <= 3
@@ -291,12 +291,12 @@ def test_criterion_09_recovered_program_optimizes_to_target():
     recovered = catalog.reconstruct(tf.LONG_TRACE)
     assert recovered.barrier_count == 0
     assert len(recovered.steps) == 16
-    assert recovered.total_time() == RationalAngle(67, 4)
+    assert recovered.total_time() == Fraction(67, 4)
 
     walk = recovered.program()
     final, report = optimize(walk)
     distance = phase_distance(total_unitary(final), total_unitary(walk))
-    time_ok = final.total_time().as_fraction() <= Fraction(21, 4)
+    time_ok = final.total_time() <= Fraction(21, 4)
     ok = (
         report.verified
         and distance < TOL
@@ -357,11 +357,11 @@ def _plant(rng, n_vertices, steps, flavor):
         )
     elif flavor == 3:
         steps.append(
-            TimedGraph(Graph.make(n_vertices, edges=[(0, 1)]), RationalAngle(1, 2))
+            TimedGraph(Graph.make(n_vertices, edges=[(0, 1)]), Fraction(1, 2))
         )
         steps.append(
             TimedGraph(
-                Graph.make(n_vertices, loops=range(n_vertices)), RationalAngle(1, 1)
+                Graph.make(n_vertices, loops=range(n_vertices)), Fraction(1, 1)
             )
         )
         steps.append(
@@ -370,9 +370,9 @@ def _plant(rng, n_vertices, steps, flavor):
     else:
         mask = 1 << rng.randrange(n_vertices.bit_length() - 1)
         phases = bit_set_loops_graph(n_vertices, mask)
-        steps.append(TimedGraph(phases, RationalAngle(3, 2)))
-        steps.append(TimedGraph(matching_graph(n_vertices, mask), RationalAngle(1, 4)))
-        steps.append(TimedGraph(phases, RationalAngle(3, 2)))
+        steps.append(TimedGraph(phases, Fraction(3, 2)))
+        steps.append(TimedGraph(matching_graph(n_vertices, mask), Fraction(1, 4)))
+        steps.append(TimedGraph(phases, Fraction(3, 2)))
 
 
 def test_criterion_10_randomized_rewrites_preserve_the_walk():
@@ -391,16 +391,16 @@ def test_criterion_10_randomized_rewrites_preserve_the_walk():
         distance = phase_distance(total_unitary(final), total_unitary(walk))
         worst_distance = max(worst_distance, distance)
         assert distance < TOL, f"seed {seed}: distance {distance}"
-        before = (walk.total_time().as_fraction(), walk.graph_count)
-        after = (final.total_time().as_fraction(), final.graph_count)
+        before = (walk.total_time(), walk.graph_count)
+        after = (final.total_time(), final.graph_count)
         assert after <= before, f"seed {seed}: cost went up"
 
         for step in walk.steps + final.steps:
             cycle = period(step.graph)
-            if cycle.is_finite and float(cycle.value) > 0.0:
+            if cycle is not None and radians(cycle) > 0.0:
                 a = adjacency_matrix(step.graph)
                 recurrence = np.abs(
-                    evolve_unitary(a, float(cycle.value)) - np.eye(n_vertices)
+                    evolve_unitary(a, radians(cycle)) - np.eye(n_vertices)
                 ).max()
                 worst_period = max(worst_period, recurrence)
                 assert recurrence < TOL, f"seed {seed}: period misses identity"

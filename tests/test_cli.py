@@ -2,21 +2,22 @@
 
 import json
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import dynwalk.cli as cli
 from dynwalk.cli import main
-from dynwalk.gate_compiler import all_loops_graph, matching_graph
+from dynwalk.gate_compiler import all_loops_graph, compile_hadamard_layer, matching_graph
 from dynwalk.graph_model import (
     DynamicGraph,
     Graph,
-    RationalAngle,
     TimedGraph,
     parse_dynamic_graph,
     serialize_dynamic_graph,
 )
+from dynwalk.walk_engine import total_unitary
 
 AMPLITUDE = re.compile(r"([+-]?[\d.]+(?:[eE][+-]?\d+)?)([+-][\d.]+(?:[eE][+-]?\d+)?)i")
 
@@ -37,8 +38,8 @@ def bit_flip_walk(n_vertices=2):
     return DynamicGraph(
         n_vertices,
         (
-            TimedGraph(matching_graph(n_vertices, mask), RationalAngle(1, 2)),
-            TimedGraph(all_loops_graph(n_vertices), RationalAngle(3, 2)),
+            TimedGraph(matching_graph(n_vertices, mask), Fraction(1, 2)),
+            TimedGraph(all_loops_graph(n_vertices), Fraction(3, 2)),
         ),
     )
 
@@ -47,10 +48,10 @@ def double_flip_walk():
     return DynamicGraph(
         4,
         (
-            TimedGraph(matching_graph(4, 2), RationalAngle(1, 2)),
-            TimedGraph(all_loops_graph(4), RationalAngle(3, 2)),
-            TimedGraph(matching_graph(4, 1), RationalAngle(1, 2)),
-            TimedGraph(all_loops_graph(4), RationalAngle(3, 2)),
+            TimedGraph(matching_graph(4, 2), Fraction(1, 2)),
+            TimedGraph(all_loops_graph(4), Fraction(3, 2)),
+            TimedGraph(matching_graph(4, 1), Fraction(1, 2)),
+            TimedGraph(all_loops_graph(4), Fraction(3, 2)),
         ),
     )
 
@@ -160,6 +161,26 @@ def test_unitary_csv(tmp_path, capsys):
     assert np.abs(u - np.array([[0, 1], [1, 0]])).max() < 1e-9
 
 
+def test_unitary_csv_matches_the_formatted_matrix_byte_for_byte(tmp_path, capsys):
+    # three qubits: a Hadamard layer on qubits 0 and 2, then a path walk
+    walk = DynamicGraph(
+        8,
+        compile_hadamard_layer((0, 2), 3).steps
+        + (TimedGraph(Graph.make(8, edges=[(0, 1), (1, 2), (2, 3)]), Fraction(1, 3)),),
+    )
+    walk_file = write_walk(tmp_path / "w.json", walk)
+    csv_file = tmp_path / "u.csv"
+    assert main(["unitary", walk_file, "--csv", str(csv_file)]) == 0
+    assert capsys.readouterr().out == f"wrote 8x8 unitary to {csv_file}\n"
+    expected = "".join(
+        ",".join(f"{cell.real:.12f}{cell.imag:+.12f}i" for cell in row) + "\n"
+        for row in total_unitary(walk)
+    )
+    assert csv_file.read_bytes() == expected.encode("utf-8")
+    assert main(["unitary", walk_file]) == 0
+    assert capsys.readouterr().out == expected
+
+
 # -- optimize -------------------------------------------------------------------
 
 
@@ -180,7 +201,7 @@ def test_optimize_writes_output_and_report(tmp_path, capsys):
 
     simplified = parse_dynamic_graph(out_file.read_text())
     assert simplified.graph_count == 2
-    assert simplified.total_time() == RationalAngle(2, 1)
+    assert simplified.total_time() == Fraction(2, 1)
 
     report = json.loads(report_file.read_text())
     assert report["verified"] is True
@@ -197,8 +218,8 @@ def test_optimize_pass_subset(tmp_path, capsys):
     walk = DynamicGraph(
         4,
         (
-            TimedGraph(matching_graph(4, 1), RationalAngle(1, 2)),
-            TimedGraph(matching_graph(4, 1), RationalAngle(1, 2)),
+            TimedGraph(matching_graph(4, 1), Fraction(1, 2)),
+            TimedGraph(matching_graph(4, 1), Fraction(1, 2)),
         ),
     )
     walk_file = write_walk(tmp_path / "in.json", walk)
@@ -219,7 +240,7 @@ def test_optimize_unknown_pass_exits_2(tmp_path, capsys):
 
 def test_optimize_max_iter_caps_rewrites(tmp_path, capsys):
     steps = tuple(
-        TimedGraph(Graph.make(2, loops=[0]), RationalAngle(1, 2)) for _ in range(4)
+        TimedGraph(Graph.make(2, loops=[0]), Fraction(1, 2)) for _ in range(4)
     )
     walk_file = write_walk(tmp_path / "in.json", DynamicGraph(2, steps))
     out_file = tmp_path / "out.json"
@@ -229,7 +250,7 @@ def test_optimize_max_iter_caps_rewrites(tmp_path, capsys):
 
 def test_optimize_reports_stop_reason(tmp_path, capsys):
     steps = tuple(
-        TimedGraph(Graph.make(2, loops=[0]), RationalAngle(1, 2)) for _ in range(4)
+        TimedGraph(Graph.make(2, loops=[0]), Fraction(1, 2)) for _ in range(4)
     )
     walk_file = write_walk(tmp_path / "in.json", DynamicGraph(2, steps))
     out_file = tmp_path / "out.json"
@@ -335,7 +356,7 @@ def test_equiv_same_program(tmp_path, capsys):
 
 def test_equiv_up_to_global_phase(tmp_path, capsys):
     minus_identity = DynamicGraph(
-        2, (TimedGraph(all_loops_graph(2), RationalAngle(1, 1)),)
+        2, (TimedGraph(all_loops_graph(2), Fraction(1, 1)),)
     )
     a = write_walk(tmp_path / "a.json", minus_identity)
     b = write_walk(tmp_path / "b.json", identity_walk(2))
@@ -364,8 +385,8 @@ def test_stats_output(tmp_path, capsys):
     walk = DynamicGraph(
         3,
         (
-            TimedGraph(Graph.make(3, edges=[(0, 1)]), RationalAngle(1, 2)),
-            TimedGraph(Graph.make(3, loops=[0, 2]), RationalAngle(3, 2)),
+            TimedGraph(Graph.make(3, edges=[(0, 1)]), Fraction(1, 2)),
+            TimedGraph(Graph.make(3, loops=[0, 2]), Fraction(3, 2)),
         ),
     )
     walk_file = write_walk(tmp_path / "w.json", walk)
@@ -381,13 +402,21 @@ def test_stats_output(tmp_path, capsys):
 def test_stats_reports_infinite_period(tmp_path, capsys):
     walk = DynamicGraph(
         5,
-        (TimedGraph(Graph.make(5, edges=[(0, 1), (2, 3), (3, 4)]), RationalAngle(1, 4)),),
+        (TimedGraph(Graph.make(5, edges=[(0, 1), (2, 3), (3, 4)]), Fraction(1, 4)),),
     )
     walk_file = write_walk(tmp_path / "w.json", walk)
     assert main(["stats", walk_file]) == 0
     line = capsys.readouterr().out.splitlines()[3]
     assert "norm 1.414214" in line
     assert line.endswith("period infinite")
+
+
+def test_stats_reports_the_zero_period_of_an_empty_step(tmp_path, capsys):
+    walk = DynamicGraph(2, (TimedGraph(Graph.make(2), Fraction(1, 2)),))
+    walk_file = write_walk(tmp_path / "w.json", walk)
+    assert main(["stats", walk_file]) == 0
+    line = capsys.readouterr().out.splitlines()[3]
+    assert line == "step 0: 0 edges, 0 loops, time π/2 (1.5708), norm 0.000000, period 0"
 
 
 # -- shared error handling --------------------------------------------------------

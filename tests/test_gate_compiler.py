@@ -1,6 +1,7 @@
 """Circuit-to-walk compilation checked against dense gate references."""
 
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from dynwalk.gate_compiler import (
     parse_circuit,
     schedule_phases,
 )
-from dynwalk.graph_model import DynamicGraph, ParseError, RationalAngle
+from dynwalk.graph_model import DynamicGraph, ParseError, radians
 from dynwalk.numerics import phase_distance
 from dynwalk.walk_engine import total_unitary
 
@@ -42,7 +43,7 @@ def kron(*factors):
 
 
 def angle(num, den=1):
-    return RationalAngle(num, den)
+    return Fraction(num, den)
 
 
 # -- masks and graph builders ------------------------------------------------
@@ -100,6 +101,17 @@ def test_gate_validation_rejects(build):
         build()
 
 
+@pytest.mark.parametrize("theta", [0.25, 1, True, "1/4"])
+def test_gate_rejects_a_theta_that_is_not_a_fraction(theta):
+    with pytest.raises(TypeError, match="Fraction multiple of pi"):
+        Gate("PHASE", target=0, theta=theta)
+
+
+def test_gate_rejects_a_negative_theta():
+    with pytest.raises(ValueError, match=r"\[0, 2pi\)"):
+        Gate("PHASE", target=0, theta=Fraction(-1, 4))
+
+
 def test_circuit_validation():
     with pytest.raises(ValueError):
         Circuit(0, ())
@@ -131,7 +143,7 @@ def test_schedule_phases_unitary_is_target_diagonal():
     phases = {0: angle(1, 4), 2: angle(7, 4), 3: angle(1)}
     schedule = schedule_phases(phases, 4)
     u = total_unitary(DynamicGraph(4, schedule.steps))
-    expected = np.diag([np.exp(-1j * float(phases.get(v, angle(0)))) for v in range(4)])
+    expected = np.diag([np.exp(-1j * radians(phases.get(v, angle(0)))) for v in range(4)])
     assert np.abs(u - expected).max() < 1e-12
 
 
@@ -162,9 +174,9 @@ def test_schedule_phases_property(raw):
     phases = {v: angle(k, 4) for v, k in raw.items()}
     schedule = schedule_phases(phases, 8)
     u = total_unitary(DynamicGraph(8, schedule.steps))
-    expected = np.diag([np.exp(-1j * float(phases.get(v, angle(0)))) for v in range(8)])
+    expected = np.diag([np.exp(-1j * radians(phases.get(v, angle(0)))) for v in range(8)])
     assert np.abs(u - expected).max() < 1e-10
-    nonzero = [a for a in phases.values() if not a.is_zero]
+    nonzero = [a for a in phases.values() if a != 0]
     assert DynamicGraph(8, schedule.steps).total_time() == (max(nonzero) if nonzero else angle(0))
     assert len(schedule.steps) == len({a for a in nonzero})
 
@@ -238,7 +250,7 @@ def kron_gate_matrix(gate, n_qubits):
             u[int("".join(map(str, bits)), 2), v] = 1
         return u
     if gate.kind == "PHASE":
-        local = np.diag([1, np.exp(1j * gate.theta.radians)])
+        local = np.diag([1, np.exp(1j * radians(gate.theta))])
     else:
         local = LOCAL["H" if gate.kind == "HLAYER" else gate.kind]
     acted = gate.targets if gate.kind == "HLAYER" else (gate.target,)

@@ -1,4 +1,4 @@
-"""Graph model, exact angles, periods and the JSON interchange format."""
+"""Graph model, exact durations, periods and the JSON interchange format."""
 
 import json
 import math
@@ -16,12 +16,12 @@ from dynwalk.graph_model import (
     DynamicGraph,
     Graph,
     ParseError,
-    Period,
-    RationalAngle,
     TimedGraph,
     adjacency_matrix,
+    format_angle,
     parse_dynamic_graph,
     period,
+    radians,
     rationalize,
     serialize_dynamic_graph,
     spectrum,
@@ -33,85 +33,56 @@ from dynwalk.numerics import evolve_unitary
 PERIOD_TOL = 1e-9
 
 angles = st.builds(
-    RationalAngle,
+    Fraction,
     st.integers(0, 40),
     st.integers(1, 12),
 )
 
 
-# -- RationalAngle -----------------------------------------------------------
-
-
-def test_angle_reduces_on_construction():
-    a = RationalAngle(6, 4)
-    assert (a.num, a.den) == (3, 2)
-
-
-def test_angle_normalizes_negative_denominator():
-    a = RationalAngle(-3, -2)
-    assert (a.num, a.den) == (3, 2)
-    assert RationalAngle.from_fraction(Fraction(3, 2)) == a
-
-
-def test_angle_rejects_negative():
-    with pytest.raises(ValueError):
-        RationalAngle(-1, 2)
-
-
-def test_angle_rejects_zero_denominator():
-    with pytest.raises(ValueError):
-        RationalAngle(1, 0)
-
-
-def test_angle_rejects_non_int():
-    with pytest.raises(TypeError):
-        RationalAngle(1.5, 2)
-
-
-def test_angle_arithmetic():
-    a = RationalAngle(1, 2)
-    b = RationalAngle(1, 4)
-    assert a + b == RationalAngle(3, 4)
-    assert a - b == RationalAngle(1, 4)
-    assert RationalAngle(9, 4) % RationalAngle(2, 1) == RationalAngle(1, 4)
-    assert RationalAngle(1, 2).scaled(3) == RationalAngle(3, 2)
-    assert RationalAngle(1, 2).scaled(Fraction(1, 2)) == RationalAngle(1, 4)
-
-
-def test_angle_subtraction_below_zero_raises():
-    with pytest.raises(ValueError):
-        RationalAngle(1, 4) - RationalAngle(1, 2)
+# -- durations and angles ----------------------------------------------------
 
 
 def test_angle_ordering_and_float():
-    assert RationalAngle(1, 4) < RationalAngle(1, 3)
-    assert RationalAngle(1, 1) <= RationalAngle(2, 2)
-    assert float(RationalAngle(1, 2)) == pytest.approx(np.pi / 2)
-    assert RationalAngle(3, 2).radians == pytest.approx(3 * np.pi / 2)
+    assert radians(Fraction(1, 2)) == pytest.approx(np.pi / 2)
+    assert radians(Fraction(3, 2)) == pytest.approx(3 * np.pi / 2)
+    # the same expression the step rates have always used, to the bit
+    assert radians(Fraction(5, 13)) == math.pi * 5 / 13
+    assert radians(Fraction(1, 4)) < radians(Fraction(1, 3))
 
 
 def test_angle_strings():
-    assert str(RationalAngle(0, 5)) == "0"
-    assert str(RationalAngle(1, 1)) == "π"
-    assert str(RationalAngle(1, 4)) == "π/4"
-    assert str(RationalAngle(3, 2)) == "3π/2"
-    assert str(RationalAngle(2, 1)) == "2π"
+    assert format_angle(Fraction(0, 5)) == "0"
+    assert format_angle(Fraction(1, 1)) == "π"
+    assert format_angle(Fraction(1, 4)) == "π/4"
+    assert format_angle(Fraction(3, 2)) == "3π/2"
+    assert format_angle(Fraction(2, 1)) == "2π"
 
 
 def test_angle_hashable_by_value():
-    assert hash(RationalAngle(2, 4)) == hash(RationalAngle(1, 2))
-    assert len({RationalAngle(2, 4), RationalAngle(1, 2)}) == 1
+    g = Graph.make(2, loops=[0])
+    assert TimedGraph(g, Fraction(2, 4)) == TimedGraph(g, Fraction(1, 2))
+    assert hash(TimedGraph(g, Fraction(2, 4))) == hash(TimedGraph(g, Fraction(1, 2)))
+    assert len({TimedGraph(g, Fraction(2, 4)), TimedGraph(g, Fraction(1, 2))}) == 1
 
 
-@given(a=angles, b=angles)
-def test_angle_add_then_subtract_roundtrips(a, b):
-    assert (a + b) - b == a
+def test_angle_rejects_negative():
+    # durations are checked where they enter a step
+    with pytest.raises(ValueError, match="negative duration"):
+        TimedGraph(Graph.make(2, edges=[(0, 1)]), Fraction(-1, 2))
 
 
-@given(a=angles)
-def test_angle_mod_two_pi_in_range(a):
-    reduced = a % RationalAngle(2, 1)
-    assert Fraction(0) <= reduced.as_fraction() < Fraction(2)
+def test_angle_rejects_non_int():
+    # a float is not an exact multiple of pi, so no step takes one
+    g = Graph.make(2, edges=[(0, 1)])
+    for value in (0.5, 1.0, 1, True, "1/2", None):
+        with pytest.raises(TypeError, match="Fraction multiple of pi"):
+            TimedGraph(g, value)
+
+
+def test_angle_subtraction_below_zero_raises():
+    # a difference that went below zero stops at the step it would build
+    with pytest.raises(ValueError, match="negative duration"):
+        TimedGraph(Graph.make(2, loops=[0]), Fraction(1, 4) - Fraction(1, 2))
 
 
 # -- Graph and containers ----------------------------------------------------
@@ -154,17 +125,17 @@ def test_graph_union_and_degree_free():
 
 def test_dynamic_graph_totals_and_replace():
     g = Graph.make(2, loops=[0])
-    walk = DynamicGraph(2, (TimedGraph(g, RationalAngle(1, 2)), TimedGraph(g, RationalAngle(1, 4))))
-    assert walk.total_time() == RationalAngle(3, 4)
+    walk = DynamicGraph(2, (TimedGraph(g, Fraction(1, 2)), TimedGraph(g, Fraction(1, 4))))
+    assert walk.total_time() == Fraction(3, 4)
     assert walk.graph_count == 2
     swapped = walk.replaced(0, 1, ())
     assert swapped.graph_count == 1
-    assert swapped.steps[0].duration == RationalAngle(1, 4)
+    assert swapped.steps[0].duration == Fraction(1, 4)
 
 
 def test_dynamic_graph_rejects_vertex_mismatch():
     with pytest.raises(ValueError):
-        DynamicGraph(3, (TimedGraph(Graph.make(2), RationalAngle(1, 2)),))
+        DynamicGraph(3, (TimedGraph(Graph.make(2), Fraction(1, 2)),))
 
 
 def test_adjacency_and_support():
@@ -201,32 +172,30 @@ def hypercube_graph(dim):
 @pytest.mark.parametrize(
     "graph, expected",
     [
-        (Graph.make(2, edges=[(0, 1)]), RationalAngle(2, 1)),
-        (Graph.make(3, loops=[0, 1, 2]), RationalAngle(2, 1)),
-        (Graph.make(1, loops=[0]), RationalAngle(2, 1)),
-        (hypercube_graph(2), RationalAngle(2, 1)),
-        (hypercube_graph(3), RationalAngle(6, 1)),
-        (hypercube_graph(4), RationalAngle(4, 1)),
+        (Graph.make(2, edges=[(0, 1)]), Fraction(2, 1)),
+        (Graph.make(3, loops=[0, 1, 2]), Fraction(2, 1)),
+        (Graph.make(1, loops=[0]), Fraction(2, 1)),
+        (hypercube_graph(2), Fraction(2, 1)),
+        (hypercube_graph(3), Fraction(6, 1)),
+        (hypercube_graph(4), Fraction(4, 1)),
     ],
     ids=["edge", "loops", "one-loop", "square", "cube", "cube4"],
 )
 def test_period_known_graphs(graph, expected):
     p = period(graph)
-    assert p.is_finite
-    assert p.value == expected
+    assert p is not None
+    assert p == expected
 
 
 def test_period_empty_graph_is_zero():
     p = period(Graph.make(3))
-    assert p.is_finite and p.value == RationalAngle.zero()
+    assert p is not None and p == 0
 
 
 def test_period_incommensurate_spectrum_is_infinite():
     # a 2-path next to a 3-path: eigenvalue ratio 1/sqrt(2)
     g = Graph.make(5, edges=[(0, 1), (2, 3), (3, 4)])
-    p = period(g)
-    assert not p.is_finite
-    assert str(p) == "infinite"
+    assert period(g) is None
 
 
 @pytest.mark.parametrize(
@@ -242,19 +211,19 @@ def test_period_incommensurate_spectrum_is_infinite():
 def test_period_is_an_actual_recurrence(graph):
     """U(period) must come back to the identity, entrywise."""
     p = period(graph)
-    assert p.is_finite
-    u = evolve_unitary(adjacency_matrix(graph), p.value)
+    assert p is not None
+    u = evolve_unitary(adjacency_matrix(graph), radians(p))
     assert np.abs(u - np.eye(graph.n_vertices)).max() < PERIOD_TOL
 
 
 def test_period_str():
-    assert str(Period.finite(RationalAngle(2, 1))) == "2π"
+    assert format_angle(period(Graph.make(2, edges=[(0, 1)]))) == "2π"
 
 
 def period_per_eigenvalue(graph):
     """The period with one rationalization per eigenvalue, repeats included."""
     if graph.is_empty:
-        return Period.finite(RationalAngle.zero())
+        return Fraction(0)
     spec = spectrum(graph)
     numerators, denominators = set(), set()
     for lam in spec.eigenvalues():
@@ -263,12 +232,12 @@ def period_per_eigenvalue(graph):
             continue
         ratio = rationalize(magnitude / spec.norm)
         if ratio is None:
-            return Period.infinite()
+            return None
         if ratio == 0:
             continue
         numerators.add(ratio.numerator)
         denominators.add(ratio.denominator)
-    return Period.finite(RationalAngle(2 * math.lcm(*denominators), math.gcd(*numerators)))
+    return Fraction(2 * math.lcm(*denominators), math.gcd(*numerators))
 
 
 def random_graph(rng, n):
@@ -286,7 +255,7 @@ def test_period_matches_the_per_eigenvalue_result():
     rng = random.Random(7)
     graphs |= {random_graph(rng, rng.randrange(1, 11)) for _ in range(300)}
     graphs |= {hypercube_graph(dim) for dim in range(1, 6)}
-    outcomes = {period(graph).is_finite for graph in graphs}
+    outcomes = {period(graph) is not None for graph in graphs}
     assert outcomes == {True, False}
     for graph in graphs:
         assert period(graph) == period_per_eigenvalue(graph), graph
@@ -309,8 +278,8 @@ def test_parse_good_walk():
     assert walk.n_vertices == 3
     assert walk.steps[0].graph.edges == frozenset({(0, 1)})
     assert walk.steps[0].graph.loops == frozenset({2})
-    assert walk.steps[0].duration == RationalAngle(1, 2)
-    assert walk.steps[1].duration.is_zero
+    assert walk.steps[0].duration == Fraction(1, 2)
+    assert walk.steps[1].duration == 0
 
 
 def test_serialize_then_parse_roundtrips():

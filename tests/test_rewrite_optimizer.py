@@ -8,6 +8,7 @@ phase-invariant distance, the same check the driver itself performs.
 """
 
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from dynwalk.gate_compiler import (
     compile_hadamard_layer,
     matching_graph,
 )
-from dynwalk.graph_model import DynamicGraph, Graph, Period, RationalAngle, TimedGraph
+from dynwalk.graph_model import DynamicGraph, Graph, TimedGraph
 from dynwalk.numerics import phase_distance
 from dynwalk.rewrite_optimizer import (
     RULE_COMBINE_PST,
@@ -51,7 +52,7 @@ from dynwalk.walk_engine import total_unitary
 
 
 def angle(num, den=1):
-    return RationalAngle(num, den)
+    return Fraction(num, den)
 
 
 def loops(n, vertices, num, den=1):
@@ -708,7 +709,7 @@ def test_optimize_rolls_back_failed_verification(monkeypatch):
 
 def test_optimize_checks_output_against_input(monkeypatch):
     # a wrong period makes the normalization cut 3pi/4 down to pi/4
-    monkeypatch.setattr(ro, "_cached_period", lambda graph: Period.finite(angle(1, 2)))
+    monkeypatch.setattr(ro, "_cached_period", lambda graph: angle(1, 2))
     walk = walk_of(loops(2, [0], 3, 4))
     final, report = optimize(walk)
     assert final.steps[0].duration == angle(1, 4)
@@ -749,8 +750,8 @@ def test_optimize_preserves_unitary_and_never_pessimizes(seed):
     final, report = optimize(walk)
     assert report.verified
     assert_same_program(walk, final)
-    before = (walk.total_time().as_fraction(), walk.graph_count)
-    after = (final.total_time().as_fraction(), final.graph_count)
+    before = (walk.total_time(), walk.graph_count)
+    after = (final.total_time(), final.graph_count)
     assert after <= before
 
 
@@ -841,6 +842,6 @@ def test_optimize_compiled_circuit_matches_circuit_unitary(circuit):
     final, report = optimize(walk)
     assert report.verified
     assert phase_distance(total_unitary(final), circuit_unitary(circuit)) < 1e-9
-    before = (walk.total_time().as_fraction(), walk.graph_count)
-    after = (final.total_time().as_fraction(), final.graph_count)
+    before = (walk.total_time(), walk.graph_count)
+    after = (final.total_time(), final.graph_count)
     assert after <= before

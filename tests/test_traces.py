@@ -7,12 +7,14 @@ alone, bridging over the slips. The slips themselves are asserted exactly
 so any silent fixture edit shows up here.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 import catalog
 import trace_fixtures as tf
-from dynwalk.graph_model import DynamicGraph, RationalAngle, TimedGraph
+from dynwalk.graph_model import DynamicGraph, TimedGraph
 from dynwalk.numerics import phase_distance
 from dynwalk.walk_engine import step_unitary, total_unitary
 
@@ -73,9 +75,9 @@ def test_program_shapes():
     long = tf.long_program()
     short = tf.short_program()
     assert long.graph_count == 16
-    assert long.total_time() == RationalAngle(67, 4)
+    assert long.total_time() == Fraction(67, 4)
     assert short.graph_count == 14
-    assert short.total_time() == RationalAngle(21, 4)
+    assert short.total_time() == Fraction(21, 4)
 
 
 def test_short_table_final_state_is_exact():
@@ -125,12 +127,12 @@ def test_the_closing_phase_identity_holds():
 
 
 def test_catalog_matches_a_known_step(cat):
-    step = TimedGraph(tf._loops([1, 3, 5, 7]), RationalAngle(3, 2))
+    step = TimedGraph(tf._loops([1, 3, 5, 7]), Fraction(3, 2))
     entry = cat.match_single(step_unitary(step))
     assert entry is not None
     assert entry.family == "loops"
     assert entry.graph == step.graph
-    assert entry.duration == RationalAngle(3, 2)
+    assert entry.duration == Fraction(3, 2)
 
 
 def test_catalog_rejects_an_off_grid_arrow(cat):
@@ -144,7 +146,7 @@ def test_long_arrow_14_is_a_false_positive(cat):
     assert entry is not None
     assert entry.family == "loops"
     assert sorted(entry.graph.loops) == [1, 3, 7]
-    assert entry.duration == RationalAngle(1, 1)
+    assert entry.duration == Fraction(1, 1)
 
 
 def test_long_arrow_15_matches_nothing(cat):
@@ -158,7 +160,7 @@ def test_short_arrow_10_is_a_false_positive(cat):
     assert entry is not None
     assert entry.family == "loops"
     assert sorted(entry.graph.loops) == [2, 4, 5, 7]
-    assert entry.duration == RationalAngle(5, 4)
+    assert entry.duration == Fraction(5, 4)
 
 
 def test_short_arrow_11_matches_nothing(cat):
@@ -173,7 +175,7 @@ def test_pair_search_finds_the_cheapest_bridge(cat):
     first, second = pair
     assert sorted(first.graph.loops) == [2, 4, 5, 7]
     assert sorted(second.graph.loops) == [2, 5, 7]
-    assert first.duration == second.duration == RationalAngle(1, 4)
+    assert first.duration == second.duration == Fraction(1, 4)
 
 
 # -- full reconstruction ----------------------------------------------------------
@@ -191,14 +193,14 @@ def test_long_table_reconstructs_with_one_bridge(cat):
     assert result.barrier_count == 0
     assert result.bridged_indices == (13, 14)
     assert len(result.steps) == 16
-    assert result.total_time() == RationalAngle(67, 4)
+    assert result.total_time() == Fraction(67, 4)
 
     bridge_first = result.steps[13]
     bridge_second = result.steps[14]
     assert sorted(bridge_first.graph.loops) == [1, 3, 4, 5, 7]
-    assert bridge_first.duration == RationalAngle(1, 1)
+    assert bridge_first.duration == Fraction(1, 1)
     assert sorted(bridge_second.graph.edges) == [(1, 3), (5, 7)]
-    assert bridge_second.duration == RationalAngle(1, 2)
+    assert bridge_second.duration == Fraction(1, 2)
 
 
 def test_long_reconstruction_reproduces_the_printed_final_state(cat):
@@ -217,6 +219,6 @@ def test_long_reconstruction_inherits_the_table_slip(cat):
     assert distance == pytest.approx(0.25, abs=1e-9)
 
     steps = list(result.steps)
-    steps[13] = TimedGraph(tf._loops([1, 3, 5, 7]), RationalAngle(1, 1))
+    steps[13] = TimedGraph(tf._loops([1, 3, 5, 7]), Fraction(1, 1))
     corrected = DynamicGraph(8, tuple(steps))
     assert phase_distance(total_unitary(corrected), u_short) < TOL

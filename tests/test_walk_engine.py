@@ -1,5 +1,7 @@
 """Step evaluation and program composition, block by block."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -8,9 +10,9 @@ from dynwalk.gate_compiler import compile_hadamard_layer
 from dynwalk.graph_model import (
     DynamicGraph,
     Graph,
-    RationalAngle,
     TimedGraph,
     adjacency_matrix,
+    radians,
     spectrum,
 )
 from dynwalk.walk_engine import evolve_state, graphs_commute, step_unitary, total_unitary
@@ -24,21 +26,21 @@ def matching(n_vertices, mask):
 
 
 def test_step_unitary_matches_expm():
-    step = TimedGraph(Graph.make(3, edges=[(0, 1), (1, 2)]), RationalAngle(2, 3))
+    step = TimedGraph(Graph.make(3, edges=[(0, 1), (1, 2)]), Fraction(2, 3))
     a = adjacency_matrix(step.graph).astype(float)
     norm = np.abs(np.linalg.eigvalsh(a)).max()
-    expected = scipy.linalg.expm(-1j * a * (float(step.duration) / norm))
+    expected = scipy.linalg.expm(-1j * a * (radians(step.duration) / norm))
     assert np.abs(step_unitary(step) - expected).max() < TOL
 
 
 def test_step_unitary_of_empty_graph_is_identity():
-    step = TimedGraph(Graph.make(4), RationalAngle(5, 3))
+    step = TimedGraph(Graph.make(4), Fraction(5, 3))
     assert np.array_equal(step_unitary(step), np.eye(4))
 
 
 def test_total_unitary_applies_later_steps_on_the_left():
-    s1 = TimedGraph(Graph.make(3, edges=[(0, 1)]), RationalAngle(1, 2))
-    s2 = TimedGraph(Graph.make(3, edges=[(1, 2)]), RationalAngle(1, 3))
+    s1 = TimedGraph(Graph.make(3, edges=[(0, 1)]), Fraction(1, 2))
+    s2 = TimedGraph(Graph.make(3, edges=[(1, 2)]), Fraction(1, 3))
     walk = DynamicGraph(3, (s1, s2))
     u1 = step_unitary(s1)
     u2 = step_unitary(s2)
@@ -53,7 +55,7 @@ def test_total_unitary_of_empty_program():
 def test_evolve_state_agrees_with_total_unitary():
     rng = np.random.default_rng(7)
     steps = tuple(
-        TimedGraph(matching(4, mask), RationalAngle(k, 4))
+        TimedGraph(matching(4, mask), Fraction(k, 4))
         for k, mask in [(1, 1), (3, 2), (2, 3)]
     )
     walk = DynamicGraph(4, steps)
@@ -86,7 +88,7 @@ def dense_step_unitary(step):
     norm = np.abs(np.linalg.eigvalsh(a)).max(initial=0.0)
     if norm == 0.0:
         return np.eye(step.graph.n_vertices)
-    return scipy.linalg.expm(-1j * a * (float(step.duration) / norm))
+    return scipy.linalg.expm(-1j * a * (radians(step.duration) / norm))
 
 
 def random_graph(rng, n_vertices, edge_chance, loop_chance):
@@ -100,7 +102,7 @@ def random_graph(rng, n_vertices, edge_chance, loop_chance):
     return Graph.make(n_vertices, edges, loops)
 
 
-DURATIONS = [RationalAngle(0), RationalAngle(5, 13), RationalAngle(17, 11), RationalAngle(1, 2)]
+DURATIONS = [Fraction(0), Fraction(5, 13), Fraction(17, 11), Fraction(1, 2)]
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -145,7 +147,7 @@ def test_evolve_state_on_basis_states_gives_unitary_columns():
 
 
 def test_evolve_state_leaves_its_input_alone():
-    walk = DynamicGraph(2, (TimedGraph(Graph.make(2, edges=[(0, 1)]), RationalAngle(1, 2)),))
+    walk = DynamicGraph(2, (TimedGraph(Graph.make(2, edges=[(0, 1)]), Fraction(1, 2)),))
     state = np.array([1.0, 0.0], dtype=complex)
     evolve_state(walk, state)
     assert np.array_equal(state, [1.0, 0.0])
@@ -174,7 +176,7 @@ def test_ten_qubit_steps_decompose_only_component_blocks(graph, largest, monkeyp
     monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
     spectrum.cache_clear()
-    step = TimedGraph(graph, RationalAngle(1, 3))
+    step = TimedGraph(graph, Fraction(1, 3))
     state = np.zeros(1024)
     state[1] = 1.0
     final = evolve_state(DynamicGraph(1024, (step,)), state)
@@ -184,7 +186,7 @@ def test_ten_qubit_steps_decompose_only_component_blocks(graph, largest, monkeyp
 
 
 def test_step_unitary_of_quarter_period_matching_is_a_phased_bitflip():
-    u = step_unitary(TimedGraph(matching(8, 6), RationalAngle(1, 2)))
+    u = step_unitary(TimedGraph(matching(8, 6), Fraction(1, 2)))
     expected = np.zeros((8, 8), dtype=complex)
     expected[np.arange(8) ^ 6, np.arange(8)] = -1j
     assert np.abs(u - expected).max() < 1e-12

@@ -16,6 +16,8 @@ outside those slips.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 
 from dynwalk.gate_compiler import (
@@ -24,7 +26,7 @@ from dynwalk.gate_compiler import (
     all_loops_graph,
     matching_graph,
 )
-from dynwalk.graph_model import DynamicGraph, Graph, RationalAngle, TimedGraph
+from dynwalk.graph_model import DynamicGraph, Graph, TimedGraph
 
 I = 1j
 E = np.exp(0.25j * np.pi)
@@ -460,7 +462,7 @@ def _pairs(edges):
 
 def long_program() -> DynamicGraph:
     """The sixteen step program whose states the long table tracks."""
-    a = RationalAngle
+    a = Fraction
     steps = (
         TimedGraph(_loops([4, 5, 6, 7]), a(3, 2)),
         TimedGraph(matching_graph(8, 4), a(1, 4)),
@@ -484,7 +486,7 @@ def long_program() -> DynamicGraph:
 
 def short_program() -> DynamicGraph:
     """The fourteen step program whose states the short table tracks."""
-    a = RationalAngle
+    a = Fraction
     cube = _pairs(
         [(v, v ^ mask) for mask in (4, 1) for v in range(8) if v < v ^ mask]
     )
