@@ -40,10 +40,8 @@ from .graph_model import (
     spectrum,
 )
 from .numerics import phase_distance
-from .rewrite_optimizer import ALL_RULES, optimize
+from .rewrite_optimizer import ALL_RULES, VERIFY_TOLERANCE, optimize
 from .walk_engine import evolve_state, total_unitary
-
-EQUIVALENCE_TOLERANCE = 1e-9
 
 __all__ = [
     "CommandResult",
@@ -220,7 +218,7 @@ def cmd_compile(args: argparse.Namespace) -> CommandResult:
         f" total time {format_angle(total)} ({radians(total):.4f})",
         f"phase distance to circuit unitary: {distance:.3e}",
     ]
-    if distance >= EQUIVALENCE_TOLERANCE:
+    if distance >= VERIFY_TOLERANCE:
         return CommandResult(1, tuple(lines) + ("verification FAILED, not writing output",))
     _write_text(args.output, (serialize_dynamic_graph(walk),))
     return CommandResult(0, tuple(lines) + (f"wrote {args.output}",))
@@ -234,9 +232,9 @@ def cmd_equiv(args: argparse.Namespace) -> CommandResult:
             f"vertex counts differ: {first.n_vertices} vs {second.n_vertices}"
         )
     distance = phase_distance(total_unitary(first), total_unitary(second))
-    verdict = "equivalent" if distance < EQUIVALENCE_TOLERANCE else "NOT equivalent"
+    verdict = "equivalent" if distance < VERIFY_TOLERANCE else "NOT equivalent"
     lines = (f"phase distance {distance:.3e}", verdict)
-    return CommandResult(0 if distance < EQUIVALENCE_TOLERANCE else 1, lines)
+    return CommandResult(0 if distance < VERIFY_TOLERANCE else 1, lines)
 
 
 def cmd_stats(args: argparse.Namespace) -> CommandResult:

@@ -51,7 +51,6 @@ __all__ = [
     "MAX_QUBITS",
     "Gate",
     "Circuit",
-    "PhaseSchedule",
     "bit_value",
     "matching_graph",
     "all_loops_graph",
@@ -134,14 +133,6 @@ class Circuit:
         return 2 ** self.n_qubits
 
 
-@dataclass(frozen=True)
-class PhaseSchedule:
-    """A per-vertex phase target and the staircase realizing it."""
-
-    phases: Tuple[Tuple[int, Fraction], ...]
-    steps: Tuple[TimedGraph, ...]
-
-
 def _gate_qubits(gate: Gate) -> Tuple[int, ...]:
     if gate.kind == "HLAYER":
         return tuple(gate.targets or ())
@@ -174,7 +165,7 @@ def bit_set_loops_graph(n_vertices: int, bit_mask: int) -> Graph:
     return Graph.make(n_vertices, loops=(v for v in range(n_vertices) if v & bit_mask))
 
 
-def schedule_phases(phases: Mapping[int, Fraction], n_vertices: int) -> PhaseSchedule:
+def schedule_phases(phases: Mapping[int, Fraction], n_vertices: int) -> Tuple[TimedGraph, ...]:
     """Loop staircase applying exp(-i theta_v) to each vertex v.
 
     Emits one loop graph per distinct nonzero phase, nested by threshold in
@@ -183,7 +174,6 @@ def schedule_phases(phases: Mapping[int, Fraction], n_vertices: int) -> PhaseSch
     for at least that long. Phases must lie in [0, 2pi); anything else is a
     caller bug and raises ValueError.
     """
-    cleaned: Dict[int, Fraction] = {}
     at_level: Dict[Fraction, List[int]] = {}
     for vertex, angle in phases.items():
         if not (0 <= vertex < n_vertices):
@@ -191,7 +181,6 @@ def schedule_phases(phases: Mapping[int, Fraction], n_vertices: int) -> PhaseSch
         if not 0 <= angle < 2:
             raise ValueError(f"phase {format_angle(angle)} for vertex {vertex} not in [0, 2pi)")
         if angle:
-            cleaned[vertex] = angle
             at_level.setdefault(angle, []).append(vertex)
     thresholds = sorted(at_level, reverse=True)
     steps = []
@@ -201,8 +190,7 @@ def schedule_phases(phases: Mapping[int, Fraction], n_vertices: int) -> PhaseSch
         loops.update(at_level[level])
         lower = thresholds[index + 1] if index + 1 < len(thresholds) else 0
         steps.append(TimedGraph(Graph(n_vertices, loops=frozenset(loops)), level - lower))
-    phase_items = tuple(sorted(cleaned.items()))
-    return PhaseSchedule(phase_items, tuple(steps))
+    return tuple(steps)
 
 
 def _choose_beta(weight_range: int) -> Fraction:
@@ -244,11 +232,11 @@ def compile_hadamard_layer(targets: Iterable[int], n_qubits: int) -> DynamicGrap
 
     beta = _choose_beta(len(order))
     phase_map = {v: (beta - Fraction((v & union).bit_count(), 2)) % 2 for v in range(n)}
-    stair = schedule_phases(phase_map, n).steps
+    stair = schedule_phases(phase_map, n)
 
     edges = {(v, v ^ mask) for mask in masks for v in range(n) if v < v ^ mask}
     walk = TimedGraph(Graph.make(n, edges), Fraction(len(order), 4))
-    return DynamicGraph(n, tuple(stair) + (walk,) + tuple(stair))
+    return DynamicGraph(n, stair + (walk,) + stair)
 
 
 def _single_qubit_steps(gate: Gate, n_qubits: int) -> Tuple[TimedGraph, ...]:

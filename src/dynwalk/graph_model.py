@@ -185,10 +185,6 @@ class DynamicGraph:
                     f"step {index} has {step.graph.n_vertices} vertices, expected {self.n_vertices}"
                 )
 
-    @classmethod
-    def from_steps(cls, n_vertices: int, steps: Iterable[TimedGraph]) -> "DynamicGraph":
-        return cls(n_vertices, tuple(steps))
-
     def total_time(self) -> Fraction:
         return sum((step.duration for step in self.steps), Fraction(0))
 

@@ -19,6 +19,7 @@ as complex unitaries, and keeping them bare keeps the algebra readable.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import NamedTuple, SupportsFloat, Union
 
 import numpy as np
@@ -102,8 +103,11 @@ def evolve_unitary(matrix: np.ndarray, time: Union[float, SupportsFloat]) -> Com
     The norm scaling matches the walk convention: a step of duration t
     evolves under A / ||A||, so spectra of different graphs live on a common
     [-1, 1] scale. A zero matrix (no edges, no loops) has no dynamics and
-    yields the identity.
+    yields the identity. ``time`` is in radians: a ``Fraction`` (a duration,
+    in multiples of pi) raises TypeError instead of running as radians.
     """
+    if isinstance(time, Fraction):
+        raise TypeError(f"time {time} is a multiple of pi, not radians; use graph_model.radians")
     decomposition = symmetric_eigh(matrix)
     norm = float(np.abs(decomposition.eigenvalues).max(initial=0.0))
     if norm == 0.0:

@@ -14,7 +14,9 @@ Six rewrite rules shrink a walk program without changing its total unitary
   quarter-period matching on its 2-cycles plus the loop staircase paying
   the exact remaining phases. Runs of phase * X_mask steps go in the
   regular scan and become the matching on the XOR of the masks plus at
-  most one loop graph; other runs are folded only as a last resort.
+  most one loop graph; a run of loops-only steps is the identity case and
+  becomes the descending staircase of its phase totals, recorded as
+  MOVE_SINGLETON; other runs are folded only as a last resort.
 * MERGE_COMPLEMENTARY: adjacent steps on support-disjoint graphs of equal
   spectral norm overlap: the union graph runs for the shorter duration,
   and the longer graph alone finishes the difference.
@@ -27,10 +29,11 @@ Six rewrite rules shrink a walk program without changing its total unitary
 
 The driver works from one table of rule sites. A site is a span
 [start, stop) of the program, the steps that would replace it and a note
-for the report; each rule produces its sites through its public ``pass_*``
-function. Only the driver prices a site, from the span alone, records it
-and splices it in. Cost is lexicographic (total time, then graph count)
-and every accepted step strictly decreases it, so the driver terminates.
+for the report; each rule but MOVE_SINGLETON produces its sites through
+its public ``pass_*`` function. Only the driver prices a site, from the
+span alone, records it and splices it in. Cost is lexicographic (total
+time, then graph count) and every accepted step strictly decreases it, so
+the driver terminates.
 When no rule fires, the driver scans the last-resort rows (the wider
 COMBINE_PST fold), and when those find nothing either it spends a bounded
 search on cost-neutral enabling moves (commuting swaps of adjacent
@@ -45,15 +48,14 @@ verdicts in module-level ``lru_cache``s keyed on the steps they read:
 what a looped singleton carries out of a step (``_singleton_source``, on
 the source step and the vertex), what a target step becomes when it
 absorbs that phase (``_singleton_landing``, on the target step, the
-vertex and the phase), the staircase of a run of loops-only steps
-(``_staircase``, on the run), and the unitary and phased-permutation form
-of each step. Apart from the step unitaries the caches hold steps and
-small tuples, never span products. A singleton is offered only the
-targets of its corridor window: outward from the source on each side, up
-to and including the first step that attaches an edge to the vertex,
-since that step blocks every target beyond it. The Hadamard-layer sites
-build the products of all fragments from one start in a single sweep and
-try them longest first.
+vertex and the phase), and the unitary and phased-permutation form of
+each step. Apart from the step unitaries the caches hold steps and small
+tuples, never span products. A singleton site is built straight from the
+two singleton verdicts, for the targets of the corridor window only:
+outward from the source on each side, up to and including the first step
+that attaches an edge to the vertex, since that step blocks every target
+beyond it. The Hadamard-layer sites build the products of all fragments
+from one start in a single sweep and try them longest first.
 
 Every accepted rewrite is verified on its span alone. With Q the product
 of the steps before the span, P that of the steps after it, and S, S' the
@@ -72,7 +74,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Set, Tuple, Union
+from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Set, Tuple, Union
 
 import numpy as np
 
@@ -227,14 +229,19 @@ class PhasedPermutation(NamedTuple):
 def _cached_permutation(step: TimedGraph) -> Optional[PhasedPermutation]:
     """The step as a phased permutation with clean angles, else None.
 
-    Each column's largest entry fixes its row and, through _phase_angle,
-    its angle; the rebuilt matrix is then checked against the whole step
-    unitary to VERIFY_TOLERANCE. Loops-only steps and matchings at
-    multiples of pi/2 classify, among others, when their durations are
-    fractions of pi with denominators up to PHASE_DENOMINATOR_LIMIT.
+    A loops-only step is exactly the identity with angle duration mod 2pi
+    on each looped vertex and 0 elsewhere, whatever the denominator. Any
+    other step has each column's largest entry fix its row and, through
+    _phase_angle, its angle; the rebuilt matrix is then checked against the
+    step unitary to VERIFY_TOLERANCE. Matchings at multiples of pi/2 pass,
+    among others, at denominators up to PHASE_DENOMINATOR_LIMIT.
     """
+    n = step.graph.n_vertices
+    if step.graph.is_loops_only:
+        phase = step.duration % 2
+        diagonal = tuple(phase if v in step.graph.loops else Fraction(0) for v in range(n))
+        return PhasedPermutation(tuple(range(n)), diagonal, len(set(diagonal)) == 1)
     u = _cached_step_unitary(step)
-    n = u.shape[0]
     rows = np.abs(u).argmax(axis=0)
     if len(set(rows.tolist())) != n:
         return None
@@ -351,7 +358,7 @@ def pass_combine_pst(walk: DynamicGraph, start: int, stop: int) -> DynamicGraph:
         row: (angle - (Fraction(1, 2) if row != column else 0)) % 2
         for column, (row, angle) in enumerate(zip(perm, angles))
     }
-    replacement.extend(schedule_phases(residue, n).steps)
+    replacement.extend(schedule_phases(residue, n))
     return walk.replaced(start, stop, replacement)
 
 
@@ -431,7 +438,7 @@ def _singleton_landing(step: TimedGraph, vertex: int, tau: Fraction) -> LandingV
             return "target loops the vertex but is not loops-only"
         phases = {w: step.duration for w in graph.loops}
         phases[vertex] = (step.duration + tau) % 2
-        return schedule_phases(phases, n).steps
+        return schedule_phases(phases, n)
     if not graph.degree_free(vertex):
         return "target attaches edges to the vertex"
     if graph.is_empty:
@@ -447,6 +454,35 @@ def _singleton_landing(step: TimedGraph, vertex: int, tau: Fraction) -> LandingV
     if not residual:
         return (TimedGraph(joined, step.duration),)
     return TimedGraph(joined, step.duration), TimedGraph(Graph(n, loops=frozenset({vertex})), residual)
+
+
+def _corridor(steps: Tuple[TimedGraph, ...], source: int, vertex: int) -> Tuple[int, int]:
+    """First and last step that a singleton move of the vertex can reach.
+
+    Outward from the source on each side, the window ends at, and includes,
+    the first step that attaches an edge to the vertex.
+    """
+    first = source
+    while first > 0:
+        first -= 1
+        if not steps[first].graph.degree_free(vertex):
+            break
+    last = source
+    while last < len(steps) - 1:
+        last += 1
+        if not steps[last].graph.degree_free(vertex):
+            break
+    return first, last
+
+
+def _splice(
+    steps: Tuple[TimedGraph, ...], source: int, target: int,
+    left: Tuple[TimedGraph, ...], landed: Tuple[TimedGraph, ...]
+) -> Tuple[int, int, Tuple[TimedGraph, ...]]:
+    """A move's span and its new steps: what is left of the source, the corridor, what landed."""
+    if source < target:
+        return source, target + 1, left + steps[source + 1 : target] + landed
+    return target, source + 1, landed + steps[target + 1 : source] + left
 
 
 def pass_move_singleton(walk: DynamicGraph, source: int, vertex: int, target: int) -> DynamicGraph:
@@ -473,24 +509,14 @@ def pass_move_singleton(walk: DynamicGraph, source: int, vertex: int, target: in
     moved = _singleton_source(walk.steps[source], vertex)
     if isinstance(moved, str):
         raise RuleNotApplicable(moved)
-    tau, source_replacement = moved
-    lo, hi = (source, target) if source < target else (target, source)
-    for between in walk.steps[lo + 1 : hi]:
-        if not between.graph.degree_free(vertex):
-            raise RuleNotApplicable("corridor step attaches edges to the vertex")
-    target_replacement = _singleton_landing(walk.steps[target], vertex, tau)
-    if isinstance(target_replacement, str):
-        raise RuleNotApplicable(target_replacement)
-
-    pieces: List[TimedGraph] = []
-    for idx, step in enumerate(walk.steps):
-        if idx == source:
-            pieces.extend(source_replacement)
-        elif idx == target:
-            pieces.extend(target_replacement)
-        else:
-            pieces.append(step)
-    return DynamicGraph(walk.n_vertices, tuple(pieces))
+    tau, left = moved
+    first, last = _corridor(walk.steps, source, vertex)
+    if not first <= target <= last:
+        raise RuleNotApplicable("corridor step attaches edges to the vertex")
+    landed = _singleton_landing(walk.steps[target], vertex, tau)
+    if isinstance(landed, str):
+        raise RuleNotApplicable(landed)
+    return walk.replaced(*_splice(walk.steps, source, target, left, landed))
 
 
 def pass_hypercube_hadamard(
@@ -627,66 +653,49 @@ def _merge_complementary_sites(walk: DynamicGraph, index: int) -> Iterator[Site]
     return _site(walk, index, index + 2, pass_merge_complementary, index)
 
 
-@lru_cache(maxsize=4096)
-def _staircase(run: Tuple[TimedGraph, ...]) -> Tuple[Tuple[TimedGraph, ...], str]:
-    """The descending staircase of a run of loops-only steps, and its note."""
-    totals: Dict[int, Fraction] = {}
-    for step in run:
-        for v in step.graph.loops:
-            totals[v] = (totals.get(v, 0) + step.duration) % 2
-    phases = {v: t for v, t in totals.items() if t}
-    stair = schedule_phases(phases, run[0].graph.n_vertices).steps
-    return stair, f"staircase over {len(phases)} vertices"
-
-
 def _staircase_sites(walk: DynamicGraph, start: int) -> Iterator[Site]:
     """Re-emit a run of loops-only steps as one optimal staircase.
 
-    The run's per-vertex phase totals (mod 2pi) determine it up to
-    reordering, so the descending staircase is the cheapest equivalent
-    form. Recorded as MOVE_SINGLETON over the run's span: it is a
-    composition of singleton extractions, moves and merges.
+    The run is a phased-permutation run whose permutation is the identity,
+    so COMBINE_PST folds it into the descending staircase of its per-vertex
+    phase totals (mod 2pi), the cheapest equivalent form. Recorded as
+    MOVE_SINGLETON over the run's span: it is a composition of singleton
+    extractions, moves and merges. The last, widest staircase step holds
+    every vertex with a phase; the note counts them.
     """
     stop = start
     while stop < walk.graph_count and walk.steps[stop].graph.is_loops_only:
         stop += 1
     if stop - start < 2:
         return
-    stair, note = _staircase(walk.steps[start:stop])
-    yield start, stop, stair, note
+    for _, _, stair, _ in _site(walk, start, stop, pass_combine_pst, start, stop):
+        width = len(stair[-1].graph.loops) if stair else 0
+        yield start, stop, stair, f"staircase over {width} vertices"
 
 
 def _singleton_moves(walk: DynamicGraph, source: int, note: str) -> Iterator[Site]:
     """Every elementary singleton move out of the source step.
 
-    A vertex can only reach the targets of its corridor window: walking
-    outward from the source on each side, up to and including the first
-    step that attaches an edge to the vertex. Farther targets would have
-    that step in their corridor. ``note`` is formatted with the vertex,
-    source and target of the move.
+    Each site comes straight from the two cached verdicts: what a looped
+    singleton carries out of the source, and what each target of its
+    corridor window becomes once it absorbs that phase. ``note`` is
+    formatted with the vertex, source and target of the move.
     """
     steps = walk.steps
-    src = steps[source].graph
-    for vertex in src.sorted_loops():
-        if not src.degree_free(vertex):
+    for vertex in steps[source].graph.sorted_loops():
+        moved = _singleton_source(steps[source], vertex)
+        if isinstance(moved, str):
             continue
-        first = source
-        while first > 0:
-            first -= 1
-            if not steps[first].graph.degree_free(vertex):
-                break
-        last = source
-        while last < walk.graph_count - 1:
-            last += 1
-            if not steps[last].graph.degree_free(vertex):
-                break
+        tau, left = moved
+        first, last = _corridor(steps, source, vertex)
         for target in range(first, last + 1):
             if target == source:
                 continue
-            lo, hi = sorted((source, target))
+            landed = _singleton_landing(steps[target], vertex, tau)
+            if isinstance(landed, str):
+                continue
             text = note.format(vertex=vertex, source=source, target=target)
-            args = (source, vertex, target)
-            yield from _site(walk, lo, hi + 1, pass_move_singleton, *args, note=text)
+            yield (*_splice(steps, source, target, left, landed), text)
 
 
 def _singleton_sites(walk: DynamicGraph, source: int) -> Iterator[Site]:

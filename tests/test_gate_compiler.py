@@ -24,7 +24,7 @@ from dynwalk.gate_compiler import (
     parse_circuit,
     schedule_phases,
 )
-from dynwalk.graph_model import DynamicGraph, ParseError, radians
+from dynwalk.graph_model import DynamicGraph, Graph, ParseError, TimedGraph, radians
 from dynwalk.numerics import phase_distance
 from dynwalk.walk_engine import total_unitary
 
@@ -128,35 +128,33 @@ def test_circuit_validation():
 
 def test_schedule_phases_explicit_staircase():
     phases = {0: angle(1, 2), 1: angle(3, 2), 2: angle(3, 2), 3: angle(1)}
-    schedule = schedule_phases(phases, 4)
-    got = [(step.graph.sorted_loops(), step.duration) for step in schedule.steps]
+    steps = schedule_phases(phases, 4)
+    got = [(step.graph.sorted_loops(), step.duration) for step in steps]
     assert got == [
         ([1, 2], angle(1, 2)),
         ([1, 2, 3], angle(1, 2)),
         ([0, 1, 2, 3], angle(1, 2)),
     ]
-    assert DynamicGraph(4, schedule.steps).total_time() == angle(3, 2)
-    assert all(step.graph.is_loops_only for step in schedule.steps)
+    assert DynamicGraph(4, steps).total_time() == angle(3, 2)
+    assert all(step.graph.is_loops_only for step in steps)
 
 
 def test_schedule_phases_unitary_is_target_diagonal():
     phases = {0: angle(1, 4), 2: angle(7, 4), 3: angle(1)}
-    schedule = schedule_phases(phases, 4)
-    u = total_unitary(DynamicGraph(4, schedule.steps))
+    u = total_unitary(DynamicGraph(4, schedule_phases(phases, 4)))
     expected = np.diag([np.exp(-1j * radians(phases.get(v, angle(0)))) for v in range(4)])
     assert np.abs(u - expected).max() < 1e-12
 
 
 def test_schedule_phases_drops_zero_entries():
-    schedule = schedule_phases({0: angle(0), 1: angle(1, 2)}, 2)
-    assert schedule.phases == ((1, angle(1, 2)),)
-    assert len(schedule.steps) == 1
+    steps = schedule_phases({0: angle(0), 1: angle(1, 2)}, 2)
+    assert steps == (TimedGraph(Graph.make(2, loops=[1]), angle(1, 2)),)
 
 
 def test_schedule_phases_empty_map():
-    schedule = schedule_phases({}, 4)
-    assert schedule.steps == ()
-    assert DynamicGraph(4, schedule.steps).total_time() == angle(0)
+    steps = schedule_phases({}, 4)
+    assert steps == ()
+    assert DynamicGraph(4, steps).total_time() == angle(0)
 
 
 def test_schedule_phases_rejects_bad_input():
@@ -172,13 +170,13 @@ def test_schedule_phases_rejects_bad_input():
 )
 def test_schedule_phases_property(raw):
     phases = {v: angle(k, 4) for v, k in raw.items()}
-    schedule = schedule_phases(phases, 8)
-    u = total_unitary(DynamicGraph(8, schedule.steps))
+    steps = schedule_phases(phases, 8)
+    u = total_unitary(DynamicGraph(8, steps))
     expected = np.diag([np.exp(-1j * radians(phases.get(v, angle(0)))) for v in range(8)])
     assert np.abs(u - expected).max() < 1e-10
     nonzero = [a for a in phases.values() if a != 0]
-    assert DynamicGraph(8, schedule.steps).total_time() == (max(nonzero) if nonzero else angle(0))
-    assert len(schedule.steps) == len({a for a in nonzero})
+    assert DynamicGraph(8, steps).total_time() == (max(nonzero) if nonzero else angle(0))
+    assert len(steps) == len({a for a in nonzero})
 
 
 # -- hadamard layers -----------------------------------------------------------

@@ -5,6 +5,8 @@ scaled Hamiltonian, so the eigendecomposition route never gets to grade
 its own homework. Spectra of a few named graphs are frozen as literals.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -129,6 +131,12 @@ def test_evolve_edge_quarter_period_swaps():
     u = evolve_unitary(path_adjacency(2), np.pi / 2)
     expected = np.array([[0, -1j], [-1j, 0]])
     assert np.abs(u - expected).max() < 1e-12
+
+
+def test_evolve_refuses_a_fraction_duration():
+    """A Fraction is a multiple of pi: pi/2 must not run as 0.5 rad."""
+    with pytest.raises(TypeError, match="graph_model.radians"):
+        evolve_unitary(path_adjacency(2), Fraction(1, 2))
 
 
 def test_evolve_semigroup_property():

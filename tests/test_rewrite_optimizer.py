@@ -27,6 +27,7 @@ from dynwalk.gate_compiler import (
     compile_gate,
     compile_hadamard_layer,
     matching_graph,
+    schedule_phases,
 )
 from dynwalk.graph_model import DynamicGraph, Graph, TimedGraph
 from dynwalk.numerics import phase_distance
@@ -48,7 +49,7 @@ from dynwalk.rewrite_optimizer import (
     pass_move_singleton,
     pass_swap_commuting,
 )
-from dynwalk.walk_engine import total_unitary
+from dynwalk.walk_engine import step_unitary, total_unitary
 
 
 def angle(num, den=1):
@@ -473,16 +474,58 @@ def test_singleton_moves_skip_targets_beyond_the_corridor(monkeypatch):
         TimedGraph(Graph.make(3, edges=[(0, 1)]), angle(1, 2)),
         TimedGraph(Graph.make(3, edges=[(1, 2)]), angle(1, 2)),
     )
-    calls = []
-    real = ro.pass_move_singleton
+    targets = []
+    real = ro._singleton_landing
 
-    def counted(walk, source, vertex, target):
-        calls.append(target)
-        return real(walk, source, vertex, target)
+    def counted(step, vertex, tau):
+        targets.append(walk.steps.index(step))
+        return real(step, vertex, tau)
 
-    monkeypatch.setattr(ro, "pass_move_singleton", counted)
+    monkeypatch.setattr(ro, "_singleton_landing", counted)
     assert list(ro._singleton_moves(walk, 0, "")) == []
-    assert calls == [1]
+    assert targets == [1]
+
+
+def random_loops_step(rng, n):
+    looped = [v for v in range(n) if rng.random() < 0.5] or [rng.randrange(n)]
+    den = rng.randrange(1, 129)
+    return TimedGraph(Graph.make(n, loops=looped), angle(rng.randrange(1, 4 * den), den))
+
+
+def reference_staircase(run, n):
+    """The staircase of a loops-only run: per-vertex phase sums, then the schedule."""
+    totals = {}
+    for step in run:
+        for v in step.graph.loops:
+            totals[v] = (totals.get(v, angle(0)) + step.duration) % 2
+    width = sum(1 for total in totals.values() if total)
+    return schedule_phases(totals, n), f"staircase over {width} vertices"
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_staircase_sites_match_the_phase_sums(seed):
+    rng = random.Random(seed)
+    n = rng.randrange(2, 9)
+    walk = DynamicGraph(n, tuple(random_loops_step(rng, n) for _ in range(rng.randrange(2, 7))))
+    count = walk.graph_count
+    for start in range(count):
+        expected = []
+        if count - start >= 2:
+            stair, note = reference_staircase(walk.steps[start:], n)
+            expected = [(start, count, stair, note)]
+        assert list(ro._staircase_sites(walk, start)) == expected
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_cached_permutation_rebuilds_loops_only_steps(seed):
+    rng = random.Random(seed)
+    n = rng.randrange(1, 9)
+    for step in [random_loops_step(rng, n) for _ in range(5)] + [loops(n, [0], 2)]:
+        flip = ro._cached_permutation(step)
+        rebuilt = np.zeros((n, n), dtype=complex)
+        rebuilt[list(flip.perm), range(n)] = [np.exp(-1j * np.pi * float(a)) for a in flip.angles]
+        assert np.abs(rebuilt - step_unitary(step)).max() < 1e-12
+        assert flip.bitflip == (len(set(flip.angles)) == 1)
 
 
 def per_stop_hypercube_sites(walk, index):
@@ -559,6 +602,18 @@ def test_optimize_collapses_loop_tail():
     assert [r.rule for r in report.rewrites] == [RULE_MOVE_SINGLETON]
     assert report.rewrites[0].span == (1, 3)
     assert report.rewrites[0].graphs_removed == 1
+    assert_same_program(walk, final)
+
+
+def test_optimize_staircases_durations_beyond_the_phase_denominator_limit():
+    walk = walk_of(loops(4, [1], 3, 200), loops(4, [1, 2], 1, 300), loops(4, [3], 7, 3))
+    final, report = optimize(walk)
+    assert final.steps == (loops(4, [3], 63, 200), loops(4, [1, 3], 3, 200), loops(4, [1, 2, 3], 1, 300))
+    assert [(r.rule, r.detail) for r in report.rewrites] == [
+        (RULE_NORMALIZE_TIME, "7π/3 -> π/3"),
+        (RULE_MOVE_SINGLETON, "staircase over 3 vertices"),
+    ]
+    assert report.verified
     assert_same_program(walk, final)
 
 
@@ -793,20 +848,20 @@ def test_optimize_keeps_the_short_and_recovered_program_results():
     )
 
 
-# 4,228 calls when the corridor window was introduced; offering every
-# target of the walk again took 14,980.
+# 4,228 landing lookups with the corridor window; consulting the landing
+# verdict of every target of the walk took 40,834.
 SINGLETON_CALL_CEILING = 4650
 
 
 def test_optimize_recovered_program_stays_under_the_singleton_call_ceiling(monkeypatch):
     calls = []
-    real = ro.pass_move_singleton
+    real = ro._singleton_landing
 
     def counted(*args):
-        calls.append(args[1:])
+        calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(ro, "pass_move_singleton", counted)
+    monkeypatch.setattr(ro, "_singleton_landing", counted)
     optimize(catalog.reconstruct(tf.LONG_TRACE).program())
     assert 0 < len(calls) <= SINGLETON_CALL_CEILING
 
