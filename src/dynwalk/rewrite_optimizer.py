@@ -42,20 +42,43 @@ improving rewrite land immediately after. The fold waits so that it never
 preempts the regular rules, the loop staircase among them: its spans
 start early and reach far, and the scan takes the leftmost position.
 
-The enabling search rescans walks that differ from the current one only
-where a neutral move changed them, so the rules keep their step-local
-verdicts in module-level ``lru_cache``s keyed on the steps they read:
-what a looped singleton carries out of a step (``_singleton_source``, on
-the source step and the vertex), what a target step becomes when it
-absorbs that phase (``_singleton_landing``, on the target step, the
-vertex and the phase), and the unitary and phased-permutation form of
-each step. Apart from the step unitaries the caches hold steps and small
-tuples, never span products. A singleton site is built straight from the
-two singleton verdicts, for the targets of the corridor window only:
-outward from the source on each side, up to and including the first step
-that attaches an edge to the vertex, since that step blocks every target
-beyond it. The Hadamard-layer sites build the products of all fragments
-from one start in a single sweep and try them longest first.
+The enabling search runs only when the walk has no improving site, and
+a neutral move keeps its span's time, graph count and unitary (up to
+phase). So after a move on the window [start, stop) only sites whose
+verdict reads the window can have become improving, and the follow-up
+scan offers only those: every site inside the window, the merges at
+start - 1, the phased-permutation and loops-only runs that reach start
+(a run's verdict reads the step that ends it), the singleton moves whose
+stretch from source to target crosses the window (the steps between keep
+the target inside the corridor), and the Hadamard-layer fragments that
+hold part of the window but not all of it. The leftmost best of those is
+the site the full scan would take. While the skip set is nonempty the
+follow-up scans the whole walk, since the skip set is keyed on whole
+walks and the walk before the move may have had a skipped improving
+site. A site is priced in one integer sum over the durations of the span
+and of its replacement.
+
+The rescanned walks differ from the current one only where a neutral
+move changed them, so the rules keep their step-local verdicts in
+module-level ``lru_cache``s keyed on the steps they read: what a looped
+singleton carries out of a step (``_singleton_source``, on the source
+step and the vertex), what a target step becomes when it absorbs that
+phase (``_singleton_landing``, on the target step, the vertex and the
+phase), the fold of a run of phased permutations (``_fold``, on the
+vertex count and the run's steps), and the unitary and
+phased-permutation form of each step. ``_hadamard_layer`` keeps the
+compiled layer, its cost and its read-only dense unitary per target set
+and qubit count, and ``walk_engine.graphs_commute`` is cached on the
+graph pair for the block swaps. Apart from the step and layer unitaries
+the caches hold steps and small tuples, never span products. A
+singleton site is built straight from the two singleton verdicts, for
+the targets of the corridor only: outward from the source on each side,
+up to and including the first step that attaches an edge to the vertex,
+since that step blocks every target beyond it. The Hadamard-layer sites
+build the products of all fragments from one start in a single sweep
+and try them longest first, skipping fragments made only of phased
+permutations: their product is a phased permutation, never a Hadamard
+layer. The layer's cost is checked before the dense comparison.
 
 Every accepted rewrite is verified on its span alone. With Q the product
 of the steps before the span, P that of the steps after it, and S, S' the
@@ -74,7 +97,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Set, Tuple, Union
+from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -272,9 +295,12 @@ def _product(n_vertices: int, steps: Iterable[TimedGraph]) -> np.ndarray:
     return u
 
 
-def _span_time(steps: Iterable[TimedGraph]) -> Fraction:
-    """Total duration of the steps, summed as integers over one denominator."""
+def _span_time(steps: Sequence[TimedGraph], minus: Sequence[TimedGraph] = ()) -> Fraction:
+    """Total duration of the steps less that of ``minus``, as integers over one denominator."""
+    if not minus and len(steps) < 2:
+        return steps[0].duration if steps else Fraction(0)
     durations = [(step.duration.numerator, step.duration.denominator) for step in steps]
+    durations += [(-step.duration.numerator, step.duration.denominator) for step in minus]
     den = math.lcm(*(d for _, d in durations))
     return Fraction(sum(n * (den // d) for n, d in durations), den)
 
@@ -322,6 +348,38 @@ def _phase_angle(target: complex) -> Optional[Fraction]:
     return guess
 
 
+# A verdict is what a rule computed from the steps it reads, or the reason
+# (a string) it does not apply there. The cached verdicts below are keyed on
+# those steps alone, so every walk that shares them shares the answer.
+SourceVerdict = Union[str, Tuple[Fraction, Tuple[TimedGraph, ...]]]
+StepsVerdict = Union[str, Tuple[TimedGraph, ...]]
+
+
+@lru_cache(maxsize=4096)
+def _fold(n: int, run: Tuple[TimedGraph, ...]) -> StepsVerdict:
+    """The matching and staircase that replace a run of phased permutations."""
+    # column j of the run's product holds exp(-i pi angles[j]) in row perm[j]
+    perm = list(range(n))
+    angles = [Fraction(0)] * n
+    for step in run:
+        flip = _cached_permutation(step)
+        if flip is None:
+            return "step is not a phased permutation"
+        angles = [angle + flip.angles[row] for angle, row in zip(angles, perm)]
+        perm = [flip.perm[row] for row in perm]
+    if any(perm[row] != column for column, row in enumerate(perm)):
+        return "the run's permutation is not an involution"
+    pairs = [(column, row) for column, row in enumerate(perm) if column < row]
+    replacement: Tuple[TimedGraph, ...] = ()
+    if pairs:
+        replacement = (TimedGraph(Graph.make(n, pairs), Fraction(1, 2)),)
+    residue = {
+        row: (angle - (Fraction(1, 2) if row != column else 0)) % 2
+        for column, (row, angle) in enumerate(zip(perm, angles))
+    }
+    return replacement + schedule_phases(residue, n)
+
+
 def pass_combine_pst(walk: DynamicGraph, start: int, stop: int) -> DynamicGraph:
     """Collapse a run of phased-permutation steps into matching + staircase.
 
@@ -332,34 +390,18 @@ def pass_combine_pst(walk: DynamicGraph, start: int, stop: int) -> DynamicGraph:
     2-cycles of P (-i X on each pair) followed by the loop staircase that
     pays each vertex's remaining phase, or just the staircase when P is
     the identity. A run of phase * X_mask steps thus becomes the matching
-    on the XOR of the masks plus at most one all-loops graph.
+    on the XOR of the masks plus at most one all-loops graph. The fold is
+    cached on the vertex count and the run's steps.
     """
     if not (0 <= start < stop <= walk.graph_count) or stop - start < 2:
         raise RuleNotApplicable("need at least two steps")
     n = walk.n_vertices
     if n < 1:
         raise RuleNotApplicable("no vertices")
-    # column j of the run's product holds exp(-i pi angles[j]) in row perm[j]
-    perm = list(range(n))
-    angles = [Fraction(0)] * n
-    for step in walk.steps[start:stop]:
-        flip = _cached_permutation(step)
-        if flip is None:
-            raise RuleNotApplicable("step is not a phased permutation")
-        angles = [angle + flip.angles[row] for angle, row in zip(angles, perm)]
-        perm = [flip.perm[row] for row in perm]
-    if any(perm[row] != column for column, row in enumerate(perm)):
-        raise RuleNotApplicable("the run's permutation is not an involution")
-    pairs = [(column, row) for column, row in enumerate(perm) if column < row]
-    replacement: List[TimedGraph] = []
-    if pairs:
-        replacement.append(TimedGraph(Graph.make(n, pairs), Fraction(1, 2)))
-    residue = {
-        row: (angle - (Fraction(1, 2) if row != column else 0)) % 2
-        for column, (row, angle) in enumerate(zip(perm, angles))
-    }
-    replacement.extend(schedule_phases(residue, n))
-    return walk.replaced(start, stop, replacement)
+    folded = _fold(n, walk.steps[start:stop])
+    if isinstance(folded, str):
+        raise RuleNotApplicable(folded)
+    return walk.replaced(start, stop, folded)
 
 
 def pass_merge_complementary(walk: DynamicGraph, index: int) -> DynamicGraph:
@@ -399,13 +441,6 @@ def _rational_norm(graph: Graph) -> Optional[Fraction]:
     return guess
 
 
-# A verdict is what a rule computed from the steps it reads, or the reason
-# (a string) it does not apply there. The cached verdicts below are keyed on
-# those steps alone, so every walk that shares them shares the answer.
-SourceVerdict = Union[str, Tuple[Fraction, Tuple[TimedGraph, ...]]]
-LandingVerdict = Union[str, Tuple[TimedGraph, ...]]
-
-
 @lru_cache(maxsize=8192)
 def _singleton_source(step: TimedGraph, vertex: int) -> SourceVerdict:
     """The phase tau a looped singleton carries out of a step, and what stays.
@@ -429,7 +464,7 @@ def _singleton_source(step: TimedGraph, vertex: int) -> SourceVerdict:
 
 
 @lru_cache(maxsize=8192)
-def _singleton_landing(step: TimedGraph, vertex: int, tau: Fraction) -> LandingVerdict:
+def _singleton_landing(step: TimedGraph, vertex: int, tau: Fraction) -> StepsVerdict:
     """The steps that replace a target step once it absorbs the phase tau."""
     graph = step.graph
     n = graph.n_vertices
@@ -519,6 +554,20 @@ def pass_move_singleton(walk: DynamicGraph, source: int, vertex: int, target: in
     return walk.replaced(*_splice(walk.steps, source, target, left, landed))
 
 
+@lru_cache(maxsize=64)
+def _hadamard_layer(
+    targets: Tuple[int, ...], n_qubits: int
+) -> Tuple[Tuple[TimedGraph, ...], Tuple[Fraction, int], np.ndarray]:
+    """Hadamards on the target qubits: the compiled steps, their cost and the dense unitary.
+
+    The unitary is shared by every caller, so it is read-only.
+    """
+    steps = compile_hadamard_layer(targets, n_qubits).steps
+    unitary = gate_unitary(Gate("HLAYER", targets=targets), n_qubits)
+    unitary.flags.writeable = False
+    return steps, (_span_time(steps), len(steps)), unitary
+
+
 def pass_hypercube_hadamard(
     walk: DynamicGraph, start: int, stop: int, fragment: Optional[np.ndarray] = None
 ) -> DynamicGraph:
@@ -531,9 +580,11 @@ def pass_hypercube_hadamard(
     comparison against that layer then decides: layers on two different
     subsets have trace overlap 0, so no other subset could match. The
     staircase/walk/staircase layer goes in only when that strictly reduces
-    (total time, graph count). Unlike the merge rules this pass enforces
+    (total time, graph count), which is checked first, as it is cheaper
+    than the dense comparison. Unlike the merge rules this pass enforces
     the cost drop itself: the layer is a fixed-price replacement, not a
     local fusion, so applying it blindly could pessimize a cheap fragment.
+    The layer's steps, cost and unitary are cached on the subset.
 
     ``fragment`` is the product of steps[start:stop] when the caller has
     built it already; the driver builds every fragment from one start in
@@ -551,15 +602,13 @@ def pass_hypercube_hadamard(
     for index in np.flatnonzero(np.abs(fragment[:, 0]) ** 2 > 1.0 / (2 * n)):
         mask |= int(index)
     targets = tuple(q for q in range(n_qubits) if mask & bit_value(q, n_qubits))
-    if not targets or not (
-        phase_distance(fragment, gate_unitary(Gate("HLAYER", targets=targets), n_qubits))
-        < VERIFY_TOLERANCE
-    ):
+    if not targets:
         raise RuleNotApplicable("fragment is not a Hadamard layer")
-
-    layer = compile_hadamard_layer(targets, n_qubits).steps
-    if not (_span_time(layer), len(layer)) < (_span_time(walk.steps[start:stop]), stop - start):
+    layer, cost, unitary = _hadamard_layer(targets, n_qubits)
+    if not cost < (_span_time(walk.steps[start:stop]), stop - start):
         raise RuleNotApplicable("layer replacement is not strictly cheaper")
+    if not phase_distance(fragment, unitary) < VERIFY_TOLERANCE:
+        raise RuleNotApplicable("fragment is not a Hadamard layer")
     return walk.replaced(start, stop, layer)
 
 
@@ -599,10 +648,18 @@ def _normalize(walk: DynamicGraph) -> Tuple[DynamicGraph, List[RewriteStep]]:
 # A site: the span [start, stop) a rule would rewrite, the steps that would
 # replace it, and a note for the report.
 Site = Tuple[int, int, Tuple[TimedGraph, ...], str]
-PositionSites = Callable[[DynamicGraph, int], Iterator[Site]]
+# The steps [start, stop) a cost-neutral move rewrote. Given one, a rule
+# offers only the sites whose verdict reads those steps (see _scan).
+Window = Optional[Tuple[int, int]]
+PositionSites = Callable[[DynamicGraph, int, Window], Iterator[Site]]
 WalkSites = Callable[[DynamicGraph], Iterator[Site]]
 # A priced site: its record and its replacement steps.
 Rewrite = Tuple[RewriteStep, Tuple[TimedGraph, ...]]
+
+
+def _reads(lo: int, hi: int, window: Window) -> bool:
+    """Whether a verdict that reads steps[lo:hi] reads the window (always, without one)."""
+    return window is None or (lo < window[1] and window[0] < hi)
 
 
 def _site(walk: DynamicGraph, start: int, stop: int, rule_pass, *args, note="") -> Iterator[Site]:
@@ -618,8 +675,9 @@ def _site(walk: DynamicGraph, start: int, stop: int, rule_pass, *args, note="") 
     yield start, stop, result.steps[start : result.graph_count - (walk.graph_count - stop)], note
 
 
-def _merge_identical_sites(walk: DynamicGraph, index: int) -> Iterator[Site]:
-    return _site(walk, index, index + 2, pass_merge_identical, index)
+def _merge_identical_sites(walk: DynamicGraph, index: int, window: Window = None) -> Iterator[Site]:
+    if _reads(index, index + 2, window):
+        yield from _site(walk, index, index + 2, pass_merge_identical, index)
 
 
 def _run_end(walk: DynamicGraph, start: int, bitflips: bool) -> int:
@@ -633,27 +691,34 @@ def _run_end(walk: DynamicGraph, start: int, bitflips: bool) -> int:
     return stop
 
 
-def _combine_pst_sites(walk: DynamicGraph, index: int) -> Iterator[Site]:
-    """The whole run of phased bit flips from the index, on 2^k vertices."""
+def _combine_pst_sites(walk: DynamicGraph, index: int, window: Window = None) -> Iterator[Site]:
+    """The whole run of phased bit flips from the index, on 2^k vertices.
+
+    The verdict reads the run and the step that ends it.
+    """
     n = walk.n_vertices
     if n < 1 or n & (n - 1):
         return
     stop = _run_end(walk, index, bitflips=True)
-    if stop - index >= 2:
+    if stop - index >= 2 and _reads(index, stop + 1, window):
         yield from _site(walk, index, stop, pass_combine_pst, index, stop)
 
 
-def _fold_sites(walk: DynamicGraph, index: int) -> Iterator[Site]:
+def _fold_sites(walk: DynamicGraph, index: int, window: Window = None) -> Iterator[Site]:
     """Every run of two or more phased permutations from the index."""
-    for stop in range(index + 2, _run_end(walk, index, bitflips=False) + 1):
+    end = _run_end(walk, index, bitflips=False)
+    if not _reads(index, end + 1, window):
+        return
+    for stop in range(index + 2, end + 1):
         yield from _site(walk, index, stop, pass_combine_pst, index, stop, note="fold")
 
 
-def _merge_complementary_sites(walk: DynamicGraph, index: int) -> Iterator[Site]:
-    return _site(walk, index, index + 2, pass_merge_complementary, index)
+def _merge_complementary_sites(walk: DynamicGraph, index: int, window: Window = None) -> Iterator[Site]:
+    if _reads(index, index + 2, window):
+        yield from _site(walk, index, index + 2, pass_merge_complementary, index)
 
 
-def _staircase_sites(walk: DynamicGraph, start: int) -> Iterator[Site]:
+def _staircase_sites(walk: DynamicGraph, start: int, window: Window = None) -> Iterator[Site]:
     """Re-emit a run of loops-only steps as one optimal staircase.
 
     The run is a phased-permutation run whose permutation is the identity,
@@ -661,24 +726,27 @@ def _staircase_sites(walk: DynamicGraph, start: int) -> Iterator[Site]:
     phase totals (mod 2pi), the cheapest equivalent form. Recorded as
     MOVE_SINGLETON over the run's span: it is a composition of singleton
     extractions, moves and merges. The last, widest staircase step holds
-    every vertex with a phase; the note counts them.
+    every vertex with a phase; the note counts them. The verdict reads the
+    run and the step that ends it.
     """
     stop = start
     while stop < walk.graph_count and walk.steps[stop].graph.is_loops_only:
         stop += 1
-    if stop - start < 2:
+    if stop - start < 2 or not _reads(start, stop + 1, window):
         return
     for _, _, stair, _ in _site(walk, start, stop, pass_combine_pst, start, stop):
         width = len(stair[-1].graph.loops) if stair else 0
         yield start, stop, stair, f"staircase over {width} vertices"
 
 
-def _singleton_moves(walk: DynamicGraph, source: int, note: str) -> Iterator[Site]:
+def _singleton_moves(walk: DynamicGraph, source: int, note: str, window: Window = None) -> Iterator[Site]:
     """Every elementary singleton move out of the source step.
 
     Each site comes straight from the two cached verdicts: what a looped
     singleton carries out of the source, and what each target of its
-    corridor window becomes once it absorbs that phase. ``note`` is
+    corridor becomes once it absorbs that phase. A move reads the
+    steps from the source to the target: the two it rewrites and the ones
+    between, which keep the target inside the corridor. ``note`` is
     formatted with the vertex, source and target of the move.
     """
     steps = walk.steps
@@ -689,7 +757,7 @@ def _singleton_moves(walk: DynamicGraph, source: int, note: str) -> Iterator[Sit
         tau, left = moved
         first, last = _corridor(steps, source, vertex)
         for target in range(first, last + 1):
-            if target == source:
+            if target == source or not _reads(min(source, target), max(source, target) + 1, window):
                 continue
             landed = _singleton_landing(steps[target], vertex, tau)
             if isinstance(landed, str):
@@ -698,23 +766,36 @@ def _singleton_moves(walk: DynamicGraph, source: int, note: str) -> Iterator[Sit
             yield (*_splice(steps, source, target, left, landed), text)
 
 
-def _singleton_sites(walk: DynamicGraph, source: int) -> Iterator[Site]:
-    return _singleton_moves(walk, source, "vertex {vertex}: step {source} -> step {target}")
+def _singleton_sites(walk: DynamicGraph, source: int, window: Window = None) -> Iterator[Site]:
+    return _singleton_moves(walk, source, "vertex {vertex}: step {source} -> step {target}", window)
 
 
-def _hypercube_sites(walk: DynamicGraph, index: int) -> Iterator[Site]:
+def _hypercube_sites(walk: DynamicGraph, index: int, window: Window = None) -> Iterator[Site]:
     """The longest Hadamard-layer fragment starting at the index.
 
-    The products of all fragments from the index come from one sweep, one
-    matrix product per step; they are then tried longest first.
+    A product of phased permutations is a phased permutation, never a
+    Hadamard layer, so only fragments that reach past the first step that
+    is not one are tried. With a window, a fragment that holds the whole
+    window is skipped too: a neutral move keeps the window's product (up to
+    phase) and its cost, so such a fragment keeps its verdict. The products
+    of the fragments from the index come from one sweep, one matrix product
+    per step; they are then tried longest first.
     """
     n = walk.n_vertices
-    if n < 2 or n & (n - 1):
+    if n < 2 or n & (n - 1) or not _reads(index, walk.graph_count, window):
+        return
+    first = index
+    while first < walk.graph_count and _cached_permutation(walk.steps[first]) is not None:
+        first += 1
+    lowest, highest = first + 1, walk.graph_count
+    if window is not None and index <= window[0]:
+        lowest, highest = max(lowest, window[0] + 1), min(highest, window[1] - 1)
+    if lowest > highest:
         return
     fragments = [np.eye(n, dtype=np.complex128)]
-    for step in walk.steps[index:]:
+    for step in walk.steps[index:highest]:
         fragments.append(_cached_step_unitary(step) @ fragments[-1])
-    for stop in range(walk.graph_count, index, -1):
+    for stop in range(highest, lowest - 1, -1):
         fragment = fragments[stop - index]
         for site in _site(walk, index, stop, pass_hypercube_hadamard, index, stop, fragment):
             yield site
@@ -768,9 +849,8 @@ _RULE_TABLE: Tuple[Tuple[str, Optional[PositionSites], Optional[WalkSites], bool
 
 
 def _gain(walk: DynamicGraph, start: int, stop: int, replacement: Tuple[TimedGraph, ...]):
-    """(time saved, graphs removed) by replacing steps[start:stop]."""
-    saved = _span_time(walk.steps[start:stop]) - _span_time(replacement)
-    return saved, (stop - start) - len(replacement)
+    """(time saved, graphs removed) by replacing steps[start:stop], in one sum."""
+    return _span_time(walk.steps[start:stop], minus=replacement), (stop - start) - len(replacement)
 
 
 def _signature(walk: DynamicGraph, record: RewriteStep) -> str:
@@ -778,20 +858,31 @@ def _signature(walk: DynamicGraph, record: RewriteStep) -> str:
 
 
 def _scan(
-    walk: DynamicGraph, enabled: Set[str], skip: Set[str], last_resort: bool = False
+    walk: DynamicGraph,
+    enabled: Set[str],
+    skip: Set[str],
+    last_resort: bool = False,
+    window: Window = None,
 ) -> Optional[Rewrite]:
     """First strictly improving rewrite, leftmost position first.
 
     At one position each rule offers its best improving site: the one that
     removes the most steps, then saves the most time, then lies leftmost.
     The scan walks either the regular rows or the last-resort rows.
+
+    A window [start, stop) says that the walk is one cost-neutral,
+    unitary-keeping rewrite of those steps away from a walk that had no
+    improving site at all. A site whose verdict reads none of the window
+    keeps the verdict it had there, so the rules offer only the sites that
+    read it, and the first of those is the first improving rewrite of the
+    whole walk.
     """
     for index in range(walk.graph_count):
         for rule, sites, _, late in _RULE_TABLE:
             if sites is None or rule not in enabled or late != last_resort:
                 continue
             best: Optional[Tuple[tuple, Rewrite]] = None
-            for start, stop, replacement, note in sites(walk, index):
+            for start, stop, replacement, note in sites(walk, index, window):
                 saved, removed = _gain(walk, start, stop, replacement)
                 if (saved, removed) <= (0, 0):
                     continue
@@ -807,7 +898,14 @@ def _scan(
 def _find_enabling_pair(
     walk: DynamicGraph, enabled: Set[str], skip: Set[str]
 ) -> Optional[List[Rewrite]]:
-    """A cost-neutral move that lets the scan land a strict improvement."""
+    """A cost-neutral move that lets the scan land a strict improvement.
+
+    The driver searches only when the walk has no improving rewrite, so
+    the follow-up scan after a move reads just the window the move
+    rewrote. A skipped rewrite is an improving one the scan passed over,
+    and the skip set is keyed on the whole walk, so while it is nonempty
+    every follow-up scans the whole walk.
+    """
     for rule, _, sites, _ in _RULE_TABLE:
         if sites is None or rule not in enabled:
             continue
@@ -815,7 +913,8 @@ def _find_enabling_pair(
             if _gain(walk, start, stop, replacement) != (0, 0):
                 continue
             staged = (RewriteStep(rule, (start, stop), Fraction(0), 0, note), replacement)
-            follow = _scan(_apply(walk, staged), enabled, skip)
+            window = None if skip else (start, stop)
+            follow = _scan(_apply(walk, staged), enabled, skip, window=window)
             if follow is not None:
                 return [staged, follow]
     return None

@@ -17,6 +17,8 @@ one block. ``step_unitary`` is the same kernel applied to the identity.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .graph_model import DynamicGraph, Graph, TimedGraph, adjacency_matrix, radians, spectrum
@@ -68,8 +70,13 @@ def evolve_state(walk: DynamicGraph, state: StateVector) -> StateVector:
     return psi
 
 
+@lru_cache(maxsize=8192)
 def graphs_commute(a: Graph, b: Graph) -> bool:
-    """Exact integer test of whether two adjacency matrices commute."""
+    """Exact integer test of whether two adjacency matrices commute.
+
+    Cached on the graph pair: the optimizer's block swaps test every pair
+    of steps in every pair of adjacent blocks.
+    """
     if a.n_vertices != b.n_vertices:
         raise ValueError("vertex sets differ")
     ma = adjacency_matrix(a)

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import catalog
 import dynwalk.rewrite_optimizer as ro
+import pinned_outputs
 import trace_fixtures as tf
 from dynwalk.gate_compiler import (
     Circuit,
@@ -32,6 +33,7 @@ from dynwalk.gate_compiler import (
 from dynwalk.graph_model import DynamicGraph, Graph, TimedGraph
 from dynwalk.numerics import phase_distance
 from dynwalk.rewrite_optimizer import (
+    ALL_RULES,
     RULE_COMBINE_PST,
     RULE_DROP_ZERO,
     RULE_HYPERCUBE_HADAMARD,
@@ -169,13 +171,13 @@ def test_combine_pst_collapses_two_gate_run():
 
 def test_combine_pst_rejects_unclassifiable_step():
     walk = walk_of(match(4, 1, 1, 2), match(4, 2, 1, 4))
-    with pytest.raises(RuleNotApplicable):
+    with pytest.raises(RuleNotApplicable, match="not a phased permutation"):
         pass_combine_pst(walk, 0, 2)
 
 
 def test_combine_pst_rejects_short_span():
     walk = walk_of(match(4, 1, 1, 2), match(4, 2, 1, 2))
-    with pytest.raises(RuleNotApplicable):
+    with pytest.raises(RuleNotApplicable, match="need at least two steps"):
         pass_combine_pst(walk, 0, 1)
 
 
@@ -194,12 +196,28 @@ def test_combine_pst_folds_matching_into_partial_matching():
     assert_same_program(walk, folded, tol=1e-12)
 
 
+def test_combine_pst_folds_a_run_once_for_every_walk_that_holds_it(monkeypatch):
+    scheduled = []
+    real = ro.schedule_phases
+
+    def counted(*args):
+        scheduled.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(ro, "schedule_phases", counted)
+    ro._fold.cache_clear()
+    walk = walk_of(match(4, 1, 1, 2), match(4, 2, 1, 2), loops(4, [0], 1, 2))
+    other = walk.replaced(2, 3, [loops(4, [1], 1, 4)])
+    assert pass_combine_pst(walk, 0, 2).steps[:-1] == pass_combine_pst(other, 0, 2).steps[:-1]
+    assert len(scheduled) == 1
+
+
 def test_combine_pst_rejects_three_cycle():
     walk = walk_of(
         TimedGraph(Graph.make(4, edges=[(0, 1)]), angle(1, 2)),
         TimedGraph(Graph.make(4, edges=[(1, 2)]), angle(1, 2)),
     )
-    with pytest.raises(RuleNotApplicable):
+    with pytest.raises(RuleNotApplicable, match="not an involution"):
         pass_combine_pst(walk, 0, 2)
 
 
@@ -528,9 +546,16 @@ def test_cached_permutation_rebuilds_loops_only_steps(seed):
         assert flip.bitflip == (len(set(flip.angles)) == 1)
 
 
-def per_stop_hypercube_sites(walk, index):
-    """The longest span from the index that pass_hypercube_hadamard accepts."""
+def per_stop_hypercube_sites(walk, index, window=None):
+    """The longest span from the index that pass_hypercube_hadamard accepts.
+
+    With a window [a, b), only spans that hold part of it but not all of it.
+    """
     for stop in range(walk.graph_count, index, -1):
+        if window is not None:
+            a, b = window
+            if stop <= a or index >= b or (index <= a and stop >= b):
+                continue
         sites = list(ro._site(walk, index, stop, pass_hypercube_hadamard, index, stop))
         if sites:
             return sites
@@ -559,14 +584,166 @@ def random_hadamard_walk(rng, n_qubits):
 @pytest.mark.parametrize("n_qubits", [1, 2, 3])
 def test_hypercube_sites_match_the_per_stop_scan(n_qubits):
     rng = random.Random(n_qubits)
-    found = 0
+    found = {"whole walk": 0, "window": 0}
     for _ in range(6):
         walk = random_hadamard_walk(rng, n_qubits)
-        for index in range(walk.graph_count):
+        count = walk.graph_count
+        for index in range(count):
             sites = list(ro._hypercube_sites(walk, index))
             assert sites == per_stop_hypercube_sites(walk, index)
-            found += len(sites)
-    assert found > 0
+            found["whole walk"] += len(sites)
+        for _ in range(8):
+            start = rng.randrange(count)
+            window = (start, rng.randrange(start + 1, count + 1))
+            for index in range(count):
+                sites = list(ro._hypercube_sites(walk, index, window))
+                assert sites == per_stop_hypercube_sites(walk, index, window)
+                found["window"] += len(sites)
+    assert all(found.values())
+
+
+def random_circuit(rng, widths=(3, 4)):
+    """6-10 gates drawn from X, Y, Z, S, T, H and CNOT on one of the widths."""
+    n_qubits = rng.choice(widths)
+    gates = []
+    for _ in range(rng.randrange(6, 11)):
+        kind = rng.choice(["X", "Y", "Z", "S", "T", "H", "CNOT"])
+        if kind == "CNOT":
+            control, target = rng.sample(range(n_qubits), 2)
+            gates.append(Gate("CNOT", control=control, target=target))
+        else:
+            gates.append(Gate(kind, target=rng.randrange(n_qubits)))
+    return Circuit(n_qubits, tuple(gates))
+
+
+def random_walk(rng):
+    """2-8 vertices, 4-10 steps."""
+    n = rng.randrange(2, 9)
+    return DynamicGraph(n, tuple(random_singleton_step(rng, n) for _ in range(rng.randrange(4, 11))))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_span_time_sums_the_steps_less_the_others_exactly(seed):
+    rng = random.Random(seed)
+    n = rng.randrange(1, 5)
+    for _ in range(20):
+        steps = [random_loops_step(rng, n) for _ in range(rng.randrange(0, 4))]
+        minus = [random_loops_step(rng, n) for _ in range(rng.randrange(0, 4))]
+        expected = sum((s.duration for s in steps), angle(0)) - sum((s.duration for s in minus), angle(0))
+        assert ro._span_time(steps, minus=minus) == expected
+        assert ro._span_time(steps) == sum((s.duration for s in steps), angle(0))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_gain_prices_every_site_from_its_durations(seed):
+    walk = random_walk(random.Random(seed))
+    priced = 0
+    for rule, sites, walk_sites, _ in ro._RULE_TABLE:
+        offered = list(walk_sites(walk)) if walk_sites else []
+        for index in range(walk.graph_count if sites else 0):
+            offered.extend(sites(walk, index))
+        for start, stop, replacement, _ in offered:
+            saved = sum((s.duration for s in walk.steps[start:stop]), angle(0)) - sum(
+                (s.duration for s in replacement), angle(0)
+            )
+            assert ro._gain(walk, start, stop, replacement) == (saved, stop - start - len(replacement))
+            priced += 1
+    assert priced > 0
+
+
+# -- the enabling search ------------------------------------------------------------
+
+
+def enabling_searches(walk):
+    """The (walk, rules) of every enabling search optimize runs with an empty skip set."""
+    searches = []
+    real = ro._find_enabling_pair
+
+    def recorded(current, enabled, skip):
+        if not skip:
+            searches.append((current, set(enabled)))
+        return real(current, enabled, skip)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ro, "_find_enabling_pair", recorded)
+        optimize(walk)
+    return searches
+
+
+def neutral_moves(walk, enabled):
+    """Every cost-neutral enabling candidate: the moved walk and the window it rewrote."""
+    for rule, _, sites, _ in ro._RULE_TABLE:
+        if sites is None or rule not in enabled:
+            continue
+        for start, stop, replacement, _ in sites(walk):
+            if ro._gain(walk, start, stop, replacement) == (0, 0):
+                yield walk.replaced(start, stop, replacement), (start, stop)
+
+
+def search_input(seed):
+    """Seeds 0-29: random walks on 2-8 vertices; 30-39: compiled random 2-qubit circuits."""
+    rng = random.Random(seed)
+    return random_walk(rng) if seed < 30 else compile_circuit(random_circuit(rng, widths=(2,)))
+
+
+def random_rewrite(rng, walk, start, stop):
+    """The walk with steps[start:stop] replaced by as many random steps."""
+    n = walk.n_vertices
+    make = random_step if n & (n - 1) == 0 else random_singleton_step
+    return walk.replaced(start, stop, [make(rng, n) for _ in range(stop - start)])
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_sites_left_out_for_a_window_do_not_read_it(seed):
+    """A site a rule leaves out for a window is one it offered before the window changed."""
+    rng = random.Random(seed)
+    walk = search_input(seed)
+    count = walk.graph_count
+    rows = [sites for _, sites, _, _ in ro._RULE_TABLE if sites not in (None, ro._hypercube_sites)]
+    for _ in range(6):
+        start = rng.randrange(count)
+        window = (start, rng.randrange(start + 1, min(start + 3, count) + 1))
+        moved = random_rewrite(rng, walk, *window)
+        for sites in rows:
+            for index in range(count):
+                offered = list(sites(moved, index, window))
+                every = list(sites(moved, index))
+                assert offered == [site for site in every if site in offered]
+                before = list(sites(walk, index))
+                assert all(site in before for site in every if site not in offered), (sites, index, window)
+
+
+def test_windowed_follow_up_scan_matches_the_full_scan():
+    landed = []
+    for seed in range(40):
+        for current, enabled in enabling_searches(search_input(seed)):
+            for moved, window in neutral_moves(current, enabled):
+                follow = ro._scan(moved, enabled, set(), window=window)
+                assert follow == ro._scan(moved, enabled, set()), (seed, window)
+                if follow is not None:
+                    landed.append(follow[0].span[0] < window[0])
+    # the inputs reach follow-ups that land, some of them left of the window
+    assert len(landed) >= 20 and any(landed)
+
+
+def test_enabling_search_scans_the_whole_walk_while_rewrites_are_skipped(monkeypatch):
+    final, _ = optimize(search_input(0))
+    enabled = set(ALL_RULES)
+    candidates = [window for _, window in neutral_moves(final, enabled)]
+    assert candidates
+    windows = []
+    real = ro._scan
+
+    def recorded(walk, enabled, skip, last_resort=False, window=None):
+        windows.append(window)
+        return real(walk, enabled, skip, last_resort, window)
+
+    monkeypatch.setattr(ro, "_scan", recorded)
+    assert ro._find_enabling_pair(final, enabled, set()) is None
+    assert windows == candidates
+    windows.clear()
+    assert ro._find_enabling_pair(final, enabled, {"MERGE_IDENTICAL@(0, 2)#0"}) is None
+    assert windows == [None] * len(candidates)
 
 
 # -- the driver -------------------------------------------------------------------
@@ -848,8 +1025,9 @@ def test_optimize_keeps_the_short_and_recovered_program_results():
     )
 
 
-# 4,228 landing lookups with the corridor window; consulting the landing
-# verdict of every target of the walk took 40,834.
+# 2,036 landing lookups with the corridor and the windowed follow-up scan
+# (4,228 when every follow-up scanned the whole walk); consulting the
+# landing verdict of every target of the walk took 40,834.
 SINGLETON_CALL_CEILING = 4650
 
 
@@ -864,6 +1042,45 @@ def test_optimize_recovered_program_stays_under_the_singleton_call_ceiling(monke
     monkeypatch.setattr(ro, "_singleton_landing", counted)
     optimize(catalog.reconstruct(tf.LONG_TRACE).program())
     assert 0 < len(calls) <= SINGLETON_CALL_CEILING
+
+
+# The criterion-09 program tries 1,048 Hadamard-layer fragments; before
+# the sweep skipped fragments of phased permutations and the follow-up
+# scan skipped fragments that miss the changed window or hold all of it,
+# it tried 3,696 (1,583 without the skip, 2,340 without the window).
+HYPERCUBE_CALL_CEILING = 1300
+
+
+def test_optimize_recovered_program_stays_under_the_hypercube_call_ceiling(monkeypatch):
+    calls = []
+    real = ro.pass_hypercube_hadamard
+
+    def counted(*args):
+        calls.append(args[1:3])
+        return real(*args)
+
+    monkeypatch.setattr(ro, "pass_hypercube_hadamard", counted)
+    optimize(catalog.reconstruct(tf.LONG_TRACE).program())
+    assert 0 < len(calls) <= HYPERCUBE_CALL_CEILING
+
+
+@pytest.mark.parametrize("seed", sorted(pinned_outputs.PINNED_CIRCUITS))
+def test_optimize_keeps_the_pinned_circuit_output(seed):
+    walk = compile_circuit(random_circuit(random.Random(seed)))
+    assert_pinned(walk, pinned_outputs.PINNED_CIRCUITS[seed])
+
+
+@pytest.mark.parametrize("seed", sorted(pinned_outputs.PINNED_WALKS))
+def test_optimize_keeps_the_pinned_walk_output(seed):
+    assert_pinned(random_walk(random.Random(seed)), pinned_outputs.PINNED_WALKS[seed])
+
+
+def assert_pinned(walk, expected):
+    steps, records = expected
+    final, report = optimize(walk)
+    assert final.steps == steps_of(walk.n_vertices, *steps)
+    assert tuple((record.rule, *record.span) for record in report.rewrites) == records
+    assert report.verified
 
 
 @st.composite
