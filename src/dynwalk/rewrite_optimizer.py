@@ -68,13 +68,14 @@ phase), the fold of a run of phased permutations (``_fold``, on the
 vertex count and the run's steps), and the unitary and
 phased-permutation form of each step. ``_hadamard_layer`` keeps the
 compiled layer, its cost and its read-only dense unitary per target set
-and qubit count, and ``walk_engine.graphs_commute`` is cached on the
-graph pair for the block swaps. Apart from the step and layer unitaries
-the caches hold steps and small tuples, never span products. A
-singleton site is built straight from the two singleton verdicts, for
-the targets of the corridor only: outward from the source on each side,
-up to and including the first step that attaches an edge to the vertex,
-since that step blocks every target beyond it. The Hadamard-layer sites
+and qubit count, and ``_cached_commute`` keeps the verdict of
+``walk_engine.graphs_commute`` per graph pair for the block swaps.
+Apart from the step and layer unitaries the caches hold steps and small
+tuples, never span products. A singleton site is built straight from
+the two singleton verdicts, for the targets of the corridor only:
+outward from the source on each side, up to and including the first
+step that attaches an edge to the vertex, since that step blocks every
+target beyond it. The Hadamard-layer sites
 build the products of all fragments from one start in a single sweep
 and try them longest first, skipping fragments made only of phased
 permutations: their product is a phased permutation, never a Hadamard
@@ -287,6 +288,11 @@ def _cached_period(graph: Graph) -> Optional[Fraction]:
     return period(graph)
 
 
+@lru_cache(maxsize=8192)
+def _cached_commute(a: Graph, b: Graph) -> bool:
+    return graphs_commute(a, b)
+
+
 def _product(n_vertices: int, steps: Iterable[TimedGraph]) -> np.ndarray:
     """Unitary of a run of steps, later steps applied on the left."""
     u = np.eye(n_vertices, dtype=np.complex128)
@@ -297,8 +303,6 @@ def _product(n_vertices: int, steps: Iterable[TimedGraph]) -> np.ndarray:
 
 def _span_time(steps: Sequence[TimedGraph], minus: Sequence[TimedGraph] = ()) -> Fraction:
     """Total duration of the steps less that of ``minus``, as integers over one denominator."""
-    if not minus and len(steps) < 2:
-        return steps[0].duration if steps else Fraction(0)
     durations = [(step.duration.numerator, step.duration.denominator) for step in steps]
     durations += [(-step.duration.numerator, step.duration.denominator) for step in minus]
     den = math.lcm(*(d for _, d in durations))
@@ -812,7 +816,7 @@ def _block_swap_sites(walk: DynamicGraph) -> Iterator[Site]:
                 right = walk.steps[i + a : i + total]
                 if left == right:
                     continue
-                if all(graphs_commute(s.graph, t.graph) for s in left for t in right):
+                if all(_cached_commute(s.graph, t.graph) for s in left for t in right):
                     yield i, i + total, right + left, f"swap blocks {a}+{total - a}"
 
 

@@ -17,8 +17,6 @@ one block. ``step_unitary`` is the same kernel applied to the identity.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from .graph_model import DynamicGraph, Graph, TimedGraph, adjacency_matrix, radians, spectrum
@@ -70,13 +68,8 @@ def evolve_state(walk: DynamicGraph, state: StateVector) -> StateVector:
     return psi
 
 
-@lru_cache(maxsize=8192)
 def graphs_commute(a: Graph, b: Graph) -> bool:
-    """Exact integer test of whether two adjacency matrices commute.
-
-    Cached on the graph pair: the optimizer's block swaps test every pair
-    of steps in every pair of adjacent blocks.
-    """
+    """Exact integer test of whether two adjacency matrices commute."""
     if a.n_vertices != b.n_vertices:
         raise ValueError("vertex sets differ")
     ma = adjacency_matrix(a)
