@@ -149,8 +149,10 @@ def cmd_simulate(args: argparse.Namespace) -> CommandResult:
 
 
 def _unitary_rows(u: np.ndarray) -> Iterator[str]:
-    for row in u:
-        yield ",".join(f"{cell.real:.12f}{cell.imag:+.12f}i" for cell in row)
+    """Each row as real+imag pairs to 12 places, formatted in one % call."""
+    line = ",".join(["%.12f%+.12fi"] * u.shape[1])
+    for row in np.ascontiguousarray(u, dtype=np.complex128):
+        yield line % tuple(row.view(np.float64).tolist())
 
 
 def cmd_unitary(args: argparse.Namespace) -> CommandResult:

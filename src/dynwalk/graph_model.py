@@ -60,9 +60,13 @@ __all__ = [
 
 # 2^12 basis states. Measured on a 2-vCPU x86 machine with one H and one
 # CNOT on 12 qubits: compile 1.1 s and 0.8 GB, equiv 1.7 s and 1.1 GB,
-# unitary --csv 33 s and 0.8 GB, simulate 0.05 s and 34 MB. The commands
+# unitary --csv 7.5 s and 0.8 GB, simulate 0.05 s and 34 MB. The commands
 # that hold dense n x n unitaries need four times the memory per extra qubit.
 MAX_VERTICES = 4096
+
+# What rationalize (spectral norms, eigenvalue ratios) accepts as a small rational.
+RATIONAL_DENOMINATOR_LIMIT = 16
+RATIONAL_TOLERANCE = 1e-9
 
 
 def radians(angle: Fraction) -> float:
@@ -309,10 +313,10 @@ def supports_disjoint(a: Graph, b: Graph) -> bool:
     return not (support(a) & support(b))
 
 
-def rationalize(value: float, max_denominator: int = 16, tolerance: float = 1e-9) -> Optional[Fraction]:
-    """Best rational p/q with q <= max_denominator, or None if not within tolerance."""
-    guess = Fraction(value).limit_denominator(max_denominator)
-    if abs(float(guess) - value) < tolerance:
+def rationalize(value: float) -> Optional[Fraction]:
+    """Best rational p/q with q <= RATIONAL_DENOMINATOR_LIMIT, or None beyond RATIONAL_TOLERANCE."""
+    guess = Fraction(value).limit_denominator(RATIONAL_DENOMINATOR_LIMIT)
+    if abs(float(guess) - value) < RATIONAL_TOLERANCE:
         return guess
     return None
 

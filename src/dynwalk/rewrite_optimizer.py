@@ -37,26 +37,27 @@ the driver terminates.
 When no rule fires, the driver scans the last-resort rows (the wider
 COMBINE_PST fold), and when those find nothing either it spends a bounded
 search on cost-neutral enabling moves (commuting swaps of adjacent
-blocks, or neutral applications of the merge rules) that let a strictly
-improving rewrite land immediately after. The fold waits so that it never
-preempts the regular rules, the loop staircase among them: its spans
-start early and reach far, and the scan takes the leftmost position.
+blocks, singleton moves, or neutral phased bit-flip folds) that let a
+strictly improving rewrite land immediately after. The fold waits so that
+it never preempts the regular rules, the loop staircase among them: its
+spans start early and reach far, and the scan takes the leftmost position.
 
-The enabling search runs only when the walk has no improving site, and
-a neutral move keeps its span's time, graph count and unitary (up to
-phase). So after a move on the window [start, stop) only sites whose
-verdict reads the window can have become improving, and the follow-up
-scan offers only those: every site inside the window, the merges at
-start - 1, the phased-permutation and loops-only runs that reach start
-(a run's verdict reads the step that ends it), the singleton moves whose
-stretch from source to target crosses the window (the steps between keep
-the target inside the corridor), and the Hadamard-layer fragments that
-hold part of the window but not all of it. The leftmost best of those is
-the site the full scan would take. While the skip set is nonempty the
-follow-up scans the whole walk, since the skip set is keyed on whole
-walks and the walk before the move may have had a skipped improving
-site. A site is priced in one integer sum over the durations of the span
-and of its replacement.
+A rewrite that fails verification is skipped from then on, on every walk,
+by what the verification reads: the steps of its span and their
+replacement. The enabling search runs only when every improving site of
+the walk is skipped, and a neutral move keeps its span's time, graph
+count and unitary (up to phase). So after a move on the window
+[start, stop) only sites whose verdict reads the window can have become
+improving or lost their skip, and the follow-up scan offers only those:
+every site inside the window, the merges at start - 1, the
+phased-permutation and loops-only runs that reach start (a run's verdict
+reads the step that ends it), the singleton moves whose stretch from
+source to target crosses the window (the steps between keep the target
+inside the corridor), and the Hadamard-layer fragments that hold part of
+the window but not all of it. The leftmost best of those is the site the
+full scan would take, whatever the skip set. A move that leaves its span
+as it was is never tried. A site is priced in one integer sum over the
+durations of the span and of its replacement.
 
 The rescanned walks differ from the current one only where a neutral
 move changed them, so the rules keep their step-local verdicts in
@@ -67,7 +68,7 @@ phase (``_singleton_landing``, on the target step, the vertex and the
 phase), the fold of a run of phased permutations (``_fold``, on the
 vertex count and the run's steps), and the unitary and
 phased-permutation form of each step. ``_hadamard_layer`` keeps the
-compiled layer, its cost and its read-only dense unitary per target set
+compiled layer, its cost and its read-only dense product per target set
 and qubit count, and ``_cached_commute`` keeps the verdict of
 ``walk_engine.graphs_commute`` per graph pair for the block swaps.
 Apart from the step and layer unitaries the caches hold steps and small
@@ -102,13 +103,7 @@ from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Seq
 
 import numpy as np
 
-from .gate_compiler import (
-    Gate,
-    bit_value,
-    compile_hadamard_layer,
-    gate_unitary,
-    schedule_phases,
-)
+from .gate_compiler import bit_value, compile_hadamard_layer, schedule_phases
 from .graph_model import (
     DynamicGraph,
     Graph,
@@ -435,35 +430,24 @@ def pass_merge_complementary(walk: DynamicGraph, index: int) -> DynamicGraph:
     return walk.replaced(index, index + 2, replacement)
 
 
-def _rational_norm(graph: Graph) -> Optional[Fraction]:
-    value = spectrum(graph).norm
-    if value <= 0.0:
-        return None
-    guess = rationalize(value)
-    if guess is None or guess <= 0:
-        return None
-    return guess
-
-
 @lru_cache(maxsize=8192)
 def _singleton_source(step: TimedGraph, vertex: int) -> SourceVerdict:
     """The phase tau a looped singleton carries out of a step, and what stays.
 
     tau = t / ||A||; the step stays behind without the loop, or vanishes
-    when the loop was all it had.
+    when the loop was all it had. The loop adds only the eigenvalue 1, and
+    a nonempty rest has norm >= 1, so the rest keeps the step's norm.
     """
     graph = step.graph
     if vertex not in graph.loops or not graph.degree_free(vertex):
         return "vertex is not a looped singleton in the source"
-    norm = _rational_norm(graph)
+    norm = rationalize(spectrum(graph).norm)
     if norm is None:
         return "source norm is not a small rational"
     tau = step.duration / norm % 2
     remainder = Graph(graph.n_vertices, graph.edges, graph.loops - {vertex})
     if remainder.is_empty:
         return tau, ()
-    if abs(spectrum(remainder).norm - spectrum(graph).norm) > NORM_TOLERANCE:
-        return "removing the loop would change the source norm"
     return tau, (TimedGraph(remainder, step.duration),)
 
 
@@ -482,7 +466,7 @@ def _singleton_landing(step: TimedGraph, vertex: int, tau: Fraction) -> StepsVer
         return "target attaches edges to the vertex"
     if graph.is_empty:
         return "target step is empty"
-    norm = _rational_norm(graph)
+    norm = rationalize(spectrum(graph).norm)
     if norm is None:
         return "target norm is not a small rational"
     consumed = step.duration / norm
@@ -562,12 +546,12 @@ def pass_move_singleton(walk: DynamicGraph, source: int, vertex: int, target: in
 def _hadamard_layer(
     targets: Tuple[int, ...], n_qubits: int
 ) -> Tuple[Tuple[TimedGraph, ...], Tuple[Fraction, int], np.ndarray]:
-    """Hadamards on the target qubits: the compiled steps, their cost and the dense unitary.
+    """Hadamards on the target qubits: the compiled steps, their cost and their product.
 
-    The unitary is shared by every caller, so it is read-only.
+    The product is shared by every caller, so it is read-only.
     """
     steps = compile_hadamard_layer(targets, n_qubits).steps
-    unitary = gate_unitary(Gate("HLAYER", targets=targets), n_qubits)
+    unitary = _product(2**n_qubits, steps)
     unitary.flags.writeable = False
     return steps, (_span_time(steps), len(steps)), unitary
 
@@ -581,14 +565,17 @@ def pass_hypercube_hadamard(
     k bits spread vertex 0 evenly over the 2^k vertices that differ from it
     only in those bits, each with weight 2^-k >= 1/n, so the bit mask is
     the OR of the indices weighing more than 1/(2n). One phase-distance
-    comparison against that layer then decides: layers on two different
-    subsets have trace overlap 0, so no other subset could match. The
-    staircase/walk/staircase layer goes in only when that strictly reduces
-    (total time, graph count), which is checked first, as it is cheaper
-    than the dense comparison. Unlike the merge rules this pass enforces
-    the cost drop itself: the layer is a fixed-price replacement, not a
-    local fusion, so applying it blindly could pessimize a cheap fragment.
-    The layer's steps, cost and unitary are cached on the subset.
+    comparison against the product of that layer's compiled steps then
+    decides: layers on two different subsets have trace overlap 0, so no
+    other subset could match. It is the comparison the driver's span
+    verification makes, on the same two products, so a layer this pass
+    offers never fails verification. The staircase/walk/staircase layer
+    goes in only when that strictly reduces (total time, graph count),
+    which is checked first, as it is cheaper than the dense comparison.
+    Unlike the merge rules this pass enforces the cost drop itself: the
+    layer is a fixed-price replacement, not a local fusion, so applying it
+    blindly could pessimize a cheap fragment. The layer's steps, cost and
+    product are cached on the subset.
 
     ``fragment`` is the product of steps[start:stop] when the caller has
     built it already; the driver builds every fragment from one start in
@@ -659,6 +646,11 @@ PositionSites = Callable[[DynamicGraph, int, Window], Iterator[Site]]
 WalkSites = Callable[[DynamicGraph], Iterator[Site]]
 # A priced site: its record and its replacement steps.
 Rewrite = Tuple[RewriteStep, Tuple[TimedGraph, ...]]
+# What verification reads of a rewrite, its span's steps and their
+# replacement: a rewrite that failed is skipped by this key.
+Key = Tuple[Tuple[TimedGraph, ...], Tuple[TimedGraph, ...]]
+Rows = Tuple[Tuple[str, PositionSites], ...]
+Moves = Tuple[Tuple[str, WalkSites], ...]
 
 
 def _reads(lo: int, hi: int, window: Window) -> bool:
@@ -814,8 +806,6 @@ def _block_swap_sites(walk: DynamicGraph) -> Iterator[Site]:
             for i in range(0, count - total + 1):
                 left = walk.steps[i : i + a]
                 right = walk.steps[i + a : i + total]
-                if left == right:
-                    continue
                 if all(_cached_commute(s.graph, t.graph) for s in left for t in right):
                     yield i, i + total, right + left, f"swap blocks {a}+{total - a}"
 
@@ -840,11 +830,13 @@ def _enabling_singleton_sites(walk: DynamicGraph) -> Iterator[Site]:
 # the rule, its sites at one position for the improving scan, its sites
 # over the whole walk for the enabling search, and whether the scan offers
 # the row only as a last resort, after the other rows found nothing.
+# MERGE_COMPLEMENTARY has no enabling sites: a merge saves the shorter of
+# two durations, and a normalized walk has no zero duration.
 _RULE_TABLE: Tuple[Tuple[str, Optional[PositionSites], Optional[WalkSites], bool], ...] = (
     (RULE_SWAP_COMMUTING, None, _block_swap_sites, False),
     (RULE_MERGE_IDENTICAL, _merge_identical_sites, None, False),
     (RULE_COMBINE_PST, _combine_pst_sites, _everywhere(_combine_pst_sites), False),
-    (RULE_MERGE_COMPLEMENTARY, _merge_complementary_sites, _everywhere(_merge_complementary_sites), False),
+    (RULE_MERGE_COMPLEMENTARY, _merge_complementary_sites, None, False),
     (RULE_MOVE_SINGLETON, _staircase_sites, None, False),
     (RULE_MOVE_SINGLETON, _singleton_sites, _enabling_singleton_sites, False),
     (RULE_HYPERCUBE_HADAMARD, _hypercube_sites, None, False),
@@ -857,68 +849,65 @@ def _gain(walk: DynamicGraph, start: int, stop: int, replacement: Tuple[TimedGra
     return _span_time(walk.steps[start:stop], minus=replacement), (stop - start) - len(replacement)
 
 
-def _signature(walk: DynamicGraph, record: RewriteStep) -> str:
-    return f"{record.rule}@{record.span}#{hash(walk.steps)}"
+def _pick_rows(enabled: Set[str]) -> Tuple[Rows, Rows, Moves]:
+    """The enabled rule rows: the regular scan's, the last resort's and the enabling moves."""
+    table = [row for row in _RULE_TABLE if row[0] in enabled]
+    regular = tuple((rule, sites) for rule, sites, _, late in table if sites and not late)
+    last_resort = tuple((rule, sites) for rule, sites, _, late in table if sites and late)
+    return regular, last_resort, tuple((rule, sites) for rule, _, sites, _ in table if sites)
 
 
-def _scan(
-    walk: DynamicGraph,
-    enabled: Set[str],
-    skip: Set[str],
-    last_resort: bool = False,
-    window: Window = None,
-) -> Optional[Rewrite]:
+def _scan(walk: DynamicGraph, rows: Rows, skip: Set[Key], window: Window = None) -> Optional[Rewrite]:
     """First strictly improving rewrite, leftmost position first.
 
-    At one position each rule offers its best improving site: the one that
-    removes the most steps, then saves the most time, then lies leftmost.
-    The scan walks either the regular rows or the last-resort rows.
+    At one position each row offers its best improving site that is not
+    skipped: the one that removes the most steps, then saves the most time,
+    then lies leftmost.
 
     A window [start, stop) says that the walk is one cost-neutral,
-    unitary-keeping rewrite of those steps away from a walk that had no
-    improving site at all. A site whose verdict reads none of the window
-    keeps the verdict it had there, so the rules offer only the sites that
-    read it, and the first of those is the first improving rewrite of the
-    whole walk.
+    unitary-keeping rewrite of those steps away from a walk whose improving
+    sites were all skipped. A site whose verdict reads none of the window
+    keeps that verdict and its span's steps, so its skip; a Hadamard-layer
+    fragment that holds the window keeps its verdict and is never skipped
+    (see pass_hypercube_hadamard). So the rows offer only the sites that
+    read the window, and the first of those is the first improving rewrite
+    of the whole walk, whatever the skip set.
     """
     for index in range(walk.graph_count):
-        for rule, sites, _, late in _RULE_TABLE:
-            if sites is None or rule not in enabled or late != last_resort:
-                continue
+        for rule, sites in rows:
             best: Optional[Tuple[tuple, Rewrite]] = None
             for start, stop, replacement, note in sites(walk, index, window):
                 saved, removed = _gain(walk, start, stop, replacement)
-                if (saved, removed) <= (0, 0):
+                if (saved, removed) <= (0, 0) or (walk.steps[start:stop], replacement) in skip:
                     continue
                 rank = (-removed, -saved, start, stop)
                 if best is None or rank < best[0]:
                     record = RewriteStep(rule, (start, stop), saved, removed, note)
                     best = (rank, (record, replacement))
-            if best is not None and _signature(walk, best[1][0]) not in skip:
+            if best is not None:
                 return best[1]
     return None
 
 
 def _find_enabling_pair(
-    walk: DynamicGraph, enabled: Set[str], skip: Set[str]
+    walk: DynamicGraph, rows: Rows, moves: Moves, skip: Set[Key]
 ) -> Optional[List[Rewrite]]:
     """A cost-neutral move that lets the scan land a strict improvement.
 
-    The driver searches only when the walk has no improving rewrite, so
-    the follow-up scan after a move reads just the window the move
-    rewrote. A skipped rewrite is an improving one the scan passed over,
-    and the skip set is keyed on the whole walk, so while it is nonempty
-    every follow-up scans the whole walk.
+    The driver searches only when every improving rewrite of the walk is
+    skipped, so the follow-up scan after a move reads just the window the
+    move rewrote. A move that rewrites its span into the same steps leaves
+    the walk as it was, so it is passed over, as is a skipped move.
     """
-    for rule, _, sites, _ in _RULE_TABLE:
-        if sites is None or rule not in enabled:
-            continue
+    for rule, sites in moves:
         for start, stop, replacement, note in sites(walk):
             if _gain(walk, start, stop, replacement) != (0, 0):
                 continue
+            span = walk.steps[start:stop]
+            if replacement == span or (span, replacement) in skip:
+                continue
             staged = (RewriteStep(rule, (start, stop), Fraction(0), 0, note), replacement)
-            window = None if skip else (start, stop)
-            follow = _scan(_apply(walk, staged), enabled, skip, window=window)
+            follow = _scan(_apply(walk, staged), rows, skip, (start, stop))
             if follow is not None:
                 return [staged, follow]
     return None
@@ -951,7 +940,8 @@ def optimize(
     cost-neutral enabling move whose successor rewrite strictly improves,
     committing the two together. Every accepted change is
     checked on its span to VERIFY_TOLERANCE; a failed check rolls back, is
-    recorded in the report, and that rewrite is not retried.
+    recorded in the report, and the rewrite that failed (its span's steps
+    and their replacement) is never tried again, on any walk.
     ``max_iterations`` caps the accepted changes (an enabling move and its
     successor count as one); rejected ones do not use it up. The report's
     ``stop_reason`` says whether the loop reached a fixpoint or the cap.
@@ -964,10 +954,11 @@ def optimize(
     if unknown:
         raise ValueError(f"unknown passes: {sorted(unknown)}")
     limit = max_iterations if max_iterations is not None else 10 * max(walk.graph_count, 1) ** 2
+    regular, last_resort, moves = _pick_rows(enabled)
 
     records: List[RewriteStep] = []
     rejected: List[str] = []
-    skip: Set[str] = set()
+    skip: Set[Key] = set()
 
     current, norm_records = _normalize(walk)
     records.extend(norm_records)
@@ -975,17 +966,17 @@ def optimize(
     accepted = 0
     stop_reason = STOP_ITERATION_CAP
     while accepted < limit:
-        found = _scan(current, enabled, skip)
-        if found is None:
-            found = _scan(current, enabled, skip, last_resort=True)
-        chain = [found] if found is not None else _find_enabling_pair(current, enabled, skip)
+        found = _scan(current, regular, skip) or _scan(current, last_resort, skip)
+        chain = [found] if found is not None else _find_enabling_pair(current, regular, moves, skip)
         if chain is None:
             stop_reason = STOP_FIXPOINT
             break
         programs = [current]
         for rewrite in chain:
             programs.append(_apply(programs[-1], rewrite))
-        if all(_span_verified(program, rewrite) for program, rewrite in zip(programs, chain)):
+        verified = (_span_verified(program, rewrite) for program, rewrite in zip(programs, chain))
+        failed = next((i for i, ok in enumerate(verified) if not ok), None)
+        if failed is None:
             accepted += 1
             current, extra = _normalize(programs[-1])
             records.extend(record for record, _ in chain)
@@ -993,7 +984,8 @@ def optimize(
         else:
             rules = "+".join(record.rule for record, _ in chain)
             rejected.append(f"{rules} at {chain[0][0].span}: verification failed")
-            skip.add(_signature(programs[-2], chain[-1][0]))
+            record, replacement = chain[failed]
+            skip.add((programs[failed].steps[slice(*record.span)], replacement))
 
     distance = phase_distance(total_unitary(walk), total_unitary(current))
     if not distance < VERIFY_TOLERANCE:

@@ -181,6 +181,19 @@ def test_unitary_csv_matches_the_formatted_matrix_byte_for_byte(tmp_path, capsys
     assert capsys.readouterr().out == expected
 
 
+def test_unitary_rows_format_signed_zeros_and_tiny_entries_like_the_f_string():
+    parts = [0.0, -0.0, 1e-13, -1e-13, 0.5, -0.7071067811865476, 1.0]
+    square = np.empty((len(parts), len(parts)), dtype=np.complex128)
+    square.real = np.array(parts)[:, None]
+    square.imag = np.array(parts)[None, :]
+    # the transpose is not C-contiguous
+    for matrix in (square, square.T):
+        expected = [",".join(f"{cell.real:.12f}{cell.imag:+.12f}i" for cell in row) for row in matrix]
+        assert list(cli._unitary_rows(matrix)) == expected
+    row = next(cli._unitary_rows(square[1:]))
+    assert row.startswith("-0.000000000000+0.000000000000i,-0.000000000000-0.000000000000i,")
+
+
 # -- optimize -------------------------------------------------------------------
 
 

@@ -42,6 +42,7 @@ from dynwalk.rewrite_optimizer import (
     RULE_MOVE_SINGLETON,
     RULE_NORMALIZE_TIME,
     RULE_SWAP_COMMUTING,
+    RewriteStep,
     RuleNotApplicable,
     optimize,
     pass_combine_pst,
@@ -360,6 +361,16 @@ def test_move_singleton_rejects_short_phase():
         pass_move_singleton(walk, 0, 0, 1)
 
 
+def test_move_singleton_rejects_an_irrational_source_norm():
+    # the path 0-1-2 has norm sqrt(2), so the phase of vertex 3 is no fraction of pi
+    walk = walk_of(
+        TimedGraph(Graph.make(4, edges=[(0, 1), (1, 2)], loops=[3]), angle(1, 2)),
+        loops(4, [3], 1),
+    )
+    with pytest.raises(RuleNotApplicable, match="source norm is not a small rational"):
+        pass_move_singleton(walk, 0, 3, 1)
+
+
 def test_move_singleton_rejects_mixed_target_with_loop():
     walk = walk_of(
         loops(3, [0], 1, 2),
@@ -655,14 +666,13 @@ def test_gain_prices_every_site_from_its_durations(seed):
 
 
 def enabling_searches(walk):
-    """The (walk, rules) of every enabling search optimize runs with an empty skip set."""
+    """The (walk, rows, moves, skip set) of every enabling search optimize runs."""
     searches = []
     real = ro._find_enabling_pair
 
-    def recorded(current, enabled, skip):
-        if not skip:
-            searches.append((current, set(enabled)))
-        return real(current, enabled, skip)
+    def recorded(current, rows, moves, skip):
+        searches.append((current, rows, moves, set(skip)))
+        return real(current, rows, moves, skip)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ro, "_find_enabling_pair", recorded)
@@ -670,13 +680,17 @@ def enabling_searches(walk):
     return searches
 
 
-def neutral_moves(walk, enabled):
-    """Every cost-neutral enabling candidate: the moved walk and the window it rewrote."""
-    for rule, _, sites, _ in ro._RULE_TABLE:
-        if sites is None or rule not in enabled:
-            continue
+def neutral_moves(walk, moves, skip=()):
+    """Every enabling candidate: the moved walk and the window it rewrote.
+
+    A candidate is cost-neutral, changes its span and is not skipped.
+    """
+    for _, sites in moves:
         for start, stop, replacement, _ in sites(walk):
-            if ro._gain(walk, start, stop, replacement) == (0, 0):
+            span = walk.steps[start:stop]
+            if ro._gain(walk, start, stop, replacement) != (0, 0) or replacement == span:
+                continue
+            if (span, replacement) not in skip:
                 yield walk.replaced(start, stop, replacement), (start, stop)
 
 
@@ -716,34 +730,106 @@ def test_sites_left_out_for_a_window_do_not_read_it(seed):
 def test_windowed_follow_up_scan_matches_the_full_scan():
     landed = []
     for seed in range(40):
-        for current, enabled in enabling_searches(search_input(seed)):
-            for moved, window in neutral_moves(current, enabled):
-                follow = ro._scan(moved, enabled, set(), window=window)
-                assert follow == ro._scan(moved, enabled, set()), (seed, window)
+        for current, rows, moves, skip in enabling_searches(search_input(seed)):
+            for moved, window in neutral_moves(current, moves, skip):
+                follow = ro._scan(moved, rows, skip, window)
+                assert follow == ro._scan(moved, rows, skip), (seed, window)
                 if follow is not None:
                     landed.append(follow[0].span[0] < window[0])
     # the inputs reach follow-ups that land, some of them left of the window
     assert len(landed) >= 20 and any(landed)
 
 
-def test_enabling_search_scans_the_whole_walk_while_rewrites_are_skipped(monkeypatch):
+def test_windowed_follow_up_scan_matches_the_full_scan_while_rewrites_are_skipped(monkeypatch):
+    """The first three improving rewrites that are not Hadamard layers fail.
+
+    A Hadamard layer never fails: its pass makes the comparison the
+    verification makes (see test_hadamard_layer_sites_pass_their_verification).
+    """
+    real = ro._span_verified
+    failed = []
+
+    def fails_three(program, rewrite):
+        record = rewrite[0]
+        improving = (record.time_saved, record.graphs_removed) > (0, 0)
+        if improving and record.rule != RULE_HYPERCUBE_HADAMARD and len(failed) < 3:
+            failed.append(record)
+            return False
+        return real(program, rewrite)
+
+    monkeypatch.setattr(ro, "_span_verified", fails_three)
+    landed = changed = 0
+    for seed in range(40):
+        failed.clear()
+        for current, rows, moves, skip in enabling_searches(search_input(seed)):
+            if not skip:
+                continue
+            for moved, window in neutral_moves(current, moves, skip):
+                follow = ro._scan(moved, rows, skip, window)
+                assert follow == ro._scan(moved, rows, skip), (seed, window)
+                landed += follow is not None
+                changed += follow != ro._scan(moved, rows, set())
+    # follow-ups land, and the skip sets change what some of them find
+    assert landed >= 20 and changed >= 5
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2, 3])
+def test_hadamard_layer_sites_pass_their_verification(n_qubits):
+    rng = random.Random(n_qubits)
+    found = 0
+    for _ in range(10):
+        walk = random_hadamard_walk(rng, n_qubits)
+        for index in range(walk.graph_count):
+            for start, stop, replacement, _ in ro._hypercube_sites(walk, index):
+                record = RewriteStep(RULE_HYPERCUBE_HADAMARD, (start, stop), angle(0), 0)
+                assert ro._span_verified(walk, (record, replacement))
+                found += 1
+    assert found
+
+
+def test_enabling_search_keeps_the_window_while_rewrites_are_skipped(monkeypatch):
     final, _ = optimize(search_input(0))
-    enabled = set(ALL_RULES)
-    candidates = [window for _, window in neutral_moves(final, enabled)]
+    regular, _, moves = ro._pick_rows(set(ALL_RULES))
+    candidates = [window for _, window in neutral_moves(final, moves)]
     assert candidates
     windows = []
     real = ro._scan
 
-    def recorded(walk, enabled, skip, last_resort=False, window=None):
+    def recorded(walk, rows, skip, window=None):
         windows.append(window)
-        return real(walk, enabled, skip, last_resort, window)
+        return real(walk, rows, skip, window)
 
     monkeypatch.setattr(ro, "_scan", recorded)
-    assert ro._find_enabling_pair(final, enabled, set()) is None
+    assert ro._find_enabling_pair(final, regular, moves, set()) is None
     assert windows == candidates
     windows.clear()
-    assert ro._find_enabling_pair(final, enabled, {"MERGE_IDENTICAL@(0, 2)#0"}) is None
-    assert windows == [None] * len(candidates)
+    # a rewrite that dropped the first step, skipped since it failed
+    assert ro._find_enabling_pair(final, regular, moves, {(final.steps[:1], ())}) is None
+    assert windows == candidates
+
+
+def test_enabling_search_passes_over_moves_that_keep_their_span(monkeypatch):
+    step = match(2, 1, 1, 3)
+    walk = walk_of(step, step, loops(2, [0], 1, 2))
+    regular, _, moves = ro._pick_rows(set(ALL_RULES))
+    kept = [
+        (start, stop)
+        for _, sites in moves
+        for start, stop, replacement, _ in sites(walk)
+        if replacement == walk.steps[start:stop]
+    ]
+    # swapping the two equal blocks rewrites (0, 2) into the same steps
+    assert (0, 2) in kept
+    scanned = []
+    real = ro._scan
+
+    def recorded(moved, rows, skip, window=None):
+        scanned.append(moved)
+        return real(moved, rows, skip, window)
+
+    monkeypatch.setattr(ro, "_scan", recorded)
+    ro._find_enabling_pair(walk, regular, moves, set())
+    assert walk not in scanned
 
 
 # -- the driver -------------------------------------------------------------------
@@ -937,6 +1023,30 @@ def test_optimize_rolls_back_failed_verification(monkeypatch):
     assert len(report.rejected) >= 1
     assert all("verification failed" in line for line in report.rejected)
     assert report.rewrites == ()
+
+
+def test_optimize_never_retries_a_failed_rewrite_after_the_walk_changes(monkeypatch):
+    # merging the two path steps fails; merging the two edge steps lands
+    # and changes the walk, and the failed merge is still not tried again
+    path = TimedGraph(Graph.make(3, edges=[(0, 1), (1, 2)]), angle(1, 4))
+    edge = TimedGraph(Graph.make(3, edges=[(0, 1)]), angle(1, 4))
+    walk = walk_of(path, path, edge, edge)
+    real = ro._span_verified
+    tries = []
+
+    def fails_the_path_merge(program, rewrite):
+        record, replacement = rewrite
+        if program.steps[slice(*record.span)] == (path, path):
+            tries.append(replacement)
+            return False
+        return real(program, rewrite)
+
+    monkeypatch.setattr(ro, "_span_verified", fails_the_path_merge)
+    final, report = optimize(walk)
+    assert tries == [(TimedGraph(path.graph, angle(1, 2)),)]
+    assert len(report.rejected) == 1
+    assert [(r.rule, r.span) for r in report.rewrites] == [(RULE_MERGE_IDENTICAL, (2, 4))]
+    assert final.steps == (path, path, TimedGraph(edge.graph, angle(1, 2)))
 
 
 def test_optimize_checks_output_against_input(monkeypatch):
