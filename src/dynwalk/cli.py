@@ -39,8 +39,8 @@ from .graph_model import (
     serialize_dynamic_graph,
     spectrum,
 )
-from .numerics import phase_distance
-from .rewrite_optimizer import ALL_RULES, VERIFY_TOLERANCE, optimize
+from .numerics import VERIFY_TOLERANCE, phase_distance
+from .rewrite_optimizer import ALL_RULES, optimize
 from .walk_engine import evolve_state, total_unitary
 
 __all__ = [
@@ -179,6 +179,8 @@ def _parse_passes(text: Optional[str]) -> Optional[List[str]]:
 
 
 def cmd_optimize(args: argparse.Namespace) -> CommandResult:
+    if args.max_iter is not None and args.max_iter < 0:
+        raise CliInputError(f"--max-iter must be 0 or more, got {args.max_iter}")
     walk = _load_walk(args.walk)
     passes = _parse_passes(args.passes)
     simplified, report = optimize(walk, passes=passes, max_iterations=args.max_iter)

@@ -1,26 +1,27 @@
-"""Hermitian linear algebra for walk evolution.
+"""The walk kernel and the equivalence gate.
 
-Everything downstream (stepping a walk, comparing programs, checking a
-compiled circuit) reduces to exponentials of real symmetric {0,1} matrices.
-This module owns that numerical kernel so the rest of the package can stay
-exact-rational until the moment a unitary is actually needed.
+In the paper each graph of a dynamic graph drives Schrödinger's equation
+for its duration, so every step's unitary is an exponential
+exp(-i A t / ||A||) of a real symmetric {0,1} matrix A. There is one path
+from a graph to that unitary: ``graph_model.spectrum`` splits the graph
+into connected components and hands ``block_eigh`` each stack of
+equal-size component blocks, decomposed in one batched call, and
+``walk_engine.step_unitary`` turns the decompositions into the blocks'
+unitaries through ``block_exponential``. The rest of the package stays
+exact-rational until that moment.
 
-A walk step never needs the exponential of its whole n x n adjacency
-matrix: the graph splits into connected components, and the walk engine
-hands this module one stack of equal-size component blocks at a time.
-``block_eigh`` decomposes such a stack in one batched call, and
-``block_exponential`` turns the decompositions into the blocks' unitaries.
-``evolve_unitary`` is the same exponential for a single checked matrix.
+Two unitaries count as the same program when ``phase_distance``, which
+ignores a global phase, is below ``VERIFY_TOLERANCE``. ``compile``,
+``equiv`` and every optimizer rewrite are gated on it.
 
 Matrices are plain numpy arrays. ``ComplexMatrix`` and ``StateVector`` are
-aliases, not wrappers: adjacency matrices arrive as integer arrays and leave
+aliases, not wrappers: adjacency matrices arrive as real arrays and leave
 as complex unitaries, and keeping them bare keeps the algebra readable.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import NamedTuple, SupportsFloat, Union
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,13 +32,11 @@ __all__ = [
     "ComplexMatrix",
     "StateVector",
     "EigenDecomposition",
-    "symmetric_eigh",
     "block_eigh",
     "block_exponential",
-    "evolve_unitary",
+    "VERIFY_TOLERANCE",
     "phase_distance",
 ]
-
 
 class EigenDecomposition(NamedTuple):
     """Spectral factorization A = V diag(w) V^T of a real symmetric matrix.
@@ -47,32 +46,6 @@ class EigenDecomposition(NamedTuple):
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-
-def _require_symmetric(matrix: np.ndarray) -> np.ndarray:
-    arr = np.asarray(matrix)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-    if np.iscomplexobj(arr):
-        if np.abs(arr.imag).max(initial=0.0) != 0.0:
-            raise ValueError("expected a real symmetric matrix, got complex entries")
-        arr = arr.real
-    arr = arr.astype(np.float64, copy=False)
-    if not np.array_equal(arr, arr.T):
-        raise ValueError("matrix is not symmetric")
-    return arr
-
-
-def symmetric_eigh(matrix: np.ndarray) -> EigenDecomposition:
-    """Eigendecomposition of a real symmetric matrix, eigenvalues ascending.
-
-    Guarantees V diag(w) V^T reconstructs the input to high accuracy and that
-    the eigenvector columns are orthonormal. Raises ``ValueError`` for
-    non-square or non-symmetric input.
-    """
-    arr = _require_symmetric(matrix)
-    eigenvalues, eigenvectors = np.linalg.eigh(arr)
-    return EigenDecomposition(eigenvalues, eigenvectors)
 
 
 def block_eigh(blocks: np.ndarray) -> EigenDecomposition:
@@ -97,22 +70,8 @@ def block_exponential(decomposition: EigenDecomposition, rate: float) -> Complex
     return (vectors * phases[..., None, :]) @ np.swapaxes(vectors, -1, -2)
 
 
-def evolve_unitary(matrix: np.ndarray, time: Union[float, SupportsFloat]) -> ComplexMatrix:
-    """Unitary exp(-i A t / ||A||) for a symmetric A, via its spectrum.
-
-    The norm scaling matches the walk convention: a step of duration t
-    evolves under A / ||A||, so spectra of different graphs live on a common
-    [-1, 1] scale. A zero matrix (no edges, no loops) has no dynamics and
-    yields the identity. ``time`` is in radians: a ``Fraction`` (a duration,
-    in multiples of pi) raises TypeError instead of running as radians.
-    """
-    if isinstance(time, Fraction):
-        raise TypeError(f"time {time} is a multiple of pi, not radians; use graph_model.radians")
-    decomposition = symmetric_eigh(matrix)
-    norm = float(np.abs(decomposition.eigenvalues).max(initial=0.0))
-    if norm == 0.0:
-        return np.eye(decomposition.eigenvalues.shape[0], dtype=np.complex128)
-    return block_exponential(decomposition, float(time) / norm)
+# phase_distance below this: the same program up to global phase
+VERIFY_TOLERANCE = 1e-9
 
 
 def phase_distance(u: ComplexMatrix, v: ComplexMatrix) -> float:

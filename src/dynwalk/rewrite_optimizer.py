@@ -115,7 +115,7 @@ from .graph_model import (
     spectrum,
     supports_disjoint,
 )
-from .numerics import phase_distance
+from .numerics import VERIFY_TOLERANCE, phase_distance
 from .walk_engine import graphs_commute, step_unitary, total_unitary
 
 __all__ = [
@@ -126,7 +126,6 @@ __all__ = [
     "RULE_MOVE_SINGLETON",
     "RULE_HYPERCUBE_HADAMARD",
     "ALL_RULES",
-    "VERIFY_TOLERANCE",
     "RuleNotApplicable",
     "RewriteStep",
     "OptimizationReport",
@@ -160,7 +159,6 @@ ALL_RULES = (
     RULE_HYPERCUBE_HADAMARD,
 )
 
-VERIFY_TOLERANCE = 1e-9
 NORM_TOLERANCE = 1e-9
 PHASE_DENOMINATOR_LIMIT = 64
 
@@ -943,7 +941,8 @@ def optimize(
     recorded in the report, and the rewrite that failed (its span's steps
     and their replacement) is never tried again, on any walk.
     ``max_iterations`` caps the accepted changes (an enabling move and its
-    successor count as one); rejected ones do not use it up. The report's
+    successor count as one); rejected ones do not use it up. Unknown
+    passes and a negative cap raise ``ValueError``. The report's
     ``stop_reason`` says whether the loop reached a fixpoint or the cap.
     Finally the output's total unitary is compared with the input's; the
     report keeps that distance, and a failure there is recorded as a
@@ -953,6 +952,8 @@ def optimize(
     unknown = enabled - set(ALL_RULES)
     if unknown:
         raise ValueError(f"unknown passes: {sorted(unknown)}")
+    if max_iterations is not None and max_iterations < 0:
+        raise ValueError(f"max_iterations must be 0 or more, got {max_iterations}")
     limit = max_iterations if max_iterations is not None else 10 * max(walk.graph_count, 1) ** 2
     regular, last_resort, moves = _pick_rows(enabled)
 

@@ -33,17 +33,15 @@ from dynwalk.graph_model import (
     DynamicGraph,
     Graph,
     TimedGraph,
-    adjacency_matrix,
     period,
-    radians,
 )
-from dynwalk.numerics import evolve_unitary, phase_distance
+from dynwalk.numerics import phase_distance
 from dynwalk.rewrite_optimizer import (
     optimize,
     pass_hypercube_hadamard,
     pass_merge_complementary,
 )
-from dynwalk.walk_engine import total_unitary
+from dynwalk.walk_engine import step_unitary, total_unitary
 
 TOL = 1e-9
 
@@ -220,15 +218,15 @@ def test_criterion_06_cube_walks_mix_uniformly():
         edges = [
             (v, v ^ (1 << b)) for v in range(size) for b in range(n) if v < v ^ (1 << b)
         ]
-        a = adjacency_matrix(Graph.make(size, edges=edges))
+        cube = Graph.make(size, edges=edges)
         weights = np.array([bin(v).count("1") for v in range(size)])
 
-        mix = evolve_unitary(a, n * np.pi / 4)[:, 0]
+        mix = step_unitary(TimedGraph(cube, Fraction(n, 4)))[:, 0]
         worst_prob = max(worst_prob, np.abs(np.abs(mix) ** 2 - 2.0**-n).max())
 
         for j in range(16 * n + 1):
             t = j * np.pi / 8
-            amplitude = evolve_unitary(a, t)[:, 0]
+            amplitude = step_unitary(TimedGraph(cube, Fraction(j, 8)))[:, 0]
             expected = (
                 (-1j) ** weights
                 * np.sin(t / n) ** weights
@@ -397,10 +395,9 @@ def test_criterion_10_randomized_rewrites_preserve_the_walk():
 
         for step in walk.steps + final.steps:
             cycle = period(step.graph)
-            if cycle is not None and radians(cycle) > 0.0:
-                a = adjacency_matrix(step.graph)
+            if cycle is not None and cycle > 0:
                 recurrence = np.abs(
-                    evolve_unitary(a, radians(cycle)) - np.eye(n_vertices)
+                    step_unitary(TimedGraph(step.graph, cycle)) - np.eye(n_vertices)
                 ).max()
                 worst_period = max(worst_period, recurrence)
                 assert recurrence < TOL, f"seed {seed}: period misses identity"

@@ -261,6 +261,18 @@ def test_optimize_max_iter_caps_rewrites(tmp_path, capsys):
     assert parse_dynamic_graph(out_file.read_text()).graph_count == 3
 
 
+def test_optimize_negative_max_iter_exits_2(tmp_path, capsys):
+    walk_file = write_walk(tmp_path / "in.json", bit_flip_walk())
+    out_file = tmp_path / "out.json"
+    report_file = tmp_path / "report.json"
+    argv = ["optimize", walk_file, "-o", str(out_file), "--report", str(report_file)]
+    assert main(argv + ["--max-iter", "-3"]) == 2
+    assert "--max-iter must be 0 or more" in capsys.readouterr().err
+    assert not out_file.exists() and not report_file.exists()
+    assert main(argv + ["--max-iter", "0"]) == 0
+    assert parse_dynamic_graph(out_file.read_text()).graph_count == bit_flip_walk().graph_count
+
+
 def test_optimize_reports_stop_reason(tmp_path, capsys):
     steps = tuple(
         TimedGraph(Graph.make(2, loops=[0]), Fraction(1, 2)) for _ in range(4)

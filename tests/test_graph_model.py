@@ -28,7 +28,7 @@ from dynwalk.graph_model import (
     support,
     supports_disjoint,
 )
-from dynwalk.numerics import evolve_unitary
+from dynwalk.walk_engine import step_unitary
 
 PERIOD_TOL = 1e-9
 
@@ -212,7 +212,7 @@ def test_period_is_an_actual_recurrence(graph):
     """U(period) must come back to the identity, entrywise."""
     p = period(graph)
     assert p is not None
-    u = evolve_unitary(adjacency_matrix(graph), radians(p))
+    u = step_unitary(TimedGraph(graph, p))
     assert np.abs(u - np.eye(graph.n_vertices)).max() < PERIOD_TOL
 
 

@@ -1,8 +1,12 @@
-"""Checks for the dense linear-algebra kernel.
+"""Checks for the walk kernel and the phase-aware gate.
 
-The evolution unitary is cross-checked against scipy's expm on the same
-scaled Hamiltonian, so the eigendecomposition route never gets to grade
-its own homework. Spectra of a few named graphs are frozen as literals.
+The kernel is the one path every command takes from a graph to a unitary:
+``graph_model.spectrum`` decomposes the graph's component blocks through
+``block_eigh``, and ``walk_engine.step_unitary`` exponentiates them through
+``block_exponential``. Its unitaries are cross-checked against scipy's expm
+on the same scaled Hamiltonian, so the eigendecomposition route never gets
+to grade its own homework. Spectra of a few named graphs are frozen as
+literals.
 """
 
 from fractions import Fraction
@@ -13,11 +17,9 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynwalk.numerics import (
-    evolve_unitary,
-    phase_distance,
-    symmetric_eigh,
-)
+from dynwalk.graph_model import Graph, TimedGraph, adjacency_matrix, radians, spectrum
+from dynwalk.numerics import block_eigh, phase_distance
+from dynwalk.walk_engine import step_unitary
 
 RECONSTRUCT_TOL = 1e-11
 UNITARY_TOL = 1e-10
@@ -26,124 +28,113 @@ EXPM_TOL = 1e-11
 RNG = np.random.default_rng(20240817)
 
 
-def random_symmetric(n, rng=RNG):
-    upper = rng.integers(0, 2, size=(n, n))
-    sym = np.triu(upper, 1)
-    return sym + sym.T + np.diag(rng.integers(0, 2, size=n))
+def random_graph(n, rng=RNG):
+    """Each vertex pair an edge and each vertex a loop with chance 1/2."""
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.integers(0, 2)]
+    loops = [v for v in range(n) if rng.integers(0, 2)]
+    return Graph.make(n, edges, loops)
 
 
-def cycle_adjacency(n):
-    a = np.zeros((n, n), dtype=np.int64)
-    for v in range(n):
-        a[v, (v + 1) % n] = 1
-        a[(v + 1) % n, v] = 1
-    return a
+def random_symmetric_stack(blocks, n, rng=RNG):
+    """A (blocks, n, n) stack of random symmetric {0,1} matrices."""
+    upper = np.triu(rng.integers(0, 2, size=(blocks, n, n)), 1)
+    loops = rng.integers(0, 2, size=(blocks, n))[..., None] * np.eye(n)
+    return upper + np.swapaxes(upper, -1, -2) + loops
 
 
-def path_adjacency(n):
-    a = np.zeros((n, n), dtype=np.int64)
-    for v in range(n - 1):
-        a[v, v + 1] = 1
-        a[v + 1, v] = 1
-    return a
+def cycle(n):
+    return Graph.make(n, edges=[(v, (v + 1) % n) for v in range(n)])
 
 
-# -- symmetric_eigh ----------------------------------------------------------
+def path(n):
+    return Graph.make(n, edges=[(v, v + 1) for v in range(n - 1)])
+
+
+def unitary_at(graph, time):
+    """The step unitary of ``graph`` run for ``time`` radians."""
+    return step_unitary(TimedGraph(graph, Fraction(time / np.pi)))
+
+
+def sorted_spectrum(graph):
+    return np.sort(spectrum(graph).eigenvalues())
+
+
+# -- block_eigh --------------------------------------------------------------
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
 def test_eigh_reconstructs_input(n):
-    a = random_symmetric(n)
-    w, v = symmetric_eigh(a)
-    rebuilt = (v * w) @ v.T
-    assert np.abs(rebuilt - a).max() < RECONSTRUCT_TOL
+    """Every block of a stack is V diag(w) V^T, as block_exponential assumes."""
+    stack = random_symmetric_stack(3, n)
+    w, v = block_eigh(stack)
+    rebuilt = (v * w[:, None, :]) @ np.swapaxes(v, -1, -2)
+    assert np.abs(rebuilt - stack).max() < RECONSTRUCT_TOL
 
 
 @pytest.mark.parametrize("n", [2, 4, 7])
 def test_eigh_columns_orthonormal(n):
-    _, v = symmetric_eigh(random_symmetric(n))
-    assert np.abs(v.T @ v - np.eye(n)).max() < RECONSTRUCT_TOL
+    """V^T is V^dag only if each block's eigenvector columns are orthonormal."""
+    _, v = block_eigh(random_symmetric_stack(3, n))
+    assert np.abs(np.swapaxes(v, -1, -2) @ v - np.eye(n)).max() < RECONSTRUCT_TOL
 
 
 def test_eigh_sorted_ascending():
-    w, _ = symmetric_eigh(cycle_adjacency(6))
-    assert np.all(np.diff(w) >= -1e-12)
+    w, _ = block_eigh(random_symmetric_stack(4, 6))
+    assert np.all(np.diff(w, axis=-1) >= -1e-12)
 
 
 def test_frozen_spectrum_four_cycle():
-    w, _ = symmetric_eigh(cycle_adjacency(4))
-    assert np.allclose(w, [-2.0, 0.0, 0.0, 2.0], atol=1e-12)
+    assert np.allclose(sorted_spectrum(cycle(4)), [-2.0, 0.0, 0.0, 2.0], atol=1e-12)
 
 
 def test_frozen_spectrum_single_edge():
-    w, _ = symmetric_eigh(path_adjacency(2))
-    assert np.allclose(w, [-1.0, 1.0], atol=1e-12)
+    assert np.allclose(sorted_spectrum(path(2)), [-1.0, 1.0], atol=1e-12)
 
 
 def test_frozen_spectrum_three_path():
-    w, _ = symmetric_eigh(path_adjacency(3))
     root2 = np.sqrt(2.0)
-    assert np.allclose(w, [-root2, 0.0, root2], atol=1e-12)
+    assert np.allclose(sorted_spectrum(path(3)), [-root2, 0.0, root2], atol=1e-12)
 
 
 def test_frozen_spectrum_loops_only():
-    w, _ = symmetric_eigh(np.diag([1, 0, 1, 1]))
-    assert np.allclose(w, [0.0, 1.0, 1.0, 1.0], atol=1e-12)
+    loops = Graph.make(4, loops=[0, 2, 3])
+    assert np.allclose(sorted_spectrum(loops), [0.0, 1.0, 1.0, 1.0], atol=1e-12)
+
+
+# -- step_unitary ------------------------------------------------------------
 
 
 @pytest.mark.parametrize(
-    "bad",
-    [
-        np.zeros((2, 3)),
-        np.array([[0, 1], [0, 0]]),
-        np.array([[0, 1j], [-1j, 0]]),
-        np.zeros(3),
-    ],
-)
-def test_eigh_rejects_non_symmetric(bad):
-    with pytest.raises(ValueError):
-        symmetric_eigh(bad)
-
-
-# -- evolve_unitary ----------------------------------------------------------
-
-
-@pytest.mark.parametrize(
-    "matrix",
-    [path_adjacency(2), cycle_adjacency(4), path_adjacency(3), np.diag([1, 1, 0, 1])],
+    "graph",
+    [path(2), cycle(4), path(3), Graph.make(4, loops=[0, 1, 3])],
     ids=["edge", "cycle4", "path3", "loops"],
 )
 @pytest.mark.parametrize("time", [0.0, np.pi / 4, np.pi / 2, np.pi, 5.31])
-def test_evolve_matches_scipy_expm(matrix, time):
-    norm = np.linalg.norm(matrix.astype(float), 2)
-    expected = scipy.linalg.expm(-1j * matrix.astype(complex) * (time / norm))
-    got = evolve_unitary(matrix, time)
-    assert np.abs(got - expected).max() < EXPM_TOL
+def test_evolve_matches_scipy_expm(graph, time):
+    step = TimedGraph(graph, Fraction(time / np.pi))
+    matrix = adjacency_matrix(graph).astype(complex)
+    norm = np.linalg.norm(matrix, 2)
+    expected = scipy.linalg.expm(-1j * matrix * (radians(step.duration) / norm))
+    assert np.abs(step_unitary(step) - expected).max() < EXPM_TOL
 
 
 def test_evolve_zero_matrix_is_identity():
-    u = evolve_unitary(np.zeros((3, 3)), 7.0)
+    u = unitary_at(Graph.make(3), 7.0)
     assert np.array_equal(u, np.eye(3))
 
 
 def test_evolve_edge_quarter_period_swaps():
     """One edge at t = pi/2 moves amplitude across with phase -i."""
-    u = evolve_unitary(path_adjacency(2), np.pi / 2)
+    u = step_unitary(TimedGraph(path(2), Fraction(1, 2)))
     expected = np.array([[0, -1j], [-1j, 0]])
     assert np.abs(u - expected).max() < 1e-12
 
 
-def test_evolve_refuses_a_fraction_duration():
-    """A Fraction is a multiple of pi: pi/2 must not run as 0.5 rad."""
-    with pytest.raises(TypeError, match="graph_model.radians"):
-        evolve_unitary(path_adjacency(2), Fraction(1, 2))
-
-
 def test_evolve_semigroup_property():
-    a = cycle_adjacency(4)
-    u1 = evolve_unitary(a, 0.7)
-    u2 = evolve_unitary(a, 1.9)
-    combined = evolve_unitary(a, 2.6)
+    a, b = Fraction(2, 9), Fraction(3, 5)
+    u1 = step_unitary(TimedGraph(cycle(4), a))
+    u2 = step_unitary(TimedGraph(cycle(4), b))
+    combined = step_unitary(TimedGraph(cycle(4), a + b))
     assert np.abs(u2 @ u1 - combined).max() < 1e-12
 
 
@@ -154,8 +145,7 @@ def test_evolve_semigroup_property():
     time=st.floats(0.0, 20.0, allow_nan=False),
 )
 def test_evolve_always_unitary(seed, n, time):
-    a = random_symmetric(n, np.random.default_rng(seed))
-    u = evolve_unitary(a, time)
+    u = unitary_at(random_graph(n, np.random.default_rng(seed)), time)
     assert np.abs(u @ u.conj().T - np.eye(n)).max() < UNITARY_TOL
 
 
@@ -163,12 +153,12 @@ def test_evolve_always_unitary(seed, n, time):
 
 
 def test_phase_distance_zero_for_equal():
-    u = evolve_unitary(cycle_adjacency(4), 1.3)
+    u = unitary_at(cycle(4), 1.3)
     assert phase_distance(u, u) < 1e-15
 
 
 def test_phase_distance_ignores_global_phase():
-    u = evolve_unitary(path_adjacency(3), 2.1)
+    u = unitary_at(path(3), 2.1)
     assert phase_distance(u, np.exp(0.37j) * u) < 1e-12
 
 

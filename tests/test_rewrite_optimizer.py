@@ -956,6 +956,31 @@ def test_optimize_rejects_unknown_pass():
         optimize(walk, passes=["NOT_A_RULE"])
 
 
+def test_optimize_rejects_a_negative_iteration_cap():
+    walk = walk_of(match(4, 1, 1, 2), match(4, 1, 1, 2))
+    with pytest.raises(ValueError, match="max_iterations"):
+        optimize(walk, max_iterations=-1)
+    assert optimize(walk, max_iterations=0)[0] == walk
+
+
+def test_optimize_keeps_a_near_permutation_step_entrywise():
+    """A matching just off pi/2 is not a phased permutation, so nothing folds it.
+
+    Its unitary is within 1.6e-5 of X_1 * (-i) entrywise, and a fold of the
+    pair into one matching lands under the 1e-9 phase-distance gate while
+    moving entries by about that much; only the entrywise rebuild check in
+    _cached_permutation stops it.
+    """
+    near = match(4, 1, 100001, 200000)
+    walk = walk_of(near, match(4, 2, 1, 2))
+    assert ro._cached_permutation(near) is None
+    final, report = optimize(walk)
+    assert report.verified
+    u, v = total_unitary(walk), total_unitary(final)
+    aligned = v * np.exp(1j * np.angle(np.vdot(v, u)))
+    assert np.abs(aligned - u).max() < 1e-12
+
+
 def test_optimize_with_swap_only_is_a_no_op():
     walk = walk_of(match(4, 1, 1, 2), match(4, 1, 1, 2))
     final, report = optimize(walk, passes=[RULE_SWAP_COMMUTING])
