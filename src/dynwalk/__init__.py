@@ -30,14 +30,7 @@ from .rewrite_optimizer import (
     ALL_RULES,
     OptimizationReport,
     RewriteStep,
-    RuleNotApplicable,
     optimize,
-    pass_combine_pst,
-    pass_hypercube_hadamard,
-    pass_merge_complementary,
-    pass_merge_identical,
-    pass_move_singleton,
-    pass_swap_commuting,
 )
 from .walk_engine import evolve_state, step_unitary, total_unitary
 
@@ -67,12 +60,5 @@ __all__ = [
     "ALL_RULES",
     "RewriteStep",
     "OptimizationReport",
-    "RuleNotApplicable",
-    "pass_swap_commuting",
-    "pass_merge_identical",
-    "pass_combine_pst",
-    "pass_merge_complementary",
-    "pass_move_singleton",
-    "pass_hypercube_hadamard",
     "optimize",
 ]

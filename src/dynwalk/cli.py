@@ -282,7 +282,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("walk", help="walk JSON file")
     p.add_argument("-o", "--output", required=True, help="output walk JSON file")
     p.add_argument("--passes", help="comma-separated rule subset (default: all)")
-    p.add_argument("--max-iter", type=int, help="cap on accepted rewrites")
+    p.add_argument("--max-iter", type=int, help="cap on rewrites tried, accepted or rejected")
     p.add_argument("--report", help="write a JSON rewrite report here")
     p.set_defaults(func=cmd_optimize)
 

@@ -70,8 +70,17 @@ RATIONAL_TOLERANCE = 1e-9
 
 
 def radians(angle: Fraction) -> float:
-    """The angle in radians, for a multiple of pi held as a Fraction."""
-    return math.pi * angle.numerator / angle.denominator
+    """The angle in radians, for a multiple of pi held as a Fraction.
+
+    A numerator or denominator beyond the float range (about 2^1024)
+    overflows on conversion; the float of the whole fraction then stands
+    in, and raises OverflowError only when the angle itself is beyond
+    that range.
+    """
+    try:
+        return math.pi * angle.numerator / angle.denominator
+    except OverflowError:
+        return math.pi * float(angle)
 
 
 def format_angle(angle: Fraction) -> str:
@@ -392,7 +401,14 @@ def _parse_time(obj: object, path: str) -> Fraction:
         _fail(f"{path}.pi_num", "must be nonnegative")
     if den < 1:
         _fail(f"{path}.pi_den", "denominator must be at least 1")
-    return Fraction(num, den)
+    time = Fraction(num, den)
+    try:
+        finite = math.isfinite(radians(time))
+    except OverflowError:
+        finite = False
+    if not finite:
+        _fail(path, "time in radians is not a finite float")
+    return time
 
 
 def _parse_step(obj: object, n_vertices: int, path: str) -> TimedGraph:

@@ -1,4 +1,4 @@
-"""Verified rewrite passes and the walk simplification driver.
+"""Verified rewrite rules and the walk simplification driver.
 
 Six rewrite rules shrink a walk program without changing its total unitary
 (up to global phase):
@@ -27,13 +27,15 @@ Six rewrite rules shrink a walk program without changing its total unitary
   bit subset is replaced by the staircase/walk/staircase realization when
   that is strictly cheaper.
 
-The driver works from one table of rule sites. A site is a span
-[start, stop) of the program, the steps that would replace it and a note
-for the report; each rule but MOVE_SINGLETON produces its sites through
-its public ``pass_*`` function. Only the driver prices a site, from the
-span alone, records it and splices it in. Cost is lexicographic (total
-time, then graph count) and every accepted step strictly decreases it, so
-the driver terminates.
+Each rule is a verdict on the steps it reads: a function of those steps
+(and the vertex count where it needs one) that returns the steps that
+replace them, or a string that says why the rule does not apply there.
+The driver works from one table of rule sites, which the site generators
+build from the verdicts. A site is a span [start, stop) of the program,
+the steps that would replace it and a note for the report. Only the
+driver prices a site, from the span alone, records it and splices it in.
+Cost is lexicographic (total time, then graph count) and every accepted
+step strictly decreases it, so the driver terminates.
 When no rule fires, the driver scans the last-resort rows (the wider
 COMBINE_PST fold), and when those find nothing either it spends a bounded
 search on cost-neutral enabling moves (commuting swaps of adjacent
@@ -61,26 +63,28 @@ durations of the span and of its replacement.
 
 The rescanned walks differ from the current one only where a neutral
 move changed them, so the rules keep their step-local verdicts in
-module-level ``lru_cache``s keyed on the steps they read: what a looped
-singleton carries out of a step (``_singleton_source``, on the source
-step and the vertex), what a target step becomes when it absorbs that
-phase (``_singleton_landing``, on the target step, the vertex and the
-phase), the fold of a run of phased permutations (``_fold``, on the
+module-level ``lru_cache``s keyed on the steps they read: the merges of
+two steps (``_merge_identical``, ``_merge_complementary``), what a
+looped singleton carries out of a step (``_singleton_source``, on the
+source step and the vertex), what a target step becomes when it absorbs
+that phase (``_singleton_landing``, on the target step, the vertex and
+the phase), the fold of a run of phased permutations (``_fold``, on the
 vertex count and the run's steps), and the unitary and
-phased-permutation form of each step. ``_hadamard_layer`` keeps the
-compiled layer, its cost and its read-only dense product per target set
-and qubit count, and ``_cached_commute`` keeps the verdict of
-``walk_engine.graphs_commute`` per graph pair for the block swaps.
-Apart from the step and layer unitaries the caches hold steps and small
-tuples, never span products. A singleton site is built straight from
-the two singleton verdicts, for the targets of the corridor only:
-outward from the source on each side, up to and including the first
-step that attaches an edge to the vertex, since that step blocks every
-target beyond it. The Hadamard-layer sites
-build the products of all fragments from one start in a single sweep
-and try them longest first, skipping fragments made only of phased
-permutations: their product is a phased permutation, never a Hadamard
-layer. The layer's cost is checked before the dense comparison.
+phased-permutation form of each step. ``_cached_commute`` keeps the
+verdict of ``walk_engine.graphs_commute`` per graph pair for the block
+swaps. Only the Hadamard-layer verdict (``_hypercube_hadamard``) is not
+cached, as it reads the fragment's product; ``_hadamard_layer`` keeps
+the compiled layer, its cost and its read-only dense product per target
+set and qubit count. Apart from the step and layer unitaries the caches
+hold steps and small tuples, never span products. A singleton site is
+built straight from the two singleton verdicts, for the targets of the
+corridor only: outward from the source on each side, up to and including
+the first step that attaches an edge to the vertex, since that step
+blocks every target beyond it. The Hadamard-layer sites build the
+products of all fragments from one start in a single sweep and try them
+longest first, skipping fragments made only of phased permutations:
+their product is a phased permutation, never a Hadamard layer. The
+layer's cost is checked before the dense comparison.
 
 Every accepted rewrite is verified on its span alone. With Q the product
 of the steps before the span, P that of the steps after it, and S, S' the
@@ -126,15 +130,8 @@ __all__ = [
     "RULE_MOVE_SINGLETON",
     "RULE_HYPERCUBE_HADAMARD",
     "ALL_RULES",
-    "RuleNotApplicable",
     "RewriteStep",
     "OptimizationReport",
-    "pass_swap_commuting",
-    "pass_merge_identical",
-    "pass_combine_pst",
-    "pass_merge_complementary",
-    "pass_move_singleton",
-    "pass_hypercube_hadamard",
     "optimize",
 ]
 
@@ -149,6 +146,7 @@ RULE_DROP_ZERO = "DROP_ZERO"
 
 STOP_FIXPOINT = "fixpoint"
 STOP_ITERATION_CAP = "iteration cap"
+STOP_REJECTION_CAP = "rejection cap"
 
 ALL_RULES = (
     RULE_SWAP_COMMUTING,
@@ -161,10 +159,6 @@ ALL_RULES = (
 
 NORM_TOLERANCE = 1e-9
 PHASE_DENOMINATOR_LIMIT = 64
-
-
-class RuleNotApplicable(Exception):
-    """The requested rewrite does not apply at the given location."""
 
 
 @dataclass(frozen=True)
@@ -188,8 +182,9 @@ class OptimizationReport:
     rejected: Tuple[str, ...] = ()
     # phase distance between the total unitaries of the input and the output
     phase_distance: float = 0.0
-    # STOP_FIXPOINT when no rule found another rewrite, STOP_ITERATION_CAP
-    # when the cap on accepted rewrites ended the loop first
+    # STOP_FIXPOINT when no rule found another rewrite; when the cap on
+    # tried changes ended the loop first, STOP_ITERATION_CAP if the last
+    # change was accepted and STOP_REJECTION_CAP if it was rolled back
     stop_reason: str = STOP_FIXPOINT
 
     @property
@@ -309,31 +304,6 @@ def _reduced(duration: Fraction, cycle: Optional[Fraction]) -> Fraction:
     return duration % cycle if cycle else Fraction(0)
 
 
-def _check_adjacent(walk: DynamicGraph, index: int) -> Tuple[TimedGraph, TimedGraph]:
-    if not (0 <= index < walk.graph_count - 1):
-        raise RuleNotApplicable(f"no adjacent pair at index {index}")
-    return walk.steps[index], walk.steps[index + 1]
-
-
-def pass_swap_commuting(walk: DynamicGraph, index: int) -> DynamicGraph:
-    """Exchange steps index and index+1 when their graphs commute exactly."""
-    first, second = _check_adjacent(walk, index)
-    if not graphs_commute(first.graph, second.graph):
-        raise RuleNotApplicable("adjacency matrices do not commute")
-    return walk.replaced(index, index + 2, (second, first))
-
-
-def pass_merge_identical(walk: DynamicGraph, index: int) -> DynamicGraph:
-    """Fuse adjacent steps on the same graph, reducing modulo the period."""
-    first, second = _check_adjacent(walk, index)
-    if first.graph != second.graph:
-        raise RuleNotApplicable("graphs differ")
-    total = _reduced(first.duration + second.duration, _cached_period(first.graph))
-    if not total:
-        return walk.replaced(index, index + 2, ())
-    return walk.replaced(index, index + 2, (TimedGraph(first.graph, total),))
-
-
 def _phase_angle(target: complex) -> Optional[Fraction]:
     """Exact angle theta in [0, 2pi) with exp(-i theta) = target, or None."""
     if abs(abs(target) - 1.0) > VERIFY_TOLERANCE:
@@ -353,8 +323,27 @@ StepsVerdict = Union[str, Tuple[TimedGraph, ...]]
 
 
 @lru_cache(maxsize=4096)
+def _merge_identical(first: TimedGraph, second: TimedGraph) -> StepsVerdict:
+    """Fuse adjacent steps on the same graph, reducing modulo the period."""
+    if first.graph != second.graph:
+        return "graphs differ"
+    total = _reduced(first.duration + second.duration, _cached_period(first.graph))
+    return (TimedGraph(first.graph, total),) if total else ()
+
+
+@lru_cache(maxsize=4096)
 def _fold(n: int, run: Tuple[TimedGraph, ...]) -> StepsVerdict:
-    """The matching and staircase that replace a run of phased permutations."""
+    """Collapse a run of phased-permutation steps into matching + staircase.
+
+    Every step of the run must act as a permutation with a clean fraction
+    of pi as the phase of each entry (see _cached_permutation). The run
+    composes exactly to D P, with D diagonal; P must be an involution. The
+    replacement is a quarter-period matching on the 2-cycles of P (-i X on
+    each pair) followed by the loop staircase that pays each vertex's
+    remaining phase, or just the staircase when P is the identity. A run
+    of phase * X_mask steps thus becomes the matching on the XOR of the
+    masks plus at most one all-loops graph.
+    """
     # column j of the run's product holds exp(-i pi angles[j]) in row perm[j]
     perm = list(range(n))
     angles = [Fraction(0)] * n
@@ -377,31 +366,8 @@ def _fold(n: int, run: Tuple[TimedGraph, ...]) -> StepsVerdict:
     return replacement + schedule_phases(residue, n)
 
 
-def pass_combine_pst(walk: DynamicGraph, start: int, stop: int) -> DynamicGraph:
-    """Collapse a run of phased-permutation steps into matching + staircase.
-
-    Every step in [start, stop) must act as a permutation with a clean
-    fraction of pi as the phase of each entry (see _cached_permutation).
-    The run composes exactly to D P, with D diagonal; P must be an
-    involution. The replacement is a quarter-period matching on the
-    2-cycles of P (-i X on each pair) followed by the loop staircase that
-    pays each vertex's remaining phase, or just the staircase when P is
-    the identity. A run of phase * X_mask steps thus becomes the matching
-    on the XOR of the masks plus at most one all-loops graph. The fold is
-    cached on the vertex count and the run's steps.
-    """
-    if not (0 <= start < stop <= walk.graph_count) or stop - start < 2:
-        raise RuleNotApplicable("need at least two steps")
-    n = walk.n_vertices
-    if n < 1:
-        raise RuleNotApplicable("no vertices")
-    folded = _fold(n, walk.steps[start:stop])
-    if isinstance(folded, str):
-        raise RuleNotApplicable(folded)
-    return walk.replaced(start, stop, folded)
-
-
-def pass_merge_complementary(walk: DynamicGraph, index: int) -> DynamicGraph:
+@lru_cache(maxsize=4096)
+def _merge_complementary(first: TimedGraph, second: TimedGraph) -> StepsVerdict:
     """Overlap adjacent support-disjoint steps of equal spectral norm.
 
     [A at s, B at t] with s <= t becomes [A union B at s, B at t - s];
@@ -409,32 +375,28 @@ def pass_merge_complementary(walk: DynamicGraph, index: int) -> DynamicGraph:
     disjoint supports make the adjacency matrices commute and the shared
     norm keeps the evolution rates aligned.
     """
-    first, second = _check_adjacent(walk, index)
     if first.graph.is_empty or second.graph.is_empty:
-        raise RuleNotApplicable("empty step")
+        return "empty step"
     if not supports_disjoint(first.graph, second.graph):
-        raise RuleNotApplicable("supports overlap")
+        return "supports overlap"
     if abs(spectrum(first.graph).norm - spectrum(second.graph).norm) > NORM_TOLERANCE:
-        raise RuleNotApplicable("spectral norms differ")
-    union = first.graph.union(second.graph)
-    if first.duration <= second.duration:
-        shorter, longer = first, second
-    else:
-        shorter, longer = second, first
+        return "spectral norms differ"
+    shorter, longer = (first, second) if first.duration <= second.duration else (second, first)
+    union = TimedGraph(first.graph.union(second.graph), shorter.duration)
     remainder = longer.duration - shorter.duration
-    replacement = [TimedGraph(union, shorter.duration)]
-    if remainder:
-        replacement.append(TimedGraph(longer.graph, remainder))
-    return walk.replaced(index, index + 2, replacement)
+    return (union, TimedGraph(longer.graph, remainder)) if remainder else (union,)
 
 
 @lru_cache(maxsize=8192)
 def _singleton_source(step: TimedGraph, vertex: int) -> SourceVerdict:
     """The phase tau a looped singleton carries out of a step, and what stays.
 
-    tau = t / ||A||; the step stays behind without the loop, or vanishes
-    when the loop was all it had. The loop adds only the eigenvalue 1, and
-    a nonempty rest has norm >= 1, so the rest keeps the step's norm.
+    MOVE_SINGLETON migrates the phase of a vertex that carries a loop and
+    no edges in the source step into another step of its corridor (see
+    _corridor). tau = t / ||A||; the step stays behind without the loop,
+    or vanishes when the loop was all it had. The loop adds only the
+    eigenvalue 1, and a nonempty rest has norm >= 1, so the rest keeps the
+    step's norm.
     """
     graph = step.graph
     if vertex not in graph.loops or not graph.degree_free(vertex):
@@ -451,7 +413,17 @@ def _singleton_source(step: TimedGraph, vertex: int) -> SourceVerdict:
 
 @lru_cache(maxsize=8192)
 def _singleton_landing(step: TimedGraph, vertex: int, tau: Fraction) -> StepsVerdict:
-    """The steps that replace a target step once it absorbs the phase tau."""
+    """The steps that replace a target step once it absorbs the phase tau.
+
+    Two landing modes:
+
+    * the target is loops-only and already loops the vertex: its phase
+      becomes (t_target + tau) mod 2pi and the target re-emits as a
+      staircase;
+    * the target leaves the vertex entirely untouched and tau covers at
+      least the target's normalized duration: the vertex joins the target
+      with a loop, and any remaining phase trails as a one-vertex step.
+    """
     graph = step.graph
     n = graph.n_vertices
     if vertex in graph.loops:
@@ -481,7 +453,9 @@ def _corridor(steps: Tuple[TimedGraph, ...], source: int, vertex: int) -> Tuple[
     """First and last step that a singleton move of the vertex can reach.
 
     Outward from the source on each side, the window ends at, and includes,
-    the first step that attaches an edge to the vertex.
+    the first step that attaches an edge to the vertex. The vertex stays
+    edge-free in every step strictly between source and target (loops
+    there are fine: diagonals commute).
     """
     first = source
     while first > 0:
@@ -506,40 +480,6 @@ def _splice(
     return target, source + 1, landed + steps[target + 1 : source] + left
 
 
-def pass_move_singleton(walk: DynamicGraph, source: int, vertex: int, target: int) -> DynamicGraph:
-    """Migrate the phase of a looped, edge-free vertex into another step.
-
-    The vertex must carry a loop and no edges in the source step, and stay
-    edge-free in every step strictly between source and target (loops in
-    the corridor are fine: diagonals commute). The phase moved is
-    tau = t_source / ||A_source||. Two landing modes:
-
-    * the target is loops-only and already loops the vertex: its phase
-      becomes (t_target + tau) mod 2pi and the target re-emits as a
-      staircase;
-    * the target leaves the vertex entirely untouched and tau covers at
-      least the target's normalized duration: the vertex joins the target
-      with a loop, and any remaining phase trails as a one-vertex step.
-
-    What the source gives up and what the target becomes depend on those
-    two steps alone; both verdicts are cached on them.
-    """
-    count = walk.graph_count
-    if not (0 <= source < count and 0 <= target < count) or source == target:
-        raise RuleNotApplicable("bad source/target indices")
-    moved = _singleton_source(walk.steps[source], vertex)
-    if isinstance(moved, str):
-        raise RuleNotApplicable(moved)
-    tau, left = moved
-    first, last = _corridor(walk.steps, source, vertex)
-    if not first <= target <= last:
-        raise RuleNotApplicable("corridor step attaches edges to the vertex")
-    landed = _singleton_landing(walk.steps[target], vertex, tau)
-    if isinstance(landed, str):
-        raise RuleNotApplicable(landed)
-    return walk.replaced(*_splice(walk.steps, source, target, left, landed))
-
-
 @lru_cache(maxsize=64)
 def _hadamard_layer(
     targets: Tuple[int, ...], n_qubits: int
@@ -554,51 +494,41 @@ def _hadamard_layer(
     return steps, (_span_time(steps), len(steps)), unitary
 
 
-def pass_hypercube_hadamard(
-    walk: DynamicGraph, start: int, stop: int, fragment: Optional[np.ndarray] = None
-) -> DynamicGraph:
+def _hypercube_hadamard(span: Tuple[TimedGraph, ...], fragment: np.ndarray) -> StepsVerdict:
     """Replace a fragment equal (up to phase) to Hadamards on a bit subset.
 
-    The subset is read off column 0 of the fragment unitary. Hadamards on
-    k bits spread vertex 0 evenly over the 2^k vertices that differ from it
-    only in those bits, each with weight 2^-k >= 1/n, so the bit mask is
-    the OR of the indices weighing more than 1/(2n). One phase-distance
-    comparison against the product of that layer's compiled steps then
-    decides: layers on two different subsets have trace overlap 0, so no
-    other subset could match. It is the comparison the driver's span
-    verification makes, on the same two products, so a layer this pass
-    offers never fails verification. The staircase/walk/staircase layer
-    goes in only when that strictly reduces (total time, graph count),
-    which is checked first, as it is cheaper than the dense comparison.
-    Unlike the merge rules this pass enforces the cost drop itself: the
-    layer is a fixed-price replacement, not a local fusion, so applying it
-    blindly could pessimize a cheap fragment. The layer's steps, cost and
-    product are cached on the subset.
-
-    ``fragment`` is the product of steps[start:stop] when the caller has
-    built it already; the driver builds every fragment from one start in
-    a single sweep.
+    ``fragment`` is the product of the span's steps on 2^k vertices; the
+    driver builds every fragment from one start in a single sweep, so this
+    verdict is not cached. The subset is read off column 0 of the fragment.
+    Hadamards on k bits spread vertex 0 evenly over the 2^k vertices that
+    differ from it only in those bits, each with weight 2^-k >= 1/n, so the
+    bit mask is the OR of the indices weighing more than 1/(2n). One
+    phase-distance comparison against the product of that layer's compiled
+    steps then decides: layers on two different subsets have trace overlap
+    0, so no other subset could match. It is the comparison the driver's
+    span verification makes, on the same two products, so a layer this
+    verdict offers never fails verification. The staircase/walk/staircase
+    layer goes in only when that strictly reduces (total time, graph
+    count), which is checked first, as it is cheaper than the dense
+    comparison. Unlike the merge rules this verdict enforces the cost drop
+    itself: the layer is a fixed-price replacement, not a local fusion, so
+    applying it blindly could pessimize a cheap fragment. The layer's
+    steps, cost and product are cached on the subset.
     """
-    if not (0 <= start < stop <= walk.graph_count):
-        raise RuleNotApplicable("bad span")
-    n = walk.n_vertices
-    if n < 2 or n & (n - 1):
-        raise RuleNotApplicable("vertex count is not a power of two")
+    n = len(fragment)
     n_qubits = n.bit_length() - 1
-    if fragment is None:
-        fragment = _product(n, walk.steps[start:stop])
     mask = 0
     for index in np.flatnonzero(np.abs(fragment[:, 0]) ** 2 > 1.0 / (2 * n)):
         mask |= int(index)
     targets = tuple(q for q in range(n_qubits) if mask & bit_value(q, n_qubits))
     if not targets:
-        raise RuleNotApplicable("fragment is not a Hadamard layer")
+        return "fragment is not a Hadamard layer"
     layer, cost, unitary = _hadamard_layer(targets, n_qubits)
-    if not cost < (_span_time(walk.steps[start:stop]), stop - start):
-        raise RuleNotApplicable("layer replacement is not strictly cheaper")
+    if not cost < (_span_time(span), len(span)):
+        return "layer replacement is not strictly cheaper"
     if not phase_distance(fragment, unitary) < VERIFY_TOLERANCE:
-        raise RuleNotApplicable("fragment is not a Hadamard layer")
-    return walk.replaced(start, stop, layer)
+        return "fragment is not a Hadamard layer"
+    return layer
 
 
 # ---------------------------------------------------------------------------
@@ -656,22 +586,15 @@ def _reads(lo: int, hi: int, window: Window) -> bool:
     return window is None or (lo < window[1] and window[0] < hi)
 
 
-def _site(walk: DynamicGraph, start: int, stop: int, rule_pass, *args, note="") -> Iterator[Site]:
-    """The site of one public rule pass, when the pass applies.
-
-    A pass leaves the steps outside [start, stop) alone, so its result
-    minus the untouched prefix and suffix is the replacement for the span.
-    """
-    try:
-        result = rule_pass(walk, *args)
-    except RuleNotApplicable:
-        return
-    yield start, stop, result.steps[start : result.graph_count - (walk.graph_count - stop)], note
+def _offer(start: int, stop: int, verdict: StepsVerdict, note: str = "") -> Iterator[Site]:
+    """The site of a verdict on steps[start:stop], when the rule applies there."""
+    if not isinstance(verdict, str):
+        yield start, stop, verdict, note
 
 
 def _merge_identical_sites(walk: DynamicGraph, index: int, window: Window = None) -> Iterator[Site]:
-    if _reads(index, index + 2, window):
-        yield from _site(walk, index, index + 2, pass_merge_identical, index)
+    if index + 2 <= walk.graph_count and _reads(index, index + 2, window):
+        yield from _offer(index, index + 2, _merge_identical(*walk.steps[index : index + 2]))
 
 
 def _run_end(walk: DynamicGraph, start: int, bitflips: bool) -> int:
@@ -695,7 +618,7 @@ def _combine_pst_sites(walk: DynamicGraph, index: int, window: Window = None) ->
         return
     stop = _run_end(walk, index, bitflips=True)
     if stop - index >= 2 and _reads(index, stop + 1, window):
-        yield from _site(walk, index, stop, pass_combine_pst, index, stop)
+        yield from _offer(index, stop, _fold(n, walk.steps[index:stop]))
 
 
 def _fold_sites(walk: DynamicGraph, index: int, window: Window = None) -> Iterator[Site]:
@@ -704,12 +627,12 @@ def _fold_sites(walk: DynamicGraph, index: int, window: Window = None) -> Iterat
     if not _reads(index, end + 1, window):
         return
     for stop in range(index + 2, end + 1):
-        yield from _site(walk, index, stop, pass_combine_pst, index, stop, note="fold")
+        yield from _offer(index, stop, _fold(walk.n_vertices, walk.steps[index:stop]), "fold")
 
 
 def _merge_complementary_sites(walk: DynamicGraph, index: int, window: Window = None) -> Iterator[Site]:
-    if _reads(index, index + 2, window):
-        yield from _site(walk, index, index + 2, pass_merge_complementary, index)
+    if index + 2 <= walk.graph_count and _reads(index, index + 2, window):
+        yield from _offer(index, index + 2, _merge_complementary(*walk.steps[index : index + 2]))
 
 
 def _staircase_sites(walk: DynamicGraph, start: int, window: Window = None) -> Iterator[Site]:
@@ -728,7 +651,7 @@ def _staircase_sites(walk: DynamicGraph, start: int, window: Window = None) -> I
         stop += 1
     if stop - start < 2 or not _reads(start, stop + 1, window):
         return
-    for _, _, stair, _ in _site(walk, start, stop, pass_combine_pst, start, stop):
+    for _, _, stair, _ in _offer(start, stop, _fold(walk.n_vertices, walk.steps[start:stop])):
         width = len(stair[-1].graph.loops) if stair else 0
         yield start, stop, stair, f"staircase over {width} vertices"
 
@@ -790,9 +713,9 @@ def _hypercube_sites(walk: DynamicGraph, index: int, window: Window = None) -> I
     for step in walk.steps[index:highest]:
         fragments.append(_cached_step_unitary(step) @ fragments[-1])
     for stop in range(highest, lowest - 1, -1):
-        fragment = fragments[stop - index]
-        for site in _site(walk, index, stop, pass_hypercube_hadamard, index, stop, fragment):
-            yield site
+        layer = _hypercube_hadamard(walk.steps[index:stop], fragments[stop - index])
+        if not isinstance(layer, str):
+            yield index, stop, layer, ""
             return
 
 
@@ -867,7 +790,7 @@ def _scan(walk: DynamicGraph, rows: Rows, skip: Set[Key], window: Window = None)
     sites were all skipped. A site whose verdict reads none of the window
     keeps that verdict and its span's steps, so its skip; a Hadamard-layer
     fragment that holds the window keeps its verdict and is never skipped
-    (see pass_hypercube_hadamard). So the rows offer only the sites that
+    (see _hypercube_hadamard). So the rows offer only the sites that
     read the window, and the first of those is the first improving rewrite
     of the whole walk, whatever the skip set.
     """
@@ -940,10 +863,11 @@ def optimize(
     checked on its span to VERIFY_TOLERANCE; a failed check rolls back, is
     recorded in the report, and the rewrite that failed (its span's steps
     and their replacement) is never tried again, on any walk.
-    ``max_iterations`` caps the accepted changes (an enabling move and its
-    successor count as one); rejected ones do not use it up. Unknown
-    passes and a negative cap raise ``ValueError``. The report's
-    ``stop_reason`` says whether the loop reached a fixpoint or the cap.
+    ``max_iterations`` caps the changes tried, accepted and rejected alike
+    (an enabling move and its successor count as one). Unknown passes and
+    a negative cap raise ``ValueError``. The report's ``stop_reason`` says
+    whether the loop reached a fixpoint, or hit the cap on an accepted
+    change (iteration cap) or on a rejected one (rejection cap).
     Finally the output's total unitary is compared with the input's; the
     report keeps that distance, and a failure there is recorded as a
     rejection too.
@@ -964,9 +888,9 @@ def optimize(
     current, norm_records = _normalize(walk)
     records.extend(norm_records)
 
-    accepted = 0
+    tried = 0
     stop_reason = STOP_ITERATION_CAP
-    while accepted < limit:
+    while tried < limit:
         found = _scan(current, regular, skip) or _scan(current, last_resort, skip)
         chain = [found] if found is not None else _find_enabling_pair(current, regular, moves, skip)
         if chain is None:
@@ -977,8 +901,9 @@ def optimize(
             programs.append(_apply(programs[-1], rewrite))
         verified = (_span_verified(program, rewrite) for program, rewrite in zip(programs, chain))
         failed = next((i for i, ok in enumerate(verified) if not ok), None)
+        tried += 1
+        stop_reason = STOP_ITERATION_CAP if failed is None else STOP_REJECTION_CAP
         if failed is None:
-            accepted += 1
             current, extra = _normalize(programs[-1])
             records.extend(record for record, _ in chain)
             records.extend(extra)

@@ -37,9 +37,10 @@ from dynwalk.graph_model import (
 )
 from dynwalk.numerics import phase_distance
 from dynwalk.rewrite_optimizer import (
+    _hypercube_hadamard,
+    _merge_complementary,
+    _product,
     optimize,
-    pass_hypercube_hadamard,
-    pass_merge_complementary,
 )
 from dynwalk.walk_engine import step_unitary, total_unitary
 
@@ -110,7 +111,7 @@ def test_criterion_03_complementary_merge_saves_a_half_pi():
         ),
     )
     assert walk.total_time() == Fraction(13, 4)
-    merged = pass_merge_complementary(walk, 2)
+    merged = walk.replaced(2, 4, _merge_complementary(*walk.steps[2:4]))
     expected = DynamicGraph(
         2,
         (
@@ -180,7 +181,8 @@ def test_criterion_05_paired_hadamards_fit_five_graphs():
 
     sequential = DynamicGraph(4, h_fixture(0) + h_fixture(1))
     assert sequential.total_time() == Fraction(13, 2)
-    rewritten = pass_hypercube_hadamard(sequential, 0, 6)
+    layer_steps = _hypercube_hadamard(sequential.steps, _product(4, sequential.steps))
+    rewritten = sequential.replaced(0, 6, layer_steps)
     rewrite_distance = phase_distance(
         total_unitary(rewritten), total_unitary(sequential)
     )

@@ -356,6 +356,28 @@ def test_oversized_inputs_exit_2(tmp_path, capsys):
     assert "n_vertices: must be at most" in capsys.readouterr().err
 
 
+def huge_time_walk(tmp_path, pi_num, pi_den):
+    step = {"edges": [[0, 1]], "loops": [], "time": {"pi_num": pi_num, "pi_den": pi_den}}
+    walk_file = tmp_path / "w.json"
+    walk_file.write_text(json.dumps({"n_vertices": 2, "sequence": [step]}))
+    return str(walk_file)
+
+
+@pytest.mark.parametrize("command", ["stats", "simulate"])
+def test_a_time_too_large_for_a_float_exits_2(tmp_path, capsys, command):
+    walk_file = huge_time_walk(tmp_path, 2**1100, 1)
+    assert main([command, walk_file]) == 2
+    assert "sequence[0].time: time in radians is not a finite float" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["stats", "simulate"])
+def test_a_denominator_beyond_the_float_range_runs(tmp_path, capsys, command):
+    # pi / 2^1100 is a tiny but finite angle, so the walk is well formed
+    walk_file = huge_time_walk(tmp_path, 1, 2**1100)
+    assert main([command, walk_file]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_compile_verification_failure_writes_nothing(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "phase_distance", lambda u, v: 1.0)
     circuit_file = write_circuit(

@@ -1,9 +1,11 @@
-"""Rewrite passes checked one by one, then the fixpoint driver end to end.
+"""Rewrite rules checked one by one, then the fixpoint driver end to end.
 
-Expected outputs for the driver tests were worked out by hand from the
-rule definitions (scan order is leftmost position first, merge rules
-before singleton moves before layer replacement) and are asserted
-exactly. The unitary oracle is total_unitary, compared through the
+Each rule is checked through its verdict on the steps it reads (the
+replacement steps, or the reason it does not apply) and through the site
+generator that offers it to the driver. Expected outputs for the driver
+tests were worked out by hand from the rule definitions (scan order is
+leftmost position first, merge rules before singleton moves before layer
+replacement) and are asserted exactly. The unitary oracle is total_unitary, compared through the
 phase-invariant distance, the same check the driver itself performs.
 """
 
@@ -43,14 +45,7 @@ from dynwalk.rewrite_optimizer import (
     RULE_NORMALIZE_TIME,
     RULE_SWAP_COMMUTING,
     RewriteStep,
-    RuleNotApplicable,
     optimize,
-    pass_combine_pst,
-    pass_hypercube_hadamard,
-    pass_merge_complementary,
-    pass_merge_identical,
-    pass_move_singleton,
-    pass_swap_commuting,
 )
 from dynwalk.walk_engine import step_unitary, total_unitary
 
@@ -75,14 +70,15 @@ def assert_same_program(a, b, tol=1e-9):
     assert phase_distance(total_unitary(a), total_unitary(b)) < tol
 
 
-# -- pass_swap_commuting -------------------------------------------------------
+# -- SWAP_COMMUTING: the block swaps ----------------------------------------------
 
 
 def test_swap_commuting_exchanges_steps():
     walk = walk_of(loops(2, [0], 1, 2), loops(2, [1], 1))
-    swapped = pass_swap_commuting(walk, 0)
-    assert swapped.steps == (walk.steps[1], walk.steps[0])
-    assert_same_program(walk, swapped, tol=1e-12)
+    assert ro._cached_commute(walk.steps[0].graph, walk.steps[1].graph)
+    sites = list(ro._block_swap_sites(walk))
+    assert sites == [(0, 2, (walk.steps[1], walk.steps[0]), "swap blocks 1+1")]
+    assert_same_program(walk, walk.replaced(0, 2, sites[0][2]), tol=1e-12)
 
 
 def test_swap_commuting_rejects_non_commuting():
@@ -90,69 +86,73 @@ def test_swap_commuting_rejects_non_commuting():
         TimedGraph(Graph.make(3, edges=[(0, 1)]), angle(1, 2)),
         TimedGraph(Graph.make(3, edges=[(1, 2)]), angle(1, 2)),
     )
-    with pytest.raises(RuleNotApplicable):
-        pass_swap_commuting(walk, 0)
+    assert not ro._cached_commute(walk.steps[0].graph, walk.steps[1].graph)
+    assert list(ro._block_swap_sites(walk)) == []
 
 
 def test_swap_commuting_rejects_bad_index():
+    # one step has no neighbor to swap with
     walk = walk_of(loops(2, [0], 1, 2))
-    with pytest.raises(RuleNotApplicable):
-        pass_swap_commuting(walk, 0)
-    with pytest.raises(RuleNotApplicable):
-        pass_swap_commuting(walk, -1)
+    assert list(ro._block_swap_sites(walk)) == []
 
 
-# -- pass_merge_identical ------------------------------------------------------
+# -- MERGE_IDENTICAL ----------------------------------------------------------------
 
 
 def test_merge_identical_sums_durations():
     walk = walk_of(match(4, 1, 1, 2), match(4, 1, 1, 4))
-    merged = pass_merge_identical(walk, 0)
-    assert merged.steps == (match(4, 1, 3, 4),)
+    assert ro._merge_identical(*walk.steps) == (match(4, 1, 3, 4),)
 
 
 def test_merge_identical_reduces_modulo_period():
     walk = walk_of(loops(2, [0], 3, 2), loops(2, [0], 3, 2))
-    merged = pass_merge_identical(walk, 0)
-    assert merged.steps == (loops(2, [0], 1),)
-    assert_same_program(walk, merged, tol=1e-12)
+    merged = ro._merge_identical(*walk.steps)
+    assert merged == (loops(2, [0], 1),)
+    assert_same_program(walk, walk.replaced(0, 2, merged), tol=1e-12)
 
 
 def test_merge_identical_drops_full_period():
     walk = walk_of(match(4, 1, 1), match(4, 1, 1))
-    merged = pass_merge_identical(walk, 0)
-    assert merged.steps == ()
+    assert ro._merge_identical(*walk.steps) == ()
 
 
 def test_merge_identical_rejects_different_graphs():
     walk = walk_of(match(4, 1, 1, 2), match(4, 2, 1, 2))
-    with pytest.raises(RuleNotApplicable):
-        pass_merge_identical(walk, 0)
+    assert ro._merge_identical(*walk.steps) == "graphs differ"
+    assert list(ro._merge_identical_sites(walk, 0)) == []
 
 
-# -- pass_combine_pst ----------------------------------------------------------
+def test_merge_sites_need_a_step_after_the_index():
+    walk = walk_of(match(4, 1, 1, 2), match(4, 1, 1, 2), loops(4, [1], 1, 2))
+    assert list(ro._merge_identical_sites(walk, 0)) == [(0, 2, (match(4, 1, 1),), "")]
+    last = walk.graph_count - 1
+    assert list(ro._merge_identical_sites(walk, last)) == []
+    assert list(ro._merge_complementary_sites(walk, last)) == []
+
+
+# -- COMBINE_PST: the fold of a phased-permutation run --------------------------------
 
 
 def test_combine_pst_cancels_inverse_matchings():
     walk = walk_of(match(4, 1, 1, 2), match(4, 1, 3, 2))
-    assert pass_combine_pst(walk, 0, 2).steps == ()
+    assert ro._fold(4, walk.steps) == ()
 
 
 def test_combine_pst_equal_matchings_leave_loop_graph():
     walk = walk_of(match(4, 1, 1, 2), match(4, 1, 1, 2))
-    combined = pass_combine_pst(walk, 0, 2)
-    assert combined.steps == (TimedGraph(all_loops_graph(4), angle(1)),)
-    assert_same_program(walk, combined, tol=1e-12)
+    combined = ro._fold(4, walk.steps)
+    assert combined == (TimedGraph(all_loops_graph(4), angle(1)),)
+    assert_same_program(walk, walk.replaced(0, 2, combined), tol=1e-12)
 
 
 def test_combine_pst_fuses_masks():
     walk = walk_of(match(4, 1, 1, 2), match(4, 2, 1, 2))
-    combined = pass_combine_pst(walk, 0, 2)
-    assert combined.steps == (
+    combined = ro._fold(4, walk.steps)
+    assert combined == (
         match(4, 3, 1, 2),
         TimedGraph(all_loops_graph(4), angle(1, 2)),
     )
-    assert_same_program(walk, combined, tol=1e-12)
+    assert_same_program(walk, walk.replaced(0, 2, combined), tol=1e-12)
 
 
 def test_combine_pst_collapses_two_gate_run():
@@ -162,24 +162,27 @@ def test_combine_pst_collapses_two_gate_run():
         match(4, 1, 1, 2),
         TimedGraph(all_loops_graph(4), angle(3, 2)),
     )
-    combined = pass_combine_pst(walk, 0, 4)
-    assert combined.steps == (
+    combined = ro._fold(4, walk.steps)
+    assert combined == (
         match(4, 3, 1, 2),
         TimedGraph(all_loops_graph(4), angle(3, 2)),
     )
-    assert_same_program(walk, combined, tol=1e-12)
+    assert_same_program(walk, walk.replaced(0, 4, combined), tol=1e-12)
+    assert list(ro._combine_pst_sites(walk, 0)) == [(0, 4, combined, "")]
 
 
 def test_combine_pst_rejects_unclassifiable_step():
     walk = walk_of(match(4, 1, 1, 2), match(4, 2, 1, 4))
-    with pytest.raises(RuleNotApplicable, match="not a phased permutation"):
-        pass_combine_pst(walk, 0, 2)
+    assert ro._fold(4, walk.steps) == "step is not a phased permutation"
 
 
 def test_combine_pst_rejects_short_span():
+    # the site generators offer runs of two or more steps only
     walk = walk_of(match(4, 1, 1, 2), match(4, 2, 1, 2))
-    with pytest.raises(RuleNotApplicable, match="need at least two steps"):
-        pass_combine_pst(walk, 0, 1)
+    assert list(ro._combine_pst_sites(walk, 1)) == []
+    assert list(ro._fold_sites(walk, 1)) == []
+    assert [site[:2] for site in ro._combine_pst_sites(walk, 0)] == [(0, 2)]
+    assert [site[:2] for site in ro._fold_sites(walk, 0)] == [(0, 2)]
 
 
 def test_combine_pst_folds_matching_into_partial_matching():
@@ -189,12 +192,12 @@ def test_combine_pst_folds_matching_into_partial_matching():
         match(8, 2, 1, 2),
         TimedGraph(Graph.make(8, edges=[(4, 6), (5, 7)]), angle(1, 2)),
     )
-    folded = pass_combine_pst(walk, 0, 2)
-    assert folded.steps == (
+    folded = ro._fold(8, walk.steps)
+    assert folded == (
         TimedGraph(Graph.make(8, edges=[(0, 2), (1, 3)]), angle(1, 2)),
         loops(8, [4, 5, 6, 7], 1),
     )
-    assert_same_program(walk, folded, tol=1e-12)
+    assert_same_program(walk, walk.replaced(0, 2, folded), tol=1e-12)
 
 
 def test_combine_pst_folds_a_run_once_for_every_walk_that_holds_it(monkeypatch):
@@ -209,7 +212,9 @@ def test_combine_pst_folds_a_run_once_for_every_walk_that_holds_it(monkeypatch):
     ro._fold.cache_clear()
     walk = walk_of(match(4, 1, 1, 2), match(4, 2, 1, 2), loops(4, [0], 1, 2))
     other = walk.replaced(2, 3, [loops(4, [1], 1, 4)])
-    assert pass_combine_pst(walk, 0, 2).steps[:-1] == pass_combine_pst(other, 0, 2).steps[:-1]
+    sites = list(ro._combine_pst_sites(walk, 0))
+    assert [site[:2] for site in sites] == [(0, 2)]
+    assert list(ro._combine_pst_sites(other, 0)) == sites
     assert len(scheduled) == 1
 
 
@@ -218,8 +223,7 @@ def test_combine_pst_rejects_three_cycle():
         TimedGraph(Graph.make(4, edges=[(0, 1)]), angle(1, 2)),
         TimedGraph(Graph.make(4, edges=[(1, 2)]), angle(1, 2)),
     )
-    with pytest.raises(RuleNotApplicable, match="not an involution"):
-        pass_combine_pst(walk, 0, 2)
+    assert ro._fold(4, walk.steps) == "the run's permutation is not an involution"
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -241,28 +245,26 @@ def test_combine_pst_fold_keeps_the_exact_unitary(seed):
     walk = DynamicGraph(n, tuple(steps))
     product = total_unitary(walk)
     perm = np.abs(product).argmax(axis=0)
+    folded = ro._fold(n, walk.steps)
     if not np.array_equal(perm[perm], np.arange(n)):
-        with pytest.raises(RuleNotApplicable):
-            pass_combine_pst(walk, 0, len(steps))
+        assert isinstance(folded, str)
         return
-    folded = pass_combine_pst(walk, 0, len(steps))
-    assert np.abs(total_unitary(folded) - product).max() < 1e-9
+    assert np.abs(total_unitary(walk.replaced(0, len(steps), folded)) - product).max() < 1e-9
 
 
-# -- pass_merge_complementary ---------------------------------------------------
+# -- MERGE_COMPLEMENTARY ------------------------------------------------------------
 
 
 def test_merge_complementary_overlaps_disjoint_steps():
     walk = walk_of(loops(3, [0], 1, 2), loops(3, [1], 3, 2))
-    merged = pass_merge_complementary(walk, 0)
-    assert merged.steps == (loops(3, [0, 1], 1, 2), loops(3, [1], 1))
-    assert_same_program(walk, merged, tol=1e-12)
+    merged = ro._merge_complementary(*walk.steps)
+    assert merged == (loops(3, [0, 1], 1, 2), loops(3, [1], 1))
+    assert_same_program(walk, walk.replaced(0, 2, merged), tol=1e-12)
 
 
 def test_merge_complementary_longer_first_step():
     walk = walk_of(loops(3, [0], 3, 2), loops(3, [1], 1, 2))
-    merged = pass_merge_complementary(walk, 0)
-    assert merged.steps == (loops(3, [0, 1], 1, 2), loops(3, [0], 1))
+    assert ro._merge_complementary(*walk.steps) == (loops(3, [0, 1], 1, 2), loops(3, [0], 1))
 
 
 def test_merge_complementary_equal_durations_fuse_fully():
@@ -270,11 +272,10 @@ def test_merge_complementary_equal_durations_fuse_fully():
         TimedGraph(Graph.make(4, edges=[(0, 1)]), angle(1, 2)),
         TimedGraph(Graph.make(4, edges=[(2, 3)]), angle(1, 2)),
     )
-    merged = pass_merge_complementary(walk, 0)
-    assert merged.steps == (
-        TimedGraph(Graph.make(4, edges=[(0, 1), (2, 3)]), angle(1, 2)),
-    )
-    assert_same_program(walk, merged, tol=1e-12)
+    merged = ro._merge_complementary(*walk.steps)
+    assert merged == (TimedGraph(Graph.make(4, edges=[(0, 1), (2, 3)]), angle(1, 2)),)
+    assert_same_program(walk, walk.replaced(0, 2, merged), tol=1e-12)
+    assert list(ro._merge_complementary_sites(walk, 0)) == [(0, 2, merged, "")]
 
 
 def test_merge_complementary_rejects_norm_mismatch():
@@ -282,28 +283,36 @@ def test_merge_complementary_rejects_norm_mismatch():
         loops(4, [0], 1, 2),
         TimedGraph(Graph.make(4, edges=[(1, 2), (2, 3)]), angle(1, 2)),
     )
-    with pytest.raises(RuleNotApplicable):
-        pass_merge_complementary(walk, 0)
+    assert ro._merge_complementary(*walk.steps) == "spectral norms differ"
 
 
 def test_merge_complementary_rejects_overlap():
     walk = walk_of(loops(2, [0], 1, 2), loops(2, [0, 1], 1, 2))
-    with pytest.raises(RuleNotApplicable):
-        pass_merge_complementary(walk, 0)
+    assert ro._merge_complementary(*walk.steps) == "supports overlap"
 
 
 def test_merge_complementary_rejects_empty_step():
     walk = walk_of(loops(2, [0], 1, 2), TimedGraph(Graph.make(2), angle(1, 2)))
-    with pytest.raises(RuleNotApplicable):
-        pass_merge_complementary(walk, 0)
+    assert ro._merge_complementary(*walk.steps) == "empty step"
+    assert list(ro._merge_complementary_sites(walk, 0)) == []
 
 
-# -- pass_move_singleton ---------------------------------------------------------
+# -- MOVE_SINGLETON: the two singleton verdicts and the moves they build --------------
+
+
+def singleton_move(walk, source, vertex, target):
+    """The walk after the move of the vertex's phase from source to target, or None."""
+    wanted = f"{vertex} {target}"
+    for start, stop, replacement, note in ro._singleton_moves(walk, source, "{vertex} {target}"):
+        if note == wanted:
+            return walk.replaced(start, stop, replacement)
+    return None
 
 
 def test_move_singleton_into_loop_step_cancels():
     walk = walk_of(loops(2, [0], 1, 2), loops(2, [0, 1], 3, 2))
-    moved = pass_move_singleton(walk, 0, 0, 1)
+    assert ro._singleton_source(walk.steps[0], 0) == (angle(1, 2), ())
+    moved = singleton_move(walk, 0, 0, 1)
     assert moved.steps == (loops(2, [1], 3, 2),)
     assert_same_program(walk, moved, tol=1e-12)
 
@@ -313,7 +322,7 @@ def test_move_singleton_joins_edge_step_with_residue():
         loops(3, [0], 1),
         TimedGraph(Graph.make(3, edges=[(1, 2)]), angle(1, 2)),
     )
-    moved = pass_move_singleton(walk, 0, 0, 1)
+    moved = singleton_move(walk, 0, 0, 1)
     assert moved.steps == (
         TimedGraph(Graph.make(3, edges=[(1, 2)], loops=[0]), angle(1, 2)),
         loops(3, [0], 1, 2),
@@ -327,8 +336,9 @@ def test_move_singleton_respects_corridor():
         TimedGraph(Graph.make(3, edges=[(0, 1)]), angle(1, 2)),
         loops(3, [0, 2], 1),
     )
-    with pytest.raises(RuleNotApplicable):
-        pass_move_singleton(walk, 0, 0, 2)
+    # the target alone would take the phase; the step between blocks it
+    assert not isinstance(ro._singleton_landing(walk.steps[2], 0, angle(1, 2)), str)
+    assert singleton_move(walk, 0, 0, 2) is None
 
 
 def test_move_singleton_rejects_attached_vertex():
@@ -336,20 +346,19 @@ def test_move_singleton_rejects_attached_vertex():
         TimedGraph(Graph.make(3, edges=[(0, 1)], loops=[0]), angle(1, 2)),
         loops(3, [0], 1),
     )
-    with pytest.raises(RuleNotApplicable):
-        pass_move_singleton(walk, 0, 0, 1)
+    assert ro._singleton_source(walk.steps[0], 0) == "vertex is not a looped singleton in the source"
+    assert singleton_move(walk, 0, 0, 1) is None
 
 
 def test_move_singleton_rejects_unlooped_vertex():
     walk = walk_of(match(4, 1, 1, 2), loops(4, [0], 1))
-    with pytest.raises(RuleNotApplicable):
-        pass_move_singleton(walk, 0, 0, 1)
+    assert ro._singleton_source(walk.steps[0], 0) == "vertex is not a looped singleton in the source"
+    assert singleton_move(walk, 0, 0, 1) is None
 
 
 def test_move_singleton_rejects_same_source_and_target():
     walk = walk_of(loops(2, [0], 1, 2), loops(2, [1], 1))
-    with pytest.raises(RuleNotApplicable):
-        pass_move_singleton(walk, 0, 0, 0)
+    assert singleton_move(walk, 0, 0, 0) is None
 
 
 def test_move_singleton_rejects_short_phase():
@@ -357,8 +366,9 @@ def test_move_singleton_rejects_short_phase():
         loops(3, [0], 1, 4),
         TimedGraph(Graph.make(3, edges=[(1, 2)]), angle(1, 2)),
     )
-    with pytest.raises(RuleNotApplicable):
-        pass_move_singleton(walk, 0, 0, 1)
+    landed = ro._singleton_landing(walk.steps[1], 0, angle(1, 4))
+    assert landed == "singleton phase is shorter than the target"
+    assert singleton_move(walk, 0, 0, 1) is None
 
 
 def test_move_singleton_rejects_an_irrational_source_norm():
@@ -367,8 +377,8 @@ def test_move_singleton_rejects_an_irrational_source_norm():
         TimedGraph(Graph.make(4, edges=[(0, 1), (1, 2)], loops=[3]), angle(1, 2)),
         loops(4, [3], 1),
     )
-    with pytest.raises(RuleNotApplicable, match="source norm is not a small rational"):
-        pass_move_singleton(walk, 0, 3, 1)
+    assert ro._singleton_source(walk.steps[0], 3) == "source norm is not a small rational"
+    assert singleton_move(walk, 0, 3, 1) is None
 
 
 def test_move_singleton_rejects_mixed_target_with_loop():
@@ -376,11 +386,18 @@ def test_move_singleton_rejects_mixed_target_with_loop():
         loops(3, [0], 1, 2),
         TimedGraph(Graph.make(3, edges=[(1, 2)], loops=[0]), angle(1, 2)),
     )
-    with pytest.raises(RuleNotApplicable):
-        pass_move_singleton(walk, 0, 0, 1)
+    landed = ro._singleton_landing(walk.steps[1], 0, angle(1, 2))
+    assert landed == "target loops the vertex but is not loops-only"
+    assert singleton_move(walk, 0, 0, 1) is None
 
 
-# -- pass_hypercube_hadamard ------------------------------------------------------
+# -- HYPERCUBE_HADAMARD ---------------------------------------------------------------
+
+
+def hadamard_layer_of(walk, start, stop):
+    """The Hadamard-layer verdict on steps[start:stop], given their product."""
+    span = walk.steps[start:stop]
+    return ro._hypercube_hadamard(span, ro._product(walk.n_vertices, span))
 
 
 def single_qubit_h_fixture():
@@ -390,7 +407,7 @@ def single_qubit_h_fixture():
 def test_hypercube_hadamard_replaces_single_qubit_fragment():
     walk = single_qubit_h_fixture()
     assert walk.total_time() == angle(13, 4)
-    replaced = pass_hypercube_hadamard(walk, 0, 3)
+    replaced = walk.replaced(0, 3, hadamard_layer_of(walk, 0, 3))
     layer = compile_hadamard_layer([0], 1)
     assert replaced.steps == layer.steps
     assert replaced.total_time() == angle(5, 4)
@@ -407,31 +424,31 @@ def test_hypercube_hadamard_fuses_two_sequential_fixtures():
         loops(4, [1, 3], 3, 2),
     )
     assert walk.total_time() == angle(13, 2)
-    replaced = pass_hypercube_hadamard(walk, 0, 6)
+    replaced = walk.replaced(0, 6, hadamard_layer_of(walk, 0, 6))
     layer = compile_hadamard_layer([0, 1], 2)
     assert replaced.steps == layer.steps
     assert replaced.graph_count == 5
     assert replaced.total_time() == angle(5, 2)
     assert_same_program(walk, replaced)
+    assert list(ro._hypercube_sites(walk, 0)) == [(0, 6, layer.steps, "")]
 
 
 def test_hypercube_hadamard_rejects_non_hadamard():
+    # X costs less than the layer, which is checked before the dense comparison
     walk = walk_of(match(2, 1, 1, 2))
-    with pytest.raises(RuleNotApplicable):
-        pass_hypercube_hadamard(walk, 0, 1)
+    assert hadamard_layer_of(walk, 0, 1) == "layer replacement is not strictly cheaper"
 
 
 def test_hypercube_hadamard_rejects_when_not_cheaper():
     layer = compile_hadamard_layer([0], 1)
-    with pytest.raises(RuleNotApplicable):
-        pass_hypercube_hadamard(layer, 0, 3)
+    assert hadamard_layer_of(layer, 0, 3) == "layer replacement is not strictly cheaper"
 
 
 def test_hypercube_hadamard_reads_a_non_contiguous_subset():
     first = compile_gate(Gate("H", target=0), 3)
     second = compile_gate(Gate("H", target=2), 3)
     walk = DynamicGraph(8, first.steps + second.steps)
-    replaced = pass_hypercube_hadamard(walk, 0, walk.graph_count)
+    replaced = walk.replaced(0, walk.graph_count, hadamard_layer_of(walk, 0, walk.graph_count))
     assert replaced.steps == compile_hadamard_layer([0, 2], 3).steps
     assert_same_program(walk, replaced)
 
@@ -441,33 +458,44 @@ def test_hypercube_hadamard_rejects_right_support_with_wrong_phases():
     walk = DynamicGraph(
         8, compile_hadamard_layer([0, 2], 3).steps + compile_gate(Gate("Z", target=2), 3).steps
     )
-    with pytest.raises(RuleNotApplicable):
-        pass_hypercube_hadamard(walk, 0, walk.graph_count)
+    assert hadamard_layer_of(walk, 0, walk.graph_count) == "fragment is not a Hadamard layer"
 
 
 def test_hypercube_hadamard_rejects_bad_span_and_size():
     walk = single_qubit_h_fixture()
-    with pytest.raises(RuleNotApplicable):
-        pass_hypercube_hadamard(walk, 2, 2)
+    assert hadamard_layer_of(walk, 2, 2) == "fragment is not a Hadamard layer"
     odd = walk_of(loops(3, [0], 1, 2))
-    with pytest.raises(RuleNotApplicable):
-        pass_hypercube_hadamard(odd, 0, 1)
+    assert list(ro._hypercube_sites(odd, 0)) == []
 
 
 # -- rule sites against brute-force enumeration ------------------------------------
 
 
 def brute_force_singleton_moves(walk, source, note):
-    """Every (vertex, target) pair offered to pass_move_singleton."""
+    """Every (vertex, target) move the two singleton verdicts allow.
+
+    The vertex must stay edge-free in every step strictly between source
+    and target; this is checked step by step, for every target of the walk.
+    """
+    steps = walk.steps
     sites = []
     for vertex in range(walk.n_vertices):
+        moved = ro._singleton_source(steps[source], vertex)
+        if isinstance(moved, str):
+            continue
+        tau, left = moved
         for target in range(walk.graph_count):
-            if target == source:
-                continue
             lo, hi = sorted((source, target))
-            text = note.format(vertex=vertex, source=source, target=target)
-            args = (source, vertex, target)
-            sites.extend(ro._site(walk, lo, hi + 1, pass_move_singleton, *args, note=text))
+            if target == source or not all(steps[k].graph.degree_free(vertex) for k in range(lo + 1, hi)):
+                continue
+            landed = ro._singleton_landing(steps[target], vertex, tau)
+            if isinstance(landed, str):
+                continue
+            if source < target:
+                replacement = left + steps[source + 1 : target] + landed
+            else:
+                replacement = landed + steps[target + 1 : source] + left
+            sites.append((lo, hi + 1, replacement, note.format(vertex=vertex, source=source, target=target)))
     return sites
 
 
@@ -558,18 +586,20 @@ def test_cached_permutation_rebuilds_loops_only_steps(seed):
 
 
 def per_stop_hypercube_sites(walk, index, window=None):
-    """The longest span from the index that pass_hypercube_hadamard accepts.
+    """The longest span from the index that the Hadamard-layer verdict accepts.
 
-    With a window [a, b), only spans that hold part of it but not all of it.
+    Each span's product is built on its own. With a window [a, b), only
+    spans that hold part of it but not all of it.
     """
     for stop in range(walk.graph_count, index, -1):
         if window is not None:
             a, b = window
             if stop <= a or index >= b or (index <= a and stop >= b):
                 continue
-        sites = list(ro._site(walk, index, stop, pass_hypercube_hadamard, index, stop))
-        if sites:
-            return sites
+        span = walk.steps[index:stop]
+        layer = ro._hypercube_hadamard(span, ro._product(walk.n_vertices, span))
+        if not isinstance(layer, str):
+            return [(index, stop, layer, "")]
     return []
 
 
@@ -743,7 +773,7 @@ def test_windowed_follow_up_scan_matches_the_full_scan():
 def test_windowed_follow_up_scan_matches_the_full_scan_while_rewrites_are_skipped(monkeypatch):
     """The first three improving rewrites that are not Hadamard layers fail.
 
-    A Hadamard layer never fails: its pass makes the comparison the
+    A Hadamard layer never fails: its verdict makes the comparison the
     verification makes (see test_hadamard_layer_sites_pass_their_verification).
     """
     real = ro._span_verified
@@ -1021,7 +1051,7 @@ def test_optimize_iteration_cap():
     assert len(report.rewrites) == 1
 
 
-def test_optimize_iteration_cap_counts_only_accepted_rewrites(monkeypatch):
+def test_optimize_iteration_cap_counts_rejected_rewrites(monkeypatch):
     walk = walk_of(*(loops(2, [0], 1, 2) for _ in range(4)))
     real = ro._span_verified
     checks = []
@@ -1033,10 +1063,38 @@ def test_optimize_iteration_cap_counts_only_accepted_rewrites(monkeypatch):
     monkeypatch.setattr(ro, "_span_verified", fails_once)
     final, report = optimize(walk, max_iterations=1)
     assert len(report.rejected) == 1
+    assert report.rewrites == ()
+    assert final == walk
+    assert report.stop_reason == "rejection cap"
+    checks.clear()
+    final, report = optimize(walk, max_iterations=2)
+    assert len(report.rejected) == 1
     assert len(report.rewrites) == 1
     assert final.graph_count < walk.graph_count
     assert report.stop_reason == "iteration cap"
     assert_same_program(walk, final)
+
+
+def test_optimize_charges_every_rejected_rewrite_against_the_cap(monkeypatch):
+    """With every improving rewrite but a Hadamard layer failing, one try is all a cap of 1 allows."""
+    walk = walk_of(*(loops(2, [0], 1, 2) for _ in range(4)))
+    real = ro._span_verified
+
+    def fails_improving(program, rewrite):
+        record = rewrite[0]
+        improving = (record.time_saved, record.graphs_removed) > (0, 0)
+        return not (improving and record.rule != RULE_HYPERCUBE_HADAMARD) and real(program, rewrite)
+
+    monkeypatch.setattr(ro, "_span_verified", fails_improving)
+    final, report = optimize(walk, max_iterations=1)
+    assert len(report.rejected) == 1
+    assert report.stop_reason == "rejection cap"
+    assert final == walk
+    # uncapped, the loop tries until every failing rewrite is skipped
+    final, report = optimize(walk)
+    assert len(report.rejected) > 1
+    assert report.stop_reason == "fixpoint"
+    assert final == walk
 
 
 def test_optimize_rolls_back_failed_verification(monkeypatch):
@@ -1188,13 +1246,13 @@ HYPERCUBE_CALL_CEILING = 1300
 
 def test_optimize_recovered_program_stays_under_the_hypercube_call_ceiling(monkeypatch):
     calls = []
-    real = ro.pass_hypercube_hadamard
+    real = ro._hypercube_hadamard
 
-    def counted(*args):
-        calls.append(args[1:3])
-        return real(*args)
+    def counted(span, fragment):
+        calls.append(span)
+        return real(span, fragment)
 
-    monkeypatch.setattr(ro, "pass_hypercube_hadamard", counted)
+    monkeypatch.setattr(ro, "_hypercube_hadamard", counted)
     optimize(catalog.reconstruct(tf.LONG_TRACE).program())
     assert 0 < len(calls) <= HYPERCUBE_CALL_CEILING
 
