@@ -6,7 +6,8 @@ Subcommands:
   print the final amplitudes.
 * ``unitary``: print (or dump to CSV) the walk's total unitary.
 * ``optimize``: simplify a walk file under the rewrite rules and write the
-  result, optionally with a JSON report of every accepted rewrite.
+  result, optionally with a JSON report of every accepted rewrite; like
+  ``compile`` it writes no result that fails the check against its input.
 * ``compile``: turn a circuit file into a walk file, verifying the result
   against the circuit's reference unitary before writing.
 * ``equiv``: compare two walk files up to global phase.
@@ -98,6 +99,10 @@ def _basis_label(index: int, n_vertices: int) -> str:
     return str(index)
 
 
+def _is_finite_number(x: object) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
+
+
 def _initial_state(text: str, n_vertices: int) -> np.ndarray:
     """Decode --state: a bitstring label, an integer index, or a JSON file."""
     state = np.zeros(n_vertices, dtype=np.complex128)
@@ -120,12 +125,14 @@ def _initial_state(text: str, n_vertices: int) -> np.ndarray:
         if not isinstance(data, list) or len(data) != n_vertices:
             raise CliInputError(f"{label}: expected a list of {n_vertices} [re, im] pairs")
         for k, pair in enumerate(data):
+            # json reads NaN, Infinity and 1e400 as floats; an int past the
+            # float range cannot become an amplitude either
             if (
                 not isinstance(pair, list)
                 or len(pair) != 2
-                or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)
+                or not all(_is_finite_number(x) for x in pair)
             ):
-                raise CliInputError(f"{label}: entry {k} is not an [re, im] pair")
+                raise CliInputError(f"{label}: entry {k} is not an [re, im] pair of finite numbers")
             state[k] = complex(pair[0], pair[1])
         return state
     raise CliInputError(f"--state {text!r} is neither a basis label nor a readable file")
@@ -185,11 +192,14 @@ def cmd_optimize(args: argparse.Namespace) -> CommandResult:
     passes = _parse_passes(args.passes)
     simplified, report = optimize(walk, passes=passes, max_iterations=args.max_iter)
     distance = report.phase_distance
-    _write_text(args.output, (serialize_dynamic_graph(simplified),))
+    # like compile, write no output that fails the output-against-input check
+    written = distance < VERIFY_TOLERANCE
+    if written:
+        _write_text(args.output, (serialize_dynamic_graph(simplified),))
     if args.report:
         payload = report.to_dict()
         payload["input"] = args.walk
-        payload["output"] = args.output
+        payload["output"] = args.output if written else None
         payload["phase_distance"] = distance
         _write_text(args.report, (json.dumps(payload, indent=2) + "\n",))
     lines = [
@@ -198,13 +208,12 @@ def cmd_optimize(args: argparse.Namespace) -> CommandResult:
         f" ({radians(report.initial_time):.4f} -> {radians(report.final_time):.4f})",
         f"rewrites applied: {len(report.rewrites)}",
         f"phase distance to input: {distance:.3e}",
-        f"wrote {args.output}",
+        *([f"wrote {args.output}"] if written else []),
         f"stop reason: {report.stop_reason}",
     ]
     if not report.verified:
-        for item in report.rejected:
-            lines.append(f"rejected: {item}")
-        lines.append("verification FAILED")
+        lines.extend(f"rejected: {item}" for item in report.rejected)
+        lines.append("verification FAILED" if written else "verification FAILED, not writing output")
         return CommandResult(1, tuple(lines))
     return CommandResult(0, tuple(lines))
 

@@ -36,13 +36,18 @@ the steps that would replace it and a note for the report. Only the
 driver prices a site, from the span alone, records it and splices it in.
 Cost is lexicographic (total time, then graph count) and every accepted
 step strictly decreases it, so the driver terminates.
-When no rule fires, the driver scans the last-resort rows (the wider
-COMBINE_PST fold), and when those find nothing either it spends a bounded
-search on cost-neutral enabling moves (commuting swaps of adjacent
-blocks, singleton moves, or neutral phased bit-flip folds) that let a
-strictly improving rewrite land immediately after. The fold waits so that
-it never preempts the regular rules, the loop staircase among them: its
-spans start early and reach far, and the scan takes the leftmost position.
+When no rule fires, the driver scans the last-resort rows (the
+per-vertex singleton moves, then the wider COMBINE_PST fold), and when
+those find nothing either it spends a bounded search on cost-neutral
+enabling moves (commuting swaps of adjacent blocks, singleton moves, or
+neutral phased bit-flip folds) that let a strictly improving rewrite of
+the regular rows land immediately after. The fold waits so that it never
+preempts the regular rules, the loop staircase among them: its spans
+start early and reach far, and the scan takes the leftmost position. The
+singleton moves wait too: they are the only sites whose verdict reads
+steps away from their position, as a move reads every step up to its
+target. Every regular site is span-local, a verdict on a contiguous run
+of steps from its own position.
 
 A rewrite that fails verification is skipped from then on, on every walk,
 by what the verification reads: the steps of its span and their
@@ -53,13 +58,12 @@ count and unitary (up to phase). So after a move on the window
 improving or lost their skip, and the follow-up scan offers only those:
 every site inside the window, the merges at start - 1, the
 phased-permutation and loops-only runs that reach start (a run's verdict
-reads the step that ends it), the singleton moves whose stretch from
-source to target crosses the window (the steps between keep the target
-inside the corridor), and the Hadamard-layer fragments that hold part of
-the window but not all of it. The leftmost best of those is the site the
-full scan would take, whatever the skip set. A move that leaves its span
-as it was is never tried. A site is priced in one integer sum over the
-durations of the span and of its replacement.
+reads the step that ends it), and the Hadamard-layer fragments that hold
+part of the window but not all of it. The leftmost best of those is the
+site the full scan of the regular rows would take, whatever the skip
+set. A move that leaves its span as it was is never tried. A site is
+priced in one integer sum over the durations of the span and of its
+replacement.
 
 The rescanned walks differ from the current one only where a neutral
 move changed them, so the rules keep their step-local verdicts in
@@ -452,7 +456,7 @@ def _singleton_landing(step: TimedGraph, vertex: int, tau: Fraction) -> StepsVer
 def _corridor(steps: Tuple[TimedGraph, ...], source: int, vertex: int) -> Tuple[int, int]:
     """First and last step that a singleton move of the vertex can reach.
 
-    Outward from the source on each side, the window ends at, and includes,
+    Outward from the source on each side, the corridor ends at, and includes,
     the first step that attaches an edge to the vertex. The vertex stays
     edge-free in every step strictly between source and target (loops
     there are fine: diagonals commute).
@@ -567,10 +571,11 @@ def _normalize(walk: DynamicGraph) -> Tuple[DynamicGraph, List[RewriteStep]]:
 # A site: the span [start, stop) a rule would rewrite, the steps that would
 # replace it, and a note for the report.
 Site = Tuple[int, int, Tuple[TimedGraph, ...], str]
-# The steps [start, stop) a cost-neutral move rewrote. Given one, a rule
-# offers only the sites whose verdict reads those steps (see _scan).
+# The steps [start, stop) a cost-neutral move rewrote. Given one, a regular
+# row offers only the sites whose verdict reads those steps (see _scan); the
+# last-resort rows take no window, as no windowed scan reads them.
 Window = Optional[Tuple[int, int]]
-PositionSites = Callable[[DynamicGraph, int, Window], Iterator[Site]]
+PositionSites = Callable[..., Iterator[Site]]
 WalkSites = Callable[[DynamicGraph], Iterator[Site]]
 # A priced site: its record and its replacement steps.
 Rewrite = Tuple[RewriteStep, Tuple[TimedGraph, ...]]
@@ -621,11 +626,9 @@ def _combine_pst_sites(walk: DynamicGraph, index: int, window: Window = None) ->
         yield from _offer(index, stop, _fold(n, walk.steps[index:stop]))
 
 
-def _fold_sites(walk: DynamicGraph, index: int, window: Window = None) -> Iterator[Site]:
+def _fold_sites(walk: DynamicGraph, index: int) -> Iterator[Site]:
     """Every run of two or more phased permutations from the index."""
     end = _run_end(walk, index, bitflips=False)
-    if not _reads(index, end + 1, window):
-        return
     for stop in range(index + 2, end + 1):
         yield from _offer(index, stop, _fold(walk.n_vertices, walk.steps[index:stop]), "fold")
 
@@ -656,14 +659,15 @@ def _staircase_sites(walk: DynamicGraph, start: int, window: Window = None) -> I
         yield start, stop, stair, f"staircase over {width} vertices"
 
 
-def _singleton_moves(walk: DynamicGraph, source: int, note: str, window: Window = None) -> Iterator[Site]:
+def _singleton_moves(walk: DynamicGraph, source: int, note: str) -> Iterator[Site]:
     """Every elementary singleton move out of the source step.
 
     Each site comes straight from the two cached verdicts: what a looped
     singleton carries out of the source, and what each target of its
-    corridor becomes once it absorbs that phase. A move reads the
-    steps from the source to the target: the two it rewrites and the ones
-    between, which keep the target inside the corridor. ``note`` is
+    corridor becomes once it absorbs that phase. A move reads the steps
+    from the source to the target, which may lie on either side, so its
+    site is not span-local: the scan offers these moves only as a last
+    resort, and no windowed follow-up scan reads them. ``note`` is
     formatted with the vertex, source and target of the move.
     """
     steps = walk.steps
@@ -673,9 +677,7 @@ def _singleton_moves(walk: DynamicGraph, source: int, note: str, window: Window 
             continue
         tau, left = moved
         first, last = _corridor(steps, source, vertex)
-        for target in range(first, last + 1):
-            if target == source or not _reads(min(source, target), max(source, target) + 1, window):
-                continue
+        for target in (*range(first, source), *range(source + 1, last + 1)):
             landed = _singleton_landing(steps[target], vertex, tau)
             if isinstance(landed, str):
                 continue
@@ -683,8 +685,8 @@ def _singleton_moves(walk: DynamicGraph, source: int, note: str, window: Window 
             yield (*_splice(steps, source, target, left, landed), text)
 
 
-def _singleton_sites(walk: DynamicGraph, source: int, window: Window = None) -> Iterator[Site]:
-    return _singleton_moves(walk, source, "vertex {vertex}: step {source} -> step {target}", window)
+def _singleton_sites(walk: DynamicGraph, source: int) -> Iterator[Site]:
+    return _singleton_moves(walk, source, "vertex {vertex}: step {source} -> step {target}")
 
 
 def _hypercube_sites(walk: DynamicGraph, index: int, window: Window = None) -> Iterator[Site]:
@@ -750,7 +752,9 @@ def _enabling_singleton_sites(walk: DynamicGraph) -> Iterator[Site]:
 # The rule table, in the order the driver tries the rules: each row holds
 # the rule, its sites at one position for the improving scan, its sites
 # over the whole walk for the enabling search, and whether the scan offers
-# the row only as a last resort, after the other rows found nothing.
+# the row only as a last resort, after the other rows found nothing. The
+# last-resort rows are the ones whose sites are not span-local (see the
+# module docstring).
 # MERGE_COMPLEMENTARY has no enabling sites: a merge saves the shorter of
 # two durations, and a normalized walk has no zero duration.
 _RULE_TABLE: Tuple[Tuple[str, Optional[PositionSites], Optional[WalkSites], bool], ...] = (
@@ -759,7 +763,7 @@ _RULE_TABLE: Tuple[Tuple[str, Optional[PositionSites], Optional[WalkSites], bool
     (RULE_COMBINE_PST, _combine_pst_sites, _everywhere(_combine_pst_sites), False),
     (RULE_MERGE_COMPLEMENTARY, _merge_complementary_sites, None, False),
     (RULE_MOVE_SINGLETON, _staircase_sites, None, False),
-    (RULE_MOVE_SINGLETON, _singleton_sites, _enabling_singleton_sites, False),
+    (RULE_MOVE_SINGLETON, _singleton_sites, _enabling_singleton_sites, True),
     (RULE_HYPERCUBE_HADAMARD, _hypercube_sites, None, False),
     (RULE_COMBINE_PST, _fold_sites, None, True),
 )
@@ -787,17 +791,19 @@ def _scan(walk: DynamicGraph, rows: Rows, skip: Set[Key], window: Window = None)
 
     A window [start, stop) says that the walk is one cost-neutral,
     unitary-keeping rewrite of those steps away from a walk whose improving
-    sites were all skipped. A site whose verdict reads none of the window
-    keeps that verdict and its span's steps, so its skip; a Hadamard-layer
-    fragment that holds the window keeps its verdict and is never skipped
-    (see _hypercube_hadamard). So the rows offer only the sites that
-    read the window, and the first of those is the first improving rewrite
-    of the whole walk, whatever the skip set.
+    sites were all skipped; only the regular rows take one. A site whose
+    verdict reads none of the window keeps that verdict and its span's
+    steps, so its skip; a Hadamard-layer fragment that holds the window
+    keeps its verdict and is never skipped (see _hypercube_hadamard). So
+    the rows offer only the sites that read the window, and the first of
+    those is the first improving rewrite of the rows over the whole walk,
+    whatever the skip set.
     """
+    reach = () if window is None else (window,)
     for index in range(walk.graph_count):
         for rule, sites in rows:
             best: Optional[Tuple[tuple, Rewrite]] = None
-            for start, stop, replacement, note in sites(walk, index, window):
+            for start, stop, replacement, note in sites(walk, index, *reach):
                 saved, removed = _gain(walk, start, stop, replacement)
                 if (saved, removed) <= (0, 0) or (walk.steps[start:stop], replacement) in skip:
                     continue
@@ -817,8 +823,10 @@ def _find_enabling_pair(
 
     The driver searches only when every improving rewrite of the walk is
     skipped, so the follow-up scan after a move reads just the window the
-    move rewrote. A move that rewrites its span into the same steps leaves
-    the walk as it was, so it is passed over, as is a skipped move.
+    move rewrote. It reads only the regular rows, whose sites are all
+    span-local, so a move that would enable only a singleton move or a
+    fold is not taken. A move that rewrites its span into the same steps
+    leaves the walk as it was, so it is passed over, as is a skipped move.
     """
     for rule, sites in moves:
         for start, stop, replacement, note in sites(walk):
@@ -856,10 +864,10 @@ def optimize(
 
     Fixpoint loop: normalize durations, scan left to right for the first
     strictly (time, count)-decreasing rewrite; when none exists, scan again
-    for a strictly decreasing fold of a phased-permutation run (COMBINE_PST
-    beyond phase * X_mask runs), and when that fails too search for one
-    cost-neutral enabling move whose successor rewrite strictly improves,
-    committing the two together. Every accepted change is
+    for a strictly decreasing singleton move or fold of a phased-permutation
+    run (COMBINE_PST beyond phase * X_mask runs), and when that fails too
+    search for one cost-neutral enabling move whose successor rewrite
+    strictly improves, committing the two together. Every accepted change is
     checked on its span to VERIFY_TOLERANCE; a failed check rolls back, is
     recorded in the report, and the rewrite that failed (its span's steps
     and their replacement) is never tried again, on any walk.

@@ -125,6 +125,18 @@ def test_simulate_bad_amplitude_file(tmp_path, capsys):
     assert "expected a list of 2" in capsys.readouterr().err
 
 
+# json reads all of these; an int past the float range is no amplitude either
+@pytest.mark.parametrize(
+    "spelling", ["NaN", "Infinity", "1e400", "1" + "0" * 400], ids=["NaN", "Infinity", "1e400", "10**400"]
+)
+def test_simulate_refuses_non_finite_amplitudes(tmp_path, capsys, spelling):
+    walk_file = write_walk(tmp_path / "hold.json", identity_walk(2))
+    state_file = tmp_path / "state.json"
+    state_file.write_text(f"[[1, 0], [{spelling}, 0]]")
+    assert main(["simulate", walk_file, "--state", str(state_file)]) == 2
+    assert "entry 1 is not an [re, im] pair of finite numbers" in capsys.readouterr().err
+
+
 # -- unitary --------------------------------------------------------------------
 
 
@@ -296,6 +308,23 @@ def test_optimize_verification_failure_exits_1(tmp_path, capsys, monkeypatch):
     assert main(["optimize", walk_file, "-o", str(out_file)]) == 1
     out = capsys.readouterr().out
     assert "verification FAILED" in out
+
+
+def test_optimize_verification_failure_writes_no_output(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("dynwalk.rewrite_optimizer.phase_distance", lambda u, v: 1.0)
+    walk_file = write_walk(tmp_path / "in.json", double_flip_walk())
+    out_file = tmp_path / "out.json"
+    report_file = tmp_path / "report.json"
+    argv = ["optimize", walk_file, "-o", str(out_file), "--report", str(report_file)]
+    assert main(argv) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "verification FAILED, not writing output"
+    assert f"wrote {out_file}" not in lines
+    assert not out_file.exists()
+    report = json.loads(report_file.read_text())
+    assert report["verified"] is False
+    assert report["output"] is None
+    assert report["phase_distance"] == 1.0
 
 
 # -- compile --------------------------------------------------------------------

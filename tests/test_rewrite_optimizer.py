@@ -737,13 +737,25 @@ def random_rewrite(rng, walk, start, stop):
     return walk.replaced(start, stop, [make(rng, n) for _ in range(stop - start)])
 
 
+def test_regular_rows_offer_only_sites_that_start_at_their_position():
+    """The rows the follow-up scan reads are span-local; singleton moves are not."""
+    regular, last_resort, _ = ro._pick_rows(set(ALL_RULES))
+    assert [sites for _, sites in last_resort] == [ro._singleton_sites, ro._fold_sites]
+    for seed in range(40):
+        walk = search_input(seed)
+        for _, sites in regular:
+            for index in range(walk.graph_count):
+                assert all(site[0] == index for site in sites(walk, index)), (seed, sites, index)
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_sites_left_out_for_a_window_do_not_read_it(seed):
-    """A site a rule leaves out for a window is one it offered before the window changed."""
+    """A site a follow-up row leaves out for a window is one it offered before the window changed."""
     rng = random.Random(seed)
     walk = search_input(seed)
     count = walk.graph_count
-    rows = [sites for _, sites, _, _ in ro._RULE_TABLE if sites not in (None, ro._hypercube_sites)]
+    regular, _, _ = ro._pick_rows(set(ALL_RULES))
+    rows = [sites for _, sites in regular if sites is not ro._hypercube_sites]
     for _ in range(6):
         start = rng.randrange(count)
         window = (start, rng.randrange(start + 1, min(start + 3, count) + 1))
@@ -1218,10 +1230,11 @@ def test_optimize_keeps_the_short_and_recovered_program_results():
     )
 
 
-# 2,036 landing lookups with the corridor and the windowed follow-up scan
-# (4,228 when every follow-up scanned the whole walk); consulting the
-# landing verdict of every target of the walk took 40,834.
-SINGLETON_CALL_CEILING = 4650
+# 310 landing lookups: singleton moves wait for the last-resort scan, so no
+# follow-up scan prices them. 2,036 when the windowed follow-up scan did,
+# 4,228 when every follow-up scanned the whole walk, and 40,834 when each
+# move consulted the landing verdict of every target of the walk.
+SINGLETON_CALL_CEILING = 650
 
 
 def test_optimize_recovered_program_stays_under_the_singleton_call_ceiling(monkeypatch):
