@@ -73,22 +73,25 @@ looped singleton carries out of a step (``_singleton_source``, on the
 source step and the vertex), what a target step becomes when it absorbs
 that phase (``_singleton_landing``, on the target step, the vertex and
 the phase), the fold of a run of phased permutations (``_fold``, on the
-vertex count and the run's steps), and the unitary and
-phased-permutation form of each step. ``_cached_commute`` keeps the
-verdict of ``walk_engine.graphs_commute`` per graph pair for the block
-swaps. Only the Hadamard-layer verdict (``_hypercube_hadamard``) is not
-cached, as it reads the fragment's product; ``_hadamard_layer`` keeps
-the compiled layer, its cost and its read-only dense product per target
-set and qubit count. Apart from the step and layer unitaries the caches
-hold steps and small tuples, never span products. A singleton site is
-built straight from the two singleton verdicts, for the targets of the
-corridor only: outward from the source on each side, up to and including
-the first step that attaches an edge to the vertex, since that step
-blocks every target beyond it. The Hadamard-layer sites build the
-products of all fragments from one start in a single sweep and try them
-longest first, skipping fragments made only of phased permutations:
-their product is a phased permutation, never a Hadamard layer. The
-layer's cost is checked before the dense comparison.
+vertex count and the run's steps), and the phased-permutation form of
+each step. ``_cached_commute`` keeps the verdict of
+``walk_engine.graphs_commute`` per graph pair for the block swaps. Only
+the Hadamard-layer verdict (``_hypercube_hadamard``) is not cached, as
+it reads the fragment's product; ``_hadamard_layer`` keeps the compiled
+layer, its cost and its read-only dense product per target set and qubit
+count. Apart from those layer products the caches hold steps and small
+tuples, never a step's unitary or a span product. This module multiplies
+no step matrices: every product it reads comes from ``walk_engine``,
+which applies a step one connected component at a time. A singleton site
+is built straight from the two singleton verdicts, for the targets of
+the corridor only: outward from the source on each side, up to and
+including the first step that attaches an edge to the vertex, since that
+step blocks every target beyond it. The Hadamard-layer sites take the
+products of all fragments from one start from one
+``walk_engine.prefix_unitaries`` call and try them longest first,
+skipping fragments made only of phased permutations: their product is a
+phased permutation, never a Hadamard layer. The layer's cost is checked
+before the dense comparison.
 
 Every accepted rewrite is verified on its span alone. With Q the product
 of the steps before the span, P that of the steps after it, and S, S' the
@@ -124,7 +127,7 @@ from .graph_model import (
     supports_disjoint,
 )
 from .numerics import VERIFY_TOLERANCE, phase_distance
-from .walk_engine import graphs_commute, step_unitary, total_unitary
+from .walk_engine import graphs_commute, prefix_unitaries, step_unitary, total_unitary
 
 __all__ = [
     "RULE_SWAP_COMMUTING",
@@ -223,11 +226,6 @@ class OptimizationReport:
         }
 
 
-@lru_cache(maxsize=8192)
-def _cached_step_unitary(step: TimedGraph) -> np.ndarray:
-    return step_unitary(step)
-
-
 class PhasedPermutation(NamedTuple):
     """A step unitary with a single unit entry in each column.
 
@@ -257,7 +255,7 @@ def _cached_permutation(step: TimedGraph) -> Optional[PhasedPermutation]:
         phase = step.duration % 2
         diagonal = tuple(phase if v in step.graph.loops else Fraction(0) for v in range(n))
         return PhasedPermutation(tuple(range(n)), diagonal, len(set(diagonal)) == 1)
-    u = _cached_step_unitary(step)
+    u = step_unitary(step)
     rows = np.abs(u).argmax(axis=0)
     if len(set(rows.tolist())) != n:
         return None
@@ -283,14 +281,6 @@ def _cached_period(graph: Graph) -> Optional[Fraction]:
 @lru_cache(maxsize=8192)
 def _cached_commute(a: Graph, b: Graph) -> bool:
     return graphs_commute(a, b)
-
-
-def _product(n_vertices: int, steps: Iterable[TimedGraph]) -> np.ndarray:
-    """Unitary of a run of steps, later steps applied on the left."""
-    u = np.eye(n_vertices, dtype=np.complex128)
-    for step in steps:
-        u = _cached_step_unitary(step) @ u
-    return u
 
 
 def _span_time(steps: Sequence[TimedGraph], minus: Sequence[TimedGraph] = ()) -> Fraction:
@@ -493,7 +483,7 @@ def _hadamard_layer(
     The product is shared by every caller, so it is read-only.
     """
     steps = compile_hadamard_layer(targets, n_qubits).steps
-    unitary = _product(2**n_qubits, steps)
+    unitary = total_unitary(DynamicGraph(2**n_qubits, steps))
     unitary.flags.writeable = False
     return steps, (_span_time(steps), len(steps)), unitary
 
@@ -502,22 +492,23 @@ def _hypercube_hadamard(span: Tuple[TimedGraph, ...], fragment: np.ndarray) -> S
     """Replace a fragment equal (up to phase) to Hadamards on a bit subset.
 
     ``fragment`` is the product of the span's steps on 2^k vertices; the
-    driver builds every fragment from one start in a single sweep, so this
-    verdict is not cached. The subset is read off column 0 of the fragment.
-    Hadamards on k bits spread vertex 0 evenly over the 2^k vertices that
-    differ from it only in those bits, each with weight 2^-k >= 1/n, so the
-    bit mask is the OR of the indices weighing more than 1/(2n). One
-    phase-distance comparison against the product of that layer's compiled
-    steps then decides: layers on two different subsets have trace overlap
-    0, so no other subset could match. It is the comparison the driver's
-    span verification makes, on the same two products, so a layer this
-    verdict offers never fails verification. The staircase/walk/staircase
-    layer goes in only when that strictly reduces (total time, graph
-    count), which is checked first, as it is cheaper than the dense
-    comparison. Unlike the merge rules this verdict enforces the cost drop
-    itself: the layer is a fixed-price replacement, not a local fusion, so
-    applying it blindly could pessimize a cheap fragment. The layer's
-    steps, cost and product are cached on the subset.
+    driver takes every fragment from one start from one
+    ``walk_engine.prefix_unitaries`` call, so this verdict is not cached.
+    The subset is read off column 0 of the fragment. Hadamards on k bits
+    spread vertex 0 evenly over the 2^k vertices that differ from it only in
+    those bits, each with weight 2^-k >= 1/n, so the bit mask is the OR of
+    the indices weighing more than 1/(2n). One phase-distance comparison
+    against the product of that layer's compiled steps then decides: layers
+    on two different subsets have trace overlap 0, so no other subset could
+    match. It is the comparison the driver's span verification makes, on the
+    same two products, so a layer this verdict offers never fails
+    verification. The staircase/walk/staircase layer goes in only when that
+    strictly reduces (total time, graph count), which is checked first, as
+    it is cheaper than the dense comparison. Unlike the merge rules this
+    verdict enforces the cost drop itself: the layer is a fixed-price
+    replacement, not a local fusion, so applying it blindly could pessimize
+    a cheap fragment. The layer's steps, cost and product are cached on the
+    subset.
     """
     n = len(fragment)
     n_qubits = n.bit_length() - 1
@@ -697,8 +688,8 @@ def _hypercube_sites(walk: DynamicGraph, index: int, window: Window = None) -> I
     is not one are tried. With a window, a fragment that holds the whole
     window is skipped too: a neutral move keeps the window's product (up to
     phase) and its cost, so such a fragment keeps its verdict. The products
-    of the fragments from the index come from one sweep, one matrix product
-    per step; they are then tried longest first.
+    of the fragments from the index come from one ``prefix_unitaries``
+    call; they are then tried longest first.
     """
     n = walk.n_vertices
     if n < 2 or n & (n - 1) or not _reads(index, walk.graph_count, window):
@@ -711,9 +702,7 @@ def _hypercube_sites(walk: DynamicGraph, index: int, window: Window = None) -> I
         lowest, highest = max(lowest, window[0] + 1), min(highest, window[1] - 1)
     if lowest > highest:
         return
-    fragments = [np.eye(n, dtype=np.complex128)]
-    for step in walk.steps[index:highest]:
-        fragments.append(_cached_step_unitary(step) @ fragments[-1])
+    fragments = prefix_unitaries(n, walk.steps[index:highest])
     for stop in range(highest, lowest - 1, -1):
         layer = _hypercube_hadamard(walk.steps[index:stop], fragments[stop - index])
         if not isinstance(layer, str):
@@ -850,9 +839,9 @@ def _apply(walk: DynamicGraph, rewrite: Rewrite) -> DynamicGraph:
 def _span_verified(walk: DynamicGraph, rewrite: Rewrite) -> bool:
     """Whether the rewrite keeps the program unitary, checked on its span."""
     record, replacement = rewrite
-    start, stop = record.span
-    before = _product(walk.n_vertices, walk.steps[start:stop])
-    return phase_distance(before, _product(walk.n_vertices, replacement)) < VERIFY_TOLERANCE
+    before = total_unitary(DynamicGraph(walk.n_vertices, walk.steps[slice(*record.span)]))
+    after = total_unitary(DynamicGraph(walk.n_vertices, replacement))
+    return phase_distance(before, after) < VERIFY_TOLERANCE
 
 
 def optimize(

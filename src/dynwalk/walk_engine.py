@@ -9,43 +9,70 @@ A step never forms its n x n unitary. ``graph_model.spectrum`` splits the
 graph into connected components: an edge-free looped vertex only picks up
 the phase exp(-i t / ||A||), an edge-free vertex without a loop stays put,
 and every other component is a k x k block whose exponential acts on the
-k rows it owns. Applying a step to an n x m matrix therefore costs
-O(n k m) for the largest block size k, so ``evolve_state`` costs O(n k)
-per step and ``total_unitary`` O(n^2 k), and a connected graph is simply
-one block. ``step_unitary`` is the same kernel applied to the identity.
+k rows it owns. Those are the step's kernel factors, O(n k) numbers for
+the largest block size k. Applying a step to an n x m matrix therefore
+costs O(n k m), so ``evolve_state`` costs O(n k) per step and
+``total_unitary`` O(n^2 k), and a connected graph is simply one block.
+``step_unitary`` is the same kernel applied to the identity. This is the
+only module that turns steps into matrices.
+
+``prefix_unitaries`` gives the products of every prefix of a run of steps,
+which the optimizer's Hadamard-layer scan reads for many overlapping runs
+of the same steps. It alone keeps each step's factors in an ``lru_cache``:
+the whole-program functions compute them per call, so a compile or equiv
+of a wide circuit holds no factors beyond the step it applies.
 """
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
+from functools import lru_cache
+from typing import List, Sequence, Tuple
+
 import numpy as np
 
-from .graph_model import DynamicGraph, Graph, TimedGraph, adjacency_matrix, radians, spectrum
+from .graph_model import DynamicGraph, Graph, TimedGraph, radians, spectrum
 from .numerics import ComplexMatrix, StateVector, block_exponential
 
 __all__ = [
     "step_unitary",
     "total_unitary",
+    "prefix_unitaries",
     "evolve_state",
     "graphs_commute",
 ]
 
+# The looped singletons, their phase, and each block stack's vertices with
+# the stack's exponentials, all read-only.
+Factors = Tuple[np.ndarray, complex, Tuple[Tuple[np.ndarray, np.ndarray], ...]]
 
-def _apply_step(step: TimedGraph, rows: np.ndarray) -> None:
-    """Multiply an n x m complex array in place by the step's unitary."""
+
+def _factors(step: TimedGraph) -> Factors:
+    """The step's kernel factors, from the spectrum of its graph."""
     spec = spectrum(step.graph)
-    if spec.norm == 0.0:
-        return
-    rate = radians(step.duration) / spec.norm
-    if spec.looped.size:
-        rows[spec.looped] *= np.exp(-1j * rate)
-    for members, decomposition in spec.blocks:
-        rows[members] = block_exponential(decomposition, rate) @ rows[members]
+    rate = radians(step.duration) / spec.norm if spec.norm else 0.0
+    blocks = tuple((members, block_exponential(decomposition, rate)) for members, decomposition in spec.blocks)
+    for _, exponential in blocks:
+        exponential.flags.writeable = False
+    return spec.looped, np.exp(-1j * rate), blocks
+
+
+_cached_factors = lru_cache(maxsize=4096)(_factors)
+
+
+def _apply_step(factors: Factors, rows: np.ndarray) -> None:
+    """Multiply an n x m complex array in place by the unitary of a step's factors."""
+    looped, phase, blocks = factors
+    if looped.size:
+        rows[looped] *= phase
+    for members, exponential in blocks:
+        rows[members] = exponential @ rows[members]
 
 
 def step_unitary(step: TimedGraph) -> ComplexMatrix:
     """Unitary of one timed graph step, as a dense matrix."""
     u = np.eye(step.graph.n_vertices, dtype=np.complex128)
-    _apply_step(step, u)
+    _apply_step(_factors(step), u)
     return u
 
 
@@ -53,8 +80,23 @@ def total_unitary(walk: DynamicGraph) -> ComplexMatrix:
     """Product of all step unitaries, later steps applied on the left."""
     u = np.eye(walk.n_vertices, dtype=np.complex128)
     for step in walk.steps:
-        _apply_step(step, u)
+        _apply_step(_factors(step), u)
     return u
+
+
+def prefix_unitaries(n_vertices: int, steps: Sequence[TimedGraph]) -> List[ComplexMatrix]:
+    """Products of the first k steps for k = 0 .. len(steps), each its own array.
+
+    Later steps apply on the left, as in ``total_unitary``; the first
+    product is the identity and the last that of the whole run. The steps'
+    factors come from a cache shared with later calls.
+    """
+    products = [np.eye(n_vertices, dtype=np.complex128)]
+    for step in steps:
+        u = products[-1].copy()
+        _apply_step(_cached_factors(step), u)
+        products.append(u)
+    return products
 
 
 def evolve_state(walk: DynamicGraph, state: StateVector) -> StateVector:
@@ -64,14 +106,26 @@ def evolve_state(walk: DynamicGraph, state: StateVector) -> StateVector:
         raise ValueError(f"state has shape {psi.shape}, expected ({walk.n_vertices},)")
     column = psi.reshape(-1, 1)
     for step in walk.steps:
-        _apply_step(step, column)
+        _apply_step(_factors(step), column)
     return psi
 
 
+def _arcs(graph: Graph) -> List[Tuple[int, int]]:
+    """The nonzero entries (i, j) of the adjacency matrix: each edge both ways, each loop once."""
+    return [*graph.edges, *((j, i) for i, j in graph.edges), *((v, v) for v in graph.loops)]
+
+
 def graphs_commute(a: Graph, b: Graph) -> bool:
-    """Exact integer test of whether two adjacency matrices commute."""
+    """Exact test of whether two adjacency matrices commute, from the edge lists.
+
+    (AB)_ij counts the walks i -A- k -B- j, with a loop as a vertex's own
+    neighbour. (AB)^T = BA, so AB = BA exactly when those counts are
+    symmetric.
+    """
     if a.n_vertices != b.n_vertices:
         raise ValueError("vertex sets differ")
-    ma = adjacency_matrix(a)
-    mb = adjacency_matrix(b)
-    return np.array_equal(ma @ mb, mb @ ma)
+    onward = defaultdict(list)
+    for k, j in _arcs(b):
+        onward[k].append(j)
+    walks = Counter((i, j) for i, k in _arcs(a) for j in onward[k])
+    return all(walks[j, i] == count for (i, j), count in walks.items())

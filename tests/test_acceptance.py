@@ -39,7 +39,6 @@ from dynwalk.numerics import phase_distance
 from dynwalk.rewrite_optimizer import (
     _hypercube_hadamard,
     _merge_complementary,
-    _product,
     optimize,
 )
 from dynwalk.walk_engine import step_unitary, total_unitary
@@ -181,7 +180,7 @@ def test_criterion_05_paired_hadamards_fit_five_graphs():
 
     sequential = DynamicGraph(4, h_fixture(0) + h_fixture(1))
     assert sequential.total_time() == Fraction(13, 2)
-    layer_steps = _hypercube_hadamard(sequential.steps, _product(4, sequential.steps))
+    layer_steps = _hypercube_hadamard(sequential.steps, total_unitary(sequential))
     rewritten = sequential.replaced(0, 6, layer_steps)
     rewrite_distance = phase_distance(
         total_unitary(rewritten), total_unitary(sequential)

@@ -397,7 +397,7 @@ def test_move_singleton_rejects_mixed_target_with_loop():
 def hadamard_layer_of(walk, start, stop):
     """The Hadamard-layer verdict on steps[start:stop], given their product."""
     span = walk.steps[start:stop]
-    return ro._hypercube_hadamard(span, ro._product(walk.n_vertices, span))
+    return ro._hypercube_hadamard(span, total_unitary(DynamicGraph(walk.n_vertices, span)))
 
 
 def single_qubit_h_fixture():
@@ -597,7 +597,7 @@ def per_stop_hypercube_sites(walk, index, window=None):
             if stop <= a or index >= b or (index <= a and stop >= b):
                 continue
         span = walk.steps[index:stop]
-        layer = ro._hypercube_hadamard(span, ro._product(walk.n_vertices, span))
+        layer = ro._hypercube_hadamard(span, total_unitary(DynamicGraph(walk.n_vertices, span)))
         if not isinstance(layer, str):
             return [(index, stop, layer, "")]
     return []

@@ -15,7 +15,8 @@ from dynwalk.graph_model import (
     radians,
     spectrum,
 )
-from dynwalk.walk_engine import evolve_state, graphs_commute, step_unitary, total_unitary
+import dynwalk.walk_engine as we
+from dynwalk.walk_engine import evolve_state, graphs_commute, prefix_unitaries, step_unitary, total_unitary
 
 TOL = 1e-12
 
@@ -80,6 +81,23 @@ def test_graphs_commute_cases():
     assert not graphs_commute(Graph.make(3, edges=[(0, 1)]), Graph.make(3, edges=[(1, 2)]))
     with pytest.raises(ValueError):
         graphs_commute(Graph.make(3), Graph.make(4))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_graphs_commute_matches_the_dense_products(seed):
+    """The walk counts decide exactly what the integer matrix products decide."""
+    rng = np.random.default_rng(seed)
+    verdicts = set()
+    for _ in range(100):
+        n = int(rng.integers(1, 9))
+        edge_chance = float(rng.choice([0.05, 0.15, 0.4]))
+        a = random_graph(rng, n, edge_chance, 0.5)
+        b = random_graph(rng, n, edge_chance, 0.5)
+        ma, mb = adjacency_matrix(a), adjacency_matrix(b)
+        expected = np.array_equal(ma @ mb, mb @ ma)
+        assert graphs_commute(a, b) == expected
+        verdicts.add(expected)
+    assert verdicts == {True, False}
 
 
 def dense_step_unitary(step):
@@ -190,3 +208,40 @@ def test_step_unitary_of_quarter_period_matching_is_a_phased_bitflip():
     expected = np.zeros((8, 8), dtype=complex)
     expected[np.arange(8) ^ 6, np.arange(8)] = -1j
     assert np.abs(u - expected).max() < 1e-12
+
+
+def test_prefix_unitaries_are_the_running_products():
+    rng = np.random.default_rng(3)
+    steps = tuple(TimedGraph(random_graph(rng, 6, 0.3, 0.4), duration) for duration in DURATIONS * 2)
+    products = prefix_unitaries(6, steps)
+    assert len(products) == len(steps) + 1
+    assert np.array_equal(products[0], np.eye(6))
+    for k, product in enumerate(products):
+        assert np.array_equal(product, total_unitary(DynamicGraph(6, steps[:k])))
+    kept = [product.copy() for product in products]
+    products[2][:] = 0.0
+    assert all(np.array_equal(p, q) for p, q in zip(products[3:], kept[3:]))
+    assert np.array_equal(products[1], kept[1])
+
+
+def test_cached_factors_are_read_only_component_blocks():
+    """A 256-vertex matching is cached as 128 blocks of 2 x 2, never as a 256 x 256 matrix."""
+    we._cached_factors.cache_clear()
+    step = TimedGraph(matching(256, 5), Fraction(1, 3))
+    prefix_unitaries(256, (step,))
+    looped, _, blocks = we._cached_factors(step)
+    assert we._cached_factors.cache_info().currsize == 1
+    assert [exponential.shape for _, exponential in blocks] == [(128, 2, 2)]
+    for array in (looped, *(part for block in blocks for part in block)):
+        assert not array.flags.writeable
+    we._cached_factors.cache_clear()
+
+
+def test_whole_program_functions_add_no_cached_factors():
+    we._cached_factors.cache_clear()
+    rng = np.random.default_rng(9)
+    walk = DynamicGraph(5, tuple(TimedGraph(random_graph(rng, 5, 0.3, 0.4), d) for d in DURATIONS))
+    total_unitary(walk)
+    evolve_state(walk, np.eye(5)[0])
+    step_unitary(walk.steps[0])
+    assert we._cached_factors.cache_info().currsize == 0
