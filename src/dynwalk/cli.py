@@ -33,6 +33,7 @@ from .gate_compiler import circuit_unitary, compile_circuit, parse_circuit
 from .graph_model import (
     DynamicGraph,
     ParseError,
+    _decode_json,
     format_angle,
     parse_dynamic_graph,
     period,
@@ -112,16 +113,17 @@ def _initial_state(text: str, n_vertices: int) -> np.ndarray:
         state[int(bits.group(1), 2)] = 1.0
         return state
     if re.fullmatch(r"\d+", label):
-        index = int(label)
-        if index >= n_vertices:
-            raise CliInputError(f"basis index {index} out of range 0..{n_vertices - 1}")
-        state[index] = 1.0
+        # an index with more digits than n_vertices is out of range; int() refuses more than 4,300
+        digits = label.lstrip("0") or "0"
+        if len(digits) > len(str(n_vertices)) or int(digits) >= n_vertices:
+            raise CliInputError(f"basis index {digits} out of range 0..{n_vertices - 1}")
+        state[int(digits)] = 1.0
         return state
     if os.path.exists(label):
         try:
-            data = json.loads(_read_text(label))
-        except json.JSONDecodeError as err:
-            raise CliInputError(f"{label}: invalid JSON: {err}") from err
+            data = _decode_json(_read_text(label))
+        except ParseError as err:
+            raise CliInputError(f"{label}: {err}") from err
         if not isinstance(data, list) or len(data) != n_vertices:
             raise CliInputError(f"{label}: expected a list of {n_vertices} [re, im] pairs")
         for k, pair in enumerate(data):

@@ -24,7 +24,6 @@ qubits, the walk vertex ceiling.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,6 +37,7 @@ from .graph_model import (
     Graph,
     ParseError,
     TimedGraph,
+    _decode_json,
     _expect_int,
     _expect_keys,
     _fail,
@@ -424,10 +424,7 @@ def _parse_gate(obj: object, n_qubits: int, path: str) -> Gate:
 
 def parse_circuit(text: str) -> Circuit:
     """Parse circuit JSON, raising ParseError with a JSON path on defects."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise ParseError(f"invalid JSON: {err}") from err
+    data = _decode_json(text)
     if not isinstance(data, dict):
         _fail("$", "expected a top-level object")
     _expect_keys(data, ("n_qubits", "gates"), ("n_qubits", "gates"), "$")

@@ -20,9 +20,10 @@ It also refuses more than ``MAX_VERTICES`` vertices before building
 anything, since the commands that compare programs hold n x n unitaries.
 
 ``spectrum`` is the one place a graph's eigenvalues come from. It splits
-the graph into connected components from its edge list and decomposes
-each component's block, so no n x n adjacency matrix is formed; the walk
-engine, ``period`` and the spectral norms all read it.
+the graph into connected components from its edge list and hands each
+stack of equal-size component blocks to numpy's batched ``eigh``, so no
+n x n adjacency matrix is formed; the walk engine's step exponentials,
+``period`` and the spectral norms all read it.
 """
 
 from __future__ import annotations
@@ -36,8 +37,6 @@ from itertools import chain
 from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-
-from .numerics import EigenDecomposition, block_eigh
 
 __all__ = [
     "Graph",
@@ -229,21 +228,23 @@ class Spectrum(NamedTuple):
     1x1 block with eigenvalue 1. Edge-free vertices without a loop have
     eigenvalue 0 and are listed nowhere. ``blocks`` holds one entry per
     component size k > 1: the (b, k) array of the components' vertices,
-    each row ascending, and the batched decomposition of their k x k
-    adjacency blocks, whose rows and columns follow that vertex order.
+    each row ascending, and numpy's batched ``eigh`` of their k x k
+    adjacency blocks, whose rows and columns follow that vertex order:
+    eigenvalues (b, k), ascending per block, and eigenvectors (b, k, k),
+    one per column, so each block is V diag(w) V^T.
     ``norm`` is the spectral norm ||A||: the largest absolute eigenvalue
     over all components.
     """
 
     n_vertices: int
     looped: np.ndarray
-    blocks: Tuple[Tuple[np.ndarray, EigenDecomposition], ...]
+    blocks: Tuple[Tuple[np.ndarray, Tuple[np.ndarray, np.ndarray]], ...]
     norm: float
 
     def eigenvalues(self) -> np.ndarray:
         """Every eigenvalue of the adjacency matrix, unordered."""
         parts = [np.ones(self.looped.size)]
-        parts += [decomposition.eigenvalues.ravel() for _, decomposition in self.blocks]
+        parts += [eigenvalues.ravel() for _, (eigenvalues, _) in self.blocks]
         idle = self.n_vertices - sum(part.size for part in parts)
         return np.concatenate(parts + [np.zeros(idle)])
 
@@ -301,11 +302,11 @@ def spectrum(graph: Graph) -> Spectrum:
         w = slot[loops[size_of[loops] == k]]
         adjacency = np.zeros(members.size * k)
         adjacency[np.concatenate((u * k + v % k, v * k + u % k, w * k + w % k))] = 1.0
-        decomposition = block_eigh(adjacency.reshape(-1, k, k))
-        norm = max(norm, float(np.abs(decomposition.eigenvalues).max()))
-        for array in (members, *decomposition):
+        eigenvalues, eigenvectors = np.linalg.eigh(adjacency.reshape(-1, k, k))
+        norm = max(norm, float(np.abs(eigenvalues).max()))
+        for array in (members, eigenvalues, eigenvectors):
             array.flags.writeable = False
-        blocks.append((members, decomposition))
+        blocks.append((members, (eigenvalues, eigenvectors)))
     return Spectrum(n, looped, tuple(blocks), norm)
 
 
@@ -374,6 +375,19 @@ class ParseError(ValueError):
 
 def _fail(path: str, problem: str) -> None:
     raise ParseError(f"{path}: {problem}")
+
+
+def _decode_json(text: str) -> object:
+    """The decoded JSON document, with every way decoding fails raised as ParseError.
+
+    ``ValueError`` covers malformed text (``JSONDecodeError``) and an
+    integer literal past Python's int-to-str digit limit; ``RecursionError``
+    is nesting deeper than the decoder's stack.
+    """
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as err:
+        raise ParseError(f"invalid JSON: {err}") from err
 
 
 def _expect_int(value: object, path: str) -> int:
@@ -454,10 +468,7 @@ def _parse_step(obj: object, n_vertices: int, path: str) -> TimedGraph:
 
 def parse_dynamic_graph(text: str) -> DynamicGraph:
     """Parse walk JSON, raising ParseError with a JSON path on any defect."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise ParseError(f"invalid JSON: {err}") from err
+    data = _decode_json(text)
     if not isinstance(data, dict):
         _fail("$", "expected a top-level object")
     _expect_keys(data, ("n_vertices", "sequence"), ("n_vertices", "sequence"), "$")

@@ -694,10 +694,7 @@ def _hypercube_sites(walk: DynamicGraph, index: int, window: Window = None) -> I
     n = walk.n_vertices
     if n < 2 or n & (n - 1) or not _reads(index, walk.graph_count, window):
         return
-    first = index
-    while first < walk.graph_count and _cached_permutation(walk.steps[first]) is not None:
-        first += 1
-    lowest, highest = first + 1, walk.graph_count
+    lowest, highest = _run_end(walk, index, bitflips=False) + 1, walk.graph_count
     if window is not None and index <= window[0]:
         lowest, highest = max(lowest, window[0] + 1), min(highest, window[1] - 1)
     if lowest > highest:

@@ -9,12 +9,15 @@ A step never forms its n x n unitary. ``graph_model.spectrum`` splits the
 graph into connected components: an edge-free looped vertex only picks up
 the phase exp(-i t / ||A||), an edge-free vertex without a loop stays put,
 and every other component is a k x k block whose exponential acts on the
-k rows it owns. Those are the step's kernel factors, O(n k) numbers for
-the largest block size k. Applying a step to an n x m matrix therefore
-costs O(n k m), so ``evolve_state`` costs O(n k) per step and
-``total_unitary`` O(n^2 k), and a connected graph is simply one block.
-``step_unitary`` is the same kernel applied to the identity. This is the
-only module that turns steps into matrices.
+k rows it owns. The spectrum holds each block as V diag(w) V^T, and this
+module rebuilds its exponential as V diag(exp(-i w t / ||A||)) V^T: the
+eigenvectors of a real symmetric block are real, so V^T is V^dag. Those
+are the step's kernel factors, O(n k) numbers for the largest block size
+k. Applying a step to an n x m matrix therefore costs O(n k m), so
+``evolve_state`` costs O(n k) per step and ``total_unitary`` O(n^2 k),
+and a connected graph is simply one block. ``step_unitary`` is the same
+kernel applied to the identity. This is the only module that turns steps
+into matrices.
 
 ``prefix_unitaries`` gives the products of every prefix of a run of steps,
 which the optimizer's Hadamard-layer scan reads for many overlapping runs
@@ -32,7 +35,6 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .graph_model import DynamicGraph, Graph, TimedGraph, radians, spectrum
-from .numerics import ComplexMatrix, StateVector, block_exponential
 
 __all__ = [
     "step_unitary",
@@ -51,10 +53,12 @@ def _factors(step: TimedGraph) -> Factors:
     """The step's kernel factors, from the spectrum of its graph."""
     spec = spectrum(step.graph)
     rate = radians(step.duration) / spec.norm if spec.norm else 0.0
-    blocks = tuple((members, block_exponential(decomposition, rate)) for members, decomposition in spec.blocks)
-    for _, exponential in blocks:
+    blocks = []
+    for members, (eigenvalues, vectors) in spec.blocks:
+        exponential = (vectors * np.exp(-1j * rate * eigenvalues)[..., None, :]) @ np.swapaxes(vectors, -1, -2)
         exponential.flags.writeable = False
-    return spec.looped, np.exp(-1j * rate), blocks
+        blocks.append((members, exponential))
+    return spec.looped, np.exp(-1j * rate), tuple(blocks)
 
 
 _cached_factors = lru_cache(maxsize=4096)(_factors)
@@ -69,14 +73,14 @@ def _apply_step(factors: Factors, rows: np.ndarray) -> None:
         rows[members] = exponential @ rows[members]
 
 
-def step_unitary(step: TimedGraph) -> ComplexMatrix:
+def step_unitary(step: TimedGraph) -> np.ndarray:
     """Unitary of one timed graph step, as a dense matrix."""
     u = np.eye(step.graph.n_vertices, dtype=np.complex128)
     _apply_step(_factors(step), u)
     return u
 
 
-def total_unitary(walk: DynamicGraph) -> ComplexMatrix:
+def total_unitary(walk: DynamicGraph) -> np.ndarray:
     """Product of all step unitaries, later steps applied on the left."""
     u = np.eye(walk.n_vertices, dtype=np.complex128)
     for step in walk.steps:
@@ -84,7 +88,7 @@ def total_unitary(walk: DynamicGraph) -> ComplexMatrix:
     return u
 
 
-def prefix_unitaries(n_vertices: int, steps: Sequence[TimedGraph]) -> List[ComplexMatrix]:
+def prefix_unitaries(n_vertices: int, steps: Sequence[TimedGraph]) -> List[np.ndarray]:
     """Products of the first k steps for k = 0 .. len(steps), each its own array.
 
     Later steps apply on the left, as in ``total_unitary``; the first
@@ -99,7 +103,7 @@ def prefix_unitaries(n_vertices: int, steps: Sequence[TimedGraph]) -> List[Compl
     return products
 
 
-def evolve_state(walk: DynamicGraph, state: StateVector) -> StateVector:
+def evolve_state(walk: DynamicGraph, state: np.ndarray) -> np.ndarray:
     """Run the program on a state, one step at a time."""
     psi = np.array(state, dtype=np.complex128)
     if psi.shape != (walk.n_vertices,):

@@ -511,6 +511,48 @@ def test_malformed_walk_file_exits_2(tmp_path, capsys):
     assert "missing field" in err or "out of range" in err
 
 
+# json.loads raises ValueError on an int literal past Python's int-to-str
+# digit limit, and RecursionError on nesting deeper than its stack
+UNDECODABLE = {
+    "5000-digit int": '{"n_vertices": ' + "1" * 5000 + ', "sequence": []}',
+    "200000-deep arrays": "[" * 200_000 + "]" * 200_000,
+}
+
+
+@pytest.mark.parametrize("body", list(UNDECODABLE.values()), ids=list(UNDECODABLE))
+@pytest.mark.parametrize(
+    "command", ["stats", "unitary", "optimize", "equiv", "compile", "simulate", "simulate --state"]
+)
+def test_undecodable_json_exits_2(tmp_path, capsys, command, body):
+    bad = tmp_path / "bad.json"
+    bad.write_text(body)
+    bad = str(bad)
+    good = write_walk(tmp_path / "good.json", identity_walk(2))
+    out = str(tmp_path / "out.json")
+    argv = {
+        "stats": ["stats", bad],
+        "unitary": ["unitary", bad],
+        "optimize": ["optimize", bad, "-o", out],
+        "equiv": ["equiv", good, bad],
+        "compile": ["compile", bad, "-o", out],
+        "simulate": ["simulate", bad],
+        "simulate --state": ["simulate", good, "--state", bad],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: invalid JSON: ")
+    assert err.count("\n") == 1
+
+
+def test_a_basis_index_with_more_digits_than_the_vertex_count_is_out_of_range(tmp_path, capsys):
+    walk_file = write_walk(tmp_path / "hold.json", identity_walk(3))
+    assert main(["simulate", walk_file, "--state", "1" * 5000]) == 2
+    assert "out of range 0..2" in capsys.readouterr().err
+    # leading zeros are not digits of the index
+    assert main(["simulate", walk_file, "--state", "0" * 5000 + "2"]) == 0
+    assert capsys.readouterr().out.splitlines()[2] == "|2>  1+0i"
+
+
 def test_no_command_raises_system_exit():
     with pytest.raises(SystemExit):
         main([])

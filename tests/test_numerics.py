@@ -1,12 +1,13 @@
-"""Checks for the walk kernel and the phase-aware gate.
+"""Checks for the walk kernel and the equivalence gate.
 
 The kernel is the one path every command takes from a graph to a unitary:
-``graph_model.spectrum`` decomposes the graph's component blocks through
-``block_eigh``, and ``walk_engine.step_unitary`` exponentiates them through
-``block_exponential``. Its unitaries are cross-checked against scipy's expm
-on the same scaled Hamiltonian, so the eigendecomposition route never gets
-to grade its own homework. Spectra of a few named graphs are frozen as
-literals.
+``graph_model.spectrum`` decomposes the graph's component blocks with
+numpy's batched ``eigh``, and ``walk_engine.step_unitary`` exponentiates
+them. The blocks are checked against the graph's own adjacency matrix, and
+the unitaries against scipy's expm on the same scaled Hamiltonian, so the
+eigendecomposition route never gets to grade its own homework. Spectra of
+a few named graphs are frozen as literals. The gate is ``numerics``:
+``phase_distance`` is checked against the trace formula it stands for.
 """
 
 from fractions import Fraction
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynwalk.graph_model import Graph, TimedGraph, adjacency_matrix, radians, spectrum
-from dynwalk.numerics import block_eigh, phase_distance
+from dynwalk.numerics import phase_distance
 from dynwalk.walk_engine import step_unitary
 
 RECONSTRUCT_TOL = 1e-11
@@ -35,11 +36,36 @@ def random_graph(n, rng=RNG):
     return Graph.make(n, edges, loops)
 
 
-def random_symmetric_stack(blocks, n, rng=RNG):
-    """A (blocks, n, n) stack of random symmetric {0,1} matrices."""
-    upper = np.triu(rng.integers(0, 2, size=(blocks, n, n)), 1)
-    loops = rng.integers(0, 2, size=(blocks, n))[..., None] * np.eye(n)
-    return upper + np.swapaxes(upper, -1, -2) + loops
+def random_components(n, copies=3, rng=RNG):
+    """``copies`` connected random looped graphs on n vertices each, as one graph.
+
+    Each component is a path plus every other vertex pair an edge with
+    chance 1/2, and each vertex a loop with chance 1/2. The vertices are
+    shuffled, so no component owns a contiguous range.
+    """
+    label = rng.permutation(copies * n).tolist()
+    edges, loops = [], []
+    for base in range(0, copies * n, n):
+        edges += [(base + i, base + j) for i in range(n) for j in range(i + 1, n) if j == i + 1 or rng.integers(0, 2)]
+        loops += [base + v for v in range(n) if rng.integers(0, 2)]
+    return Graph.make(copies * n, [(label[i], label[j]) for i, j in edges], [label[v] for v in loops])
+
+
+def block_stacks(n):
+    """Each stack of spectrum(g).blocks with the adjacency blocks it decomposes.
+
+    For n > 1 the graph's three components of size n make one stack of
+    three blocks; a single vertex is a looped singleton or idle, never a
+    block.
+    """
+    graph = random_components(n)
+    adjacency = adjacency_matrix(graph)
+    stacks = [
+        (eigenvalues, eigenvectors, np.array([adjacency[rows][:, rows] for rows in members]))
+        for members, (eigenvalues, eigenvectors) in spectrum(graph).blocks
+    ]
+    assert [block.shape for _, _, block in stacks] == ([(3, n, n)] if n > 1 else [])
+    return stacks
 
 
 def cycle(n):
@@ -59,28 +85,27 @@ def sorted_spectrum(graph):
     return np.sort(spectrum(graph).eigenvalues())
 
 
-# -- block_eigh --------------------------------------------------------------
+# -- spectrum blocks -------------------------------------------------------
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
 def test_eigh_reconstructs_input(n):
-    """Every block of a stack is V diag(w) V^T, as block_exponential assumes."""
-    stack = random_symmetric_stack(3, n)
-    w, v = block_eigh(stack)
-    rebuilt = (v * w[:, None, :]) @ np.swapaxes(v, -1, -2)
-    assert np.abs(rebuilt - stack).max() < RECONSTRUCT_TOL
+    """Every block of a stack is V diag(w) V^T, as the step exponential assumes."""
+    for w, v, blocks in block_stacks(n):
+        rebuilt = (v * w[:, None, :]) @ np.swapaxes(v, -1, -2)
+        assert np.abs(rebuilt - blocks).max() < RECONSTRUCT_TOL
 
 
 @pytest.mark.parametrize("n", [2, 4, 7])
 def test_eigh_columns_orthonormal(n):
     """V^T is V^dag only if each block's eigenvector columns are orthonormal."""
-    _, v = block_eigh(random_symmetric_stack(3, n))
-    assert np.abs(np.swapaxes(v, -1, -2) @ v - np.eye(n)).max() < RECONSTRUCT_TOL
+    for _, v, _ in block_stacks(n):
+        assert np.abs(np.swapaxes(v, -1, -2) @ v - np.eye(n)).max() < RECONSTRUCT_TOL
 
 
 def test_eigh_sorted_ascending():
-    w, _ = block_eigh(random_symmetric_stack(4, 6))
-    assert np.all(np.diff(w, axis=-1) >= -1e-12)
+    for w, _, _ in block_stacks(6):
+        assert np.all(np.diff(w, axis=-1) >= -1e-12)
 
 
 def test_frozen_spectrum_four_cycle():

@@ -874,6 +874,29 @@ def test_enabling_search_passes_over_moves_that_keep_their_span(monkeypatch):
     assert walk not in scanned
 
 
+def test_a_neutral_bit_flip_fold_enables_a_merge():
+    """The enabling search offers a COMBINE_PST fold that keeps its span's cost.
+
+    X_1 and X_2 at pi/2 each fold into X_3 at pi/2 and the all-loops phase
+    at pi/2: the same time and graph count, but the new X_3 step merges
+    with the X_3 step before it. No benchmark program takes this move.
+    """
+    walk = walk_of(match(4, 3, 1, 4), match(4, 1, 1, 2), match(4, 2, 1, 2))
+    final, report = optimize(walk)
+    assert final.steps == (match(4, 3, 3, 4), TimedGraph(all_loops_graph(4), angle(1, 2)))
+    assert final.total_time() == angle(5, 4)
+    assert [(r.rule, r.span, r.detail) for r in report.rewrites] == [
+        (RULE_COMBINE_PST, (1, 3), "enabling"),
+        (RULE_MERGE_IDENTICAL, (0, 2), ""),
+    ]
+    assert report.verified
+    assert_same_program(walk, final)
+    without_fold, report = optimize(walk, passes=[rule for rule in ALL_RULES if rule != RULE_COMBINE_PST])
+    assert without_fold.graph_count == 3
+    assert without_fold.total_time() == angle(5, 4)
+    assert report.rewrites == ()
+
+
 # -- the driver -------------------------------------------------------------------
 
 
