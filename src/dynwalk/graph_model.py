@@ -17,7 +17,9 @@ The JSON interchange format mirrors the in-memory model:
 ``parse_dynamic_graph`` validates aggressively and reports the JSON path of
 the offending element, since hand-edited walk files are the normal input.
 It also refuses more than ``MAX_VERTICES`` vertices before building
-anything, since the commands that compare programs hold n x n unitaries.
+anything, since the commands that compare programs hold n x n unitaries,
+and durations that need more than ``MAX_TIME_DIGITS`` digits over a
+common denominator, which no command could print.
 
 ``spectrum`` is the one place a graph's eigenvalues come from. It splits
 the graph into connected components from its edge list and hands each
@@ -32,7 +34,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain
 from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
 
@@ -45,6 +47,7 @@ __all__ = [
     "ParseError",
     "Spectrum",
     "MAX_VERTICES",
+    "MAX_TIME_DIGITS",
     "radians",
     "format_angle",
     "adjacency_matrix",
@@ -62,6 +65,15 @@ __all__ = [
 # unitary --csv 7.5 s and 0.8 GB, simulate 0.05 s and 34 MB. The commands
 # that hold dense n x n unitaries need four times the memory per extra qubit.
 MAX_VERTICES = 4096
+
+# The most digits the common denominator of a walk's durations, or its summed
+# time over that denominator, may have. Every duration and total that
+# ``stats`` and ``optimize`` print comes from the input durations through
+# sums, differences, residues modulo a period and division by a spectral
+# norm, with constants of denominator at most 64, so it has at most a few
+# digits more than these: far under Python's 4,300-digit int-to-str limit,
+# which a longer one would hit when printed.
+MAX_TIME_DIGITS = 1000
 
 # What rationalize (spectral norms, eigenvalue ratios) accepts as a small rational.
 RATIONAL_DENOMINATOR_LIMIT = 16
@@ -105,11 +117,21 @@ class Graph:
     Edges are stored as sorted pairs (i, j) with i < j. The empty graph
     (no edges, no loops) is legal and acts as a hold step of whatever
     duration it is given: its adjacency matrix is zero, so nothing moves.
+    The optimizer's caches are keyed on graphs and steps, so the hash is
+    computed once, on first use, and kept beside the fields: equality and
+    repr read the fields alone.
     """
 
     n_vertices: int
     edges: frozenset = field(default_factory=frozenset)
     loops: frozenset = field(default_factory=frozenset)
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.n_vertices, self.edges, self.loops))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __post_init__(self) -> None:
         if self.n_vertices < 0:
@@ -166,7 +188,7 @@ class TimedGraph:
     The duration is a nonnegative Fraction, the multiple of pi the step
     runs for. The optimizer's caches are keyed on steps, so the hash reads
     the duration's integer parts rather than paying for
-    ``Fraction.__hash__``.
+    ``Fraction.__hash__``, and is kept after its first use, as Graph's is.
     """
 
     graph: Graph
@@ -178,8 +200,12 @@ class TimedGraph:
         if self.duration.numerator < 0:
             raise ValueError(f"negative duration {format_angle(self.duration)}")
 
-    def __hash__(self) -> int:
+    @cached_property
+    def _hash(self) -> int:
         return hash((self.graph, self.duration.numerator, self.duration.denominator))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 @dataclass(frozen=True)
@@ -484,6 +510,10 @@ def parse_dynamic_graph(text: str) -> DynamicGraph:
         _parse_step(step, n_vertices, f"sequence[{index}]")
         for index, step in enumerate(raw_sequence)
     )
+    den = math.lcm(*(step.duration.denominator for step in steps))
+    total = sum(step.duration.numerator * (den // step.duration.denominator) for step in steps)
+    if max(den, total) >= 10**MAX_TIME_DIGITS:
+        _fail("sequence", f"the durations need more than {MAX_TIME_DIGITS} digits over a common denominator")
     return DynamicGraph(n_vertices, steps)
 
 

@@ -80,18 +80,34 @@ the Hadamard-layer verdict (``_hypercube_hadamard``) is not cached, as
 it reads the fragment's product; ``_hadamard_layer`` keeps the compiled
 layer, its cost and its read-only dense product per target set and qubit
 count. Apart from those layer products the caches hold steps and small
-tuples, never a step's unitary or a span product. This module multiplies
-no step matrices: every product it reads comes from ``walk_engine``,
-which applies a step one connected component at a time. A singleton site
-is built straight from the two singleton verdicts, for the targets of
-the corridor only: outward from the source on each side, up to and
-including the first step that attaches an edge to the vertex, since that
-step blocks every target beyond it. The Hadamard-layer sites take the
-products of all fragments from one start from one
-``walk_engine.prefix_unitaries`` call and try them longest first,
-skipping fragments made only of phased permutations: their product is a
-phased permutation, never a Hadamard layer. The layer's cost is checked
-before the dense comparison.
+tuples, never a step's unitary or a span product. A singleton site is
+built straight from the two singleton verdicts, for the targets of the
+corridor only: outward from the source on each side, up to and including
+the first step that attaches an edge to the vertex, since that step
+blocks every target beyond it.
+
+What every position of a scan reads of the walk as a whole is computed
+once per walk, in the ``ScanFacts`` the driver passes to every row: the
+prefix times as integers over one denominator, the ends of the runs of
+phased permutations and of phased bit flips, and, only once the
+Hadamard-layer row asks, the prefix products W_0 .. W_count from one
+``walk_engine.prefix_unitaries`` call. The facts live as long as their
+walk's scans; no module-level state holds them. The enabling search
+derives each candidate's facts from the walk's: the products left of the
+move's window are the walk's, those right of it the walk's up to a global
+phase, which no verdict reads, and only the window's are new, from a
+``prefix_unitaries`` call on the window's steps multiplied onto the
+product before it. This module multiplies no step matrices: every step
+is applied by ``walk_engine``, one connected component at a time, and
+only whole prefix products are multiplied here. The Hadamard-layer sites
+try the fragments from one start longest first, skipping fragments made
+only of phased permutations, whose product is a phased permutation and
+never a Hadamard layer, and stopping at the first that costs no more
+than the cheapest layer (``LAYER_FLOOR``). The verdict reads a fragment
+[i, s) as W_s W_i^dag: its bit mask from column 0, its cost from the
+prefix times, and the dense product only for a layer that is strictly
+cheaper. The loop staircase row prices a run from its integer phase
+totals and folds only a run whose staircase strictly improves on it.
 
 Every accepted rewrite is verified on its span alone. With Q the product
 of the steps before the span, P that of the steps after it, and S, S' the
@@ -110,6 +126,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
@@ -474,6 +491,83 @@ def _splice(
     return target, source + 1, landed + steps[target + 1 : source] + left
 
 
+class ScanFacts:
+    """What every position of a scan reads of one walk, computed once for it.
+
+    * ``times[k]`` is the time of the first k steps, an integer over
+      ``den``, the common denominator of the durations;
+    * ``run_end(start, bitflips)`` is the end of the run of phased
+      permutations (or of phased bit flips) from start;
+    * ``products()[k]`` is W_k, the product of the first k steps, so the
+      fragment [i, s) is W_s W_i^dag.
+
+    The run ends and the products are built on first use, the products
+    only by the Hadamard-layer row. ``moved`` derives the facts of an
+    enabling candidate from those of the walk it moves.
+    """
+
+    def __init__(self, walk: DynamicGraph, origin: Optional[Tuple["ScanFacts", int, int]] = None) -> None:
+        self.walk = walk
+        self.den = math.lcm(*(step.duration.denominator for step in walk.steps))
+        self.times = [0, *accumulate(
+            step.duration.numerator * (self.den // step.duration.denominator) for step in walk.steps
+        )]
+        self._origin = origin
+        self._ends: Optional[Tuple[List[int], List[int]]] = None
+        self._products: Optional[List[np.ndarray]] = None
+
+    def moved(self, start: int, stop: int, replacement: Tuple[TimedGraph, ...]) -> "ScanFacts":
+        """The facts of the walk after a cost-neutral move rewrote steps[start:stop].
+
+        The move keeps the step count, the window's time and its product up
+        to phase, so the products outside the window are the origin's: left
+        of it they are the same, right of it they differ only by a global
+        phase, which no Hadamard-layer verdict reads (see
+        _hypercube_hadamard). Only the products inside the window are new.
+        """
+        return ScanFacts(self.walk.replaced(start, stop, replacement), (self, start, stop))
+
+    def costs_at_most(self, start: int, stop: int, cost: Tuple[Fraction, int]) -> bool:
+        """Whether steps[start:stop] cost no more than (total time, graph count), in integers."""
+        time, count = cost
+        spent = time.denominator * (self.times[stop] - self.times[start])
+        return (spent, stop - start) <= (time.numerator * self.den, count)
+
+    def run_end(self, start: int, bitflips: bool) -> int:
+        if self._ends is None:
+            count = self.walk.graph_count
+            perm, flip = list(range(count + 1)), list(range(count + 1))
+            for index in reversed(range(count)):
+                step = _cached_permutation(self.walk.steps[index])
+                if step is not None:
+                    perm[index] = perm[index + 1]
+                    if step.bitflip:
+                        flip[index] = flip[index + 1]
+            self._ends = perm, flip
+        return self._ends[bitflips][start]
+
+    def products(self) -> List[np.ndarray]:
+        if self._products is None:
+            n, steps = self.walk.n_vertices, self.walk.steps
+            if self._origin is None:
+                self._products = prefix_unitaries(n, steps)
+            else:
+                origin, start, stop = self._origin
+                shared = origin.products()
+                inside = [p @ shared[start] for p in prefix_unitaries(n, steps[start : stop - 1])[1:]]
+                self._products = shared[: start + 1] + inside + shared[stop:]
+        return self._products
+
+
+# No Hadamard layer costs less than this (time, graph count), so no fragment
+# that costs no more can be replaced by one. compile_hadamard_layer emits a
+# staircase, a walk for k pi/4 and the same staircase again; with k >= 1
+# targets the staircase phases of Hamming weights 0 and 1 lie pi/2 apart, so
+# the larger is at least pi/2 and each staircase runs that long in one graph
+# or more. A single target attains the floor.
+LAYER_FLOOR = (Fraction(5, 4), 3)
+
+
 @lru_cache(maxsize=64)
 def _hadamard_layer(
     targets: Tuple[int, ...], n_qubits: int
@@ -488,40 +582,46 @@ def _hadamard_layer(
     return steps, (_span_time(steps), len(steps)), unitary
 
 
-def _hypercube_hadamard(span: Tuple[TimedGraph, ...], fragment: np.ndarray) -> StepsVerdict:
+def _hypercube_hadamard(facts: ScanFacts, start: int, stop: int) -> StepsVerdict:
     """Replace a fragment equal (up to phase) to Hadamards on a bit subset.
 
-    ``fragment`` is the product of the span's steps on 2^k vertices; the
-    driver takes every fragment from one start from one
-    ``walk_engine.prefix_unitaries`` call, so this verdict is not cached.
-    The subset is read off column 0 of the fragment. Hadamards on k bits
-    spread vertex 0 evenly over the 2^k vertices that differ from it only in
-    those bits, each with weight 2^-k >= 1/n, so the bit mask is the OR of
-    the indices weighing more than 1/(2n). One phase-distance comparison
-    against the product of that layer's compiled steps then decides: layers
-    on two different subsets have trace overlap 0, so no other subset could
-    match. It is the comparison the driver's span verification makes, on the
-    same two products, so a layer this verdict offers never fails
-    verification. The staircase/walk/staircase layer goes in only when that
-    strictly reduces (total time, graph count), which is checked first, as
-    it is cheaper than the dense comparison. Unlike the merge rules this
+    The fragment is steps[start:stop] of the facts' walk on 2^k vertices,
+    read from the walk's prefix products as W_stop W_start^dag, so this
+    verdict is not cached. The subset is read off column 0 of the fragment,
+    one matrix-vector product. Hadamards on k bits spread vertex 0 evenly
+    over the 2^k vertices that differ from it only in those bits, each with
+    weight 2^-k >= 1/n, so the bit mask is the OR of the indices weighing
+    more than 1/(2n). The layer on that subset goes in only when it
+    strictly reduces (total time, graph count), which the facts' integer
+    times decide. Then one phase-distance comparison d against the product
+    of the layer's compiled steps decides: layers on two different subsets
+    have trace overlap 0, so no other subset could match. It is the
+    comparison the driver's span verification makes, on the same fragment
+    up to the rounding of W_stop W_start^dag (about 1e-15). For unitaries,
+    ||F - e^{i phi} L||_F^2 = 2 n d at the best phase, and column 0 takes
+    part of that, so 1 - |l^dag c| <= n d for the two columns 0: a column 0
+    that misses this twice over fails without the dense fragment. No step
+    reads a global phase of the products. Unlike the merge rules this
     verdict enforces the cost drop itself: the layer is a fixed-price
-    replacement, not a local fusion, so applying it blindly could pessimize
-    a cheap fragment. The layer's steps, cost and product are cached on the
-    subset.
+    replacement, not a local fusion, so applying it blindly could
+    pessimize a cheap fragment. The layer's steps, cost and product are
+    cached on the subset.
     """
-    n = len(fragment)
+    n = facts.walk.n_vertices
     n_qubits = n.bit_length() - 1
-    mask = 0
-    for index in np.flatnonzero(np.abs(fragment[:, 0]) ** 2 > 1.0 / (2 * n)):
-        mask |= int(index)
+    products = facts.products()
+    later, earlier = products[stop], products[start]
+    column = later @ earlier[0].conj()
+    mask = int(np.bitwise_or.reduce(np.flatnonzero(np.abs(column) ** 2 > 1.0 / (2 * n))))
     targets = tuple(q for q in range(n_qubits) if mask & bit_value(q, n_qubits))
     if not targets:
         return "fragment is not a Hadamard layer"
     layer, cost, unitary = _hadamard_layer(targets, n_qubits)
-    if not cost < (_span_time(span), len(span)):
+    if facts.costs_at_most(start, stop, cost):
         return "layer replacement is not strictly cheaper"
-    if not phase_distance(fragment, unitary) < VERIFY_TOLERANCE:
+    if 1 - abs(np.vdot(unitary[:, 0], column)) >= 2 * n * VERIFY_TOLERANCE:
+        return "fragment is not a Hadamard layer"
+    if not phase_distance(later @ earlier.conj().T, unitary) < VERIFY_TOLERANCE:
         return "fragment is not a Hadamard layer"
     return layer
 
@@ -566,8 +666,9 @@ Site = Tuple[int, int, Tuple[TimedGraph, ...], str]
 # row offers only the sites whose verdict reads those steps (see _scan); the
 # last-resort rows take no window, as no windowed scan reads them.
 Window = Optional[Tuple[int, int]]
+# Every row reads the walk through its ScanFacts.
 PositionSites = Callable[..., Iterator[Site]]
-WalkSites = Callable[[DynamicGraph], Iterator[Site]]
+WalkSites = Callable[[ScanFacts], Iterator[Site]]
 # A priced site: its record and its replacement steps.
 Rewrite = Tuple[RewriteStep, Tuple[TimedGraph, ...]]
 # What verification reads of a rewrite, its span's steps and their
@@ -588,64 +689,68 @@ def _offer(start: int, stop: int, verdict: StepsVerdict, note: str = "") -> Iter
         yield start, stop, verdict, note
 
 
-def _merge_identical_sites(walk: DynamicGraph, index: int, window: Window = None) -> Iterator[Site]:
-    if index + 2 <= walk.graph_count and _reads(index, index + 2, window):
-        yield from _offer(index, index + 2, _merge_identical(*walk.steps[index : index + 2]))
+def _merge_identical_sites(facts: ScanFacts, index: int, window: Window = None) -> Iterator[Site]:
+    steps = facts.walk.steps
+    if index + 2 <= len(steps) and _reads(index, index + 2, window):
+        yield from _offer(index, index + 2, _merge_identical(*steps[index : index + 2]))
 
 
-def _run_end(walk: DynamicGraph, start: int, bitflips: bool) -> int:
-    """End of the run of phased permutations (or phased bit flips) from start."""
-    stop = start
-    while stop < walk.graph_count:
-        flip = _cached_permutation(walk.steps[stop])
-        if flip is None or (bitflips and not flip.bitflip):
-            break
-        stop += 1
-    return stop
-
-
-def _combine_pst_sites(walk: DynamicGraph, index: int, window: Window = None) -> Iterator[Site]:
+def _combine_pst_sites(facts: ScanFacts, index: int, window: Window = None) -> Iterator[Site]:
     """The whole run of phased bit flips from the index, on 2^k vertices.
 
     The verdict reads the run and the step that ends it.
     """
-    n = walk.n_vertices
+    n = facts.walk.n_vertices
     if n < 1 or n & (n - 1):
         return
-    stop = _run_end(walk, index, bitflips=True)
+    stop = facts.run_end(index, bitflips=True)
     if stop - index >= 2 and _reads(index, stop + 1, window):
-        yield from _offer(index, stop, _fold(n, walk.steps[index:stop]))
+        yield from _offer(index, stop, _fold(n, facts.walk.steps[index:stop]))
 
 
-def _fold_sites(walk: DynamicGraph, index: int) -> Iterator[Site]:
+def _fold_sites(facts: ScanFacts, index: int) -> Iterator[Site]:
     """Every run of two or more phased permutations from the index."""
-    end = _run_end(walk, index, bitflips=False)
+    end = facts.run_end(index, bitflips=False)
     for stop in range(index + 2, end + 1):
-        yield from _offer(index, stop, _fold(walk.n_vertices, walk.steps[index:stop]), "fold")
+        yield from _offer(index, stop, _fold(facts.walk.n_vertices, facts.walk.steps[index:stop]), "fold")
 
 
-def _merge_complementary_sites(walk: DynamicGraph, index: int, window: Window = None) -> Iterator[Site]:
-    if index + 2 <= walk.graph_count and _reads(index, index + 2, window):
-        yield from _offer(index, index + 2, _merge_complementary(*walk.steps[index : index + 2]))
+def _merge_complementary_sites(facts: ScanFacts, index: int, window: Window = None) -> Iterator[Site]:
+    steps = facts.walk.steps
+    if index + 2 <= len(steps) and _reads(index, index + 2, window):
+        yield from _offer(index, index + 2, _merge_complementary(*steps[index : index + 2]))
 
 
-def _staircase_sites(walk: DynamicGraph, start: int, window: Window = None) -> Iterator[Site]:
-    """Re-emit a run of loops-only steps as one optimal staircase.
+def _staircase_sites(facts: ScanFacts, start: int, window: Window = None) -> Iterator[Site]:
+    """Re-emit a run of loops-only steps as one optimal staircase, when that is cheaper.
 
     The run is a phased-permutation run whose permutation is the identity,
     so COMBINE_PST folds it into the descending staircase of its per-vertex
-    phase totals (mod 2pi), the cheapest equivalent form. Recorded as
-    MOVE_SINGLETON over the run's span: it is a composition of singleton
-    extractions, moves and merges. The last, widest staircase step holds
-    every vertex with a phase; the note counts them. The verdict reads the
-    run and the step that ends it.
+    phase totals (mod 2pi), the cheapest equivalent form. That staircase
+    runs for the largest total and has one graph per distinct nonzero
+    total, so the row prices it from the totals, as integers over the
+    facts' denominator, and folds the run only when the staircase strictly
+    improves on it. Recorded as MOVE_SINGLETON over the run's span: it is a
+    composition of singleton extractions, moves and merges. The last,
+    widest staircase step holds every vertex with a phase; the note counts
+    them. The verdict reads the run and the step that ends it.
     """
+    steps, den = facts.walk.steps, facts.den
     stop = start
-    while stop < walk.graph_count and walk.steps[stop].graph.is_loops_only:
+    while stop < len(steps) and steps[stop].graph.is_loops_only:
         stop += 1
     if stop - start < 2 or not _reads(start, stop + 1, window):
         return
-    for _, _, stair, _ in _offer(start, stop, _fold(walk.n_vertices, walk.steps[start:stop])):
+    totals = dict.fromkeys(range(facts.walk.n_vertices), 0)
+    for step in steps[start:stop]:
+        phase = step.duration.numerator * (den // step.duration.denominator)
+        for vertex in step.graph.loops:
+            totals[vertex] += phase
+    levels = {total % (2 * den) for total in totals.values()} - {0}
+    saved = facts.times[stop] - facts.times[start] - max(levels, default=0)
+    if (saved, stop - start - len(levels)) <= (0, 0):
+        return
+    for _, _, stair, _ in _offer(start, stop, _fold(facts.walk.n_vertices, steps[start:stop])):
         width = len(stair[-1].graph.loops) if stair else 0
         yield start, stop, stair, f"staircase over {width} vertices"
 
@@ -676,45 +781,46 @@ def _singleton_moves(walk: DynamicGraph, source: int, note: str) -> Iterator[Sit
             yield (*_splice(steps, source, target, left, landed), text)
 
 
-def _singleton_sites(walk: DynamicGraph, source: int) -> Iterator[Site]:
-    return _singleton_moves(walk, source, "vertex {vertex}: step {source} -> step {target}")
+def _singleton_sites(facts: ScanFacts, source: int) -> Iterator[Site]:
+    return _singleton_moves(facts.walk, source, "vertex {vertex}: step {source} -> step {target}")
 
 
-def _hypercube_sites(walk: DynamicGraph, index: int, window: Window = None) -> Iterator[Site]:
+def _hypercube_sites(facts: ScanFacts, index: int, window: Window = None) -> Iterator[Site]:
     """The longest Hadamard-layer fragment starting at the index.
 
     A product of phased permutations is a phased permutation, never a
     Hadamard layer, so only fragments that reach past the first step that
     is not one are tried. With a window, a fragment that holds the whole
     window is skipped too: a neutral move keeps the window's product (up to
-    phase) and its cost, so such a fragment keeps its verdict. The products
-    of the fragments from the index come from one ``prefix_unitaries``
-    call; they are then tried longest first.
+    phase) and its cost, so such a fragment keeps its verdict. The
+    fragments are tried longest first, and the sweep stops at the first
+    that costs no more than LAYER_FLOOR, as every shorter one costs less.
+    Every fragment is read from the facts' prefix products.
     """
-    n = walk.n_vertices
-    if n < 2 or n & (n - 1) or not _reads(index, walk.graph_count, window):
+    n, count = facts.walk.n_vertices, facts.walk.graph_count
+    if n < 2 or n & (n - 1) or not _reads(index, count, window):
         return
-    lowest, highest = _run_end(walk, index, bitflips=False) + 1, walk.graph_count
+    lowest, highest = facts.run_end(index, bitflips=False) + 1, count
     if window is not None and index <= window[0]:
         lowest, highest = max(lowest, window[0] + 1), min(highest, window[1] - 1)
-    if lowest > highest:
-        return
-    fragments = prefix_unitaries(n, walk.steps[index:highest])
     for stop in range(highest, lowest - 1, -1):
-        layer = _hypercube_hadamard(walk.steps[index:stop], fragments[stop - index])
+        if facts.costs_at_most(index, stop, LAYER_FLOOR):
+            return
+        layer = _hypercube_hadamard(facts, index, stop)
         if not isinstance(layer, str):
             yield index, stop, layer, ""
             return
 
 
-def _block_swap_sites(walk: DynamicGraph) -> Iterator[Site]:
+def _block_swap_sites(facts: ScanFacts) -> Iterator[Site]:
     """Exchanges of adjacent commuting blocks, small blocks before large."""
-    count = walk.graph_count
+    steps = facts.walk.steps
+    count = len(steps)
     for total in range(2, count + 1):
         for a in range(1, total):
             for i in range(0, count - total + 1):
-                left = walk.steps[i : i + a]
-                right = walk.steps[i + a : i + total]
+                left = steps[i : i + a]
+                right = steps[i + a : i + total]
                 if all(_cached_commute(s.graph, t.graph) for s in left for t in right):
                     yield i, i + total, right + left, f"swap blocks {a}+{total - a}"
 
@@ -722,17 +828,17 @@ def _block_swap_sites(walk: DynamicGraph) -> Iterator[Site]:
 def _everywhere(sites: PositionSites) -> WalkSites:
     """A scan rule's sites at every position, noted as enabling moves."""
 
-    def enabling(walk: DynamicGraph) -> Iterator[Site]:
-        for index in range(walk.graph_count):
-            for start, stop, replacement, _ in sites(walk, index):
+    def enabling(facts: ScanFacts) -> Iterator[Site]:
+        for index in range(facts.walk.graph_count):
+            for start, stop, replacement, _ in sites(facts, index):
                 yield start, stop, replacement, "enabling"
 
     return enabling
 
 
-def _enabling_singleton_sites(walk: DynamicGraph) -> Iterator[Site]:
-    for source in range(walk.graph_count):
-        yield from _singleton_moves(walk, source, "enabling move of vertex {vertex}")
+def _enabling_singleton_sites(facts: ScanFacts) -> Iterator[Site]:
+    for source in range(facts.walk.graph_count):
+        yield from _singleton_moves(facts.walk, source, "enabling move of vertex {vertex}")
 
 
 # The rule table, in the order the driver tries the rules: each row holds
@@ -768,7 +874,7 @@ def _pick_rows(enabled: Set[str]) -> Tuple[Rows, Rows, Moves]:
     return regular, last_resort, tuple((rule, sites) for rule, _, sites, _ in table if sites)
 
 
-def _scan(walk: DynamicGraph, rows: Rows, skip: Set[Key], window: Window = None) -> Optional[Rewrite]:
+def _scan(facts: ScanFacts, rows: Rows, skip: Set[Key], window: Window = None) -> Optional[Rewrite]:
     """First strictly improving rewrite, leftmost position first.
 
     At one position each row offers its best improving site that is not
@@ -783,13 +889,16 @@ def _scan(walk: DynamicGraph, rows: Rows, skip: Set[Key], window: Window = None)
     keeps its verdict and is never skipped (see _hypercube_hadamard). So
     the rows offer only the sites that read the window, and the first of
     those is the first improving rewrite of the rows over the whole walk,
-    whatever the skip set.
+    whatever the skip set. Every verdict reads forward from its position,
+    a merge [i, i + 2) and a run or fragment from i on, so no position at
+    or past the window's end offers such a site, and the scan stops there.
     """
+    walk = facts.walk
     reach = () if window is None else (window,)
-    for index in range(walk.graph_count):
+    for index in range(walk.graph_count if window is None else window[1]):
         for rule, sites in rows:
             best: Optional[Tuple[tuple, Rewrite]] = None
-            for start, stop, replacement, note in sites(walk, index, *reach):
+            for start, stop, replacement, note in sites(facts, index, *reach):
                 saved, removed = _gain(walk, start, stop, replacement)
                 if (saved, removed) <= (0, 0) or (walk.steps[start:stop], replacement) in skip:
                     continue
@@ -803,7 +912,7 @@ def _scan(walk: DynamicGraph, rows: Rows, skip: Set[Key], window: Window = None)
 
 
 def _find_enabling_pair(
-    walk: DynamicGraph, rows: Rows, moves: Moves, skip: Set[Key]
+    facts: ScanFacts, rows: Rows, moves: Moves, skip: Set[Key]
 ) -> Optional[List[Rewrite]]:
     """A cost-neutral move that lets the scan land a strict improvement.
 
@@ -813,16 +922,20 @@ def _find_enabling_pair(
     span-local, so a move that would enable only a singleton move or a
     fold is not taken. A move that rewrites its span into the same steps
     leaves the walk as it was, so it is passed over, as is a skipped move.
+    Each candidate's ScanFacts come from the walk's through ``moved``, so
+    the prefix products left and right of the window are built once per
+    search, and only the window's are built per candidate.
     """
+    walk = facts.walk
     for rule, sites in moves:
-        for start, stop, replacement, note in sites(walk):
+        for start, stop, replacement, note in sites(facts):
             if _gain(walk, start, stop, replacement) != (0, 0):
                 continue
             span = walk.steps[start:stop]
             if replacement == span or (span, replacement) in skip:
                 continue
             staged = (RewriteStep(rule, (start, stop), Fraction(0), 0, note), replacement)
-            follow = _scan(_apply(walk, staged), rows, skip, (start, stop))
+            follow = _scan(facts.moved(start, stop, replacement), rows, skip, (start, stop))
             if follow is not None:
                 return [staged, follow]
     return None
@@ -885,8 +998,9 @@ def optimize(
     tried = 0
     stop_reason = STOP_ITERATION_CAP
     while tried < limit:
-        found = _scan(current, regular, skip) or _scan(current, last_resort, skip)
-        chain = [found] if found is not None else _find_enabling_pair(current, regular, moves, skip)
+        facts = ScanFacts(current)
+        found = _scan(facts, regular, skip) or _scan(facts, last_resort, skip)
+        chain = [found] if found is not None else _find_enabling_pair(facts, regular, moves, skip)
         if chain is None:
             stop_reason = STOP_FIXPOINT
             break

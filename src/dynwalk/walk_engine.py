@@ -19,9 +19,12 @@ and a connected graph is simply one block. ``step_unitary`` is the same
 kernel applied to the identity. This is the only module that turns steps
 into matrices.
 
-``prefix_unitaries`` gives the products of every prefix of a run of steps,
-which the optimizer's Hadamard-layer scan reads for many overlapping runs
-of the same steps. It alone keeps each step's factors in an ``lru_cache``:
+``prefix_unitaries`` gives the products of every prefix of a run of steps.
+The optimizer calls it once for each walk whose Hadamard-layer fragments
+it reads, and once for the window of each enabling candidate, whose other
+prefixes it shares with the walk the candidate moves; the steps of one
+optimization thus recur across calls. It alone keeps each step's factors
+in an ``lru_cache``:
 the whole-program functions compute them per call, so a compile or equiv
 of a wide circuit holds no factors beyond the step it applies.
 """

@@ -407,6 +407,36 @@ def test_a_denominator_beyond_the_float_range_runs(tmp_path, capsys, command):
     assert capsys.readouterr().err == ""
 
 
+def two_edge_steps_walk(tmp_path, *pi_dens):
+    steps = [{"edges": [[0, 1]], "loops": [], "time": {"pi_num": 1, "pi_den": den}} for den in pi_dens]
+    walk_file = tmp_path / "w.json"
+    walk_file.write_text(json.dumps({"n_vertices": 2, "sequence": steps}))
+    return str(walk_file)
+
+
+@pytest.mark.parametrize("command", ["stats", "optimize"])
+def test_durations_past_the_digit_bound_exit_2(tmp_path, capsys, command):
+    # the summed time would need about 4,400 digits over its denominator
+    walk_file = two_edge_steps_walk(tmp_path, 10**2200 + 1, 10**2200 + 3)
+    extra = ["-o", str(tmp_path / "out.json")] if command == "optimize" else []
+    assert main([command, walk_file, *extra]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {walk_file}: sequence: the durations need more than 1000 digits over a common denominator\n"
+
+
+@pytest.mark.parametrize("command", ["stats", "optimize"])
+def test_durations_just_under_the_digit_bound_run(tmp_path, capsys, command):
+    # a common denominator of 999 digits
+    walk_file = two_edge_steps_walk(tmp_path, 10**498 + 1, 10**500 + 3)
+    out = tmp_path / "out.json"
+    extra = ["-o", str(out)] if command == "optimize" else []
+    assert main([command, walk_file, *extra]) == 0
+    assert capsys.readouterr().err == ""
+    if command == "optimize":
+        (merged,) = parse_dynamic_graph(out.read_text()).steps
+        assert merged.duration == Fraction(1, 10**498 + 1) + Fraction(1, 10**500 + 3)
+
+
 def test_compile_verification_failure_writes_nothing(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "phase_distance", lambda u, v: 1.0)
     circuit_file = write_circuit(

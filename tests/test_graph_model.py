@@ -65,6 +65,21 @@ def test_angle_hashable_by_value():
     assert len({TimedGraph(g, Fraction(2, 4)), TimedGraph(g, Fraction(1, 2))}) == 1
 
 
+def test_equal_graphs_and_steps_built_apart_hash_equal_on_every_call():
+    first = Graph.make(4, [(0, 1), (2, 3)], [1])
+    second = Graph.make(4, [(3, 2), (1, 0)], [1])
+    assert first == second and first is not second
+    assert len({hash(first), hash(second), hash(first), hash(second)}) == 1
+    step = TimedGraph(first, Fraction(1, 2))
+    other = TimedGraph(second, Fraction(2, 4))
+    assert step == other and step is not other
+    assert len({hash(step), hash(other), hash(step), hash(other)}) == 1
+    # the kept hash is not a field: equality and repr read the fields alone
+    assert repr(first) == "Graph(n_vertices=4, edges=frozenset({(0, 1), (2, 3)}), loops=frozenset({1}))"
+    assert repr(step) == f"TimedGraph(graph={first!r}, duration=Fraction(1, 2))"
+    assert step != TimedGraph(Graph.make(4, [(0, 1), (2, 3)]), Fraction(1, 2))
+
+
 def test_angle_rejects_negative():
     # durations are checked where they enter a step
     with pytest.raises(ValueError, match="negative duration"):

@@ -9,6 +9,7 @@ replacement) and are asserted exactly. The unitary oracle is total_unitary, comp
 phase-invariant distance, the same check the driver itself performs.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 
 import catalog
 import dynwalk.rewrite_optimizer as ro
+import dynwalk.walk_engine as walk_engine
 import pinned_outputs
 import trace_fixtures as tf
 from dynwalk.gate_compiler import (
@@ -76,7 +78,7 @@ def assert_same_program(a, b, tol=1e-9):
 def test_swap_commuting_exchanges_steps():
     walk = walk_of(loops(2, [0], 1, 2), loops(2, [1], 1))
     assert ro._cached_commute(walk.steps[0].graph, walk.steps[1].graph)
-    sites = list(ro._block_swap_sites(walk))
+    sites = list(ro._block_swap_sites(ro.ScanFacts(walk)))
     assert sites == [(0, 2, (walk.steps[1], walk.steps[0]), "swap blocks 1+1")]
     assert_same_program(walk, walk.replaced(0, 2, sites[0][2]), tol=1e-12)
 
@@ -87,13 +89,13 @@ def test_swap_commuting_rejects_non_commuting():
         TimedGraph(Graph.make(3, edges=[(1, 2)]), angle(1, 2)),
     )
     assert not ro._cached_commute(walk.steps[0].graph, walk.steps[1].graph)
-    assert list(ro._block_swap_sites(walk)) == []
+    assert list(ro._block_swap_sites(ro.ScanFacts(walk))) == []
 
 
 def test_swap_commuting_rejects_bad_index():
     # one step has no neighbor to swap with
     walk = walk_of(loops(2, [0], 1, 2))
-    assert list(ro._block_swap_sites(walk)) == []
+    assert list(ro._block_swap_sites(ro.ScanFacts(walk))) == []
 
 
 # -- MERGE_IDENTICAL ----------------------------------------------------------------
@@ -119,15 +121,15 @@ def test_merge_identical_drops_full_period():
 def test_merge_identical_rejects_different_graphs():
     walk = walk_of(match(4, 1, 1, 2), match(4, 2, 1, 2))
     assert ro._merge_identical(*walk.steps) == "graphs differ"
-    assert list(ro._merge_identical_sites(walk, 0)) == []
+    assert list(ro._merge_identical_sites(ro.ScanFacts(walk), 0)) == []
 
 
 def test_merge_sites_need_a_step_after_the_index():
     walk = walk_of(match(4, 1, 1, 2), match(4, 1, 1, 2), loops(4, [1], 1, 2))
-    assert list(ro._merge_identical_sites(walk, 0)) == [(0, 2, (match(4, 1, 1),), "")]
+    assert list(ro._merge_identical_sites(ro.ScanFacts(walk), 0)) == [(0, 2, (match(4, 1, 1),), "")]
     last = walk.graph_count - 1
-    assert list(ro._merge_identical_sites(walk, last)) == []
-    assert list(ro._merge_complementary_sites(walk, last)) == []
+    assert list(ro._merge_identical_sites(ro.ScanFacts(walk), last)) == []
+    assert list(ro._merge_complementary_sites(ro.ScanFacts(walk), last)) == []
 
 
 # -- COMBINE_PST: the fold of a phased-permutation run --------------------------------
@@ -168,7 +170,7 @@ def test_combine_pst_collapses_two_gate_run():
         TimedGraph(all_loops_graph(4), angle(3, 2)),
     )
     assert_same_program(walk, walk.replaced(0, 4, combined), tol=1e-12)
-    assert list(ro._combine_pst_sites(walk, 0)) == [(0, 4, combined, "")]
+    assert list(ro._combine_pst_sites(ro.ScanFacts(walk), 0)) == [(0, 4, combined, "")]
 
 
 def test_combine_pst_rejects_unclassifiable_step():
@@ -179,10 +181,10 @@ def test_combine_pst_rejects_unclassifiable_step():
 def test_combine_pst_rejects_short_span():
     # the site generators offer runs of two or more steps only
     walk = walk_of(match(4, 1, 1, 2), match(4, 2, 1, 2))
-    assert list(ro._combine_pst_sites(walk, 1)) == []
-    assert list(ro._fold_sites(walk, 1)) == []
-    assert [site[:2] for site in ro._combine_pst_sites(walk, 0)] == [(0, 2)]
-    assert [site[:2] for site in ro._fold_sites(walk, 0)] == [(0, 2)]
+    assert list(ro._combine_pst_sites(ro.ScanFacts(walk), 1)) == []
+    assert list(ro._fold_sites(ro.ScanFacts(walk), 1)) == []
+    assert [site[:2] for site in ro._combine_pst_sites(ro.ScanFacts(walk), 0)] == [(0, 2)]
+    assert [site[:2] for site in ro._fold_sites(ro.ScanFacts(walk), 0)] == [(0, 2)]
 
 
 def test_combine_pst_folds_matching_into_partial_matching():
@@ -212,9 +214,9 @@ def test_combine_pst_folds_a_run_once_for_every_walk_that_holds_it(monkeypatch):
     ro._fold.cache_clear()
     walk = walk_of(match(4, 1, 1, 2), match(4, 2, 1, 2), loops(4, [0], 1, 2))
     other = walk.replaced(2, 3, [loops(4, [1], 1, 4)])
-    sites = list(ro._combine_pst_sites(walk, 0))
+    sites = list(ro._combine_pst_sites(ro.ScanFacts(walk), 0))
     assert [site[:2] for site in sites] == [(0, 2)]
-    assert list(ro._combine_pst_sites(other, 0)) == sites
+    assert list(ro._combine_pst_sites(ro.ScanFacts(other), 0)) == sites
     assert len(scheduled) == 1
 
 
@@ -275,7 +277,7 @@ def test_merge_complementary_equal_durations_fuse_fully():
     merged = ro._merge_complementary(*walk.steps)
     assert merged == (TimedGraph(Graph.make(4, edges=[(0, 1), (2, 3)]), angle(1, 2)),)
     assert_same_program(walk, walk.replaced(0, 2, merged), tol=1e-12)
-    assert list(ro._merge_complementary_sites(walk, 0)) == [(0, 2, merged, "")]
+    assert list(ro._merge_complementary_sites(ro.ScanFacts(walk), 0)) == [(0, 2, merged, "")]
 
 
 def test_merge_complementary_rejects_norm_mismatch():
@@ -294,7 +296,7 @@ def test_merge_complementary_rejects_overlap():
 def test_merge_complementary_rejects_empty_step():
     walk = walk_of(loops(2, [0], 1, 2), TimedGraph(Graph.make(2), angle(1, 2)))
     assert ro._merge_complementary(*walk.steps) == "empty step"
-    assert list(ro._merge_complementary_sites(walk, 0)) == []
+    assert list(ro._merge_complementary_sites(ro.ScanFacts(walk), 0)) == []
 
 
 # -- MOVE_SINGLETON: the two singleton verdicts and the moves they build --------------
@@ -395,9 +397,9 @@ def test_move_singleton_rejects_mixed_target_with_loop():
 
 
 def hadamard_layer_of(walk, start, stop):
-    """The Hadamard-layer verdict on steps[start:stop], given their product."""
-    span = walk.steps[start:stop]
-    return ro._hypercube_hadamard(span, total_unitary(DynamicGraph(walk.n_vertices, span)))
+    """The Hadamard-layer verdict on steps[start:stop], read from the facts of the span alone."""
+    span = DynamicGraph(walk.n_vertices, walk.steps[start:stop])
+    return ro._hypercube_hadamard(ro.ScanFacts(span), 0, span.graph_count)
 
 
 def single_qubit_h_fixture():
@@ -430,7 +432,7 @@ def test_hypercube_hadamard_fuses_two_sequential_fixtures():
     assert replaced.graph_count == 5
     assert replaced.total_time() == angle(5, 2)
     assert_same_program(walk, replaced)
-    assert list(ro._hypercube_sites(walk, 0)) == [(0, 6, layer.steps, "")]
+    assert list(ro._hypercube_sites(ro.ScanFacts(walk), 0)) == [(0, 6, layer.steps, "")]
 
 
 def test_hypercube_hadamard_rejects_non_hadamard():
@@ -465,7 +467,7 @@ def test_hypercube_hadamard_rejects_bad_span_and_size():
     walk = single_qubit_h_fixture()
     assert hadamard_layer_of(walk, 2, 2) == "fragment is not a Hadamard layer"
     odd = walk_of(loops(3, [0], 1, 2))
-    assert list(ro._hypercube_sites(odd, 0)) == []
+    assert list(ro._hypercube_sites(ro.ScanFacts(odd), 0)) == []
 
 
 # -- rule sites against brute-force enumeration ------------------------------------
@@ -559,18 +561,30 @@ def reference_staircase(run, n):
     return schedule_phases(totals, n), f"staircase over {width} vertices"
 
 
-@pytest.mark.parametrize("seed", range(20))
-def test_staircase_sites_match_the_phase_sums(seed):
+def staircase_cases(seed):
+    """(sites offered, reference staircase site if it strictly improves) per start of a loops-only walk."""
     rng = random.Random(seed)
     n = rng.randrange(2, 9)
     walk = DynamicGraph(n, tuple(random_loops_step(rng, n) for _ in range(rng.randrange(2, 7))))
+    facts = ro.ScanFacts(walk)
     count = walk.graph_count
-    for start in range(count):
-        expected = []
-        if count - start >= 2:
-            stair, note = reference_staircase(walk.steps[start:], n)
-            expected = [(start, count, stair, note)]
-        assert list(ro._staircase_sites(walk, start)) == expected
+    for start in range(count - 1):
+        stair, note = reference_staircase(walk.steps[start:], n)
+        improves = ro._gain(walk, start, count, stair) > (0, 0)
+        yield list(ro._staircase_sites(facts, start)), [(start, count, stair, note)] if improves else []
+    assert list(ro._staircase_sites(facts, count - 1)) == []
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_staircase_sites_match_the_phase_sums(seed):
+    """A run's staircase is offered exactly when it strictly improves on the run."""
+    for offered, expected in staircase_cases(seed):
+        assert offered == expected
+
+
+def test_staircase_sites_are_both_offered_and_passed_over():
+    offered = [bool(sites) for seed in range(20) for sites, _ in staircase_cases(seed)]
+    assert any(offered) and not all(offered)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -596,8 +610,7 @@ def per_stop_hypercube_sites(walk, index, window=None):
             a, b = window
             if stop <= a or index >= b or (index <= a and stop >= b):
                 continue
-        span = walk.steps[index:stop]
-        layer = ro._hypercube_hadamard(span, total_unitary(DynamicGraph(walk.n_vertices, span)))
+        layer = hadamard_layer_of(walk, index, stop)
         if not isinstance(layer, str):
             return [(index, stop, layer, "")]
     return []
@@ -628,19 +641,51 @@ def test_hypercube_sites_match_the_per_stop_scan(n_qubits):
     found = {"whole walk": 0, "window": 0}
     for _ in range(6):
         walk = random_hadamard_walk(rng, n_qubits)
+        facts = ro.ScanFacts(walk)
         count = walk.graph_count
         for index in range(count):
-            sites = list(ro._hypercube_sites(walk, index))
+            sites = list(ro._hypercube_sites(facts, index))
             assert sites == per_stop_hypercube_sites(walk, index)
             found["whole walk"] += len(sites)
         for _ in range(8):
             start = rng.randrange(count)
             window = (start, rng.randrange(start + 1, count + 1))
             for index in range(count):
-                sites = list(ro._hypercube_sites(walk, index, window))
+                sites = list(ro._hypercube_sites(facts, index, window))
                 assert sites == per_stop_hypercube_sites(walk, index, window)
                 found["window"] += len(sites)
     assert all(found.values())
+
+
+def test_follow_up_hadamard_sites_read_from_the_moved_facts_match_the_per_stop_scan():
+    """After every neutral move the enabling search tries, the window's sites are the per-stop ones.
+
+    The moved walk's facts share the products of the walk before the move
+    outside the window; the per-stop scan builds each span's product on its
+    own.
+    """
+    rng = random.Random(5)
+    _, _, moves = ro._pick_rows(set(ALL_RULES))
+    candidates = found = 0
+    for n_qubits in (1, 2, 3):
+        for _ in range(4):
+            walk = random_hadamard_walk(rng, n_qubits)
+            for moved, window in neutral_moves(walk, moves):
+                candidates += 1
+                for index in range(walk.graph_count):
+                    sites = list(ro._hypercube_sites(moved, index, window))
+                    assert sites == per_stop_hypercube_sites(moved.walk, index, window), (window, index)
+                    found += len(sites)
+    assert candidates and found
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2, 3, 4, 5])
+def test_no_hadamard_layer_costs_less_than_the_floor(n_qubits):
+    for size in range(1, n_qubits + 1):
+        for targets in itertools.combinations(range(n_qubits), size):
+            _, cost, _ = ro._hadamard_layer(targets, n_qubits)
+            assert cost >= ro.LAYER_FLOOR
+            assert (cost == ro.LAYER_FLOOR) == (size == 1)
 
 
 def random_circuit(rng, widths=(3, 4)):
@@ -678,11 +723,12 @@ def test_span_time_sums_the_steps_less_the_others_exactly(seed):
 @pytest.mark.parametrize("seed", range(10))
 def test_gain_prices_every_site_from_its_durations(seed):
     walk = random_walk(random.Random(seed))
+    facts = ro.ScanFacts(walk)
     priced = 0
     for rule, sites, walk_sites, _ in ro._RULE_TABLE:
-        offered = list(walk_sites(walk)) if walk_sites else []
+        offered = list(walk_sites(facts)) if walk_sites else []
         for index in range(walk.graph_count if sites else 0):
-            offered.extend(sites(walk, index))
+            offered.extend(sites(facts, index))
         for start, stop, replacement, _ in offered:
             saved = sum((s.duration for s in walk.steps[start:stop]), angle(0)) - sum(
                 (s.duration for s in replacement), angle(0)
@@ -700,9 +746,9 @@ def enabling_searches(walk):
     searches = []
     real = ro._find_enabling_pair
 
-    def recorded(current, rows, moves, skip):
-        searches.append((current, rows, moves, set(skip)))
-        return real(current, rows, moves, skip)
+    def recorded(facts, rows, moves, skip):
+        searches.append((facts.walk, rows, moves, set(skip)))
+        return real(facts, rows, moves, skip)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ro, "_find_enabling_pair", recorded)
@@ -711,17 +757,19 @@ def enabling_searches(walk):
 
 
 def neutral_moves(walk, moves, skip=()):
-    """Every enabling candidate: the moved walk and the window it rewrote.
+    """Every enabling candidate: the facts of the moved walk and the window it rewrote.
 
-    A candidate is cost-neutral, changes its span and is not skipped.
+    A candidate is cost-neutral, changes its span and is not skipped. Its
+    facts come from the walk's, as the enabling search derives them.
     """
+    facts = ro.ScanFacts(walk)
     for _, sites in moves:
-        for start, stop, replacement, _ in sites(walk):
+        for start, stop, replacement, _ in sites(facts):
             span = walk.steps[start:stop]
             if ro._gain(walk, start, stop, replacement) != (0, 0) or replacement == span:
                 continue
             if (span, replacement) not in skip:
-                yield walk.replaced(start, stop, replacement), (start, stop)
+                yield facts.moved(start, stop, replacement), (start, stop)
 
 
 def search_input(seed):
@@ -743,9 +791,10 @@ def test_regular_rows_offer_only_sites_that_start_at_their_position():
     assert [sites for _, sites in last_resort] == [ro._singleton_sites, ro._fold_sites]
     for seed in range(40):
         walk = search_input(seed)
+        facts = ro.ScanFacts(walk)
         for _, sites in regular:
             for index in range(walk.graph_count):
-                assert all(site[0] == index for site in sites(walk, index)), (seed, sites, index)
+                assert all(site[0] == index for site in sites(facts, index)), (seed, sites, index)
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -759,13 +808,13 @@ def test_sites_left_out_for_a_window_do_not_read_it(seed):
     for _ in range(6):
         start = rng.randrange(count)
         window = (start, rng.randrange(start + 1, min(start + 3, count) + 1))
-        moved = random_rewrite(rng, walk, *window)
+        moved = ro.ScanFacts(random_rewrite(rng, walk, *window))
         for sites in rows:
             for index in range(count):
                 offered = list(sites(moved, index, window))
                 every = list(sites(moved, index))
                 assert offered == [site for site in every if site in offered]
-                before = list(sites(walk, index))
+                before = list(sites(ro.ScanFacts(walk), index))
                 assert all(site in before for site in every if site not in offered), (sites, index, window)
 
 
@@ -775,7 +824,7 @@ def test_windowed_follow_up_scan_matches_the_full_scan():
         for current, rows, moves, skip in enabling_searches(search_input(seed)):
             for moved, window in neutral_moves(current, moves, skip):
                 follow = ro._scan(moved, rows, skip, window)
-                assert follow == ro._scan(moved, rows, skip), (seed, window)
+                assert follow == ro._scan(ro.ScanFacts(moved.walk), rows, skip), (seed, window)
                 if follow is not None:
                     landed.append(follow[0].span[0] < window[0])
     # the inputs reach follow-ups that land, some of them left of the window
@@ -808,9 +857,10 @@ def test_windowed_follow_up_scan_matches_the_full_scan_while_rewrites_are_skippe
                 continue
             for moved, window in neutral_moves(current, moves, skip):
                 follow = ro._scan(moved, rows, skip, window)
-                assert follow == ro._scan(moved, rows, skip), (seed, window)
+                fresh = ro.ScanFacts(moved.walk)
+                assert follow == ro._scan(fresh, rows, skip), (seed, window)
                 landed += follow is not None
-                changed += follow != ro._scan(moved, rows, set())
+                changed += follow != ro._scan(fresh, rows, set())
     # follow-ups land, and the skip sets change what some of them find
     assert landed >= 20 and changed >= 5
 
@@ -821,8 +871,9 @@ def test_hadamard_layer_sites_pass_their_verification(n_qubits):
     found = 0
     for _ in range(10):
         walk = random_hadamard_walk(rng, n_qubits)
+        facts = ro.ScanFacts(walk)
         for index in range(walk.graph_count):
-            for start, stop, replacement, _ in ro._hypercube_sites(walk, index):
+            for start, stop, replacement, _ in ro._hypercube_sites(facts, index):
                 record = RewriteStep(RULE_HYPERCUBE_HADAMARD, (start, stop), angle(0), 0)
                 assert ro._span_verified(walk, (record, replacement))
                 found += 1
@@ -837,16 +888,16 @@ def test_enabling_search_keeps_the_window_while_rewrites_are_skipped(monkeypatch
     windows = []
     real = ro._scan
 
-    def recorded(walk, rows, skip, window=None):
+    def recorded(facts, rows, skip, window=None):
         windows.append(window)
-        return real(walk, rows, skip, window)
+        return real(facts, rows, skip, window)
 
     monkeypatch.setattr(ro, "_scan", recorded)
-    assert ro._find_enabling_pair(final, regular, moves, set()) is None
+    assert ro._find_enabling_pair(ro.ScanFacts(final), regular, moves, set()) is None
     assert windows == candidates
     windows.clear()
     # a rewrite that dropped the first step, skipped since it failed
-    assert ro._find_enabling_pair(final, regular, moves, {(final.steps[:1], ())}) is None
+    assert ro._find_enabling_pair(ro.ScanFacts(final), regular, moves, {(final.steps[:1], ())}) is None
     assert windows == candidates
 
 
@@ -857,7 +908,7 @@ def test_enabling_search_passes_over_moves_that_keep_their_span(monkeypatch):
     kept = [
         (start, stop)
         for _, sites in moves
-        for start, stop, replacement, _ in sites(walk)
+        for start, stop, replacement, _ in sites(ro.ScanFacts(walk))
         if replacement == walk.steps[start:stop]
     ]
     # swapping the two equal blocks rewrites (0, 2) into the same steps
@@ -866,11 +917,11 @@ def test_enabling_search_passes_over_moves_that_keep_their_span(monkeypatch):
     real = ro._scan
 
     def recorded(moved, rows, skip, window=None):
-        scanned.append(moved)
+        scanned.append(moved.walk)
         return real(moved, rows, skip, window)
 
     monkeypatch.setattr(ro, "_scan", recorded)
-    ro._find_enabling_pair(walk, regular, moves, set())
+    ro._find_enabling_pair(ro.ScanFacts(walk), regular, moves, set())
     assert walk not in scanned
 
 
@@ -1273,10 +1324,11 @@ def test_optimize_recovered_program_stays_under_the_singleton_call_ceiling(monke
     assert 0 < len(calls) <= SINGLETON_CALL_CEILING
 
 
-# The criterion-09 program tries 1,048 Hadamard-layer fragments; before
-# the sweep skipped fragments of phased permutations and the follow-up
-# scan skipped fragments that miss the changed window or hold all of it,
-# it tried 3,696 (1,583 without the skip, 2,340 without the window).
+# The criterion-09 program judges 819 Hadamard-layer fragments; 1,048 before
+# the sweep stopped at the fragments that cost no more than the cheapest
+# layer. Before the sweep skipped fragments of phased permutations and the
+# follow-up scan skipped fragments that miss the changed window or hold all
+# of it, it tried 3,696 (1,583 without the skip, 2,340 without the window).
 HYPERCUBE_CALL_CEILING = 1300
 
 
@@ -1284,13 +1336,33 @@ def test_optimize_recovered_program_stays_under_the_hypercube_call_ceiling(monke
     calls = []
     real = ro._hypercube_hadamard
 
-    def counted(span, fragment):
-        calls.append(span)
-        return real(span, fragment)
+    def counted(facts, start, stop):
+        calls.append((start, stop))
+        return real(facts, start, stop)
 
     monkeypatch.setattr(ro, "_hypercube_hadamard", counted)
     optimize(catalog.reconstruct(tf.LONG_TRACE).program())
     assert 0 < len(calls) <= HYPERCUBE_CALL_CEILING
+
+
+# Optimizing the criterion-09 program applies 7,493 steps through the
+# kernel with empty caches; 9,080 when the Hadamard-layer sweep took the
+# products of the fragments from each start from a prefix_unitaries call of
+# their own.
+KERNEL_STEP_CEILING = 8500
+
+
+def test_optimize_recovered_program_stays_under_the_kernel_step_ceiling(monkeypatch):
+    calls = []
+    real = walk_engine._apply_step
+
+    def counted(factors, rows):
+        calls.append(rows.shape)
+        return real(factors, rows)
+
+    monkeypatch.setattr(walk_engine, "_apply_step", counted)
+    optimize(catalog.reconstruct(tf.LONG_TRACE).program())
+    assert 0 < len(calls) <= KERNEL_STEP_CEILING
 
 
 @pytest.mark.parametrize("seed", sorted(pinned_outputs.PINNED_CIRCUITS))
