@@ -50,7 +50,6 @@ __all__ = [
     "MAX_TIME_DIGITS",
     "radians",
     "format_angle",
-    "adjacency_matrix",
     "spectrum",
     "support",
     "supports_disjoint",
@@ -118,8 +117,9 @@ class Graph:
     (no edges, no loops) is legal and acts as a hold step of whatever
     duration it is given: its adjacency matrix is zero, so nothing moves.
     The optimizer's caches are keyed on graphs and steps, so the hash is
-    computed once, on first use, and kept beside the fields: equality and
-    repr read the fields alone.
+    computed once, on first use, and kept beside the fields, as is the set
+    of edge endpoints that ``degree_free`` reads: equality and repr read
+    the fields alone.
     """
 
     n_vertices: int
@@ -132,6 +132,10 @@ class Graph:
 
     def __hash__(self) -> int:
         return self._hash
+
+    @cached_property
+    def _endpoints(self) -> frozenset:
+        return frozenset(chain.from_iterable(self.edges))
 
     def __post_init__(self) -> None:
         if self.n_vertices < 0:
@@ -172,7 +176,7 @@ class Graph:
 
     def degree_free(self, vertex: int) -> bool:
         """True when no edge of this graph touches the vertex (loops ignored)."""
-        return all(vertex not in pair for pair in self.edges)
+        return vertex not in self._endpoints
 
     def sorted_edges(self) -> list:
         return sorted(self.edges)
@@ -234,17 +238,6 @@ class DynamicGraph:
         """Copy with steps[start:stop] replaced by new_steps."""
         merged = self.steps[:start] + tuple(new_steps) + self.steps[stop:]
         return DynamicGraph(self.n_vertices, merged)
-
-
-def adjacency_matrix(graph: Graph) -> np.ndarray:
-    """Symmetric integer adjacency matrix; loops put 1 on the diagonal."""
-    a = np.zeros((graph.n_vertices, graph.n_vertices), dtype=np.int64)
-    for i, j in graph.edges:
-        a[i, j] = 1
-        a[j, i] = 1
-    for v in graph.loops:
-        a[v, v] = 1
-    return a
 
 
 class Spectrum(NamedTuple):

@@ -63,7 +63,22 @@ part of the window but not all of it. The leftmost best of those is the
 site the full scan of the regular rows would take, whatever the skip
 set. A move that leaves its span as it was is never tried. A site is
 priced in one integer sum over the durations of the span and of its
-replacement.
+replacement (``_gain``), the one price the scan ranks by.
+
+Three rows price a site before they build it, each in integers that equal
+``_gain`` of the built site, and build only the sites they can take. The
+loop staircase row prices a run from its per-vertex phase totals. The
+fold row composes the phased-permutation run from its position once, left
+to right, with integer angle totals over one denominator, and prices each
+prefix that permutes by an involution from those totals: pi/2 and one
+graph for the matching if the prefix moves a vertex, plus the largest
+residue and one graph per distinct nonzero residue for the staircase; it
+folds (``_fold``, and so ``schedule_phases``) only a prefix that strictly
+improves. A singleton move leaves the steps between its source and target
+as they were, so it is priced from those two steps against what stays of
+the source and what landed, and its site is built only when it strictly
+improves, for the last-resort row, or is exactly neutral, for the
+enabling search.
 
 The rescanned walks differ from the current one only where a neutral
 move changed them, so the rules keep their step-local verdicts in
@@ -74,7 +89,12 @@ source step and the vertex), what a target step becomes when it absorbs
 that phase (``_singleton_landing``, on the target step, the vertex and
 the phase), the fold of a run of phased permutations (``_fold``, on the
 vertex count and the run's steps), and the phased-permutation form of
-each step. ``_cached_commute`` keeps the verdict of
+each step, whose angles are integers over one denominator, so that the
+fold row composes runs without ``Fraction`` arithmetic. A landing on a
+loops-only target is built directly as its at most two staircase steps.
+A period is looked up only for a duration of 2pi or more, or for the
+empty graph: a nonempty graph's period is None or an even multiple of pi.
+``_cached_commute`` keeps the verdict of
 ``walk_engine.graphs_commute`` per graph pair for the block swaps. Only
 the Hadamard-layer verdict (``_hypercube_hadamard``) is not cached, as
 it reads the fragment's product; ``_hadamard_layer`` keeps the compiled
@@ -97,7 +117,11 @@ derives each candidate's facts from the walk's: the products left of the
 move's window are the walk's, those right of it the walk's up to a global
 phase, which no verdict reads, and only the window's are new, from a
 ``prefix_unitaries`` call on the window's steps multiplied onto the
-product before it. This module multiplies no step matrices: every step
+product before it. Every other product the optimizer reads comes from
+``walk_engine.run_unitary``, which takes the step factors from the same
+cache: the step a phased-permutation form is read from, both sides of a
+span it verifies, a compiled Hadamard layer, and its input and output
+for the final check. This module multiplies no step matrices: every step
 is applied by ``walk_engine``, one connected component at a time, and
 only whole prefix products are multiplied here. The Hadamard-layer sites
 try the fragments from one start longest first, skipping fragments made
@@ -106,8 +130,7 @@ never a Hadamard layer, and stopping at the first that costs no more
 than the cheapest layer (``LAYER_FLOOR``). The verdict reads a fragment
 [i, s) as W_s W_i^dag: its bit mask from column 0, its cost from the
 prefix times, and the dense product only for a layer that is strictly
-cheaper. The loop staircase row prices a run from its integer phase
-totals and folds only a run whose staircase strictly improves on it.
+cheaper.
 
 Every accepted rewrite is verified on its span alone. With Q the product
 of the steps before the span, P that of the steps after it, and S, S' the
@@ -144,7 +167,7 @@ from .graph_model import (
     supports_disjoint,
 )
 from .numerics import VERIFY_TOLERANCE, phase_distance
-from .walk_engine import graphs_commute, prefix_unitaries, step_unitary, total_unitary
+from .walk_engine import graphs_commute, prefix_unitaries, run_unitary
 
 __all__ = [
     "RULE_SWAP_COMMUTING",
@@ -246,13 +269,15 @@ class OptimizationReport:
 class PhasedPermutation(NamedTuple):
     """A step unitary with a single unit entry in each column.
 
-    Column j holds exp(-i pi angles[j]) in row perm[j] and zeros elsewhere.
-    ``bitflip`` tells whether the step is phase * X_mask: one angle, and
-    row = column XOR mask for one mask.
+    Column j holds exp(-i pi turns[j] / den) in row perm[j] and zeros
+    elsewhere, with each angle turns[j] / den in [0, 2). ``bitflip`` tells
+    whether the step is phase * X_mask: one angle, and row = column XOR
+    mask for one mask.
     """
 
     perm: Tuple[int, ...]
-    angles: Tuple[Fraction, ...]
+    turns: Tuple[int, ...]
+    den: int
     bitflip: bool
 
 
@@ -263,31 +288,33 @@ def _cached_permutation(step: TimedGraph) -> Optional[PhasedPermutation]:
     A loops-only step is exactly the identity with angle duration mod 2pi
     on each looped vertex and 0 elsewhere, whatever the denominator. Any
     other step has each column's largest entry fix its row and, through
-    _phase_angle, its angle; the rebuilt matrix is then checked against the
-    step unitary to VERIFY_TOLERANCE. Matchings at multiples of pi/2 pass,
-    among others, at denominators up to PHASE_DENOMINATOR_LIMIT.
+    _phase_angle, its angle, which depends on the entry's value alone and
+    is read once per distinct value; the rebuilt matrix is then checked
+    against the step unitary to VERIFY_TOLERANCE. Matchings at multiples of
+    pi/2 pass, among others, at denominators up to PHASE_DENOMINATOR_LIMIT.
     """
     n = step.graph.n_vertices
     if step.graph.is_loops_only:
         phase = step.duration % 2
-        diagonal = tuple(phase if v in step.graph.loops else Fraction(0) for v in range(n))
-        return PhasedPermutation(tuple(range(n)), diagonal, len(set(diagonal)) == 1)
-    u = step_unitary(step)
+        turns = tuple(phase.numerator if v in step.graph.loops else 0 for v in range(n))
+        return PhasedPermutation(tuple(range(n)), turns, phase.denominator, len(set(turns)) == 1)
+    u = run_unitary(n, (step,))
     rows = np.abs(u).argmax(axis=0)
     if len(set(rows.tolist())) != n:
         return None
-    angles: List[Fraction] = []
-    for column, row in enumerate(rows):
-        angle = _phase_angle(complex(u[row, column]))
-        if angle is None:
-            return None
-        angles.append(angle)
+    entries = u[rows, np.arange(n)].tolist()
+    angle_of = {value: _phase_angle(value) for value in set(entries)}
+    if None in angle_of.values():
+        return None
+    angles = [angle_of[value] for value in entries]
     expected = np.zeros_like(u)
     expected[rows, np.arange(n)] = np.exp(-1j * math.pi * np.array([float(a) for a in angles]))
     if np.abs(u - expected).max() > VERIFY_TOLERANCE:
         return None
-    bitflip = len(set(angles)) == 1 and np.array_equal(rows, np.arange(n) ^ rows[0])
-    return PhasedPermutation(tuple(rows.tolist()), tuple(angles), bitflip)
+    bitflip = len(set(angle_of.values())) == 1 and np.array_equal(rows, np.arange(n) ^ rows[0])
+    den = math.lcm(*(a.denominator for a in angle_of.values()))
+    turns = tuple(a.numerator * (den // a.denominator) for a in angles)
+    return PhasedPermutation(tuple(rows.tolist()), turns, den, bitflip)
 
 
 @lru_cache(maxsize=4096)
@@ -308,8 +335,16 @@ def _span_time(steps: Sequence[TimedGraph], minus: Sequence[TimedGraph] = ()) ->
     return Fraction(sum(n * (den // d) for n, d in durations), den)
 
 
-def _reduced(duration: Fraction, cycle: Optional[Fraction]) -> Fraction:
-    """The duration modulo a period; aperiodic (None) keeps it, period 0 zeroes it."""
+def _reduced(duration: Fraction, graph: Graph) -> Fraction:
+    """The duration modulo the graph's period; aperiodic (None) keeps it, period 0 zeroes it.
+
+    A nonempty graph's largest eigenvalue ratio is exactly 1, so its period
+    is None or an even multiple of pi, and a duration under 2pi needs no
+    lookup.
+    """
+    if duration < 2 and not graph.is_empty:
+        return duration
+    cycle = _cached_period(graph)
     if cycle is None:
         return duration
     return duration % cycle if cycle else Fraction(0)
@@ -338,8 +373,36 @@ def _merge_identical(first: TimedGraph, second: TimedGraph) -> StepsVerdict:
     """Fuse adjacent steps on the same graph, reducing modulo the period."""
     if first.graph != second.graph:
         return "graphs differ"
-    total = _reduced(first.duration + second.duration, _cached_period(first.graph))
+    total = _reduced(first.duration + second.duration, first.graph)
     return (TimedGraph(first.graph, total),) if total else ()
+
+
+def _compositions(n: int, forms: Sequence[PhasedPermutation], den: int) -> Iterator[Tuple[List[int], List[int]]]:
+    """The product of each prefix of a run of phased permutations, composed left to right.
+
+    Column j of the product holds exp(-i pi totals[j] / den) in row perm[j];
+    den must be a multiple of every form's.
+    """
+    perm, totals = list(range(n)), [0] * n
+    for form in forms:
+        scale = den // form.den
+        totals = [total + form.turns[row] * scale for total, row in zip(totals, perm)]
+        perm = [form.perm[row] for row in perm]
+        yield perm, totals
+
+
+def _residues(perm: List[int], totals: List[int], den: int) -> Optional[List[int]]:
+    """Each vertex's phase left after the matching on perm's 2-cycles, in [0, 2 den).
+
+    The matching runs pi/2 (-i X on each pair), and the staircase pays the
+    rest. None unless perm is an involution.
+    """
+    if any(perm[row] != column for column, row in enumerate(perm)):
+        return None
+    residues = [0] * len(perm)
+    for column, (row, total) in enumerate(zip(perm, totals)):
+        residues[row] = (total - (den // 2 if row != column else 0)) % (2 * den)
+    return residues
 
 
 @lru_cache(maxsize=4096)
@@ -355,26 +418,19 @@ def _fold(n: int, run: Tuple[TimedGraph, ...]) -> StepsVerdict:
     of phase * X_mask steps thus becomes the matching on the XOR of the
     masks plus at most one all-loops graph.
     """
-    # column j of the run's product holds exp(-i pi angles[j]) in row perm[j]
-    perm = list(range(n))
-    angles = [Fraction(0)] * n
-    for step in run:
-        flip = _cached_permutation(step)
-        if flip is None:
-            return "step is not a phased permutation"
-        angles = [angle + flip.angles[row] for angle, row in zip(angles, perm)]
-        perm = [flip.perm[row] for row in perm]
-    if any(perm[row] != column for column, row in enumerate(perm)):
+    forms = [_cached_permutation(step) for step in run]
+    if None in forms:
+        return "step is not a phased permutation"
+    den = math.lcm(2, *(form.den for form in forms))
+    *_, (perm, totals) = _compositions(n, forms, den)
+    residues = _residues(perm, totals, den)
+    if residues is None:
         return "the run's permutation is not an involution"
     pairs = [(column, row) for column, row in enumerate(perm) if column < row]
     replacement: Tuple[TimedGraph, ...] = ()
     if pairs:
         replacement = (TimedGraph(Graph.make(n, pairs), Fraction(1, 2)),)
-    residue = {
-        row: (angle - (Fraction(1, 2) if row != column else 0)) % 2
-        for column, (row, angle) in enumerate(zip(perm, angles))
-    }
-    return replacement + schedule_phases(residue, n)
+    return replacement + schedule_phases({row: Fraction(r, den) for row, r in enumerate(residues)}, n)
 
 
 @lru_cache(maxsize=4096)
@@ -429,8 +485,9 @@ def _singleton_landing(step: TimedGraph, vertex: int, tau: Fraction) -> StepsVer
     Two landing modes:
 
     * the target is loops-only and already loops the vertex: its phase
-      becomes (t_target + tau) mod 2pi and the target re-emits as a
-      staircase;
+      becomes (t_target + tau) mod 2pi and the target re-emits as the
+      staircase of at most two steps that pays t_target on its other loops
+      and that phase on the vertex;
     * the target leaves the vertex entirely untouched and tau covers at
       least the target's normalized duration: the vertex joins the target
       with a loop, and any remaining phase trails as a one-vertex step.
@@ -440,9 +497,14 @@ def _singleton_landing(step: TimedGraph, vertex: int, tau: Fraction) -> StepsVer
     if vertex in graph.loops:
         if not graph.is_loops_only:
             return "target loops the vertex but is not loops-only"
-        phases = {w: step.duration for w in graph.loops}
-        phases[vertex] = (step.duration + tau) % 2
-        return schedule_phases(phases, n)
+        # (phase, vertices) groups; one step per distinct nonzero phase,
+        # highest first, looping every vertex that reaches it, as in schedule_phases
+        groups = ((step.duration, graph.loops - {vertex}), ((step.duration + tau) % 2, frozenset({vertex})))
+        levels = sorted({phase for phase, vertices in groups if phase and vertices}, reverse=True)
+        return tuple(
+            TimedGraph(Graph(n, loops=frozenset().union(*(v for phase, v in groups if phase >= high))), high - low)
+            for high, low in zip(levels, levels[1:] + [0])
+        )
     if not graph.degree_free(vertex):
         return "target attaches edges to the vertex"
     if graph.is_empty:
@@ -577,7 +639,7 @@ def _hadamard_layer(
     The product is shared by every caller, so it is read-only.
     """
     steps = compile_hadamard_layer(targets, n_qubits).steps
-    unitary = total_unitary(DynamicGraph(2**n_qubits, steps))
+    unitary = run_unitary(2**n_qubits, steps)
     unitary.flags.writeable = False
     return steps, (_span_time(steps), len(steps)), unitary
 
@@ -636,7 +698,7 @@ def _normalize(walk: DynamicGraph) -> Tuple[DynamicGraph, List[RewriteStep]]:
     steps: List[TimedGraph] = []
     for index, step in enumerate(walk.steps):
         reduced = step
-        cut = _reduced(step.duration, _cached_period(step.graph))
+        cut = _reduced(step.duration, step.graph)
         if cut != step.duration:
             records.append(
                 RewriteStep(
@@ -708,11 +770,32 @@ def _combine_pst_sites(facts: ScanFacts, index: int, window: Window = None) -> I
         yield from _offer(index, stop, _fold(n, facts.walk.steps[index:stop]))
 
 
+def _fold_prices(facts: ScanFacts, index: int) -> Iterator[Tuple[int, Tuple[Fraction, int]]]:
+    """(stop, gain of the fold) for each prefix [index, stop) of the run from the index that folds.
+
+    The run of phased permutations is composed once, left to right, and a
+    prefix that permutes by an involution is priced from its totals: its
+    fold runs pi/2 for the matching, if the prefix moves a vertex, plus the
+    largest residue, in one graph for the matching plus one per distinct
+    nonzero residue. The gain is _gain of the fold, without building it.
+    """
+    n = facts.walk.n_vertices
+    forms = [_cached_permutation(step) for step in facts.walk.steps[index : facts.run_end(index, bitflips=False)]]
+    den = math.lcm(2, *(form.den for form in forms))
+    for stop, (perm, totals) in enumerate(_compositions(n, forms, den), index + 1):
+        residues = _residues(perm, totals, den)
+        if residues is not None:
+            moved = perm != list(range(n))
+            time = (den // 2 if moved else 0) + max(residues)
+            saved = Fraction((facts.times[stop] - facts.times[index]) * den - time * facts.den, den * facts.den)
+            yield stop, (saved, stop - index - moved - len(set(residues) - {0}))
+
+
 def _fold_sites(facts: ScanFacts, index: int) -> Iterator[Site]:
-    """Every run of two or more phased permutations from the index."""
-    end = facts.run_end(index, bitflips=False)
-    for stop in range(index + 2, end + 1):
-        yield from _offer(index, stop, _fold(facts.walk.n_vertices, facts.walk.steps[index:stop]), "fold")
+    """Every run of two or more phased permutations from the index whose fold strictly improves on it."""
+    for stop, gain in _fold_prices(facts, index):
+        if stop - index >= 2 and gain > (0, 0):
+            yield from _offer(index, stop, _fold(facts.walk.n_vertices, facts.walk.steps[index:stop]), "fold")
 
 
 def _merge_complementary_sites(facts: ScanFacts, index: int, window: Window = None) -> Iterator[Site]:
@@ -755,16 +838,23 @@ def _staircase_sites(facts: ScanFacts, start: int, window: Window = None) -> Ite
         yield start, stop, stair, f"staircase over {width} vertices"
 
 
-def _singleton_moves(walk: DynamicGraph, source: int, note: str) -> Iterator[Site]:
-    """Every elementary singleton move out of the source step.
+# A singleton move out of a source step: its (time saved, graphs removed),
+# the vertex, the target step, what is left of the source and what landed.
+Move = Tuple[Tuple[Fraction, int], int, int, Tuple[TimedGraph, ...], Tuple[TimedGraph, ...]]
 
-    Each site comes straight from the two cached verdicts: what a looped
+
+def _singleton_moves(walk: DynamicGraph, source: int) -> Iterator[Move]:
+    """Every elementary singleton move out of the source step, with its price.
+
+    Each move comes straight from the two cached verdicts: what a looped
     singleton carries out of the source, and what each target of its
-    corridor becomes once it absorbs that phase. A move reads the steps
-    from the source to the target, which may lie on either side, so its
-    site is not span-local: the scan offers these moves only as a last
-    resort, and no windowed follow-up scan reads them. ``note`` is
-    formatted with the vertex, source and target of the move.
+    corridor becomes once it absorbs that phase. The steps between source
+    and target stay as they are, so a move is priced from the source and
+    target steps against what is left and what landed, and the rows build
+    the site (see _splice) only for the moves they take. A move reads the
+    steps from the source to the target, which may lie on either side, so
+    its site is not span-local: the scan offers these moves only as a last
+    resort, and no windowed follow-up scan reads them.
     """
     steps = walk.steps
     for vertex in steps[source].graph.sorted_loops():
@@ -777,12 +867,16 @@ def _singleton_moves(walk: DynamicGraph, source: int, note: str) -> Iterator[Sit
             landed = _singleton_landing(steps[target], vertex, tau)
             if isinstance(landed, str):
                 continue
-            text = note.format(vertex=vertex, source=source, target=target)
-            yield (*_splice(steps, source, target, left, landed), text)
+            gain = _span_time((steps[source], steps[target]), minus=left + landed), 2 - len(left) - len(landed)
+            yield gain, vertex, target, left, landed
 
 
 def _singleton_sites(facts: ScanFacts, source: int) -> Iterator[Site]:
-    return _singleton_moves(facts.walk, source, "vertex {vertex}: step {source} -> step {target}")
+    """The strictly improving singleton moves out of the source."""
+    for gain, vertex, target, left, landed in _singleton_moves(facts.walk, source):
+        if gain > (0, 0):
+            note = f"vertex {vertex}: step {source} -> step {target}"
+            yield (*_splice(facts.walk.steps, source, target, left, landed), note)
 
 
 def _hypercube_sites(facts: ScanFacts, index: int, window: Window = None) -> Iterator[Site]:
@@ -837,8 +931,12 @@ def _everywhere(sites: PositionSites) -> WalkSites:
 
 
 def _enabling_singleton_sites(facts: ScanFacts) -> Iterator[Site]:
+    """The cost-neutral singleton moves, out of every source."""
     for source in range(facts.walk.graph_count):
-        yield from _singleton_moves(facts.walk, source, "enabling move of vertex {vertex}")
+        for gain, vertex, target, left, landed in _singleton_moves(facts.walk, source):
+            if gain == (0, 0):
+                note = f"enabling move of vertex {vertex}"
+                yield (*_splice(facts.walk.steps, source, target, left, landed), note)
 
 
 # The rule table, in the order the driver tries the rules: each row holds
@@ -949,8 +1047,8 @@ def _apply(walk: DynamicGraph, rewrite: Rewrite) -> DynamicGraph:
 def _span_verified(walk: DynamicGraph, rewrite: Rewrite) -> bool:
     """Whether the rewrite keeps the program unitary, checked on its span."""
     record, replacement = rewrite
-    before = total_unitary(DynamicGraph(walk.n_vertices, walk.steps[slice(*record.span)]))
-    after = total_unitary(DynamicGraph(walk.n_vertices, replacement))
+    before = run_unitary(walk.n_vertices, walk.steps[slice(*record.span)])
+    after = run_unitary(walk.n_vertices, replacement)
     return phase_distance(before, after) < VERIFY_TOLERANCE
 
 
@@ -1021,7 +1119,8 @@ def optimize(
             record, replacement = chain[failed]
             skip.add((programs[failed].steps[slice(*record.span)], replacement))
 
-    distance = phase_distance(total_unitary(walk), total_unitary(current))
+    n = walk.n_vertices
+    distance = phase_distance(run_unitary(n, walk.steps), run_unitary(n, current.steps))
     if not distance < VERIFY_TOLERANCE:
         rejected.append(f"output against input: verification failed, distance {distance:.3e}")
     report = OptimizationReport(

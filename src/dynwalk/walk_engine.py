@@ -19,14 +19,20 @@ and a connected graph is simply one block. ``step_unitary`` is the same
 kernel applied to the identity. This is the only module that turns steps
 into matrices.
 
-``prefix_unitaries`` gives the products of every prefix of a run of steps.
-The optimizer calls it once for each walk whose Hadamard-layer fragments
-it reads, and once for the window of each enabling candidate, whose other
-prefixes it shares with the walk the candidate moves; the steps of one
-optimization thus recur across calls. It alone keeps each step's factors
-in an ``lru_cache``:
-the whole-program functions compute them per call, so a compile or equiv
-of a wide circuit holds no factors beyond the step it applies.
+The optimizer reads its products through two functions that keep each
+step's factors in one ``lru_cache``, since the steps of one optimization
+recur across its calls. ``prefix_unitaries`` gives the products of every
+prefix of a run of steps: the optimizer calls it once for each walk whose
+Hadamard-layer fragments it reads, and once for the window of each
+enabling candidate, whose other prefixes it shares with the walk the
+candidate moves. ``run_unitary`` gives the product of one run: a step it
+classifies, both sides of a span it verifies, a Hadamard layer it
+compiles, and its input and output for the final check. Both are
+``total_unitary``'s arithmetic, bit for bit. The whole-program functions
+(``step_unitary``, ``total_unitary``, ``evolve_state``, and so the
+``compile``, ``equiv``, ``unitary`` and ``simulate`` commands) compute
+the factors per call, so a compile or equiv of a wide circuit holds no
+factors beyond the step it applies.
 """
 
 from __future__ import annotations
@@ -43,6 +49,7 @@ __all__ = [
     "step_unitary",
     "total_unitary",
     "prefix_unitaries",
+    "run_unitary",
     "evolve_state",
     "graphs_commute",
 ]
@@ -104,6 +111,14 @@ def prefix_unitaries(n_vertices: int, steps: Sequence[TimedGraph]) -> List[np.nd
         _apply_step(_cached_factors(step), u)
         products.append(u)
     return products
+
+
+def run_unitary(n_vertices: int, steps: Sequence[TimedGraph]) -> np.ndarray:
+    """Product of a run of steps, as ``total_unitary``, with the factors from the cache."""
+    u = np.eye(n_vertices, dtype=np.complex128)
+    for step in steps:
+        _apply_step(_cached_factors(step), u)
+    return u
 
 
 def evolve_state(walk: DynamicGraph, state: np.ndarray) -> np.ndarray:

@@ -11,13 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import catalog
+from adjacency import adjacency_matrix
 from dynwalk.graph_model import (
     MAX_VERTICES,
     DynamicGraph,
     Graph,
     ParseError,
     TimedGraph,
-    adjacency_matrix,
     format_angle,
     parse_dynamic_graph,
     period,
@@ -125,6 +125,20 @@ def test_graph_predicates():
     assert Graph.make(3, loops=[1]).is_loops_only
     assert not Graph.make(3, edges=[(0, 1)]).is_loops_only
     assert not Graph.make(3, edges=[(0, 1)]).is_empty
+
+
+def test_degree_free_matches_the_edge_scan():
+    rng = random.Random(0)
+    for _ in range(300):
+        n = rng.randrange(1, 9)
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3]
+        graph = Graph.make(n, edges=edges, loops=[v for v in range(n) if rng.random() < 0.3])
+        for v in range(n):
+            assert graph.degree_free(v) == all(v not in pair for pair in graph.edges)
+    # the cached endpoints are no field: equality and repr read the fields alone
+    asked, fresh = Graph.make(3, edges=[(0, 1)]), Graph.make(3, edges=[(0, 1)])
+    assert not asked.degree_free(0)
+    assert asked == fresh and repr(asked) == repr(fresh) and hash(asked) == hash(fresh)
 
 
 def test_graph_union_and_degree_free():

@@ -18,7 +18,8 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynwalk.graph_model import Graph, TimedGraph, adjacency_matrix, radians, spectrum
+from adjacency import adjacency_matrix
+from dynwalk.graph_model import Graph, TimedGraph, radians, spectrum
 from dynwalk.numerics import phase_distance
 from dynwalk.walk_engine import step_unitary
 

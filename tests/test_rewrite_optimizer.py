@@ -34,7 +34,7 @@ from dynwalk.gate_compiler import (
     matching_graph,
     schedule_phases,
 )
-from dynwalk.graph_model import DynamicGraph, Graph, TimedGraph
+from dynwalk.graph_model import DynamicGraph, Graph, TimedGraph, period
 from dynwalk.numerics import phase_distance
 from dynwalk.rewrite_optimizer import (
     ALL_RULES,
@@ -113,6 +113,22 @@ def test_merge_identical_reduces_modulo_period():
     assert_same_program(walk, walk.replaced(0, 2, merged), tol=1e-12)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_a_duration_under_two_pi_needs_no_period(seed):
+    """A nonempty graph's period is None or an even multiple of pi, so _reduced looks it up only from 2pi on."""
+    rng = random.Random(seed)
+    for _ in range(500):
+        n = rng.randrange(1, 9)
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3]
+        graph = Graph.make(n, edges=edges, loops=[v for v in range(n) if rng.random() < 0.3])
+        cycle = period(graph)
+        if not graph.is_empty:
+            assert cycle is None or (cycle > 0 and cycle.denominator == 1 and cycle.numerator % 2 == 0)
+        duration = angle(rng.randrange(0, 24), rng.choice([1, 2, 3, 4, 8]))
+        expected = duration if cycle is None else duration % cycle if cycle else 0
+        assert ro._reduced(duration, graph) == expected
+
+
 def test_merge_identical_drops_full_period():
     walk = walk_of(match(4, 1, 1), match(4, 1, 1))
     assert ro._merge_identical(*walk.steps) == ()
@@ -179,8 +195,9 @@ def test_combine_pst_rejects_unclassifiable_step():
 
 
 def test_combine_pst_rejects_short_span():
-    # the site generators offer runs of two or more steps only
-    walk = walk_of(match(4, 1, 1, 2), match(4, 2, 1, 2))
+    # the site generators offer runs of two or more steps only; the pair
+    # folds into one all-loops step, which the fold row offers as it improves
+    walk = walk_of(match(4, 1, 1, 2), match(4, 1, 1, 2))
     assert list(ro._combine_pst_sites(ro.ScanFacts(walk), 1)) == []
     assert list(ro._fold_sites(ro.ScanFacts(walk), 1)) == []
     assert [site[:2] for site in ro._combine_pst_sites(ro.ScanFacts(walk), 0)] == [(0, 2)]
@@ -228,23 +245,28 @@ def test_combine_pst_rejects_three_cycle():
     assert ro._fold(4, walk.steps) == "the run's permutation is not an involution"
 
 
-@pytest.mark.parametrize("seed", range(20))
-def test_combine_pst_fold_keeps_the_exact_unitary(seed):
-    # loops at multiples of pi/4 and partial matchings at multiples of
-    # pi/2 are phased permutations; the fold applies exactly when their
-    # product permutes by an involution and then keeps the unitary itself,
-    # global phase included
-    rng = random.Random(seed)
+def random_phased_permutation_run(rng, most):
+    """2 to most steps: loops at multiples of pi/4 and partial matchings at multiples of pi/2."""
     n = rng.choice([3, 4, 5, 8])
     steps = []
-    for _ in range(rng.randrange(2, 5)):
+    for _ in range(rng.randrange(2, most + 1)):
         vertices = rng.sample(range(n), rng.randint(1, n))
         if rng.random() < 0.5 or len(vertices) < 2:
             steps.append(TimedGraph(Graph.make(n, loops=vertices), angle(rng.randint(1, 7), 4)))
         else:
             pairs = [vertices[i : i + 2] for i in range(0, len(vertices) - 1, 2)]
             steps.append(TimedGraph(Graph.make(n, edges=pairs), angle(rng.randint(1, 3), 2)))
-    walk = DynamicGraph(n, tuple(steps))
+    return DynamicGraph(n, tuple(steps))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_combine_pst_fold_keeps_the_exact_unitary(seed):
+    # the steps are phased permutations; the fold applies exactly when
+    # their product permutes by an involution and then keeps the unitary
+    # itself, global phase included
+    rng = random.Random(seed)
+    walk = random_phased_permutation_run(rng, 4)
+    n, steps = walk.n_vertices, walk.steps
     product = total_unitary(walk)
     perm = np.abs(product).argmax(axis=0)
     folded = ro._fold(n, walk.steps)
@@ -252,6 +274,34 @@ def test_combine_pst_fold_keeps_the_exact_unitary(seed):
         assert isinstance(folded, str)
         return
     assert np.abs(total_unitary(walk.replaced(0, len(steps), folded)) - product).max() < 1e-9
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_fold_prices_are_the_gains_of_the_folds(seed):
+    """Each prefix's price from the composed totals is _gain of its fold, and the row offers the improving ones."""
+    rng = random.Random(seed)
+    walk = random_phased_permutation_run(rng, 7)
+    facts = ro.ScanFacts(walk)
+    for index in range(walk.graph_count):
+        prices = dict(ro._fold_prices(facts, index))
+        folds = {stop: ro._fold(walk.n_vertices, walk.steps[index:stop]) for stop in range(index + 1, walk.graph_count + 1)}
+        assert set(prices) == {stop for stop, fold in folds.items() if not isinstance(fold, str)}
+        for stop, gain in prices.items():
+            assert gain == ro._gain(walk, index, stop, folds[stop])
+        improving = [stop for stop, gain in prices.items() if stop - index >= 2 and gain > (0, 0)]
+        assert list(ro._fold_sites(facts, index)) == [(index, stop, folds[stop], "fold") for stop in improving]
+
+
+def test_fold_sites_are_both_offered_and_passed_over():
+    offered = passed = 0
+    for seed in range(20):
+        rng = random.Random(seed)
+        facts = ro.ScanFacts(random_phased_permutation_run(rng, 7))
+        for index in range(facts.walk.graph_count):
+            sites = len(list(ro._fold_sites(facts, index)))
+            offered += sites
+            passed += sum(stop - index >= 2 for stop, _ in ro._fold_prices(facts, index)) - sites
+    assert offered and passed
 
 
 # -- MERGE_COMPLEMENTARY ------------------------------------------------------------
@@ -304,9 +354,9 @@ def test_merge_complementary_rejects_empty_step():
 
 def singleton_move(walk, source, vertex, target):
     """The walk after the move of the vertex's phase from source to target, or None."""
-    wanted = f"{vertex} {target}"
-    for start, stop, replacement, note in ro._singleton_moves(walk, source, "{vertex} {target}"):
-        if note == wanted:
+    for _, moved, landing, left, landed in ro._singleton_moves(walk, source):
+        if (moved, landing) == (vertex, target):
+            start, stop, replacement = ro._splice(walk.steps, source, target, left, landed)
             return walk.replaced(start, stop, replacement)
     return None
 
@@ -517,14 +567,37 @@ def random_singleton_step(rng, n):
 
 @pytest.mark.parametrize("seed", range(30))
 def test_singleton_moves_match_the_brute_force_enumeration(seed):
+    """Every move is enumerated, each with the price _gain gives its site, and the rows filter on that price."""
     rng = random.Random(seed)
     n = rng.randrange(2, 9)
     walk = DynamicGraph(n, tuple(random_singleton_step(rng, n) for _ in range(rng.randrange(2, 9))))
     note = "vertex {vertex}: step {source} -> step {target}"
+    facts = ro.ScanFacts(walk)
+    improving, neutral = [], []
     for source in range(walk.graph_count):
-        assert list(ro._singleton_moves(walk, source, note)) == brute_force_singleton_moves(
-            walk, source, note
-        )
+        sites = []
+        for gain, vertex, target, left, landed in ro._singleton_moves(walk, source):
+            site = ro._splice(walk.steps, source, target, left, landed)
+            assert gain == ro._gain(walk, *site)
+            sites.append((*site, note.format(vertex=vertex, source=source, target=target)))
+            if gain > (0, 0):
+                improving.append(sites[-1])
+            if gain == (0, 0):
+                neutral.append((*site, f"enabling move of vertex {vertex}"))
+        assert sites == brute_force_singleton_moves(walk, source, note)
+    assert [site for source in range(walk.graph_count) for site in ro._singleton_sites(facts, source)] == improving
+    assert list(ro._enabling_singleton_sites(facts)) == neutral
+
+
+def test_singleton_rows_both_take_and_pass_over_moves():
+    prices = set()
+    for seed in range(30):
+        rng = random.Random(seed)
+        n = rng.randrange(2, 9)
+        walk = DynamicGraph(n, tuple(random_singleton_step(rng, n) for _ in range(rng.randrange(2, 9))))
+        for source in range(walk.graph_count):
+            prices.update((gain > (0, 0)) - (gain < (0, 0)) for gain, *_ in ro._singleton_moves(walk, source))
+    assert prices == {-1, 0, 1}
 
 
 def test_singleton_moves_skip_targets_beyond_the_corridor(monkeypatch):
@@ -541,8 +614,19 @@ def test_singleton_moves_skip_targets_beyond_the_corridor(monkeypatch):
         return real(step, vertex, tau)
 
     monkeypatch.setattr(ro, "_singleton_landing", counted)
-    assert list(ro._singleton_moves(walk, 0, "")) == []
+    assert list(ro._singleton_moves(walk, 0)) == []
     assert targets == [1]
+
+
+@pytest.mark.parametrize("others", [(), (2,), (0, 2, 3)])
+def test_loops_only_landing_is_the_staircase_of_its_two_phases(others):
+    """Every target duration and moved phase in quarter steps, against schedule_phases."""
+    for t, tau in itertools.product(range(8), repeat=2):
+        target = loops(4, (1, *others), t, 4)
+        landed = ro._singleton_landing(target, 1, angle(tau, 4))
+        phases = {w: angle(t, 4) for w in others}
+        phases[1] = angle(t + tau, 4) % 2
+        assert landed == schedule_phases(phases, 4), (t, tau)
 
 
 def random_loops_step(rng, n):
@@ -594,9 +678,9 @@ def test_cached_permutation_rebuilds_loops_only_steps(seed):
     for step in [random_loops_step(rng, n) for _ in range(5)] + [loops(n, [0], 2)]:
         flip = ro._cached_permutation(step)
         rebuilt = np.zeros((n, n), dtype=complex)
-        rebuilt[list(flip.perm), range(n)] = [np.exp(-1j * np.pi * float(a)) for a in flip.angles]
+        rebuilt[list(flip.perm), range(n)] = [np.exp(-1j * np.pi * turns / flip.den) for turns in flip.turns]
         assert np.abs(rebuilt - step_unitary(step)).max() < 1e-12
-        assert flip.bitflip == (len(set(flip.angles)) == 1)
+        assert flip.bitflip == (len(set(flip.turns)) == 1)
 
 
 def per_stop_hypercube_sites(walk, index, window=None):
@@ -722,10 +806,21 @@ def test_span_time_sums_the_steps_less_the_others_exactly(seed):
 
 @pytest.mark.parametrize("seed", range(10))
 def test_gain_prices_every_site_from_its_durations(seed):
+    """Every site the rows offer, and every singleton move and fold before the rows filter them on their price."""
     walk = random_walk(random.Random(seed))
     facts = ro.ScanFacts(walk)
     priced = 0
-    for rule, sites, walk_sites, _ in ro._RULE_TABLE:
+    unfiltered = [
+        (*ro._splice(walk.steps, source, target, left, landed), "")
+        for source in range(walk.graph_count)
+        for _, _, target, left, landed in ro._singleton_moves(walk, source)
+    ] + [
+        (index, stop, ro._fold(walk.n_vertices, walk.steps[index:stop]), "")
+        for index in range(walk.graph_count)
+        for stop, _ in ro._fold_prices(facts, index)
+        if stop - index >= 2
+    ]
+    for rule, sites, walk_sites, _ in ro._RULE_TABLE + (("unfiltered", None, lambda _: unfiltered, True),):
         offered = list(walk_sites(facts)) if walk_sites else []
         for index in range(walk.graph_count if sites else 0):
             offered.extend(sites(facts, index))
@@ -1219,9 +1314,10 @@ def test_optimize_never_retries_a_failed_rewrite_after_the_walk_changes(monkeypa
 
 
 def test_optimize_checks_output_against_input(monkeypatch):
-    # a wrong period makes the normalization cut 3pi/4 down to pi/4
+    # a wrong period makes the normalization cut 11pi/4 down to pi/4; a
+    # duration under 2pi would never look the period up
     monkeypatch.setattr(ro, "_cached_period", lambda graph: angle(1, 2))
-    walk = walk_of(loops(2, [0], 3, 4))
+    walk = walk_of(loops(2, [0], 11, 4))
     final, report = optimize(walk)
     assert final.steps[0].duration == angle(1, 4)
     assert not report.verified

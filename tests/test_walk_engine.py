@@ -6,17 +6,24 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from adjacency import adjacency_matrix
 from dynwalk.gate_compiler import compile_hadamard_layer
 from dynwalk.graph_model import (
     DynamicGraph,
     Graph,
     TimedGraph,
-    adjacency_matrix,
     radians,
     spectrum,
 )
 import dynwalk.walk_engine as we
-from dynwalk.walk_engine import evolve_state, graphs_commute, prefix_unitaries, step_unitary, total_unitary
+from dynwalk.walk_engine import (
+    evolve_state,
+    graphs_commute,
+    prefix_unitaries,
+    run_unitary,
+    step_unitary,
+    total_unitary,
+)
 
 TOL = 1e-12
 
@@ -222,6 +229,19 @@ def test_prefix_unitaries_are_the_running_products():
     products[2][:] = 0.0
     assert all(np.array_equal(p, q) for p, q in zip(products[3:], kept[3:]))
     assert np.array_equal(products[1], kept[1])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_run_unitary_is_the_total_unitary_from_the_cache(seed):
+    we._cached_factors.cache_clear()
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 9))
+    steps = tuple(TimedGraph(random_graph(rng, n, 0.3, 0.4), d) for d in DURATIONS * 2)
+    assert np.array_equal(run_unitary(n, steps), total_unitary(DynamicGraph(n, steps)))
+    assert we._cached_factors.cache_info().currsize == len(set(steps))
+    assert np.array_equal(run_unitary(n, steps[:3]), total_unitary(DynamicGraph(n, steps[:3])))
+    assert np.array_equal(run_unitary(n, ()), np.eye(n))
+    we._cached_factors.cache_clear()
 
 
 def test_cached_factors_are_read_only_component_blocks():
