@@ -109,15 +109,15 @@ blocks every target beyond it.
 What every position of a scan reads of the walk as a whole is computed
 once per walk, in the ``ScanFacts`` the driver passes to every row: the
 prefix times as integers over one denominator, the ends of the runs of
-phased permutations and of phased bit flips, and, only once the
-Hadamard-layer row asks, the prefix products W_0 .. W_count from one
-``walk_engine.prefix_unitaries`` call. The facts live as long as their
+phased permutations, of phased bit flips and of loops-only steps, and,
+only once the Hadamard-layer row asks, the prefix products W_0 .. W_count
+from one ``walk_engine.prefix_unitaries`` call. The facts live as long as their
 walk's scans; no module-level state holds them. The enabling search
 derives each candidate's facts from the walk's: the products left of the
 move's window are the walk's, those right of it the walk's up to a global
 phase, which no verdict reads, and only the window's are new, from a
-``prefix_unitaries`` call on the window's steps multiplied onto the
-product before it. Every other product the optimizer reads comes from
+``prefix_unitaries`` call that applies the window's steps to the product
+before it. Every other product the optimizer reads comes from
 ``walk_engine.run_unitary``, which takes the step factors from the same
 cache: the step a phased-permutation form is read from, both sides of a
 span it verifies, a compiled Hadamard layer, and its input and output
@@ -150,7 +150,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -553,19 +553,29 @@ def _splice(
     return target, source + 1, landed + steps[target + 1 : source] + left
 
 
+def _run_ends(members: Sequence[bool]) -> List[int]:
+    """For each start i, the first index j >= i whose entry is false, or len(members)."""
+    ends = list(range(len(members) + 1))
+    for index in reversed(range(len(members))):
+        if members[index]:
+            ends[index] = ends[index + 1]
+    return ends
+
+
 class ScanFacts:
     """What every position of a scan reads of one walk, computed once for it.
 
     * ``times[k]`` is the time of the first k steps, an integer over
       ``den``, the common denominator of the durations;
-    * ``run_end(start, bitflips)`` is the end of the run of phased
-      permutations (or of phased bit flips) from start;
+    * ``run_end(start, kind)`` is the end of the run from start of phased
+      permutations (kind "perm"), of phased bit flips ("flip") or of
+      loops-only steps ("loops");
     * ``products()[k]`` is W_k, the product of the first k steps, so the
       fragment [i, s) is W_s W_i^dag.
 
     The run ends and the products are built on first use, the products
-    only by the Hadamard-layer row. ``moved`` derives the facts of an
-    enabling candidate from those of the walk it moves.
+    only by the Hadamard-layer row. ``moved`` derives the facts
+    of an enabling candidate from those of the walk it moves.
     """
 
     def __init__(self, walk: DynamicGraph, origin: Optional[Tuple["ScanFacts", int, int]] = None) -> None:
@@ -575,7 +585,7 @@ class ScanFacts:
             step.duration.numerator * (self.den // step.duration.denominator) for step in walk.steps
         )]
         self._origin = origin
-        self._ends: Optional[Tuple[List[int], List[int]]] = None
+        self._ends: Dict[str, List[int]] = {}
         self._products: Optional[List[np.ndarray]] = None
 
     def moved(self, start: int, stop: int, replacement: Tuple[TimedGraph, ...]) -> "ScanFacts":
@@ -595,18 +605,17 @@ class ScanFacts:
         spent = time.denominator * (self.times[stop] - self.times[start])
         return (spent, stop - start) <= (time.numerator * self.den, count)
 
-    def run_end(self, start: int, bitflips: bool) -> int:
-        if self._ends is None:
-            count = self.walk.graph_count
-            perm, flip = list(range(count + 1)), list(range(count + 1))
-            for index in reversed(range(count)):
-                step = _cached_permutation(self.walk.steps[index])
-                if step is not None:
-                    perm[index] = perm[index + 1]
-                    if step.bitflip:
-                        flip[index] = flip[index + 1]
-            self._ends = perm, flip
-        return self._ends[bitflips][start]
+    def run_end(self, start: int, kind: str) -> int:
+        if kind not in self._ends:
+            steps = self.walk.steps
+            if kind == "loops":
+                # apart from the others, so that the loops-only row classifies no step
+                self._ends["loops"] = _run_ends([step.graph.is_loops_only for step in steps])
+            else:
+                forms = [_cached_permutation(step) for step in steps]
+                self._ends["perm"] = _run_ends([form is not None for form in forms])
+                self._ends["flip"] = _run_ends([form is not None and form.bitflip for form in forms])
+        return self._ends[kind][start]
 
     def products(self) -> List[np.ndarray]:
         if self._products is None:
@@ -616,7 +625,7 @@ class ScanFacts:
             else:
                 origin, start, stop = self._origin
                 shared = origin.products()
-                inside = [p @ shared[start] for p in prefix_unitaries(n, steps[start : stop - 1])[1:]]
+                inside = prefix_unitaries(n, steps[start : stop - 1], shared[start])[1:]
                 self._products = shared[: start + 1] + inside + shared[stop:]
         return self._products
 
@@ -765,7 +774,7 @@ def _combine_pst_sites(facts: ScanFacts, index: int, window: Window = None) -> I
     n = facts.walk.n_vertices
     if n < 1 or n & (n - 1):
         return
-    stop = facts.run_end(index, bitflips=True)
+    stop = facts.run_end(index, "flip")
     if stop - index >= 2 and _reads(index, stop + 1, window):
         yield from _offer(index, stop, _fold(n, facts.walk.steps[index:stop]))
 
@@ -780,7 +789,7 @@ def _fold_prices(facts: ScanFacts, index: int) -> Iterator[Tuple[int, Tuple[Frac
     nonzero residue. The gain is _gain of the fold, without building it.
     """
     n = facts.walk.n_vertices
-    forms = [_cached_permutation(step) for step in facts.walk.steps[index : facts.run_end(index, bitflips=False)]]
+    forms = [_cached_permutation(step) for step in facts.walk.steps[index : facts.run_end(index, "perm")]]
     den = math.lcm(2, *(form.den for form in forms))
     for stop, (perm, totals) in enumerate(_compositions(n, forms, den), index + 1):
         residues = _residues(perm, totals, den)
@@ -819,9 +828,7 @@ def _staircase_sites(facts: ScanFacts, start: int, window: Window = None) -> Ite
     them. The verdict reads the run and the step that ends it.
     """
     steps, den = facts.walk.steps, facts.den
-    stop = start
-    while stop < len(steps) and steps[stop].graph.is_loops_only:
-        stop += 1
+    stop = facts.run_end(start, "loops")
     if stop - start < 2 or not _reads(start, stop + 1, window):
         return
     totals = dict.fromkeys(range(facts.walk.n_vertices), 0)
@@ -894,7 +901,7 @@ def _hypercube_sites(facts: ScanFacts, index: int, window: Window = None) -> Ite
     n, count = facts.walk.n_vertices, facts.walk.graph_count
     if n < 2 or n & (n - 1) or not _reads(index, count, window):
         return
-    lowest, highest = facts.run_end(index, bitflips=False) + 1, count
+    lowest, highest = facts.run_end(index, "perm") + 1, count
     if window is not None and index <= window[0]:
         lowest, highest = max(lowest, window[0] + 1), min(highest, window[1] - 1)
     for stop in range(highest, lowest - 1, -1):

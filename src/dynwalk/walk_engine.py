@@ -13,11 +13,18 @@ k rows it owns. The spectrum holds each block as V diag(w) V^T, and this
 module rebuilds its exponential as V diag(exp(-i w t / ||A||)) V^T: the
 eigenvectors of a real symmetric block are real, so V^T is V^dag. Those
 are the step's kernel factors, O(n k) numbers for the largest block size
-k. Applying a step to an n x m matrix therefore costs O(n k m), so
-``evolve_state`` costs O(n k) per step and ``total_unitary`` O(n^2 k),
-and a connected graph is simply one block. ``step_unitary`` is the same
-kernel applied to the identity. This is the only module that turns steps
-into matrices.
+k. Applying a step to an n x m matrix therefore costs O(n k m), and a
+connected graph is simply one block. ``evolve_state`` costs O(n k) per
+step.
+
+``total_unitary`` and ``step_unitary`` split the same way across steps.
+No step mixes two components of the union of the program's graphs, so
+the product is zero between them, and it is built as an n x c array, c
+the largest union component size: row v holds row v of the product on
+v's component. That costs O(n c k) per step, plus writing each block
+into the zeroed n x n result; a connected union is built on the n x n
+identity, as before. This is the only module that turns steps into
+matrices.
 
 The optimizer reads its products through two functions that keep each
 step's factors in one ``lru_cache``, since the steps of one optimization
@@ -27,8 +34,11 @@ Hadamard-layer fragments it reads, and once for the window of each
 enabling candidate, whose other prefixes it shares with the walk the
 candidate moves. ``run_unitary`` gives the product of one run: a step it
 classifies, both sides of a span it verifies, a Hadamard layer it
-compiles, and its input and output for the final check. Both are
-``total_unitary``'s arithmetic, bit for bit. The whole-program functions
+compiles, and its input and output for the final check. Both apply the
+steps to the n x n identity (or, for ``prefix_unitaries``, to a given
+starting product), so they are ``total_unitary``'s arithmetic bit for
+bit when the union of the steps' graphs is connected, and equal to it up
+to rounding otherwise. The whole-program functions
 (``step_unitary``, ``total_unitary``, ``evolve_state``, and so the
 ``compile``, ``equiv``, ``unitary`` and ``simulate`` commands) compute
 the factors per call, so a compile or equiv of a wide circuit holds no
@@ -39,11 +49,11 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from functools import lru_cache
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .graph_model import DynamicGraph, Graph, TimedGraph, radians, spectrum
+from .graph_model import DynamicGraph, Graph, TimedGraph, components, radians, spectrum
 
 __all__ = [
     "step_unitary",
@@ -83,29 +93,65 @@ def _apply_step(factors: Factors, rows: np.ndarray) -> None:
         rows[members] = exponential @ rows[members]
 
 
+def _product(n_vertices: int, steps: Sequence[TimedGraph]) -> np.ndarray:
+    """Product of the steps, later steps on the left, one union component at a time.
+
+    No step mixes vertices of two components of the union of the steps'
+    graphs, so the product is zero between them. The steps apply to an
+    n x c array, c the largest union component size: row v holds row v of
+    the product on v's component, column j its j-th vertex in vertex
+    order. Each block is then written into a zeroed n x n result. The
+    union's components come from the members of the steps' blocks; a
+    single step's blocks are its components. A connected union applies the
+    steps to the n x n identity.
+    """
+    groups = [members for step in steps for members, _ in spectrum(step.graph).blocks]
+    if len(steps) > 1 and groups:
+        heads = np.concatenate([members[:, :-1] for members in groups], axis=None)
+        tails = np.concatenate([members[:, 1:] for members in groups], axis=None)
+        _, groups = components(n_vertices, heads, tails)
+    width = max((members.shape[1] for members in groups), default=1)
+    if width >= n_vertices:
+        u = np.eye(n_vertices, dtype=np.complex128)
+        for step in steps:
+            _apply_step(_factors(step), u)
+        return u
+    rank = np.zeros(n_vertices, dtype=np.intp)
+    for members in groups:
+        rank[members] = np.arange(members.shape[1])
+    everyone = np.arange(n_vertices)
+    rows = np.zeros((n_vertices, width), dtype=np.complex128)
+    rows[everyone, rank] = 1.0
+    for step in steps:
+        _apply_step(_factors(step), rows)
+    u = np.zeros((n_vertices, n_vertices), dtype=np.complex128)
+    u[everyone, everyone] = rows[:, 0]
+    for members in groups:
+        u[members[:, :, None], members[:, None, :]] = rows[members, : members.shape[1]]
+    return u
+
+
 def step_unitary(step: TimedGraph) -> np.ndarray:
     """Unitary of one timed graph step, as a dense matrix."""
-    u = np.eye(step.graph.n_vertices, dtype=np.complex128)
-    _apply_step(_factors(step), u)
-    return u
+    return _product(step.graph.n_vertices, (step,))
 
 
 def total_unitary(walk: DynamicGraph) -> np.ndarray:
     """Product of all step unitaries, later steps applied on the left."""
-    u = np.eye(walk.n_vertices, dtype=np.complex128)
-    for step in walk.steps:
-        _apply_step(_factors(step), u)
-    return u
+    return _product(walk.n_vertices, walk.steps)
 
 
-def prefix_unitaries(n_vertices: int, steps: Sequence[TimedGraph]) -> List[np.ndarray]:
-    """Products of the first k steps for k = 0 .. len(steps), each its own array.
+def prefix_unitaries(
+    n_vertices: int, steps: Sequence[TimedGraph], initial: Optional[np.ndarray] = None
+) -> List[np.ndarray]:
+    """Products of the first k steps for k = 0 .. len(steps), times ``initial`` on the right.
 
-    Later steps apply on the left, as in ``total_unitary``; the first
-    product is the identity and the last that of the whole run. The steps'
-    factors come from a cache shared with later calls.
+    Later steps apply on the left, as in ``total_unitary``. The first
+    product is ``initial`` itself, the identity when it is None, and every
+    later one is its own array; the last is that of the whole run. The
+    steps' factors come from a cache shared with later calls.
     """
-    products = [np.eye(n_vertices, dtype=np.complex128)]
+    products = [np.eye(n_vertices, dtype=np.complex128) if initial is None else initial]
     for step in steps:
         u = products[-1].copy()
         _apply_step(_cached_factors(step), u)
@@ -114,7 +160,7 @@ def prefix_unitaries(n_vertices: int, steps: Sequence[TimedGraph]) -> List[np.nd
 
 
 def run_unitary(n_vertices: int, steps: Sequence[TimedGraph]) -> np.ndarray:
-    """Product of a run of steps, as ``total_unitary``, with the factors from the cache."""
+    """Product of a run of steps on the n x n identity, with the factors from the cache."""
     u = np.eye(n_vertices, dtype=np.complex128)
     for step in steps:
         _apply_step(_cached_factors(step), u)

@@ -793,6 +793,27 @@ def random_walk(rng):
 
 
 @pytest.mark.parametrize("seed", range(10))
+def test_run_ends_are_the_forward_scans(seed):
+    """Each run end, from every start, is where walking forward over the run's kind of step stops."""
+    rng = random.Random(seed)
+    walk = random_walk(rng)
+    steps = list(walk.steps) + [random_loops_step(rng, walk.n_vertices) for _ in range(rng.randrange(2, 8))]
+    rng.shuffle(steps)
+    facts = ro.ScanFacts(DynamicGraph(walk.n_vertices, tuple(steps)))
+    kinds = {
+        "perm": lambda step: ro._cached_permutation(step) is not None,
+        "flip": lambda step: ro._cached_permutation(step) is not None and ro._cached_permutation(step).bitflip,
+        "loops": lambda step: step.graph.is_loops_only,
+    }
+    for kind, belongs in kinds.items():
+        for start in range(len(steps) + 1):
+            stop = start
+            while stop < len(steps) and belongs(steps[stop]):
+                stop += 1
+            assert facts.run_end(start, kind) == stop, (kind, start)
+
+
+@pytest.mark.parametrize("seed", range(10))
 def test_span_time_sums_the_steps_less_the_others_exactly(seed):
     rng = random.Random(seed)
     n = rng.randrange(1, 5)

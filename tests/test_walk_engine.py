@@ -1,5 +1,6 @@
 """Step evaluation and program composition, block by block."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,14 @@ import pytest
 import scipy.linalg
 
 from adjacency import adjacency_matrix
-from dynwalk.gate_compiler import compile_hadamard_layer
+from dynwalk.gate_compiler import (
+    Circuit,
+    Gate,
+    circuit_unitary,
+    compile_circuit,
+    compile_gate,
+    compile_hadamard_layer,
+)
 from dynwalk.graph_model import (
     DynamicGraph,
     Graph,
@@ -15,6 +23,7 @@ from dynwalk.graph_model import (
     radians,
     spectrum,
 )
+from dynwalk.numerics import phase_distance
 import dynwalk.walk_engine as we
 from dynwalk.walk_engine import (
     evolve_state,
@@ -265,3 +274,115 @@ def test_whole_program_functions_add_no_cached_factors():
     evolve_state(walk, np.eye(5)[0])
     step_unitary(walk.steps[0])
     assert we._cached_factors.cache_info().currsize == 0
+
+
+def union_components(walk):
+    """Each vertex's component in the union of the walk's graphs, by union-find on the edge lists."""
+    parent = list(range(walk.n_vertices))
+
+    def root(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for step in walk.steps:
+        for i, j in step.graph.edges:
+            parent[root(i)] = root(j)
+    return np.array([root(v) for v in range(walk.n_vertices)])
+
+
+def split_program(rng, n_vertices, n_steps):
+    """Steps whose edges stay inside a random partition of the vertices, with loops anywhere."""
+    part = rng.integers(0, int(rng.integers(2, n_vertices + 1)), size=n_vertices)
+    steps = []
+    for _ in range(n_steps):
+        graph = random_graph(rng, n_vertices, float(rng.choice([0.2, 0.5])), 0.3)
+        inside = [(i, j) for i, j in graph.edges if part[i] == part[j]]
+        steps.append(TimedGraph(Graph.make(n_vertices, inside, graph.loops), DURATIONS[int(rng.integers(1, 4))]))
+    return DynamicGraph(n_vertices, tuple(steps))
+
+
+def expm_product(walk):
+    u = np.eye(walk.n_vertices, dtype=complex)
+    for step in walk.steps:
+        u = dense_step_unitary(step) @ u
+    return u
+
+
+def split_programs():
+    rng = np.random.default_rng(21)
+    path, pair = Graph.make(7, edges=[(0, 1), (1, 2)]), Graph.make(7, edges=[(5, 6)], loops=[2])
+    yield pytest.param(DynamicGraph(
+        7, (TimedGraph(path, Fraction(1, 3)), TimedGraph(Graph.make(7, loops=[4, 5]), Fraction(3, 4)),
+            TimedGraph(pair, Fraction(5, 13)), TimedGraph(path.union(pair), Fraction(1, 2)))
+    ), id="mixed sizes and an isolated vertex")
+    yield pytest.param(DynamicGraph(
+        5, tuple(TimedGraph(Graph.make(5, loops=loops), Fraction(k, 4)) for k, loops in ((1, [0, 3]), (3, [3]), (2, [1, 4])))
+    ), id="loops only")
+    for index in range(6):
+        yield pytest.param(split_program(rng, int(rng.integers(3, 12)), int(rng.integers(2, 7))), id=f"random partition {index}")
+    yield pytest.param(compile_circuit(
+        Circuit(9, (Gate("H", target=2), Gate("CNOT", control=0, target=5), Gate("T", target=8)))
+    ), id="512 vertices")
+
+
+@pytest.mark.parametrize("walk", split_programs())
+def test_total_unitary_matches_expm_when_the_union_splits(walk):
+    labels = union_components(walk)
+    assert len(set(labels.tolist())) > 1
+    assert np.abs(total_unitary(walk) - expm_product(walk)).max() < TOL
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_entries_between_union_components_are_exact_zeros(seed):
+    rng = np.random.default_rng(seed)
+    walk = split_program(rng, int(rng.integers(3, 12)), int(rng.integers(1, 6)))
+    labels = union_components(walk)
+    between = labels[:, None] != labels[None, :]
+    u = total_unitary(walk)
+    assert between.any()
+    for part in (u.real[between], u.imag[between]):
+        assert (part == 0.0).all() and not np.signbit(part).any()
+
+
+def test_total_unitary_is_the_dense_loop_bit_for_bit_on_connected_unions():
+    """Equal to run_unitary's n x n loop when the union is connected, within rounding otherwise."""
+    rng = np.random.default_rng(4)
+    seen = set()
+    for _ in range(60):
+        n = int(rng.integers(2, 10))
+        walk = split_program(rng, n, int(rng.integers(1, 6))) if rng.random() < 0.5 else DynamicGraph(
+            n, tuple(TimedGraph(random_graph(rng, n, 0.3, 0.4), d) for d in DURATIONS[1:])
+        )
+        connected = len(set(union_components(walk).tolist())) == 1
+        u, dense = total_unitary(walk), run_unitary(n, walk.steps)
+        if connected:
+            assert np.array_equal(u, dense)
+        else:
+            assert np.abs(u - dense).max() <= 1e-14
+        seen.add(connected)
+    assert seen == {True, False}
+
+
+def test_a_wide_single_gate_allocates_no_dense_array_beyond_its_result():
+    """At 1024 vertices an n x n array of even one byte per entry would be 1 MiB."""
+    walk = compile_gate(Gate("H", target=3), 10)
+    total_unitary(walk)
+    tracemalloc.start()
+    try:
+        u = total_unitary(walk)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - u.nbytes < walk.n_vertices**2
+    assert phase_distance(u, circuit_unitary(Circuit(10, (Gate("H", target=3),)))) < TOL
+
+
+def test_prefix_unitaries_start_from_the_initial_product():
+    rng = np.random.default_rng(8)
+    steps = tuple(TimedGraph(random_graph(rng, 6, 0.3, 0.4), duration) for duration in DURATIONS)
+    initial = total_unitary(DynamicGraph(6, steps[::-1]))
+    products = prefix_unitaries(6, steps, initial)
+    assert products[0] is initial
+    for k, product in enumerate(products):
+        assert np.abs(product - total_unitary(DynamicGraph(6, steps[:k])) @ initial).max() < TOL
