@@ -81,26 +81,28 @@ improves, for the last-resort row, or is exactly neutral, for the
 enabling search.
 
 The rescanned walks differ from the current one only where a neutral
-move changed them, so the rules keep their step-local verdicts in
-module-level ``lru_cache``s keyed on the steps they read: the merges of
-two steps (``_merge_identical``, ``_merge_complementary``), what a
-looped singleton carries out of a step (``_singleton_source``, on the
-source step and the vertex), what a target step becomes when it absorbs
-that phase (``_singleton_landing``, on the target step, the vertex and
-the phase), the fold of a run of phased permutations (``_fold``, on the
-vertex count and the run's steps), and the phased-permutation form of
-each step, whose angles are integers over one denominator, so that the
-fold row composes runs without ``Fraction`` arithmetic. A landing on a
-loops-only target is built directly as its at most two staircase steps.
-A period is looked up only for a duration of 2pi or more, or for the
-empty graph: a nonempty graph's period is None or an even multiple of pi.
-``_cached_commute`` keeps the verdict of
-``walk_engine.graphs_commute`` per graph pair for the block swaps. Only
-the Hadamard-layer verdict (``_hypercube_hadamard``) is not cached, as
-it reads the fragment's product; ``_hadamard_layer`` keeps the compiled
-layer, its cost and its read-only dense product per target set and qubit
-count. Apart from those layer products the caches hold steps and small
-tuples, never a step's unitary or a span product. A singleton site is
+move changed them, so the step-local verdicts are pure functions, and
+one memo (``_Memo``) per ``optimize`` call keeps them, keyed on what they
+read. Every ``ScanFacts`` of the call shares it, and it goes when the
+call returns, so no verdict outlives its run. It keeps the
+phased-permutation form of each step (``_phased_permutation``), whose
+angles are integers over one denominator, so that the fold row composes
+runs without ``Fraction`` arithmetic; ``walk_engine.graphs_commute`` per
+graph pair for the block swaps; the merges of two steps
+(``_merge_identical``, ``_merge_complementary``); what a looped
+singleton carries out of a step (``_singleton_source``, on the source
+step and the vertex); what a target step becomes when it absorbs that
+phase (``_singleton_landing``, on the target step, the vertex and the
+phase); and the compiled Hadamard layer, its cost and its read-only dense
+product per target set and qubit count (``_hadamard_layer``). Apart from
+those layer products the memo holds steps and small tuples, never a
+step's unitary or a span product. Three verdicts are not kept. Few folds
+of a run (``_fold``) recur, as only priced sites are built, and few
+periods: a period is looked up only for a duration of 2pi or more, or for
+the empty graph (a nonempty graph's period is None or an even multiple
+of pi). The Hadamard-layer verdict (``_hypercube_hadamard``) reads the
+fragment's product, not its steps. A landing on a loops-only target is
+built directly as its at most two staircase steps. A singleton site is
 built straight from the two singleton verdicts, for the targets of the
 corridor only: outward from the source on each side, up to and including
 the first step that attaches an edge to the vertex, since that step
@@ -148,7 +150,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from itertools import accumulate
 from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
@@ -281,8 +283,7 @@ class PhasedPermutation(NamedTuple):
     bitflip: bool
 
 
-@lru_cache(maxsize=8192)
-def _cached_permutation(step: TimedGraph) -> Optional[PhasedPermutation]:
+def _phased_permutation(step: TimedGraph) -> Optional[PhasedPermutation]:
     """The step as a phased permutation with clean angles, else None.
 
     A loops-only step is exactly the identity with angle duration mod 2pi
@@ -317,16 +318,6 @@ def _cached_permutation(step: TimedGraph) -> Optional[PhasedPermutation]:
     return PhasedPermutation(tuple(rows.tolist()), turns, den, bitflip)
 
 
-@lru_cache(maxsize=4096)
-def _cached_period(graph: Graph) -> Optional[Fraction]:
-    return period(graph)
-
-
-@lru_cache(maxsize=8192)
-def _cached_commute(a: Graph, b: Graph) -> bool:
-    return graphs_commute(a, b)
-
-
 def _span_time(steps: Sequence[TimedGraph], minus: Sequence[TimedGraph] = ()) -> Fraction:
     """Total duration of the steps less that of ``minus``, as integers over one denominator."""
     durations = [(step.duration.numerator, step.duration.denominator) for step in steps]
@@ -344,7 +335,7 @@ def _reduced(duration: Fraction, graph: Graph) -> Fraction:
     """
     if duration < 2 and not graph.is_empty:
         return duration
-    cycle = _cached_period(graph)
+    cycle = period(graph)
     if cycle is None:
         return duration
     return duration % cycle if cycle else Fraction(0)
@@ -362,13 +353,12 @@ def _phase_angle(target: complex) -> Optional[Fraction]:
 
 
 # A verdict is what a rule computed from the steps it reads, or the reason
-# (a string) it does not apply there. The cached verdicts below are keyed on
-# those steps alone, so every walk that shares them shares the answer.
+# (a string) it does not apply there. The verdicts below depend on those
+# steps alone, so every walk that shares them shares the answer (see _Memo).
 SourceVerdict = Union[str, Tuple[Fraction, Tuple[TimedGraph, ...]]]
 StepsVerdict = Union[str, Tuple[TimedGraph, ...]]
 
 
-@lru_cache(maxsize=4096)
 def _merge_identical(first: TimedGraph, second: TimedGraph) -> StepsVerdict:
     """Fuse adjacent steps on the same graph, reducing modulo the period."""
     if first.graph != second.graph:
@@ -405,12 +395,11 @@ def _residues(perm: List[int], totals: List[int], den: int) -> Optional[List[int
     return residues
 
 
-@lru_cache(maxsize=4096)
-def _fold(n: int, run: Tuple[TimedGraph, ...]) -> StepsVerdict:
-    """Collapse a run of phased-permutation steps into matching + staircase.
+def _fold(n: int, forms: Sequence[Optional[PhasedPermutation]]) -> StepsVerdict:
+    """Collapse a run of phased-permutation steps, given their forms, into matching + staircase.
 
     Every step of the run must act as a permutation with a clean fraction
-    of pi as the phase of each entry (see _cached_permutation). The run
+    of pi as the phase of each entry (see _phased_permutation). The run
     composes exactly to D P, with D diagonal; P must be an involution. The
     replacement is a quarter-period matching on the 2-cycles of P (-i X on
     each pair) followed by the loop staircase that pays each vertex's
@@ -418,7 +407,6 @@ def _fold(n: int, run: Tuple[TimedGraph, ...]) -> StepsVerdict:
     of phase * X_mask steps thus becomes the matching on the XOR of the
     masks plus at most one all-loops graph.
     """
-    forms = [_cached_permutation(step) for step in run]
     if None in forms:
         return "step is not a phased permutation"
     den = math.lcm(2, *(form.den for form in forms))
@@ -433,7 +421,6 @@ def _fold(n: int, run: Tuple[TimedGraph, ...]) -> StepsVerdict:
     return replacement + schedule_phases({row: Fraction(r, den) for row, r in enumerate(residues)}, n)
 
 
-@lru_cache(maxsize=4096)
 def _merge_complementary(first: TimedGraph, second: TimedGraph) -> StepsVerdict:
     """Overlap adjacent support-disjoint steps of equal spectral norm.
 
@@ -454,7 +441,6 @@ def _merge_complementary(first: TimedGraph, second: TimedGraph) -> StepsVerdict:
     return (union, TimedGraph(longer.graph, remainder)) if remainder else (union,)
 
 
-@lru_cache(maxsize=8192)
 def _singleton_source(step: TimedGraph, vertex: int) -> SourceVerdict:
     """The phase tau a looped singleton carries out of a step, and what stays.
 
@@ -478,7 +464,6 @@ def _singleton_source(step: TimedGraph, vertex: int) -> SourceVerdict:
     return tau, (TimedGraph(remainder, step.duration),)
 
 
-@lru_cache(maxsize=8192)
 def _singleton_landing(step: TimedGraph, vertex: int, tau: Fraction) -> StepsVerdict:
     """The steps that replace a target step once it absorbs the phase tau.
 
@@ -562,6 +547,24 @@ def _run_ends(members: Sequence[bool]) -> List[int]:
     return ends
 
 
+class _Memo:
+    """The verdicts of one ``optimize`` call, each cached on what it reads.
+
+    The verdicts are pure functions of their arguments, so every walk of
+    the call and every enabling candidate shares one memo, and it goes
+    when the call returns.
+    """
+
+    def __init__(self) -> None:
+        self.permutation = cache(_phased_permutation)
+        self.commute = cache(graphs_commute)
+        self.merge_identical = cache(_merge_identical)
+        self.merge_complementary = cache(_merge_complementary)
+        self.singleton_source = cache(_singleton_source)
+        self.singleton_landing = cache(_singleton_landing)
+        self.hadamard_layer = cache(_hadamard_layer)
+
+
 class ScanFacts:
     """What every position of a scan reads of one walk, computed once for it.
 
@@ -571,15 +574,21 @@ class ScanFacts:
       permutations (kind "perm"), of phased bit flips ("flip") or of
       loops-only steps ("loops");
     * ``products()[k]`` is W_k, the product of the first k steps, so the
-      fragment [i, s) is W_s W_i^dag.
+      fragment [i, s) is W_s W_i^dag;
+    * ``memo`` holds the verdicts of the ``optimize`` call (a memo of its
+      own when none is given).
 
     The run ends and the products are built on first use, the products
     only by the Hadamard-layer row. ``moved`` derives the facts
     of an enabling candidate from those of the walk it moves.
     """
 
-    def __init__(self, walk: DynamicGraph, origin: Optional[Tuple["ScanFacts", int, int]] = None) -> None:
+    def __init__(
+        self, walk: DynamicGraph, memo: Optional[_Memo] = None,
+        origin: Optional[Tuple["ScanFacts", int, int]] = None,
+    ) -> None:
         self.walk = walk
+        self.memo = memo or _Memo()
         self.den = math.lcm(*(step.duration.denominator for step in walk.steps))
         self.times = [0, *accumulate(
             step.duration.numerator * (self.den // step.duration.denominator) for step in walk.steps
@@ -597,13 +606,17 @@ class ScanFacts:
         phase, which no Hadamard-layer verdict reads (see
         _hypercube_hadamard). Only the products inside the window are new.
         """
-        return ScanFacts(self.walk.replaced(start, stop, replacement), (self, start, stop))
+        return ScanFacts(self.walk.replaced(start, stop, replacement), self.memo, (self, start, stop))
 
     def costs_at_most(self, start: int, stop: int, cost: Tuple[Fraction, int]) -> bool:
         """Whether steps[start:stop] cost no more than (total time, graph count), in integers."""
         time, count = cost
         spent = time.denominator * (self.times[stop] - self.times[start])
         return (spent, stop - start) <= (time.numerator * self.den, count)
+
+    def forms(self, start: int, stop: int) -> List[Optional[PhasedPermutation]]:
+        """The phased-permutation form of each of steps[start:stop], None for a step that is not one."""
+        return [self.memo.permutation(step) for step in self.walk.steps[start:stop]]
 
     def run_end(self, start: int, kind: str) -> int:
         if kind not in self._ends:
@@ -612,7 +625,7 @@ class ScanFacts:
                 # apart from the others, so that the loops-only row classifies no step
                 self._ends["loops"] = _run_ends([step.graph.is_loops_only for step in steps])
             else:
-                forms = [_cached_permutation(step) for step in steps]
+                forms = self.forms(0, len(steps))
                 self._ends["perm"] = _run_ends([form is not None for form in forms])
                 self._ends["flip"] = _run_ends([form is not None and form.bitflip for form in forms])
         return self._ends[kind][start]
@@ -639,7 +652,6 @@ class ScanFacts:
 LAYER_FLOOR = (Fraction(5, 4), 3)
 
 
-@lru_cache(maxsize=64)
 def _hadamard_layer(
     targets: Tuple[int, ...], n_qubits: int
 ) -> Tuple[Tuple[TimedGraph, ...], Tuple[Fraction, int], np.ndarray]:
@@ -657,11 +669,11 @@ def _hypercube_hadamard(facts: ScanFacts, start: int, stop: int) -> StepsVerdict
     """Replace a fragment equal (up to phase) to Hadamards on a bit subset.
 
     The fragment is steps[start:stop] of the facts' walk on 2^k vertices,
-    read from the walk's prefix products as W_stop W_start^dag, so this
-    verdict is not cached. The subset is read off column 0 of the fragment,
-    one matrix-vector product. Hadamards on k bits spread vertex 0 evenly
-    over the 2^k vertices that differ from it only in those bits, each with
-    weight 2^-k >= 1/n, so the bit mask is the OR of the indices weighing
+    read from the walk's prefix products as W_stop W_start^dag, so the
+    memo does not keep this verdict. The subset is read off column 0 of
+    the fragment, one matrix-vector product. Hadamards on k bits spread
+    vertex 0 evenly over the 2^k vertices that differ from it only in those
+    bits, each with weight 2^-k >= 1/n, so the bit mask is the OR of the indices weighing
     more than 1/(2n). The layer on that subset goes in only when it
     strictly reduces (total time, graph count), which the facts' integer
     times decide. Then one phase-distance comparison d against the product
@@ -675,8 +687,8 @@ def _hypercube_hadamard(facts: ScanFacts, start: int, stop: int) -> StepsVerdict
     reads a global phase of the products. Unlike the merge rules this
     verdict enforces the cost drop itself: the layer is a fixed-price
     replacement, not a local fusion, so applying it blindly could
-    pessimize a cheap fragment. The layer's steps, cost and product are
-    cached on the subset.
+    pessimize a cheap fragment. The memo keeps the layer's steps, cost and
+    product per subset.
     """
     n = facts.walk.n_vertices
     n_qubits = n.bit_length() - 1
@@ -687,7 +699,7 @@ def _hypercube_hadamard(facts: ScanFacts, start: int, stop: int) -> StepsVerdict
     targets = tuple(q for q in range(n_qubits) if mask & bit_value(q, n_qubits))
     if not targets:
         return "fragment is not a Hadamard layer"
-    layer, cost, unitary = _hadamard_layer(targets, n_qubits)
+    layer, cost, unitary = facts.memo.hadamard_layer(targets, n_qubits)
     if facts.costs_at_most(start, stop, cost):
         return "layer replacement is not strictly cheaper"
     if 1 - abs(np.vdot(unitary[:, 0], column)) >= 2 * n * VERIFY_TOLERANCE:
@@ -763,7 +775,7 @@ def _offer(start: int, stop: int, verdict: StepsVerdict, note: str = "") -> Iter
 def _merge_identical_sites(facts: ScanFacts, index: int, window: Window = None) -> Iterator[Site]:
     steps = facts.walk.steps
     if index + 2 <= len(steps) and _reads(index, index + 2, window):
-        yield from _offer(index, index + 2, _merge_identical(*steps[index : index + 2]))
+        yield from _offer(index, index + 2, facts.memo.merge_identical(*steps[index : index + 2]))
 
 
 def _combine_pst_sites(facts: ScanFacts, index: int, window: Window = None) -> Iterator[Site]:
@@ -776,7 +788,7 @@ def _combine_pst_sites(facts: ScanFacts, index: int, window: Window = None) -> I
         return
     stop = facts.run_end(index, "flip")
     if stop - index >= 2 and _reads(index, stop + 1, window):
-        yield from _offer(index, stop, _fold(n, facts.walk.steps[index:stop]))
+        yield from _offer(index, stop, _fold(n, facts.forms(index, stop)))
 
 
 def _fold_prices(facts: ScanFacts, index: int) -> Iterator[Tuple[int, Tuple[Fraction, int]]]:
@@ -789,7 +801,7 @@ def _fold_prices(facts: ScanFacts, index: int) -> Iterator[Tuple[int, Tuple[Frac
     nonzero residue. The gain is _gain of the fold, without building it.
     """
     n = facts.walk.n_vertices
-    forms = [_cached_permutation(step) for step in facts.walk.steps[index : facts.run_end(index, "perm")]]
+    forms = facts.forms(index, facts.run_end(index, "perm"))
     den = math.lcm(2, *(form.den for form in forms))
     for stop, (perm, totals) in enumerate(_compositions(n, forms, den), index + 1):
         residues = _residues(perm, totals, den)
@@ -804,13 +816,13 @@ def _fold_sites(facts: ScanFacts, index: int) -> Iterator[Site]:
     """Every run of two or more phased permutations from the index whose fold strictly improves on it."""
     for stop, gain in _fold_prices(facts, index):
         if stop - index >= 2 and gain > (0, 0):
-            yield from _offer(index, stop, _fold(facts.walk.n_vertices, facts.walk.steps[index:stop]), "fold")
+            yield from _offer(index, stop, _fold(facts.walk.n_vertices, facts.forms(index, stop)), "fold")
 
 
 def _merge_complementary_sites(facts: ScanFacts, index: int, window: Window = None) -> Iterator[Site]:
     steps = facts.walk.steps
     if index + 2 <= len(steps) and _reads(index, index + 2, window):
-        yield from _offer(index, index + 2, _merge_complementary(*steps[index : index + 2]))
+        yield from _offer(index, index + 2, facts.memo.merge_complementary(*steps[index : index + 2]))
 
 
 def _staircase_sites(facts: ScanFacts, start: int, window: Window = None) -> Iterator[Site]:
@@ -840,7 +852,7 @@ def _staircase_sites(facts: ScanFacts, start: int, window: Window = None) -> Ite
     saved = facts.times[stop] - facts.times[start] - max(levels, default=0)
     if (saved, stop - start - len(levels)) <= (0, 0):
         return
-    for _, _, stair, _ in _offer(start, stop, _fold(facts.walk.n_vertices, steps[start:stop])):
+    for _, _, stair, _ in _offer(start, stop, _fold(facts.walk.n_vertices, facts.forms(start, stop))):
         width = len(stair[-1].graph.loops) if stair else 0
         yield start, stop, stair, f"staircase over {width} vertices"
 
@@ -850,10 +862,10 @@ def _staircase_sites(facts: ScanFacts, start: int, window: Window = None) -> Ite
 Move = Tuple[Tuple[Fraction, int], int, int, Tuple[TimedGraph, ...], Tuple[TimedGraph, ...]]
 
 
-def _singleton_moves(walk: DynamicGraph, source: int) -> Iterator[Move]:
+def _singleton_moves(facts: ScanFacts, source: int) -> Iterator[Move]:
     """Every elementary singleton move out of the source step, with its price.
 
-    Each move comes straight from the two cached verdicts: what a looped
+    Each move comes straight from the two memoized verdicts: what a looped
     singleton carries out of the source, and what each target of its
     corridor becomes once it absorbs that phase. The steps between source
     and target stay as they are, so a move is priced from the source and
@@ -863,15 +875,15 @@ def _singleton_moves(walk: DynamicGraph, source: int) -> Iterator[Move]:
     its site is not span-local: the scan offers these moves only as a last
     resort, and no windowed follow-up scan reads them.
     """
-    steps = walk.steps
+    steps, memo = facts.walk.steps, facts.memo
     for vertex in steps[source].graph.sorted_loops():
-        moved = _singleton_source(steps[source], vertex)
+        moved = memo.singleton_source(steps[source], vertex)
         if isinstance(moved, str):
             continue
         tau, left = moved
         first, last = _corridor(steps, source, vertex)
         for target in (*range(first, source), *range(source + 1, last + 1)):
-            landed = _singleton_landing(steps[target], vertex, tau)
+            landed = memo.singleton_landing(steps[target], vertex, tau)
             if isinstance(landed, str):
                 continue
             gain = _span_time((steps[source], steps[target]), minus=left + landed), 2 - len(left) - len(landed)
@@ -880,7 +892,7 @@ def _singleton_moves(walk: DynamicGraph, source: int) -> Iterator[Move]:
 
 def _singleton_sites(facts: ScanFacts, source: int) -> Iterator[Site]:
     """The strictly improving singleton moves out of the source."""
-    for gain, vertex, target, left, landed in _singleton_moves(facts.walk, source):
+    for gain, vertex, target, left, landed in _singleton_moves(facts, source):
         if gain > (0, 0):
             note = f"vertex {vertex}: step {source} -> step {target}"
             yield (*_splice(facts.walk.steps, source, target, left, landed), note)
@@ -922,7 +934,7 @@ def _block_swap_sites(facts: ScanFacts) -> Iterator[Site]:
             for i in range(0, count - total + 1):
                 left = steps[i : i + a]
                 right = steps[i + a : i + total]
-                if all(_cached_commute(s.graph, t.graph) for s in left for t in right):
+                if all(facts.memo.commute(s.graph, t.graph) for s in left for t in right):
                     yield i, i + total, right + left, f"swap blocks {a}+{total - a}"
 
 
@@ -940,7 +952,7 @@ def _everywhere(sites: PositionSites) -> WalkSites:
 def _enabling_singleton_sites(facts: ScanFacts) -> Iterator[Site]:
     """The cost-neutral singleton moves, out of every source."""
     for source in range(facts.walk.graph_count):
-        for gain, vertex, target, left, landed in _singleton_moves(facts.walk, source):
+        for gain, vertex, target, left, landed in _singleton_moves(facts, source):
             if gain == (0, 0):
                 note = f"enabling move of vertex {vertex}"
                 yield (*_splice(facts.walk.steps, source, target, left, landed), note)
@@ -1082,7 +1094,8 @@ def optimize(
     change (iteration cap) or on a rejected one (rejection cap).
     Finally the output's total unitary is compared with the input's; the
     report keeps that distance, and a failure there is recorded as a
-    rejection too.
+    rejection too. The rules' verdicts are kept in one memo for the call
+    (see ``_Memo``), so nothing of a run outlives it.
     """
     enabled = set(ALL_RULES if passes is None else passes)
     unknown = enabled - set(ALL_RULES)
@@ -1096,6 +1109,7 @@ def optimize(
     records: List[RewriteStep] = []
     rejected: List[str] = []
     skip: Set[Key] = set()
+    memo = _Memo()
 
     current, norm_records = _normalize(walk)
     records.extend(norm_records)
@@ -1103,7 +1117,7 @@ def optimize(
     tried = 0
     stop_reason = STOP_ITERATION_CAP
     while tried < limit:
-        facts = ScanFacts(current)
+        facts = ScanFacts(current, memo)
         found = _scan(facts, regular, skip) or _scan(facts, last_resort, skip)
         chain = [found] if found is not None else _find_enabling_pair(facts, regular, moves, skip)
         if chain is None:

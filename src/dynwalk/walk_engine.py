@@ -22,9 +22,9 @@ No step mixes two components of the union of the program's graphs, so
 the product is zero between them, and it is built as an n x c array, c
 the largest union component size: row v holds row v of the product on
 v's component. That costs O(n c k) per step, plus writing each block
-into the zeroed n x n result; a connected union is built on the n x n
-identity, as before. This is the only module that turns steps into
-matrices.
+into the zeroed n x n result; for a connected union the array starts as
+the n x n identity and is the result. This is the only module that turns
+steps into matrices.
 
 The optimizer reads its products through two functions that keep each
 step's factors in one ``lru_cache``, since the steps of one optimization
@@ -102,20 +102,15 @@ def _product(n_vertices: int, steps: Sequence[TimedGraph]) -> np.ndarray:
     the product on v's component, column j its j-th vertex in vertex
     order. Each block is then written into a zeroed n x n result. The
     union's components come from the members of the steps' blocks; a
-    single step's blocks are its components. A connected union applies the
-    steps to the n x n identity.
+    single step's blocks are its components. A connected union starts
+    from the n x n identity, which then holds the whole product.
     """
     groups = [members for step in steps for members, _ in spectrum(step.graph).blocks]
     if len(steps) > 1 and groups:
         heads = np.concatenate([members[:, :-1] for members in groups], axis=None)
         tails = np.concatenate([members[:, 1:] for members in groups], axis=None)
         _, groups = components(n_vertices, heads, tails)
-    width = max((members.shape[1] for members in groups), default=1)
-    if width >= n_vertices:
-        u = np.eye(n_vertices, dtype=np.complex128)
-        for step in steps:
-            _apply_step(_factors(step), u)
-        return u
+    width = max((members.shape[1] for members in groups), default=min(n_vertices, 1))
     rank = np.zeros(n_vertices, dtype=np.intp)
     for members in groups:
         rank[members] = np.arange(members.shape[1])
@@ -124,6 +119,8 @@ def _product(n_vertices: int, steps: Sequence[TimedGraph]) -> np.ndarray:
     rows[everyone, rank] = 1.0
     for step in steps:
         _apply_step(_factors(step), rows)
+    if width == n_vertices:
+        return rows
     u = np.zeros((n_vertices, n_vertices), dtype=np.complex128)
     u[everyone, everyone] = rows[:, 0]
     for members in groups:

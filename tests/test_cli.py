@@ -254,6 +254,21 @@ def test_optimize_pass_subset(tmp_path, capsys):
     assert simplified.graph_count == 1
 
 
+def test_optimize_empty_pass_list_exits_2(tmp_path, capsys):
+    walk_file = write_walk(tmp_path / "in.json", bit_flip_walk())
+    out_file = tmp_path / "out.json"
+    assert main(["optimize", walk_file, "-o", str(out_file), "--passes", ","]) == 2
+    assert "--passes needs at least one rule name" in capsys.readouterr().err
+    assert not out_file.exists()
+
+
+def test_optimize_unwritable_output_exits_2(tmp_path, capsys):
+    walk_file = write_walk(tmp_path / "in.json", bit_flip_walk())
+    out_file = tmp_path / "missing" / "out.json"
+    assert main(["optimize", walk_file, "-o", str(out_file)]) == 2
+    assert f"cannot write {out_file}" in capsys.readouterr().err
+
+
 def test_optimize_unknown_pass_exits_2(tmp_path, capsys):
     walk_file = write_walk(tmp_path / "in.json", bit_flip_walk())
     out_file = tmp_path / "out.json"

@@ -445,6 +445,7 @@ def test_parse_circuit_good():
         (lambda d: d["gates"][3].update(targets=[]), "nonempty"),
         (lambda d: d["gates"][3].update(targets=[1, 1]), "duplicate"),
         (lambda d: d["gates"][3].update(targets=[1, 9]), "targets[1]"),
+        (lambda d: d["gates"].__setitem__(1, "CNOT"), "gates[1]: expected a gate object"),
     ],
 )
 def test_parse_circuit_errors(mutate, fragment):

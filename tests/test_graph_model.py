@@ -114,6 +114,8 @@ def test_graph_make_rejects_self_pair():
 
 
 def test_graph_rejects_out_of_range():
+    with pytest.raises(ValueError, match="negative vertex count"):
+        Graph(-1)
     with pytest.raises(ValueError):
         Graph.make(2, edges=[(0, 2)])
     with pytest.raises(ValueError):
@@ -344,6 +346,9 @@ def test_serialize_is_deterministic():
         (lambda d: d["sequence"][0].update(loops=7), "list"),
         (lambda d: d["sequence"][0].pop("time"), "missing field"),
         (lambda d: d["sequence"][0].update(color="red"), "unknown field"),
+        (lambda d: d["sequence"][0].update(time=1), "sequence[0].time: expected an object"),
+        (lambda d: d["sequence"].__setitem__(0, []), "sequence[0]: expected a step object"),
+        (lambda d: d["sequence"][0].update(edges={}), "sequence[0].edges: expected a list"),
     ],
 )
 def test_parse_errors_carry_json_paths(mutate, fragment):

@@ -9,8 +9,13 @@ replacement) and are asserted exactly. The unitary oracle is total_unitary, comp
 phase-invariant distance, the same check the driver itself performs.
 """
 
+import gc
+import importlib
 import itertools
+import pkgutil
 import random
+import weakref
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import catalog
+import dynwalk
 import dynwalk.rewrite_optimizer as ro
 import dynwalk.walk_engine as walk_engine
 import pinned_outputs
@@ -68,6 +74,11 @@ def walk_of(*steps):
     return DynamicGraph(steps[0].graph.n_vertices, steps)
 
 
+def fold(n, run):
+    """The fold of a run of steps, from their phased-permutation forms."""
+    return ro._fold(n, [ro._phased_permutation(step) for step in run])
+
+
 def assert_same_program(a, b, tol=1e-9):
     assert phase_distance(total_unitary(a), total_unitary(b)) < tol
 
@@ -77,7 +88,7 @@ def assert_same_program(a, b, tol=1e-9):
 
 def test_swap_commuting_exchanges_steps():
     walk = walk_of(loops(2, [0], 1, 2), loops(2, [1], 1))
-    assert ro._cached_commute(walk.steps[0].graph, walk.steps[1].graph)
+    assert ro.graphs_commute(walk.steps[0].graph, walk.steps[1].graph)
     sites = list(ro._block_swap_sites(ro.ScanFacts(walk)))
     assert sites == [(0, 2, (walk.steps[1], walk.steps[0]), "swap blocks 1+1")]
     assert_same_program(walk, walk.replaced(0, 2, sites[0][2]), tol=1e-12)
@@ -88,7 +99,7 @@ def test_swap_commuting_rejects_non_commuting():
         TimedGraph(Graph.make(3, edges=[(0, 1)]), angle(1, 2)),
         TimedGraph(Graph.make(3, edges=[(1, 2)]), angle(1, 2)),
     )
-    assert not ro._cached_commute(walk.steps[0].graph, walk.steps[1].graph)
+    assert not ro.graphs_commute(walk.steps[0].graph, walk.steps[1].graph)
     assert list(ro._block_swap_sites(ro.ScanFacts(walk))) == []
 
 
@@ -153,19 +164,19 @@ def test_merge_sites_need_a_step_after_the_index():
 
 def test_combine_pst_cancels_inverse_matchings():
     walk = walk_of(match(4, 1, 1, 2), match(4, 1, 3, 2))
-    assert ro._fold(4, walk.steps) == ()
+    assert fold(4, walk.steps) == ()
 
 
 def test_combine_pst_equal_matchings_leave_loop_graph():
     walk = walk_of(match(4, 1, 1, 2), match(4, 1, 1, 2))
-    combined = ro._fold(4, walk.steps)
+    combined = fold(4, walk.steps)
     assert combined == (TimedGraph(all_loops_graph(4), angle(1)),)
     assert_same_program(walk, walk.replaced(0, 2, combined), tol=1e-12)
 
 
 def test_combine_pst_fuses_masks():
     walk = walk_of(match(4, 1, 1, 2), match(4, 2, 1, 2))
-    combined = ro._fold(4, walk.steps)
+    combined = fold(4, walk.steps)
     assert combined == (
         match(4, 3, 1, 2),
         TimedGraph(all_loops_graph(4), angle(1, 2)),
@@ -180,7 +191,7 @@ def test_combine_pst_collapses_two_gate_run():
         match(4, 1, 1, 2),
         TimedGraph(all_loops_graph(4), angle(3, 2)),
     )
-    combined = ro._fold(4, walk.steps)
+    combined = fold(4, walk.steps)
     assert combined == (
         match(4, 3, 1, 2),
         TimedGraph(all_loops_graph(4), angle(3, 2)),
@@ -191,7 +202,7 @@ def test_combine_pst_collapses_two_gate_run():
 
 def test_combine_pst_rejects_unclassifiable_step():
     walk = walk_of(match(4, 1, 1, 2), match(4, 2, 1, 4))
-    assert ro._fold(4, walk.steps) == "step is not a phased permutation"
+    assert fold(4, walk.steps) == "step is not a phased permutation"
 
 
 def test_combine_pst_rejects_short_span():
@@ -211,7 +222,7 @@ def test_combine_pst_folds_matching_into_partial_matching():
         match(8, 2, 1, 2),
         TimedGraph(Graph.make(8, edges=[(4, 6), (5, 7)]), angle(1, 2)),
     )
-    folded = ro._fold(8, walk.steps)
+    folded = fold(8, walk.steps)
     assert folded == (
         TimedGraph(Graph.make(8, edges=[(0, 2), (1, 3)]), angle(1, 2)),
         loops(8, [4, 5, 6, 7], 1),
@@ -219,22 +230,12 @@ def test_combine_pst_folds_matching_into_partial_matching():
     assert_same_program(walk, walk.replaced(0, 2, folded), tol=1e-12)
 
 
-def test_combine_pst_folds_a_run_once_for_every_walk_that_holds_it(monkeypatch):
-    scheduled = []
-    real = ro.schedule_phases
-
-    def counted(*args):
-        scheduled.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(ro, "schedule_phases", counted)
-    ro._fold.cache_clear()
+def test_combine_pst_offers_every_walk_that_holds_a_run_the_same_site():
     walk = walk_of(match(4, 1, 1, 2), match(4, 2, 1, 2), loops(4, [0], 1, 2))
     other = walk.replaced(2, 3, [loops(4, [1], 1, 4)])
     sites = list(ro._combine_pst_sites(ro.ScanFacts(walk), 0))
-    assert [site[:2] for site in sites] == [(0, 2)]
+    assert sites == [(0, 2, fold(4, walk.steps[:2]), "")]
     assert list(ro._combine_pst_sites(ro.ScanFacts(other), 0)) == sites
-    assert len(scheduled) == 1
 
 
 def test_combine_pst_rejects_three_cycle():
@@ -242,7 +243,7 @@ def test_combine_pst_rejects_three_cycle():
         TimedGraph(Graph.make(4, edges=[(0, 1)]), angle(1, 2)),
         TimedGraph(Graph.make(4, edges=[(1, 2)]), angle(1, 2)),
     )
-    assert ro._fold(4, walk.steps) == "the run's permutation is not an involution"
+    assert fold(4, walk.steps) == "the run's permutation is not an involution"
 
 
 def random_phased_permutation_run(rng, most):
@@ -269,7 +270,7 @@ def test_combine_pst_fold_keeps_the_exact_unitary(seed):
     n, steps = walk.n_vertices, walk.steps
     product = total_unitary(walk)
     perm = np.abs(product).argmax(axis=0)
-    folded = ro._fold(n, walk.steps)
+    folded = fold(n, walk.steps)
     if not np.array_equal(perm[perm], np.arange(n)):
         assert isinstance(folded, str)
         return
@@ -284,7 +285,7 @@ def test_fold_prices_are_the_gains_of_the_folds(seed):
     facts = ro.ScanFacts(walk)
     for index in range(walk.graph_count):
         prices = dict(ro._fold_prices(facts, index))
-        folds = {stop: ro._fold(walk.n_vertices, walk.steps[index:stop]) for stop in range(index + 1, walk.graph_count + 1)}
+        folds = {stop: fold(walk.n_vertices, walk.steps[index:stop]) for stop in range(index + 1, walk.graph_count + 1)}
         assert set(prices) == {stop for stop, fold in folds.items() if not isinstance(fold, str)}
         for stop, gain in prices.items():
             assert gain == ro._gain(walk, index, stop, folds[stop])
@@ -354,7 +355,7 @@ def test_merge_complementary_rejects_empty_step():
 
 def singleton_move(walk, source, vertex, target):
     """The walk after the move of the vertex's phase from source to target, or None."""
-    for _, moved, landing, left, landed in ro._singleton_moves(walk, source):
+    for _, moved, landing, left, landed in ro._singleton_moves(ro.ScanFacts(walk), source):
         if (moved, landing) == (vertex, target):
             start, stop, replacement = ro._splice(walk.steps, source, target, left, landed)
             return walk.replaced(start, stop, replacement)
@@ -576,7 +577,7 @@ def test_singleton_moves_match_the_brute_force_enumeration(seed):
     improving, neutral = [], []
     for source in range(walk.graph_count):
         sites = []
-        for gain, vertex, target, left, landed in ro._singleton_moves(walk, source):
+        for gain, vertex, target, left, landed in ro._singleton_moves(facts, source):
             site = ro._splice(walk.steps, source, target, left, landed)
             assert gain == ro._gain(walk, *site)
             sites.append((*site, note.format(vertex=vertex, source=source, target=target)))
@@ -596,7 +597,7 @@ def test_singleton_rows_both_take_and_pass_over_moves():
         n = rng.randrange(2, 9)
         walk = DynamicGraph(n, tuple(random_singleton_step(rng, n) for _ in range(rng.randrange(2, 9))))
         for source in range(walk.graph_count):
-            prices.update((gain > (0, 0)) - (gain < (0, 0)) for gain, *_ in ro._singleton_moves(walk, source))
+            prices.update((gain > (0, 0)) - (gain < (0, 0)) for gain, *_ in ro._singleton_moves(ro.ScanFacts(walk), source))
     assert prices == {-1, 0, 1}
 
 
@@ -614,7 +615,7 @@ def test_singleton_moves_skip_targets_beyond_the_corridor(monkeypatch):
         return real(step, vertex, tau)
 
     monkeypatch.setattr(ro, "_singleton_landing", counted)
-    assert list(ro._singleton_moves(walk, 0)) == []
+    assert list(ro._singleton_moves(ro.ScanFacts(walk), 0)) == []
     assert targets == [1]
 
 
@@ -676,7 +677,7 @@ def test_cached_permutation_rebuilds_loops_only_steps(seed):
     rng = random.Random(seed)
     n = rng.randrange(1, 9)
     for step in [random_loops_step(rng, n) for _ in range(5)] + [loops(n, [0], 2)]:
-        flip = ro._cached_permutation(step)
+        flip = ro._phased_permutation(step)
         rebuilt = np.zeros((n, n), dtype=complex)
         rebuilt[list(flip.perm), range(n)] = [np.exp(-1j * np.pi * turns / flip.den) for turns in flip.turns]
         assert np.abs(rebuilt - step_unitary(step)).max() < 1e-12
@@ -801,8 +802,8 @@ def test_run_ends_are_the_forward_scans(seed):
     rng.shuffle(steps)
     facts = ro.ScanFacts(DynamicGraph(walk.n_vertices, tuple(steps)))
     kinds = {
-        "perm": lambda step: ro._cached_permutation(step) is not None,
-        "flip": lambda step: ro._cached_permutation(step) is not None and ro._cached_permutation(step).bitflip,
+        "perm": lambda step: ro._phased_permutation(step) is not None,
+        "flip": lambda step: ro._phased_permutation(step) is not None and ro._phased_permutation(step).bitflip,
         "loops": lambda step: step.graph.is_loops_only,
     }
     for kind, belongs in kinds.items():
@@ -834,9 +835,9 @@ def test_gain_prices_every_site_from_its_durations(seed):
     unfiltered = [
         (*ro._splice(walk.steps, source, target, left, landed), "")
         for source in range(walk.graph_count)
-        for _, _, target, left, landed in ro._singleton_moves(walk, source)
+        for _, _, target, left, landed in ro._singleton_moves(facts, source)
     ] + [
-        (index, stop, ro._fold(walk.n_vertices, walk.steps[index:stop]), "")
+        (index, stop, fold(walk.n_vertices, walk.steps[index:stop]), "")
         for index in range(walk.graph_count)
         for stop, _ in ro._fold_prices(facts, index)
         if stop - index >= 2
@@ -1064,6 +1065,64 @@ def test_a_neutral_bit_flip_fold_enables_a_merge():
     assert report.rewrites == ()
 
 
+# -- the per-run memo ---------------------------------------------------------------
+
+
+def test_no_cache_outlives_an_optimize_call():
+    """The optimizer defines no cache; the package's only ones serve compile and simulate too."""
+    modules = [importlib.import_module(f"dynwalk.{info.name}") for info in pkgutil.iter_modules(dynwalk.__path__)]
+    caches = {
+        f"{module.__name__}.{name}"
+        for module in modules
+        for name, value in vars(module).items()
+        if hasattr(value, "cache_info") and value.__module__ == module.__name__
+    }
+    assert caches == {"dynwalk.graph_model.spectrum", "dynwalk.walk_engine._cached_factors"}
+    assert not [name for name, value in vars(ro).items() if hasattr(value, "cache_info") and value.__module__ == ro.__name__]
+
+
+def test_optimize_makes_one_memo_shares_it_and_frees_it(monkeypatch):
+    """One memo per call, held by every ScanFacts of the call, enabling candidates too, and dead on return."""
+    memos, holders = [], []
+    real_memo, real_init = ro._Memo, ro.ScanFacts.__init__
+
+    def tracked():
+        memo = real_memo()
+        memos.append(weakref.ref(memo))
+        return memo
+
+    def recorded(facts, *args):
+        real_init(facts, *args)
+        holders.append((facts.memo is memos[-1](), facts._origin is not None))
+
+    monkeypatch.setattr(ro, "_Memo", tracked)
+    monkeypatch.setattr(ro.ScanFacts, "__init__", recorded)
+    _, report = optimize(tf.short_program())
+    gc.collect()
+    assert any(record.detail.startswith("enabling") for record in report.rewrites)
+    assert len(memos) == 1 and memos[0]() is None
+    assert all(shared for shared, _ in holders)
+    assert any(candidate for _, candidate in holders)
+
+
+def test_one_run_classifies_each_distinct_step_once(monkeypatch):
+    """Every walk and enabling candidate of a run reads a step's phased-permutation form from one memo."""
+    classified = Counter()
+    real = ro._phased_permutation
+
+    def counted(step):
+        classified[step] += 1
+        return real(step)
+
+    monkeypatch.setattr(ro, "_phased_permutation", counted)
+    optimize(tf.short_program())
+    first = dict(classified)
+    assert first and set(first.values()) == {1}
+    classified.clear()
+    optimize(tf.short_program())
+    assert classified == first
+
+
 # -- the driver -------------------------------------------------------------------
 
 
@@ -1201,11 +1260,11 @@ def test_optimize_keeps_a_near_permutation_step_entrywise():
     Its unitary is within 1.6e-5 of X_1 * (-i) entrywise, and a fold of the
     pair into one matching lands under the 1e-9 phase-distance gate while
     moving entries by about that much; only the entrywise rebuild check in
-    _cached_permutation stops it.
+    _phased_permutation stops it.
     """
     near = match(4, 1, 100001, 200000)
     walk = walk_of(near, match(4, 2, 1, 2))
-    assert ro._cached_permutation(near) is None
+    assert ro._phased_permutation(near) is None
     final, report = optimize(walk)
     assert report.verified
     u, v = total_unitary(walk), total_unitary(final)
@@ -1337,7 +1396,7 @@ def test_optimize_never_retries_a_failed_rewrite_after_the_walk_changes(monkeypa
 def test_optimize_checks_output_against_input(monkeypatch):
     # a wrong period makes the normalization cut 11pi/4 down to pi/4; a
     # duration under 2pi would never look the period up
-    monkeypatch.setattr(ro, "_cached_period", lambda graph: angle(1, 2))
+    monkeypatch.setattr(ro, "period", lambda graph: angle(1, 2))
     walk = walk_of(loops(2, [0], 11, 4))
     final, report = optimize(walk)
     assert final.steps[0].duration == angle(1, 4)
