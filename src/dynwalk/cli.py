@@ -9,7 +9,9 @@ Subcommands:
   result, optionally with a JSON report of every accepted rewrite; like
   ``compile`` it writes no result that fails the check against its input.
 * ``compile``: turn a circuit file into a walk file, verifying the result
-  against the circuit's reference unitary before writing.
+  against the circuit's reference unitary before writing: the circuit's
+  gates are undone in place on the walk's unitary, which must leave a
+  global phase times the identity.
 * ``equiv``: compare two walk files up to global phase.
 * ``stats``: per-step structure, norms, periods and totals of a walk file.
 
@@ -29,7 +31,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .gate_compiler import circuit_unitary, compile_circuit, parse_circuit
+from .gate_compiler import compile_circuit, parse_circuit, undo_circuit
 from .graph_model import (
     DynamicGraph,
     ParseError,
@@ -41,7 +43,7 @@ from .graph_model import (
     serialize_dynamic_graph,
     spectrum,
 )
-from .numerics import VERIFY_TOLERANCE, phase_distance
+from .numerics import VERIFY_TOLERANCE, identity_distance, phase_distance
 from .rewrite_optimizer import ALL_RULES, optimize
 from .walk_engine import evolve_state, total_unitary
 
@@ -226,7 +228,8 @@ def cmd_compile(args: argparse.Namespace) -> CommandResult:
     except ParseError as err:
         raise CliInputError(f"{args.circuit}: {err}") from err
     walk = compile_circuit(circuit, parallel_hadamards=args.parallel_h)
-    distance = phase_distance(total_unitary(walk), circuit_unitary(circuit))
+    # phase_distance(W, C) read off C^dag W, formed in place in W's own array
+    distance = identity_distance(undo_circuit(circuit, total_unitary(walk)))
     total = walk.total_time()
     lines = [
         f"{len(circuit.gates)} gates -> {walk.graph_count} graphs,"

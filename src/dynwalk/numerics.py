@@ -4,14 +4,15 @@ Two unitaries count as the same program when ``phase_distance``, which
 ignores a global phase, is below ``VERIFY_TOLERANCE``. ``compile``,
 ``equiv`` and every optimizer rewrite are gated on it, and nothing else
 lives here: a graph's spectrum comes from ``graph_model.spectrum`` and a
-step's unitary from ``walk_engine``.
+step's unitary from ``walk_engine``. ``identity_distance`` is the same
+distance from the identity, for a product U^dag V already formed in place.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["VERIFY_TOLERANCE", "phase_distance"]
+__all__ = ["VERIFY_TOLERANCE", "phase_distance", "identity_distance"]
 
 # phase_distance below this: the same program up to global phase
 VERIFY_TOLERANCE = 1e-9
@@ -29,8 +30,20 @@ def phase_distance(u: np.ndarray, v: np.ndarray) -> float:
     b = np.asarray(v)
     if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"incompatible shapes {a.shape} and {b.shape}")
-    dim = a.shape[0]
-    if dim == 0:
-        return 0.0
-    overlap = np.vdot(a, b)
-    return float(1.0 - abs(overlap) / dim)
+    return _distance(np.vdot(a, b), a.shape[0])
+
+
+def identity_distance(m: np.ndarray) -> float:
+    """``phase_distance(I, M)``, 1 - |tr M| / dim, read from M's diagonal.
+
+    With M = U^dag V this is ``phase_distance(U, V)``. Raises
+    ``ValueError`` unless M is square.
+    """
+    a = np.asarray(m)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    return _distance(np.trace(a), a.shape[0])
+
+
+def _distance(overlap: complex, dim: int) -> float:
+    return 0.0 if dim == 0 else float(1.0 - abs(overlap) / dim)

@@ -364,6 +364,17 @@ def test_compile_single_gate(tmp_path, capsys):
     assert walk.graph_count == 2
 
 
+def test_compile_empty_circuit_writes_an_empty_walk(tmp_path, capsys):
+    circuit_file = write_circuit(tmp_path / "c.json", {"n_qubits": 2, "gates": []})
+    out_file = tmp_path / "walk.json"
+    assert main(["compile", circuit_file, "-o", str(out_file)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "0 gates -> 0 graphs, total time 0 (0.0000)"
+    assert lines[1] == "phase distance to circuit unitary: 0.000e+00"
+    walk = parse_dynamic_graph(out_file.read_text())
+    assert (walk.n_vertices, walk.graph_count) == (4, 0)
+
+
 def test_compile_parallel_h_flag(tmp_path, capsys):
     payload = {
         "n_qubits": 2,
@@ -453,7 +464,7 @@ def test_durations_just_under_the_digit_bound_run(tmp_path, capsys, command):
 
 
 def test_compile_verification_failure_writes_nothing(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "phase_distance", lambda u, v: 1.0)
+    monkeypatch.setattr(cli, "identity_distance", lambda m: 1.0)
     circuit_file = write_circuit(
         tmp_path / "c.json", {"n_qubits": 1, "gates": [{"kind": "X", "target": 0}]}
     )

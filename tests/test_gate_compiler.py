@@ -1,6 +1,7 @@
 """Circuit-to-walk compilation checked against dense gate references."""
 
 import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from dynwalk.gate_compiler import (
     MAX_QUBITS,
+    _apply_gate,
     Circuit,
     Gate,
     all_loops_graph,
@@ -23,9 +25,10 @@ from dynwalk.gate_compiler import (
     matching_graph,
     parse_circuit,
     schedule_phases,
+    undo_circuit,
 )
 from dynwalk.graph_model import DynamicGraph, Graph, ParseError, TimedGraph, radians
-from dynwalk.numerics import phase_distance
+from dynwalk.numerics import VERIFY_TOLERANCE, identity_distance, phase_distance
 from dynwalk.walk_engine import total_unitary
 
 TOL = 1e-12
@@ -402,6 +405,96 @@ def test_random_circuits_match_reference_up_to_phase(seed):
     for flag in (False, True):
         compiled = total_unitary(compile_circuit(circuit, parallel_hadamards=flag))
         assert phase_distance(compiled, reference) < 1e-9
+
+
+# -- gates applied in place, and the compile check -------------------------------
+
+
+def every_gate(n_qubits):
+    """Each gate kind on each qubit, CNOT in both control orders, and a few layers."""
+    qubits = range(n_qubits)
+    gates = [Gate(kind, target=q) for kind in ("X", "Y", "Z", "S", "T", "H") for q in qubits]
+    gates += [Gate("PHASE", target=q, theta=angle(k, 8)) for q in qubits for k in (0, 3, 13)]
+    gates += [Gate("CNOT", control=c, target=t) for c in qubits for t in qubits if c != t]
+    gates += [Gate("HLAYER", targets=tuple(qubits)), Gate("HLAYER", targets=tuple(qubits)[::-2])]
+    return gates
+
+
+@pytest.mark.parametrize("n_qubits", range(1, 6))
+def test_gate_then_its_adjoint_in_place_gives_the_rows_back(n_qubits):
+    rng = np.random.default_rng(n_qubits)
+    shape = (2**n_qubits, 3)
+    original = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    for gate in every_gate(n_qubits):
+        matrix = kron_gate_matrix(gate, n_qubits)
+        rows = original.copy()
+        _apply_gate(gate, n_qubits, rows)
+        assert np.abs(rows - matrix @ original).max() < 1e-14
+        _apply_gate(gate, n_qubits, rows, adjoint=True)
+        assert np.abs(rows - original).max() < 1e-14
+        _apply_gate(gate, n_qubits, rows, adjoint=True)
+        assert np.abs(rows - matrix.conj().T @ original).max() < 1e-14
+
+
+def check_distance(circuit, walk):
+    """What ``compile`` gates on: the circuit undone in place on the walk's unitary."""
+    return identity_distance(undo_circuit(circuit, total_unitary(walk)))
+
+
+def test_the_check_equals_the_phase_distance_to_the_reference():
+    rng = np.random.default_rng(2020)
+    for _ in range(200):
+        n_qubits = int(rng.integers(1, 6))
+        circuit = Circuit(n_qubits, tuple(random_gate(rng, n_qubits) for _ in range(int(rng.integers(0, 9)))))
+        walk = compile_circuit(circuit, parallel_hadamards=bool(rng.integers(2)))
+        expected = phase_distance(total_unitary(walk), circuit_unitary(circuit))
+        assert abs(check_distance(circuit, walk) - expected) < 1e-13
+
+
+def test_the_check_refuses_a_walk_missing_its_last_gate():
+    rng = np.random.default_rng(2021)
+    for _ in range(60):
+        n_qubits = int(rng.integers(1, 5))
+        gates = [random_gate(rng, n_qubits) for _ in range(int(rng.integers(1, 6)))]
+        if gates[-1].kind == "PHASE" and gates[-1].theta == 0:
+            continue  # the identity: nothing is missing
+        circuit = Circuit(n_qubits, tuple(gates))
+        assert check_distance(circuit, compile_circuit(circuit)) < VERIFY_TOLERANCE
+        shortened = compile_circuit(Circuit(n_qubits, tuple(gates[:-1])))
+        assert check_distance(circuit, shortened) >= VERIFY_TOLERANCE
+
+
+def test_gates_refuse_rows_that_are_not_c_contiguous():
+    gate = Gate("H", target=0)
+    for rows in (np.eye(4, dtype=complex)[:, ::2], np.asfortranarray(np.arange(16.0).reshape(4, 4) + 0j)):
+        before = rows.copy()
+        with pytest.raises(ValueError, match="C-contiguous"):
+            _apply_gate(gate, 2, rows)
+        assert np.array_equal(rows, before)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        undo_circuit(Circuit(2, (gate,)), np.eye(4, dtype=complex)[:, ::-1])
+
+
+def test_undo_circuit_refuses_a_product_of_the_wrong_size():
+    with pytest.raises(ValueError, match="expected"):
+        undo_circuit(Circuit(2, (Gate("X", target=0),)), np.eye(8, dtype=complex))
+
+
+def test_the_compile_check_peaks_under_two_and_a_quarter_unitaries():
+    # W plus a half-size temporary; a separate reference C would make three n x n arrays
+    n_qubits = 10
+    gates = (Gate("H", target=0), Gate("CNOT", control=0, target=1), Gate("X", target=2), Gate("T", target=1))
+    circuit = Circuit(n_qubits, gates)
+    walk = compile_circuit(circuit)
+    array_bytes = 16 * 4**n_qubits
+    tracemalloc.start()
+    try:
+        distance = check_distance(circuit, walk)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert distance < VERIFY_TOLERANCE
+    assert peak < 2.25 * array_bytes
 
 
 # -- circuit JSON ---------------------------------------------------------------

@@ -7,7 +7,8 @@ them. The blocks are checked against the graph's own adjacency matrix, and
 the unitaries against scipy's expm on the same scaled Hamiltonian, so the
 eigendecomposition route never gets to grade its own homework. Spectra of
 a few named graphs are frozen as literals. The gate is ``numerics``:
-``phase_distance`` is checked against the trace formula it stands for.
+``phase_distance`` is checked against the trace formula it stands for, and
+``identity_distance`` of U^dag V against ``phase_distance(U, V)``.
 """
 
 from fractions import Fraction
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 
 from adjacency import adjacency_matrix
 from dynwalk.graph_model import Graph, TimedGraph, radians, spectrum
-from dynwalk.numerics import phase_distance
+from dynwalk.numerics import identity_distance, phase_distance
 from dynwalk.walk_engine import step_unitary
 
 RECONSTRUCT_TOL = 1e-11
@@ -222,3 +223,21 @@ def test_phase_distance_shape_mismatch():
 
 def test_phase_distance_empty():
     assert phase_distance(np.zeros((0, 0)), np.zeros((0, 0))) == 0.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 16, 64])
+def test_identity_distance_of_the_product_is_the_phase_distance(n):
+    rng = np.random.default_rng(100 + n)
+    for _ in range(5):
+        u, v = random_unitary(n, rng), random_unitary(n, rng)
+        for w in (v, np.exp(0.3j) * u, u):
+            assert abs(identity_distance(u.conj().T @ w) - phase_distance(u, w)) < 1e-12
+
+
+def test_identity_distance_shapes():
+    assert identity_distance(np.zeros((0, 0))) == 0.0
+    assert identity_distance(-1j * np.eye(3)) == 0.0
+    with pytest.raises(ValueError):
+        identity_distance(np.eye(3)[:2])
+    with pytest.raises(ValueError):
+        identity_distance(np.ones(4))
