@@ -43,9 +43,9 @@ from .graph_model import (
     serialize_dynamic_graph,
     spectrum,
 )
-from .numerics import VERIFY_TOLERANCE, identity_distance, phase_distance
+from .numerics import VERIFY_TOLERANCE, identity_distance
 from .rewrite_optimizer import ALL_RULES, optimize
-from .walk_engine import evolve_state, total_unitary
+from .walk_engine import evolve_state, run_distance, total_unitary
 
 __all__ = [
     "CommandResult",
@@ -249,7 +249,7 @@ def cmd_equiv(args: argparse.Namespace) -> CommandResult:
         raise CliInputError(
             f"vertex counts differ: {first.n_vertices} vs {second.n_vertices}"
         )
-    distance = phase_distance(total_unitary(first), total_unitary(second))
+    distance = run_distance(first.n_vertices, first.steps, second.steps)
     verdict = "equivalent" if distance < VERIFY_TOLERANCE else "NOT equivalent"
     lines = (f"phase distance {distance:.3e}", verdict)
     return CommandResult(0 if distance < VERIFY_TOLERANCE else 1, lines)

@@ -61,7 +61,7 @@ __all__ = [
 ]
 
 # 2^12 basis states. Measured on a 2-vCPU x86 machine with one H and one
-# CNOT on 12 qubits: compile 0.33 s and 0.42 GB, equiv 0.21 s and 0.55 GB,
+# CNOT on 12 qubits: compile 0.33 s and 0.42 GB, equiv 0.04 s and 37 MB,
 # unitary --csv 7.2 s and 0.29 GB, simulate 0.05 s and 34 MB. The commands
 # that hold dense n x n unitaries need four times the memory per extra qubit.
 MAX_VERTICES = 4096

@@ -1,18 +1,23 @@
 """The equivalence gate.
 
-Two unitaries count as the same program when ``phase_distance``, which
-ignores a global phase, is below ``VERIFY_TOLERANCE``. ``compile``,
-``equiv`` and every optimizer rewrite are gated on it, and nothing else
-lives here: a graph's spectrum comes from ``graph_model.spectrum`` and a
-step's unitary from ``walk_engine``. ``identity_distance`` is the same
-distance from the identity, for a product U^dag V already formed in place.
+Two unitaries count as the same program when their phase distance
+1 - |tr(U^dag V)| / n, which ignores a global phase, is below
+``VERIFY_TOLERANCE``. Each check reads the distance off the overlap
+tr(U^dag V) through ``overlap_distance``: ``equiv``, the optimizer's span
+checks and its final check through ``walk_engine.run_distance``, which
+takes the overlap of two runs' products laid out over their union's
+components; ``compile`` through ``identity_distance``, the distance from
+the identity of a product U^dag V already formed in place; and the
+optimizer's Hadamard-layer match through ``phase_distance`` of two dense
+matrices. Nothing else lives here: a graph's spectrum comes from
+``graph_model.spectrum`` and a step's unitary from ``walk_engine``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["VERIFY_TOLERANCE", "phase_distance", "identity_distance"]
+__all__ = ["VERIFY_TOLERANCE", "phase_distance", "identity_distance", "overlap_distance"]
 
 # phase_distance below this: the same program up to global phase
 VERIFY_TOLERANCE = 1e-9
@@ -30,7 +35,7 @@ def phase_distance(u: np.ndarray, v: np.ndarray) -> float:
     b = np.asarray(v)
     if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"incompatible shapes {a.shape} and {b.shape}")
-    return _distance(np.vdot(a, b), a.shape[0])
+    return overlap_distance(np.vdot(a, b), a.shape[0])
 
 
 def identity_distance(m: np.ndarray) -> float:
@@ -42,8 +47,9 @@ def identity_distance(m: np.ndarray) -> float:
     a = np.asarray(m)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    return _distance(np.trace(a), a.shape[0])
+    return overlap_distance(np.trace(a), a.shape[0])
 
 
-def _distance(overlap: complex, dim: int) -> float:
+def overlap_distance(overlap: complex, dim: int) -> float:
+    """1 - |overlap| / dim, for an overlap tr(U^dag V) of two dim x dim unitaries."""
     return 0.0 if dim == 0 else float(1.0 - abs(overlap) / dim)

@@ -96,17 +96,19 @@ phase (``_singleton_landing``, on the target step, the vertex and the
 phase); and the compiled Hadamard layer, its cost and its read-only dense
 product per target set and qubit count (``_hadamard_layer``). Apart from
 those layer products the memo holds steps and small tuples, never a
-step's unitary or a span product. Three verdicts are not kept. Few folds
-of a run (``_fold``) recur, as only priced sites are built, and few
-periods: a period is looked up only for a duration of 2pi or more, or for
-the empty graph (a nonempty graph's period is None or an even multiple
-of pi). The Hadamard-layer verdict (``_hypercube_hadamard``) reads the
-fragment's product, not its steps. A landing on a loops-only target is
-built directly as its at most two staircase steps. A singleton site is
-built straight from the two singleton verdicts, for the targets of the
-corridor only: outward from the source on each side, up to and including
-the first step that attaches an edge to the vertex, since that step
-blocks every target beyond it.
+step's unitary or a span product. Three verdicts are not kept. The
+bit-flip row builds the fold of a run (``_fold``) for every run of two
+or more phased bit flips, and ``_scan`` prices it afterwards; the fold
+row builds a fold only for a prefix it has priced as an improvement. Few
+periods recur: a period is looked up only for a duration of 2pi or more,
+or for the empty graph (a nonempty graph's period is None or an even
+multiple of pi). The Hadamard-layer verdict (``_hypercube_hadamard``)
+reads the fragment's product, not its steps. A landing on a loops-only
+target is built directly as its at most two staircase steps. A
+singleton site is built straight from the two singleton verdicts, for
+the targets of the corridor only: outward from the source on each side,
+up to and including the first step that attaches an edge to the vertex,
+since that step blocks every target beyond it.
 
 What every position of a scan reads of the walk as a whole is computed
 once per walk, in the ``ScanFacts`` the driver passes to every row: the
@@ -119,11 +121,11 @@ derives each candidate's facts from the walk's: the products left of the
 move's window are the walk's, those right of it the walk's up to a global
 phase, which no verdict reads, and only the window's are new, from a
 ``prefix_unitaries`` call that applies the window's steps to the product
-before it. Every other product the optimizer reads comes from
-``walk_engine.run_unitary``, which takes the step factors from the same
-cache: the step a phased-permutation form is read from, both sides of a
-span it verifies, a compiled Hadamard layer, and its input and output
-for the final check. This module multiplies no step matrices: every step
+before it. The step a phased-permutation form is read from and a
+compiled Hadamard layer come from ``walk_engine.run_unitary``, and every
+comparison of two runs, a verified span and the final check, from
+``walk_engine.run_distance``; both take the step factors from the same
+cache. This module multiplies no step matrices: every step
 is applied by ``walk_engine``, one connected component at a time, and
 only whole prefix products are multiplied here. The Hadamard-layer sites
 try the fragments from one start longest first, skipping fragments made
@@ -139,9 +141,10 @@ of the steps before the span, P that of the steps after it, and S, S' the
 old and new span products, tr((P S Q)^dag P S' Q) = tr(S^dag S'), so the
 phase distance of the two spans is exactly that of the two programs. A
 failure rolls back and is reported rather than silently kept. At the end
-``optimize`` compares the total unitaries of its input and its output,
-which also covers the period reductions of the normalization, and reports
-that distance.
+``optimize`` compares the products of its input and its output, which
+also covers the period reductions of the normalization, and reports that
+distance. Both checks read ``run_distance``, which forms no n x n array
+from ``walk_engine.SPLIT_VERTICES`` vertices on.
 """
 
 from __future__ import annotations
@@ -169,7 +172,7 @@ from .graph_model import (
     supports_disjoint,
 )
 from .numerics import VERIFY_TOLERANCE, phase_distance
-from .walk_engine import graphs_commute, prefix_unitaries, run_unitary
+from .walk_engine import graphs_commute, prefix_unitaries, run_distance, run_unitary
 
 __all__ = [
     "RULE_SWAP_COMMUTING",
@@ -1066,9 +1069,7 @@ def _apply(walk: DynamicGraph, rewrite: Rewrite) -> DynamicGraph:
 def _span_verified(walk: DynamicGraph, rewrite: Rewrite) -> bool:
     """Whether the rewrite keeps the program unitary, checked on its span."""
     record, replacement = rewrite
-    before = run_unitary(walk.n_vertices, walk.steps[slice(*record.span)])
-    after = run_unitary(walk.n_vertices, replacement)
-    return phase_distance(before, after) < VERIFY_TOLERANCE
+    return run_distance(walk.n_vertices, walk.steps[slice(*record.span)], replacement) < VERIFY_TOLERANCE
 
 
 def optimize(
@@ -1140,8 +1141,7 @@ def optimize(
             record, replacement = chain[failed]
             skip.add((programs[failed].steps[slice(*record.span)], replacement))
 
-    n = walk.n_vertices
-    distance = phase_distance(run_unitary(n, walk.steps), run_unitary(n, current.steps))
+    distance = run_distance(walk.n_vertices, walk.steps, current.steps)
     if not distance < VERIFY_TOLERANCE:
         rejected.append(f"output against input: verification failed, distance {distance:.3e}")
     report = OptimizationReport(

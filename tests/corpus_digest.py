@@ -1,0 +1,61 @@
+"""Print one sha256 over the optimizer's outputs on the 603-program corpus.
+
+The corpus is ``random_walk`` and the compiled ``random_circuit`` of
+``test_rewrite_optimizer`` at ``random.Random(seed)`` for seeds 0-299,
+plus ``long_program()``, ``short_program()`` and the criterion-09
+program. For each, in that order, the digest reads the serialized
+``optimize`` output, its report's ``to_dict()`` and the ``repr`` of the
+report's phase distance, so two trees that print the same digest
+optimized every program identically, down to the last bit of the final
+check. The file has no ``test_`` prefix, so pytest does not collect it.
+
+Run from the repository root::
+
+    python tests/corpus_digest.py
+"""
+
+import hashlib
+import json
+import os
+import random
+import sys
+import time
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path[:0] = [HERE, os.path.join(os.path.dirname(HERE), "src")]
+
+import catalog  # noqa: E402
+import trace_fixtures as tf  # noqa: E402
+from dynwalk.gate_compiler import compile_circuit  # noqa: E402
+from dynwalk.graph_model import serialize_dynamic_graph  # noqa: E402
+from dynwalk.rewrite_optimizer import optimize  # noqa: E402
+from test_rewrite_optimizer import random_circuit, random_walk  # noqa: E402
+
+SEEDS = range(300)
+
+
+def corpus():
+    for seed in SEEDS:
+        yield random_walk(random.Random(seed))
+        yield compile_circuit(random_circuit(random.Random(seed)))
+    yield tf.long_program()
+    yield tf.short_program()
+    yield catalog.reconstruct(tf.LONG_TRACE).program()
+
+
+def main() -> None:
+    digest = hashlib.sha256()
+    count = 0
+    start = time.perf_counter()
+    for walk in corpus():
+        final, report = optimize(walk)
+        digest.update(serialize_dynamic_graph(final).encode())
+        digest.update(json.dumps(report.to_dict(), sort_keys=True).encode())
+        digest.update(repr(report.phase_distance).encode())
+        count += 1
+    print(f"{count} programs in {time.perf_counter() - start:.1f} s")
+    print(f"sha256 {digest.hexdigest()}")
+
+
+if __name__ == "__main__":
+    main()

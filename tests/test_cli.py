@@ -317,7 +317,7 @@ def test_optimize_reports_stop_reason(tmp_path, capsys):
 
 
 def test_optimize_verification_failure_exits_1(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr("dynwalk.rewrite_optimizer.phase_distance", lambda u, v: 1.0)
+    monkeypatch.setattr("dynwalk.rewrite_optimizer.run_distance", lambda n, first, second: 1.0)
     walk_file = write_walk(tmp_path / "in.json", double_flip_walk())
     out_file = tmp_path / "out.json"
     assert main(["optimize", walk_file, "-o", str(out_file)]) == 1
@@ -326,7 +326,7 @@ def test_optimize_verification_failure_exits_1(tmp_path, capsys, monkeypatch):
 
 
 def test_optimize_verification_failure_writes_no_output(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr("dynwalk.rewrite_optimizer.phase_distance", lambda u, v: 1.0)
+    monkeypatch.setattr("dynwalk.rewrite_optimizer.run_distance", lambda n, first, second: 1.0)
     walk_file = write_walk(tmp_path / "in.json", double_flip_walk())
     out_file = tmp_path / "out.json"
     report_file = tmp_path / "report.json"

@@ -1360,7 +1360,7 @@ def test_optimize_charges_every_rejected_rewrite_against_the_cap(monkeypatch):
 
 def test_optimize_rolls_back_failed_verification(monkeypatch):
     walk = walk_of(match(4, 1, 1, 2), match(4, 1, 1, 2))
-    monkeypatch.setattr(ro, "phase_distance", lambda u, v: 1.0)
+    monkeypatch.setattr(ro, "run_distance", lambda n, first, second: 1.0)
     final, report = optimize(walk, max_iterations=10)
     assert final == walk
     assert not report.verified

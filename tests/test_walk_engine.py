@@ -29,6 +29,7 @@ from dynwalk.walk_engine import (
     evolve_state,
     graphs_commute,
     prefix_unitaries,
+    run_distance,
     run_unitary,
     step_unitary,
     total_unitary,
@@ -309,6 +310,10 @@ def expm_product(walk):
     return u
 
 
+# Vertex counts on each side of the product's dense/split choice
+SIDES = [pytest.param(3, 12, id="dense"), pytest.param(we.SPLIT_VERTICES, 2 * we.SPLIT_VERTICES + 1, id="split")]
+
+
 def split_programs():
     rng = np.random.default_rng(21)
     path, pair = Graph.make(7, edges=[(0, 1), (1, 2)]), Graph.make(7, edges=[(5, 6)], loops=[2])
@@ -321,6 +326,8 @@ def split_programs():
     ), id="loops only")
     for index in range(6):
         yield pytest.param(split_program(rng, int(rng.integers(3, 12)), int(rng.integers(2, 7))), id=f"random partition {index}")
+    for n in (we.SPLIT_VERTICES, 2 * we.SPLIT_VERTICES):
+        yield pytest.param(split_program(rng, n, 3), id=f"random partition of {n} vertices")
     yield pytest.param(compile_circuit(
         Circuit(9, (Gate("H", target=2), Gate("CNOT", control=0, target=5), Gate("T", target=8)))
     ), id="512 vertices")
@@ -335,33 +342,78 @@ def test_total_unitary_matches_expm_when_the_union_splits(walk):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_entries_between_union_components_are_exact_zeros(seed):
+    """On both sides of the dense/split choice: the n x n loop leaves -0.0 there unless mended."""
     rng = np.random.default_rng(seed)
-    walk = split_program(rng, int(rng.integers(3, 12)), int(rng.integers(1, 6)))
-    labels = union_components(walk)
-    between = labels[:, None] != labels[None, :]
-    u = total_unitary(walk)
-    assert between.any()
-    for part in (u.real[between], u.imag[between]):
-        assert (part == 0.0).all() and not np.signbit(part).any()
+    for low, high in ((3, 12), (we.SPLIT_VERTICES, 2 * we.SPLIT_VERTICES + 1)):
+        walk = split_program(rng, int(rng.integers(low, high)), int(rng.integers(1, 6)))
+        labels = union_components(walk)
+        between = labels[:, None] != labels[None, :]
+        u = total_unitary(walk)
+        assert between.any()
+        for part in (u.real[between], u.imag[between]):
+            assert (part == 0.0).all() and not np.signbit(part).any()
 
 
-def test_total_unitary_is_the_dense_loop_bit_for_bit_on_connected_unions():
-    """Equal to run_unitary's n x n loop when the union is connected, within rounding otherwise."""
+def test_total_unitary_is_the_dense_loop_bit_for_bit_on_connected_unions(monkeypatch):
+    """The split product against the n x n loop: bit for bit when the union is connected, within rounding otherwise."""
     rng = np.random.default_rng(4)
-    seen = set()
+    walks = []
     for _ in range(60):
         n = int(rng.integers(2, 10))
-        walk = split_program(rng, n, int(rng.integers(1, 6))) if rng.random() < 0.5 else DynamicGraph(
+        walks.append(split_program(rng, n, int(rng.integers(1, 6))) if rng.random() < 0.5 else DynamicGraph(
             n, tuple(TimedGraph(random_graph(rng, n, 0.3, 0.4), d) for d in DURATIONS[1:])
-        )
+        ))
+    dense = [total_unitary(walk) for walk in walks]
+    monkeypatch.setattr(we, "SPLIT_VERTICES", 0)
+    seen = set()
+    for walk, u in zip(walks, dense):
         connected = len(set(union_components(walk).tolist())) == 1
-        u, dense = total_unitary(walk), run_unitary(n, walk.steps)
+        split = total_unitary(walk)
         if connected:
-            assert np.array_equal(u, dense)
+            assert split.tobytes() == u.tobytes()
         else:
-            assert np.abs(u - dense).max() <= 1e-14
+            assert np.abs(split - u).max() <= 1e-14
         seen.add(connected)
     assert seen == {True, False}
+
+
+@pytest.mark.parametrize("low, high", SIDES)
+def test_run_unitary_is_the_total_unitary_bit_for_bit(low, high):
+    rng = np.random.default_rng(low)
+    for _ in range(4):
+        walk = split_program(rng, int(rng.integers(low, high)), int(rng.integers(1, 6)))
+        assert run_unitary(walk.n_vertices, walk.steps).tobytes() == total_unitary(walk).tobytes()
+    we._cached_factors.cache_clear()
+
+
+@pytest.mark.parametrize("low, high", SIDES)
+def test_run_distance_is_the_phase_distance_of_the_total_unitaries(low, high):
+    """Unrelated runs, the same run with every step halved into two, and a run against itself."""
+    rng = np.random.default_rng(low + 1)
+    for _ in range(3):
+        n = int(rng.integers(low, high))
+        a, b = (split_program(rng, n, int(rng.integers(1, 5))) for _ in range(2))
+        halved = DynamicGraph(n, tuple(TimedGraph(step.graph, step.duration / 2) for step in a.steps for _ in range(2)))
+        for first, second in ((a, b), (a, halved), (b, b), (DynamicGraph(n, ()), a)):
+            expected = phase_distance(total_unitary(first), total_unitary(second))
+            assert abs(run_distance(n, first.steps, second.steps) - expected) <= 1e-13
+    we._cached_factors.cache_clear()
+
+
+def test_run_distance_of_a_wide_walk_allocates_less_than_one_dense_array():
+    """At 1024 vertices one n x n complex array takes 16 MiB."""
+    gates = (Gate("H", target=0), Gate("CNOT", control=0, target=1), Gate("X", target=2), Gate("T", target=1))
+    walk = compile_circuit(Circuit(10, gates))
+    we._cached_factors.cache_clear()
+    tracemalloc.start()
+    try:
+        distance = run_distance(walk.n_vertices, walk.steps, walk.steps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        we._cached_factors.cache_clear()
+    assert peak < walk.n_vertices**2 * np.dtype(np.complex128).itemsize
+    assert distance < TOL
 
 
 def test_a_wide_single_gate_allocates_no_dense_array_beyond_its_result():
