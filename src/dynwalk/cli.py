@@ -31,7 +31,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .gate_compiler import compile_circuit, parse_circuit, undo_circuit
+from .gate_compiler import circuit_distance, compile_circuit, parse_circuit
 from .graph_model import (
     DynamicGraph,
     ParseError,
@@ -43,7 +43,7 @@ from .graph_model import (
     serialize_dynamic_graph,
     spectrum,
 )
-from .numerics import VERIFY_TOLERANCE, identity_distance
+from .numerics import VERIFY_TOLERANCE
 from .rewrite_optimizer import ALL_RULES, optimize
 from .walk_engine import evolve_state, run_distance, total_unitary
 
@@ -228,8 +228,8 @@ def cmd_compile(args: argparse.Namespace) -> CommandResult:
     except ParseError as err:
         raise CliInputError(f"{args.circuit}: {err}") from err
     walk = compile_circuit(circuit, parallel_hadamards=args.parallel_h)
-    # phase_distance(W, C) read off C^dag W, formed in place in W's own array
-    distance = identity_distance(undo_circuit(circuit, total_unitary(walk)))
+    # the distance of W from C, read off C^dag W, formed in W's own array
+    distance = circuit_distance(circuit, total_unitary(walk))
     total = walk.total_time()
     lines = [
         f"{len(circuit.gates)} gates -> {walk.graph_count} graphs,"

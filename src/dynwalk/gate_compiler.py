@@ -19,10 +19,13 @@ index. Composition order matches program order: later gates multiply on
 the left. The reference side updates one array in place, a gate at a time
 on views of its qubit axis, so a gate costs O(4^n) and at most a half-size
 temporary, never a dense 2^n x 2^n product or a fresh array:
-``gate_unitary`` and ``circuit_unitary`` apply the gates to the identity,
-and ``undo_circuit`` applies their adjoints, last gate first, to a given
-product. ``compile`` checks its walk that way, forming C^dag W in the
-array of the walk's unitary W. On a 2-vCPU x86 machine with 1 BLAS thread,
+``circuit_unitary`` applies the gates to the identity, and
+``circuit_distance`` applies their adjoints, last gate first, to a given
+product and reads the phase distance off the trace of C^dag times it.
+That is the package's one check of a product against gates: ``compile``
+forms C^dag W in the array of the walk's unitary W, and the optimizer's
+Hadamard-layer verdict undoes a one-gate HLAYER circuit on the
+fragment's product. On a 2-vCPU x86 machine with 1 BLAS thread,
 ``compile`` of one H and one CNOT on 12 qubits takes 0.33 s and 417 MB
 peak RSS, against 0.48 s and 802 MB when it built C in arrays of its own
 (medians of 5 fresh processes). ``parse_circuit`` refuses more than
@@ -52,6 +55,7 @@ from .graph_model import (
     format_angle,
     radians,
 )
+from .numerics import overlap_distance
 
 __all__ = [
     "GATE_KINDS",
@@ -67,8 +71,7 @@ __all__ = [
     "compile_gate",
     "compile_circuit",
     "circuit_unitary",
-    "gate_unitary",
-    "undo_circuit",
+    "circuit_distance",
     "parse_circuit",
 ]
 
@@ -391,36 +394,35 @@ def _swap(first: np.ndarray, second: np.ndarray) -> None:
     np.positive(kept, out=second)
 
 
-def gate_unitary(gate: Gate, n_qubits: int) -> np.ndarray:
-    """Reference dense unitary of one gate (the compiler's oracle side)."""
-    u = np.eye(2**n_qubits, dtype=np.complex128)
-    _apply_gate(gate, n_qubits, u)
-    return u
-
-
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
-    """Reference dense unitary of the whole circuit, built gate by gate in one array."""
+    """Reference dense unitary of the whole circuit, built gate by gate in one array.
+
+    Public reference API: no package code calls it, since ``compile``
+    checks through ``circuit_distance``; it is the oracle side that tests
+    and users compare a walk's unitary with.
+    """
     u = np.eye(circuit.n_vertices, dtype=np.complex128)
     for gate in circuit.gates:
         _apply_gate(gate, circuit.n_qubits, u)
     return u
 
 
-def undo_circuit(circuit: Circuit, product: np.ndarray) -> np.ndarray:
-    """Turn ``product`` into C^dag times it, in place, and return it.
+def circuit_distance(circuit: Circuit, product: np.ndarray) -> float:
+    """Phase distance of ``product`` from the circuit's unitary C, undoing C in place.
 
-    C is the circuit's unitary. The gates' adjoints apply last gate first,
-    so when ``product`` is the compiled walk's unitary the result is a
-    global phase times the identity, and ``numerics.identity_distance``
-    of it is ``phase_distance(product, circuit_unitary(circuit))``
-    with no second n x n array.
+    The gates' adjoints apply to ``product`` last gate first, which leaves
+    C^dag times it in its own array, so ``product`` is overwritten.
+    Its trace is tr(C^dag product), and the result is
+    ``numerics.overlap_distance`` of it: the phase distance of the product
+    from ``circuit_unitary(circuit)`` up to rounding, with no second n x n
+    array.
     """
-    if product.shape != (circuit.n_vertices, circuit.n_vertices):
-        n = circuit.n_vertices
+    n = circuit.n_vertices
+    if product.shape != (n, n):
         raise ValueError(f"product has shape {product.shape}, expected ({n}, {n})")
     for gate in reversed(circuit.gates):
         _apply_gate(gate, circuit.n_qubits, product, adjoint=True)
-    return product
+    return overlap_distance(np.trace(product), n)
 
 
 _GATE_FIELDS = {
@@ -443,7 +445,7 @@ def _parse_gate(obj: object, n_qubits: int, path: str) -> Gate:
     if kind not in GATE_KINDS:
         _fail(f"{path}.kind", f"expected one of {', '.join(GATE_KINDS)}, got {kind!r}")
     fields = ("kind",) + _GATE_FIELDS[kind]
-    _expect_keys(obj, fields, fields, path)
+    _expect_keys(obj, fields, path)
 
     def qubit(value: object, where: str) -> int:
         index = _expect_int(value, where)
@@ -480,7 +482,7 @@ def parse_circuit(text: str) -> Circuit:
     data = _decode_json(text)
     if not isinstance(data, dict):
         _fail("$", "expected a top-level object")
-    _expect_keys(data, ("n_qubits", "gates"), ("n_qubits", "gates"), "$")
+    _expect_keys(data, ("n_qubits", "gates"), "$")
     n_qubits = _expect_int(data["n_qubits"], "n_qubits")
     if n_qubits < 1:
         _fail("n_qubits", "must be at least 1")

@@ -119,8 +119,8 @@ class Graph:
     duration it is given: its adjacency matrix is zero, so nothing moves.
     The optimizer's caches are keyed on graphs and steps, so the hash is
     computed once, on first use, and kept beside the fields, as is the set
-    of edge endpoints that ``degree_free`` reads: equality and repr read
-    the fields alone.
+    of edge endpoints that ``degree_free`` and ``support`` read: equality
+    and repr read the fields alone.
     """
 
     n_vertices: int
@@ -348,11 +348,7 @@ def spectrum(graph: Graph) -> Spectrum:
 
 def support(graph: Graph) -> frozenset:
     """Vertices touched by at least one edge or loop."""
-    touched = set(graph.loops)
-    for i, j in graph.edges:
-        touched.add(i)
-        touched.add(j)
-    return frozenset(touched)
+    return graph.loops | graph._endpoints
 
 
 def supports_disjoint(a: Graph, b: Graph) -> bool:
@@ -432,11 +428,12 @@ def _expect_int(value: object, path: str) -> int:
     return value
 
 
-def _expect_keys(obj: dict, allowed: Sequence[str], required: Sequence[str], path: str) -> None:
+def _expect_keys(obj: dict, keys: Sequence[str], path: str) -> None:
+    """Fail unless the object holds exactly these keys: an unknown one first, then a missing one."""
     for key in obj:
-        if key not in allowed:
+        if key not in keys:
             _fail(path, f"unknown field {key!r}")
-    for key in required:
+    for key in keys:
         if key not in obj:
             _fail(path, f"missing field {key!r}")
 
@@ -444,7 +441,7 @@ def _expect_keys(obj: dict, allowed: Sequence[str], required: Sequence[str], pat
 def _parse_time(obj: object, path: str) -> Fraction:
     if not isinstance(obj, dict):
         _fail(path, "expected an object with pi_num and pi_den")
-    _expect_keys(obj, ("pi_num", "pi_den"), ("pi_num", "pi_den"), path)
+    _expect_keys(obj, ("pi_num", "pi_den"), path)
     num = _expect_int(obj["pi_num"], f"{path}.pi_num")
     den = _expect_int(obj["pi_den"], f"{path}.pi_den")
     if num < 0:
@@ -464,7 +461,7 @@ def _parse_time(obj: object, path: str) -> Fraction:
 def _parse_step(obj: object, n_vertices: int, path: str) -> TimedGraph:
     if not isinstance(obj, dict):
         _fail(path, "expected a step object")
-    _expect_keys(obj, ("edges", "loops", "time"), ("edges", "loops", "time"), path)
+    _expect_keys(obj, ("edges", "loops", "time"), path)
 
     raw_edges = obj["edges"]
     if not isinstance(raw_edges, list):
@@ -507,7 +504,7 @@ def parse_dynamic_graph(text: str) -> DynamicGraph:
     data = _decode_json(text)
     if not isinstance(data, dict):
         _fail("$", "expected a top-level object")
-    _expect_keys(data, ("n_vertices", "sequence"), ("n_vertices", "sequence"), "$")
+    _expect_keys(data, ("n_vertices", "sequence"), "$")
     n_vertices = _expect_int(data["n_vertices"], "n_vertices")
     if n_vertices < 1:
         _fail("n_vertices", "must be at least 1")

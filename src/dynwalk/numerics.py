@@ -3,21 +3,24 @@
 Two unitaries count as the same program when their phase distance
 1 - |tr(U^dag V)| / n, which ignores a global phase, is below
 ``VERIFY_TOLERANCE``. Each check reads the distance off the overlap
-tr(U^dag V) through ``overlap_distance``: ``equiv``, the optimizer's span
-checks and its final check through ``walk_engine.run_distance``, which
-takes the overlap of two runs' products laid out over their union's
-components; ``compile`` through ``identity_distance``, the distance from
-the identity of a product U^dag V already formed in place; and the
-optimizer's Hadamard-layer match through ``phase_distance`` of two dense
-matrices. Nothing else lives here: a graph's spectrum comes from
-``graph_model.spectrum`` and a step's unitary from ``walk_engine``.
+tr(U^dag V) through ``overlap_distance``, and every package check goes
+through one of two routines. ``walk_engine.run_distance`` compares two
+runs of steps: ``equiv`` and the optimizer's span checks and final check,
+with the overlap of both runs' products laid out over their union's
+components. ``gate_compiler.circuit_distance`` compares a product with a
+circuit: ``compile`` and the optimizer's Hadamard-layer match, with the
+trace of C^dag times the product, formed in the product's own array.
+``phase_distance`` of two dense matrices is the public reference form
+that tests and users call; no package code calls it. Nothing else lives
+here: a graph's spectrum comes from ``graph_model.spectrum`` and a
+step's unitary from ``walk_engine``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["VERIFY_TOLERANCE", "phase_distance", "identity_distance", "overlap_distance"]
+__all__ = ["VERIFY_TOLERANCE", "phase_distance", "overlap_distance"]
 
 # phase_distance below this: the same program up to global phase
 VERIFY_TOLERANCE = 1e-9
@@ -36,18 +39,6 @@ def phase_distance(u: np.ndarray, v: np.ndarray) -> float:
     if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"incompatible shapes {a.shape} and {b.shape}")
     return overlap_distance(np.vdot(a, b), a.shape[0])
-
-
-def identity_distance(m: np.ndarray) -> float:
-    """``phase_distance(I, M)``, 1 - |tr M| / dim, read from M's diagonal.
-
-    With M = U^dag V this is ``phase_distance(U, V)``. Raises
-    ``ValueError`` unless M is square.
-    """
-    a = np.asarray(m)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    return overlap_distance(np.trace(a), a.shape[0])
 
 
 def overlap_distance(overlap: complex, dim: int) -> float:

@@ -93,10 +93,11 @@ graph pair for the block swaps; the merges of two steps
 singleton carries out of a step (``_singleton_source``, on the source
 step and the vertex); what a target step becomes when it absorbs that
 phase (``_singleton_landing``, on the target step, the vertex and the
-phase); and the compiled Hadamard layer, its cost and its read-only dense
-product per target set and qubit count (``_hadamard_layer``). Apart from
-those layer products the memo holds steps and small tuples, never a
-step's unitary or a span product. Three verdicts are not kept. The
+phase); and the compiled Hadamard layer per bit mask and qubit count
+(``_hadamard_layer``): its steps, its cost, its one-gate HLAYER circuit
+and column 0 of its product, an n-vector. The memo holds steps, small
+tuples and those columns, never an n x n array: no step's unitary, no
+span product and no layer product. Three verdicts are not kept. The
 bit-flip row builds the fold of a run (``_fold``) for every run of two
 or more phased bit flips, and ``_scan`` prices it afterwards; the fold
 row builds a fold only for a prefix it has priced as an improvement. Few
@@ -121,11 +122,13 @@ derives each candidate's facts from the walk's: the products left of the
 move's window are the walk's, those right of it the walk's up to a global
 phase, which no verdict reads, and only the window's are new, from a
 ``prefix_unitaries`` call that applies the window's steps to the product
-before it. The step a phased-permutation form is read from and a
-compiled Hadamard layer come from ``walk_engine.run_unitary``, and every
-comparison of two runs, a verified span and the final check, from
-``walk_engine.run_distance``; both take the step factors from the same
-cache. This module multiplies no step matrices: every step
+before it. The step a phased-permutation form is read from comes from
+``walk_engine.run_unitary``, and every comparison of two runs, a
+verified span and the final check, from ``walk_engine.run_distance``;
+both take the step factors from the same cache. A fragment is compared
+with a Hadamard layer through ``gate_compiler.circuit_distance``, the
+check ``compile`` makes, which undoes the layer's gate in the fragment's
+own array. This module multiplies no step matrices: every step
 is applied by ``walk_engine``, one connected component at a time, and
 only whole prefix products are multiplied here. The Hadamard-layer sites
 try the fragments from one start longest first, skipping fragments made
@@ -133,8 +136,8 @@ only of phased permutations, whose product is a phased permutation and
 never a Hadamard layer, and stopping at the first that costs no more
 than the cheapest layer (``LAYER_FLOOR``). The verdict reads a fragment
 [i, s) as W_s W_i^dag: its bit mask from column 0, its cost from the
-prefix times, and the dense product only for a layer that is strictly
-cheaper.
+prefix times, and the fragment's dense product only for a layer that is
+strictly cheaper and whose column 0 matches.
 
 Every accepted rewrite is verified on its span alone. With Q the product
 of the steps before the span, P that of the steps after it, and S, S' the
@@ -159,7 +162,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optiona
 
 import numpy as np
 
-from .gate_compiler import bit_value, compile_hadamard_layer, schedule_phases
+from .gate_compiler import Circuit, Gate, bit_value, circuit_distance, compile_hadamard_layer, schedule_phases
 from .graph_model import (
     DynamicGraph,
     Graph,
@@ -171,8 +174,8 @@ from .graph_model import (
     spectrum,
     supports_disjoint,
 )
-from .numerics import VERIFY_TOLERANCE, phase_distance
-from .walk_engine import graphs_commute, prefix_unitaries, run_distance, run_unitary
+from .numerics import VERIFY_TOLERANCE
+from .walk_engine import evolve_state, graphs_commute, prefix_unitaries, run_distance, run_unitary
 
 __all__ = [
     "RULE_SWAP_COMMUTING",
@@ -656,16 +659,21 @@ LAYER_FLOOR = (Fraction(5, 4), 3)
 
 
 def _hadamard_layer(
-    targets: Tuple[int, ...], n_qubits: int
-) -> Tuple[Tuple[TimedGraph, ...], Tuple[Fraction, int], np.ndarray]:
-    """Hadamards on the target qubits: the compiled steps, their cost and their product.
+    mask: int, n_qubits: int
+) -> Tuple[Tuple[TimedGraph, ...], Tuple[Fraction, int], Circuit, np.ndarray]:
+    """Hadamards on the qubits of a vertex bit mask: compiled steps, cost, gate and column 0.
 
-    The product is shared by every caller, so it is read-only.
+    The gate is the one-gate HLAYER circuit the steps compile, which
+    ``circuit_distance`` undoes; column 0 is that of the steps' product,
+    the image of vertex 0. The column is shared by every caller, so it is
+    read-only.
     """
-    steps = compile_hadamard_layer(targets, n_qubits).steps
-    unitary = run_unitary(2**n_qubits, steps)
-    unitary.flags.writeable = False
-    return steps, (_span_time(steps), len(steps)), unitary
+    targets = tuple(q for q in range(n_qubits) if mask & bit_value(q, n_qubits))
+    layer = compile_hadamard_layer(targets, n_qubits)
+    column = evolve_state(layer, np.eye(1, layer.n_vertices, dtype=np.complex128)[0])
+    column.flags.writeable = False
+    gate = Circuit(n_qubits, (Gate("HLAYER", targets=targets),))
+    return layer.steps, (_span_time(layer.steps), len(layer.steps)), gate, column
 
 
 def _hypercube_hadamard(facts: ScanFacts, start: int, stop: int) -> StepsVerdict:
@@ -679,35 +687,35 @@ def _hypercube_hadamard(facts: ScanFacts, start: int, stop: int) -> StepsVerdict
     bits, each with weight 2^-k >= 1/n, so the bit mask is the OR of the indices weighing
     more than 1/(2n). The layer on that subset goes in only when it
     strictly reduces (total time, graph count), which the facts' integer
-    times decide. Then one phase-distance comparison d against the product
-    of the layer's compiled steps decides: layers on two different subsets
-    have trace overlap 0, so no other subset could match. It is the
-    comparison the driver's span verification makes, on the same fragment
-    up to the rounding of W_stop W_start^dag (about 1e-15). For unitaries,
-    ||F - e^{i phi} L||_F^2 = 2 n d at the best phase, and column 0 takes
-    part of that, so 1 - |l^dag c| <= n d for the two columns 0: a column 0
-    that misses this twice over fails without the dense fragment. No step
-    reads a global phase of the products. Unlike the merge rules this
-    verdict enforces the cost drop itself: the layer is a fixed-price
-    replacement, not a local fusion, so applying it blindly could
-    pessimize a cheap fragment. The memo keeps the layer's steps, cost and
-    product per subset.
+    times decide. Then one phase distance d of the fragment from the
+    layer's HLAYER gate decides, through ``circuit_distance``, the check
+    ``compile`` makes, which undoes the gate in the fragment's own array:
+    layers on two different subsets have trace overlap 0, so no other
+    subset could match. The compiled layer is exp(-2i beta) times that gate
+    to rounding, so d is the phase distance the driver's span verification
+    reads between the fragment and the layer's steps, up to rounding
+    (about 1e-15). For unitaries, ||F - e^{i phi} L||_F^2 = 2 n d at the
+    best phase, and column 0 takes part of that, so 1 - |l^dag c| <= n d
+    for the two columns 0: a column 0 that misses this twice over fails
+    without the dense fragment. No step reads a global phase of the
+    products. Unlike the merge rules this verdict enforces the cost drop
+    itself: the layer is a fixed-price replacement, not a local fusion, so
+    applying it blindly could pessimize a cheap fragment. The memo keeps
+    the layer's steps, cost, gate and column 0 per bit mask.
     """
     n = facts.walk.n_vertices
-    n_qubits = n.bit_length() - 1
     products = facts.products()
     later, earlier = products[stop], products[start]
     column = later @ earlier[0].conj()
     mask = int(np.bitwise_or.reduce(np.flatnonzero(np.abs(column) ** 2 > 1.0 / (2 * n))))
-    targets = tuple(q for q in range(n_qubits) if mask & bit_value(q, n_qubits))
-    if not targets:
+    if not mask:
         return "fragment is not a Hadamard layer"
-    layer, cost, unitary = facts.memo.hadamard_layer(targets, n_qubits)
+    layer, cost, gate, layer_column = facts.memo.hadamard_layer(mask, n.bit_length() - 1)
     if facts.costs_at_most(start, stop, cost):
         return "layer replacement is not strictly cheaper"
-    if 1 - abs(np.vdot(unitary[:, 0], column)) >= 2 * n * VERIFY_TOLERANCE:
+    if 1 - abs(np.vdot(layer_column, column)) >= 2 * n * VERIFY_TOLERANCE:
         return "fragment is not a Hadamard layer"
-    if not phase_distance(later @ earlier.conj().T, unitary) < VERIFY_TOLERANCE:
+    if not circuit_distance(gate, later @ earlier.conj().T) < VERIFY_TOLERANCE:
         return "fragment is not a Hadamard layer"
     return layer
 

@@ -45,7 +45,12 @@ Hadamard-layer fragments. ``equiv`` goes through the same cache. The
 whole-program functions (``step_unitary``, ``total_unitary``,
 ``evolve_state``, and so the ``compile``, ``unitary`` and ``simulate``
 commands) compute the factors per call, so a compile of a wide circuit
-holds no factors beyond the step it applies.
+holds no factors beyond the step it applies. The optimizer reads column 0
+of a compiled Hadamard layer through ``evolve_state`` of vertex 0, once
+per layer, and compares a fragment with the layer's gate through
+``gate_compiler.circuit_distance``, so it asks this module for no layer
+product. ``step_unitary`` has no caller in the package; it stays as the
+public reference for a single step's unitary.
 """
 
 from __future__ import annotations
@@ -151,7 +156,11 @@ def _product(n_vertices: int, steps: Sequence[TimedGraph], factors: FactorsOf = 
 
 
 def step_unitary(step: TimedGraph) -> np.ndarray:
-    """Unitary of one timed graph step, as a dense matrix."""
+    """Unitary of one timed graph step, as a dense matrix.
+
+    Public reference API: the package applies steps through their factors
+    and calls it nowhere.
+    """
     return _product(step.graph.n_vertices, (step,))
 
 

@@ -17,18 +17,17 @@ from dynwalk.gate_compiler import (
     all_loops_graph,
     bit_set_loops_graph,
     bit_value,
+    circuit_distance,
     circuit_unitary,
     compile_circuit,
     compile_gate,
     compile_hadamard_layer,
-    gate_unitary,
     matching_graph,
     parse_circuit,
     schedule_phases,
-    undo_circuit,
 )
 from dynwalk.graph_model import DynamicGraph, Graph, ParseError, TimedGraph, radians
-from dynwalk.numerics import VERIFY_TOLERANCE, identity_distance, phase_distance
+from dynwalk.numerics import VERIFY_TOLERANCE, phase_distance
 from dynwalk.walk_engine import total_unitary
 
 TOL = 1e-12
@@ -285,18 +284,18 @@ def test_circuit_unitary_matches_kron_products(seed):
 
 
 def test_gate_unitary_reference_values():
-    assert np.array_equal(gate_unitary(Gate("X", target=0), 2), kron(X, I2))
-    cnot01 = gate_unitary(Gate("CNOT", control=0, target=1), 2)
+    assert np.array_equal(circuit_unitary(Circuit(2, (Gate("X", target=0),))), kron(X, I2))
+    cnot01 = circuit_unitary(Circuit(2, (Gate("CNOT", control=0, target=1),)))
     assert np.array_equal(
         cnot01,
         np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex),
     )
-    cnot10 = gate_unitary(Gate("CNOT", control=1, target=0), 2)
+    cnot10 = circuit_unitary(Circuit(2, (Gate("CNOT", control=1, target=0),)))
     assert np.array_equal(
         cnot10,
         np.array([[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]], dtype=complex),
     )
-    t = gate_unitary(Gate("T", target=1), 2)
+    t = circuit_unitary(Circuit(2, (Gate("T", target=1),)))
     assert np.allclose(np.diag(t), [1, np.exp(1j * np.pi / 4), 1, np.exp(1j * np.pi / 4)])
 
 
@@ -305,21 +304,21 @@ def test_gate_unitary_reference_values():
 def test_catalog_gates_compile_exactly(kind, target, n_qubits):
     gate = Gate(kind, target=target)
     compiled = total_unitary(compile_gate(gate, n_qubits))
-    assert np.abs(compiled - gate_unitary(gate, n_qubits)).max() < 1e-11
+    assert np.abs(compiled - circuit_unitary(Circuit(n_qubits, (gate,)))).max() < 1e-11
 
 
 @pytest.mark.parametrize("control, target", [(0, 1), (1, 0), (0, 2), (2, 0)])
 def test_cnot_compiles_exactly(control, target):
     gate = Gate("CNOT", control=control, target=target)
     compiled = total_unitary(compile_gate(gate, 3))
-    assert np.abs(compiled - gate_unitary(gate, 3)).max() < 1e-11
+    assert np.abs(compiled - circuit_unitary(Circuit(3, (gate,)))).max() < 1e-11
 
 
 @pytest.mark.parametrize("num, den", [(1, 4), (1, 1), (3, 2), (7, 4)])
 def test_phase_gate_compiles_exactly(num, den):
     gate = Gate("PHASE", target=1, theta=angle(num, den))
     compiled = total_unitary(compile_gate(gate, 2))
-    assert np.abs(compiled - gate_unitary(gate, 2)).max() < 1e-11
+    assert np.abs(compiled - circuit_unitary(Circuit(2, (gate,)))).max() < 1e-11
 
 
 def test_phase_zero_compiles_to_nothing():
@@ -330,7 +329,7 @@ def test_phase_zero_compiles_to_nothing():
 def test_h_compiles_to_minus_h():
     gate = Gate("H", target=1)
     compiled = total_unitary(compile_gate(gate, 2))
-    reference = gate_unitary(gate, 2)
+    reference = circuit_unitary(Circuit(2, (gate,)))
     assert np.abs(compiled + reference).max() < 1e-11
     assert phase_distance(compiled, reference) < 1e-11
 
@@ -338,7 +337,7 @@ def test_h_compiles_to_minus_h():
 def test_hlayer_compiles_exactly():
     gate = Gate("HLAYER", targets=(0, 2))
     compiled = total_unitary(compile_gate(gate, 3))
-    assert np.abs(compiled - gate_unitary(gate, 3)).max() < 1e-11
+    assert np.abs(compiled - circuit_unitary(Circuit(3, (gate,)))).max() < 1e-11
 
 
 # -- whole circuits ------------------------------------------------------------
@@ -347,8 +346,8 @@ def test_hlayer_compiles_exactly():
 def test_compile_circuit_orders_later_gates_left():
     circuit = Circuit(1, (Gate("X", target=0), Gate("S", target=0)))
     compiled = total_unitary(compile_circuit(circuit))
-    s = gate_unitary(Gate("S", target=0), 1)
-    x = gate_unitary(Gate("X", target=0), 1)
+    s = circuit_unitary(Circuit(1, (Gate("S", target=0),)))
+    x = circuit_unitary(Circuit(1, (Gate("X", target=0),)))
     assert np.abs(compiled - s @ x).max() < 1e-11
     assert np.abs(compiled - x @ s).max() > 0.5
 
@@ -438,7 +437,7 @@ def test_gate_then_its_adjoint_in_place_gives_the_rows_back(n_qubits):
 
 def check_distance(circuit, walk):
     """What ``compile`` gates on: the circuit undone in place on the walk's unitary."""
-    return identity_distance(undo_circuit(circuit, total_unitary(walk)))
+    return circuit_distance(circuit, total_unitary(walk))
 
 
 def test_the_check_equals_the_phase_distance_to_the_reference():
@@ -472,12 +471,18 @@ def test_gates_refuse_rows_that_are_not_c_contiguous():
             _apply_gate(gate, 2, rows)
         assert np.array_equal(rows, before)
     with pytest.raises(ValueError, match="C-contiguous"):
-        undo_circuit(Circuit(2, (gate,)), np.eye(4, dtype=complex)[:, ::-1])
+        circuit_distance(Circuit(2, (gate,)), np.eye(4, dtype=complex)[:, ::-1])
 
 
-def test_undo_circuit_refuses_a_product_of_the_wrong_size():
-    with pytest.raises(ValueError, match="expected"):
-        undo_circuit(Circuit(2, (Gate("X", target=0),)), np.eye(8, dtype=complex))
+def test_circuit_distance_reads_the_trace_and_refuses_other_shapes():
+    flip = Circuit(1, (Gate("X", target=0),))
+    x = circuit_unitary(flip)
+    assert circuit_distance(flip, 1j * x) == 0.0
+    assert circuit_distance(Circuit(1, ()), x) == 1.0
+    assert circuit_distance(Circuit(2, ()), -1j * np.eye(4)) == 0.0
+    for product in (np.eye(4, dtype=complex), np.eye(2, dtype=complex)[:1], np.ones(2, dtype=complex)):
+        with pytest.raises(ValueError, match="expected"):
+            circuit_distance(flip, product)
 
 
 def test_the_compile_check_peaks_under_two_and_a_quarter_unitaries():

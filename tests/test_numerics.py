@@ -8,7 +8,9 @@ the unitaries against scipy's expm on the same scaled Hamiltonian, so the
 eigendecomposition route never gets to grade its own homework. Spectra of
 a few named graphs are frozen as literals. The gate is ``numerics``:
 ``phase_distance`` is checked against the trace formula it stands for, and
-``identity_distance`` of U^dag V against ``phase_distance(U, V)``.
+the distance from the identity of U^dag V, ``overlap_distance`` of its
+trace as ``gate_compiler.circuit_distance`` reads it, against
+``phase_distance(U, V)``.
 """
 
 from fractions import Fraction
@@ -21,7 +23,7 @@ from hypothesis import strategies as st
 
 from adjacency import adjacency_matrix
 from dynwalk.graph_model import Graph, TimedGraph, radians, spectrum
-from dynwalk.numerics import identity_distance, phase_distance
+from dynwalk.numerics import overlap_distance, phase_distance
 from dynwalk.walk_engine import step_unitary
 
 RECONSTRUCT_TOL = 1e-11
@@ -231,13 +233,4 @@ def test_identity_distance_of_the_product_is_the_phase_distance(n):
     for _ in range(5):
         u, v = random_unitary(n, rng), random_unitary(n, rng)
         for w in (v, np.exp(0.3j) * u, u):
-            assert abs(identity_distance(u.conj().T @ w) - phase_distance(u, w)) < 1e-12
-
-
-def test_identity_distance_shapes():
-    assert identity_distance(np.zeros((0, 0))) == 0.0
-    assert identity_distance(-1j * np.eye(3)) == 0.0
-    with pytest.raises(ValueError):
-        identity_distance(np.eye(3)[:2])
-    with pytest.raises(ValueError):
-        identity_distance(np.ones(4))
+            assert abs(overlap_distance(np.trace(u.conj().T @ w), n) - phase_distance(u, w)) < 1e-12

@@ -33,6 +33,7 @@ from dynwalk.gate_compiler import (
     Circuit,
     Gate,
     all_loops_graph,
+    bit_value,
     circuit_unitary,
     compile_circuit,
     compile_gate,
@@ -514,6 +515,25 @@ def test_hypercube_hadamard_rejects_right_support_with_wrong_phases():
     assert hadamard_layer_of(walk, 0, walk.graph_count) == "fragment is not a Hadamard layer"
 
 
+def test_hypercube_hadamard_rejects_a_fragment_only_the_full_check_sees(monkeypatch):
+    # Z before the layer leaves vertex 0 alone, so column 0 still matches
+    walk = DynamicGraph(
+        8, compile_gate(Gate("Z", target=2), 3).steps + compile_hadamard_layer([0, 2], 3).steps
+    )
+    calls = []
+    original = ro.circuit_distance
+
+    def counted(circuit, product):
+        calls.append(circuit)
+        return original(circuit, product)
+
+    monkeypatch.setattr(ro, "circuit_distance", counted)
+    assert hadamard_layer_of(walk, 0, walk.graph_count) == "fragment is not a Hadamard layer"
+    assert calls == [Circuit(3, (Gate("HLAYER", targets=(0, 2)),))]
+    layer = ro._hadamard_layer(bit_value(0, 3) | bit_value(2, 3), 3)
+    assert not any(isinstance(part, np.ndarray) and part.ndim == 2 for part in layer)
+
+
 def test_hypercube_hadamard_rejects_bad_span_and_size():
     walk = single_qubit_h_fixture()
     assert hadamard_layer_of(walk, 2, 2) == "fragment is not a Hadamard layer"
@@ -768,7 +788,8 @@ def test_follow_up_hadamard_sites_read_from_the_moved_facts_match_the_per_stop_s
 def test_no_hadamard_layer_costs_less_than_the_floor(n_qubits):
     for size in range(1, n_qubits + 1):
         for targets in itertools.combinations(range(n_qubits), size):
-            _, cost, _ = ro._hadamard_layer(targets, n_qubits)
+            mask = sum(bit_value(q, n_qubits) for q in targets)
+            _, cost, _, _ = ro._hadamard_layer(mask, n_qubits)
             assert cost >= ro.LAYER_FLOOR
             assert (cost == ro.LAYER_FLOOR) == (size == 1)
 
