@@ -474,15 +474,21 @@ def test_gates_refuse_rows_that_are_not_c_contiguous():
         circuit_distance(Circuit(2, (gate,)), np.eye(4, dtype=complex)[:, ::-1])
 
 
-def test_circuit_distance_reads_the_trace_and_refuses_other_shapes():
+def test_circuit_distance_reads_the_trace():
     flip = Circuit(1, (Gate("X", target=0),))
     x = circuit_unitary(flip)
     assert circuit_distance(flip, 1j * x) == 0.0
     assert circuit_distance(Circuit(1, ()), x) == 1.0
     assert circuit_distance(Circuit(2, ()), -1j * np.eye(4)) == 0.0
-    for product in (np.eye(4, dtype=complex), np.eye(2, dtype=complex)[:1], np.ones(2, dtype=complex)):
+
+
+def test_undo_circuit_refuses_a_product_of_the_wrong_size():
+    flip = Circuit(2, (Gate("X", target=0),))
+    for product in (np.eye(8, dtype=complex), np.eye(4, dtype=complex)[:2], np.ones(4, dtype=complex)):
+        before = product.copy()
         with pytest.raises(ValueError, match="expected"):
             circuit_distance(flip, product)
+        assert np.array_equal(product, before)
 
 
 def test_the_compile_check_peaks_under_two_and_a_quarter_unitaries():

@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adjacency import adjacency_matrix
+from dynwalk.gate_compiler import Circuit, circuit_distance
 from dynwalk.graph_model import Graph, TimedGraph, radians, spectrum
 from dynwalk.numerics import overlap_distance, phase_distance
 from dynwalk.walk_engine import step_unitary
@@ -234,3 +235,14 @@ def test_identity_distance_of_the_product_is_the_phase_distance(n):
         u, v = random_unitary(n, rng), random_unitary(n, rng)
         for w in (v, np.exp(0.3j) * u, u):
             assert abs(overlap_distance(np.trace(u.conj().T @ w), n) - phase_distance(u, w)) < 1e-12
+
+
+def test_identity_distance_shapes():
+    """The identity distance, as ``circuit_distance`` of the empty circuit reads it."""
+    assert overlap_distance(np.trace(np.zeros((0, 0))), 0) == 0.0
+    assert overlap_distance(np.trace(-1j * np.eye(3)), 3) == 0.0
+    assert circuit_distance(Circuit(2, ()), -1j * np.eye(4, dtype=complex)) == 0.0
+    with pytest.raises(ValueError):
+        circuit_distance(Circuit(2, ()), np.eye(4, dtype=complex)[:2])
+    with pytest.raises(ValueError):
+        circuit_distance(Circuit(2, ()), np.ones(4, dtype=complex))
