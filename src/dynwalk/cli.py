@@ -11,7 +11,10 @@ Subcommands:
 * ``compile``: turn a circuit file into a walk file, verifying the result
   against the circuit's reference unitary before writing: the circuit's
   gates are undone in place on the walk's unitary, which must leave a
-  global phase times the identity.
+  global phase times the identity. The unitary is held as rows over the
+  components of the union of the walk's graphs and the pairs of vertices
+  the gates mix, so from 128 vertices on it is n x c for the largest
+  component size c rather than n x n.
 * ``equiv``: compare two walk files up to global phase.
 * ``stats``: per-step structure, norms, periods and totals of a walk file.
 
@@ -31,7 +34,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .gate_compiler import circuit_distance, compile_circuit, parse_circuit
+from .gate_compiler import circuit_distance, compile_circuit, mixing_pairs, parse_circuit
 from .graph_model import (
     DynamicGraph,
     ParseError,
@@ -45,7 +48,7 @@ from .graph_model import (
 )
 from .numerics import VERIFY_TOLERANCE
 from .rewrite_optimizer import ALL_RULES, optimize
-from .walk_engine import evolve_state, run_distance, total_unitary
+from .walk_engine import evolve_state, laid_out_unitary, run_distance, total_unitary
 
 __all__ = [
     "CommandResult",
@@ -228,8 +231,10 @@ def cmd_compile(args: argparse.Namespace) -> CommandResult:
     except ParseError as err:
         raise CliInputError(f"{args.circuit}: {err}") from err
     walk = compile_circuit(circuit, parallel_hadamards=args.parallel_h)
-    # the distance of W from C, read off C^dag W, formed in W's own array
-    distance = circuit_distance(circuit, total_unitary(walk))
+    # the distance of W from C, read off C^dag W, formed in W's rows over
+    # the union of its graphs and the pairs the gates mix
+    product, columns = laid_out_unitary(walk, mixing_pairs(circuit))
+    distance = circuit_distance(circuit, product, columns)
     total = walk.total_time()
     lines = [
         f"{len(circuit.gates)} gates -> {walk.graph_count} graphs,"

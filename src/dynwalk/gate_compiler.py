@@ -22,14 +22,19 @@ temporary, never a dense 2^n x 2^n product or a fresh array:
 ``circuit_unitary`` applies the gates to the identity, and
 ``circuit_distance`` applies their adjoints, last gate first, to a given
 product and reads the phase distance off the trace of C^dag times it.
-That is the package's one check of a product against gates: ``compile``
-forms C^dag W in the array of the walk's unitary W, and the optimizer's
-Hadamard-layer verdict undoes a one-gate HLAYER circuit on the
-fragment's product. On a 2-vCPU x86 machine with 1 BLAS thread,
-``compile`` of one H and one CNOT on 12 qubits takes 0.33 s and 417 MB
-peak RSS, against 0.48 s and 802 MB when it built C in arrays of its own
-(medians of 5 fresh processes). ``parse_circuit`` refuses more than
-``MAX_QUBITS`` qubits, the walk vertex ceiling.
+That is the package's one check of a product against gates. ``compile``
+forms C^dag W in the rows of the walk's unitary W laid out over the
+components of the union of the walk's graphs and the gates'
+``mixing_pairs``, n x c for the largest component size c from
+``walk_engine.SPLIT_VERTICES`` on: every gate then maps a row to rows of
+the same component, so the undo runs on the rows as on the dense
+product. The optimizer's Hadamard-layer verdict undoes a one-gate HLAYER
+circuit on the fragment's dense product. On a 2-vCPU x86 machine with
+1 BLAS thread, ``compile`` of one H and one CNOT on 12 qubits takes
+0.056 s and 36 MB peak RSS (medians of 5 fresh processes), against
+0.34 s and 418 MB when it undid the gates on the dense n x n W, and
+0.48 s and 802 MB when it built C in arrays of its own. ``parse_circuit``
+refuses more than ``MAX_QUBITS`` qubits, the walk vertex ceiling.
 """
 
 from __future__ import annotations
@@ -71,6 +76,7 @@ __all__ = [
     "compile_gate",
     "compile_circuit",
     "circuit_unitary",
+    "mixing_pairs",
     "circuit_distance",
     "parse_circuit",
 ]
@@ -407,22 +413,55 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
     return u
 
 
-def circuit_distance(circuit: Circuit, product: np.ndarray) -> float:
+def mixing_pairs(circuit: Circuit) -> List[np.ndarray]:
+    """The vertex pairs (v, v XOR mask) that the circuit's gates mix, as (b, 2) arrays.
+
+    X, Y and H mix every v with v XOR their qubit's mask, HLAYER does so
+    for each target, CNOT only for the v with the control bit set, and the
+    diagonal gates mix nothing. There is one array per distinct (control,
+    mask), in order of first use, holding each pair once, smaller vertex
+    first. A product laid out over components that join these pairs stays
+    in that layout under every gate of the circuit; see
+    ``walk_engine.laid_out_unitary``.
+    """
+    n_qubits = circuit.n_qubits
+    keys: Dict[Tuple[int, int], None] = {}
+    for gate in circuit.gates:
+        if gate.kind == "CNOT":
+            keys[bit_value(gate.control, n_qubits), bit_value(gate.target, n_qubits)] = None  # type: ignore[arg-type]
+        elif gate.kind in ("X", "Y", "H", "HLAYER"):
+            for qubit in gate.targets if gate.kind == "HLAYER" else (gate.target,):  # type: ignore[union-attr]
+                keys[0, bit_value(qubit, n_qubits)] = None  # type: ignore[arg-type]
+    vertices = np.arange(circuit.n_vertices)
+    pairs = []
+    for control, mask in keys:
+        heads = vertices[(vertices & (control | mask)) == control]
+        pairs.append(np.stack((heads, heads | mask), axis=1))
+    return pairs
+
+
+def circuit_distance(circuit: Circuit, product: np.ndarray, columns: Optional[np.ndarray] = None) -> float:
     """Phase distance of ``product`` from the circuit's unitary C, undoing C in place.
 
     The gates' adjoints apply to ``product`` last gate first, which leaves
     C^dag times it in its own array, so ``product`` is overwritten.
     Its trace is tr(C^dag product), and the result is
     ``numerics.overlap_distance`` of it: the phase distance of the product
-    from ``circuit_unitary(circuit)`` up to rounding, with no second n x n
-    array.
+    from ``circuit_unitary(circuit)`` up to rounding, with no second
+    array of its size. Without ``columns`` the product is n x n and the
+    trace is that of the array. With them it is an n x c layout from
+    ``walk_engine.laid_out_unitary`` over components that join the
+    circuit's ``mixing_pairs``, each gate acts on its rows as on the
+    dense product's, and the trace is the sum of ``product[v, columns[v]]``.
     """
     n = circuit.n_vertices
-    if product.shape != (n, n):
-        raise ValueError(f"product has shape {product.shape}, expected ({n}, {n})")
+    width = n if columns is None else product.shape[-1]
+    if product.shape != (n, width):
+        raise ValueError(f"product has shape {product.shape}, expected ({n}, {width})")
     for gate in reversed(circuit.gates):
         _apply_gate(gate, circuit.n_qubits, product, adjoint=True)
-    return overlap_distance(np.trace(product), n)
+    trace = np.trace(product) if columns is None else product[np.arange(n), columns].sum()
+    return overlap_distance(trace, n)
 
 
 _GATE_FIELDS = {

@@ -17,8 +17,8 @@ The JSON interchange format mirrors the in-memory model:
 ``parse_dynamic_graph`` validates aggressively and reports the JSON path of
 the offending element, since hand-edited walk files are the normal input.
 It also refuses more than ``MAX_VERTICES`` vertices before building
-anything, since the commands that compare programs hold n x n unitaries,
-and durations that need more than ``MAX_TIME_DIGITS`` digits over a
+anything, since ``unitary`` and ``optimize`` hold n x n unitaries, and
+durations that need more than ``MAX_TIME_DIGITS`` digits over a
 common denominator, which no command could print.
 
 ``spectrum`` is the one place a graph's eigenvalues come from. It splits
@@ -61,7 +61,7 @@ __all__ = [
 ]
 
 # 2^12 basis states. Measured on a 2-vCPU x86 machine with one H and one
-# CNOT on 12 qubits: compile 0.33 s and 0.42 GB, equiv 0.04 s and 37 MB,
+# CNOT on 12 qubits: compile 0.056 s and 36 MB, equiv 0.04 s and 37 MB,
 # unitary --csv 7.2 s and 0.29 GB, simulate 0.05 s and 34 MB. The commands
 # that hold dense n x n unitaries need four times the memory per extra qubit.
 MAX_VERTICES = 4096

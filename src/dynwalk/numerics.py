@@ -9,7 +9,8 @@ runs of steps: ``equiv`` and the optimizer's span checks and final check,
 with the overlap of both runs' products laid out over their union's
 components. ``gate_compiler.circuit_distance`` compares a product with a
 circuit: ``compile`` and the optimizer's Hadamard-layer match, with the
-trace of C^dag times the product, formed in the product's own array.
+trace of C^dag times the product, formed in the product's own array,
+which for ``compile`` is laid out over the union's components too.
 ``phase_distance`` of two dense matrices is the public reference form
 that tests and users call; no package code calls it. Nothing else lives
 here: a graph's spectrum comes from ``graph_model.spectrum`` and a

@@ -17,24 +17,31 @@ k. Applying a step to an n x m matrix therefore costs O(n k m), and a
 connected graph is simply one block. ``evolve_state`` costs O(n k) per
 step.
 
-Every product of steps is formed in ``_product``, which decides its form
+Every product of steps starts from ``_layout``, which decides its form
 from the vertex count alone. Below ``SPLIT_VERTICES`` the steps apply to
 the n x n identity. From there on, since no step mixes two components of
 the union of the steps' graphs and the product is zero between them, the
 steps apply to an n x c array, c the largest union component size: row
 v holds row v of the product on v's component. That costs O(n c k) per
-step, plus a search of the union and the writing of each block into a
-zeroed n x n result; for a connected union the array starts as the
-n x n identity and is the result. Either way the entries between
-components are exact +0.0. ``step_unitary``, ``total_unitary`` and
-``run_unitary`` all form their product there, and this is the only module
-that turns steps into matrices.
+step, plus a search of the union; for a connected union the array is
+n x n. This is the only module that turns steps into matrices, and
+``_layout`` has three readers:
 
-``run_distance`` compares two runs up to a global phase without the
-n x n result: it lays both products out over the union of both runs'
-graphs, so tr(U^dag V) is ``np.vdot`` of the two layouts, and it forms
-no n x n array from ``SPLIT_VERTICES`` on. ``equiv`` and the optimizer's
-span and final checks read it.
+* ``_product`` writes each block into a zeroed n x n result, so the
+  entries between components are exact +0.0, for ``step_unitary``,
+  ``total_unitary`` and ``run_unitary``;
+* ``run_distance`` compares two runs up to a global phase without the
+  n x n result: it lays both products out over the union of both runs'
+  graphs, so tr(U^dag V) is ``np.vdot`` of the two layouts. ``equiv``
+  and the optimizer's span and final checks read it;
+* ``laid_out_unitary`` returns the layout itself, over the union of the
+  steps' graphs and some extra vertex pairs, with the column of each
+  diagonal entry. ``compile`` passes the pairs its circuit's gates mix
+  (``gate_compiler.mixing_pairs``), so that ``circuit_distance`` can
+  undo the gates on the rows and read the trace off them.
+
+The last two form no n x n array from ``SPLIT_VERTICES`` on, unless the
+union is connected.
 
 The optimizer's products keep each step's factors in one ``lru_cache``,
 since the steps of one optimization recur across its calls:
@@ -43,14 +50,15 @@ since the steps of one optimization recur across its calls:
 on the n x n identity or a given starting product, for the
 Hadamard-layer fragments. ``equiv`` goes through the same cache. The
 whole-program functions (``step_unitary``, ``total_unitary``,
-``evolve_state``, and so the ``compile``, ``unitary`` and ``simulate``
-commands) compute the factors per call, so a compile of a wide circuit
-holds no factors beyond the step it applies. The optimizer reads column 0
-of a compiled Hadamard layer through ``evolve_state`` of vertex 0, once
-per layer, and compares a fragment with the layer's gate through
-``gate_compiler.circuit_distance``, so it asks this module for no layer
-product. ``step_unitary`` has no caller in the package; it stays as the
-public reference for a single step's unitary.
+``laid_out_unitary``, ``evolve_state``, and so the ``compile``,
+``unitary`` and ``simulate`` commands) compute the factors per call, so a
+compile of a wide circuit holds no factors beyond the step it applies.
+The optimizer reads column 0 of a compiled Hadamard layer through
+``evolve_state`` of vertex 0, once per layer, and compares a fragment
+with the layer's gate through ``gate_compiler.circuit_distance``, so it
+asks this module for no layer product. ``step_unitary`` has no caller
+in the package; it stays as the public reference for a single step's
+unitary.
 """
 
 from __future__ import annotations
@@ -70,6 +78,7 @@ __all__ = [
     "prefix_unitaries",
     "run_unitary",
     "run_distance",
+    "laid_out_unitary",
     "evolve_state",
     "graphs_commute",
 ]
@@ -112,19 +121,24 @@ def _apply_step(factors: Factors, rows: np.ndarray) -> None:
         rows[members] = exponential @ rows[members]
 
 
-def _layout(n_vertices: int, steps: Sequence[TimedGraph]) -> Tuple[Optional[List[np.ndarray]], np.ndarray]:
-    """The components of the union of the steps' graphs, and the identity laid out over them.
+def _layout(
+    n_vertices: int, steps: Sequence[TimedGraph], links: Sequence[np.ndarray] = ()
+) -> Tuple[Optional[List[np.ndarray]], np.ndarray]:
+    """The components of the union of the steps' graphs and the links, and the identity laid out over them.
 
     Below ``SPLIT_VERTICES`` there are no components, and the identity is
     n x n. Otherwise it is an n x c array, c the largest component size:
     row v holds row v of a product on v's component, column j its j-th
     vertex in vertex order. The union's components come from the members
-    of the steps' blocks; a single step's blocks are its components.
+    of the steps' blocks and the rows of the links, each a (b, k) array
+    whose rows are vertex sets to join; a single step's blocks, with no
+    links, are its components.
     """
     if n_vertices < SPLIT_VERTICES:
         return None, np.eye(n_vertices, dtype=np.complex128)
     groups = [members for step in steps for members, _ in spectrum(step.graph).blocks]
-    if len(steps) > 1 and groups:
+    groups += links
+    if (len(steps) > 1 or len(links)) and groups:
         heads = np.concatenate([members[:, :-1] for members in groups], axis=None)
         tails = np.concatenate([members[:, 1:] for members in groups], axis=None)
         _, groups = components(n_vertices, heads, tails)
@@ -205,6 +219,27 @@ def run_distance(n_vertices: int, first: Sequence[TimedGraph], second: Sequence[
         for step in run:
             _apply_step(_cached_factors(step), rows)
     return overlap_distance(np.vdot(u, v), n_vertices)
+
+
+def laid_out_unitary(walk: DynamicGraph, links: Sequence[np.ndarray]) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """The walk's product laid out over the union of its graphs and the links, and its diagonal's columns.
+
+    Below ``SPLIT_VERTICES`` the product is the n x n ``total_unitary``, up
+    to the sign of its zeros, and there are no columns. From there on it is
+    the n x c layout of ``_layout``, so that a product with any other
+    unitary that mixes only vertices the links join stays in that layout,
+    and entry (v, v) sits in column ``columns[v]``, the rank of v in its
+    component. The factors are computed per call, as in ``total_unitary``.
+    """
+    groups, rows = _layout(walk.n_vertices, walk.steps, links)
+    for step in walk.steps:
+        _apply_step(_factors(step), rows)
+    if groups is None:
+        return rows, None
+    columns = np.zeros(walk.n_vertices, dtype=np.intp)
+    for members in groups:
+        columns[members] = np.arange(members.shape[1])
+    return rows, columns
 
 
 def evolve_state(walk: DynamicGraph, state: np.ndarray) -> np.ndarray:

@@ -9,7 +9,13 @@ import pytest
 
 import dynwalk.cli as cli
 from dynwalk.cli import main
-from dynwalk.gate_compiler import all_loops_graph, compile_hadamard_layer, matching_graph
+from dynwalk.gate_compiler import (
+    all_loops_graph,
+    circuit_unitary,
+    compile_hadamard_layer,
+    matching_graph,
+    parse_circuit,
+)
 from dynwalk.graph_model import (
     DynamicGraph,
     Graph,
@@ -17,6 +23,7 @@ from dynwalk.graph_model import (
     parse_dynamic_graph,
     serialize_dynamic_graph,
 )
+from dynwalk.numerics import phase_distance
 from dynwalk.walk_engine import total_unitary
 
 AMPLITUDE = re.compile(r"([+-]?[\d.]+(?:[eE][+-]?\d+)?)([+-][\d.]+(?:[eE][+-]?\d+)?)i")
@@ -391,6 +398,27 @@ def test_compile_parallel_h_flag(tmp_path, capsys):
     assert main(["equiv", str(plain_out), str(fused_out)]) == 0
 
 
+def test_compile_from_128_vertices_prints_the_dense_distance(tmp_path, capsys):
+    # the check runs on an n x c layout here; its distance is the dense one's
+    payload = {
+        "n_qubits": 8,
+        "gates": [
+            {"kind": "H", "target": 0},
+            {"kind": "CNOT", "control": 0, "target": 5},
+            {"kind": "T", "target": 5},
+            {"kind": "Y", "target": 7},
+        ],
+    }
+    circuit_file = write_circuit(tmp_path / "c.json", payload)
+    out_file = tmp_path / "walk.json"
+    assert main(["compile", circuit_file, "-o", str(out_file)]) == 0
+    printed = float(capsys.readouterr().out.splitlines()[1].rsplit(" ", 1)[1])
+    walk = parse_dynamic_graph(out_file.read_text())
+    circuit = parse_circuit(json.dumps(payload))
+    expected = phase_distance(total_unitary(walk), circuit_unitary(circuit))
+    assert abs(printed - expected) < 1e-13
+
+
 def test_compile_bad_circuit_exits_2(tmp_path, capsys):
     circuit_file = tmp_path / "c.json"
     circuit_file.write_text('{"n_qubits": 1, "gates": [{"kind": "WAT", "target": 0}]}')
@@ -464,7 +492,7 @@ def test_durations_just_under_the_digit_bound_run(tmp_path, capsys, command):
 
 
 def test_compile_verification_failure_writes_nothing(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "circuit_distance", lambda circuit, product: 1.0)
+    monkeypatch.setattr(cli, "circuit_distance", lambda circuit, product, columns: 1.0)
     circuit_file = write_circuit(
         tmp_path / "c.json", {"n_qubits": 1, "gates": [{"kind": "X", "target": 0}]}
     )

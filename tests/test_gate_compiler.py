@@ -23,12 +23,13 @@ from dynwalk.gate_compiler import (
     compile_gate,
     compile_hadamard_layer,
     matching_graph,
+    mixing_pairs,
     parse_circuit,
     schedule_phases,
 )
 from dynwalk.graph_model import DynamicGraph, Graph, ParseError, TimedGraph, radians
 from dynwalk.numerics import VERIFY_TOLERANCE, phase_distance
-from dynwalk.walk_engine import total_unitary
+from dynwalk.walk_engine import laid_out_unitary, total_unitary
 
 TOL = 1e-12
 
@@ -436,31 +437,71 @@ def test_gate_then_its_adjoint_in_place_gives_the_rows_back(n_qubits):
 
 
 def check_distance(circuit, walk):
-    """What ``compile`` gates on: the circuit undone in place on the walk's unitary."""
-    return circuit_distance(circuit, total_unitary(walk))
+    """What ``compile`` gates on: the circuit undone in place on the walk's laid-out unitary."""
+    product, columns = laid_out_unitary(walk, mixing_pairs(circuit))
+    return circuit_distance(circuit, product, columns)
+
+
+def drawn_circuit(rng, low, high, gate_counts):
+    n_qubits = int(rng.integers(low, high))
+    return Circuit(n_qubits, tuple(random_gate(rng, n_qubits) for _ in range(int(rng.integers(*gate_counts)))))
 
 
 def test_the_check_equals_the_phase_distance_to_the_reference():
+    # 1-5 qubits lay the product out as n x n, 7-8 qubits over the union's components
     rng = np.random.default_rng(2020)
-    for _ in range(200):
-        n_qubits = int(rng.integers(1, 6))
-        circuit = Circuit(n_qubits, tuple(random_gate(rng, n_qubits) for _ in range(int(rng.integers(0, 9)))))
-        walk = compile_circuit(circuit, parallel_hadamards=bool(rng.integers(2)))
-        expected = phase_distance(total_unitary(walk), circuit_unitary(circuit))
-        assert abs(check_distance(circuit, walk) - expected) < 1e-13
+    narrow = 0
+    for low, high, count in ((1, 6, 200), (7, 9, 40)):
+        for _ in range(count):
+            circuit = drawn_circuit(rng, low, high, (0, 9))
+            for parallel in (False, True) if low > 1 else (bool(rng.integers(2)),):
+                walk = compile_circuit(circuit, parallel_hadamards=parallel)
+                expected = phase_distance(total_unitary(walk), circuit_unitary(circuit))
+                assert abs(check_distance(circuit, walk) - expected) < 1e-13
+                narrow += laid_out_unitary(walk, mixing_pairs(circuit))[0].shape[1] < walk.n_vertices
+    assert narrow >= 40
 
 
 def test_the_check_refuses_a_walk_missing_its_last_gate():
+    # at 7-8 qubits the union holds the missing gate's pairs only through mixing_pairs
     rng = np.random.default_rng(2021)
-    for _ in range(60):
-        n_qubits = int(rng.integers(1, 5))
-        gates = [random_gate(rng, n_qubits) for _ in range(int(rng.integers(1, 6)))]
-        if gates[-1].kind == "PHASE" and gates[-1].theta == 0:
-            continue  # the identity: nothing is missing
-        circuit = Circuit(n_qubits, tuple(gates))
-        assert check_distance(circuit, compile_circuit(circuit)) < VERIFY_TOLERANCE
-        shortened = compile_circuit(Circuit(n_qubits, tuple(gates[:-1])))
-        assert check_distance(circuit, shortened) >= VERIFY_TOLERANCE
+    for low, high, count in ((1, 5, 60), (7, 9, 30)):
+        for _ in range(count):
+            circuit = drawn_circuit(rng, low, high, (1, 6))
+            last = circuit.gates[-1]
+            if last.kind == "PHASE" and last.theta == 0:
+                continue  # the identity: nothing is missing
+            assert check_distance(circuit, compile_circuit(circuit)) < VERIFY_TOLERANCE
+            shortened = compile_circuit(Circuit(circuit.n_qubits, circuit.gates[:-1]))
+            assert check_distance(circuit, shortened) >= VERIFY_TOLERANCE
+
+
+def test_the_check_joins_the_pairs_a_missing_gate_mixes():
+    circuit = Circuit(8, (Gate("X", target=0),))
+    product, columns = laid_out_unitary(DynamicGraph(256, ()), mixing_pairs(circuit))
+    assert product.shape == (256, 2)
+    assert np.array_equal(columns, np.arange(256) >> 7)
+    assert circuit_distance(circuit, product, columns) == 1.0
+
+
+def test_mixing_pairs_follow_the_gates():
+    circuit = Circuit(
+        3,
+        (
+            Gate("Z", target=0),
+            Gate("X", target=2),
+            Gate("CNOT", control=0, target=1),
+            Gate("HLAYER", targets=(1, 2)),
+            Gate("PHASE", target=1, theta=angle(1, 4)),
+        ),
+    )
+    pairs = [array.tolist() for array in mixing_pairs(circuit)]
+    assert pairs == [
+        [[0, 1], [2, 3], [4, 5], [6, 7]],
+        [[4, 6], [5, 7]],
+        [[0, 2], [1, 3], [4, 6], [5, 7]],
+    ]
+    assert mixing_pairs(Circuit(2, (Gate("T", target=0), Gate("S", target=1)))) == []
 
 
 def test_gates_refuse_rows_that_are_not_c_contiguous():
@@ -491,21 +532,20 @@ def test_undo_circuit_refuses_a_product_of_the_wrong_size():
         assert np.array_equal(product, before)
 
 
-def test_the_compile_check_peaks_under_two_and_a_quarter_unitaries():
-    # W plus a half-size temporary; a separate reference C would make three n x n arrays
-    n_qubits = 10
+def test_the_compile_check_allocates_less_than_one_unitary():
+    # a dense check holds W, n x n, plus a half-size temporary; the layout here is n x 8
     gates = (Gate("H", target=0), Gate("CNOT", control=0, target=1), Gate("X", target=2), Gate("T", target=1))
-    circuit = Circuit(n_qubits, gates)
-    walk = compile_circuit(circuit)
-    array_bytes = 16 * 4**n_qubits
-    tracemalloc.start()
-    try:
-        distance = check_distance(circuit, walk)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert distance < VERIFY_TOLERANCE
-    assert peak < 2.25 * array_bytes
+    for n_qubits in (10, 12):
+        circuit = Circuit(n_qubits, gates)
+        walk = compile_circuit(circuit)
+        tracemalloc.start()
+        try:
+            distance = check_distance(circuit, walk)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert distance < VERIFY_TOLERANCE
+        assert peak < 16 * 4**n_qubits
 
 
 # -- circuit JSON ---------------------------------------------------------------

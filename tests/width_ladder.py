@@ -1,19 +1,31 @@
-"""Time ``optimize`` on the width ladder: H(0), CNOT(0->1), X(2), T(1) compiled at each width.
+"""Time the ``compile`` check and ``optimize`` on the width ladder: H(0), CNOT(0->1), X(2), T(1).
 
 For each qubit count on the command line (3 or more), in that order, the
-script compiles the four-gate circuit and runs ``optimize`` on it twice:
-once untimed by anything but the clock, once under ``tracemalloc``. It
-prints one line per width with the wall time of the first run, the
-process's peak RSS after it (``ru_maxrss``, the peak so far, so only the
-first width of a process reads that width alone), the ``tracemalloc``
-peak of the second run, the final graph count and time, the ``repr`` of
-the report's phase distance, and a short sha256 of the serialized output
-walk, so that two trees can be compared line by line. The file has no
-``test_`` prefix, so pytest does not collect it.
+script compiles the four-gate circuit and prints two lines.
+
+The first is for the check ``compile`` makes of the walk against the
+circuit: the wall time of a first run, in which the steps' spectra are
+still uncomputed as in a fresh ``compile``, the process's peak RSS after
+it, the ``tracemalloc`` peak of a second run, and the ``repr`` of its
+phase distance.
+
+The second runs ``optimize`` on the walk twice: once untimed by anything
+but the clock, once under ``tracemalloc``. It has the wall time of the
+first run, the process's peak RSS after it, the ``tracemalloc`` peak of
+the second run, the final graph count and time, the ``repr`` of the
+report's phase distance, and a short sha256 of the serialized output
+walk, so that two trees can be compared line by line. With
+``--check-only`` the script skips ``optimize``, which takes minutes and
+gigabytes from 12 qubits on.
+
+Peak RSS is ``ru_maxrss``, the peak so far, so only the first line of a
+process reads its own run alone. The file has no ``test_`` prefix, so
+pytest does not collect it.
 
 Run from the repository root, one width per process for clean RSS::
 
     python tests/width_ladder.py 8 9 10
+    python tests/width_ladder.py --check-only 12
 """
 
 import hashlib
@@ -26,9 +38,10 @@ import tracemalloc
 HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path[:0] = [os.path.join(os.path.dirname(HERE), "src")]
 
-from dynwalk.gate_compiler import Circuit, Gate, compile_circuit  # noqa: E402
+from dynwalk.gate_compiler import Circuit, Gate, circuit_distance, compile_circuit, mixing_pairs  # noqa: E402
 from dynwalk.graph_model import format_angle, serialize_dynamic_graph  # noqa: E402
 from dynwalk.rewrite_optimizer import optimize  # noqa: E402
+from dynwalk.walk_engine import laid_out_unitary  # noqa: E402
 
 GATES = (
     Gate("H", target=0),
@@ -38,12 +51,36 @@ GATES = (
 )
 
 
-def rung(n_qubits: int) -> str:
-    walk = compile_circuit(Circuit(n_qubits, GATES))
+def peak_rss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
+def compile_check(circuit: Circuit, walk) -> float:
+    """The check of ``dynwalk compile``: the circuit undone on the walk's laid-out unitary."""
+    product, columns = laid_out_unitary(walk, mixing_pairs(circuit))
+    return circuit_distance(circuit, product, columns)
+
+
+def check_rung(n_qubits: int, circuit: Circuit, walk) -> str:
+    start = time.perf_counter()
+    distance = compile_check(circuit, walk)
+    seconds = time.perf_counter() - start
+    rss_mb = peak_rss_mb()
+    tracemalloc.start()
+    compile_check(circuit, walk)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    return (
+        f"{n_qubits} qubits compile check: {seconds * 1e3:.1f} ms, peak RSS {rss_mb:.0f} MB,"
+        f" tracemalloc peak {peak / 2**20:.2f} MiB, phase distance {distance!r}"
+    )
+
+
+def optimize_rung(n_qubits: int, walk) -> str:
     start = time.perf_counter()
     final, report = optimize(walk)
     seconds = time.perf_counter() - start
-    rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    rss_mb = peak_rss_mb()
     tracemalloc.start()
     optimize(walk)
     _, peak = tracemalloc.get_traced_memory()
@@ -58,10 +95,16 @@ def rung(n_qubits: int) -> str:
 
 
 def main(argv) -> None:
-    if not argv:
-        raise SystemExit("usage: python tests/width_ladder.py N_QUBITS [N_QUBITS ...]")
-    for n_qubits in map(int, argv):
-        print(rung(n_qubits), flush=True)
+    check_only = "--check-only" in argv
+    widths = [arg for arg in argv if arg != "--check-only"]
+    if not widths:
+        raise SystemExit("usage: python tests/width_ladder.py [--check-only] N_QUBITS [N_QUBITS ...]")
+    for n_qubits in map(int, widths):
+        circuit = Circuit(n_qubits, GATES)
+        walk = compile_circuit(circuit)
+        print(check_rung(n_qubits, circuit, walk), flush=True)
+        if not check_only:
+            print(optimize_rung(n_qubits, walk), flush=True)
 
 
 if __name__ == "__main__":
