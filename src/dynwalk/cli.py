@@ -30,7 +30,7 @@ import os
 import re
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -64,10 +64,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CommandResult:
-    """Exit code plus the lines to print on stdout."""
+    """Exit code plus the lines to print on stdout, printed in turn, so a generator is never held whole."""
 
     exit_code: int
-    lines: Tuple[str, ...]
+    lines: Iterable[str]
 
 
 class CliInputError(Exception):
@@ -175,7 +175,7 @@ def cmd_unitary(args: argparse.Namespace) -> CommandResult:
     if args.csv:
         _write_text(args.csv, (row + "\n" for row in _unitary_rows(u)))
         return CommandResult(0, (f"wrote {u.shape[0]}x{u.shape[1]} unitary to {args.csv}",))
-    return CommandResult(0, tuple(_unitary_rows(u)))
+    return CommandResult(0, _unitary_rows(u))
 
 
 def _parse_passes(text: Optional[str]) -> Optional[List[str]]:

@@ -62,8 +62,9 @@ __all__ = [
 
 # 2^12 basis states. Measured on a 2-vCPU x86 machine with one H and one
 # CNOT on 12 qubits: compile 0.056 s and 36 MB, equiv 0.04 s and 37 MB,
-# unitary --csv 7.2 s and 0.29 GB, simulate 0.05 s and 34 MB. The commands
-# that hold dense n x n unitaries need four times the memory per extra qubit.
+# unitary --csv 7.2 s and 0.29 GB, unitary to stdout 7.0 s and 0.29 GB
+# (both stream the rows), simulate 0.05 s and 34 MB. The commands that
+# hold dense n x n unitaries need four times the memory per extra qubit.
 MAX_VERTICES = 4096
 
 # The most digits the common denominator of a walk's durations, or its summed

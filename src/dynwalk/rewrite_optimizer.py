@@ -67,7 +67,8 @@ replacement (``_gain``), the one price the scan ranks by.
 
 Three rows price a site before they build it, each in integers that equal
 ``_gain`` of the built site, and build only the sites they can take. The
-loop staircase row prices a run from its per-vertex phase totals. The
+loop staircase row prices a run from its per-vertex phase totals and
+builds the staircase (``schedule_phases``) from the same totals. The
 fold row composes the phased-permutation run from its position once, left
 to right, with integer angle totals over one denominator, and prices each
 prefix that permutes by an involution from those totals: pi/2 and one
@@ -123,9 +124,10 @@ move's window are the walk's, those right of it the walk's up to a global
 phase, which no verdict reads, and only the window's are new, from a
 ``prefix_unitaries`` call that applies the window's steps to the product
 before it. The step a phased-permutation form is read from comes from
-``walk_engine.run_unitary``, and every comparison of two runs, a
-verified span and the final check, from ``walk_engine.run_distance``;
-both take the step factors from the same cache. A fragment is compared
+``walk_engine.step_unitary``, which computes the step's factors per
+call, and every comparison of two runs, a verified span and the final
+check, from ``walk_engine.run_distance``, which takes them from the
+cache it shares with ``prefix_unitaries``. A fragment is compared
 with a Hadamard layer through ``gate_compiler.circuit_distance``, the
 check ``compile`` makes, which undoes the layer's gate in the fragment's
 own array. This module multiplies no step matrices: every step
@@ -175,7 +177,7 @@ from .graph_model import (
     supports_disjoint,
 )
 from .numerics import VERIFY_TOLERANCE
-from .walk_engine import evolve_state, graphs_commute, prefix_unitaries, run_distance, run_unitary
+from .walk_engine import evolve_state, graphs_commute, prefix_unitaries, run_distance, step_unitary
 
 __all__ = [
     "RULE_SWAP_COMMUTING",
@@ -305,7 +307,7 @@ def _phased_permutation(step: TimedGraph) -> Optional[PhasedPermutation]:
         phase = step.duration % 2
         turns = tuple(phase.numerator if v in step.graph.loops else 0 for v in range(n))
         return PhasedPermutation(tuple(range(n)), turns, phase.denominator, len(set(turns)) == 1)
-    u = run_unitary(n, (step,))
+    u = step_unitary(step)
     rows = np.abs(u).argmax(axis=0)
     if len(set(rows.tolist())) != n:
         return None
@@ -839,16 +841,17 @@ def _merge_complementary_sites(facts: ScanFacts, index: int, window: Window = No
 def _staircase_sites(facts: ScanFacts, start: int, window: Window = None) -> Iterator[Site]:
     """Re-emit a run of loops-only steps as one optimal staircase, when that is cheaper.
 
-    The run is a phased-permutation run whose permutation is the identity,
-    so COMBINE_PST folds it into the descending staircase of its per-vertex
-    phase totals (mod 2pi), the cheapest equivalent form. That staircase
+    The run is a diagonal, so its cheapest equivalent form is the
+    descending staircase (``schedule_phases``) of its per-vertex phase
+    totals mod 2pi, the fold COMBINE_PST would make of it. That staircase
     runs for the largest total and has one graph per distinct nonzero
     total, so the row prices it from the totals, as integers over the
-    facts' denominator, and folds the run only when the staircase strictly
-    improves on it. Recorded as MOVE_SINGLETON over the run's span: it is a
-    composition of singleton extractions, moves and merges. The last,
-    widest staircase step holds every vertex with a phase; the note counts
-    them. The verdict reads the run and the step that ends it.
+    facts' denominator, and builds it from the same totals only when it
+    strictly improves on the run; it classifies no step. Recorded as
+    MOVE_SINGLETON over the run's span: it is a composition of singleton
+    extractions, moves and merges. The last, widest staircase step holds
+    every vertex with a phase; the note counts them. The verdict reads the
+    run and the step that ends it.
     """
     steps, den = facts.walk.steps, facts.den
     stop = facts.run_end(start, "loops")
@@ -863,9 +866,10 @@ def _staircase_sites(facts: ScanFacts, start: int, window: Window = None) -> Ite
     saved = facts.times[stop] - facts.times[start] - max(levels, default=0)
     if (saved, stop - start - len(levels)) <= (0, 0):
         return
-    for _, _, stair, _ in _offer(start, stop, _fold(facts.walk.n_vertices, facts.forms(start, stop))):
-        width = len(stair[-1].graph.loops) if stair else 0
-        yield start, stop, stair, f"staircase over {width} vertices"
+    phases = {vertex: Fraction(total % (2 * den), den) for vertex, total in totals.items()}
+    stair = schedule_phases(phases, facts.walk.n_vertices)
+    width = len(stair[-1].graph.loops) if stair else 0
+    yield start, stop, stair, f"staircase over {width} vertices"
 
 
 # A singleton move out of a source step: its (time saved, graphs removed),

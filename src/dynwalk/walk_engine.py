@@ -28,8 +28,8 @@ n x n. This is the only module that turns steps into matrices, and
 ``_layout`` has three readers:
 
 * ``_product`` writes each block into a zeroed n x n result, so the
-  entries between components are exact +0.0, for ``step_unitary``,
-  ``total_unitary`` and ``run_unitary``;
+  entries between components are exact +0.0, for ``step_unitary`` and
+  ``total_unitary``;
 * ``run_distance`` compares two runs up to a global phase without the
   n x n result: it lays both products out over the union of both runs'
   graphs, so tr(U^dag V) is ``np.vdot`` of the two layouts. ``equiv``
@@ -43,29 +43,29 @@ n x n. This is the only module that turns steps into matrices, and
 The last two form no n x n array from ``SPLIT_VERTICES`` on, unless the
 union is connected.
 
-The optimizer's products keep each step's factors in one ``lru_cache``,
-since the steps of one optimization recur across its calls:
-``run_unitary`` and ``run_distance`` read it, and so does
+Two readers keep each step's factors in one ``lru_cache``, since the
+steps of one optimization recur across its calls: ``run_distance``, and
+so ``equiv`` and the optimizer's span and final checks, and
 ``prefix_unitaries``, which gives the products of every prefix of a run
 on the n x n identity or a given starting product, for the
-Hadamard-layer fragments. ``equiv`` goes through the same cache. The
-whole-program functions (``step_unitary``, ``total_unitary``,
+Hadamard-layer fragments. Every other product computes the factors per
+call: the whole-program functions (``total_unitary``,
 ``laid_out_unitary``, ``evolve_state``, and so the ``compile``,
-``unitary`` and ``simulate`` commands) compute the factors per call, so a
-compile of a wide circuit holds no factors beyond the step it applies.
-The optimizer reads column 0 of a compiled Hadamard layer through
-``evolve_state`` of vertex 0, once per layer, and compares a fragment
-with the layer's gate through ``gate_compiler.circuit_distance``, so it
-asks this module for no layer product. ``step_unitary`` has no caller
-in the package; it stays as the public reference for a single step's
-unitary.
+``unitary`` and ``simulate`` commands), so a compile of a wide circuit
+holds no factors beyond the step it applies, and ``step_unitary``, the
+dense unitary of one step, which the optimizer reads to classify a step
+as a phased permutation. The optimizer reads column 0 of a compiled
+Hadamard layer through ``evolve_state`` of vertex 0, once per layer, and
+compares a fragment with the layer's gate through
+``gate_compiler.circuit_distance``, so it asks this module for no layer
+product.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
 from functools import lru_cache
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -76,7 +76,6 @@ __all__ = [
     "step_unitary",
     "total_unitary",
     "prefix_unitaries",
-    "run_unitary",
     "run_distance",
     "laid_out_unitary",
     "evolve_state",
@@ -86,7 +85,6 @@ __all__ = [
 # The looped singletons, their phase, and each block stack's vertices with
 # the stack's exponentials, all read-only.
 Factors = Tuple[np.ndarray, complex, Tuple[Tuple[np.ndarray, np.ndarray], ...]]
-FactorsOf = Callable[[TimedGraph], Factors]
 
 # Products on fewer vertices start from the n x n identity; from here on the
 # union of the steps' graphs is searched and the product formed in n x c rows.
@@ -150,7 +148,7 @@ def _layout(
     return groups, identity
 
 
-def _product(n_vertices: int, steps: Sequence[TimedGraph], factors: FactorsOf = _factors) -> np.ndarray:
+def _product(n_vertices: int, steps: Sequence[TimedGraph]) -> np.ndarray:
     """Product of the steps, later steps on the left, as a dense n x n array.
 
     No step mixes two components of the union of the steps' graphs, so the
@@ -159,7 +157,7 @@ def _product(n_vertices: int, steps: Sequence[TimedGraph], factors: FactorsOf = 
     """
     groups, rows = _layout(n_vertices, steps)
     for step in steps:
-        _apply_step(factors(step), rows)
+        _apply_step(_factors(step), rows)
     if rows.shape[1] == n_vertices:
         return np.add(rows, 0.0, out=rows)  # x + 0.0 is x, but -0.0 + 0.0 is +0.0
     u = np.zeros((n_vertices, n_vertices), dtype=np.complex128)
@@ -170,10 +168,9 @@ def _product(n_vertices: int, steps: Sequence[TimedGraph], factors: FactorsOf = 
 
 
 def step_unitary(step: TimedGraph) -> np.ndarray:
-    """Unitary of one timed graph step, as a dense matrix.
+    """Unitary of one timed graph step, as a dense matrix, with the factors computed per call.
 
-    Public reference API: the package applies steps through their factors
-    and calls it nowhere.
+    The optimizer classifies a step as a phased permutation from it.
     """
     return _product(step.graph.n_vertices, (step,))
 
@@ -199,11 +196,6 @@ def prefix_unitaries(
         _apply_step(_cached_factors(step), u)
         products.append(u)
     return products
-
-
-def run_unitary(n_vertices: int, steps: Sequence[TimedGraph]) -> np.ndarray:
-    """``total_unitary`` of a run of steps, with the factors from the cache."""
-    return _product(n_vertices, steps, _cached_factors)
 
 
 def run_distance(n_vertices: int, first: Sequence[TimedGraph], second: Sequence[TimedGraph]) -> float:

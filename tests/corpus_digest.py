@@ -7,7 +7,11 @@ program. For each, in that order, the digest reads the serialized
 ``optimize`` output, its report's ``to_dict()`` and the ``repr`` of the
 report's phase distance, so two trees that print the same digest
 optimized every program identically, down to the last bit of the final
-check. The file has no ``test_`` prefix, so pytest does not collect it.
+check. Under the digest it prints the final total time and graph count
+of the whole corpus, then of the random walks, of the compiled circuits
+and of the three named programs: the totals an output-quality change is
+gated on. The file has no ``test_`` prefix, so pytest does not collect
+it.
 
 Run from the repository root::
 
@@ -20,6 +24,7 @@ import os
 import random
 import sys
 import time
+from fractions import Fraction
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path[:0] = [HERE, os.path.join(os.path.dirname(HERE), "src")]
@@ -27,7 +32,7 @@ sys.path[:0] = [HERE, os.path.join(os.path.dirname(HERE), "src")]
 import catalog  # noqa: E402
 import trace_fixtures as tf  # noqa: E402
 from dynwalk.gate_compiler import compile_circuit  # noqa: E402
-from dynwalk.graph_model import serialize_dynamic_graph  # noqa: E402
+from dynwalk.graph_model import format_angle, serialize_dynamic_graph  # noqa: E402
 from dynwalk.rewrite_optimizer import optimize  # noqa: E402
 from test_rewrite_optimizer import random_circuit, random_walk  # noqa: E402
 
@@ -35,26 +40,31 @@ SEEDS = range(300)
 
 
 def corpus():
+    """(part, walk) for every program, in digest order."""
     for seed in SEEDS:
-        yield random_walk(random.Random(seed))
-        yield compile_circuit(random_circuit(random.Random(seed)))
-    yield tf.long_program()
-    yield tf.short_program()
-    yield catalog.reconstruct(tf.LONG_TRACE).program()
+        yield "random walks", random_walk(random.Random(seed))
+        yield "compiled circuits", compile_circuit(random_circuit(random.Random(seed)))
+    yield "named programs", tf.long_program()
+    yield "named programs", tf.short_program()
+    yield "named programs", catalog.reconstruct(tf.LONG_TRACE).program()
 
 
 def main() -> None:
     digest = hashlib.sha256()
-    count = 0
+    totals = {"corpus": (0, Fraction(0), 0)}
     start = time.perf_counter()
-    for walk in corpus():
+    for part, walk in corpus():
         final, report = optimize(walk)
         digest.update(serialize_dynamic_graph(final).encode())
         digest.update(json.dumps(report.to_dict(), sort_keys=True).encode())
         digest.update(repr(report.phase_distance).encode())
-        count += 1
-    print(f"{count} programs in {time.perf_counter() - start:.1f} s")
+        for key in (part, "corpus"):
+            programs, time_pi, graphs = totals.get(key, (0, Fraction(0), 0))
+            totals[key] = programs + 1, time_pi + final.total_time(), graphs + final.graph_count
+    print(f"{totals['corpus'][0]} programs in {time.perf_counter() - start:.1f} s")
     print(f"sha256 {digest.hexdigest()}")
+    for part, (programs, time_pi, graphs) in totals.items():
+        print(f"{part}: {programs} programs, final time {format_angle(time_pi)}, {graphs} graphs")
 
 
 if __name__ == "__main__":

@@ -1,7 +1,10 @@
 """End-to-end command tests driving main() with real files."""
 
+import io
 import json
 import re
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -10,8 +13,11 @@ import pytest
 import dynwalk.cli as cli
 from dynwalk.cli import main
 from dynwalk.gate_compiler import (
+    Circuit,
+    Gate,
     all_loops_graph,
     circuit_unitary,
+    compile_circuit,
     compile_hadamard_layer,
     matching_graph,
     parse_circuit,
@@ -198,6 +204,27 @@ def test_unitary_csv_matches_the_formatted_matrix_byte_for_byte(tmp_path, capsys
     assert csv_file.read_bytes() == expected.encode("utf-8")
     assert main(["unitary", walk_file]) == 0
     assert capsys.readouterr().out == expected
+
+
+class NullWriter(io.TextIOBase):
+    """A text stream that keeps nothing it is given."""
+
+    def write(self, text):
+        return len(text)
+
+
+def test_unitary_streams_its_rows_to_stdout(tmp_path, monkeypatch):
+    """At 1024 vertices the formatted rows take about 32 MiB, twice the 16 MiB unitary: none is held past its print."""
+    walk = compile_circuit(Circuit(10, (Gate("H", target=0), Gate("CNOT", control=0, target=1))))
+    walk_file = write_walk(tmp_path / "wide.json", walk)
+    monkeypatch.setattr(sys, "stdout", NullWriter())
+    tracemalloc.start()
+    try:
+        assert main(["unitary", walk_file]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * walk.n_vertices**2 * np.dtype(np.complex128).itemsize
 
 
 def test_unitary_rows_format_signed_zeros_and_tiny_entries_like_the_f_string():

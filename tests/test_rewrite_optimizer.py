@@ -666,12 +666,12 @@ def reference_staircase(run, n):
     return schedule_phases(totals, n), f"staircase over {width} vertices"
 
 
-def staircase_cases(seed):
+def staircase_cases(seed, memo=None):
     """(sites offered, reference staircase site if it strictly improves) per start of a loops-only walk."""
     rng = random.Random(seed)
     n = rng.randrange(2, 9)
     walk = DynamicGraph(n, tuple(random_loops_step(rng, n) for _ in range(rng.randrange(2, 7))))
-    facts = ro.ScanFacts(walk)
+    facts = ro.ScanFacts(walk, memo)
     count = walk.graph_count
     for start in range(count - 1):
         stair, note = reference_staircase(walk.steps[start:], n)
@@ -685,6 +685,22 @@ def test_staircase_sites_match_the_phase_sums(seed):
     """A run's staircase is offered exactly when it strictly improves on the run."""
     for offered, expected in staircase_cases(seed):
         assert offered == expected
+
+
+def test_staircase_sites_classify_no_step():
+    """The staircase comes from the run's phase totals, not from each step's phased-permutation form."""
+
+    def unclassifiable(step):
+        raise AssertionError(f"classified {step}")
+
+    memo = ro._Memo()
+    memo.permutation = unclassifiable
+    offered = 0
+    for seed in range(20):
+        for sites, expected in staircase_cases(seed, memo):
+            assert sites == expected
+            offered += len(sites)
+    assert offered
 
 
 def test_staircase_sites_are_both_offered_and_passed_over():
@@ -1090,7 +1106,12 @@ def test_a_neutral_bit_flip_fold_enables_a_merge():
 
 
 def test_no_cache_outlives_an_optimize_call():
-    """The optimizer defines no cache; the package's only ones serve compile and simulate too."""
+    """The optimizer defines no cache of its own, and the package has two.
+
+    ``graph_model.spectrum`` serves every command, and
+    ``walk_engine._cached_factors`` serves ``equiv`` and ``optimize``;
+    both outlive the call by design, and the optimizer's verdicts do not.
+    """
     modules = [importlib.import_module(f"dynwalk.{info.name}") for info in pkgutil.iter_modules(dynwalk.__path__)]
     caches = {
         f"{module.__name__}.{name}"

@@ -30,7 +30,6 @@ from dynwalk.walk_engine import (
     graphs_commute,
     prefix_unitaries,
     run_distance,
-    run_unitary,
     step_unitary,
     total_unitary,
 )
@@ -242,15 +241,17 @@ def test_prefix_unitaries_are_the_running_products():
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_run_unitary_is_the_total_unitary_from_the_cache(seed):
+def test_prefix_unitaries_cache_each_distinct_step_once(seed):
+    """Every recurring step is factored once, and ``run_distance`` reads the same entries."""
     we._cached_factors.cache_clear()
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 9))
     steps = tuple(TimedGraph(random_graph(rng, n, 0.3, 0.4), d) for d in DURATIONS * 2)
-    assert np.array_equal(run_unitary(n, steps), total_unitary(DynamicGraph(n, steps)))
+    assert np.array_equal(prefix_unitaries(n, steps)[-1], total_unitary(DynamicGraph(n, steps)))
     assert we._cached_factors.cache_info().currsize == len(set(steps))
-    assert np.array_equal(run_unitary(n, steps[:3]), total_unitary(DynamicGraph(n, steps[:3])))
-    assert np.array_equal(run_unitary(n, ()), np.eye(n))
+    assert run_distance(n, steps, steps[:3]) >= 0.0
+    assert we._cached_factors.cache_info().currsize == len(set(steps))
+    assert len(prefix_unitaries(n, ())) == 1 and np.array_equal(prefix_unitaries(n, ())[0], np.eye(n))
     we._cached_factors.cache_clear()
 
 
@@ -378,11 +379,17 @@ def test_total_unitary_is_the_dense_loop_bit_for_bit_on_connected_unions(monkeyp
 
 
 @pytest.mark.parametrize("low, high", SIDES)
-def test_run_unitary_is_the_total_unitary_bit_for_bit(low, high):
+def test_cached_factors_are_the_per_call_factors_bit_for_bit(low, high):
+    """So a product reads the same numbers whether its factors come from the cache or not."""
     rng = np.random.default_rng(low)
     for _ in range(4):
         walk = split_program(rng, int(rng.integers(low, high)), int(rng.integers(1, 6)))
-        assert run_unitary(walk.n_vertices, walk.steps).tobytes() == total_unitary(walk).tobytes()
+        for step in walk.steps:
+            cached, fresh = (
+                (looped.tobytes(), phase, [(members.tobytes(), exponential.tobytes()) for members, exponential in blocks])
+                for looped, phase, blocks in (we._cached_factors(step), we._factors(step))
+            )
+            assert cached == fresh
     we._cached_factors.cache_clear()
 
 
