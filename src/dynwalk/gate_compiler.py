@@ -189,42 +189,30 @@ def schedule_phases(phases: Mapping[int, Fraction], n_vertices: int) -> Tuple[Ti
     descending order, so the total time equals the largest phase. That is
     optimal: every vertex holding the maximum phase must sit in loop graphs
     for at least that long. Phases must lie in [0, 2pi); anything else is a
-    caller bug and raises ValueError.
+    caller bug and raises ValueError. The checks read the smallest and
+    largest vertex and each distinct phase once, not every vertex.
+    The Hadamard layers, the phased-permutation folds and the loops-only
+    runs build their staircases here; the optimizer's landing of a phase
+    on a loops-only step builds its at most two steps itself, which
+    measured faster.
     """
-    at_level: Dict[Fraction, List[int]] = {}
-    for vertex, angle in phases.items():
+    for vertex in (min(phases), max(phases)) if phases else ():
         if not (0 <= vertex < n_vertices):
             raise ValueError(f"vertex {vertex} out of range")
+    at_level: Dict[Fraction, List[int]] = {}
+    for vertex, angle in phases.items():
+        at_level.setdefault(angle, []).append(vertex)
+    for angle, vertices in at_level.items():
         if not 0 <= angle < 2:
-            raise ValueError(f"phase {format_angle(angle)} for vertex {vertex} not in [0, 2pi)")
-        if angle:
-            at_level.setdefault(angle, []).append(vertex)
-    thresholds = sorted(at_level, reverse=True)
+            raise ValueError(f"phase {format_angle(angle)} for vertex {vertices[0]} not in [0, 2pi)")
+    thresholds = sorted(filter(None, at_level), reverse=True)
     steps = []
     loops: Set[int] = set()
-    for index, level in enumerate(thresholds):
+    for level, lower in zip(thresholds, thresholds[1:] + [0]):
         # the loops at this level are the vertices whose phase reaches it
         loops.update(at_level[level])
-        lower = thresholds[index + 1] if index + 1 < len(thresholds) else 0
         steps.append(TimedGraph(Graph(n_vertices, loops=frozenset(loops)), level - lower))
     return tuple(steps)
-
-
-def _choose_beta(weight_range: int) -> Fraction:
-    """Bracket phase beta (in pi units) minimizing the staircase height.
-
-    The staircase phase for Hamming weight h is (beta - h/2) mod 2. Beta
-    ranges over quarter-turn multiples because the matching condition only
-    fixes it up to the i^h structure; smaller beta wins ties so the choice
-    is deterministic.
-    """
-    best: Optional[Tuple[Fraction, Fraction]] = None
-    for beta in (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2)):
-        height = max((beta - Fraction(h, 2)) % 2 for h in range(weight_range + 1))
-        if best is None or (height, beta) < best:
-            best = (height, beta)
-    assert best is not None
-    return best[1]
 
 
 def compile_hadamard_layer(targets: Iterable[int], n_qubits: int) -> DynamicGraph:
@@ -236,23 +224,28 @@ def compile_hadamard_layer(targets: Iterable[int], n_qubits: int) -> DynamicGrap
     staircases supply the diagonal conjugation diag(1, i) per target qubit
     plus the bracket phase: per-vertex phase (beta - h(v) pi/2) mod 2pi,
     where h counts set target bits. The result is exp(-2i beta) H on the
-    targets, exactly.
+    targets, exactly. Beta is the quarter-turn multiple with the lowest
+    staircase, the smaller one on a tie, computed directly; the k + 1
+    staircase phases are computed once per Hamming weight, and
+    ``schedule_phases`` builds the staircase.
     """
-    order = sorted(set(targets))
-    if not order:
+    masks = [bit_value(q, n_qubits) for q in sorted(set(targets))]
+    if not masks:
         raise ValueError("need at least one target qubit")
     n = 2 ** n_qubits
-    masks = [bit_value(q, n_qubits) for q in order]
-    union = 0
-    for mask in masks:
-        union |= mask
-
-    beta = _choose_beta(len(order))
-    phase_map = {v: (beta - Fraction((v & union).bit_count(), 2)) % 2 for v in range(n)}
-    stair = schedule_phases(phase_map, n)
+    union = sum(masks)
+    k = len(masks)
+    # The phases (beta - h/2) mod 2 for h = 0..k are k + 1 consecutive
+    # multiples of 1/2 (of pi), so the highest is at least k/2, which
+    # beta = k/2 reaches for k < 3. From k = 3 on they take all four values
+    # 0, 1/2, 1 and 3/2 whatever beta is, so every beta reaches 3/2 and the
+    # smallest, 0, wins the tie.
+    beta = Fraction(k, 2) if k < 3 else Fraction(0)
+    level = [(beta - Fraction(h, 2)) % 2 for h in range(k + 1)]
+    stair = schedule_phases({v: level[(v & union).bit_count()] for v in range(n)}, n)
 
     edges = {(v, v ^ mask) for mask in masks for v in range(n) if v < v ^ mask}
-    walk = TimedGraph(Graph.make(n, edges), Fraction(len(order), 4))
+    walk = TimedGraph(Graph.make(n, edges), Fraction(k, 4))
     return DynamicGraph(n, stair + (walk,) + stair)
 
 

@@ -480,7 +480,10 @@ def _singleton_landing(step: TimedGraph, vertex: int, tau: Fraction) -> StepsVer
     * the target is loops-only and already loops the vertex: its phase
       becomes (t_target + tau) mod 2pi and the target re-emits as the
       staircase of at most two steps that pays t_target on its other loops
-      and that phase on the vertex;
+      and that phase on the vertex. For t_target below 2pi it equals
+      ``schedule_phases`` of those phases byte for byte; it is built here
+      because the one-line call through ``schedule_phases`` measured
+      slower on the optimizer benchmark;
     * the target leaves the vertex entirely untouched and tau covers at
       least the target's normalized duration: the vertex joins the target
       with a loop, and any remaining phase trails as a one-vertex step.

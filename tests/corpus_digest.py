@@ -10,8 +10,11 @@ optimized every program identically, down to the last bit of the final
 check. Under the digest it prints the final total time and graph count
 of the whole corpus, then of the random walks, of the compiled circuits
 and of the three named programs: the totals an output-quality change is
-gated on. The file has no ``test_`` prefix, so pytest does not collect
-it.
+gated on. Its last line is a sha256 over the serialized
+``compile_hadamard_layer(targets, q)`` for q = 1..10 and every set of
+one to three target qubits, so that two trees that print the same line
+compile every such Hadamard layer identically. The file has no ``test_``
+prefix, so pytest does not collect it.
 
 Run from the repository root::
 
@@ -19,6 +22,7 @@ Run from the repository root::
 """
 
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -31,7 +35,7 @@ sys.path[:0] = [HERE, os.path.join(os.path.dirname(HERE), "src")]
 
 import catalog  # noqa: E402
 import trace_fixtures as tf  # noqa: E402
-from dynwalk.gate_compiler import compile_circuit  # noqa: E402
+from dynwalk.gate_compiler import compile_circuit, compile_hadamard_layer  # noqa: E402
 from dynwalk.graph_model import format_angle, serialize_dynamic_graph  # noqa: E402
 from dynwalk.rewrite_optimizer import optimize  # noqa: E402
 from test_rewrite_optimizer import random_circuit, random_walk  # noqa: E402
@@ -47,6 +51,16 @@ def corpus():
     yield "named programs", tf.long_program()
     yield "named programs", tf.short_program()
     yield "named programs", catalog.reconstruct(tf.LONG_TRACE).program()
+
+
+def layer_digest() -> str:
+    """sha256 over the serialized Hadamard layers on 1-10 qubits with 1-3 targets."""
+    digest = hashlib.sha256()
+    for n_qubits in range(1, 11):
+        for size in range(1, 4):
+            for targets in itertools.combinations(range(n_qubits), size):
+                digest.update(serialize_dynamic_graph(compile_hadamard_layer(targets, n_qubits)).encode())
+    return digest.hexdigest()
 
 
 def main() -> None:
@@ -65,6 +79,7 @@ def main() -> None:
     print(f"sha256 {digest.hexdigest()}")
     for part, (programs, time_pi, graphs) in totals.items():
         print(f"{part}: {programs} programs, final time {format_angle(time_pi)}, {graphs} graphs")
+    print(f"hadamard layers, 1-10 qubits, 1-3 targets: sha256 {layer_digest()}")
 
 
 if __name__ == "__main__":

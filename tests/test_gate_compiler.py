@@ -165,6 +165,12 @@ def test_schedule_phases_rejects_bad_input():
         schedule_phases({0: angle(2)}, 4)
     with pytest.raises(ValueError):
         schedule_phases({4: angle(1, 2)}, 4)
+    with pytest.raises(ValueError, match="vertex -1 out of range"):
+        schedule_phases({-1: angle(1, 2), 0: angle(1)}, 4)
+    with pytest.raises(ValueError, match="vertex 4 out of range"):
+        schedule_phases({0: angle(1), 4: angle(0)}, 4)
+    with pytest.raises(ValueError, match="for vertex 2 not in"):
+        schedule_phases({0: angle(1), 1: angle(1), 2: angle(-1, 2)}, 4)
 
 
 @settings(max_examples=60, deadline=None)
@@ -220,6 +226,25 @@ def test_layer_subset_of_wires():
     layer = compile_hadamard_layer([1], 2)
     u = total_unitary(layer)
     assert np.abs(u - (-kron(I2, H))).max() < 1e-12
+
+
+def brute_force_beta(k):
+    """Beta over the four quarter turns with the lowest staircase, the smaller beta on a tie."""
+    return min(
+        (max((beta - Fraction(h, 2)) % 2 for h in range(k + 1)), beta)
+        for beta in (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2))
+    )
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_layer_bracket_phase_is_the_lowest_quarter_turn(k):
+    """The staircase height and beta (vertex 0's phase) match the search over four betas."""
+    layer = compile_hadamard_layer(range(k), k)
+    stair = layer.steps[: layer.graph_count // 2]
+    assert layer.steps[len(stair) + 1 :] == stair
+    height = sum(step.duration for step in stair)
+    beta = sum(step.duration for step in stair if 0 in step.graph.loops)
+    assert (height, beta) == brute_force_beta(k)
 
 
 def test_layer_rejects_empty_targets():

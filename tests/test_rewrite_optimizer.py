@@ -650,6 +650,33 @@ def test_loops_only_landing_is_the_staircase_of_its_two_phases(others):
         assert landed == schedule_phases(phases, 4), (t, tau)
 
 
+@pytest.mark.parametrize("seed", range(40))
+def test_loops_only_landing_is_the_schedule_of_its_phases_at_any_width(seed):
+    """Random loops-only targets on 2-16 vertices, durations below 2pi, phases in eighths."""
+    rng = random.Random(seed)
+    n = rng.randrange(2, 17)
+    for _ in range(20):
+        vertex = rng.randrange(n)
+        others = [v for v in range(n) if v != vertex and rng.random() < 0.5]
+        den = rng.choice((1, 2, 3, 4, 8, 16))
+        target = TimedGraph(Graph.make(n, loops=[vertex, *others]), angle(rng.randrange(1, 2 * den), den))
+        tau = angle(rng.randrange(16), 8)
+        landed = ro._singleton_landing(target, vertex, tau)
+        phases = {w: target.duration for w in others}
+        phases[vertex] = (target.duration + tau) % 2
+        assert landed == schedule_phases(phases, n)
+
+
+@pytest.mark.parametrize("duration", [angle(2), angle(9, 4), angle(15, 4), angle(6)])
+def test_a_loops_only_landing_on_a_long_target_lands(duration):
+    """A target of 2pi or more still takes the phase, and the landing keeps the unitary."""
+    target = loops(3, [0, 2], duration.numerator, duration.denominator)
+    landed = ro._singleton_landing(target, 0, angle(3, 8))
+    assert not isinstance(landed, str)
+    moved = walk_of(loops(3, [0], 3, 8), target)
+    assert phase_distance(total_unitary(moved), total_unitary(DynamicGraph(3, landed))) < 1e-12
+
+
 def random_loops_step(rng, n):
     looped = [v for v in range(n) if rng.random() < 0.5] or [rng.randrange(n)]
     den = rng.randrange(1, 129)
