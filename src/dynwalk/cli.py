@@ -11,10 +11,9 @@ Subcommands:
 * ``compile``: turn a circuit file into a walk file, verifying the result
   against the circuit's reference unitary before writing: the circuit's
   gates are undone in place on the walk's unitary, which must leave a
-  global phase times the identity. The unitary is held as rows over the
-  components of the union of the walk's graphs and the pairs of vertices
-  the gates mix, so from 128 vertices on it is n x c for the largest
-  component size c rather than n x n.
+  global phase times the identity. The unitary comes in the blocks of
+  ``walk_engine.laid_out_unitary``, over the union of the walk's graphs
+  and the pairs of vertices the gates mix.
 * ``equiv``: compare two walk files up to global phase.
 * ``stats``: per-step structure, norms, periods and totals of a walk file.
 
@@ -231,10 +230,9 @@ def cmd_compile(args: argparse.Namespace) -> CommandResult:
     except ParseError as err:
         raise CliInputError(f"{args.circuit}: {err}") from err
     walk = compile_circuit(circuit, parallel_hadamards=args.parallel_h)
-    # the distance of W from C, read off C^dag W, formed in W's rows over
-    # the union of its graphs and the pairs the gates mix
-    product, columns = laid_out_unitary(walk, mixing_pairs(circuit))
-    distance = circuit_distance(circuit, product, columns)
+    # the distance of W from C, read off C^dag W in blocks of W's layout
+    # over the union of its graphs and the pairs the gates mix
+    distance = circuit_distance(circuit, laid_out_unitary(walk, mixing_pairs(circuit)))
     total = walk.total_time()
     lines = [
         f"{len(circuit.gates)} gates -> {walk.graph_count} graphs,"

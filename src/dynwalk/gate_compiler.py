@@ -23,17 +23,12 @@ temporary, never a dense 2^n x 2^n product or a fresh array:
 ``circuit_distance`` applies their adjoints, last gate first, to a given
 product and reads the phase distance off the trace of C^dag times it.
 That is the package's one check of a product against gates. ``compile``
-forms C^dag W in the rows of the walk's unitary W laid out over the
-components of the union of the walk's graphs and the gates'
-``mixing_pairs``, n x c for the largest component size c from
-``walk_engine.SPLIT_VERTICES`` on: every gate then maps a row to rows of
-the same component, so the undo runs on the rows as on the dense
+forms C^dag W block by block in ``walk_engine``'s layout of the walk's
+unitary W over the union of the walk's graphs and the gates'
+``mixing_pairs``: every gate then maps a row to rows of the same
+component, so the undo runs on each block's rows as on the dense
 product. The optimizer's Hadamard-layer verdict undoes a one-gate HLAYER
-circuit on the fragment's dense product. On a 2-vCPU x86 machine with
-1 BLAS thread, ``compile`` of one H and one CNOT on 12 qubits takes
-0.056 s and 36 MB peak RSS (medians of 5 fresh processes), against
-0.34 s and 418 MB when it undid the gates on the dense n x n W, and
-0.48 s and 802 MB when it built C in arrays of its own. ``parse_circuit``
+circuit on the fragment's dense product, one block. ``parse_circuit``
 refuses more than ``MAX_QUBITS`` qubits, the walk vertex ceiling.
 """
 
@@ -433,27 +428,28 @@ def mixing_pairs(circuit: Circuit) -> List[np.ndarray]:
     return pairs
 
 
-def circuit_distance(circuit: Circuit, product: np.ndarray, columns: Optional[np.ndarray] = None) -> float:
-    """Phase distance of ``product`` from the circuit's unitary C, undoing C in place.
+def circuit_distance(circuit: Circuit, blocks: Iterable[Tuple[np.ndarray, np.ndarray]]) -> float:
+    """Phase distance of a product from the circuit's unitary C, undoing C in place.
 
-    The gates' adjoints apply to ``product`` last gate first, which leaves
-    C^dag times it in its own array, so ``product`` is overwritten.
-    Its trace is tr(C^dag product), and the result is
-    ``numerics.overlap_distance`` of it: the phase distance of the product
-    from ``circuit_unitary(circuit)`` up to rounding, with no second
-    array of its size. Without ``columns`` the product is n x n and the
-    trace is that of the array. With them it is an n x c layout from
-    ``walk_engine.laid_out_unitary`` over components that join the
-    circuit's ``mixing_pairs``, each gate acts on its rows as on the
-    dense product's, and the trace is the sum of ``product[v, columns[v]]``.
+    ``blocks`` yields (identity, product) pairs of n x m blocks: columns of
+    the identity laid out over components that join the circuit's
+    ``mixing_pairs``, and the same columns of the product laid out alike,
+    as ``walk_engine.laid_out_unitary`` yields them. A dense n x n product
+    U is the one pair (I, U). Each gate acts on a block's rows as on the
+    dense product's, so the gates' adjoints, last gate first, leave C^dag
+    times the product in each block's own array, which is overwritten.
+    tr(C^dag product) is the sum of ``np.vdot(identity, block)``, and the
+    result is ``numerics.overlap_distance`` of it: the phase distance of
+    the product from ``circuit_unitary(circuit)`` up to rounding.
     """
     n = circuit.n_vertices
-    width = n if columns is None else product.shape[-1]
-    if product.shape != (n, width):
-        raise ValueError(f"product has shape {product.shape}, expected ({n}, {width})")
-    for gate in reversed(circuit.gates):
-        _apply_gate(gate, circuit.n_qubits, product, adjoint=True)
-    trace = np.trace(product) if columns is None else product[np.arange(n), columns].sum()
+    trace = 0
+    for identity, product in blocks:
+        if product.shape != identity.shape or len(product) != n:
+            raise ValueError(f"product has shape {product.shape}, expected ({n}, {identity.shape[-1]})")
+        for gate in reversed(circuit.gates):
+            _apply_gate(gate, circuit.n_qubits, product, adjoint=True)
+        trace += np.vdot(identity, product)
     return overlap_distance(trace, n)
 
 

@@ -60,11 +60,16 @@ __all__ = [
     "rationalize",
 ]
 
-# 2^12 basis states. Measured on a 2-vCPU x86 machine with one H and one
-# CNOT on 12 qubits: compile 0.056 s and 36 MB, equiv 0.04 s and 37 MB,
-# unitary --csv 7.2 s and 0.29 GB, unitary to stdout 7.0 s and 0.29 GB
-# (both stream the rows), simulate 0.05 s and 34 MB. The commands that
-# hold dense n x n unitaries need four times the memory per extra qubit.
+# 2^12 basis states. Measured on a 2-vCPU x86 machine, 1 BLAS thread, on 12
+# qubits. One H and one CNOT, whose union of graphs splits: compile 0.06 s and
+# 37 MB, equiv 0.06 s and 40 MB, unitary --csv 7.2 s and 0.29 GB, unitary to
+# stdout 7.0 s and 0.29 GB (both stream the rows), simulate 0.05 s and 35 MB.
+# One H per qubit, whose union is connected: compile 5.7 s and 92 MB, equiv
+# 6.6 s and 89 MB, unitary --csv 14.1 s and 0.33 GB, simulate 0.18 s and
+# 45 MB. One HLAYER on every qubit: compile 35.6 s and 0.96 GB, equiv 46.7 s
+# and 0.97 GB, simulate 22.0 s and 0.95 GB, mostly one eigh of the
+# 4096-vertex cube and its dense exponential. The commands that hold dense
+# n x n unitaries need four times the memory per extra qubit.
 MAX_VERTICES = 4096
 
 # The most digits the common denominator of a walk's durations, or its summed

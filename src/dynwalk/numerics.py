@@ -4,13 +4,13 @@ Two unitaries count as the same program when their phase distance
 1 - |tr(U^dag V)| / n, which ignores a global phase, is below
 ``VERIFY_TOLERANCE``. Each check reads the distance off the overlap
 tr(U^dag V) through ``overlap_distance``, and every package check goes
-through one of two routines. ``walk_engine.run_distance`` compares two
-runs of steps: ``equiv`` and the optimizer's span checks and final check,
-with the overlap of both runs' products laid out over their union's
-components. ``gate_compiler.circuit_distance`` compares a product with a
-circuit: ``compile`` and the optimizer's Hadamard-layer match, with the
-trace of C^dag times the product, formed in the product's own array,
-which for ``compile`` is laid out over the union's components too.
+through one of two routines, which sum the overlap over the blocks of
+``walk_engine``'s layout. ``walk_engine.run_distance`` compares two runs
+of steps: ``equiv`` and the optimizer's span checks and final check.
+``gate_compiler.circuit_distance`` compares a product with a circuit:
+``compile`` and the optimizer's Hadamard-layer match, with the trace of
+C^dag times the product, formed in each block's own array; the
+optimizer's product is one dense block.
 ``phase_distance`` of two dense matrices is the public reference form
 that tests and users call; no package code calls it. Nothing else lives
 here: a graph's spectrum comes from ``graph_model.spectrum`` and a

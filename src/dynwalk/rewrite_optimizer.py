@@ -148,8 +148,8 @@ phase distance of the two spans is exactly that of the two programs. A
 failure rolls back and is reported rather than silently kept. At the end
 ``optimize`` compares the products of its input and its output, which
 also covers the period reductions of the normalization, and reports that
-distance. Both checks read ``run_distance``, which forms no n x n array
-from ``walk_engine.SPLIT_VERTICES`` vertices on.
+distance. Both checks read ``run_distance``, which holds at most
+``walk_engine.BLOCK_ENTRIES`` entries of each product at a time.
 """
 
 from __future__ import annotations
@@ -720,7 +720,7 @@ def _hypercube_hadamard(facts: ScanFacts, start: int, stop: int) -> StepsVerdict
         return "layer replacement is not strictly cheaper"
     if 1 - abs(np.vdot(layer_column, column)) >= 2 * n * VERIFY_TOLERANCE:
         return "fragment is not a Hadamard layer"
-    if not circuit_distance(gate, later @ earlier.conj().T) < VERIFY_TOLERANCE:
+    if not circuit_distance(gate, [(np.eye(n), later @ earlier.conj().T)]) < VERIFY_TOLERANCE:
         return "fragment is not a Hadamard layer"
     return layer
 

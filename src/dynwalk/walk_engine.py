@@ -13,35 +13,37 @@ k rows it owns. The spectrum holds each block as V diag(w) V^T, and this
 module rebuilds its exponential as V diag(exp(-i w t / ||A||)) V^T: the
 eigenvectors of a real symmetric block are real, so V^T is V^dag. Those
 are the step's kernel factors, O(n k) numbers for the largest block size
-k. Applying a step to an n x m matrix therefore costs O(n k m), and a
-connected graph is simply one block. ``evolve_state`` costs O(n k) per
-step.
+k, and a connected graph is simply one block. ``evolve_state`` costs
+O(n k) per step.
 
-Every product of steps starts from ``_layout``, which decides its form
-from the vertex count alone. Below ``SPLIT_VERTICES`` the steps apply to
-the n x n identity. From there on, since no step mixes two components of
-the union of the steps' graphs and the product is zero between them, the
-steps apply to an n x c array, c the largest union component size: row
-v holds row v of the product on v's component. That costs O(n c k) per
-step, plus a search of the union; for a connected union the array is
-n x n. This is the only module that turns steps into matrices, and
-``_layout`` has three readers:
+Every product of a whole run is formed on the identity laid out over the
+components of the union of the run's graphs, and this module is the only
+one that turns steps into matrices. No step mixes two components, so the
+product is zero between them: row v of the layout holds row v of the
+product on v's component, column j its j-th vertex in vertex order, and
+entry (v, v) sits in the column of v's rank in its component. The layout
+is n x c, c the largest component size, and ``_blocks`` yields it in
+blocks of columns, each at most ``BLOCK_ENTRIES`` entries, so a product
+holds n x b numbers at a time whatever the union's shape, b the block
+width, plus the steps' factors. Below ``SPLIT_VERTICES`` the union is
+not searched: all vertices form one component, and the one block is the
+n x n identity. ``_run`` applies a run of steps to a block, or to any
+n x m array, at O(n k m) per step. The blocks have three readers:
 
-* ``_product`` writes each block into a zeroed n x n result, so the
-  entries between components are exact +0.0, for ``step_unitary`` and
-  ``total_unitary``;
-* ``run_distance`` compares two runs up to a global phase without the
-  n x n result: it lays both products out over the union of both runs'
-  graphs, so tr(U^dag V) is ``np.vdot`` of the two layouts. ``equiv``
-  and the optimizer's span and final checks read it;
-* ``laid_out_unitary`` returns the layout itself, over the union of the
-  steps' graphs and some extra vertex pairs, with the column of each
-  diagonal entry. ``compile`` passes the pairs its circuit's gates mix
-  (``gate_compiler.mixing_pairs``), so that ``circuit_distance`` can
-  undo the gates on the rows and read the trace off them.
-
-The last two form no n x n array from ``SPLIT_VERTICES`` on, unless the
-union is connected.
+* ``_product`` writes each block into a zeroed n x n result, for
+  ``step_unitary`` and ``total_unitary``: the entries between components
+  are exact +0.0, and so are the zeros of a component that holds every
+  vertex;
+* ``run_distance`` compares two runs up to a global phase: it lays both
+  products out over the union of both runs' graphs, so tr(U^dag V) is the
+  sum of ``np.vdot`` over the blocks. ``equiv`` and the optimizer's span
+  and final checks read it;
+* ``laid_out_unitary`` yields (identity block, product block) pairs over
+  the union of the steps' graphs and some extra vertex pairs. ``compile``
+  passes the pairs its circuit's gates mix
+  (``gate_compiler.mixing_pairs``), so that ``circuit_distance`` can undo
+  the gates on each block's rows and read the trace as the sum of
+  ``np.vdot(identity block, block)``.
 
 Two readers keep each step's factors in one ``lru_cache``, since the
 steps of one optimization recur across its calls: ``run_distance``, and
@@ -49,15 +51,15 @@ so ``equiv`` and the optimizer's span and final checks, and
 ``prefix_unitaries``, which gives the products of every prefix of a run
 on the n x n identity or a given starting product, for the
 Hadamard-layer fragments. Every other product computes the factors per
-call: the whole-program functions (``total_unitary``,
-``laid_out_unitary``, ``evolve_state``, and so the ``compile``,
-``unitary`` and ``simulate`` commands), so a compile of a wide circuit
-holds no factors beyond the step it applies, and ``step_unitary``, the
-dense unitary of one step, which the optimizer reads to classify a step
-as a phased permutation. The optimizer reads column 0 of a compiled
-Hadamard layer through ``evolve_state`` of vertex 0, once per layer, and
-compares a fragment with the layer's gate through
-``gate_compiler.circuit_distance``, so it asks this module for no layer
+call and drops them when it returns: the whole-program functions
+(``total_unitary``, ``laid_out_unitary``, ``evolve_state``, and so the
+``compile``, ``unitary`` and ``simulate`` commands), which factor each
+step once however many blocks they apply it to, and ``step_unitary``, the dense unitary
+of one step, which the optimizer reads to classify a step as a phased
+permutation. The optimizer reads column 0 of a compiled Hadamard layer
+through ``evolve_state`` of vertex 0, once per layer, and compares a
+fragment with the layer's gate through ``gate_compiler.circuit_distance``
+on the fragment's dense product, so it asks this module for no layer
 product.
 """
 
@@ -65,7 +67,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -94,6 +96,15 @@ Factors = Tuple[np.ndarray, complex, Tuple[Tuple[np.ndarray, np.ndarray], ...]]
 # 256).
 SPLIT_VERTICES = 128
 
+# The most entries of a laid-out block, 8 MiB of complex128: 512, 256 and 128
+# columns at 1024, 2048 and 4096 vertices. The column count is rounded down to
+# a power of two, so that a block starts where the BLAS kernels' column groups
+# start and every entry comes out as it does in one block (OpenBLAS groups 4
+# columns; 2-, 3- and 5-column blocks changed the last bits). With one H per
+# qubit on 10 qubits (2 vCPUs, 1 BLAS thread), 512-column blocks matched the
+# one n x n layout in time, and 128-256-column blocks took 20-40% longer.
+BLOCK_ENTRIES = 2**19
+
 
 def _factors(step: TimedGraph) -> Factors:
     """The step's kernel factors, from the spectrum of its graph."""
@@ -110,60 +121,69 @@ def _factors(step: TimedGraph) -> Factors:
 _cached_factors = lru_cache(maxsize=4096)(_factors)
 
 
-def _apply_step(factors: Factors, rows: np.ndarray) -> None:
-    """Multiply an n x m complex array in place by the unitary of a step's factors."""
-    looped, phase, blocks = factors
-    if looped.size:
-        rows[looped] *= phase
-    for members, exponential in blocks:
-        rows[members] = exponential @ rows[members]
+def _run(rows: np.ndarray, steps: Iterable[TimedGraph], factors: Callable[[TimedGraph], Factors]) -> None:
+    """Multiply an n x m complex array in place by the steps' product, later steps on the left."""
+    for step in steps:
+        looped, phase, blocks = factors(step)
+        if looped.size:
+            rows[looped] *= phase
+        for members, exponential in blocks:
+            rows[members] = exponential @ rows[members]
 
 
-def _layout(
+def _blocks(
     n_vertices: int, steps: Sequence[TimedGraph], links: Sequence[np.ndarray] = ()
-) -> Tuple[Optional[List[np.ndarray]], np.ndarray]:
-    """The components of the union of the steps' graphs and the links, and the identity laid out over them.
+) -> Iterator[Tuple[List[np.ndarray], int, np.ndarray]]:
+    """The identity laid out over the union's components, in blocks of columns.
 
-    Below ``SPLIT_VERTICES`` there are no components, and the identity is
-    n x n. Otherwise it is an n x c array, c the largest component size:
-    row v holds row v of a product on v's component, column j its j-th
-    vertex in vertex order. The union's components come from the members
-    of the steps' blocks and the rows of the links, each a (b, k) array
+    Yields, per block, the components as (b, k) stacks, the block's first
+    column and the block itself: n rows by the largest power of two of
+    columns that keeps it within ``BLOCK_ENTRIES`` entries, fewer in the
+    last block. Column j of the layout has its ones in the rows of the
+    vertices of rank j in their component. Below ``SPLIT_VERTICES`` all
+    vertices form one component and the one block is ``np.eye(n)``; an
+    empty vertex set has no block. Otherwise the components are those of
+    the union of the steps' blocks and of the links, each a (b, k) array
     whose rows are vertex sets to join; a single step's blocks, with no
-    links, are its components.
+    links, are its components. A vertex that no component holds is its
+    own, of rank 0.
     """
-    if n_vertices < SPLIT_VERTICES:
-        return None, np.eye(n_vertices, dtype=np.complex128)
-    groups = [members for step in steps for members, _ in spectrum(step.graph).blocks]
-    groups += links
+    if 0 < n_vertices < SPLIT_VERTICES:
+        yield [np.arange(n_vertices).reshape(1, -1)], 0, np.eye(n_vertices, dtype=np.complex128)
+        return
+    groups = [members for step in steps for members, _ in spectrum(step.graph).blocks] + list(links)
     if (len(steps) > 1 or len(links)) and groups:
         heads = np.concatenate([members[:, :-1] for members in groups], axis=None)
         tails = np.concatenate([members[:, 1:] for members in groups], axis=None)
         _, groups = components(n_vertices, heads, tails)
-    width = max((members.shape[1] for members in groups), default=min(n_vertices, 1))
-    identity = np.zeros((n_vertices, width), dtype=np.complex128)
-    identity[:, 0] = 1.0
+    rank = np.zeros(n_vertices, dtype=np.intp)
     for members in groups:
-        identity[members] = np.eye(members.shape[1], width)
-    return groups, identity
+        rank[members] = np.arange(members.shape[1])
+    width = int(rank.max(initial=-1)) + 1
+    block = 1 << max(1, BLOCK_ENTRIES // max(n_vertices, 1)).bit_length() - 1
+    for start in range(0, width, block):
+        yield groups, start, np.equal.outer(rank, np.arange(start, min(start + block, width))).astype(np.complex128)
 
 
 def _product(n_vertices: int, steps: Sequence[TimedGraph]) -> np.ndarray:
     """Product of the steps, later steps on the left, as a dense n x n array.
 
-    No step mixes two components of the union of the steps' graphs, so the
-    product is exact +0.0 between them: the split writes each block into a
-    zeroed result, and the n x n loop's -0.0 there become +0.0.
+    Each block of the layout goes into a zeroed result, so the entries
+    between components are exact +0.0. When one component holds every
+    vertex, its -0.0 become +0.0 as well, so that the bytes are those of
+    the product formed on the n x n identity whatever the block count.
     """
-    groups, rows = _layout(n_vertices, steps)
-    for step in steps:
-        _apply_step(_factors(step), rows)
-    if rows.shape[1] == n_vertices:
-        return np.add(rows, 0.0, out=rows)  # x + 0.0 is x, but -0.0 + 0.0 is +0.0
     u = np.zeros((n_vertices, n_vertices), dtype=np.complex128)
-    u.flat[:: n_vertices + 1] = rows[:, 0]  # the diagonal, for the vertices no component holds
-    for members in groups:
-        u[members[:, :, None], members[:, None, :]] = rows[members, : members.shape[1]]
+    factors = lru_cache(maxsize=None)(_factors)  # each step factored once, whatever the block count
+    for groups, start, rows in _blocks(n_vertices, steps):
+        _run(rows, steps, factors)
+        if not start:
+            u.flat[:: n_vertices + 1] = rows[:, 0]  # the diagonal, for the vertices no component holds
+        for members in groups:
+            columns = members[:, start : start + rows.shape[1]]
+            if members.shape[1] == n_vertices:
+                np.add(rows, 0.0, out=rows)  # x + 0.0 is x, but -0.0 + 0.0 is +0.0
+            u[members[:, :, None], columns[:, None, :]] = rows[members, : columns.shape[1]]
     return u
 
 
@@ -192,9 +212,8 @@ def prefix_unitaries(
     """
     products = [np.eye(n_vertices, dtype=np.complex128) if initial is None else initial]
     for step in steps:
-        u = products[-1].copy()
-        _apply_step(_cached_factors(step), u)
-        products.append(u)
+        products.append(products[-1].copy())
+        _run(products[-1], (step,), _cached_factors)
     return products
 
 
@@ -202,36 +221,31 @@ def run_distance(n_vertices: int, first: Sequence[TimedGraph], second: Sequence[
     """Phase distance of two runs' products, with the factors from the cache.
 
     Both products are laid out over the components of the union of both
-    runs' graphs, so tr(U^dag V) is ``np.vdot`` of the two layouts, and no
-    n x n array is formed from ``SPLIT_VERTICES`` on.
+    runs' graphs, so tr(U^dag V) is the sum over the blocks of ``np.vdot``
+    of the two runs' blocks.
     """
-    _, u = _layout(n_vertices, (*first, *second))
-    v = u.copy()
-    for rows, run in ((u, first), (v, second)):
-        for step in run:
-            _apply_step(_cached_factors(step), rows)
-    return overlap_distance(np.vdot(u, v), n_vertices)
+    overlap = 0
+    for _, _, u in _blocks(n_vertices, (*first, *second)):
+        v = u.copy()
+        _run(u, first, _cached_factors)
+        _run(v, second, _cached_factors)
+        overlap += np.vdot(u, v)
+    return overlap_distance(overlap, n_vertices)
 
 
-def laid_out_unitary(walk: DynamicGraph, links: Sequence[np.ndarray]) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """The walk's product laid out over the union of its graphs and the links, and its diagonal's columns.
+def laid_out_unitary(walk: DynamicGraph, links: Sequence[np.ndarray]) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """The walk's product laid out over the union of its graphs and the links, as (identity, product) blocks.
 
-    Below ``SPLIT_VERTICES`` the product is the n x n ``total_unitary``, up
-    to the sign of its zeros, and there are no columns. From there on it is
-    the n x c layout of ``_layout``, so that a product with any other
-    unitary that mixes only vertices the links join stays in that layout,
-    and entry (v, v) sits in column ``columns[v]``, the rank of v in its
-    component. The factors are computed per call, as in ``total_unitary``.
+    A product with any other unitary that mixes only vertices the links
+    join stays in that layout, and the diagonal of the product sits where
+    the identity block holds its ones. The factors are computed once per
+    call and kept until the last block, not cached across calls.
     """
-    groups, rows = _layout(walk.n_vertices, walk.steps, links)
-    for step in walk.steps:
-        _apply_step(_factors(step), rows)
-    if groups is None:
-        return rows, None
-    columns = np.zeros(walk.n_vertices, dtype=np.intp)
-    for members in groups:
-        columns[members] = np.arange(members.shape[1])
-    return rows, columns
+    factors = lru_cache(maxsize=None)(_factors)
+    for _, _, identity in _blocks(walk.n_vertices, walk.steps, links):
+        rows = identity.copy()
+        _run(rows, walk.steps, factors)
+        yield identity, rows
 
 
 def evolve_state(walk: DynamicGraph, state: np.ndarray) -> np.ndarray:
@@ -239,9 +253,7 @@ def evolve_state(walk: DynamicGraph, state: np.ndarray) -> np.ndarray:
     psi = np.array(state, dtype=np.complex128)
     if psi.shape != (walk.n_vertices,):
         raise ValueError(f"state has shape {psi.shape}, expected ({walk.n_vertices},)")
-    column = psi.reshape(-1, 1)
-    for step in walk.steps:
-        _apply_step(_factors(step), column)
+    _run(psi.reshape(-1, 1), walk.steps, _factors)
     return psi
 
 

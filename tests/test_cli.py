@@ -519,7 +519,7 @@ def test_durations_just_under_the_digit_bound_run(tmp_path, capsys, command):
 
 
 def test_compile_verification_failure_writes_nothing(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "circuit_distance", lambda circuit, product, columns: 1.0)
+    monkeypatch.setattr(cli, "circuit_distance", lambda circuit, blocks: 1.0)
     circuit_file = write_circuit(
         tmp_path / "c.json", {"n_qubits": 1, "gates": [{"kind": "X", "target": 0}]}
     )

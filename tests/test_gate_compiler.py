@@ -463,8 +463,7 @@ def test_gate_then_its_adjoint_in_place_gives_the_rows_back(n_qubits):
 
 def check_distance(circuit, walk):
     """What ``compile`` gates on: the circuit undone in place on the walk's laid-out unitary."""
-    product, columns = laid_out_unitary(walk, mixing_pairs(circuit))
-    return circuit_distance(circuit, product, columns)
+    return circuit_distance(circuit, laid_out_unitary(walk, mixing_pairs(circuit)))
 
 
 def drawn_circuit(rng, low, high, gate_counts):
@@ -483,7 +482,8 @@ def test_the_check_equals_the_phase_distance_to_the_reference():
                 walk = compile_circuit(circuit, parallel_hadamards=parallel)
                 expected = phase_distance(total_unitary(walk), circuit_unitary(circuit))
                 assert abs(check_distance(circuit, walk) - expected) < 1e-13
-                narrow += laid_out_unitary(walk, mixing_pairs(circuit))[0].shape[1] < walk.n_vertices
+                width = sum(identity.shape[1] for identity, _ in laid_out_unitary(walk, mixing_pairs(circuit)))
+                narrow += width < walk.n_vertices
     assert narrow >= 40
 
 
@@ -503,10 +503,10 @@ def test_the_check_refuses_a_walk_missing_its_last_gate():
 
 def test_the_check_joins_the_pairs_a_missing_gate_mixes():
     circuit = Circuit(8, (Gate("X", target=0),))
-    product, columns = laid_out_unitary(DynamicGraph(256, ()), mixing_pairs(circuit))
+    ((identity, product),) = laid_out_unitary(DynamicGraph(256, ()), mixing_pairs(circuit))
     assert product.shape == (256, 2)
-    assert np.array_equal(columns, np.arange(256) >> 7)
-    assert circuit_distance(circuit, product, columns) == 1.0
+    assert np.array_equal(identity, np.eye(2)[np.arange(256) >> 7])
+    assert circuit_distance(circuit, [(identity, product)]) == 1.0
 
 
 def test_mixing_pairs_follow_the_gates():
@@ -537,15 +537,15 @@ def test_gates_refuse_rows_that_are_not_c_contiguous():
             _apply_gate(gate, 2, rows)
         assert np.array_equal(rows, before)
     with pytest.raises(ValueError, match="C-contiguous"):
-        circuit_distance(Circuit(2, (gate,)), np.eye(4, dtype=complex)[:, ::-1])
+        circuit_distance(Circuit(2, (gate,)), [(np.eye(4), np.eye(4, dtype=complex)[:, ::-1])])
 
 
 def test_circuit_distance_reads_the_trace():
     flip = Circuit(1, (Gate("X", target=0),))
     x = circuit_unitary(flip)
-    assert circuit_distance(flip, 1j * x) == 0.0
-    assert circuit_distance(Circuit(1, ()), x) == 1.0
-    assert circuit_distance(Circuit(2, ()), -1j * np.eye(4)) == 0.0
+    assert circuit_distance(flip, [(np.eye(2), 1j * x)]) == 0.0
+    assert circuit_distance(Circuit(1, ()), [(np.eye(2), x)]) == 1.0
+    assert circuit_distance(Circuit(2, ()), [(np.eye(4), -1j * np.eye(4))]) == 0.0
 
 
 def test_undo_circuit_refuses_a_product_of_the_wrong_size():
@@ -553,15 +553,18 @@ def test_undo_circuit_refuses_a_product_of_the_wrong_size():
     for product in (np.eye(8, dtype=complex), np.eye(4, dtype=complex)[:2], np.ones(4, dtype=complex)):
         before = product.copy()
         with pytest.raises(ValueError, match="expected"):
-            circuit_distance(flip, product)
+            circuit_distance(flip, [(np.eye(4), product)])
         assert np.array_equal(product, before)
 
 
 def test_the_compile_check_allocates_less_than_one_unitary():
-    # a dense check holds W, n x n, plus a half-size temporary; the layout here is n x 8
+    # a dense check holds W, n x n, plus a half-size temporary; the H+CNOT layout is n x 8, and
+    # a connected union, one H per qubit, is n x n in blocks of at most BLOCK_ENTRIES entries
     gates = (Gate("H", target=0), Gate("CNOT", control=0, target=1), Gate("X", target=2), Gate("T", target=1))
-    for n_qubits in (10, 12):
-        circuit = Circuit(n_qubits, gates)
+    circuits = [Circuit(n_qubits, gates) for n_qubits in (10, 12)]
+    circuits.append(Circuit(11, tuple(Gate("H", target=q) for q in range(11))))
+    for circuit in circuits:
+        n_qubits = circuit.n_qubits
         walk = compile_circuit(circuit)
         tracemalloc.start()
         try:

@@ -241,8 +241,8 @@ def test_identity_distance_shapes():
     """The identity distance, as ``circuit_distance`` of the empty circuit reads it."""
     assert overlap_distance(np.trace(np.zeros((0, 0))), 0) == 0.0
     assert overlap_distance(np.trace(-1j * np.eye(3)), 3) == 0.0
-    assert circuit_distance(Circuit(2, ()), -1j * np.eye(4, dtype=complex)) == 0.0
+    assert circuit_distance(Circuit(2, ()), [(np.eye(4), -1j * np.eye(4, dtype=complex))]) == 0.0
     with pytest.raises(ValueError):
-        circuit_distance(Circuit(2, ()), np.eye(4, dtype=complex)[:2])
+        circuit_distance(Circuit(2, ()), [(np.eye(4), np.eye(4, dtype=complex)[:2])])
     with pytest.raises(ValueError):
-        circuit_distance(Circuit(2, ()), np.ones(4, dtype=complex))
+        circuit_distance(Circuit(2, ()), [(np.eye(4), np.ones(4, dtype=complex))])

@@ -1599,13 +1599,14 @@ KERNEL_STEP_CEILING = 8500
 
 def test_optimize_recovered_program_stays_under_the_kernel_step_ceiling(monkeypatch):
     calls = []
-    real = walk_engine._apply_step
+    real = walk_engine._run
 
-    def counted(factors, rows):
-        calls.append(rows.shape)
-        return real(factors, rows)
+    def counted(rows, steps, factors):
+        steps = tuple(steps)
+        calls.extend(rows.shape for _ in steps)
+        return real(rows, steps, factors)
 
-    monkeypatch.setattr(walk_engine, "_apply_step", counted)
+    monkeypatch.setattr(walk_engine, "_run", counted)
     optimize(catalog.reconstruct(tf.LONG_TRACE).program())
     assert 0 < len(calls) <= KERNEL_STEP_CEILING
 

@@ -8,6 +8,7 @@ import pytest
 import scipy.linalg
 
 from adjacency import adjacency_matrix
+from test_gate_compiler import check_distance
 from dynwalk.gate_compiler import (
     Circuit,
     Gate,
@@ -15,6 +16,7 @@ from dynwalk.gate_compiler import (
     compile_circuit,
     compile_gate,
     compile_hadamard_layer,
+    mixing_pairs,
 )
 from dynwalk.graph_model import (
     DynamicGraph,
@@ -35,6 +37,9 @@ from dynwalk.walk_engine import (
 )
 
 TOL = 1e-12
+
+# H(0), CNOT(0->1), X(2), T(1), the width ladder: its union's components have 8 vertices
+H_CNOT = (Gate("H", target=0), Gate("CNOT", control=0, target=1), Gate("X", target=2), Gate("T", target=1))
 
 
 def matching(n_vertices, mask):
@@ -67,6 +72,8 @@ def test_total_unitary_applies_later_steps_on_the_left():
 
 def test_total_unitary_of_empty_program():
     assert np.array_equal(total_unitary(DynamicGraph(5, ())), np.eye(5))
+    assert total_unitary(DynamicGraph(0, ())).shape == (0, 0)
+    assert run_distance(0, (), ()) == 0.0
 
 
 def test_evolve_state_agrees_with_total_unitary():
@@ -408,19 +415,47 @@ def test_run_distance_is_the_phase_distance_of_the_total_unitaries(low, high):
 
 
 def test_run_distance_of_a_wide_walk_allocates_less_than_one_dense_array():
-    """At 1024 vertices one n x n complex array takes 16 MiB."""
-    gates = (Gate("H", target=0), Gate("CNOT", control=0, target=1), Gate("X", target=2), Gate("T", target=1))
-    walk = compile_circuit(Circuit(10, gates))
-    we._cached_factors.cache_clear()
-    tracemalloc.start()
-    try:
-        distance = run_distance(walk.n_vertices, walk.steps, walk.steps)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    """One n x n complex array takes 16 MiB at 1024 vertices and 64 MiB at 2048.
+
+    H+CNOT on 10 qubits splits the union; one H per qubit on 11 qubits connects it.
+    """
+    for circuit in (Circuit(10, H_CNOT), Circuit(11, tuple(Gate("H", target=q) for q in range(11)))):
+        walk = compile_circuit(circuit)
         we._cached_factors.cache_clear()
-    assert peak < walk.n_vertices**2 * np.dtype(np.complex128).itemsize
-    assert distance < TOL
+        tracemalloc.start()
+        try:
+            distance = run_distance(walk.n_vertices, walk.steps, walk.steps)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            we._cached_factors.cache_clear()
+        assert peak < walk.n_vertices**2 * np.dtype(np.complex128).itemsize
+        assert distance < TOL
+
+
+@pytest.mark.parametrize("circuit", [
+    pytest.param(Circuit(8, H_CNOT), id="split union"),
+    pytest.param(Circuit(8, tuple(Gate("H", target=q) for q in range(8))), id="connected union"),
+    # a connected union of 8 vertices, whose steps leave sixteen -0.0 in the product
+    pytest.param(Circuit(3, H_CNOT), id="connected union with -0.0"),
+])
+def test_narrow_blocks_give_the_one_block_results(monkeypatch, circuit):
+    """Blocks of 4 columns against one block: the same bytes of the product, signs of zeros included.
+
+    ``SPLIT_VERTICES`` goes to 0 with the block size, so that 8 vertices are laid out in blocks too.
+    """
+    walk = compile_circuit(circuit)
+    n = walk.n_vertices
+    assert we.BLOCK_ENTRIES // n >= n  # one block for any union
+    one = total_unitary(walk), run_distance(n, walk.steps, walk.steps[::-1]), check_distance(circuit, walk)
+    monkeypatch.setattr(we, "SPLIT_VERTICES", 0)
+    monkeypatch.setattr(we, "BLOCK_ENTRIES", 7 * n)  # rounded down to 4 columns
+    widths = [identity.shape[1] for identity, _ in we.laid_out_unitary(walk, mixing_pairs(circuit))]
+    assert len(widths) > 1 and set(widths[:-1]) == {4}
+    assert total_unitary(walk).tobytes() == one[0].tobytes()
+    assert abs(run_distance(n, walk.steps, walk.steps[::-1]) - one[1]) <= 1e-15
+    assert abs(check_distance(circuit, walk) - one[2]) <= 2e-15  # its trace summed over 64 blocks: 1.3e-15 apart
+    we._cached_factors.cache_clear()
 
 
 def test_a_wide_single_gate_allocates_no_dense_array_beyond_its_result():

@@ -1,7 +1,8 @@
 """Time the ``compile`` check and ``optimize`` on the width ladder: H(0), CNOT(0->1), X(2), T(1).
 
 For each qubit count on the command line (3 or more), in that order, the
-script compiles the four-gate circuit and prints two lines.
+script compiles the four-gate circuit and prints two lines, three with
+``--check-only``.
 
 The first is for the check ``compile`` makes of the walk against the
 circuit: the wall time of a first run, in which the steps' spectra are
@@ -16,10 +17,15 @@ the second run, the final graph count and time, the ``repr`` of the
 report's phase distance, and a short sha256 of the serialized output
 walk, so that two trees can be compared line by line. With
 ``--check-only`` the script skips ``optimize``, which takes minutes and
-gigabytes from 12 qubits on.
+gigabytes from 12 qubits on, and instead compiles one H per qubit, whose
+union of graphs does not split, and prints the same figures as the first
+line for the ``compile`` check and for ``equiv`` of that walk against
+itself. Both runs of ``equiv`` start from empty spectrum and factor
+caches, as a fresh ``equiv`` does.
 
 Peak RSS is ``ru_maxrss``, the peak so far, so only the first line of a
-process reads its own run alone. The file has no ``test_`` prefix, so
+process reads its own run alone, and the ``equiv`` line reads at least the
+peak of the check before it. The file has no ``test_`` prefix, so
 pytest does not collect it.
 
 Run from the repository root, one width per process for clean RSS::
@@ -38,10 +44,10 @@ import tracemalloc
 HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path[:0] = [os.path.join(os.path.dirname(HERE), "src")]
 
+from dynwalk import walk_engine  # noqa: E402
 from dynwalk.gate_compiler import Circuit, Gate, circuit_distance, compile_circuit, mixing_pairs  # noqa: E402
-from dynwalk.graph_model import format_angle, serialize_dynamic_graph  # noqa: E402
+from dynwalk.graph_model import format_angle, serialize_dynamic_graph, spectrum  # noqa: E402
 from dynwalk.rewrite_optimizer import optimize  # noqa: E402
-from dynwalk.walk_engine import laid_out_unitary  # noqa: E402
 
 GATES = (
     Gate("H", target=0),
@@ -57,21 +63,27 @@ def peak_rss_mb() -> float:
 
 def compile_check(circuit: Circuit, walk) -> float:
     """The check of ``dynwalk compile``: the circuit undone on the walk's laid-out unitary."""
-    product, columns = laid_out_unitary(walk, mixing_pairs(circuit))
-    return circuit_distance(circuit, product, columns)
+    return circuit_distance(circuit, walk_engine.laid_out_unitary(walk, mixing_pairs(circuit)))
 
 
-def check_rung(n_qubits: int, circuit: Circuit, walk) -> str:
+def equiv_check(circuit: Circuit, walk) -> float:
+    """The check of ``dynwalk equiv`` of the walk against itself, from empty caches."""
+    spectrum.cache_clear()
+    walk_engine._cached_factors.cache_clear()
+    return walk_engine.run_distance(walk.n_vertices, walk.steps, walk.steps)
+
+
+def check_rung(label: str, check, circuit: Circuit, walk) -> str:
     start = time.perf_counter()
-    distance = compile_check(circuit, walk)
+    distance = check(circuit, walk)
     seconds = time.perf_counter() - start
     rss_mb = peak_rss_mb()
     tracemalloc.start()
-    compile_check(circuit, walk)
+    check(circuit, walk)
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     return (
-        f"{n_qubits} qubits compile check: {seconds * 1e3:.1f} ms, peak RSS {rss_mb:.0f} MB,"
+        f"{label}: {seconds * 1e3:.1f} ms, peak RSS {rss_mb:.0f} MB,"
         f" tracemalloc peak {peak / 2**20:.2f} MiB, phase distance {distance!r}"
     )
 
@@ -102,9 +114,14 @@ def main(argv) -> None:
     for n_qubits in map(int, widths):
         circuit = Circuit(n_qubits, GATES)
         walk = compile_circuit(circuit)
-        print(check_rung(n_qubits, circuit, walk), flush=True)
+        print(check_rung(f"{n_qubits} qubits compile check", compile_check, circuit, walk), flush=True)
         if not check_only:
             print(optimize_rung(n_qubits, walk), flush=True)
+            continue
+        circuit = Circuit(n_qubits, tuple(Gate("H", target=q) for q in range(n_qubits)))
+        walk = compile_circuit(circuit)
+        for name, check in (("compile check", compile_check), ("equiv", equiv_check)):
+            print(check_rung(f"{n_qubits} qubits, one H per qubit, {name}", check, circuit, walk), flush=True)
 
 
 if __name__ == "__main__":
