@@ -3,7 +3,8 @@
 Subcommands:
 
 * ``simulate``: run a walk file on a basis state or an amplitude file and
-  print the final amplitudes.
+  print the final amplitudes, one line per basis state, all formatted in
+  one ``%`` call and printed as one chunk.
 * ``unitary``: print (or dump to CSV) the walk's total unitary.
 * ``optimize``: simplify a walk file under the rewrite rules and write the
   result, optionally with a JSON report of every accepted rewrite; like
@@ -97,11 +98,12 @@ def _write_text(path: str, chunks: Iterable[str]) -> None:
         raise CliInputError(f"cannot write {path}: {err.strerror or err}") from err
 
 
-def _basis_label(index: int, n_vertices: int) -> str:
+def _basis_labels(n_vertices: int) -> List[str]:
+    """Every basis state's label: its bits when n_vertices is a power of two from 2 on, else its index."""
     if n_vertices >= 2 and n_vertices & (n_vertices - 1) == 0:
-        width = n_vertices.bit_length() - 1
-        return format(index, f"0{width}b")
-    return str(index)
+        spec = f"0{n_vertices.bit_length() - 1}b"
+        return [format(index, spec) for index in range(n_vertices)]
+    return list(map(str, range(n_vertices)))
 
 
 def _is_finite_number(x: object) -> bool:
@@ -144,21 +146,23 @@ def _initial_state(text: str, n_vertices: int) -> np.ndarray:
     raise CliInputError(f"--state {text!r} is neither a basis label nor a readable file")
 
 
-def _format_amplitude(value: complex) -> str:
-    return f"{value.real:.12g}{value.imag:+.12g}i"
+def _amplitude_lines(final: np.ndarray) -> str:
+    """One line per basis state, label and amplitude to 12 significant digits, formatted in one % call."""
+    n = final.size
+    values = [None] * (3 * n)
+    values[0::3] = _basis_labels(n)
+    values[1::3] = final.real.tolist()
+    values[2::3] = final.imag.tolist()
+    return "|%s>  %.12g%+.12gi\n" * n % tuple(values)
 
 
 def cmd_simulate(args: argparse.Namespace) -> CommandResult:
     walk = _load_walk(args.walk)
     state = _initial_state(args.state, walk.n_vertices)
     final = evolve_state(walk, state)
-    lines = [
-        f"|{_basis_label(i, walk.n_vertices)}>  {_format_amplitude(amp)}"
-        for i, amp in enumerate(final)
-    ]
     norm = float(np.linalg.norm(final))
-    lines.append(f"norm {norm:.12g} (deviation {abs(norm - 1.0):.3e})")
-    return CommandResult(0, tuple(lines))
+    summary = f"norm {norm:.12g} (deviation {abs(norm - 1.0):.3e})"
+    return CommandResult(0, (_amplitude_lines(final) + summary,))
 
 
 def _unitary_rows(u: np.ndarray) -> Iterator[str]:

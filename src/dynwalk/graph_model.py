@@ -14,12 +14,18 @@ The JSON interchange format mirrors the in-memory model:
     {"n_vertices": 4,
      "sequence": [{"edges": [[0, 1]], "loops": [2], "time": {"pi_num": 1, "pi_den": 2}}]}
 
-``parse_dynamic_graph`` validates aggressively and reports the JSON path of
-the offending element, since hand-edited walk files are the normal input.
-It also refuses more than ``MAX_VERTICES`` vertices before building
-anything, since ``unitary`` and ``optimize`` hold n x n unitaries, and
-durations that need more than ``MAX_TIME_DIGITS`` digits over a
-common denominator, which no command could print.
+``parse_dynamic_graph`` accepts any JSON layout. It validates aggressively
+and reports the JSON path of the offending element, since hand-edited walk
+files are the normal input. A step's edge and loop lists are checked in one
+pass of plain inline tests per entry, which builds no path and calls no
+function; only the first entry that fails is tested again, in order, to
+name its defect and path. It also refuses more than ``MAX_VERTICES``
+vertices before building anything, since ``unitary`` and ``optimize`` hold
+n x n unitaries, and durations that need more than ``MAX_TIME_DIGITS``
+digits over a common denominator, which no command could print.
+``serialize_dynamic_graph`` writes ``json.dumps(indent=2)``'s layout byte
+for byte, from one ``%`` template per step rather than json's pure-Python
+indenting encoder.
 
 ``spectrum`` is the one place a graph's eigenvalues come from. It splits
 the graph into connected components from its edge list and hands each
@@ -469,12 +475,24 @@ def _parse_step(obj: object, n_vertices: int, path: str) -> TimedGraph:
         _fail(path, "expected a step object")
     _expect_keys(obj, ("edges", "loops", "time"), path)
 
+    # Each entry passes plain inline tests, which build no path and call no
+    # function: exactly ``int``, as JSON decodes integers, so bools and
+    # floats fail. The first entry that fails one is tested again in the
+    # tests' order to name its defect. Every entry before it added one
+    # member, so its index is the count of members so far.
     raw_edges = obj["edges"]
     if not isinstance(raw_edges, list):
         _fail(f"{path}.edges", "expected a list of [i, j] pairs")
     edges = set()
-    for k, pair in enumerate(raw_edges):
-        edge_path = f"{path}.edges[{k}]"
+    for pair in raw_edges:
+        if type(pair) is list and len(pair) == 2:
+            i, j = pair
+            if type(i) is int and type(j) is int and i != j and 0 <= i < n_vertices and 0 <= j < n_vertices:
+                edge = (i, j) if i < j else (j, i)
+                if edge not in edges:
+                    edges.add(edge)
+                    continue
+        edge_path = f"{path}.edges[{len(edges)}]"
         if not isinstance(pair, list) or len(pair) != 2:
             _fail(edge_path, "expected a pair [i, j]")
         i = _expect_int(pair[0], edge_path)
@@ -483,23 +501,21 @@ def _parse_step(obj: object, n_vertices: int, path: str) -> TimedGraph:
             _fail(edge_path, "self-pair; use loops instead")
         if not (0 <= i < n_vertices and 0 <= j < n_vertices):
             _fail(edge_path, f"vertex out of range 0..{n_vertices - 1}")
-        edge = (i, j) if i < j else (j, i)
-        if edge in edges:
-            _fail(edge_path, f"duplicate edge {list(edge)}")
-        edges.add(edge)
+        _fail(edge_path, f"duplicate edge {sorted(pair)}")
 
     raw_loops = obj["loops"]
     if not isinstance(raw_loops, list):
         _fail(f"{path}.loops", "expected a list of vertices")
     loops = set()
-    for k, raw in enumerate(raw_loops):
-        loop_path = f"{path}.loops[{k}]"
-        v = _expect_int(raw, loop_path)
+    for v in raw_loops:
+        if type(v) is int and 0 <= v < n_vertices and v not in loops:
+            loops.add(v)
+            continue
+        loop_path = f"{path}.loops[{len(loops)}]"
+        _expect_int(v, loop_path)
         if not (0 <= v < n_vertices):
             _fail(loop_path, f"vertex out of range 0..{n_vertices - 1}")
-        if v in loops:
-            _fail(loop_path, f"duplicate loop {v}")
-        loops.add(v)
+        _fail(loop_path, f"duplicate loop {v}")
 
     duration = _parse_time(obj["time"], f"{path}.time")
     return TimedGraph(Graph(n_vertices, frozenset(edges), frozenset(loops)), duration)
@@ -530,17 +546,36 @@ def parse_dynamic_graph(text: str) -> DynamicGraph:
     return DynamicGraph(n_vertices, steps)
 
 
+# json.dumps(indent=2)'s layout of a walk: one step of the sequence, with its
+# edge and loop lists at depth 3; an empty list prints as []. The step's
+# template takes the two list templates first, then the numbers.
+_STEP = (
+    '\n    {\n      "edges": %s,\n      "loops": %s,'
+    '\n      "time": {\n        "pi_num": %%d,\n        "pi_den": %%d\n      }\n    }'
+)
+_EDGE = ',\n        [\n          %d,\n          %d\n        ]'
+_LOOP = ',\n        %d'
+_CLOSE = '\n      ]'
+
+
+def _list_layout(item: str, count: int) -> str:
+    """The template of a depth-3 list of count items, each item led by its comma."""
+    return "[" + (item * count)[1:] + _CLOSE if count else "[]"
+
+
 def serialize_dynamic_graph(walk: DynamicGraph) -> str:
-    """Serialize to the JSON interchange form, deterministically ordered."""
-    payload = {
-        "n_vertices": walk.n_vertices,
-        "sequence": [
-            {
-                "edges": [list(pair) for pair in step.graph.sorted_edges()],
-                "loops": step.graph.sorted_loops(),
-                "time": {"pi_num": step.duration.numerator, "pi_den": step.duration.denominator},
-            }
-            for step in walk.steps
-        ],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    """Serialize to the JSON interchange form, deterministically ordered.
+
+    The text is byte for byte ``json.dumps(payload, indent=2) + "\\n"`` of
+    the walk's payload, written with one ``%`` template per step instead of
+    json's pure-Python indenting encoder.
+    """
+    steps = []
+    for step in walk.steps:
+        edges = step.graph.sorted_edges()
+        loops = step.graph.sorted_loops()
+        template = _STEP % (_list_layout(_EDGE, len(edges)), _list_layout(_LOOP, len(loops)))
+        times = (step.duration.numerator, step.duration.denominator)
+        steps.append(template % (*chain.from_iterable(edges), *loops, *times))
+    sequence = "[" + ",".join(steps) + "\n  ]" if steps else "[]"
+    return '{\n  "n_vertices": %d,\n  "sequence": %s\n}\n' % (walk.n_vertices, sequence)

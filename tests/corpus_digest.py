@@ -10,10 +10,14 @@ optimized every program identically, down to the last bit of the final
 check. Under the digest it prints the final total time and graph count
 of the whole corpus, then of the random walks, of the compiled circuits
 and of the three named programs: the totals an output-quality change is
-gated on. Its last line is a sha256 over the serialized
+gated on. Then comes a sha256 over the serialized
 ``compile_hadamard_layer(targets, q)`` for q = 1..10 and every set of
 one to three target qubits, so that two trees that print the same line
-compile every such Hadamard layer identically. The file has no ``test_``
+compile every such Hadamard layer identically. Its last line is a sha256
+over the stdout and exit code of ``simulate``, run through ``cli.main``
+from basis state 0, on every compiled circuit of the corpus, each written
+to a walk file first: two trees that print the same line write, parse,
+simulate and print those walks identically. The file has no ``test_``
 prefix, so pytest does not collect it.
 
 Run from the repository root::
@@ -21,12 +25,15 @@ Run from the repository root::
     python tests/corpus_digest.py
 """
 
+import contextlib
 import hashlib
+import io
 import itertools
 import json
 import os
 import random
 import sys
+import tempfile
 import time
 from fractions import Fraction
 
@@ -35,6 +42,7 @@ sys.path[:0] = [HERE, os.path.join(os.path.dirname(HERE), "src")]
 
 import catalog  # noqa: E402
 import trace_fixtures as tf  # noqa: E402
+from dynwalk.cli import main as cli_main  # noqa: E402
 from dynwalk.gate_compiler import compile_circuit, compile_hadamard_layer  # noqa: E402
 from dynwalk.graph_model import format_angle, serialize_dynamic_graph  # noqa: E402
 from dynwalk.rewrite_optimizer import optimize  # noqa: E402
@@ -63,6 +71,24 @@ def layer_digest() -> str:
     return digest.hexdigest()
 
 
+def simulate_digest() -> str:
+    """sha256 over simulate's exit code and stdout from state 0, through cli.main, per compiled circuit."""
+    digest = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as folder:
+        path = os.path.join(folder, "walk.json")
+        for part, walk in corpus():
+            if part != "compiled circuits":
+                continue
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(serialize_dynamic_graph(walk))
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli_main(["simulate", path, "--state", "0"])
+            digest.update(f"{code}\n".encode())
+            digest.update(out.getvalue().encode())
+    return digest.hexdigest()
+
+
 def main() -> None:
     digest = hashlib.sha256()
     totals = {"corpus": (0, Fraction(0), 0)}
@@ -80,6 +106,7 @@ def main() -> None:
     for part, (programs, time_pi, graphs) in totals.items():
         print(f"{part}: {programs} programs, final time {format_angle(time_pi)}, {graphs} graphs")
     print(f"hadamard layers, 1-10 qubits, 1-3 targets: sha256 {layer_digest()}")
+    print(f"simulate, compiled circuits from state 0: sha256 {simulate_digest()}")
 
 
 if __name__ == "__main__":

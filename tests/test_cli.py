@@ -30,7 +30,7 @@ from dynwalk.graph_model import (
     serialize_dynamic_graph,
 )
 from dynwalk.numerics import phase_distance
-from dynwalk.walk_engine import total_unitary
+from dynwalk.walk_engine import evolve_state, total_unitary
 
 AMPLITUDE = re.compile(r"([+-]?[\d.]+(?:[eE][+-]?\d+)?)([+-][\d.]+(?:[eE][+-]?\d+)?)i")
 
@@ -148,6 +148,73 @@ def test_simulate_refuses_non_finite_amplitudes(tmp_path, capsys, spelling):
     state_file.write_text(f"[[1, 0], [{spelling}, 0]]")
     assert main(["simulate", walk_file, "--state", str(state_file)]) == 2
     assert "entry 1 is not an [re, im] pair of finite numbers" in capsys.readouterr().err
+
+
+def reference_simulate_stdout(walk, state):
+    """What simulate printed one f-string line at a time: the reference for its single formatted chunk."""
+    n = walk.n_vertices
+
+    def label(index):
+        if n >= 2 and n & (n - 1) == 0:
+            return format(index, f"0{n.bit_length() - 1}b")
+        return str(index)
+
+    final = evolve_state(walk, state)
+    lines = [f"|{label(i)}>  {amp.real:.12g}{amp.imag:+.12g}i" for i, amp in enumerate(final)]
+    norm = float(np.linalg.norm(final))
+    lines.append(f"norm {norm:.12g} (deviation {abs(norm - 1.0):.3e})")
+    return "".join(line + "\n" for line in lines)
+
+
+# signed zeros, the smallest subnormal, a huge value, and values that round
+# at the 12th significant digit, in either part and either sign
+EDGE_AMPLITUDES = [
+    [-0.0, 0.0],
+    [5e-324, -0.0],
+    [1e300, -5e-324],
+    [0.99999999999951, -1 / 3],
+    [0.1234567890125, 1.0000000000005],
+    [-2.5e-13, 9.9999999999995e-05],
+    [1 / 3, -0.99999999999951],
+    [0.0, -1e-300],
+]
+
+
+# the squared norm of a 1e300 amplitude overflows, so the norm line reads inf
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("n", [1, 2, 4, 6, 8])
+def test_simulate_prints_the_reference_bytes_for_an_amplitude_file(tmp_path, capsys, n):
+    pairs = EDGE_AMPLITUDES[:n]
+    walk_file = write_walk(tmp_path / "hold.json", identity_walk(n))
+    state_file = tmp_path / "state.json"
+    state_file.write_text(json.dumps(pairs))
+    assert main(["simulate", walk_file, "--state", str(state_file)]) == 0
+    out = capsys.readouterr().out
+    state = np.array([complex(re, im) for re, im in pairs])
+    assert out == reference_simulate_stdout(identity_walk(n), state)
+    first_label = {1: "0", 2: "0", 4: "00", 6: "0", 8: "000"}[n]
+    assert out.startswith(f"|{first_label}>  -0+0i\n")
+    if n >= 3:
+        assert "  4.94065645841e-324-0i\n" in out and "  1e+300-4.94065645841e-324i\n" in out
+
+
+@pytest.mark.parametrize(
+    "walk, state",
+    [
+        (bit_flip_walk(), "0"),
+        (double_flip_walk(), "01"),
+        (bit_flip_walk(6), "5"),
+        (compile_hadamard_layer((0, 2), 3), "0"),
+        (compile_circuit(Circuit(4, (Gate("H", 0), Gate("CNOT", 1, control=0), Gate("T", 3)))), "0110"),
+    ],
+    ids=["2", "4", "6", "8-hlayer", "16-circuit"],
+)
+def test_simulate_prints_the_reference_bytes_for_a_basis_state(tmp_path, capsys, walk, state):
+    walk_file = write_walk(tmp_path / "walk.json", walk)
+    assert main(["simulate", walk_file, "--state", state]) == 0
+    basis = np.zeros(walk.n_vertices, dtype=np.complex128)
+    basis[int(state, 2) if walk.n_vertices == 2 ** len(state) else int(state)] = 1.0
+    assert capsys.readouterr().out == reference_simulate_stdout(walk, basis)
 
 
 # -- unitary --------------------------------------------------------------------

@@ -313,6 +313,13 @@ def test_parse_good_walk():
     assert walk.steps[1].duration == 0
 
 
+def test_parse_reads_a_pair_in_either_order():
+    step = {"edges": [[1, 0], [2, 3]], "loops": [3, 0], "time": {"pi_num": 1, "pi_den": 1}}
+    doc = {"n_vertices": 4, "sequence": [step]}
+    walk = parse_dynamic_graph(json.dumps(doc))
+    assert walk.steps[0].graph == Graph.make(4, [(0, 1), (2, 3)], [0, 3])
+
+
 def test_serialize_then_parse_roundtrips():
     walk = parse_dynamic_graph(json.dumps(GOOD))
     again = parse_dynamic_graph(serialize_dynamic_graph(walk))
@@ -323,6 +330,19 @@ def test_serialize_is_deterministic():
     walk = parse_dynamic_graph(json.dumps(GOOD))
     assert serialize_dynamic_graph(walk) == serialize_dynamic_graph(walk)
     assert serialize_dynamic_graph(walk).endswith("\n")
+
+
+def deep_edges(doc, bad):
+    """Step 0 on 64 vertices: 700 distinct edges among vertices 2-63, the bad entry, then 300 more."""
+    pairs = [[i, j] for i in range(2, 64) for j in range(i + 1, 64)]
+    doc["n_vertices"] = 64
+    doc["sequence"][0]["edges"] = pairs[:700] + [bad] + pairs[700:1000]
+
+
+def deep_loops(doc, bad):
+    """Step 0 on 1024 vertices: loops on vertices 100-999, the bad entry, then 1000-1023."""
+    doc["n_vertices"] = 1024
+    doc["sequence"][0]["loops"] = list(range(100, 1000)) + [bad] + list(range(1000, 1024))
 
 
 @pytest.mark.parametrize(
@@ -349,6 +369,17 @@ def test_serialize_is_deterministic():
         (lambda d: d["sequence"][0].update(time=1), "sequence[0].time: expected an object"),
         (lambda d: d["sequence"].__setitem__(0, []), "sequence[0]: expected a step object"),
         (lambda d: d["sequence"][0].update(edges={}), "sequence[0].edges: expected a list"),
+        # one defect deep in a long list: the message and path name that entry
+        (lambda d: deep_edges(d, [True, 5]), "sequence[0].edges[700]: expected an integer, got True"),
+        (lambda d: deep_edges(d, [1, 2.0]), "sequence[0].edges[700]: expected an integer, got 2.0"),
+        (lambda d: deep_edges(d, [1, 2, 3]), "sequence[0].edges[700]: expected a pair [i, j]"),
+        (lambda d: deep_edges(d, [13, 2]), "sequence[0].edges[700]: duplicate edge [2, 13]"),
+        (lambda d: deep_edges(d, [63, 63]), "sequence[0].edges[700]: self-pair; use loops instead"),
+        (lambda d: deep_edges(d, [0, 64]), "sequence[0].edges[700]: vertex out of range 0..63"),
+        (lambda d: deep_loops(d, 500), "sequence[0].loops[900]: duplicate loop 500"),
+        (lambda d: deep_loops(d, True), "sequence[0].loops[900]: expected an integer, got True"),
+        (lambda d: deep_loops(d, 3.0), "sequence[0].loops[900]: expected an integer, got 3.0"),
+        (lambda d: deep_loops(d, 1024), "sequence[0].loops[900]: vertex out of range 0..1023"),
     ],
 )
 def test_parse_errors_carry_json_paths(mutate, fragment):
@@ -395,3 +426,46 @@ def walks(draw):
 @given(walk=walks())
 def test_json_roundtrip_property(walk):
     assert parse_dynamic_graph(serialize_dynamic_graph(walk)) == walk
+
+
+def reference_serialization(walk):
+    """json.dumps(indent=2)'s text of the walk's payload: the reference for the writer's bytes."""
+    payload = {
+        "n_vertices": walk.n_vertices,
+        "sequence": [
+            {
+                "edges": [list(pair) for pair in step.graph.sorted_edges()],
+                "loops": step.graph.sorted_loops(),
+                "time": {"pi_num": step.duration.numerator, "pi_den": step.duration.denominator},
+            }
+            for step in walk.steps
+        ],
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(walk=walks())
+def test_serialize_writes_the_reference_bytes(walk):
+    assert serialize_dynamic_graph(walk) == reference_serialization(walk)
+
+
+@pytest.mark.parametrize(
+    "walk",
+    [
+        DynamicGraph(3, ()),
+        DynamicGraph(4, (TimedGraph(Graph.make(4, loops=[1, 3]), Fraction(1, 2)),)),
+        DynamicGraph(4, (TimedGraph(Graph.make(4, [(0, 1), (3, 2)]), Fraction(3, 4)),)),
+        DynamicGraph(4, (TimedGraph(Graph(4), Fraction(5)),)),
+        DynamicGraph(2, (TimedGraph(Graph.make(2, [(0, 1)], [0]), Fraction(0)),)),
+        DynamicGraph(
+            1, (TimedGraph(Graph.make(1, loops=[0]), Fraction(1, 4)), TimedGraph(Graph(1), Fraction(2)))
+        ),
+        DynamicGraph(2, (TimedGraph(Graph.make(2, [(0, 1)]), Fraction(10**998 + 1, 10**998)),)),
+    ],
+    ids=["no-steps", "no-edges", "no-loops", "neither", "zero-time", "one-vertex", "999-digits"],
+)
+def test_serialize_writes_the_reference_bytes_at_the_edges(walk):
+    text = serialize_dynamic_graph(walk)
+    assert text == reference_serialization(walk)
+    assert parse_dynamic_graph(text) == walk
