@@ -156,11 +156,27 @@ def _amplitude_lines(final: np.ndarray) -> str:
     return "|%s>  %.12g%+.12gi\n" * n % tuple(values)
 
 
+def _state_norm(final: np.ndarray) -> float:
+    """The 2-norm of the state, also where the sum of its squared moduli passes the float range.
+
+    The plain norm stands whenever it is finite. An infinite one from
+    finite entries is taken again on the state divided by its largest
+    real or imaginary part, which, unlike a modulus, cannot itself
+    overflow; that norm times the scale is inf only when the norm is.
+    """
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(final))
+    if np.isinf(norm) and np.isfinite(final).all():
+        scale = float(np.abs(final.view(np.float64)).max())
+        norm = scale * float(np.linalg.norm(final / scale))
+    return norm
+
+
 def cmd_simulate(args: argparse.Namespace) -> CommandResult:
     walk = _load_walk(args.walk)
     state = _initial_state(args.state, walk.n_vertices)
     final = evolve_state(walk, state)
-    norm = float(np.linalg.norm(final))
+    norm = _state_norm(final)
     summary = f"norm {norm:.12g} (deviation {abs(norm - 1.0):.3e})"
     return CommandResult(0, (_amplitude_lines(final) + summary,))
 

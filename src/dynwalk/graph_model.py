@@ -31,7 +31,11 @@ indenting encoder.
 the graph into connected components from its edge list and hands each
 stack of equal-size component blocks to numpy's batched ``eigh``, so no
 n x n adjacency matrix is formed; the walk engine's step exponentials,
-``period`` and the spectral norms all read it.
+``period`` and the spectral norms all read it. A stack whose blocks are
+all equal, such as a compiled X, CNOT or H step's matching or a Hadamard
+layer's 2^(q-k) k-cubes, is decomposed once: its eigenvalue and
+eigenvector arrays have leading dimension 1 and broadcast over the
+stack's components. A graph without edges is not searched at all.
 """
 
 from __future__ import annotations
@@ -263,7 +267,11 @@ class Spectrum(NamedTuple):
     each row ascending, and numpy's batched ``eigh`` of their k x k
     adjacency blocks, whose rows and columns follow that vertex order:
     eigenvalues (b, k), ascending per block, and eigenvectors (b, k, k),
-    one per column, so each block is V diag(w) V^T.
+    one per column, so each block is V diag(w) V^T. When all b blocks are
+    equal, as in a compiled X, CNOT or H step's matching and a Hadamard
+    layer's cubes, they share one decomposition: eigenvalues (1, k) and
+    eigenvectors (1, k, k), which broadcast over the b rows of the vertex
+    array.
     ``norm`` is the spectral norm ||A||: the largest absolute eigenvalue
     over all components.
     """
@@ -274,9 +282,12 @@ class Spectrum(NamedTuple):
     norm: float
 
     def eigenvalues(self) -> np.ndarray:
-        """Every eigenvalue of the adjacency matrix, unordered."""
+        """Every eigenvalue of the adjacency matrix with its multiplicity, unordered."""
         parts = [np.ones(self.looped.size)]
-        parts += [eigenvalues.ravel() for _, (eigenvalues, _) in self.blocks]
+        parts += [
+            eigenvalues.repeat(len(members) // len(eigenvalues), axis=0).ravel()
+            for members, (eigenvalues, _) in self.blocks
+        ]
         idle = self.n_vertices - sum(part.size for part in parts)
         return np.concatenate(parts + [np.zeros(idle)])
 
@@ -324,18 +335,23 @@ def components(n_vertices: int, heads: np.ndarray, tails: np.ndarray) -> Tuple[n
 def spectrum(graph: Graph) -> Spectrum:
     """Component-wise eigendecomposition of a graph's adjacency matrix.
 
-    Components come from the edge list. Edge-free vertices need no
-    decomposition; the other components are grouped by size and each
-    group is decomposed in one batched call. The arrays are shared by
-    every caller and therefore read-only.
+    Components come from the edge list; a graph without edges has none
+    and is not searched. Edge-free vertices need no decomposition; the
+    other components are grouped by size and each group is decomposed in
+    one batched call, or as its first block alone when every block of the
+    group equals it. The arrays are shared by every caller and therefore
+    read-only.
     """
     n = graph.n_vertices
-    loops = np.fromiter(graph.loops, dtype=np.intp, count=len(graph.loops))
+    loops = np.sort(np.fromiter(graph.loops, dtype=np.intp, count=len(graph.loops)))
+    if not graph.edges:
+        loops.flags.writeable = False
+        return Spectrum(n, loops, (), 1.0 if loops.size else 0.0)
     ends = np.fromiter(chain.from_iterable(graph.edges), dtype=np.intp, count=2 * len(graph.edges))
     heads, tails = ends[0::2], ends[1::2]
     size_of, groups = components(n, heads, tails)
 
-    looped = np.sort(loops[size_of[loops] == 1])
+    looped = loops[size_of[loops] == 1]
     looped.flags.writeable = False
     norm = 1.0 if looped.size else 0.0
     blocks = []
@@ -350,7 +366,10 @@ def spectrum(graph: Graph) -> Spectrum:
         w = slot[loops[size_of[loops] == k]]
         adjacency = np.zeros(members.size * k)
         adjacency[np.concatenate((u * k + v % k, v * k + u % k, w * k + w % k))] = 1.0
-        eigenvalues, eigenvectors = np.linalg.eigh(adjacency.reshape(-1, k, k))
+        stack = adjacency.reshape(-1, k, k)
+        if len(stack) > 1 and (stack == stack[0]).all():
+            stack = stack[:1]  # identical blocks share one decomposition
+        eigenvalues, eigenvectors = np.linalg.eigh(stack)
         norm = max(norm, float(np.abs(eigenvalues).max()))
         for array in (members, eigenvalues, eigenvectors):
             array.flags.writeable = False

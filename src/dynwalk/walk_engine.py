@@ -13,8 +13,12 @@ k rows it owns. The spectrum holds each block as V diag(w) V^T, and this
 module rebuilds its exponential as V diag(exp(-i w t / ||A||)) V^T: the
 eigenvectors of a real symmetric block are real, so V^T is V^dag. Those
 are the step's kernel factors, O(n k) numbers for the largest block size
-k, and a connected graph is simply one block. ``evolve_state`` costs
-O(n k) per step.
+k, and a connected graph is simply one block. A stack of equal blocks,
+such as a matching's pairs or a Hadamard layer's cubes, has one
+decomposition in the spectrum and so one (1, k, k) exponential, which
+``exponential @ rows[members]`` broadcasts over the stack's b components:
+its factors are O(k^2) numbers, and each component's product is computed
+as it would be from its own copy. ``evolve_state`` costs O(n k) per step.
 
 Every product of a whole run is formed on the identity laid out over the
 components of the union of the run's graphs, and this module is the only
@@ -84,8 +88,9 @@ __all__ = [
     "graphs_commute",
 ]
 
-# The looped singletons, their phase, and each block stack's vertices with
-# the stack's exponentials, all read-only.
+# The looped singletons, their phase, and each block stack's (b, k) vertices
+# with the stack's (b, k, k) exponentials, or the one (1, k, k) exponential
+# its equal blocks share, all read-only.
 Factors = Tuple[np.ndarray, complex, Tuple[Tuple[np.ndarray, np.ndarray], ...]]
 
 # Products on fewer vertices start from the n x n identity; from here on the
@@ -107,7 +112,7 @@ BLOCK_ENTRIES = 2**19
 
 
 def _factors(step: TimedGraph) -> Factors:
-    """The step's kernel factors, from the spectrum of its graph."""
+    """The step's kernel factors, from the spectrum of its graph: one exponential per decomposition."""
     spec = spectrum(step.graph)
     rate = radians(step.duration) / spec.norm if spec.norm else 0.0
     blocks = []
@@ -122,7 +127,11 @@ _cached_factors = lru_cache(maxsize=4096)(_factors)
 
 
 def _run(rows: np.ndarray, steps: Iterable[TimedGraph], factors: Callable[[TimedGraph], Factors]) -> None:
-    """Multiply an n x m complex array in place by the steps' product, later steps on the left."""
+    """Multiply an n x m complex array in place by the steps' product, later steps on the left.
+
+    A shared (1, k, k) exponential broadcasts over the (b, k, m) rows of its
+    stack's components.
+    """
     for step in steps:
         looped, phase, blocks = factors(step)
         if looped.size:

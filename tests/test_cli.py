@@ -161,7 +161,12 @@ def reference_simulate_stdout(walk, state):
 
     final = evolve_state(walk, state)
     lines = [f"|{label(i)}>  {amp.real:.12g}{amp.imag:+.12g}i" for i, amp in enumerate(final)]
-    norm = float(np.linalg.norm(final))
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(final))
+    if norm == np.inf:
+        # the squares overflow: scale by the largest part, then scale back
+        scale = max(abs(part) for amp in final.tolist() for part in (amp.real, amp.imag))
+        norm = scale * float(np.linalg.norm(final / scale))
     lines.append(f"norm {norm:.12g} (deviation {abs(norm - 1.0):.3e})")
     return "".join(line + "\n" for line in lines)
 
@@ -180,8 +185,6 @@ EDGE_AMPLITUDES = [
 ]
 
 
-# the squared norm of a 1e300 amplitude overflows, so the norm line reads inf
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("n", [1, 2, 4, 6, 8])
 def test_simulate_prints_the_reference_bytes_for_an_amplitude_file(tmp_path, capsys, n):
     pairs = EDGE_AMPLITUDES[:n]
@@ -196,6 +199,23 @@ def test_simulate_prints_the_reference_bytes_for_an_amplitude_file(tmp_path, cap
     assert out.startswith(f"|{first_label}>  -0+0i\n")
     if n >= 3:
         assert "  4.94065645841e-324-0i\n" in out and "  1e+300-4.94065645841e-324i\n" in out
+        # the squared modulus of 1e300 overflows, but the norm does not
+        assert out.endswith("\nnorm 1e+300 (deviation 1.000e+300)\n")
+
+
+@pytest.mark.parametrize(
+    "pairs, norm_line",
+    [
+        ([[1e200, 0.0], [0.0, -1e200]], "norm 1.41421356237e+200 (deviation 1.414e+200)"),
+        ([[1.7e308, 1.7e308]], "norm inf (deviation inf)"),
+    ],
+)
+def test_simulate_norm_overflows_only_past_the_float_range(tmp_path, capsys, pairs, norm_line):
+    walk_file = write_walk(tmp_path / "hold.json", identity_walk(len(pairs)))
+    state_file = tmp_path / "state.json"
+    state_file.write_text(json.dumps(pairs))
+    assert main(["simulate", walk_file, "--state", str(state_file)]) == 0
+    assert capsys.readouterr().out.endswith(f"\n{norm_line}\n")
 
 
 @pytest.mark.parametrize(

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import catalog
+import dynwalk.graph_model as gm
 from adjacency import adjacency_matrix
 from dynwalk.graph_model import (
     MAX_VERTICES,
@@ -221,6 +222,30 @@ def test_period_known_graphs(graph, expected):
 def test_period_empty_graph_is_zero():
     p = period(Graph.make(3))
     assert p is not None and p == 0
+
+
+@pytest.mark.parametrize(
+    "graph, expected_period",
+    [
+        (Graph.make(600, loops=[517, 3, 64, 200, 0, 599, 12]), Fraction(2)),
+        (Graph.make(1, loops=[0]), Fraction(2)),
+        (Graph.make(8, loops=range(8)), Fraction(2)),
+        (Graph.make(5), Fraction(0)),
+    ],
+)
+def test_edge_free_spectrum_skips_the_component_search(graph, expected_period, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an edge-free graph went through the component search")
+
+    monkeypatch.setattr(gm, "components", refuse)
+    spectrum.cache_clear()
+    spec = spectrum(graph)
+    assert spec.looped.dtype == np.intp and not spec.looped.flags.writeable
+    assert spec.looped.tolist() == sorted(graph.loops)
+    assert spec.blocks == ()
+    assert spec.norm == (1.0 if graph.loops else 0.0) and type(spec.norm) is float
+    assert period(graph) == expected_period
+    spectrum.cache_clear()
 
 
 def test_period_incommensurate_spectrum_is_infinite():

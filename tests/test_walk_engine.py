@@ -263,16 +263,92 @@ def test_prefix_unitaries_cache_each_distinct_step_once(seed):
 
 
 def test_cached_factors_are_read_only_component_blocks():
-    """A 256-vertex matching is cached as 128 blocks of 2 x 2, never as a 256 x 256 matrix."""
+    """A 256-vertex matching is cached as one 2 x 2 block its 128 pairs share, never as a 256 x 256 matrix."""
     we._cached_factors.cache_clear()
     step = TimedGraph(matching(256, 5), Fraction(1, 3))
     prefix_unitaries(256, (step,))
     looped, _, blocks = we._cached_factors(step)
     assert we._cached_factors.cache_info().currsize == 1
-    assert [exponential.shape for _, exponential in blocks] == [(128, 2, 2)]
+    assert [exponential.shape for _, exponential in blocks] == [(1, 2, 2)]
     for array in (looped, *(part for block in blocks for part in block)):
         assert not array.flags.writeable
     we._cached_factors.cache_clear()
+
+
+def adjacency_blocks(graph, members):
+    """The (b, k, k) stack of the adjacency blocks of the components in members, as spectrum builds it."""
+    return adjacency_matrix(graph).astype(float)[members[:, :, None], members[:, None, :]]
+
+
+IDENTICAL_STACKS = [
+    matching(256, 5),
+    Graph.make(64, edges=[(v, v ^ 3) for v in range(64) if v < v ^ 3], loops=range(64)),
+    next(s.graph for s in compile_hadamard_layer([0, 2, 5], 7).steps if s.graph.edges),
+]
+
+
+@pytest.mark.parametrize("graph", IDENTICAL_STACKS, ids=["matching", "looped-matching", "hlayer-cubes"])
+def test_identical_blocks_share_one_decomposition_and_one_exponential(graph):
+    """The shared arrays are the bytes of eigh on the whole stack, and broadcasting them is copying them."""
+    spec = spectrum(graph)
+    assert spec.blocks
+    for members, (eigenvalues, eigenvectors) in spec.blocks:
+        b, k = members.shape
+        assert b > 1 and eigenvalues.shape == (1, k) and eigenvectors.shape == (1, k, k)
+        full_values, full_vectors = np.linalg.eigh(adjacency_blocks(graph, members))
+        for values, vectors in zip(full_values, full_vectors):
+            assert values.tobytes() == eigenvalues[0].tobytes()
+            assert vectors.tobytes() == eigenvectors[0].tobytes()
+    rng = np.random.default_rng(17)
+    for columns in (1, 8):
+        rows = rng.normal(size=(graph.n_vertices, columns)) + 1j * rng.normal(size=(graph.n_vertices, columns))
+        for duration in DURATIONS:
+            _, _, blocks = we._factors(TimedGraph(graph, duration))
+            for members, exponential in blocks:
+                assert exponential.shape == (1, members.shape[1], members.shape[1])
+                copied = np.repeat(exponential, members.shape[0], axis=0)
+                assert np.array_equal(exponential @ rows[members], copied @ rows[members])
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        matching(16, 1).union(Graph.make(16, loops=[6, 7])),
+        matching(16, 1).union(Graph.make(16, loops=[6])),
+        # equal pairs beside two 3-paths whose middle vertices differ in rank
+        Graph.make(12, edges=[(0, 1), (2, 3), (4, 5), (6, 7), (7, 8), (9, 11), (10, 11)]),
+    ],
+    ids=["one-looped-pair", "one-looped-vertex", "two-sizes"],
+)
+def test_mixed_stacks_keep_one_decomposition_per_component(graph):
+    spec = spectrum(graph)
+    mixed = 0
+    for members, (eigenvalues, eigenvectors) in spec.blocks:
+        blocks = adjacency_blocks(graph, members)
+        if (blocks == blocks[0]).all():
+            assert eigenvalues.shape[0] == eigenvectors.shape[0] == 1
+            continue
+        mixed += 1
+        b, k = members.shape
+        assert eigenvalues.shape == (b, k) and eigenvectors.shape == (b, k, k)
+        full_values, full_vectors = np.linalg.eigh(blocks)
+        assert np.array_equal(eigenvalues, full_values) and np.array_equal(eigenvectors, full_vectors)
+    assert mixed == 1
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        *IDENTICAL_STACKS,
+        matching(16, 1).union(Graph.make(16, loops=[6, 7])),
+        Graph.make(16, edges=[(v, v ^ 1) for v in range(8) if v % 2 == 0], loops=range(10, 16)),
+    ],
+)
+def test_eigenvalues_of_shared_stacks_carry_their_multiplicities(graph):
+    dense = np.linalg.eigvalsh(adjacency_matrix(graph).astype(float))
+    listed = spectrum(graph).eigenvalues()
+    assert listed.shape == dense.shape
+    assert np.abs(np.sort(listed) - dense).max() < TOL
 
 
 def test_whole_program_functions_add_no_cached_factors():

@@ -1,8 +1,8 @@
 """Time the ``compile`` check and ``optimize`` on the width ladder: H(0), CNOT(0->1), X(2), T(1).
 
 For each qubit count on the command line (3 or more), in that order, the
-script compiles the four-gate circuit and prints two lines, three with
-``--check-only``.
+script compiles the four-gate circuit and prints two lines, four with
+``--check-only`` from 4 qubits on.
 
 The first is for the check ``compile`` makes of the walk against the
 circuit: the wall time of a first run, in which the steps' spectra are
@@ -21,7 +21,10 @@ gigabytes from 12 qubits on, and instead compiles one H per qubit, whose
 union of graphs does not split, and prints the same figures as the first
 line for the ``compile`` check and for ``equiv`` of that walk against
 itself. Both runs of ``equiv`` start from empty spectrum and factor
-caches, as a fresh ``equiv`` does.
+caches, as a fresh ``equiv`` does. From 4 qubits on, a last line gives
+the same figures for both checks of one HLAYER on the first q - 3
+qubits, whose walk step is 8 equal 2^(q-3)-vertex cubes that share one
+decomposition.
 
 Peak RSS is ``ru_maxrss``, the peak so far, so only the first line of a
 process reads its own run alone, and the ``equiv`` line reads at least the
@@ -122,6 +125,12 @@ def main(argv) -> None:
         walk = compile_circuit(circuit)
         for name, check in (("compile check", compile_check), ("equiv", equiv_check)):
             print(check_rung(f"{n_qubits} qubits, one H per qubit, {name}", check, circuit, walk), flush=True)
+        if n_qubits > 3:
+            circuit = Circuit(n_qubits, (Gate("HLAYER", targets=tuple(range(n_qubits - 3))),))
+            walk = compile_circuit(circuit)
+            label = f"{n_qubits} qubits, one HLAYER on {n_qubits - 3} targets, compile check"
+            rungs = (check_rung(label, compile_check, circuit, walk), check_rung("equiv", equiv_check, circuit, walk))
+            print("; ".join(rungs), flush=True)
 
 
 if __name__ == "__main__":
