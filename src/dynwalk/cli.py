@@ -18,6 +18,12 @@ Subcommands:
 * ``equiv``: compare two walk files up to global phase.
 * ``stats``: per-step structure, norms, periods and totals of a walk file.
 
+Each call builds its own parser. A call that names a command first builds
+it with that command alone; any other call (no argument, ``-h``, an
+unknown name, a leading option) builds it with all six, so its usage lists
+them, and so does the error for arguments the command does not take. Every
+command's help text and arguments are written once, in ``_COMMANDS``.
+
 Exit codes: 0 success, 1 verification or equivalence failure, 2 malformed
 input (bad file, bad JSON, bad flag values).
 """
@@ -294,60 +300,65 @@ def cmd_stats(args: argparse.Namespace) -> CommandResult:
     return CommandResult(0, tuple(lines))
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# Every subcommand once: its help and its arguments, each as (names,
+# options) for ``add_argument``. Its handler is ``cmd_<name>``, looked up
+# in the module's globals when a parser is built, so a later rebinding of
+# ``cmd_<name>`` (a wrapper, say) is the function called.
+_WALK = (("walk",), {"help": "walk JSON file"})
+_OUTPUT = (("-o", "--output"), {"required": True, "help": "output walk JSON file"})
+_COMMANDS = {
+    "simulate": ("run a walk on an initial state", (
+        _WALK,
+        (("--state",), {
+            "default": "0", "help": "basis label (bits or index) or JSON amplitude file; default vertex 0"}),
+    )),
+    "unitary": ("print or dump the total unitary", (
+        _WALK,
+        (("--csv",), {"help": "write the matrix to this CSV file instead of stdout"}),
+    )),
+    "optimize": ("simplify a walk under the rewrite rules", (
+        _WALK,
+        _OUTPUT,
+        (("--passes",), {"help": "comma-separated rule subset (default: all)"}),
+        (("--max-iter",), {"type": int, "help": "cap on rewrites tried, accepted or rejected"}),
+        (("--report",), {"help": "write a JSON rewrite report here"}),
+    )),
+    "compile": ("compile a circuit file into a walk", (
+        (("circuit",), {"help": "circuit JSON file"}),
+        _OUTPUT,
+        (("--parallel-h",), {
+            "action": "store_true", "help": "fuse adjacent H gates on distinct qubits into combined layers"}),
+    )),
+    "equiv": ("compare two walks up to global phase", ((("first",), {}), (("second",), {}))),
+    "stats": ("describe a walk file", (_WALK,)),
+}
+
+
+def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The top-level parser with every subcommand, or with ``command``'s alone."""
     parser = argparse.ArgumentParser(
         prog="dynwalk",
         description="Simulate, compile and simplify continuous-time walk programs on dynamic graphs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="run a walk on an initial state")
-    p.add_argument("walk", help="walk JSON file")
-    p.add_argument(
-        "--state",
-        default="0",
-        help="basis label (bits or index) or JSON amplitude file; default vertex 0",
-    )
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("unitary", help="print or dump the total unitary")
-    p.add_argument("walk", help="walk JSON file")
-    p.add_argument("--csv", help="write the matrix to this CSV file instead of stdout")
-    p.set_defaults(func=cmd_unitary)
-
-    p = sub.add_parser("optimize", help="simplify a walk under the rewrite rules")
-    p.add_argument("walk", help="walk JSON file")
-    p.add_argument("-o", "--output", required=True, help="output walk JSON file")
-    p.add_argument("--passes", help="comma-separated rule subset (default: all)")
-    p.add_argument("--max-iter", type=int, help="cap on rewrites tried, accepted or rejected")
-    p.add_argument("--report", help="write a JSON rewrite report here")
-    p.set_defaults(func=cmd_optimize)
-
-    p = sub.add_parser("compile", help="compile a circuit file into a walk")
-    p.add_argument("circuit", help="circuit JSON file")
-    p.add_argument("-o", "--output", required=True, help="output walk JSON file")
-    p.add_argument(
-        "--parallel-h",
-        action="store_true",
-        help="fuse adjacent H gates on distinct qubits into combined layers",
-    )
-    p.set_defaults(func=cmd_compile)
-
-    p = sub.add_parser("equiv", help="compare two walks up to global phase")
-    p.add_argument("first")
-    p.add_argument("second")
-    p.set_defaults(func=cmd_equiv)
-
-    p = sub.add_parser("stats", help="describe a walk file")
-    p.add_argument("walk", help="walk JSON file")
-    p.set_defaults(func=cmd_stats)
-
+    for name in _COMMANDS if command is None else (command,):
+        help_text, arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for names, options in arguments:
+            p.add_argument(*names, **options)
+        p.set_defaults(func=globals()[f"cmd_{name}"])
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args, extras = _build_parser(command).parse_known_args(argv)
+    if extras:
+        # argparse reports unrecognized arguments with the top-level usage,
+        # which lists every command
+        args = _build_parser().parse_args(argv)
     try:
         result: CommandResult = args.func(args)
     except CliInputError as err:

@@ -1,8 +1,11 @@
 """End-to-end command tests driving main() with real files."""
 
+import argparse
 import io
 import json
+import os
 import re
+import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -759,3 +762,156 @@ def test_no_command_raises_system_exit():
 def test_unknown_command_raises_system_exit():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+# -- the parser -----------------------------------------------------------------
+
+COMMANDS = ["simulate", "unitary", "optimize", "compile", "equiv", "stats"]
+
+# argvs that reach argparse's help, usage errors, abbreviations and "--";
+# w.json and c.json exist, a, b and x do not
+PARSER_TEXT_ARGVS = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["frobnicate"],
+    ["-x", "optimize"],
+    *[[command, "-h"] for command in COMMANDS],
+    ["simulate"],
+    ["unitary"],
+    ["optimize"],
+    ["compile"],
+    ["equiv", "a"],
+    ["stats"],
+    ["optimize", "w.json"],
+    ["compile", "c.json"],
+    ["optimize", "w.json", "-o", "o.json", "--max-iter", "zz"],
+    ["optimize", "w.json", "-o", "o.json", "--rep", "r.json"],
+    ["stats", "w.json", "extra"],
+    ["equiv", "w.json", "w.json", "w.json"],
+    ["stats", "w.json", "--bogus"],
+    ["optimize", "w.json", "-o", "o.json", "--bogus"],
+    ["equiv", "--", "a", "b"],
+    ["--", "stats", "x"],
+    ["stats", "x", "--", "y"],
+]
+
+
+def run_main(argv, capsys):
+    """Exit code, stdout and stderr of main(argv), whether it returns or exits."""
+    try:
+        code = main(argv)
+    except SystemExit as stop:
+        code = stop.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", PARSER_TEXT_ARGVS, ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_parser_text_matches_the_all_commands_parser(argv, tmp_path, capsys, monkeypatch):
+    """main prints and returns what it does when every call builds all six commands."""
+    monkeypatch.chdir(tmp_path)
+    write_walk(tmp_path / "w.json", bit_flip_walk())
+    write_circuit(tmp_path / "c.json", {"n_qubits": 1, "gates": [{"kind": "X", "target": 0}]})
+    build_all = cli._build_parser
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_build_parser", lambda *_: build_all())
+        expected = run_main(list(argv), capsys)
+    assert run_main(list(argv), capsys) == expected
+    assert expected[0] in (0, 2)
+
+
+def count_subparsers(monkeypatch):
+    """The name of every subparser added from now on, in order."""
+    names = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        names.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    return names
+
+
+def test_a_named_command_builds_its_subparser_alone(tmp_path, capsys, monkeypatch):
+    names = count_subparsers(monkeypatch)
+    assert main(["stats", str(tmp_path / "absent.json")]) == 2
+    assert names == ["stats"]
+
+
+def test_main_reads_the_command_from_sys_argv_and_builds_it_alone(tmp_path, capsys, monkeypatch):
+    names = count_subparsers(monkeypatch)
+    monkeypatch.setattr(sys, "argv", ["dynwalk", "stats", str(tmp_path / "absent.json")])
+    assert main() == 2
+    assert names == ["stats"]
+    assert "absent.json" in capsys.readouterr().err
+
+
+def test_help_builds_every_subparser(capsys, monkeypatch):
+    names = count_subparsers(monkeypatch)
+    with pytest.raises(SystemExit) as stop:
+        main(["-h"])
+    assert stop.value.code == 0
+    assert names == COMMANDS
+
+
+def test_each_call_builds_its_own_parser(tmp_path, capsys, monkeypatch):
+    names = count_subparsers(monkeypatch)
+    missing = str(tmp_path / "absent.json")
+    assert main(["stats", missing]) == 2
+    assert names == ["stats"]
+    assert main(["stats", missing]) == 2
+    assert names == ["stats", "stats"]
+
+
+def test_main_calls_the_handler_bound_when_it_runs(tmp_path, capsys, monkeypatch):
+    seen = []
+    cmd_stats = cli.cmd_stats
+
+    def wrapper(args):
+        seen.append(args.walk)
+        return cmd_stats(args)
+
+    monkeypatch.setattr(cli, "cmd_stats", wrapper)
+    walk_file = write_walk(tmp_path / "w.json", bit_flip_walk())
+    assert main(["stats", walk_file]) == 0
+    assert seen == [walk_file]
+    assert capsys.readouterr().out.splitlines()[0] == "vertices: 2"
+
+
+def run_module(*argv):
+    """``python -m dynwalk.cli`` with these arguments: main reads them from sys.argv."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, PYTHONIOENCODING="utf-8")
+    return subprocess.run(
+        [sys.executable, "-m", "dynwalk.cli", *argv], capture_output=True, env=env, timeout=120
+    )
+
+
+def test_the_module_lists_every_command_in_its_help():
+    done = run_module("-h")
+    assert done.returncode == 0
+    assert b"{simulate,unitary,optimize,compile,equiv,stats}" in done.stdout
+    assert done.stderr == b""
+
+
+def test_the_module_runs_a_command_from_its_arguments(tmp_path):
+    walk = DynamicGraph(
+        3,
+        (
+            TimedGraph(Graph.make(3, edges=[(0, 1)]), Fraction(1, 2)),
+            TimedGraph(Graph.make(3, loops=[0, 2]), Fraction(3, 2)),
+        ),
+    )
+    done = run_module("stats", write_walk(tmp_path / "w.json", walk))
+    assert done.returncode == 0
+    assert done.stdout.decode("utf-8") == (
+        "vertices: 3\n"
+        "graphs: 2\n"
+        "total time: 2π (6.2832)\n"
+        "step 0: 1 edges, 0 loops, time π/2 (1.5708), norm 1.000000, period 2π\n"
+        "step 1: 0 edges, 2 loops, time 3π/2 (4.7124), norm 1.000000, period 2π\n"
+    )
+    assert done.stderr == b""
