@@ -18,11 +18,18 @@ Subcommands:
 * ``equiv``: compare two walk files up to global phase.
 * ``stats``: per-step structure, norms, periods and totals of a walk file.
 
-Each call builds its own parser. A call that names a command first builds
-it with that command alone; any other call (no argument, ``-h``, an
-unknown name, a leading option) builds it with all six, so its usage lists
-them, and so does the error for arguments the command does not take. Every
-command's help text and arguments are written once, in ``_COMMANDS``.
+Every command's help text and arguments are written once, in
+``_COMMANDS``, and a call reads them afresh; nothing is kept between calls.
+A call that names a command first and then gives only that command's
+positionals and exact option strings, each option but a flag followed by
+a value, none of those words starting with ``-``, is read straight from
+the table (``_plain_namespace``) and builds no parser. Any other call
+naming a command first (help, an abbreviation, ``--opt=value``, ``--``, a
+negative number, a missing or extra argument, a value its type refuses)
+builds the parser with that command alone; any call that does not name
+one (no argument, ``-h``, an unknown name, a leading option) builds it
+with all six, so its usage lists them, and so does the error for
+arguments the command does not take.
 
 Exit codes: 0 success, 1 verification or equivalence failure, 2 malformed
 input (bad file, bad JSON, bad flag values).
@@ -31,6 +38,7 @@ input (bad file, bad JSON, bad flag values).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import re
@@ -105,10 +113,13 @@ def _write_text(path: str, chunks: Iterable[str]) -> None:
 
 
 def _basis_labels(n_vertices: int) -> List[str]:
-    """Every basis state's label: its bits when n_vertices is a power of two from 2 on, else its index."""
+    """Every basis state's label: its bits when n_vertices is a power of two from 2 on, else its index.
+
+    The bit labels come from ``itertools.product``, whose strings are those
+    of ``format(index, "0qb")`` in index order.
+    """
     if n_vertices >= 2 and n_vertices & (n_vertices - 1) == 0:
-        spec = f"0{n_vertices.bit_length() - 1}b"
-        return [format(index, spec) for index in range(n_vertices)]
+        return list(map("".join, itertools.product("01", repeat=n_vertices.bit_length() - 1)))
     return list(map(str, range(n_vertices)))
 
 
@@ -301,9 +312,11 @@ def cmd_stats(args: argparse.Namespace) -> CommandResult:
 
 
 # Every subcommand once: its help and its arguments, each as (names,
-# options) for ``add_argument``. Its handler is ``cmd_<name>``, looked up
-# in the module's globals when a parser is built, so a later rebinding of
-# ``cmd_<name>`` (a wrapper, say) is the function called.
+# options) for ``add_argument``, which ``_plain_namespace`` reads too (it
+# knows the options used here: required, default, type and store_true).
+# Its handler is ``cmd_<name>``, looked up in the module's globals on each
+# call, so a later rebinding of ``cmd_<name>`` (a wrapper, say) is the
+# function called.
 _WALK = (("walk",), {"help": "walk JSON file"})
 _OUTPUT = (("-o", "--output"), {"required": True, "help": "output walk JSON file"})
 _COMMANDS = {
@@ -350,15 +363,65 @@ def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     return parser
 
 
+def _plain_namespace(command: str, words: Sequence[str]) -> Optional[argparse.Namespace]:
+    """The namespace argparse builds for ``command`` and ``words``, or None where argparse is needed.
+
+    The words may be the command's exact option strings, each but a flag
+    followed by a value, and its positionals, exactly as many as it takes;
+    no positional or value may start with "-", every required option must
+    be given and every value must convert to its type. A dest is the first
+    long option string with "-" as "_"; an option not given holds its
+    default (None, False for a flag), and a repeated one its last value.
+    """
+    values = {"command": command, "func": globals()[f"cmd_{command}"]}
+    options, positionals, required = {}, [], set()
+    for names, spec in _COMMANDS[command][1]:
+        if not names[0].startswith("-"):
+            positionals.append(names[0])
+            continue
+        dest = next((name for name in names if name.startswith("--")), names[0]).lstrip("-").replace("-", "_")
+        flag = spec.get("action") == "store_true"
+        values[dest] = False if flag else spec.get("default")
+        options.update(dict.fromkeys(names, (dest, flag, spec.get("type", str))))
+        if spec.get("required"):
+            required.add(dest)
+    given = []
+    words = iter(words)
+    for word in words:
+        if not word.startswith("-"):
+            given.append(word)
+            continue
+        if word not in options:
+            return None
+        dest, flag, convert = options[word]
+        required.discard(dest)
+        if flag:
+            values[dest] = True
+            continue
+        value = next(words, "-")
+        if value.startswith("-"):
+            return None
+        try:
+            values[dest] = convert(value)
+        except (TypeError, ValueError):
+            return None
+    if len(given) != len(positionals) or required:
+        return None
+    values.update(zip(positionals, given))
+    return argparse.Namespace(**values)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     command = argv[0] if argv and argv[0] in _COMMANDS else None
-    args, extras = _build_parser(command).parse_known_args(argv)
-    if extras:
-        # argparse reports unrecognized arguments with the top-level usage,
-        # which lists every command
-        args = _build_parser().parse_args(argv)
+    args = None if command is None else _plain_namespace(command, argv[1:])
+    if args is None:
+        args, extras = _build_parser(command).parse_known_args(argv)
+        if extras:
+            # argparse reports unrecognized arguments with the top-level
+            # usage, which lists every command
+            args = _build_parser().parse_args(argv)
     try:
         result: CommandResult = args.func(args)
     except CliInputError as err:

@@ -123,11 +123,11 @@ derives each candidate's facts from the walk's: the products left of the
 move's window are the walk's, those right of it the walk's up to a global
 phase, which no verdict reads, and only the window's are new, from a
 ``prefix_unitaries`` call that applies the window's steps to the product
-before it. The step a phased-permutation form is read from comes from
-``walk_engine.step_unitary``, which computes the step's factors per
-call, and every comparison of two runs, a verified span and the final
-check, from ``walk_engine.run_distance``, which takes them from the
-cache it shares with ``prefix_unitaries``. A fragment is compared
+before it. A phased-permutation form is read from the step's block
+exponentials in ``walk_engine``'s factor cache, with no n x n step
+formed, and every comparison of two runs, a verified span and the final
+check, from ``walk_engine.run_distance``, which takes the factors from
+that cache, as ``prefix_unitaries`` does. A fragment is compared
 with a Hadamard layer through ``gate_compiler.circuit_distance``, the
 check ``compile`` makes, which undoes the layer's gate in the fragment's
 own array. This module multiplies no step matrices: every step
@@ -177,7 +177,7 @@ from .graph_model import (
     supports_disjoint,
 )
 from .numerics import VERIFY_TOLERANCE
-from .walk_engine import evolve_state, graphs_commute, prefix_unitaries, run_distance, step_unitary
+from .walk_engine import _cached_factors, evolve_state, graphs_commute, prefix_unitaries, run_distance
 
 __all__ = [
     "RULE_SWAP_COMMUTING",
@@ -296,10 +296,17 @@ def _phased_permutation(step: TimedGraph) -> Optional[PhasedPermutation]:
 
     A loops-only step is exactly the identity with angle duration mod 2pi
     on each looped vertex and 0 elsewhere, whatever the denominator. Any
-    other step has each column's largest entry fix its row and, through
-    _phase_angle, its angle, which depends on the entry's value alone and
-    is read once per distinct value; the rebuilt matrix is then checked
-    against the step unitary to VERIFY_TOLERANCE. Matchings at multiples of
+    other step is read from its block exponentials in the factor cache
+    that ``run_distance`` and ``prefix_unitaries`` share, without forming
+    the n x n step: each column's largest entry down its block fixes its
+    row and, through _phase_angle, its angle, which depends on the entry's
+    value alone and is read once per distinct value; a looped singleton's
+    entry is the step's phase and an idle vertex's is 1. The residual is
+    the largest of each column's distance from its rebuilt entry and of
+    every other entry of the blocks, and must stay under VERIFY_TOLERANCE.
+    These are the entries of the dense step unitary, whose block columns
+    are the exponentials' own and whose other entries are exact zeros, so
+    the verdict is the one the dense step gives. Matchings at multiples of
     pi/2 pass, among others, at denominators up to PHASE_DENOMINATOR_LIMIT.
     """
     n = step.graph.n_vertices
@@ -307,18 +314,28 @@ def _phased_permutation(step: TimedGraph) -> Optional[PhasedPermutation]:
         phase = step.duration % 2
         turns = tuple(phase.numerator if v in step.graph.loops else 0 for v in range(n))
         return PhasedPermutation(tuple(range(n)), turns, phase.denominator, len(set(turns)) == 1)
-    u = step_unitary(step)
-    rows = np.abs(u).argmax(axis=0)
+    looped, phase, blocks = _cached_factors(step)
+    rows = np.arange(n)
+    values = np.ones(n, dtype=np.complex128)
+    values[looped] = phase
+    residual = 0.0
+    for members, exponential in blocks:
+        size = np.abs(exponential)
+        top = size.argmax(axis=1)  # each column's row in its block, one row of them for a shared block
+        stack, column = np.arange(len(top))[:, None], np.arange(top.shape[1])
+        rows[members] = members[np.arange(len(members))[:, None], top]
+        values[members] = exponential[stack, top, column]
+        size[stack, top, column] = 0.0
+        residual = max(residual, float(size.max()))
     if len(set(rows.tolist())) != n:
         return None
-    entries = u[rows, np.arange(n)].tolist()
+    entries = values.tolist()
     angle_of = {value: _phase_angle(value) for value in set(entries)}
     if None in angle_of.values():
         return None
     angles = [angle_of[value] for value in entries]
-    expected = np.zeros_like(u)
-    expected[rows, np.arange(n)] = np.exp(-1j * math.pi * np.array([float(a) for a in angles]))
-    if np.abs(u - expected).max() > VERIFY_TOLERANCE:
+    expected = np.exp(-1j * math.pi * np.array([float(a) for a in angles]))
+    if max(residual, np.abs(values - expected).max()) > VERIFY_TOLERANCE:
         return None
     bitflip = len(set(angle_of.values())) == 1 and np.array_equal(rows, np.arange(n) ^ rows[0])
     den = math.lcm(*(a.denominator for a in angle_of.values()))

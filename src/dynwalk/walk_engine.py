@@ -49,18 +49,20 @@ n x m array, at O(n k m) per step. The blocks have three readers:
   the gates on each block's rows and read the trace as the sum of
   ``np.vdot(identity block, block)``.
 
-Two readers keep each step's factors in one ``lru_cache``, since the
-steps of one optimization recur across its calls: ``run_distance``, and
-so ``equiv`` and the optimizer's span and final checks, and
-``prefix_unitaries``, which gives the products of every prefix of a run
-on the n x n identity or a given starting product, for the
-Hadamard-layer fragments. Every other product computes the factors per
-call and drops them when it returns: the whole-program functions
-(``total_unitary``, ``laid_out_unitary``, ``evolve_state``, and so the
-``compile``, ``unitary`` and ``simulate`` commands), which factor each
-step once however many blocks they apply it to, and ``step_unitary``, the dense unitary
-of one step, which the optimizer reads to classify a step as a phased
-permutation. The optimizer reads column 0 of a compiled Hadamard layer
+Three readers keep each step's factors in one ``lru_cache``,
+``_cached_factors``, since the steps of one optimization recur across
+its calls: ``run_distance``, and so ``equiv`` and the optimizer's span
+and final checks; ``prefix_unitaries``, which gives the products of
+every prefix of a run on the n x n identity or a given starting
+product, for the Hadamard-layer fragments; and the optimizer's
+phased-permutation classifier, which reads a step's block exponentials
+from it without forming the n x n step. Every other product computes
+the factors per call and drops them when it returns: the whole-program
+functions (``total_unitary``, ``laid_out_unitary``, ``evolve_state``,
+and so the ``compile``, ``unitary`` and ``simulate`` commands), which
+factor each step once however many blocks they apply it to, and
+``step_unitary``, the dense unitary of one step, kept as reference API.
+The optimizer reads column 0 of a compiled Hadamard layer
 through ``evolve_state`` of vertex 0, once per layer, and compares a
 fragment with the layer's gate through ``gate_compiler.circuit_distance``
 on the fragment's dense product, so it asks this module for no layer
@@ -199,7 +201,8 @@ def _product(n_vertices: int, steps: Sequence[TimedGraph]) -> np.ndarray:
 def step_unitary(step: TimedGraph) -> np.ndarray:
     """Unitary of one timed graph step, as a dense matrix, with the factors computed per call.
 
-    The optimizer classifies a step as a phased permutation from it.
+    No package code calls it; the optimizer classifies a step from the
+    cached factors instead.
     """
     return _product(step.graph.n_vertices, (step,))
 

@@ -1,19 +1,23 @@
 """Time the fixed cost of one ``dynwalk`` call: building its parser, and the whole call.
 
-For each of the six commands the script prints one line with three
+For each of the six commands the script prints one line with four
 medians over the samples:
 
 * the time to build the top-level parser with every command, which any
   call that does not name a command first (``-h``, say) pays;
 * the time to build the parser with that command alone, which a call
-  naming it pays;
-* the wall time of ``cli.main`` running the command on a 2-vertex walk
-  (for ``compile``, on a 1-qubit X circuit, which compiles to one), with
-  stdout captured and the package's caches emptied before each call, as
-  a fresh process starts.
+  naming it pays when the plain reader refuses it;
+* the wall time of ``cli.main`` running a plain call of the command on a
+  2-vertex walk (for ``compile``, on a 1-qubit X circuit, which compiles
+  to one), which ``cli._plain_namespace`` reads without a parser;
+* the wall time of ``cli.main`` running the same command from a call the
+  plain reader refuses (an abbreviated option, or ``--`` before the
+  positionals), which goes through the command's own parser.
 
-Each sample times one call on its own clock reading. The file has no
-``test_`` prefix, so pytest does not collect it.
+Both ``main`` timings capture stdout and empty the package's caches
+before each call, as a fresh process starts. Each sample times one call
+on its own clock reading. The file has no ``test_`` prefix, so pytest
+does not collect it.
 
 Run from the repository root::
 
@@ -48,6 +52,16 @@ ARGVS = {
     "stats": ["stats", "w.json"],
 }
 
+# the same calls in spellings the plain reader refuses
+REFUSED_ARGVS = {
+    "simulate": ["simulate", "w.json", "--st", "0"],
+    "unitary": ["unitary", "--", "w.json"],
+    "optimize": ["optimize", "w.json", "--out", "o.json"],
+    "compile": ["compile", "c.json", "--out", "o.json"],
+    "equiv": ["equiv", "--", "w.json", "w.json"],
+    "stats": ["stats", "--", "w.json"],
+}
+
 
 def package_caches() -> list:
     """Every lru_cache in the package, emptied before each call of main."""
@@ -71,6 +85,20 @@ def median_ms(call, samples: int, before=None) -> float:
     return statistics.median(times) * 1e3
 
 
+def calling(args):
+    """A call of cli.main(args) with stdout captured, which fails unless main returns 0."""
+    out = io.StringIO()
+
+    def call() -> None:
+        with contextlib.redirect_stdout(out):
+            if cli.main(args) != 0:
+                raise SystemExit(f"{' '.join(args)} failed:\n{out.getvalue()}")
+        out.seek(0)
+        out.truncate()
+
+    return call
+
+
 def main(argv) -> None:
     samples = int(argv[0]) if argv else 1000
     caches = package_caches()
@@ -90,19 +118,10 @@ def main(argv) -> None:
         for command, args in ARGVS.items():
             every = median_ms(cli._build_parser, samples)
             alone = median_ms(lambda: cli._build_parser(command), samples)
-            out = io.StringIO()
-
-            def call() -> None:
-                with contextlib.redirect_stdout(out):
-                    if cli.main(args) != 0:
-                        raise SystemExit(f"{' '.join(args)} failed:\n{out.getvalue()}")
-                out.seek(0)
-                out.truncate()
-
-            wall = median_ms(call, samples, before=clear)
+            plain, refused = (median_ms(calling(argv), samples, before=clear) for argv in (args, REFUSED_ARGVS[command]))
             print(
-                f"{command}: every-command parser {every:.3f} ms,"
-                f" {command} parser {alone:.3f} ms, main {wall:.3f} ms",
+                f"{command}: every-command parser {every:.3f} ms, {command} parser {alone:.3f} ms,"
+                f" main {plain:.3f} ms, main through argparse {refused:.3f} ms",
                 flush=True,
             )
 

@@ -1,6 +1,7 @@
 """End-to-end command tests driving main() with real files."""
 
 import argparse
+import contextlib
 import io
 import json
 import os
@@ -12,6 +13,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dynwalk.cli as cli
 from dynwalk.cli import main
@@ -204,6 +207,17 @@ def test_simulate_prints_the_reference_bytes_for_an_amplitude_file(tmp_path, cap
         assert "  4.94065645841e-324-0i\n" in out and "  1e+300-4.94065645841e-324i\n" in out
         # the squared modulus of 1e300 overflows, but the norm does not
         assert out.endswith("\nnorm 1e+300 (deviation 1.000e+300)\n")
+
+
+@pytest.mark.parametrize("q", range(1, 13))
+def test_basis_labels_are_the_formatted_bits(q):
+    n = 2**q
+    assert cli._basis_labels(n) == [format(index, f"0{q}b") for index in range(n)]
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 5, 6, 7, 12, 100, 513])
+def test_basis_labels_of_other_sizes_are_indices(n):
+    assert cli._basis_labels(n) == [str(index) for index in range(n)]
 
 
 @pytest.mark.parametrize(
@@ -794,6 +808,19 @@ PARSER_TEXT_ARGVS = [
     ["equiv", "--", "a", "b"],
     ["--", "stats", "x"],
     ["stats", "x", "--", "y"],
+    # refused by the plain reader, so argparse reads them
+    ["optimize", "w.json", "--output=o.json"],
+    ["optimize", "w.json", "-oo.json"],
+    ["optimize", "w.json", "-o"],
+    ["compile", "c.json", "-o", "-x"],
+    ["compile", "c.json", "-o", "o.json", "--par"],
+    ["stats", "w.json", "w.json"],
+    ["optimize", "w.json", "-o", "o.json", "--max-iter", "-1"],
+    ["optimize", "w.json", "-o", "o.json", "--max-iter", ""],
+    ["simulate", "w.json", "--state", "-5"],
+    ["stats", "-"],
+    ["stats", "-5"],
+    ["stats", "--", "w.json"],
 ]
 
 
@@ -834,18 +861,26 @@ def count_subparsers(monkeypatch):
     return names
 
 
-def test_a_named_command_builds_its_subparser_alone(tmp_path, capsys, monkeypatch):
+def test_a_plain_call_builds_no_subparser(tmp_path, capsys, monkeypatch):
     names = count_subparsers(monkeypatch)
     assert main(["stats", str(tmp_path / "absent.json")]) == 2
-    assert names == ["stats"]
+    assert names == []
 
 
-def test_main_reads_the_command_from_sys_argv_and_builds_it_alone(tmp_path, capsys, monkeypatch):
+def test_main_reads_the_command_from_sys_argv_and_builds_no_subparser(tmp_path, capsys, monkeypatch):
     names = count_subparsers(monkeypatch)
     monkeypatch.setattr(sys, "argv", ["dynwalk", "stats", str(tmp_path / "absent.json")])
     assert main() == 2
-    assert names == ["stats"]
+    assert names == []
     assert "absent.json" in capsys.readouterr().err
+
+
+def test_a_refused_call_builds_its_command_alone(capsys, monkeypatch):
+    names = count_subparsers(monkeypatch)
+    with pytest.raises(SystemExit) as stop:
+        main(["stats"])
+    assert stop.value.code == 2
+    assert names == ["stats"]
 
 
 def test_help_builds_every_subparser(capsys, monkeypatch):
@@ -857,12 +892,84 @@ def test_help_builds_every_subparser(capsys, monkeypatch):
 
 
 def test_each_call_builds_its_own_parser(tmp_path, capsys, monkeypatch):
+    """Two refused calls build one subparser each: no parser is kept between calls."""
     names = count_subparsers(monkeypatch)
-    missing = str(tmp_path / "absent.json")
-    assert main(["stats", missing]) == 2
+    call = ["stats", "--", str(tmp_path / "absent.json")]
+    assert main(call) == 2
     assert names == ["stats"]
-    assert main(["stats", missing]) == 2
+    assert main(call) == 2
     assert names == ["stats", "stats"]
+
+
+def argparse_namespace(argv):
+    """vars() of the namespace the command's parser builds, or None where it errors or leaves words over."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+            args, extras = cli._build_parser(argv[0]).parse_known_args(argv)
+    except SystemExit:
+        return None
+    return None if extras else vars(args)
+
+
+# every word a call may hold: option strings, values, positionals and the
+# spellings only argparse reads
+SPECIAL_WORDS = ["-h", "--help", "--", "--rep", "--output=o.json", "-5", "-", ""]
+VALUE_WORDS = ["w.json", "o.json", "0", "3", "12", "zz", "-1", "", "a b", " 7"]
+
+
+def option_strings(command):
+    return [name for names, _ in cli._COMMANDS[command][1] for name in names if name.startswith("-")]
+
+
+def command_words(command):
+    """Lists of words for the command: option-value pairs and single words, repeats included.
+
+    Half the lists also hold the command's positionals and required options,
+    in any order among the other words, so that many of them are plain calls.
+    """
+    options = option_strings(command) or ["--bogus"]
+    value = st.sampled_from(VALUE_WORDS)
+    word = st.sampled_from(options + VALUE_WORDS + SPECIAL_WORDS)
+    chunks = st.lists(st.one_of(st.tuples(st.sampled_from(options), value), st.tuples(word)), max_size=6)
+    needed = st.tuples(*(
+        st.tuples(st.sampled_from(names), value) if names[0].startswith("-") else st.tuples(value)
+        for names, spec in cli._COMMANDS[command][1]
+        if spec.get("required") or not names[0].startswith("-")
+    ))
+    mixed = st.tuples(needed, chunks).flatmap(lambda parts: st.permutations([*parts[0], *parts[1]]))
+    return st.one_of(chunks, mixed).map(lambda chunks: [w for chunk in chunks for w in chunk])
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_the_plain_reader_builds_the_namespace_argparse_builds(command, data):
+    words = data.draw(command_words(command))
+    plain = cli._plain_namespace(command, words)
+    if plain is not None:
+        assert vars(plain) == argparse_namespace([command, *words])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "w.json", "--state", "0101"],
+        ["unitary", "w.json", "--csv", "u.csv"],
+        ["optimize", "w.json", "-o", "o.json", "--report", "r.json"],
+        ["optimize", "--max-iter", "3", "w.json", "--output", "a.json", "--passes", "x", "-o", "o.json"],
+        ["compile", "c.json", "-o", "o.json"],
+        ["compile", "--parallel-h", "-o", "o.json", "c.json", "--parallel-h"],
+        ["equiv", "a.json", "b.json"],
+        ["stats", ""],
+    ],
+    ids=" ".join,
+)
+def test_the_plain_reader_reads_every_plain_call(argv):
+    plain = cli._plain_namespace(argv[0], argv[1:])
+    assert plain is not None
+    assert vars(plain) == argparse_namespace(argv)
+    assert plain.func is getattr(cli, f"cmd_{argv[0]}")
 
 
 def test_main_calls_the_handler_bound_when_it_runs(tmp_path, capsys, monkeypatch):

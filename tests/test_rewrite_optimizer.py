@@ -12,6 +12,7 @@ phase-invariant distance, the same check the driver itself performs.
 import gc
 import importlib
 import itertools
+import math
 import pkgutil
 import random
 import weakref
@@ -745,6 +746,70 @@ def test_cached_permutation_rebuilds_loops_only_steps(seed):
         rebuilt[list(flip.perm), range(n)] = [np.exp(-1j * np.pi * turns / flip.den) for turns in flip.turns]
         assert np.abs(rebuilt - step_unitary(step)).max() < 1e-12
         assert flip.bitflip == (len(set(flip.turns)) == 1)
+
+
+def dense_phased_permutation(step):
+    """The classifier as it read the dense step unitary, kept as the reference."""
+    n = step.graph.n_vertices
+    if step.graph.is_loops_only:
+        return ro._phased_permutation(step)
+    u = step_unitary(step)
+    rows = np.abs(u).argmax(axis=0)
+    if len(set(rows.tolist())) != n:
+        return None
+    entries = u[rows, np.arange(n)].tolist()
+    angle_of = {value: ro._phase_angle(value) for value in set(entries)}
+    if None in angle_of.values():
+        return None
+    angles = [angle_of[value] for value in entries]
+    expected = np.zeros_like(u)
+    expected[rows, np.arange(n)] = np.exp(-1j * np.pi * np.array([float(a) for a in angles]))
+    if np.abs(u - expected).max() > ro.VERIFY_TOLERANCE:
+        return None
+    bitflip = len(set(angle_of.values())) == 1 and np.array_equal(rows, np.arange(n) ^ rows[0])
+    den = math.lcm(*(a.denominator for a in angle_of.values()))
+    turns = tuple(a.numerator * (den // a.denominator) for a in angles)
+    return ro.PhasedPermutation(tuple(rows.tolist()), turns, den, bitflip)
+
+
+def random_small_step(rng):
+    """2-8 vertices, random edges and loops, a duration in eighths of pi up to 4pi."""
+    n = rng.randrange(2, 9)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3] or [(0, 1)]
+    looped = [v for v in range(n) if rng.random() < 0.3]
+    return TimedGraph(Graph.make(n, edges=pairs, loops=looped), angle(rng.randrange(1, 33), 8))
+
+
+def wide_permutation_steps():
+    """Matchings and cubes on 128 and 256 vertices at multiples of pi/2, some with loops on idle vertices.
+
+    A matching just off pi/2 has clean unit entries; only the entries off
+    them tell it from a phased permutation.
+    """
+    for n in (128, 256):
+        yield TimedGraph(matching_graph(n, 3), angle(100001, 200000))
+        for quarter in range(1, 9):
+            duration = angle(quarter, 2)
+            yield TimedGraph(matching_graph(n, 1), duration)
+            yield TimedGraph(matching_graph(n, n - 1), duration)
+            for masks in ((1, 2), (1, 4, 16), (2, 8, 32, 64)):
+                edges = [(v, v ^ m) for m in masks for v in range(n) if v < v ^ m]
+                yield TimedGraph(Graph.make(n, edges=edges), duration)
+            yield TimedGraph(Graph.make(n, edges=[(0, 1), (4, 5)], loops=[2, 7, 9]), duration)
+
+
+def test_phased_permutation_reads_as_the_dense_step_does():
+    """The classifier over the cached block exponentials gives the dense reader's verdict on every step."""
+    rng = random.Random(0)
+    small = [random_small_step(rng) for _ in range(600)]
+    wide = list(wide_permutation_steps())
+    steps = [entry.step for entry in catalog.build_catalog()] + small + wide
+    verdicts = [ro._phased_permutation(step) for step in steps]
+    assert verdicts == [dense_phased_permutation(step) for step in steps]
+    for some in (verdicts[-len(wide) - len(small) : -len(wide)], verdicts[-len(wide) :]):
+        assert None in some
+        assert any(verdict is not None and verdict.bitflip for verdict in some)
+        assert any(verdict is not None and not verdict.bitflip for verdict in some)
 
 
 def per_stop_hypercube_sites(walk, index, window=None):
