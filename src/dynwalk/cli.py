@@ -20,16 +20,14 @@ Subcommands:
 
 Every command's help text and arguments are written once, in
 ``_COMMANDS``, and a call reads them afresh; nothing is kept between calls.
-A call that names a command first and then gives only that command's
-positionals and exact option strings, each option but a flag followed by
-a value, none of those words starting with ``-``, is read straight from
-the table (``_plain_namespace``) and builds no parser. Any other call
-naming a command first (help, an abbreviation, ``--opt=value``, ``--``, a
-negative number, a missing or extra argument, a value its type refuses)
-builds the parser with that command alone; any call that does not name
-one (no argument, ``-h``, an unknown name, a leading option) builds it
-with all six, so its usage lists them, and so does the error for
-arguments the command does not take.
+A call takes one of two routes. A call that names a command first and then
+gives only that command's positionals and exact option strings, each
+option but a flag followed by a value, none of those words starting with
+``-``, is read straight from the table (``_plain_namespace``) and builds
+no parser. Any other call (help, an abbreviation, ``--opt=value``, ``--``,
+a negative number, a missing or extra argument, a value its type refuses,
+no command or an unknown one) builds the parser with all six commands and
+parses the call once, so its help, usage and errors are argparse's own.
 
 Exit codes: 0 success, 1 verification or equivalence failure, 2 malformed
 input (bad file, bad JSON, bad flag values).
@@ -347,15 +345,14 @@ _COMMANDS = {
 }
 
 
-def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The top-level parser with every subcommand, or with ``command``'s alone."""
+def _build_parser() -> argparse.ArgumentParser:
+    """The top-level parser with every subcommand, which reads each call the plain reader refuses."""
     parser = argparse.ArgumentParser(
         prog="dynwalk",
         description="Simulate, compile and simplify continuous-time walk programs on dynamic graphs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS if command is None else (command,):
-        help_text, arguments = _COMMANDS[name]
+    for name, (help_text, arguments) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for names, options in arguments:
             p.add_argument(*names, **options)
@@ -414,14 +411,9 @@ def _plain_namespace(command: str, words: Sequence[str]) -> Optional[argparse.Na
 def main(argv: Optional[Sequence[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
-    args = None if command is None else _plain_namespace(command, argv[1:])
+    args = _plain_namespace(argv[0], argv[1:]) if argv and argv[0] in _COMMANDS else None
     if args is None:
-        args, extras = _build_parser(command).parse_known_args(argv)
-        if extras:
-            # argparse reports unrecognized arguments with the top-level
-            # usage, which lists every command
-            args = _build_parser().parse_args(argv)
+        args = _build_parser().parse_args(argv)
     try:
         result: CommandResult = args.func(args)
     except CliInputError as err:

@@ -299,14 +299,16 @@ def _phased_permutation(step: TimedGraph) -> Optional[PhasedPermutation]:
     other step is read from its block exponentials in the factor cache
     that ``run_distance`` and ``prefix_unitaries`` share, without forming
     the n x n step: each column's largest entry down its block fixes its
-    row and, through _phase_angle, its angle, which depends on the entry's
-    value alone and is read once per distinct value; a looped singleton's
-    entry is the step's phase and an idle vertex's is 1. The residual is
-    the largest of each column's distance from its rebuilt entry and of
-    every other entry of the blocks, and must stay under VERIFY_TOLERANCE.
-    These are the entries of the dense step unitary, whose block columns
-    are the exponentials' own and whose other entries are exact zeros, so
-    the verdict is the one the dense step gives. Matchings at multiples of
+    row; a looped singleton's entry is the step's phase and an idle
+    vertex's is 1. The rows must form a permutation, and the residual, the
+    largest of every other entry of the blocks, must stay under
+    VERIFY_TOLERANCE. Each distinct entry value is read once, by
+    _phase_angle, into its angle and then its integer turn; _phase_angle
+    refuses a value farther than VERIFY_TOLERANCE from exp(-i pi angle),
+    which bounds each column's distance from its rebuilt entry. These are
+    the entries of the dense step unitary, whose block columns are the
+    exponentials' own and whose other entries are exact zeros, so the
+    verdict is the one the dense step gives. Matchings at multiples of
     pi/2 pass, among others, at denominators up to PHASE_DENOMINATOR_LIMIT.
     """
     n = step.graph.n_vertices
@@ -327,20 +329,16 @@ def _phased_permutation(step: TimedGraph) -> Optional[PhasedPermutation]:
         values[members] = exponential[stack, top, column]
         size[stack, top, column] = 0.0
         residual = max(residual, float(size.max()))
-    if len(set(rows.tolist())) != n:
+    if residual > VERIFY_TOLERANCE or len(set(rows.tolist())) != n:
         return None
     entries = values.tolist()
     angle_of = {value: _phase_angle(value) for value in set(entries)}
     if None in angle_of.values():
         return None
-    angles = [angle_of[value] for value in entries]
-    expected = np.exp(-1j * math.pi * np.array([float(a) for a in angles]))
-    if max(residual, np.abs(values - expected).max()) > VERIFY_TOLERANCE:
-        return None
     bitflip = len(set(angle_of.values())) == 1 and np.array_equal(rows, np.arange(n) ^ rows[0])
     den = math.lcm(*(a.denominator for a in angle_of.values()))
-    turns = tuple(a.numerator * (den // a.denominator) for a in angles)
-    return PhasedPermutation(tuple(rows.tolist()), turns, den, bitflip)
+    turn_of = {value: a.numerator * (den // a.denominator) for value, a in angle_of.items()}
+    return PhasedPermutation(tuple(rows.tolist()), tuple(map(turn_of.__getitem__, entries)), den, bitflip)
 
 
 def _span_time(steps: Sequence[TimedGraph], minus: Sequence[TimedGraph] = ()) -> Fraction:

@@ -1,18 +1,16 @@
-"""Time the fixed cost of one ``dynwalk`` call: building its parser, and the whole call.
+"""Time the fixed cost of one ``dynwalk`` call: building the parser, and the whole call.
 
-For each of the six commands the script prints one line with four
+For each of the six commands the script prints one line with three
 medians over the samples:
 
 * the time to build the top-level parser with every command, which any
-  call that does not name a command first (``-h``, say) pays;
-* the time to build the parser with that command alone, which a call
-  naming it pays when the plain reader refuses it;
+  call the plain reader refuses pays;
 * the wall time of ``cli.main`` running a plain call of the command on a
   2-vertex walk (for ``compile``, on a 1-qubit X circuit, which compiles
   to one), which ``cli._plain_namespace`` reads without a parser;
 * the wall time of ``cli.main`` running the same command from a call the
   plain reader refuses (an abbreviated option, or ``--`` before the
-  positionals), which goes through the command's own parser.
+  positionals), which goes through the all-command parser.
 
 Both ``main`` timings capture stdout and empty the package's caches
 before each call, as a fresh process starts. Each sample times one call
@@ -117,10 +115,9 @@ def main(argv) -> None:
         print(f"dynwalk from {os.path.dirname(dynwalk.__file__)}, median of {samples} samples")
         for command, args in ARGVS.items():
             every = median_ms(cli._build_parser, samples)
-            alone = median_ms(lambda: cli._build_parser(command), samples)
             plain, refused = (median_ms(calling(argv), samples, before=clear) for argv in (args, REFUSED_ARGVS[command]))
             print(
-                f"{command}: every-command parser {every:.3f} ms, {command} parser {alone:.3f} ms,"
+                f"{command}: every-command parser {every:.3f} ms,"
                 f" main {plain:.3f} ms, main through argparse {refused:.3f} ms",
                 flush=True,
             )
