@@ -3,16 +3,21 @@
 Every gate in the catalog becomes a short sequence of timed graphs on the
 2^n basis-state vertices, exact up to (at most) a global phase:
 
-* bit flips ride full matchings: pairing every v with v XOR mask for a
-  quarter period gives -i X_mask, and a 3pi/2 all-loops step retires the -i;
-* diagonal gates ride loop sets: loops on the bit-set vertices for duration
-  d multiply them by exp(-i d), so a phase of exp(i theta) costs 2pi - theta;
-* controlled flips restrict the matching to the control-set half and pay
-  the -i back with loops on that same half;
-* Hadamards ride a sub-hypercube walk between two identical loop
-  staircases. The staircase phases depend only on the Hamming weight on the
-  target bits, and the bracket equals H on each target qubit exactly, times
-  the global phase exp(-2i beta).
+* bit flips ride matchings built by one pair builder, which pairs each v
+  holding every control bit with v XOR mask: a quarter period on the pairs
+  gives -i X_mask on them, and loops on the same control-set vertices for
+  3pi/2 pay the -i back. X is CNOT without a control bit, so its matching
+  is perfect and its loops cover every vertex. Y keeps X's matching and
+  pays with loops on the target-set half for pi instead, which leaves Y
+  with no phase;
+* diagonal gates ride loop sets, built by one loop-set builder for every
+  vertex holding some bits: loops on the bit-set vertices for duration d
+  multiply them by exp(-i d), so a phase of exp(i theta) costs 2pi - theta;
+* Hadamards ride a sub-hypercube walk, the pair builder's matchings for
+  each target bit, between two identical loop staircases. The staircase
+  phases depend only on the Hamming weight on the target bits, and the
+  bracket equals H on each target qubit exactly, times the global phase
+  exp(-2i beta).
 
 Qubit 0 is the leftmost wire, i.e. the most significant bit of a vertex
 index. Composition order matches program order: later gates multiply on
@@ -160,21 +165,34 @@ def bit_value(qubit: int, n_qubits: int) -> int:
     return 1 << (n_qubits - 1 - qubit)
 
 
+def _pairs(n_vertices: int, mask: int, control: int = 0) -> List[Tuple[int, int]]:
+    """The pairs (v, v XOR mask) of the v holding every control bit and lacking the mask's top bit.
+
+    Lacking that bit is what makes v the smaller vertex of its pair.
+    """
+    heads = control | (1 << (mask.bit_length() - 1))
+    return [(v, v ^ mask) for v in range(n_vertices) if (v & heads) == control]
+
+
+def _loops(n_vertices: int, bits: int) -> Graph:
+    """Loops on every vertex holding all of ``bits``; every vertex for 0."""
+    return Graph(n_vertices, loops=frozenset([v for v in range(n_vertices) if (v & bits) == bits]))
+
+
 def matching_graph(n_vertices: int, flip_mask: int) -> Graph:
     """Perfect matching pairing every vertex v with v XOR flip_mask."""
     if not (0 < flip_mask < n_vertices):
         raise ValueError(f"flip mask {flip_mask} out of range")
-    edges = {(v, v ^ flip_mask) for v in range(n_vertices) if v < v ^ flip_mask}
-    return Graph.make(n_vertices, edges)
+    return Graph(n_vertices, frozenset(_pairs(n_vertices, flip_mask)))
 
 
 def all_loops_graph(n_vertices: int) -> Graph:
-    return Graph.make(n_vertices, loops=range(n_vertices))
+    return _loops(n_vertices, 0)
 
 
 def bit_set_loops_graph(n_vertices: int, bit_mask: int) -> Graph:
-    """Loops on every vertex whose index has bit_mask set."""
-    return Graph.make(n_vertices, loops=(v for v in range(n_vertices) if v & bit_mask))
+    """Loops on every vertex whose index holds any bit of bit_mask."""
+    return Graph(n_vertices, loops=frozenset([v for v in range(n_vertices) if v & bit_mask]))
 
 
 def schedule_phases(phases: Mapping[int, Fraction], n_vertices: int) -> Tuple[TimedGraph, ...]:
@@ -239,54 +257,31 @@ def compile_hadamard_layer(targets: Iterable[int], n_qubits: int) -> DynamicGrap
     level = [(beta - Fraction(h, 2)) % 2 for h in range(k + 1)]
     stair = schedule_phases({v: level[(v & union).bit_count()] for v in range(n)}, n)
 
-    edges = {(v, v ^ mask) for mask in masks for v in range(n) if v < v ^ mask}
-    walk = TimedGraph(Graph.make(n, edges), Fraction(k, 4))
+    edges = frozenset([pair for mask in masks for pair in _pairs(n, mask)])
+    walk = TimedGraph(Graph(n, edges), Fraction(k, 4))
     return DynamicGraph(n, stair + (walk,) + stair)
 
 
-def _single_qubit_steps(gate: Gate, n_qubits: int) -> Tuple[TimedGraph, ...]:
+def _gate_steps(gate: Gate, n_qubits: int) -> Tuple[TimedGraph, ...]:
+    if gate.kind in ("H", "HLAYER"):
+        return compile_hadamard_layer(_gate_qubits(gate), n_qubits).steps
     n = 2 ** n_qubits
     mask = bit_value(gate.target, n_qubits)  # type: ignore[arg-type]
-    if gate.kind == "X":
-        return (
-            TimedGraph(matching_graph(n, mask), _HALF),
-            TimedGraph(all_loops_graph(n), _THREE_HALVES),
-        )
-    if gate.kind == "Y":
-        # loops pi after the matching: diag(1,-1) . (-i X) = Y with no phase
-        return (
-            TimedGraph(matching_graph(n, mask), _HALF),
-            TimedGraph(bit_set_loops_graph(n, mask), _PI),
-        )
+    if gate.kind in ("X", "Y", "CNOT"):
+        control = 0 if gate.control is None else bit_value(gate.control, n_qubits)
+        matching = TimedGraph(Graph(n, frozenset(_pairs(n, mask, control))), _HALF)
+        if gate.kind == "Y":
+            # loops pi after the matching: diag(1,-1) . (-i X) = Y with no phase
+            return (matching, TimedGraph(_loops(n, mask), _PI))
+        # X is CNOT with no control bit: -i X on the control-set pairs, then
+        # loops on the same vertices for 3pi/2 retire the -i
+        return (matching, TimedGraph(_loops(n, control), _THREE_HALVES))
     if gate.kind == "PHASE":
         if gate.theta == 0:
             return ()
         # theta lies in (0, 2), so 2 - theta needs no reduction
-        return (TimedGraph(bit_set_loops_graph(n, mask), 2 - gate.theta),)  # type: ignore[operator]
-    if gate.kind in _LOOP_PHASES:
-        return (TimedGraph(bit_set_loops_graph(n, mask), _LOOP_PHASES[gate.kind]),)
-    raise AssertionError(f"not a single-qubit catalog gate: {gate.kind}")
-
-
-def _gate_steps(gate: Gate, n_qubits: int) -> Tuple[TimedGraph, ...]:
-    n = 2 ** n_qubits
-    if gate.kind == "H":
-        return compile_hadamard_layer((gate.target,), n_qubits).steps
-    if gate.kind == "HLAYER":
-        return compile_hadamard_layer(gate.targets or (), n_qubits).steps
-    if gate.kind == "CNOT":
-        control_mask = bit_value(gate.control, n_qubits)  # type: ignore[arg-type]
-        target_mask = bit_value(gate.target, n_qubits)  # type: ignore[arg-type]
-        edges = {
-            (v, v ^ target_mask)
-            for v in range(n)
-            if v & control_mask and v < v ^ target_mask
-        }
-        return (
-            TimedGraph(Graph.make(n, edges), _HALF),
-            TimedGraph(bit_set_loops_graph(n, control_mask), _THREE_HALVES),
-        )
-    return _single_qubit_steps(gate, n_qubits)
+        return (TimedGraph(_loops(n, mask), 2 - gate.theta),)  # type: ignore[operator]
+    return (TimedGraph(_loops(n, mask), _LOOP_PHASES[gate.kind]),)
 
 
 def compile_gate(gate: Gate, n_qubits: int) -> DynamicGraph:
@@ -354,7 +349,7 @@ def _apply_gate(gate: Gate, n_qubits: int, rows: np.ndarray, adjoint: bool = Fal
         else:
             _swap(view[:, 0, :, 1], view[:, 1, :, 1])
         return
-    for qubit in gate.targets if gate.kind == "HLAYER" else (gate.target,):  # type: ignore[union-attr]
+    for qubit in _gate_qubits(gate):
         view = rows.reshape(2**qubit, 2, -1)  # type: ignore[operator]
         zero, one = view[:, 0], view[:, 1]
         if gate.kind == "X":
@@ -406,11 +401,12 @@ def mixing_pairs(circuit: Circuit) -> List[np.ndarray]:
 
     X, Y and H mix every v with v XOR their qubit's mask, HLAYER does so
     for each target, CNOT only for the v with the control bit set, and the
-    diagonal gates mix nothing. There is one array per distinct (control,
-    mask), in order of first use, holding each pair once, smaller vertex
-    first. A product laid out over components that join these pairs stays
-    in that layout under every gate of the circuit; see
-    ``walk_engine.laid_out_unitary``.
+    diagonal gates mix nothing. There is one integer array per distinct
+    (control, mask), in order of first use, holding the compiler's pair
+    builder's pairs: each pair once, smaller vertex first, in ascending
+    order of the smaller vertex. A product laid out over components that
+    join these pairs stays in that layout under every gate of the circuit;
+    see ``walk_engine.laid_out_unitary``.
     """
     n_qubits = circuit.n_qubits
     keys: Dict[Tuple[int, int], None] = {}
@@ -418,14 +414,9 @@ def mixing_pairs(circuit: Circuit) -> List[np.ndarray]:
         if gate.kind == "CNOT":
             keys[bit_value(gate.control, n_qubits), bit_value(gate.target, n_qubits)] = None  # type: ignore[arg-type]
         elif gate.kind in ("X", "Y", "H", "HLAYER"):
-            for qubit in gate.targets if gate.kind == "HLAYER" else (gate.target,):  # type: ignore[union-attr]
-                keys[0, bit_value(qubit, n_qubits)] = None  # type: ignore[arg-type]
-    vertices = np.arange(circuit.n_vertices)
-    pairs = []
-    for control, mask in keys:
-        heads = vertices[(vertices & (control | mask)) == control]
-        pairs.append(np.stack((heads, heads | mask), axis=1))
-    return pairs
+            for qubit in _gate_qubits(gate):
+                keys[0, bit_value(qubit, n_qubits)] = None
+    return [np.array(_pairs(circuit.n_vertices, mask, control)) for control, mask in keys]
 
 
 def circuit_distance(circuit: Circuit, blocks: Iterable[Tuple[np.ndarray, np.ndarray]]) -> float:

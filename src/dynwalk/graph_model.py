@@ -155,6 +155,8 @@ class Graph:
         return frozenset(chain.from_iterable(self.edges))
 
     def __post_init__(self) -> None:
+        if type(self.n_vertices) is not int:
+            raise TypeError(f"vertex count must be an int, got {self.n_vertices!r}")
         if self.n_vertices < 0:
             raise ValueError("negative vertex count")
         for pair in self.edges:
@@ -237,6 +239,8 @@ class DynamicGraph:
     steps: Tuple[TimedGraph, ...]
 
     def __post_init__(self) -> None:
+        if type(self.n_vertices) is not int:
+            raise TypeError(f"vertex count must be an int, got {self.n_vertices!r}")
         object.__setattr__(self, "steps", tuple(self.steps))
         for index, step in enumerate(self.steps):
             if step.graph.n_vertices != self.n_vertices:

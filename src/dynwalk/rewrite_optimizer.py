@@ -440,7 +440,7 @@ def _fold(n: int, forms: Sequence[Optional[PhasedPermutation]]) -> StepsVerdict:
     pairs = [(column, row) for column, row in enumerate(perm) if column < row]
     replacement: Tuple[TimedGraph, ...] = ()
     if pairs:
-        replacement = (TimedGraph(Graph.make(n, pairs), Fraction(1, 2)),)
+        replacement = (TimedGraph(Graph(n, frozenset(pairs)), Fraction(1, 2)),)
     return replacement + schedule_phases({row: Fraction(r, den) for row, r in enumerate(residues)}, n)
 
 

@@ -1,6 +1,8 @@
 """Circuit-to-walk compilation checked against dense gate references."""
 
+import itertools
 import json
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynwalk.gate_compiler import (
+    GATE_KINDS,
     MAX_QUBITS,
     _apply_gate,
     Circuit,
@@ -74,6 +77,15 @@ def test_matching_graph_pairs_by_xor():
         matching_graph(4, 4)
     with pytest.raises(ValueError):
         matching_graph(4, 0)
+    for n in range(2, 65):
+        for mask in range(1, n):
+            pairs = {(v, v ^ mask) for v in range(n) if v < v ^ mask}
+            if max(b for _, b in pairs) < n:
+                assert matching_graph(n, mask) == Graph(n, frozenset(pairs))
+            else:
+                # the pairing runs past the last vertex, which no Graph holds
+                with pytest.raises(ValueError, match="out of range"):
+                    matching_graph(n, mask)
 
 
 def test_loop_builders():
@@ -366,6 +378,58 @@ def test_hlayer_compiles_exactly():
     assert np.abs(compiled - circuit_unitary(Circuit(3, (gate,)))).max() < 1e-11
 
 
+def xor_matching(n, mask, control=0):
+    """The matching on (v, v XOR mask) for the v with every control bit set, from a set comprehension."""
+    return Graph.make(n, {(v, v ^ mask) for v in range(n) if v & control == control and v < v ^ mask})
+
+
+def reference_steps(gate, n_qubits):
+    """A gate's compiled steps, rebuilt from edge and loop comprehensions."""
+    n = 2**n_qubits
+    if gate.kind in ("H", "HLAYER"):
+        masks = [bit_value(q, n_qubits) for q in sorted(gate.targets or (gate.target,))]
+        k, union = len(masks), sum(masks)
+        beta = angle(k, 2) if k < 3 else angle(0)
+        stair = schedule_phases({v: (beta - angle((v & union).bit_count(), 2)) % 2 for v in range(n)}, n)
+        edges = {(v, v ^ m) for m in masks for v in range(n) if v < v ^ m}
+        return stair + (TimedGraph(Graph.make(n, edges), angle(k, 4)),) + stair
+    mask = bit_value(gate.target, n_qubits)
+    bit_set = Graph.make(n, loops=(v for v in range(n) if v & mask))
+    if gate.kind == "X":
+        every_vertex = Graph.make(n, loops=range(n))
+        return (TimedGraph(xor_matching(n, mask), angle(1, 2)), TimedGraph(every_vertex, angle(3, 2)))
+    if gate.kind == "Y":
+        return (TimedGraph(xor_matching(n, mask), angle(1, 2)), TimedGraph(bit_set, angle(1)))
+    if gate.kind == "CNOT":
+        control = bit_value(gate.control, n_qubits)
+        controlled = Graph.make(n, loops=(v for v in range(n) if v & control))
+        return (TimedGraph(xor_matching(n, mask, control), angle(1, 2)), TimedGraph(controlled, angle(3, 2)))
+    if gate.kind == "PHASE":
+        return (TimedGraph(bit_set, 2 - gate.theta),) if gate.theta else ()
+    return (TimedGraph(bit_set, {"Z": angle(1), "S": angle(3, 2), "T": angle(7, 4)}[gate.kind]),)
+
+
+def gates_of_kind(kind, n_qubits):
+    qubits = range(n_qubits)
+    if kind == "HLAYER":
+        return [Gate(kind, targets=t) for k in qubits for t in itertools.combinations(qubits, k + 1)]
+    if kind == "CNOT":
+        return [Gate(kind, control=c, target=t) for c in qubits for t in qubits if c != t]
+    if kind == "PHASE":
+        thetas = (angle(0), angle(1, 4), angle(1), angle(7, 4))
+        return [Gate(kind, target=t, theta=theta) for t in qubits for theta in thetas]
+    return [Gate(kind, target=t) for t in qubits]
+
+
+@pytest.mark.parametrize("n_qubits", range(1, 7))
+@pytest.mark.parametrize("kind", GATE_KINDS)
+def test_compiled_gates_hold_the_comprehensions_graphs(kind, n_qubits):
+    gates = gates_of_kind(kind, n_qubits)
+    assert gates or (kind, n_qubits) == ("CNOT", 1)
+    for gate in gates:
+        assert compile_gate(gate, n_qubits).steps == reference_steps(gate, n_qubits)
+
+
 # -- whole circuits ------------------------------------------------------------
 
 
@@ -528,6 +592,38 @@ def test_mixing_pairs_follow_the_gates():
     ]
     assert mixing_pairs(Circuit(2, (Gate("T", target=0), Gate("S", target=1)))) == []
 
+    def numpy_pairs(n, keys):
+        """Each (control, mask)'s pairs from a numpy mask over all vertices and a stack."""
+        vertices = np.arange(n)
+        heads = [vertices[(vertices & (control | mask)) == control] for control, mask in keys]
+        return [np.stack((h, h | mask), axis=1) for h, (_, mask) in zip(heads, keys)]
+
+    wide = Circuit(
+        6,
+        (
+            Gate("CNOT", control=5, target=0),
+            Gate("H", target=3),
+            Gate("T", target=2),
+            Gate("Y", target=5),
+            Gate("CNOT", control=0, target=5),
+            Gate("HLAYER", targets=(4, 3, 1)),
+            Gate("X", target=5),
+            Gate("CNOT", control=5, target=0),
+        ),
+    )
+    cases = [
+        (circuit, [(0, 1), (4, 2), (0, 2)]),
+        (wide, [(1, 32), (0, 4), (0, 1), (32, 1), (0, 2), (0, 16)]),
+    ]
+    for case, keys in cases:
+        expected = numpy_pairs(case.n_vertices, keys)
+        got = mixing_pairs(case)
+        assert len(got) == len(expected)
+        for array, reference in zip(got, expected):
+            assert array.dtype == reference.dtype
+            assert array.shape == reference.shape
+            assert np.array_equal(array, reference)
+
 
 def test_gates_refuse_rows_that_are_not_c_contiguous():
     gate = Gate("H", target=0)
@@ -555,6 +651,22 @@ def test_undo_circuit_refuses_a_product_of_the_wrong_size():
         with pytest.raises(ValueError, match="expected"):
             circuit_distance(flip, [(np.eye(4), product)])
         assert np.array_equal(product, before)
+
+
+def test_the_width_ladder_script_runs_its_smallest_rungs(capsys):
+    """tests/width_ladder.py still runs against mixing_pairs and the walk engine's factor cache."""
+    import width_ladder
+
+    width_ladder.main(["3"])
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2
+    assert "6 graphs at 3π" in lines[1]
+    width_ladder.main(["--check-only", "4"])
+    check_lines = capsys.readouterr().out.splitlines()
+    assert len(check_lines) == 4
+    distances = re.findall(r"phase distance ([^,;\s]+)", "\n".join(lines + check_lines))
+    assert len(distances) == 7
+    assert all(float(distance) < 1e-9 for distance in distances)
 
 
 def test_the_compile_check_allocates_less_than_one_unitary():

@@ -123,6 +123,14 @@ def test_graph_rejects_out_of_range():
         Graph.make(2, loops=[2])
 
 
+@pytest.mark.parametrize("count", [2.5, 2.0, True, False])
+def test_vertex_counts_must_be_ints(count):
+    with pytest.raises(TypeError, match="vertex count must be an int"):
+        Graph(count)
+    with pytest.raises(TypeError, match="vertex count must be an int"):
+        DynamicGraph(count, ())
+
+
 def test_graph_predicates():
     assert Graph.make(3).is_empty
     assert Graph.make(3, loops=[1]).is_loops_only
