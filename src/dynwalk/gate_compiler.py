@@ -42,6 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 import numpy as np
@@ -52,12 +53,12 @@ from .graph_model import (
     Graph,
     ParseError,
     TimedGraph,
+    _angle_text,
     _decode_json,
     _expect_int,
     _expect_keys,
     _fail,
     _parse_time,
-    format_angle,
     radians,
 )
 from .numerics import overlap_distance
@@ -86,11 +87,9 @@ GATE_KINDS = ("X", "Y", "Z", "S", "T", "PHASE", "H", "CNOT", "HLAYER")
 # a circuit on n qubits compiles to a walk on 2^n vertices
 MAX_QUBITS = MAX_VERTICES.bit_length() - 1
 
-_HALF = Fraction(1, 2)
-_PI = Fraction(1)
-_THREE_HALVES = Fraction(3, 2)
-# loop durations of the diagonal gates: loops for d multiply by exp(-i d)
-_LOOP_PHASES = {"Z": _PI, "S": _THREE_HALVES, "T": Fraction(7, 4)}
+# loop durations of the diagonal gates, as (numerator, denominator) of pi:
+# loops for d multiply by exp(-i d)
+_LOOP_PHASES = {"Z": (1, 1), "S": (3, 2), "T": (7, 4)}
 
 
 @dataclass(frozen=True)
@@ -180,10 +179,17 @@ def _loops(n_vertices: int, bits: int) -> Graph:
 
 
 def matching_graph(n_vertices: int, flip_mask: int) -> Graph:
-    """Perfect matching pairing every vertex v with v XOR flip_mask."""
+    """Perfect matching pairing every vertex v with v XOR flip_mask.
+
+    The mask must lie in 1..n_vertices - 1, and every pair must lie inside
+    the vertex set, which below a power of two some masks' pairings leave.
+    """
     if not (0 < flip_mask < n_vertices):
         raise ValueError(f"flip mask {flip_mask} out of range")
-    return Graph(n_vertices, frozenset(_pairs(n_vertices, flip_mask)))
+    pairs = _pairs(n_vertices, flip_mask)
+    if any(partner >= n_vertices for _, partner in pairs):
+        raise ValueError(f"flip mask {flip_mask} pairs vertices out of range for {n_vertices} vertices")
+    return Graph(n_vertices, frozenset(pairs))
 
 
 def all_loops_graph(n_vertices: int) -> Graph:
@@ -201,30 +207,45 @@ def schedule_phases(phases: Mapping[int, Fraction], n_vertices: int) -> Tuple[Ti
     Emits one loop graph per distinct nonzero phase, nested by threshold in
     descending order, so the total time equals the largest phase. That is
     optimal: every vertex holding the maximum phase must sit in loop graphs
-    for at least that long. Phases must lie in [0, 2pi); anything else is a
-    caller bug and raises ValueError. The checks read the smallest and
-    largest vertex and each distinct phase once, not every vertex.
-    The Hadamard layers, the phased-permutation folds and the loops-only
-    runs build their staircases here; the optimizer's landing of a phase
-    on a loops-only step builds its at most two steps itself, which
-    measured faster.
+    for at least that long. Phases must be Fractions in [0, 2pi): a float
+    raises TypeError, and anything else is a caller bug and raises
+    ValueError. The phases are put over their common denominator and the
+    staircase is built from those integers (``_staircase``), as the
+    Hadamard layers, the phased-permutation folds and the loops-only runs
+    build theirs; the optimizer's landing of a phase on a loops-only step
+    builds its at most two steps itself, which measured faster.
     """
-    for vertex in (min(phases), max(phases)) if phases else ():
+    for angle in set(phases.values()):
+        if not isinstance(angle, Rational):
+            raise TypeError(f"phase must be a Fraction multiple of pi, got {angle!r}")
+    den = math.lcm(*(angle.denominator for angle in phases.values()))
+    return _staircase({v: angle.numerator * (den // angle.denominator) for v, angle in phases.items()}, den, n_vertices)
+
+
+def _staircase(turns: Mapping[int, int], den: int, n_vertices: int) -> Tuple[TimedGraph, ...]:
+    """schedule_phases of the phases turns[v]/den pi, each turns[v] an integer in [0, 2 den).
+
+    The checks read the smallest and largest vertex and each distinct
+    phase once, not every vertex.
+    """
+    for vertex in (min(turns), max(turns)) if turns else ():
         if not (0 <= vertex < n_vertices):
             raise ValueError(f"vertex {vertex} out of range")
-    at_level: Dict[Fraction, List[int]] = {}
-    for vertex, angle in phases.items():
-        at_level.setdefault(angle, []).append(vertex)
-    for angle, vertices in at_level.items():
-        if not 0 <= angle < 2:
-            raise ValueError(f"phase {format_angle(angle)} for vertex {vertices[0]} not in [0, 2pi)")
+    at_level: Dict[int, List[int]] = {}
+    for vertex, turn in turns.items():
+        at_level.setdefault(turn, []).append(vertex)
+    for turn, vertices in at_level.items():
+        if not 0 <= turn < 2 * den:
+            common = math.gcd(turn, den)
+            text = _angle_text(turn // common, den // common)
+            raise ValueError(f"phase {text} for vertex {vertices[0]} not in [0, 2pi)")
     thresholds = sorted(filter(None, at_level), reverse=True)
     steps = []
     loops: Set[int] = set()
     for level, lower in zip(thresholds, thresholds[1:] + [0]):
         # the loops at this level are the vertices whose phase reaches it
         loops.update(at_level[level])
-        steps.append(TimedGraph(Graph(n_vertices, loops=frozenset(loops)), level - lower))
+        steps.append(TimedGraph.of(Graph(n_vertices, loops=frozenset(loops)), level - lower, den))
     return tuple(steps)
 
 
@@ -239,8 +260,8 @@ def compile_hadamard_layer(targets: Iterable[int], n_qubits: int) -> DynamicGrap
     where h counts set target bits. The result is exp(-2i beta) H on the
     targets, exactly. Beta is the quarter-turn multiple with the lowest
     staircase, the smaller one on a tie, computed directly; the k + 1
-    staircase phases are computed once per Hamming weight, and
-    ``schedule_phases`` builds the staircase.
+    staircase phases are computed once per Hamming weight, in halves of
+    pi, and ``_staircase`` builds the staircase from them.
     """
     masks = [bit_value(q, n_qubits) for q in sorted(set(targets))]
     if not masks:
@@ -252,13 +273,13 @@ def compile_hadamard_layer(targets: Iterable[int], n_qubits: int) -> DynamicGrap
     # multiples of 1/2 (of pi), so the highest is at least k/2, which
     # beta = k/2 reaches for k < 3. From k = 3 on they take all four values
     # 0, 1/2, 1 and 3/2 whatever beta is, so every beta reaches 3/2 and the
-    # smallest, 0, wins the tie.
-    beta = Fraction(k, 2) if k < 3 else Fraction(0)
-    level = [(beta - Fraction(h, 2)) % 2 for h in range(k + 1)]
-    stair = schedule_phases({v: level[(v & union).bit_count()] for v in range(n)}, n)
+    # smallest, 0, wins the tie. Beta and the phases are counted in halves.
+    beta = k if k < 3 else 0
+    level = [(beta - h) % 4 for h in range(k + 1)]
+    stair = _staircase({v: level[(v & union).bit_count()] for v in range(n)}, 2, n)
 
     edges = frozenset([pair for mask in masks for pair in _pairs(n, mask)])
-    walk = TimedGraph(Graph(n, edges), Fraction(k, 4))
+    walk = TimedGraph.of(Graph(n, edges), k, 4)
     return DynamicGraph(n, stair + (walk,) + stair)
 
 
@@ -269,19 +290,21 @@ def _gate_steps(gate: Gate, n_qubits: int) -> Tuple[TimedGraph, ...]:
     mask = bit_value(gate.target, n_qubits)  # type: ignore[arg-type]
     if gate.kind in ("X", "Y", "CNOT"):
         control = 0 if gate.control is None else bit_value(gate.control, n_qubits)
-        matching = TimedGraph(Graph(n, frozenset(_pairs(n, mask, control))), _HALF)
+        matching = TimedGraph.of(Graph(n, frozenset(_pairs(n, mask, control))), 1, 2)
         if gate.kind == "Y":
             # loops pi after the matching: diag(1,-1) . (-i X) = Y with no phase
-            return (matching, TimedGraph(_loops(n, mask), _PI))
+            return (matching, TimedGraph.of(_loops(n, mask), 1))
         # X is CNOT with no control bit: -i X on the control-set pairs, then
         # loops on the same vertices for 3pi/2 retire the -i
-        return (matching, TimedGraph(_loops(n, control), _THREE_HALVES))
+        return (matching, TimedGraph.of(_loops(n, control), 3, 2))
     if gate.kind == "PHASE":
-        if gate.theta == 0:
+        theta = gate.theta
+        if theta == 0:
             return ()
         # theta lies in (0, 2), so 2 - theta needs no reduction
-        return (TimedGraph(_loops(n, mask), 2 - gate.theta),)  # type: ignore[operator]
-    return (TimedGraph(_loops(n, mask), _LOOP_PHASES[gate.kind]),)
+        num, den = theta.numerator, theta.denominator  # type: ignore[union-attr]
+        return (TimedGraph.of(_loops(n, mask), 2 * den - num, den),)
+    return (TimedGraph.of(_loops(n, mask), *_LOOP_PHASES[gate.kind]),)
 
 
 def compile_gate(gate: Gate, n_qubits: int) -> DynamicGraph:
@@ -488,7 +511,7 @@ def _parse_gate(obj: object, n_qubits: int, path: str) -> Gate:
         if kind == "CNOT":
             return Gate("CNOT", control=qubit(obj["control"], f"{path}.control"), target=target)
         if kind == "PHASE":
-            return Gate("PHASE", target=target, theta=_parse_time(obj["theta"], f"{path}.theta"))
+            return Gate("PHASE", target=target, theta=Fraction(*_parse_time(obj["theta"], f"{path}.theta")))
         return Gate(kind, target=target)
     except ValueError as err:
         if isinstance(err, ParseError):

@@ -2,12 +2,17 @@
 
 A walk program is a finite sequence of undirected graphs (self-loops
 allowed) on a fixed vertex set, each paired with a duration. Durations,
-periods and gate angles in this package are ``fractions.Fraction``s: the
-exact nonnegative multiple of pi, so ``float(d)`` is that multiple and not
-an angle. ``radians(d)`` converts when a unitary is actually evaluated and
-``format_angle(d)`` prints ``3π/2``. That exactness is what lets the
-rewrite passes cancel full periods and compare costs without accumulating
-float error.
+periods and gate angles are exact nonnegative multiples of pi. Inside the
+package they are integers: a step holds its duration as ``pi_num`` over
+``pi_den`` in lowest terms, and every period, price, residue and merge is
+computed on such integer pairs, so the rewrite passes cancel full periods
+and compare costs exactly without building a ``fractions.Fraction``. At the
+package's edge they are ``Fraction``s: ``TimedGraph`` takes one,
+``TimedGraph.duration``, ``DynamicGraph.total_time``, ``period`` and
+``rationalize`` return one, and ``format_angle`` and ``radians`` read one.
+``float(d)`` of such a ``d`` is the multiple of pi, not an angle;
+``radians(d)`` converts when a unitary is actually evaluated and
+``format_angle(d)`` prints ``3π/2``.
 
 The JSON interchange format mirrors the in-memory model:
 
@@ -42,7 +47,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain
@@ -97,22 +102,31 @@ RATIONAL_TOLERANCE = 1e-9
 
 
 def radians(angle: Fraction) -> float:
-    """The angle in radians, for a multiple of pi held as a Fraction.
+    """The angle in radians, for a multiple of pi held as a Fraction."""
+    return _radians(angle.numerator, angle.denominator)
+
+
+def _radians(num: int, den: int) -> float:
+    """The angle num/den pi in radians.
 
     A numerator or denominator beyond the float range (about 2^1024)
-    overflows on conversion; the float of the whole fraction then stands
-    in, and raises OverflowError only when the angle itself is beyond
-    that range.
+    overflows on conversion; the integers' true quotient then stands in,
+    and raises OverflowError only when the angle itself is beyond that
+    range.
     """
     try:
-        return math.pi * angle.numerator / angle.denominator
+        return math.pi * num / den
     except OverflowError:
-        return math.pi * float(angle)
+        return math.pi * (num / den)
 
 
 def format_angle(angle: Fraction) -> str:
     """The multiple of pi as text: 0, π, π/4, 3π/2."""
-    num, den = angle.numerator, angle.denominator
+    return _angle_text(angle.numerator, angle.denominator)
+
+
+def _angle_text(num: int, den: int) -> str:
+    """format_angle of num/den pi, given in lowest terms."""
     if num == 0:
         return "0"
     head = "π" if num == 1 else f"{num}π"
@@ -204,31 +218,77 @@ class Graph:
         return sorted(self.loops)
 
 
-@dataclass(frozen=True)
 class TimedGraph:
     """One walk step: evolve under graph for an exact duration.
 
-    The duration is a nonnegative Fraction, the multiple of pi the step
-    runs for. The optimizer's caches are keyed on steps, so the hash reads
-    the duration's integer parts rather than paying for
-    ``Fraction.__hash__``, and is kept after its first use, as Graph's is.
+    The duration is a nonnegative multiple of pi, held as the integers
+    ``pi_num`` over ``pi_den`` in lowest terms (``pi_den`` >= 1), so that
+    equal durations compare and hash equal and the package computes on
+    them without ``Fraction`` arithmetic. The constructor takes the
+    duration as a Fraction, and ``duration`` returns it as one, built on
+    each read; ``TimedGraph.of`` builds a step from the two integers. The
+    step is immutable. The optimizer's caches are keyed on steps, so the
+    hash reads the graph and the two integers and is kept after its first
+    use, as Graph's is.
     """
 
-    graph: Graph
-    duration: Fraction
+    __slots__ = ("graph", "pi_num", "pi_den", "_hash")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.duration, Fraction):
-            raise TypeError(f"duration must be a Fraction multiple of pi, got {self.duration!r}")
-        if self.duration.numerator < 0:
-            raise ValueError(f"negative duration {format_angle(self.duration)}")
+    def __init__(self, graph: Graph, duration: Fraction) -> None:
+        if not isinstance(duration, Fraction):
+            raise TypeError(f"duration must be a Fraction multiple of pi, got {duration!r}")
+        if duration.numerator < 0:
+            raise ValueError(f"negative duration {format_angle(duration)}")
+        _fill(self, graph, duration.numerator, duration.denominator)
 
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.graph, self.duration.numerator, self.duration.denominator))
+    @classmethod
+    def of(cls, graph: Graph, pi_num: int, pi_den: int = 1) -> "TimedGraph":
+        """The step of duration pi_num/pi_den pi, which need not be in lowest terms."""
+        if pi_num < 0 or pi_den < 1:
+            raise ValueError(f"duration {pi_num}/{pi_den} is not a nonnegative multiple of pi")
+        common = math.gcd(pi_num, pi_den)
+        step = object.__new__(cls)
+        _fill(step, graph, pi_num // common, pi_den // common)
+        return step
+
+    @property
+    def duration(self) -> Fraction:
+        return Fraction(self.pi_num, self.pi_den)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.pi_num == other.pi_num and self.pi_den == other.pi_den and self.graph == other.graph
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            _set_hash(self, hash((self.graph, self.pi_num, self.pi_den)))
         return self._hash
+
+    def __repr__(self) -> str:
+        return f"TimedGraph(graph={self.graph!r}, duration={self.duration!r})"
+
+    def __reduce__(self):
+        return TimedGraph.of, (self.graph, self.pi_num, self.pi_den)
+
+
+# the slots' own setters, which pass by TimedGraph.__setattr__
+_set_graph, _set_num, _set_den, _set_hash = (TimedGraph.__dict__[slot].__set__ for slot in TimedGraph.__slots__)
+
+
+def _fill(step: TimedGraph, graph: Graph, pi_num: int, pi_den: int) -> None:
+    _set_graph(step, graph)
+    _set_num(step, pi_num)
+    _set_den(step, pi_den)
+    _set_hash(step, None)
 
 
 @dataclass(frozen=True)
@@ -249,7 +309,8 @@ class DynamicGraph:
                 )
 
     def total_time(self) -> Fraction:
-        return sum((step.duration for step in self.steps), Fraction(0))
+        den = math.lcm(*(step.pi_den for step in self.steps))
+        return Fraction(sum(step.pi_num * (den // step.pi_den) for step in self.steps), den)
 
     @property
     def graph_count(self) -> int:
@@ -392,10 +453,31 @@ def supports_disjoint(a: Graph, b: Graph) -> bool:
 
 def rationalize(value: float) -> Optional[Fraction]:
     """Best rational p/q with q <= RATIONAL_DENOMINATOR_LIMIT, or None beyond RATIONAL_TOLERANCE."""
-    guess = Fraction(value).limit_denominator(RATIONAL_DENOMINATOR_LIMIT)
-    if abs(float(guess) - value) < RATIONAL_TOLERANCE:
-        return guess
+    ratio = _small_ratio(value)
+    return None if ratio is None else Fraction(*ratio)
+
+
+def _nearest_ratio(value: float, limit: int) -> Optional[Tuple[int, int]]:
+    """The ratio p/q with q <= limit nearest the value, in lowest terms, if it lies within 1/(2 limit^2).
+
+    Two such ratios lie at least 1/limit^2 apart, so at most one is that
+    close, and it is the nearest of all; a value farther from every ratio
+    gets None. A NaN or infinite value raises, as ``round`` does.
+    """
+    for q in range(1, limit + 1):
+        p = round(value * q)
+        if abs(value - p / q) < 0.5 / (limit * limit):
+            common = math.gcd(p, q)
+            return p // common, q // common
     return None
+
+
+def _small_ratio(value: float) -> Optional[Tuple[int, int]]:
+    """rationalize's ratio as (p, q) in lowest terms, or None."""
+    ratio = _nearest_ratio(value, RATIONAL_DENOMINATOR_LIMIT)
+    if ratio is None or not abs(ratio[0] / ratio[1] - value) < RATIONAL_TOLERANCE:
+        return None
+    return ratio
 
 
 def period(graph: Graph) -> Optional[Fraction]:
@@ -413,8 +495,14 @@ def period(graph: Graph) -> Optional[Fraction]:
     the degenerate period 0: nothing evolves, so every duration reduces
     to 0.
     """
+    cycle = _period(graph)
+    return None if cycle is None else Fraction(*cycle)
+
+
+def _period(graph: Graph) -> Optional[Tuple[int, int]]:
+    """period's value as (p, q) in lowest terms, or None."""
     if graph.is_empty:
-        return Fraction(0)
+        return 0, 1
     spec = spectrum(graph)
     # zero eigenvalues sit still and impose no constraint
     ratios = np.sort(np.abs(spec.eigenvalues()) / spec.norm)
@@ -424,16 +512,17 @@ def period(graph: Graph) -> Optional[Fraction]:
     numerators: set = set()
     denominators: set = set()
     for value in distinct.tolist():
-        ratio = rationalize(value)
+        ratio = _small_ratio(value)
         if ratio is None:
             return None
-        if ratio == 0:
+        if ratio[0] == 0:
             continue
-        numerators.add(ratio.numerator)
-        denominators.add(ratio.denominator)
+        numerators.add(ratio[0])
+        denominators.add(ratio[1])
     lcm_q = math.lcm(*denominators)
     gcd_p = math.gcd(*numerators)
-    return Fraction(2 * lcm_q, gcd_p)
+    common = math.gcd(2 * lcm_q, gcd_p)
+    return 2 * lcm_q // common, gcd_p // common
 
 
 class ParseError(ValueError):
@@ -473,7 +562,8 @@ def _expect_keys(obj: dict, keys: Sequence[str], path: str) -> None:
             _fail(path, f"missing field {key!r}")
 
 
-def _parse_time(obj: object, path: str) -> Fraction:
+def _parse_time(obj: object, path: str) -> Tuple[int, int]:
+    """The time object's multiple of pi as (numerator, denominator) in lowest terms."""
     if not isinstance(obj, dict):
         _fail(path, "expected an object with pi_num and pi_den")
     _expect_keys(obj, ("pi_num", "pi_den"), path)
@@ -483,14 +573,15 @@ def _parse_time(obj: object, path: str) -> Fraction:
         _fail(f"{path}.pi_num", "must be nonnegative")
     if den < 1:
         _fail(f"{path}.pi_den", "denominator must be at least 1")
-    time = Fraction(num, den)
+    common = math.gcd(num, den)
+    num, den = num // common, den // common
     try:
-        finite = math.isfinite(radians(time))
+        finite = math.isfinite(_radians(num, den))
     except OverflowError:
         finite = False
     if not finite:
         _fail(path, "time in radians is not a finite float")
-    return time
+    return num, den
 
 
 def _parse_step(obj: object, n_vertices: int, path: str) -> TimedGraph:
@@ -540,8 +631,8 @@ def _parse_step(obj: object, n_vertices: int, path: str) -> TimedGraph:
             _fail(loop_path, f"vertex out of range 0..{n_vertices - 1}")
         _fail(loop_path, f"duplicate loop {v}")
 
-    duration = _parse_time(obj["time"], f"{path}.time")
-    return TimedGraph(Graph(n_vertices, frozenset(edges), frozenset(loops)), duration)
+    num, den = _parse_time(obj["time"], f"{path}.time")
+    return TimedGraph.of(Graph(n_vertices, frozenset(edges), frozenset(loops)), num, den)
 
 
 def parse_dynamic_graph(text: str) -> DynamicGraph:
@@ -562,8 +653,8 @@ def parse_dynamic_graph(text: str) -> DynamicGraph:
         _parse_step(step, n_vertices, f"sequence[{index}]")
         for index, step in enumerate(raw_sequence)
     )
-    den = math.lcm(*(step.duration.denominator for step in steps))
-    total = sum(step.duration.numerator * (den // step.duration.denominator) for step in steps)
+    den = math.lcm(*(step.pi_den for step in steps))
+    total = sum(step.pi_num * (den // step.pi_den) for step in steps)
     if max(den, total) >= 10**MAX_TIME_DIGITS:
         _fail("sequence", f"the durations need more than {MAX_TIME_DIGITS} digits over a common denominator")
     return DynamicGraph(n_vertices, steps)
@@ -598,7 +689,7 @@ def serialize_dynamic_graph(walk: DynamicGraph) -> str:
         edges = step.graph.sorted_edges()
         loops = step.graph.sorted_loops()
         template = _STEP % (_list_layout(_EDGE, len(edges)), _list_layout(_LOOP, len(loops)))
-        times = (step.duration.numerator, step.duration.denominator)
+        times = (step.pi_num, step.pi_den)
         steps.append(template % (*chain.from_iterable(edges), *loops, *times))
     sequence = "[" + ",".join(steps) + "\n  ]" if steps else "[]"
     return '{\n  "n_vertices": %d,\n  "sequence": %s\n}\n' % (walk.n_vertices, sequence)

@@ -61,20 +61,29 @@ phased-permutation and loops-only runs that reach start (a run's verdict
 reads the step that ends it), and the Hadamard-layer fragments that hold
 part of the window but not all of it. The leftmost best of those is the
 site the full scan of the regular rows would take, whatever the skip
-set. A move that leaves its span as it was is never tried. A site is
-priced in one integer sum over the durations of the span and of its
-replacement (``_gain``), the one price the scan ranks by.
+set. A move that leaves its span as it was is never tried.
 
-Three rows price a site before they build it, each in integers that equal
-``_gain`` of the built site, and build only the sites they can take. The
-loop staircase row prices a run from its per-vertex phase totals and
-builds the staircase (``schedule_phases``) from the same totals. The
+Every duration here is a pair of integers, a step's ``pi_num`` over
+``pi_den`` (see ``graph_model``): periods, phases, merges and residues
+are computed on such pairs and no ``Fraction`` is built until a value
+leaves, as a rewrite record's ``time_saved``, a report time or a note's
+text. A site is priced in one integer sum over the durations of the span,
+read from the walk's prefix times, and of its replacement (``_gain``),
+the one price the scan ranks by: (saved, den, removed), the time saved
+saved/den pi and the graphs removed. (saved, removed) > (0, 0) is a
+strict improvement and (0, 0) a cost-neutral change, whatever den is.
+
+Three rows price a site before they build it, each in integers whose
+value equals ``_gain`` of the built site, and build only the sites they
+can take. The loop staircase row prices a run from its per-vertex phase
+totals and builds the staircase (``gate_compiler._staircase``, the
+integer form of ``schedule_phases``) from the same totals. The
 fold row composes the phased-permutation run from its position once, left
 to right, with integer angle totals over one denominator, and prices each
 prefix that permutes by an involution from those totals: pi/2 and one
 graph for the matching if the prefix moves a vertex, plus the largest
 residue and one graph per distinct nonzero residue for the staircase; it
-folds (``_fold``, and so ``schedule_phases``) only a prefix that strictly
+folds (``_fold``, and so ``_staircase``) only a prefix that strictly
 improves. A singleton move leaves the steps between its source and target
 as they were, so it is priced from those two steps against what stays of
 the source and what landed, and its site is built only when it strictly
@@ -85,10 +94,12 @@ The rescanned walks differ from the current one only where a neutral
 move changed them, so the step-local verdicts are pure functions, and
 one memo (``_Memo``) per ``optimize`` call keeps them, keyed on what they
 read. Every ``ScanFacts`` of the call shares it, and it goes when the
-call returns, so no verdict outlives its run. It keeps the
+call returns, so no verdict outlives its run. Its keys are steps, which
+hash their graph's kept hash and two integers, vertices and phases as
+integer pairs, so a lookup hashes no ``Fraction``. It keeps the
 phased-permutation form of each step (``_phased_permutation``), whose
 angles are integers over one denominator, so that the fold row composes
-runs without ``Fraction`` arithmetic; ``walk_engine.graphs_commute`` per
+runs on integers; ``walk_engine.graphs_commute`` per
 graph pair for the block swaps; the merges of two steps
 (``_merge_identical``, ``_merge_complementary``); what a looped
 singleton carries out of a step (``_singleton_source``, on the source
@@ -119,9 +130,11 @@ phased permutations, of phased bit flips and of loops-only steps, and,
 only once the Hadamard-layer row asks, the prefix products W_0 .. W_count
 from one ``walk_engine.prefix_unitaries`` call. The facts live as long as their
 walk's scans; no module-level state holds them. The enabling search
-derives each candidate's facts from the walk's: the products left of the
-move's window are the walk's, those right of it the walk's up to a global
-phase, which no verdict reads, and only the window's are new, from a
+derives each candidate's facts from the walk's: the move keeps the
+window's time, so only the prefix times inside the window are new; the
+products left of the window are the walk's, those right of it the
+walk's up to a global phase, which no verdict reads, and only the
+window's are new, from a
 ``prefix_unitaries`` call that applies the window's steps to the product
 before it. A phased-permutation form is read from the step's block
 exponentials in ``walk_engine``'s factor cache, with no n x n step
@@ -164,15 +177,16 @@ from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optiona
 
 import numpy as np
 
-from .gate_compiler import Circuit, Gate, bit_value, circuit_distance, compile_hadamard_layer, schedule_phases
+from .gate_compiler import Circuit, Gate, _staircase, bit_value, circuit_distance, compile_hadamard_layer
 from .graph_model import (
     DynamicGraph,
     Graph,
     TimedGraph,
+    _nearest_ratio,
+    _period,
+    _small_ratio,
     format_angle,
-    period,
     radians,
-    rationalize,
     spectrum,
     supports_disjoint,
 )
@@ -313,9 +327,10 @@ def _phased_permutation(step: TimedGraph) -> Optional[PhasedPermutation]:
     """
     n = step.graph.n_vertices
     if step.graph.is_loops_only:
-        phase = step.duration % 2
-        turns = tuple(phase.numerator if v in step.graph.loops else 0 for v in range(n))
-        return PhasedPermutation(tuple(range(n)), turns, phase.denominator, len(set(turns)) == 1)
+        # num mod 2 den shares no factor with den, so the phase is in lowest terms over den
+        phase = step.pi_num % (2 * step.pi_den)
+        turns = tuple(phase if v in step.graph.loops else 0 for v in range(n))
+        return PhasedPermutation(tuple(range(n)), turns, step.pi_den, len(set(turns)) == 1)
     looped, phase, blocks = _cached_factors(step)
     rows = np.arange(n)
     values = np.ones(n, dtype=np.complex128)
@@ -336,49 +351,60 @@ def _phased_permutation(step: TimedGraph) -> Optional[PhasedPermutation]:
     if None in angle_of.values():
         return None
     bitflip = len(set(angle_of.values())) == 1 and np.array_equal(rows, np.arange(n) ^ rows[0])
-    den = math.lcm(*(a.denominator for a in angle_of.values()))
-    turn_of = {value: a.numerator * (den // a.denominator) for value, a in angle_of.items()}
+    den = math.lcm(*(a_den for _, a_den in angle_of.values()))
+    turn_of = {value: a_num * (den // a_den) for value, (a_num, a_den) in angle_of.items()}
     return PhasedPermutation(tuple(rows.tolist()), tuple(map(turn_of.__getitem__, entries)), den, bitflip)
 
 
-def _span_time(steps: Sequence[TimedGraph], minus: Sequence[TimedGraph] = ()) -> Fraction:
-    """Total duration of the steps less that of ``minus``, as integers over one denominator."""
-    durations = [(step.duration.numerator, step.duration.denominator) for step in steps]
-    durations += [(-step.duration.numerator, step.duration.denominator) for step in minus]
-    den = math.lcm(*(d for _, d in durations))
-    return Fraction(sum(n * (den // d) for n, d in durations), den)
+def _span_time(steps: Sequence[TimedGraph], minus: Sequence[TimedGraph] = ()) -> Tuple[int, int]:
+    """Total duration of the steps less that of ``minus``: an integer over their common denominator, and that."""
+    den = math.lcm(*(step.pi_den for step in steps), *(step.pi_den for step in minus))
+    total = sum(step.pi_num * (den // step.pi_den) for step in steps)
+    return total - sum(step.pi_num * (den // step.pi_den) for step in minus), den
 
 
-def _reduced(duration: Fraction, graph: Graph) -> Fraction:
-    """The duration modulo the graph's period; aperiodic (None) keeps it, period 0 zeroes it.
+def _reduced(graph: Graph, num: int, den: int) -> Tuple[int, int]:
+    """num/den modulo the graph's period, over a multiple of den; aperiodic (None) keeps it, period 0 zeroes it.
 
     A nonempty graph's largest eigenvalue ratio is exactly 1, so its period
     is None or an even multiple of pi, and a duration under 2pi needs no
     lookup.
     """
-    if duration < 2 and not graph.is_empty:
-        return duration
-    cycle = period(graph)
+    if num < 2 * den and not graph.is_empty:
+        return num, den
+    cycle = _period(graph)
     if cycle is None:
-        return duration
-    return duration % cycle if cycle else Fraction(0)
+        return num, den
+    p, q = cycle
+    return (num * q % (p * den), den * q) if p else (0, 1)
 
 
-def _phase_angle(target: complex) -> Optional[Fraction]:
-    """Exact angle theta in [0, 2pi) with exp(-i theta) = target, or None."""
+def _phase_angle(target: complex) -> Optional[Tuple[int, int]]:
+    """Exact angle theta in [0, 2pi) with exp(-i theta) = target, as theta/pi in lowest terms, or None.
+
+    theta/pi is the ratio of denominator at most PHASE_DENOMINATOR_LIMIT
+    nearest the target's angle, which ``_nearest_ratio`` finds when it
+    lies within 1/(2 * 64^2) of it; a farther one misses the target by
+    far more than VERIFY_TOLERANCE.
+    """
     if abs(abs(target) - 1.0) > VERIFY_TOLERANCE:
         return None
     theta = (-cmath.phase(target)) % (2.0 * math.pi)
-    guess = Fraction(theta / math.pi).limit_denominator(PHASE_DENOMINATOR_LIMIT) % 2
-    if abs(cmath.exp(-1j * math.pi * float(guess)) - target) > VERIFY_TOLERANCE:
+    ratio = _nearest_ratio(theta / math.pi, PHASE_DENOMINATOR_LIMIT)
+    if ratio is None:
         return None
-    return guess
+    num, den = ratio[0] % (2 * ratio[1]), ratio[1]
+    if abs(cmath.exp(-1j * math.pi * (num / den)) - target) > VERIFY_TOLERANCE:
+        return None
+    return num, den
 
 
 # A verdict is what a rule computed from the steps it reads, or the reason
 # (a string) it does not apply there. The verdicts below depend on those
 # steps alone, so every walk that shares them shares the answer (see _Memo).
-SourceVerdict = Union[str, Tuple[Fraction, Tuple[TimedGraph, ...]]]
+# A phase or duration is (numerator, denominator), a multiple of pi.
+Time = Tuple[int, int]
+SourceVerdict = Union[str, Tuple[Time, Tuple[TimedGraph, ...]]]
 StepsVerdict = Union[str, Tuple[TimedGraph, ...]]
 
 
@@ -386,8 +412,10 @@ def _merge_identical(first: TimedGraph, second: TimedGraph) -> StepsVerdict:
     """Fuse adjacent steps on the same graph, reducing modulo the period."""
     if first.graph != second.graph:
         return "graphs differ"
-    total = _reduced(first.duration + second.duration, first.graph)
-    return (TimedGraph(first.graph, total),) if total else ()
+    num, den = _reduced(
+        first.graph, first.pi_num * second.pi_den + second.pi_num * first.pi_den, first.pi_den * second.pi_den
+    )
+    return (TimedGraph.of(first.graph, num, den),) if num else ()
 
 
 def _compositions(n: int, forms: Sequence[PhasedPermutation], den: int) -> Iterator[Tuple[List[int], List[int]]]:
@@ -440,8 +468,8 @@ def _fold(n: int, forms: Sequence[Optional[PhasedPermutation]]) -> StepsVerdict:
     pairs = [(column, row) for column, row in enumerate(perm) if column < row]
     replacement: Tuple[TimedGraph, ...] = ()
     if pairs:
-        replacement = (TimedGraph(Graph(n, frozenset(pairs)), Fraction(1, 2)),)
-    return replacement + schedule_phases({row: Fraction(r, den) for row, r in enumerate(residues)}, n)
+        replacement = (TimedGraph.of(Graph(n, frozenset(pairs)), 1, 2),)
+    return replacement + _staircase(dict(enumerate(residues)), den, n)
 
 
 def _merge_complementary(first: TimedGraph, second: TimedGraph) -> StepsVerdict:
@@ -458,10 +486,13 @@ def _merge_complementary(first: TimedGraph, second: TimedGraph) -> StepsVerdict:
         return "supports overlap"
     if abs(spectrum(first.graph).norm - spectrum(second.graph).norm) > NORM_TOLERANCE:
         return "spectral norms differ"
-    shorter, longer = (first, second) if first.duration <= second.duration else (second, first)
-    union = TimedGraph(first.graph.union(second.graph), shorter.duration)
-    remainder = longer.duration - shorter.duration
-    return (union, TimedGraph(longer.graph, remainder)) if remainder else (union,)
+    first_time, second_time = first.pi_num * second.pi_den, second.pi_num * first.pi_den
+    shorter, longer = (first, second) if first_time <= second_time else (second, first)
+    union = TimedGraph.of(first.graph.union(second.graph), shorter.pi_num, shorter.pi_den)
+    remainder = abs(second_time - first_time)
+    if not remainder:
+        return (union,)
+    return union, TimedGraph.of(longer.graph, remainder, first.pi_den * second.pi_den)
 
 
 def _singleton_source(step: TimedGraph, vertex: int) -> SourceVerdict:
@@ -477,18 +508,22 @@ def _singleton_source(step: TimedGraph, vertex: int) -> SourceVerdict:
     graph = step.graph
     if vertex not in graph.loops or not graph.degree_free(vertex):
         return "vertex is not a looped singleton in the source"
-    norm = rationalize(spectrum(graph).norm)
+    norm = _small_ratio(spectrum(graph).norm)
     if norm is None:
         return "source norm is not a small rational"
-    tau = step.duration / norm % 2
+    # (num / den) / (p / q) = num q / (den p), then mod 2 and in lowest terms
+    den = step.pi_den * norm[0]
+    num = step.pi_num * norm[1] % (2 * den)
+    common = math.gcd(num, den)
+    tau = (num // common, den // common)
     remainder = Graph(graph.n_vertices, graph.edges, graph.loops - {vertex})
     if remainder.is_empty:
         return tau, ()
-    return tau, (TimedGraph(remainder, step.duration),)
+    return tau, (TimedGraph.of(remainder, step.pi_num, step.pi_den),)
 
 
-def _singleton_landing(step: TimedGraph, vertex: int, tau: Fraction) -> StepsVerdict:
-    """The steps that replace a target step once it absorbs the phase tau.
+def _singleton_landing(step: TimedGraph, vertex: int, tau: Time) -> StepsVerdict:
+    """The steps that replace a target step once it absorbs the phase tau, a (numerator, denominator) pair.
 
     Two landing modes:
 
@@ -508,29 +543,37 @@ def _singleton_landing(step: TimedGraph, vertex: int, tau: Fraction) -> StepsVer
     if vertex in graph.loops:
         if not graph.is_loops_only:
             return "target loops the vertex but is not loops-only"
-        # (phase, vertices) groups; one step per distinct nonzero phase,
-        # highest first, looping every vertex that reaches it, as in schedule_phases
-        groups = ((step.duration, graph.loops - {vertex}), ((step.duration + tau) % 2, frozenset({vertex})))
+        # (phase, vertices) groups, phases over den; one step per distinct
+        # nonzero phase, highest first, looping every vertex that reaches it,
+        # as in schedule_phases
+        den = step.pi_den * tau[1]
+        held = step.pi_num * tau[1]
+        groups = ((held, graph.loops - {vertex}), ((held + tau[0] * step.pi_den) % (2 * den), frozenset({vertex})))
         levels = sorted({phase for phase, vertices in groups if phase and vertices}, reverse=True)
         return tuple(
-            TimedGraph(Graph(n, loops=frozenset().union(*(v for phase, v in groups if phase >= high))), high - low)
+            TimedGraph.of(
+                Graph(n, loops=frozenset().union(*(v for phase, v in groups if phase >= high))), high - low, den
+            )
             for high, low in zip(levels, levels[1:] + [0])
         )
     if not graph.degree_free(vertex):
         return "target attaches edges to the vertex"
     if graph.is_empty:
         return "target step is empty"
-    norm = rationalize(spectrum(graph).norm)
+    norm = _small_ratio(spectrum(graph).norm)
     if norm is None:
         return "target norm is not a small rational"
-    consumed = step.duration / norm
-    if tau < consumed:
+    # tau and consumed = t / norm = (num q) / (den p), both over den p tau_den
+    den = step.pi_den * norm[0] * tau[1]
+    moved = tau[0] * step.pi_den * norm[0]
+    consumed = step.pi_num * norm[1] * tau[1]
+    if moved < consumed:
         return "singleton phase is shorter than the target"
-    joined = Graph(n, graph.edges, graph.loops | {vertex})
-    residual = (tau - consumed) % 2
+    joined = TimedGraph.of(Graph(n, graph.edges, graph.loops | {vertex}), step.pi_num, step.pi_den)
+    residual = (moved - consumed) % (2 * den)
     if not residual:
-        return (TimedGraph(joined, step.duration),)
-    return TimedGraph(joined, step.duration), TimedGraph(Graph(n, loops=frozenset({vertex})), residual)
+        return (joined,)
+    return joined, TimedGraph.of(Graph(n, loops=frozenset({vertex})), residual, den)
 
 
 def _corridor(steps: Tuple[TimedGraph, ...], source: int, vertex: int) -> Tuple[int, int]:
@@ -606,7 +649,10 @@ class ScanFacts:
 
     The run ends and the products are built on first use, the products
     only by the Hadamard-layer row. ``moved`` derives the facts
-    of an enabling candidate from those of the walk it moves.
+    of an enabling candidate from those of the walk it moves: its
+    denominator is a common multiple of the origin's and of the window's
+    durations, not always the least, which no price depends on, and only
+    the prefix times inside the window are new.
     """
 
     def __init__(
@@ -615,10 +661,18 @@ class ScanFacts:
     ) -> None:
         self.walk = walk
         self.memo = memo or _Memo()
-        self.den = math.lcm(*(step.duration.denominator for step in walk.steps))
-        self.times = [0, *accumulate(
-            step.duration.numerator * (self.den // step.duration.denominator) for step in walk.steps
-        )]
+        steps = walk.steps
+        if origin is None:
+            self.den = math.lcm(*(step.pi_den for step in steps))
+            self.times = [0, *accumulate(step.pi_num * (self.den // step.pi_den) for step in steps)]
+        else:
+            facts, start, stop = origin
+            self.den = math.lcm(facts.den, *(step.pi_den for step in steps[start:stop]))
+            scale = self.den // facts.den
+            times = facts.times if scale == 1 else [time * scale for time in facts.times]
+            window = (step.pi_num * (self.den // step.pi_den) for step in steps[start : stop - 1])
+            inside = accumulate(window, initial=times[start])
+            self.times = [*times[:start], *inside, *times[stop:]]
         self._origin = origin
         self._ends: Dict[str, List[int]] = {}
         self._products: Optional[List[np.ndarray]] = None
@@ -634,11 +688,10 @@ class ScanFacts:
         """
         return ScanFacts(self.walk.replaced(start, stop, replacement), self.memo, (self, start, stop))
 
-    def costs_at_most(self, start: int, stop: int, cost: Tuple[Fraction, int]) -> bool:
-        """Whether steps[start:stop] cost no more than (total time, graph count), in integers."""
-        time, count = cost
-        spent = time.denominator * (self.times[stop] - self.times[start])
-        return (spent, stop - start) <= (time.numerator * self.den, count)
+    def costs_at_most(self, start: int, stop: int, cost: Cost) -> bool:
+        """Whether steps[start:stop] cost no more than (total time num/den, graph count)."""
+        num, den, count = cost
+        return ((self.times[stop] - self.times[start]) * den, stop - start) <= (num * self.den, count)
 
     def forms(self, start: int, stop: int) -> List[Optional[PhasedPermutation]]:
         """The phased-permutation form of each of steps[start:stop], None for a step that is not one."""
@@ -669,18 +722,19 @@ class ScanFacts:
         return self._products
 
 
+# A cost: total time num/den pi and graph count, as (num, den, count).
+Cost = Tuple[int, int, int]
+
 # No Hadamard layer costs less than this (time, graph count), so no fragment
 # that costs no more can be replaced by one. compile_hadamard_layer emits a
 # staircase, a walk for k pi/4 and the same staircase again; with k >= 1
 # targets the staircase phases of Hamming weights 0 and 1 lie pi/2 apart, so
 # the larger is at least pi/2 and each staircase runs that long in one graph
 # or more. A single target attains the floor.
-LAYER_FLOOR = (Fraction(5, 4), 3)
+LAYER_FLOOR: Cost = (5, 4, 3)
 
 
-def _hadamard_layer(
-    mask: int, n_qubits: int
-) -> Tuple[Tuple[TimedGraph, ...], Tuple[Fraction, int], Circuit, np.ndarray]:
+def _hadamard_layer(mask: int, n_qubits: int) -> Tuple[Tuple[TimedGraph, ...], Cost, Circuit, np.ndarray]:
     """Hadamards on the qubits of a vertex bit mask: compiled steps, cost, gate and column 0.
 
     The gate is the one-gate HLAYER circuit the steps compile, which
@@ -693,7 +747,7 @@ def _hadamard_layer(
     column = evolve_state(layer, np.eye(1, layer.n_vertices, dtype=np.complex128)[0])
     column.flags.writeable = False
     gate = Circuit(n_qubits, (Gate("HLAYER", targets=targets),))
-    return layer.steps, (_span_time(layer.steps), len(layer.steps)), gate, column
+    return layer.steps, (*_span_time(layer.steps), len(layer.steps)), gate, column
 
 
 def _hypercube_hadamard(facts: ScanFacts, start: int, stop: int) -> StepsVerdict:
@@ -750,19 +804,19 @@ def _normalize(walk: DynamicGraph) -> Tuple[DynamicGraph, List[RewriteStep]]:
     steps: List[TimedGraph] = []
     for index, step in enumerate(walk.steps):
         reduced = step
-        cut = _reduced(step.duration, step.graph)
-        if cut != step.duration:
+        num, den = _reduced(step.graph, step.pi_num, step.pi_den)
+        if num * step.pi_den != step.pi_num * den:
+            reduced = TimedGraph.of(step.graph, num, den)
             records.append(
                 RewriteStep(
                     RULE_NORMALIZE_TIME,
                     (index, index + 1),
-                    step.duration - cut,
+                    step.duration - reduced.duration,
                     0,
-                    f"{format_angle(step.duration)} -> {format_angle(cut)}",
+                    f"{format_angle(step.duration)} -> {format_angle(reduced.duration)}",
                 )
             )
-            reduced = TimedGraph(step.graph, cut)
-        if not reduced.duration or reduced.graph.is_empty:
+        if not reduced.pi_num or reduced.graph.is_empty:
             records.append(
                 RewriteStep(
                     RULE_DROP_ZERO, (index, index + 1), reduced.duration, 1, "inert step"
@@ -783,6 +837,10 @@ Window = Optional[Tuple[int, int]]
 # Every row reads the walk through its ScanFacts.
 PositionSites = Callable[..., Iterator[Site]]
 WalkSites = Callable[[ScanFacts], Iterator[Site]]
+# What a site or move buys: the time saved, saved/den pi, and the graphs
+# removed, as (saved, den, removed); (saved, removed) > (0, 0) is a strict
+# improvement and (0, 0) a cost-neutral change.
+Price = Tuple[int, int, int]
 # A priced site: its record and its replacement steps.
 Rewrite = Tuple[RewriteStep, Tuple[TimedGraph, ...]]
 # What verification reads of a rewrite, its span's steps and their
@@ -822,14 +880,15 @@ def _combine_pst_sites(facts: ScanFacts, index: int, window: Window = None) -> I
         yield from _offer(index, stop, _fold(n, facts.forms(index, stop)))
 
 
-def _fold_prices(facts: ScanFacts, index: int) -> Iterator[Tuple[int, Tuple[Fraction, int]]]:
-    """(stop, gain of the fold) for each prefix [index, stop) of the run from the index that folds.
+def _fold_prices(facts: ScanFacts, index: int) -> Iterator[Tuple[int, Price]]:
+    """(stop, price of the fold) for each prefix [index, stop) of the run from the index that folds.
 
     The run of phased permutations is composed once, left to right, and a
     prefix that permutes by an involution is priced from its totals: its
     fold runs pi/2 for the matching, if the prefix moves a vertex, plus the
     largest residue, in one graph for the matching plus one per distinct
-    nonzero residue. The gain is _gain of the fold, without building it.
+    nonzero residue. The price is the value of _gain of the fold, without
+    building it.
     """
     n = facts.walk.n_vertices
     forms = facts.forms(index, facts.run_end(index, "perm"))
@@ -839,14 +898,14 @@ def _fold_prices(facts: ScanFacts, index: int) -> Iterator[Tuple[int, Tuple[Frac
         if residues is not None:
             moved = perm != list(range(n))
             time = (den // 2 if moved else 0) + max(residues)
-            saved = Fraction((facts.times[stop] - facts.times[index]) * den - time * facts.den, den * facts.den)
-            yield stop, (saved, stop - index - moved - len(set(residues) - {0}))
+            saved = (facts.times[stop] - facts.times[index]) * den - time * facts.den
+            yield stop, (saved, den * facts.den, stop - index - moved - len(set(residues) - {0}))
 
 
 def _fold_sites(facts: ScanFacts, index: int) -> Iterator[Site]:
     """Every run of two or more phased permutations from the index whose fold strictly improves on it."""
-    for stop, gain in _fold_prices(facts, index):
-        if stop - index >= 2 and gain > (0, 0):
+    for stop, (saved, _, removed) in _fold_prices(facts, index):
+        if stop - index >= 2 and (saved, removed) > (0, 0):
             yield from _offer(index, stop, _fold(facts.walk.n_vertices, facts.forms(index, stop)), "fold")
 
 
@@ -877,22 +936,21 @@ def _staircase_sites(facts: ScanFacts, start: int, window: Window = None) -> Ite
         return
     totals = dict.fromkeys(range(facts.walk.n_vertices), 0)
     for step in steps[start:stop]:
-        phase = step.duration.numerator * (den // step.duration.denominator)
+        phase = step.pi_num * (den // step.pi_den)
         for vertex in step.graph.loops:
             totals[vertex] += phase
     levels = {total % (2 * den) for total in totals.values()} - {0}
     saved = facts.times[stop] - facts.times[start] - max(levels, default=0)
     if (saved, stop - start - len(levels)) <= (0, 0):
         return
-    phases = {vertex: Fraction(total % (2 * den), den) for vertex, total in totals.items()}
-    stair = schedule_phases(phases, facts.walk.n_vertices)
+    stair = _staircase({vertex: total % (2 * den) for vertex, total in totals.items()}, den, facts.walk.n_vertices)
     width = len(stair[-1].graph.loops) if stair else 0
     yield start, stop, stair, f"staircase over {width} vertices"
 
 
-# A singleton move out of a source step: its (time saved, graphs removed),
-# the vertex, the target step, what is left of the source and what landed.
-Move = Tuple[Tuple[Fraction, int], int, int, Tuple[TimedGraph, ...], Tuple[TimedGraph, ...]]
+# A singleton move out of a source step: its price, the vertex, the target
+# step, what is left of the source and what landed.
+Move = Tuple[Price, int, int, Tuple[TimedGraph, ...], Tuple[TimedGraph, ...]]
 
 
 def _singleton_moves(facts: ScanFacts, source: int) -> Iterator[Move]:
@@ -919,14 +977,14 @@ def _singleton_moves(facts: ScanFacts, source: int) -> Iterator[Move]:
             landed = memo.singleton_landing(steps[target], vertex, tau)
             if isinstance(landed, str):
                 continue
-            gain = _span_time((steps[source], steps[target]), minus=left + landed), 2 - len(left) - len(landed)
-            yield gain, vertex, target, left, landed
+            saved, den = _span_time((steps[source], steps[target]), minus=left + landed)
+            yield (saved, den, 2 - len(left) - len(landed)), vertex, target, left, landed
 
 
 def _singleton_sites(facts: ScanFacts, source: int) -> Iterator[Site]:
     """The strictly improving singleton moves out of the source."""
-    for gain, vertex, target, left, landed in _singleton_moves(facts, source):
-        if gain > (0, 0):
+    for (saved, _, removed), vertex, target, left, landed in _singleton_moves(facts, source):
+        if (saved, removed) > (0, 0):
             note = f"vertex {vertex}: step {source} -> step {target}"
             yield (*_splice(facts.walk.steps, source, target, left, landed), note)
 
@@ -985,8 +1043,8 @@ def _everywhere(sites: PositionSites) -> WalkSites:
 def _enabling_singleton_sites(facts: ScanFacts) -> Iterator[Site]:
     """The cost-neutral singleton moves, out of every source."""
     for source in range(facts.walk.graph_count):
-        for gain, vertex, target, left, landed in _singleton_moves(facts, source):
-            if gain == (0, 0):
+        for (saved, _, removed), vertex, target, left, landed in _singleton_moves(facts, source):
+            if not saved and not removed:
                 note = f"enabling move of vertex {vertex}"
                 yield (*_splice(facts.walk.steps, source, target, left, landed), note)
 
@@ -1011,9 +1069,12 @@ _RULE_TABLE: Tuple[Tuple[str, Optional[PositionSites], Optional[WalkSites], bool
 )
 
 
-def _gain(walk: DynamicGraph, start: int, stop: int, replacement: Tuple[TimedGraph, ...]):
-    """(time saved, graphs removed) by replacing steps[start:stop], in one sum."""
-    return _span_time(walk.steps[start:stop], minus=replacement), (stop - start) - len(replacement)
+def _gain(facts: ScanFacts, start: int, stop: int, replacement: Tuple[TimedGraph, ...]) -> Price:
+    """The price of replacing steps[start:stop] of the facts' walk: its prefix times less the replacement's sum."""
+    den = math.lcm(facts.den, *(step.pi_den for step in replacement))
+    kept = sum(step.pi_num * (den // step.pi_den) for step in replacement)
+    saved = (facts.times[stop] - facts.times[start]) * (den // facts.den) - kept
+    return saved, den, (stop - start) - len(replacement)
 
 
 def _pick_rows(enabled: Set[str]) -> Tuple[Rows, Rows, Moves]:
@@ -1049,12 +1110,13 @@ def _scan(facts: ScanFacts, rows: Rows, skip: Set[Key], window: Window = None) -
         for rule, sites in rows:
             best: Optional[Tuple[tuple, Rewrite]] = None
             for start, stop, replacement, note in sites(facts, index, *reach):
-                saved, removed = _gain(walk, start, stop, replacement)
+                saved, den, removed = _gain(facts, start, stop, replacement)
                 if (saved, removed) <= (0, 0) or (walk.steps[start:stop], replacement) in skip:
                     continue
-                rank = (-removed, -saved, start, stop)
+                time_saved = Fraction(saved, den)
+                rank = (-removed, -time_saved, start, stop)
                 if best is None or rank < best[0]:
-                    record = RewriteStep(rule, (start, stop), saved, removed, note)
+                    record = RewriteStep(rule, (start, stop), time_saved, removed, note)
                     best = (rank, (record, replacement))
             if best is not None:
                 return best[1]
@@ -1079,15 +1141,15 @@ def _find_enabling_pair(
     walk = facts.walk
     for rule, sites in moves:
         for start, stop, replacement, note in sites(facts):
-            if _gain(walk, start, stop, replacement) != (0, 0):
+            saved, _, removed = _gain(facts, start, stop, replacement)
+            if saved or removed:
                 continue
             span = walk.steps[start:stop]
             if replacement == span or (span, replacement) in skip:
                 continue
-            staged = (RewriteStep(rule, (start, stop), Fraction(0), 0, note), replacement)
             follow = _scan(facts.moved(start, stop, replacement), rows, skip, (start, stop))
             if follow is not None:
-                return [staged, follow]
+                return [(RewriteStep(rule, (start, stop), Fraction(0), 0, note), replacement), follow]
     return None
 
 

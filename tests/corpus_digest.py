@@ -2,6 +2,7 @@
 
 The corpus is ``random_walk`` and the compiled ``random_circuit`` of
 ``test_rewrite_optimizer`` at ``random.Random(seed)`` for seeds 0-299,
+or for seeds 0 to k - 1 with a seed count k given on the command line,
 plus ``long_program()``, ``short_program()`` and the criterion-09
 program. For each, in that order, the digest reads the serialized
 ``optimize`` output, its report's ``to_dict()`` and the ``repr`` of the
@@ -22,7 +23,8 @@ prefix, so pytest does not collect it.
 
 Run from the repository root::
 
-    python tests/corpus_digest.py
+    python tests/corpus_digest.py       # seeds 0-299, the 603-program corpus
+    python tests/corpus_digest.py 2     # seeds 0-1, 7 programs
 """
 
 import contextlib
@@ -48,12 +50,12 @@ from dynwalk.graph_model import format_angle, serialize_dynamic_graph  # noqa: E
 from dynwalk.rewrite_optimizer import optimize  # noqa: E402
 from test_rewrite_optimizer import random_circuit, random_walk  # noqa: E402
 
-SEEDS = range(300)
+SEEDS = 300
 
 
-def corpus():
-    """(part, walk) for every program, in digest order."""
-    for seed in SEEDS:
+def corpus(seeds: int = SEEDS):
+    """(part, walk) for every program, in digest order, the random ones at seeds 0 .. seeds - 1."""
+    for seed in range(seeds):
         yield "random walks", random_walk(random.Random(seed))
         yield "compiled circuits", compile_circuit(random_circuit(random.Random(seed)))
     yield "named programs", tf.long_program()
@@ -71,12 +73,12 @@ def layer_digest() -> str:
     return digest.hexdigest()
 
 
-def simulate_digest() -> str:
+def simulate_digest(seeds: int = SEEDS) -> str:
     """sha256 over simulate's exit code and stdout from state 0, through cli.main, per compiled circuit."""
     digest = hashlib.sha256()
     with tempfile.TemporaryDirectory() as folder:
         path = os.path.join(folder, "walk.json")
-        for part, walk in corpus():
+        for part, walk in corpus(seeds):
             if part != "compiled circuits":
                 continue
             with open(path, "w", encoding="utf-8") as handle:
@@ -89,11 +91,12 @@ def simulate_digest() -> str:
     return digest.hexdigest()
 
 
-def main() -> None:
+def main(argv=()) -> None:
+    seeds = int(argv[0]) if argv else SEEDS
     digest = hashlib.sha256()
     totals = {"corpus": (0, Fraction(0), 0)}
     start = time.perf_counter()
-    for part, walk in corpus():
+    for part, walk in corpus(seeds):
         final, report = optimize(walk)
         digest.update(serialize_dynamic_graph(final).encode())
         digest.update(json.dumps(report.to_dict(), sort_keys=True).encode())
@@ -106,8 +109,8 @@ def main() -> None:
     for part, (programs, time_pi, graphs) in totals.items():
         print(f"{part}: {programs} programs, final time {format_angle(time_pi)}, {graphs} graphs")
     print(f"hadamard layers, 1-10 qubits, 1-3 targets: sha256 {layer_digest()}")
-    print(f"simulate, compiled circuits from state 0: sha256 {simulate_digest()}")
+    print(f"simulate, compiled circuits from state 0: sha256 {simulate_digest(seeds)}")
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

@@ -1,0 +1,59 @@
+"""Profile ``optimize`` over the digest corpus: each module's share of self time.
+
+The script runs ``optimize`` on every program of ``corpus_digest.corpus()``
+(seeds 0-299 and the three named programs, or the seed count given on the
+command line) under cProfile, with the corpus built before profiling
+starts. It prints a header with the program count, the profiled time and
+the number of ``fractions.Fraction`` constructions (calls of
+``Fraction.__new__``, which every ``Fraction`` operation that yields one
+makes), then one line per source file with its self time and share of
+the total, largest first; functions built into the interpreter are
+pooled as ``(built-in)``. ``fractions.py``'s line is printed whatever its
+share, at 0 when no ``Fraction`` code ran. The file has no ``test_``
+prefix, so pytest does not collect it.
+
+Run from the repository root::
+
+    python tests/optimize_profile.py        # the 603-program corpus
+    python tests/optimize_profile.py 2      # seeds 0-1, 7 programs
+"""
+
+import cProfile
+import os
+import pstats
+import sys
+from collections import Counter
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path[:0] = [HERE, os.path.join(os.path.dirname(HERE), "src")]
+
+import corpus_digest  # noqa: E402
+from dynwalk.rewrite_optimizer import optimize  # noqa: E402
+
+FRACTIONS = "fractions.py"
+
+
+def main(argv=()) -> None:
+    seeds = int(argv[0]) if argv else corpus_digest.SEEDS
+    walks = [walk for _, walk in corpus_digest.corpus(seeds)]
+    profile = cProfile.Profile()
+    profile.enable()
+    for walk in walks:
+        optimize(walk)
+    profile.disable()
+    stats = pstats.Stats(profile).stats
+    self_s: Counter = Counter({FRACTIONS: 0.0})
+    constructions = 0
+    for (filename, _, function), (_, calls, own, _, _) in stats.items():
+        module = "(built-in)" if filename == "~" else os.path.basename(filename)
+        self_s[module] += own
+        if module == FRACTIONS and function == "__new__":
+            constructions += calls
+    total = sum(self_s.values())
+    print(f"optimize over {len(walks)} programs: {total:.2f} s of self time, {constructions} Fraction constructions")
+    for module, own in sorted(self_s.items(), key=lambda item: (-item[1], item[0])):
+        print(f"{module}: {own:.3f} s, {100 * own / total:.1f} %")
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])

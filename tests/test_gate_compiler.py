@@ -83,8 +83,8 @@ def test_matching_graph_pairs_by_xor():
             if max(b for _, b in pairs) < n:
                 assert matching_graph(n, mask) == Graph(n, frozenset(pairs))
             else:
-                # the pairing runs past the last vertex, which no Graph holds
-                with pytest.raises(ValueError, match="out of range"):
+                # the pairing runs past the last vertex: refused up front, naming the mask
+                with pytest.raises(ValueError, match=rf"^flip mask {mask} .*out of range for {n} vertices$"):
                     matching_graph(n, mask)
 
 
@@ -183,6 +183,8 @@ def test_schedule_phases_rejects_bad_input():
         schedule_phases({0: angle(1), 4: angle(0)}, 4)
     with pytest.raises(ValueError, match="for vertex 2 not in"):
         schedule_phases({0: angle(1), 1: angle(1), 2: angle(-1, 2)}, 4)
+    with pytest.raises(TypeError, match="Fraction multiple of pi"):
+        schedule_phases({0: angle(1), 1: 0.5}, 4)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,7 +1,10 @@
 """Graph model, exact durations, periods and the JSON interchange format."""
 
+import copy
+import dataclasses
 import json
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -99,6 +102,47 @@ def test_angle_subtraction_below_zero_raises():
     # a difference that went below zero stops at the step it would build
     with pytest.raises(ValueError, match="negative duration"):
         TimedGraph(Graph.make(2, loops=[0]), Fraction(1, 4) - Fraction(1, 2))
+
+
+def test_a_step_holds_its_duration_as_integers_in_lowest_terms():
+    g = Graph.make(3, edges=[(0, 1)], loops=[2])
+    step = TimedGraph(g, Fraction(6, 4))
+    assert (step.pi_num, step.pi_den) == (3, 2)
+    assert type(step.duration) is Fraction and step.duration == Fraction(3, 2)
+    assert TimedGraph.of(g, 6, 4) == step and hash(TimedGraph.of(g, 6, 4)) == hash(step)
+    assert (TimedGraph.of(g, 0, 9).pi_num, TimedGraph.of(g, 0, 9).pi_den) == (0, 1)
+    for num, den in ((-1, 2), (1, 0), (1, -2)):
+        with pytest.raises(ValueError, match="not a nonnegative multiple of pi"):
+            TimedGraph.of(g, num, den)
+
+
+def test_a_step_is_immutable_and_copies_by_value():
+    step = TimedGraph(Graph.make(2, loops=[0]), Fraction(1, 4))
+    for name, value in (("graph", Graph(2)), ("pi_num", 3), ("duration", Fraction(1, 2))):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(step, name, value)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del step.pi_den
+    for copied in (pickle.loads(pickle.dumps(step)), copy.copy(step), copy.deepcopy(step)):
+        assert copied == step and hash(copied) == hash(step)
+
+
+def test_the_parser_builds_no_fraction(monkeypatch):
+    walk = DynamicGraph(4, (
+        TimedGraph(Graph.make(4, [(0, 1)], [3]), Fraction(6, 4)),
+        TimedGraph(Graph.make(4, loops=[0, 2]), Fraction(7, 8)),
+        TimedGraph(Graph(4), Fraction(0)),
+    ))
+    text = serialize_dynamic_graph(walk).replace('"pi_num": 3,\n        "pi_den": 2', '"pi_num": 6,\n        "pi_den": 4')
+
+    def refuse(*args):
+        raise AssertionError(f"built Fraction{args}")
+
+    monkeypatch.setattr(gm, "Fraction", refuse)
+    parsed = parse_dynamic_graph(text)
+    monkeypatch.undo()
+    assert '"pi_num": 6' in text
+    assert parsed == walk
 
 
 # -- Graph and containers ----------------------------------------------------

@@ -15,6 +15,7 @@ import itertools
 import math
 import pkgutil
 import random
+import re
 import weakref
 from collections import Counter
 from fractions import Fraction
@@ -42,7 +43,7 @@ from dynwalk.gate_compiler import (
     matching_graph,
     schedule_phases,
 )
-from dynwalk.graph_model import DynamicGraph, Graph, TimedGraph, period
+from dynwalk.graph_model import DynamicGraph, Graph, TimedGraph, period, rationalize, spectrum
 from dynwalk.numerics import phase_distance
 from dynwalk.rewrite_optimizer import (
     ALL_RULES,
@@ -74,6 +75,12 @@ def match(n, mask, num, den=1):
 
 def walk_of(*steps):
     return DynamicGraph(steps[0].graph.n_vertices, steps)
+
+
+def price(gain):
+    """A price (saved, den, removed) as (time saved, graphs removed), the time a Fraction."""
+    saved, den, removed = gain
+    return Fraction(saved, den), removed
 
 
 def fold(n, run):
@@ -139,7 +146,7 @@ def test_a_duration_under_two_pi_needs_no_period(seed):
             assert cycle is None or (cycle > 0 and cycle.denominator == 1 and cycle.numerator % 2 == 0)
         duration = angle(rng.randrange(0, 24), rng.choice([1, 2, 3, 4, 8]))
         expected = duration if cycle is None else duration % cycle if cycle else 0
-        assert ro._reduced(duration, graph) == expected
+        assert Fraction(*ro._reduced(graph, duration.numerator, duration.denominator)) == expected
 
 
 def test_merge_identical_drops_full_period():
@@ -290,8 +297,8 @@ def test_fold_prices_are_the_gains_of_the_folds(seed):
         folds = {stop: fold(walk.n_vertices, walk.steps[index:stop]) for stop in range(index + 1, walk.graph_count + 1)}
         assert set(prices) == {stop for stop, fold in folds.items() if not isinstance(fold, str)}
         for stop, gain in prices.items():
-            assert gain == ro._gain(walk, index, stop, folds[stop])
-        improving = [stop for stop, gain in prices.items() if stop - index >= 2 and gain > (0, 0)]
+            assert price(gain) == price(ro._gain(facts, index, stop, folds[stop]))
+        improving = [stop for stop, gain in prices.items() if stop - index >= 2 and price(gain) > (0, 0)]
         assert list(ro._fold_sites(facts, index)) == [(index, stop, folds[stop], "fold") for stop in improving]
 
 
@@ -366,7 +373,7 @@ def singleton_move(walk, source, vertex, target):
 
 def test_move_singleton_into_loop_step_cancels():
     walk = walk_of(loops(2, [0], 1, 2), loops(2, [0, 1], 3, 2))
-    assert ro._singleton_source(walk.steps[0], 0) == (angle(1, 2), ())
+    assert ro._singleton_source(walk.steps[0], 0) == ((1, 2), ())
     moved = singleton_move(walk, 0, 0, 1)
     assert moved.steps == (loops(2, [1], 3, 2),)
     assert_same_program(walk, moved, tol=1e-12)
@@ -392,7 +399,7 @@ def test_move_singleton_respects_corridor():
         loops(3, [0, 2], 1),
     )
     # the target alone would take the phase; the step between blocks it
-    assert not isinstance(ro._singleton_landing(walk.steps[2], 0, angle(1, 2)), str)
+    assert not isinstance(ro._singleton_landing(walk.steps[2], 0, (1, 2)), str)
     assert singleton_move(walk, 0, 0, 2) is None
 
 
@@ -421,7 +428,7 @@ def test_move_singleton_rejects_short_phase():
         loops(3, [0], 1, 4),
         TimedGraph(Graph.make(3, edges=[(1, 2)]), angle(1, 2)),
     )
-    landed = ro._singleton_landing(walk.steps[1], 0, angle(1, 4))
+    landed = ro._singleton_landing(walk.steps[1], 0, (1, 4))
     assert landed == "singleton phase is shorter than the target"
     assert singleton_move(walk, 0, 0, 1) is None
 
@@ -600,11 +607,11 @@ def test_singleton_moves_match_the_brute_force_enumeration(seed):
         sites = []
         for gain, vertex, target, left, landed in ro._singleton_moves(facts, source):
             site = ro._splice(walk.steps, source, target, left, landed)
-            assert gain == ro._gain(walk, *site)
+            assert price(gain) == price(ro._gain(facts, *site))
             sites.append((*site, note.format(vertex=vertex, source=source, target=target)))
-            if gain > (0, 0):
+            if price(gain) > (0, 0):
                 improving.append(sites[-1])
-            if gain == (0, 0):
+            if price(gain) == (0, 0):
                 neutral.append((*site, f"enabling move of vertex {vertex}"))
         assert sites == brute_force_singleton_moves(walk, source, note)
     assert [site for source in range(walk.graph_count) for site in ro._singleton_sites(facts, source)] == improving
@@ -618,7 +625,8 @@ def test_singleton_rows_both_take_and_pass_over_moves():
         n = rng.randrange(2, 9)
         walk = DynamicGraph(n, tuple(random_singleton_step(rng, n) for _ in range(rng.randrange(2, 9))))
         for source in range(walk.graph_count):
-            prices.update((gain > (0, 0)) - (gain < (0, 0)) for gain, *_ in ro._singleton_moves(ro.ScanFacts(walk), source))
+            for gain, *_ in ro._singleton_moves(ro.ScanFacts(walk), source):
+                prices.add((price(gain) > (0, 0)) - (price(gain) < (0, 0)))
     assert prices == {-1, 0, 1}
 
 
@@ -645,7 +653,7 @@ def test_loops_only_landing_is_the_staircase_of_its_two_phases(others):
     """Every target duration and moved phase in quarter steps, against schedule_phases."""
     for t, tau in itertools.product(range(8), repeat=2):
         target = loops(4, (1, *others), t, 4)
-        landed = ro._singleton_landing(target, 1, angle(tau, 4))
+        landed = ro._singleton_landing(target, 1, (tau, 4))
         phases = {w: angle(t, 4) for w in others}
         phases[1] = angle(t + tau, 4) % 2
         assert landed == schedule_phases(phases, 4), (t, tau)
@@ -662,7 +670,7 @@ def test_loops_only_landing_is_the_schedule_of_its_phases_at_any_width(seed):
         den = rng.choice((1, 2, 3, 4, 8, 16))
         target = TimedGraph(Graph.make(n, loops=[vertex, *others]), angle(rng.randrange(1, 2 * den), den))
         tau = angle(rng.randrange(16), 8)
-        landed = ro._singleton_landing(target, vertex, tau)
+        landed = ro._singleton_landing(target, vertex, (tau.numerator, tau.denominator))
         phases = {w: target.duration for w in others}
         phases[vertex] = (target.duration + tau) % 2
         assert landed == schedule_phases(phases, n)
@@ -672,7 +680,7 @@ def test_loops_only_landing_is_the_schedule_of_its_phases_at_any_width(seed):
 def test_a_loops_only_landing_on_a_long_target_lands(duration):
     """A target of 2pi or more still takes the phase, and the landing keeps the unitary."""
     target = loops(3, [0, 2], duration.numerator, duration.denominator)
-    landed = ro._singleton_landing(target, 0, angle(3, 8))
+    landed = ro._singleton_landing(target, 0, (3, 8))
     assert not isinstance(landed, str)
     moved = walk_of(loops(3, [0], 3, 8), target)
     assert phase_distance(total_unitary(moved), total_unitary(DynamicGraph(3, landed))) < 1e-12
@@ -703,7 +711,7 @@ def staircase_cases(seed, memo=None):
     count = walk.graph_count
     for start in range(count - 1):
         stair, note = reference_staircase(walk.steps[start:], n)
-        improves = ro._gain(walk, start, count, stair) > (0, 0)
+        improves = price(ro._gain(facts, start, count, stair)) > (0, 0)
         yield list(ro._staircase_sites(facts, start)), [(start, count, stair, note)] if improves else []
     assert list(ro._staircase_sites(facts, count - 1)) == []
 
@@ -758,9 +766,10 @@ def dense_phased_permutation(step):
     if len(set(rows.tolist())) != n:
         return None
     entries = u[rows, np.arange(n)].tolist()
-    angle_of = {value: ro._phase_angle(value) for value in set(entries)}
-    if None in angle_of.values():
+    turns_of = {value: ro._phase_angle(value) for value in set(entries)}
+    if None in turns_of.values():
         return None
+    angle_of = {value: angle(*turns) for value, turns in turns_of.items()}
     angles = [angle_of[value] for value in entries]
     expected = np.zeros_like(u)
     expected[rows, np.arange(n)] = np.exp(-1j * np.pi * np.array([float(a) for a in angles]))
@@ -898,8 +907,8 @@ def test_no_hadamard_layer_costs_less_than_the_floor(n_qubits):
         for targets in itertools.combinations(range(n_qubits), size):
             mask = sum(bit_value(q, n_qubits) for q in targets)
             _, cost, _, _ = ro._hadamard_layer(mask, n_qubits)
-            assert cost >= ro.LAYER_FLOOR
-            assert (cost == ro.LAYER_FLOOR) == (size == 1)
+            assert price(cost) >= price(ro.LAYER_FLOOR)
+            assert (price(cost) == price(ro.LAYER_FLOOR)) == (size == 1)
 
 
 def random_circuit(rng, widths=(3, 4)):
@@ -951,8 +960,8 @@ def test_span_time_sums_the_steps_less_the_others_exactly(seed):
         steps = [random_loops_step(rng, n) for _ in range(rng.randrange(0, 4))]
         minus = [random_loops_step(rng, n) for _ in range(rng.randrange(0, 4))]
         expected = sum((s.duration for s in steps), angle(0)) - sum((s.duration for s in minus), angle(0))
-        assert ro._span_time(steps, minus=minus) == expected
-        assert ro._span_time(steps) == sum((s.duration for s in steps), angle(0))
+        assert angle(*ro._span_time(steps, minus=minus)) == expected
+        assert angle(*ro._span_time(steps)) == sum((s.duration for s in steps), angle(0))
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -979,9 +988,133 @@ def test_gain_prices_every_site_from_its_durations(seed):
             saved = sum((s.duration for s in walk.steps[start:stop]), angle(0)) - sum(
                 (s.duration for s in replacement), angle(0)
             )
-            assert ro._gain(walk, start, stop, replacement) == (saved, stop - start - len(replacement))
+            assert price(ro._gain(facts, start, stop, replacement)) == (saved, stop - start - len(replacement))
             priced += 1
     assert priced > 0
+
+
+# -- the integer time base against Fraction arithmetic ------------------------------
+
+
+def fraction_reduced(duration, graph):
+    """_reduced in Fraction arithmetic, from the public period."""
+    if duration < 2 and not graph.is_empty:
+        return duration
+    cycle = period(graph)
+    if cycle is None:
+        return duration
+    return duration % cycle if cycle else angle(0)
+
+
+def fraction_merge_identical(first, second):
+    if first.graph != second.graph:
+        return "graphs differ"
+    total = fraction_reduced(first.duration + second.duration, first.graph)
+    return (TimedGraph(first.graph, total),) if total else ()
+
+
+def fraction_merge_complementary(first, second):
+    """The overlap's steps in Fraction arithmetic, for two steps the rule applies to."""
+    shorter, longer = (first, second) if first.duration <= second.duration else (second, first)
+    union = TimedGraph(first.graph.union(second.graph), shorter.duration)
+    remainder = longer.duration - shorter.duration
+    return (union, TimedGraph(longer.graph, remainder)) if remainder else (union,)
+
+
+def fraction_tau(step):
+    """The phase a looped singleton carries out of the step, in Fraction arithmetic."""
+    return step.duration / rationalize(spectrum(step.graph).norm) % 2
+
+
+def fraction_landing(step, vertex, tau):
+    """_singleton_landing in Fraction arithmetic, for a target the rule applies to."""
+    graph, n = step.graph, step.graph.n_vertices
+    if vertex in graph.loops:
+        # the staircase of the target's phase on its other loops and the landed phase on the vertex
+        groups = ((step.duration, graph.loops - {vertex}), ((step.duration + tau) % 2, {vertex}))
+        levels = sorted({phase for phase, vertices in groups if phase and vertices}, reverse=True)
+        return tuple(
+            TimedGraph(Graph.make(n, loops=set().union(*(v for phase, v in groups if phase >= high))), high - low)
+            for high, low in zip(levels, levels[1:] + [0])
+        )
+    residual = (tau - step.duration / rationalize(spectrum(graph).norm)) % 2
+    joined = TimedGraph(Graph(n, graph.edges, graph.loops | {vertex}), step.duration)
+    return (joined,) if not residual else (joined, TimedGraph(Graph.make(n, loops=[vertex]), residual))
+
+
+def fraction_price(steps, replacement):
+    """(time saved, graphs removed) by replacing the steps, in Fraction arithmetic."""
+    saved = sum((s.duration for s in steps), angle(0)) - sum((s.duration for s in replacement), angle(0))
+    return saved, len(steps) - len(replacement)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_integer_prices_and_verdicts_match_fraction_arithmetic(seed):
+    """Random walks and compiled random circuits: every price and verdict duration, against Fractions.
+
+    Every site the rows offer and every singleton move and fold before the
+    rows filter them is priced as the Fraction sums price it; the merges,
+    the reductions modulo a period, the phase a singleton carries and every
+    landing of it hold the durations Fraction arithmetic gives; and every
+    step and record optimize emits reads its times as Fractions.
+    """
+    rng = random.Random(1000 + seed)
+    for walk in (random_walk(rng), compile_circuit(random_circuit(rng))):
+        walk = ro._normalize(walk)[0]
+        steps, facts = walk.steps, ro.ScanFacts(walk)
+        sites = [
+            (*ro._splice(steps, source, target, left, landed), gain)
+            for source in range(walk.graph_count)
+            for gain, _, target, left, landed in ro._singleton_moves(facts, source)
+        ] + [
+            (index, stop, fold(walk.n_vertices, steps[index:stop]), gain)
+            for index in range(walk.graph_count)
+            for stop, gain in ro._fold_prices(facts, index)
+            if stop - index >= 2
+        ]
+        for _, row, walk_sites, _ in ro._RULE_TABLE:
+            offered = list(walk_sites(facts)) if walk_sites else []
+            for index in range(walk.graph_count if row else 0):
+                offered.extend(row(facts, index))
+            sites += [(start, stop, replacement, None) for start, stop, replacement, _ in offered]
+        assert sites
+        for start, stop, replacement, gain in sites:
+            expected = fraction_price(steps[start:stop], replacement)
+            assert price(ro._gain(facts, start, stop, replacement)) == expected
+            if gain is not None:
+                assert price(gain) == expected
+
+        for first, second in zip(steps, steps[1:]):
+            assert ro._merge_identical(first, second) == fraction_merge_identical(first, second)
+            merged = ro._merge_complementary(first, second)
+            if not isinstance(merged, str):
+                assert merged == fraction_merge_complementary(first, second)
+        # the steps again at 3t + 7pi/4, beyond 2pi
+        longer = steps + tuple(TimedGraph(step.graph, 3 * step.duration + angle(7, 4)) for step in steps)
+        for step in longer:
+            for duration in (step.duration, step.duration + 2):
+                num, den = ro._reduced(step.graph, duration.numerator, duration.denominator)
+                assert angle(num, den) == fraction_reduced(duration, step.graph)
+            for vertex in step.graph.sorted_loops():
+                moved = ro._singleton_source(step, vertex)
+                if isinstance(moved, str):
+                    continue
+                tau, _ = moved
+                assert angle(*tau) == fraction_tau(step)
+                for target in longer:
+                    landed = ro._singleton_landing(target, vertex, tau)
+                    if not isinstance(landed, str):
+                        assert landed == fraction_landing(target, vertex, angle(*tau))
+
+        final, report = optimize(walk)
+        for step in final.steps:
+            assert type(step.duration) is Fraction
+            # equal durations, however written, make equal steps with equal hashes
+            written = TimedGraph(step.graph, Fraction(2 * step.pi_num, 2 * step.pi_den))
+            doubled = TimedGraph.of(step.graph, 2 * step.pi_num, 2 * step.pi_den)
+            assert written == step == doubled and hash(written) == hash(step) == hash(doubled)
+        assert all(type(record.time_saved) is Fraction for record in report.rewrites)
+        assert type(report.initial_time) is Fraction and type(report.final_time) is Fraction
 
 
 # -- the enabling search ------------------------------------------------------------
@@ -1012,7 +1145,7 @@ def neutral_moves(walk, moves, skip=()):
     for _, sites in moves:
         for start, stop, replacement, _ in sites(facts):
             span = walk.steps[start:stop]
-            if ro._gain(walk, start, stop, replacement) != (0, 0) or replacement == span:
+            if price(ro._gain(facts, start, stop, replacement)) != (0, 0) or replacement == span:
                 continue
             if (span, replacement) not in skip:
                 yield facts.moved(start, stop, replacement), (start, stop)
@@ -1530,7 +1663,7 @@ def test_optimize_never_retries_a_failed_rewrite_after_the_walk_changes(monkeypa
 def test_optimize_checks_output_against_input(monkeypatch):
     # a wrong period makes the normalization cut 11pi/4 down to pi/4; a
     # duration under 2pi would never look the period up
-    monkeypatch.setattr(ro, "period", lambda graph: angle(1, 2))
+    monkeypatch.setattr(ro, "_period", lambda graph: (1, 2))
     walk = walk_of(loops(2, [0], 11, 4))
     final, report = optimize(walk)
     assert final.steps[0].duration == angle(1, 4)
@@ -1729,3 +1862,39 @@ def test_optimize_compiled_circuit_matches_circuit_unitary(circuit):
     before = (walk.total_time(), walk.graph_count)
     after = (final.total_time(), final.graph_count)
     assert after <= before
+
+
+# -- the corpus scripts ---------------------------------------------------------------
+
+
+def test_the_corpus_digest_script_runs_on_two_seeds(capsys):
+    """tests/corpus_digest.py at 2 seeds: 7 programs, the part totals and the three digests."""
+    import corpus_digest
+
+    corpus_digest.main(["2"])
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 8
+    assert re.fullmatch(r"7 programs in \d+\.\d s", lines[0])
+    assert re.fullmatch(r"sha256 [0-9a-f]{64}", lines[1])
+    for line, (part, programs) in zip(
+        lines[2:6], [("corpus", 7), ("random walks", 2), ("compiled circuits", 2), ("named programs", 3)]
+    ):
+        assert re.fullmatch(rf"{part}: {programs} programs, final time (0|\d*π(/\d+)?), \d+ graphs", line)
+    assert re.fullmatch(r"hadamard layers, 1-10 qubits, 1-3 targets: sha256 [0-9a-f]{64}", lines[6])
+    assert re.fullmatch(r"simulate, compiled circuits from state 0: sha256 [0-9a-f]{64}", lines[7])
+
+
+def test_the_optimize_profile_script_runs_on_two_seeds(capsys):
+    """tests/optimize_profile.py at 2 seeds: a header, then one share line per source file, fractions.py among them."""
+    import optimize_profile
+
+    optimize_profile.main(["2"])
+    header, *lines = capsys.readouterr().out.splitlines()
+    assert re.fullmatch(r"optimize over 7 programs: \d+\.\d\d s of self time, \d+ Fraction constructions", header)
+    shares = {}
+    for line in lines:
+        module, seconds, share = re.fullmatch(r"(.+): (\d+\.\d{3}) s, (\d+\.\d) %", line).groups()
+        shares[module] = float(share)
+    assert {"fractions.py", "rewrite_optimizer.py"} <= set(shares)
+    assert list(shares.values()) == sorted(shares.values(), reverse=True)
+    assert abs(sum(shares.values()) - 100) < 0.05 * len(shares) + 0.1
