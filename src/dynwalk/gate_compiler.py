@@ -53,12 +53,12 @@ from .graph_model import (
     Graph,
     ParseError,
     TimedGraph,
-    _angle_text,
     _decode_json,
     _expect_int,
     _expect_keys,
     _fail,
     _parse_time,
+    format_angle,
     radians,
 )
 from .numerics import overlap_distance
@@ -106,6 +106,9 @@ class Gate:
     def __post_init__(self) -> None:
         if self.kind not in GATE_KINDS:
             raise ValueError(f"unknown gate kind {self.kind!r}")
+        for qubit in (*(q for q in (self.target, self.control) if q is not None), *(self.targets or ())):
+            if type(qubit) is not int:
+                raise TypeError(f"qubit index must be an int, got {qubit!r}")
         if self.kind == "HLAYER":
             if not self.targets:
                 raise ValueError("HLAYER needs a nonempty targets tuple")
@@ -136,6 +139,8 @@ class Circuit:
     gates: Tuple[Gate, ...]
 
     def __post_init__(self) -> None:
+        if type(self.n_qubits) is not int:
+            raise TypeError(f"qubit count must be an int, got {self.n_qubits!r}")
         if self.n_qubits < 1:
             raise ValueError("need at least one qubit")
         object.__setattr__(self, "gates", tuple(self.gates))
@@ -211,9 +216,8 @@ def schedule_phases(phases: Mapping[int, Fraction], n_vertices: int) -> Tuple[Ti
     raises TypeError, and anything else is a caller bug and raises
     ValueError. The phases are put over their common denominator and the
     staircase is built from those integers (``_staircase``), as the
-    Hadamard layers, the phased-permutation folds and the loops-only runs
-    build theirs; the optimizer's landing of a phase on a loops-only step
-    builds its at most two steps itself, which measured faster.
+    Hadamard layers, the phased-permutation folds, the loops-only runs and
+    the optimizer's landings of a phase on a loops-only step build theirs.
     """
     for angle in set(phases.values()):
         if not isinstance(angle, Rational):
@@ -236,9 +240,7 @@ def _staircase(turns: Mapping[int, int], den: int, n_vertices: int) -> Tuple[Tim
         at_level.setdefault(turn, []).append(vertex)
     for turn, vertices in at_level.items():
         if not 0 <= turn < 2 * den:
-            common = math.gcd(turn, den)
-            text = _angle_text(turn // common, den // common)
-            raise ValueError(f"phase {text} for vertex {vertices[0]} not in [0, 2pi)")
+            raise ValueError(f"phase {format_angle(Fraction(turn, den))} for vertex {vertices[0]} not in [0, 2pi)")
     thresholds = sorted(filter(None, at_level), reverse=True)
     steps = []
     loops: Set[int] = set()

@@ -122,11 +122,7 @@ def _radians(num: int, den: int) -> float:
 
 def format_angle(angle: Fraction) -> str:
     """The multiple of pi as text: 0, π, π/4, 3π/2."""
-    return _angle_text(angle.numerator, angle.denominator)
-
-
-def _angle_text(num: int, den: int) -> str:
-    """format_angle of num/den pi, given in lowest terms."""
+    num, den = angle.numerator, angle.denominator
     if num == 0:
         return "0"
     head = "π" if num == 1 else f"{num}π"
@@ -291,6 +287,13 @@ def _fill(step: TimedGraph, graph: Graph, pi_num: int, pi_den: int) -> None:
     _set_hash(step, None)
 
 
+def _span_time(steps: Sequence[TimedGraph], minus: Sequence[TimedGraph] = ()) -> Tuple[int, int]:
+    """Total duration of the steps less that of ``minus``: an integer over their common denominator, and that."""
+    den = math.lcm(*(step.pi_den for step in steps), *(step.pi_den for step in minus))
+    total = sum(step.pi_num * (den // step.pi_den) for step in steps)
+    return total - sum(step.pi_num * (den // step.pi_den) for step in minus), den
+
+
 @dataclass(frozen=True)
 class DynamicGraph:
     """An ordered sequence of timed graphs on a shared vertex set."""
@@ -309,8 +312,7 @@ class DynamicGraph:
                 )
 
     def total_time(self) -> Fraction:
-        den = math.lcm(*(step.pi_den for step in self.steps))
-        return Fraction(sum(step.pi_num * (den // step.pi_den) for step in self.steps), den)
+        return Fraction(*_span_time(self.steps))
 
     @property
     def graph_count(self) -> int:
@@ -653,8 +655,7 @@ def parse_dynamic_graph(text: str) -> DynamicGraph:
         _parse_step(step, n_vertices, f"sequence[{index}]")
         for index, step in enumerate(raw_sequence)
     )
-    den = math.lcm(*(step.pi_den for step in steps))
-    total = sum(step.pi_num * (den // step.pi_den) for step in steps)
+    total, den = _span_time(steps)
     if max(den, total) >= 10**MAX_TIME_DIGITS:
         _fail("sequence", f"the durations need more than {MAX_TIME_DIGITS} digits over a common denominator")
     return DynamicGraph(n_vertices, steps)

@@ -117,7 +117,7 @@ periods recur: a period is looked up only for a duration of 2pi or more,
 or for the empty graph (a nonempty graph's period is None or an even
 multiple of pi). The Hadamard-layer verdict (``_hypercube_hadamard``)
 reads the fragment's product, not its steps. A landing on a loops-only
-target is built directly as its at most two staircase steps. A
+target is the staircase (``_staircase``) of its per-vertex phases. A
 singleton site is built straight from the two singleton verdicts, for
 the targets of the corridor only: outward from the source on each side,
 up to and including the first step that attaches an edge to the vertex,
@@ -127,14 +127,13 @@ What every position of a scan reads of the walk as a whole is computed
 once per walk, in the ``ScanFacts`` the driver passes to every row: the
 prefix times as integers over one denominator, the ends of the runs of
 phased permutations, of phased bit flips and of loops-only steps, and,
-only once the Hadamard-layer row asks, the prefix products W_0 .. W_count
-from one ``walk_engine.prefix_unitaries`` call. The facts live as long as their
-walk's scans; no module-level state holds them. The enabling search
-derives each candidate's facts from the walk's: the move keeps the
-window's time, so only the prefix times inside the window are new; the
-products left of the window are the walk's, those right of it the
-walk's up to a global phase, which no verdict reads, and only the
-window's are new, from a
+only once the Hadamard-layer row asks, the prefix products
+W_0 .. W_count from one ``walk_engine.prefix_unitaries`` call. The facts live
+as long as their walk's scans; no module-level state holds them. Each
+candidate of the enabling search sums its own prefix times and takes its
+prefix products from the walk's: those left of the window are the
+walk's, those right of it the walk's up to a global phase, which no
+verdict reads, and only the window's are new, from a
 ``prefix_unitaries`` call that applies the window's steps to the product
 before it. A phased-permutation form is read from the step's block
 exponentials in ``walk_engine``'s factor cache, with no n x n step
@@ -185,6 +184,7 @@ from .graph_model import (
     _nearest_ratio,
     _period,
     _small_ratio,
+    _span_time,
     format_angle,
     radians,
     spectrum,
@@ -356,13 +356,6 @@ def _phased_permutation(step: TimedGraph) -> Optional[PhasedPermutation]:
     return PhasedPermutation(tuple(rows.tolist()), tuple(map(turn_of.__getitem__, entries)), den, bitflip)
 
 
-def _span_time(steps: Sequence[TimedGraph], minus: Sequence[TimedGraph] = ()) -> Tuple[int, int]:
-    """Total duration of the steps less that of ``minus``: an integer over their common denominator, and that."""
-    den = math.lcm(*(step.pi_den for step in steps), *(step.pi_den for step in minus))
-    total = sum(step.pi_num * (den // step.pi_den) for step in steps)
-    return total - sum(step.pi_num * (den // step.pi_den) for step in minus), den
-
-
 def _reduced(graph: Graph, num: int, den: int) -> Tuple[int, int]:
     """num/den modulo the graph's period, over a multiple of den; aperiodic (None) keeps it, period 0 zeroes it.
 
@@ -527,13 +520,10 @@ def _singleton_landing(step: TimedGraph, vertex: int, tau: Time) -> StepsVerdict
 
     Two landing modes:
 
-    * the target is loops-only and already loops the vertex: its phase
-      becomes (t_target + tau) mod 2pi and the target re-emits as the
-      staircase of at most two steps that pays t_target on its other loops
-      and that phase on the vertex. For t_target below 2pi it equals
-      ``schedule_phases`` of those phases byte for byte; it is built here
-      because the one-line call through ``schedule_phases`` measured
-      slower on the optimizer benchmark;
+    * the target is loops-only and already loops the vertex: the vertex's
+      phase becomes (t_target + tau) mod 2pi and the target re-emits as
+      the staircase (``_staircase``, at most two steps) that pays t_target
+      mod 2pi on its other loops and that phase on the vertex;
     * the target leaves the vertex entirely untouched and tau covers at
       least the target's normalized duration: the vertex joins the target
       with a loop, and any remaining phase trails as a one-vertex step.
@@ -543,19 +533,11 @@ def _singleton_landing(step: TimedGraph, vertex: int, tau: Time) -> StepsVerdict
     if vertex in graph.loops:
         if not graph.is_loops_only:
             return "target loops the vertex but is not loops-only"
-        # (phase, vertices) groups, phases over den; one step per distinct
-        # nonzero phase, highest first, looping every vertex that reaches it,
-        # as in schedule_phases
         den = step.pi_den * tau[1]
-        held = step.pi_num * tau[1]
-        groups = ((held, graph.loops - {vertex}), ((held + tau[0] * step.pi_den) % (2 * den), frozenset({vertex})))
-        levels = sorted({phase for phase, vertices in groups if phase and vertices}, reverse=True)
-        return tuple(
-            TimedGraph.of(
-                Graph(n, loops=frozenset().union(*(v for phase, v in groups if phase >= high))), high - low, den
-            )
-            for high, low in zip(levels, levels[1:] + [0])
-        )
+        held = step.pi_num * tau[1] % (2 * den)
+        turns = dict.fromkeys(graph.loops, held)
+        turns[vertex] = (held + tau[0] * step.pi_den) % (2 * den)
+        return _staircase(turns, den, n)
     if not graph.degree_free(vertex):
         return "target attaches edges to the vertex"
     if graph.is_empty:
@@ -648,11 +630,9 @@ class ScanFacts:
       own when none is given).
 
     The run ends and the products are built on first use, the products
-    only by the Hadamard-layer row. ``moved`` derives the facts
-    of an enabling candidate from those of the walk it moves: its
-    denominator is a common multiple of the origin's and of the window's
-    durations, not always the least, which no price depends on, and only
-    the prefix times inside the window are new.
+    only by the Hadamard-layer row. The facts of an enabling candidate
+    (``moved``) keep the walk they were moved from as their origin, whose
+    products they share outside the window.
     """
 
     def __init__(
@@ -661,18 +641,8 @@ class ScanFacts:
     ) -> None:
         self.walk = walk
         self.memo = memo or _Memo()
-        steps = walk.steps
-        if origin is None:
-            self.den = math.lcm(*(step.pi_den for step in steps))
-            self.times = [0, *accumulate(step.pi_num * (self.den // step.pi_den) for step in steps)]
-        else:
-            facts, start, stop = origin
-            self.den = math.lcm(facts.den, *(step.pi_den for step in steps[start:stop]))
-            scale = self.den // facts.den
-            times = facts.times if scale == 1 else [time * scale for time in facts.times]
-            window = (step.pi_num * (self.den // step.pi_den) for step in steps[start : stop - 1])
-            inside = accumulate(window, initial=times[start])
-            self.times = [*times[:start], *inside, *times[stop:]]
+        self.den = math.lcm(*(step.pi_den for step in walk.steps))
+        self.times = [0, *accumulate(step.pi_num * (self.den // step.pi_den) for step in walk.steps)]
         self._origin = origin
         self._ends: Dict[str, List[int]] = {}
         self._products: Optional[List[np.ndarray]] = None

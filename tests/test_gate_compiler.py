@@ -122,6 +122,26 @@ def test_gate_rejects_a_theta_that_is_not_a_fraction(theta):
         Gate("PHASE", target=0, theta=theta)
 
 
+@pytest.mark.parametrize("index", [0.0, 1.5, True, False])
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda q: Gate("X", target=q), id="target"),
+        pytest.param(lambda q: Gate("CNOT", control=q, target=2), id="control"),
+        pytest.param(lambda q: Gate("HLAYER", targets=(2, q)), id="targets"),
+    ],
+)
+def test_gate_qubit_indices_must_be_ints(build, index):
+    with pytest.raises(TypeError, match="qubit index must be an int"):
+        build(index)
+
+
+@pytest.mark.parametrize("count", [2.5, 2.0, True])
+def test_circuit_qubit_count_must_be_an_int(count):
+    with pytest.raises(TypeError, match="qubit count must be an int"):
+        Circuit(count, (Gate("X", target=0),))
+
+
 def test_gate_rejects_a_negative_theta():
     with pytest.raises(ValueError, match=r"\[0, 2pi\)"):
         Gate("PHASE", target=0, theta=Fraction(-1, 4))
@@ -173,8 +193,10 @@ def test_schedule_phases_empty_map():
 
 
 def test_schedule_phases_rejects_bad_input():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="phase 2π for vertex 0 not in"):
         schedule_phases({0: angle(2)}, 4)
+    with pytest.raises(ValueError, match="phase 5π/2 for vertex 1 not in"):
+        schedule_phases({0: angle(1, 4), 1: angle(5, 2)}, 4)
     with pytest.raises(ValueError):
         schedule_phases({4: angle(1, 2)}, 4)
     with pytest.raises(ValueError, match="vertex -1 out of range"):

@@ -661,27 +661,27 @@ def test_loops_only_landing_is_the_staircase_of_its_two_phases(others):
 
 @pytest.mark.parametrize("seed", range(40))
 def test_loops_only_landing_is_the_schedule_of_its_phases_at_any_width(seed):
-    """Random loops-only targets on 2-16 vertices, durations below 2pi, phases in eighths."""
+    """Random loops-only targets on 2-16 vertices, durations below 4pi, phases in eighths; phases reduce mod 2pi."""
     rng = random.Random(seed)
     n = rng.randrange(2, 17)
     for _ in range(20):
         vertex = rng.randrange(n)
         others = [v for v in range(n) if v != vertex and rng.random() < 0.5]
         den = rng.choice((1, 2, 3, 4, 8, 16))
-        target = TimedGraph(Graph.make(n, loops=[vertex, *others]), angle(rng.randrange(1, 2 * den), den))
+        target = TimedGraph(Graph.make(n, loops=[vertex, *others]), angle(rng.randrange(4 * den), den))
         tau = angle(rng.randrange(16), 8)
         landed = ro._singleton_landing(target, vertex, (tau.numerator, tau.denominator))
-        phases = {w: target.duration for w in others}
+        phases = {w: target.duration % 2 for w in others}
         phases[vertex] = (target.duration + tau) % 2
         assert landed == schedule_phases(phases, n)
 
 
 @pytest.mark.parametrize("duration", [angle(2), angle(9, 4), angle(15, 4), angle(6)])
 def test_a_loops_only_landing_on_a_long_target_lands(duration):
-    """A target of 2pi or more still takes the phase, and the landing keeps the unitary."""
+    """A target of 2pi or more still takes the phase as the staircase of its phases mod 2pi, and keeps the unitary."""
     target = loops(3, [0, 2], duration.numerator, duration.denominator)
     landed = ro._singleton_landing(target, 0, (3, 8))
-    assert not isinstance(landed, str)
+    assert landed == schedule_phases({0: (duration + angle(3, 8)) % 2, 2: duration % 2}, 3)
     moved = walk_of(loops(3, [0], 3, 8), target)
     assert phase_distance(total_unitary(moved), total_unitary(DynamicGraph(3, landed))) < 1e-12
 
@@ -1030,8 +1030,8 @@ def fraction_landing(step, vertex, tau):
     """_singleton_landing in Fraction arithmetic, for a target the rule applies to."""
     graph, n = step.graph, step.graph.n_vertices
     if vertex in graph.loops:
-        # the staircase of the target's phase on its other loops and the landed phase on the vertex
-        groups = ((step.duration, graph.loops - {vertex}), ((step.duration + tau) % 2, {vertex}))
+        # the staircase of the target's phase on its other loops and the landed phase on the vertex, both mod 2pi
+        groups = ((step.duration % 2, graph.loops - {vertex}), ((step.duration + tau) % 2, {vertex}))
         levels = sorted({phase for phase, vertices in groups if phase and vertices}, reverse=True)
         return tuple(
             TimedGraph(Graph.make(n, loops=set().union(*(v for phase, v in groups if phase >= high))), high - low)
@@ -1162,6 +1162,29 @@ def random_rewrite(rng, walk, start, stop):
     n = walk.n_vertices
     make = random_step if n & (n - 1) == 0 else random_singleton_step
     return walk.replaced(start, stop, [make(rng, n) for _ in range(stop - start)])
+
+
+def test_moved_facts_are_the_facts_of_the_moved_walk():
+    """Every enabling candidate against fresh facts of its walk: the same times; products spliced from the origin's.
+
+    Left of the window the products are the origin's own arrays, and from
+    the window on they equal the moved walk's up to a global phase.
+    """
+    _, _, moves = ro._pick_rows(set(ALL_RULES))
+    compared = spliced = 0
+    for seed in range(40):
+        walk = search_input(seed)
+        for moved, (start, _) in neutral_moves(walk, moves):
+            fresh = ro.ScanFacts(moved.walk)
+            assert (moved.times, moved.den) == (fresh.times, fresh.den), (seed, start)
+            compared += 1
+            if walk.n_vertices & (walk.n_vertices - 1) == 0:
+                products, expected = moved.products(), fresh.products()
+                assert len(products) == len(expected)
+                assert all(np.array_equal(a, b) for a, b in zip(products[: start + 1], expected))
+                assert all(phase_distance(a, b) < 1e-12 for a, b in zip(products[start + 1 :], expected[start + 1 :]))
+                spliced += 1
+    assert compared >= 1500 and spliced >= 1000, (compared, spliced)
 
 
 def test_regular_rows_offer_only_sites_that_start_at_their_position():
@@ -1864,7 +1887,7 @@ def test_optimize_compiled_circuit_matches_circuit_unitary(circuit):
     assert after <= before
 
 
-# -- the corpus scripts ---------------------------------------------------------------
+# -- the scripts in tests/ ------------------------------------------------------------
 
 
 def test_the_corpus_digest_script_runs_on_two_seeds(capsys):
@@ -1898,3 +1921,16 @@ def test_the_optimize_profile_script_runs_on_two_seeds(capsys):
     assert {"fractions.py", "rewrite_optimizer.py"} <= set(shares)
     assert list(shares.values()) == sorted(shares.values(), reverse=True)
     assert abs(sum(shares.values()) - 100) < 0.05 * len(shares) + 0.1
+
+
+def test_the_code_lines_script_counts_every_module(capsys):
+    """tests/code_lines.py: one line per module of src/dynwalk, then their total; no blank, comment or docstring line counts."""
+    import code_lines
+
+    source = '"""Module."""\n\n# a comment\nx = (1,\n     2)  # trailing\n\n\ndef f():\n    """Doc\n    string."""\n    return """a\nb"""\n'
+    assert code_lines.code_lines(source) == 5
+    code_lines.main()
+    *modules, total = capsys.readouterr().out.splitlines()
+    counts = dict(re.fullmatch(r"(\w+\.py): (\d+)", line).groups() for line in modules)
+    assert {"__init__.py", "graph_model.py", "rewrite_optimizer.py"} <= set(counts)
+    assert total == f"src/dynwalk: {sum(map(int, counts.values()))}"
