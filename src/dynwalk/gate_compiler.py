@@ -17,7 +17,13 @@ Every gate in the catalog becomes a short sequence of timed graphs on the
   each target bit, between two identical loop staircases. The staircase
   phases depend only on the Hamming weight on the target bits, and the
   bracket equals H on each target qubit exactly, times the global phase
-  exp(-2i beta).
+  exp(-2i beta). ``compile_circuit(parallel_hadamards=True)`` compiles a
+  run of adjacent H gates on distinct qubits as the layer on its targets,
+  as it compiles an HLAYER gate.
+
+Each gate kind takes the fields ``_GATE_FIELDS`` lists, and only those:
+``Gate`` refuses a missing one and any other, and the parser reads them in
+the table's order.
 
 Qubit 0 is the leftmost wire, i.e. the most significant bit of a vertex
 index. Composition order matches program order: later gates multiply on
@@ -82,7 +88,23 @@ __all__ = [
     "parse_circuit",
 ]
 
-GATE_KINDS = ("X", "Y", "Z", "S", "T", "PHASE", "H", "CNOT", "HLAYER")
+# The fields each gate kind takes, in the order the parser reads them; a
+# gate leaves every other field None.
+_GATE_FIELDS = {
+    "X": ("target",),
+    "Y": ("target",),
+    "Z": ("target",),
+    "S": ("target",),
+    "T": ("target",),
+    "PHASE": ("target", "theta"),
+    "H": ("target",),
+    "CNOT": ("control", "target"),
+    "HLAYER": ("targets",),
+}
+GATE_KINDS = tuple(_GATE_FIELDS)
+# what a gate of a kind that takes the field must be given
+_FIELD_NEEDS = {"target": "a target qubit", "control": "a control qubit", "theta": "a theta angle",
+                "targets": "a nonempty targets tuple"}
 
 # a circuit on n qubits compiles to a walk on 2^n vertices
 MAX_QUBITS = MAX_VERTICES.bit_length() - 1
@@ -94,7 +116,14 @@ _LOOP_PHASES = {"Z": (1, 1), "S": (3, 2), "T": (7, 4)}
 
 @dataclass(frozen=True)
 class Gate:
-    """One circuit element; which fields apply depends on ``kind``."""
+    """One circuit element: a kind and the fields that kind takes.
+
+    ``_GATE_FIELDS`` lists them: ``target`` for X, Y, Z, S, T and H,
+    ``target`` and ``theta`` for PHASE, ``control`` and ``target`` for
+    CNOT, and ``targets`` for HLAYER. Each must be given, and every other
+    field must be None. ``targets`` is kept as a tuple, whatever sequence
+    it is given as.
+    """
 
     kind: str
     target: Optional[int] = None
@@ -106,24 +135,21 @@ class Gate:
     def __post_init__(self) -> None:
         if self.kind not in GATE_KINDS:
             raise ValueError(f"unknown gate kind {self.kind!r}")
-        for qubit in (*(q for q in (self.target, self.control) if q is not None), *(self.targets or ())):
+        if self.targets is not None:
+            object.__setattr__(self, "targets", tuple(self.targets))
+        for field, needs in _FIELD_NEEDS.items():
+            value = getattr(self, field)
+            if field not in _GATE_FIELDS[self.kind]:
+                if value is not None:
+                    raise ValueError(f"{self.kind} takes no {field}")
+            elif value is None or field == "targets" and not value:
+                raise ValueError(f"{self.kind} needs {needs}")
+        qubits = _gate_qubits(self)
+        for qubit in qubits:
             if type(qubit) is not int:
                 raise TypeError(f"qubit index must be an int, got {qubit!r}")
-        if self.kind == "HLAYER":
-            if not self.targets:
-                raise ValueError("HLAYER needs a nonempty targets tuple")
-            if len(set(self.targets)) != len(self.targets):
-                raise ValueError("HLAYER targets must be distinct")
-        else:
-            if self.target is None:
-                raise ValueError(f"{self.kind} needs a target qubit")
-        if self.kind == "CNOT":
-            if self.control is None:
-                raise ValueError("CNOT needs a control qubit")
-            if self.control == self.target:
-                raise ValueError("CNOT control and target must differ")
-        if self.kind == "PHASE" and self.theta is None:
-            raise ValueError("PHASE needs a theta angle")
+        if len(set(qubits)) != len(qubits):
+            raise ValueError("CNOT control and target must differ" if self.kind == "CNOT" else "HLAYER targets must be distinct")
         if self.theta is not None:
             if not isinstance(self.theta, Fraction):
                 raise TypeError(f"theta must be a Fraction multiple of pi, got {self.theta!r}")
@@ -155,9 +181,10 @@ class Circuit:
 
 
 def _gate_qubits(gate: Gate) -> Tuple[int, ...]:
-    if gate.kind == "HLAYER":
-        return tuple(gate.targets or ())
-    if gate.kind == "CNOT":
+    """The qubits the gate touches: its targets, else its control and target, else its target."""
+    if gate.targets is not None:
+        return gate.targets
+    if gate.control is not None:
         return (gate.control, gate.target)  # type: ignore[return-value]
     return (gate.target,)  # type: ignore[return-value]
 
@@ -321,31 +348,23 @@ def compile_gate(gate: Gate, n_qubits: int) -> DynamicGraph:
 def compile_circuit(circuit: Circuit, parallel_hadamards: bool = False) -> DynamicGraph:
     """Concatenate gate programs in circuit order.
 
-    With ``parallel_hadamards``, maximal runs of adjacent H gates on
-    distinct qubits fuse into one combined layer, sharing a single
-    sub-hypercube walk instead of one walk per qubit. Explicit HLAYER gates
-    always compile combined.
+    Each maximal run of adjacent H gates on distinct qubits compiles as the
+    Hadamard layer on its targets (``compile_hadamard_layer``), one
+    sub-hypercube walk instead of one walk per qubit; without
+    ``parallel_hadamards`` every run is one H. An explicit HLAYER never
+    joins a run. Every other gate compiles on its own.
     """
-    steps: list = []
-    gates = list(circuit.gates)
-    index = 0
-    while index < len(gates):
-        gate = gates[index]
-        if parallel_hadamards and gate.kind == "H":
-            run = [gate.target]
-            stop = index + 1
-            while (
-                stop < len(gates)
-                and gates[stop].kind == "H"
-                and gates[stop].target not in run
-            ):
-                run.append(gates[stop].target)
-                stop += 1
-            steps.extend(compile_hadamard_layer(run, circuit.n_qubits).steps)
-            index = stop
+    steps: List[TimedGraph] = []
+    run: List[int] = []
+    for gate, following in zip(circuit.gates, circuit.gates[1:] + (None,)):
+        if gate.kind != "H":
+            steps.extend(_gate_steps(gate, circuit.n_qubits))
             continue
-        steps.extend(_gate_steps(gate, circuit.n_qubits))
-        index += 1
+        run.append(gate.target)  # type: ignore[arg-type]
+        # the run ends before a gate that is no H or repeats one of its qubits
+        if not (parallel_hadamards and following is not None and following.kind == "H" and following.target not in run):
+            steps.extend(compile_hadamard_layer(run, circuit.n_qubits).steps)
+            run = []
     return DynamicGraph(circuit.n_vertices, tuple(steps))
 
 
@@ -366,10 +385,9 @@ def _apply_gate(gate: Gate, n_qubits: int, rows: np.ndarray, adjoint: bool = Fal
     if not rows.flags.c_contiguous:
         raise ValueError("rows must be C-contiguous to be updated in place")
     if gate.kind == "CNOT":
-        control, target = gate.control, gate.target
-        low, high = sorted((control, target))  # type: ignore[type-var]
+        low, high = sorted(_gate_qubits(gate))
         view = rows.reshape(2**low, 2, 2 ** (high - low - 1), 2, -1)
-        if control < target:  # type: ignore[operator]
+        if gate.control == low:
             _swap(view[:, 1, :, 0], view[:, 1, :, 1])
         else:
             _swap(view[:, 0, :, 1], view[:, 1, :, 1])
@@ -469,27 +487,14 @@ def circuit_distance(circuit: Circuit, blocks: Iterable[Tuple[np.ndarray, np.nda
     return overlap_distance(trace, n)
 
 
-_GATE_FIELDS = {
-    "X": ("target",),
-    "Y": ("target",),
-    "Z": ("target",),
-    "S": ("target",),
-    "T": ("target",),
-    "H": ("target",),
-    "PHASE": ("target", "theta"),
-    "CNOT": ("control", "target"),
-    "HLAYER": ("targets",),
-}
-
-
 def _parse_gate(obj: object, n_qubits: int, path: str) -> Gate:
     if not isinstance(obj, dict):
         _fail(path, "expected a gate object")
     kind = obj.get("kind")
     if kind not in GATE_KINDS:
         _fail(f"{path}.kind", f"expected one of {', '.join(GATE_KINDS)}, got {kind!r}")
-    fields = ("kind",) + _GATE_FIELDS[kind]
-    _expect_keys(obj, fields, path)
+    fields = _GATE_FIELDS[kind]
+    _expect_keys(obj, ("kind",) + fields, path)
 
     def qubit(value: object, where: str) -> int:
         index = _expect_int(value, where)
@@ -497,27 +502,26 @@ def _parse_gate(obj: object, n_qubits: int, path: str) -> Gate:
             _fail(where, f"qubit {index} out of range 0..{n_qubits - 1}")
         return index
 
-    try:
-        if kind == "HLAYER":
-            raw = obj["targets"]
+    values: Dict[str, object] = {}
+    for field in fields:
+        raw, where = obj[field], f"{path}.{field}"
+        if field == "theta":
+            values[field] = Fraction(*_parse_time(raw, where))
+        elif field == "targets":
             if not isinstance(raw, list) or not raw:
-                _fail(f"{path}.targets", "expected a nonempty list of qubits")
-            seen = []
+                _fail(where, "expected a nonempty list of qubits")
+            seen: List[int] = []
             for k, value in enumerate(raw):
-                target = qubit(value, f"{path}.targets[{k}]")
+                target = qubit(value, f"{where}[{k}]")
                 if target in seen:
-                    _fail(f"{path}.targets[{k}]", f"duplicate qubit {target}")
+                    _fail(f"{where}[{k}]", f"duplicate qubit {target}")
                 seen.append(target)
-            return Gate("HLAYER", targets=tuple(seen))
-        target = qubit(obj["target"], f"{path}.target")
-        if kind == "CNOT":
-            return Gate("CNOT", control=qubit(obj["control"], f"{path}.control"), target=target)
-        if kind == "PHASE":
-            return Gate("PHASE", target=target, theta=Fraction(*_parse_time(obj["theta"], f"{path}.theta")))
-        return Gate(kind, target=target)
+            values[field] = tuple(seen)
+        else:
+            values[field] = qubit(raw, where)
+    try:
+        return Gate(kind, **values)  # type: ignore[arg-type]
     except ValueError as err:
-        if isinstance(err, ParseError):
-            raise
         raise ParseError(f"{path}: {err}") from err
 
 

@@ -67,8 +67,8 @@ Every duration here is a pair of integers, a step's ``pi_num`` over
 ``pi_den`` (see ``graph_model``): periods, phases, merges and residues
 are computed on such pairs and no ``Fraction`` is built until a value
 leaves, as a rewrite record's ``time_saved``, a report time or a note's
-text. A site is priced in one integer sum over the durations of the span,
-read from the walk's prefix times, and of its replacement (``_gain``),
+text. A site is priced in one integer sum over the durations of the span
+and of its replacement (``_gain``, through ``graph_model._span_time``),
 the one price the scan ranks by: (saved, den, removed), the time saved
 saved/den pi and the graphs removed. (saved, removed) > (0, 0) is a
 strict improvement and (0, 0) a cost-neutral change, whatever den is.
@@ -566,14 +566,12 @@ def _corridor(steps: Tuple[TimedGraph, ...], source: int, vertex: int) -> Tuple[
     edge-free in every step strictly between source and target (loops
     there are fine: diagonals commute).
     """
-    first = source
-    while first > 0:
-        first -= 1
+    # a search that meets no such step stops at the walk's end, the last step it tried
+    first = last = source
+    for first in range(source - 1, -1, -1):
         if not steps[first].graph.degree_free(vertex):
             break
-    last = source
-    while last < len(steps) - 1:
-        last += 1
+    for last in range(source + 1, len(steps)):
         if not steps[last].graph.degree_free(vertex):
             break
     return first, last
@@ -1040,10 +1038,8 @@ _RULE_TABLE: Tuple[Tuple[str, Optional[PositionSites], Optional[WalkSites], bool
 
 
 def _gain(facts: ScanFacts, start: int, stop: int, replacement: Tuple[TimedGraph, ...]) -> Price:
-    """The price of replacing steps[start:stop] of the facts' walk: its prefix times less the replacement's sum."""
-    den = math.lcm(facts.den, *(step.pi_den for step in replacement))
-    kept = sum(step.pi_num * (den // step.pi_den) for step in replacement)
-    saved = (facts.times[stop] - facts.times[start]) * (den // facts.den) - kept
+    """The price of replacing steps[start:stop] of the facts' walk: the span's time less the replacement's, by _span_time."""
+    saved, den = _span_time(facts.walk.steps[start:stop], minus=replacement)
     return saved, den, (stop - start) - len(replacement)
 
 

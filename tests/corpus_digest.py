@@ -14,12 +14,16 @@ and of the three named programs: the totals an output-quality change is
 gated on. Then comes a sha256 over the serialized
 ``compile_hadamard_layer(targets, q)`` for q = 1..10 and every set of
 one to three target qubits, so that two trees that print the same line
-compile every such Hadamard layer identically. Its last line is a sha256
+compile every such Hadamard layer identically. The next line is a sha256
 over the stdout and exit code of ``simulate``, run through ``cli.main``
 from basis state 0, on every compiled circuit of the corpus, each written
 to a walk file first: two trees that print the same line write, parse,
-simulate and print those walks identically. The file has no ``test_``
-prefix, so pytest does not collect it.
+simulate and print those walks identically. A last line is a sha256 over
+the serialized ``compile_circuit(c, parallel_hadamards=True)`` of every
+corpus circuit c, the circuits compiled above with each run of adjacent
+Hadamards on distinct qubits fused into one layer: two trees that print
+the same line compile those circuits identically on the fused path. The
+file has no ``test_`` prefix, so pytest does not collect it.
 
 Run from the repository root::
 
@@ -91,6 +95,15 @@ def simulate_digest(seeds: int = SEEDS) -> str:
     return digest.hexdigest()
 
 
+def fused_digest(seeds: int = SEEDS) -> str:
+    """sha256 over the serialized compile_circuit(c, parallel_hadamards=True) of each corpus circuit c."""
+    digest = hashlib.sha256()
+    for seed in range(seeds):
+        fused = compile_circuit(random_circuit(random.Random(seed)), parallel_hadamards=True)
+        digest.update(serialize_dynamic_graph(fused).encode())
+    return digest.hexdigest()
+
+
 def main(argv=()) -> None:
     seeds = int(argv[0]) if argv else SEEDS
     digest = hashlib.sha256()
@@ -110,6 +123,7 @@ def main(argv=()) -> None:
         print(f"{part}: {programs} programs, final time {format_angle(time_pi)}, {graphs} graphs")
     print(f"hadamard layers, 1-10 qubits, 1-3 targets: sha256 {layer_digest()}")
     print(f"simulate, compiled circuits from state 0: sha256 {simulate_digest(seeds)}")
+    print(f"compile with parallel Hadamards, corpus circuits: sha256 {fused_digest(seeds)}")
 
 
 if __name__ == "__main__":

@@ -116,6 +116,33 @@ def test_gate_validation_rejects(build):
         build()
 
 
+# the fields of a valid gate of each kind, and a stray value for each field that none of those gates holds
+VALID_FIELDS = {
+    "X": {"target": 0}, "Y": {"target": 0}, "Z": {"target": 0}, "S": {"target": 0}, "T": {"target": 0},
+    "PHASE": {"target": 0, "theta": angle(1, 4)}, "H": {"target": 0},
+    "CNOT": {"control": 0, "target": 1}, "HLAYER": {"targets": (0, 1)},
+}
+STRAY_VALUES = {"target": 2, "control": 3, "theta": angle(1, 2), "targets": (4,)}
+
+
+@pytest.mark.parametrize(
+    "kind, field",
+    [(kind, field) for kind in GATE_KINDS for field in STRAY_VALUES if field not in VALID_FIELDS[kind]],
+)
+def test_gate_refuses_fields_its_kind_does_not_take(kind, field):
+    Gate(kind, **VALID_FIELDS[kind])
+    with pytest.raises(ValueError, match=rf"^{kind} takes no {field}$"):
+        Gate(kind, **VALID_FIELDS[kind], **{field: STRAY_VALUES[field]})
+
+
+def test_gate_keeps_targets_as_a_tuple():
+    listed, tupled = Gate("HLAYER", targets=[0, 1]), Gate("HLAYER", targets=(0, 1))
+    assert listed.targets == (0, 1)
+    assert listed == tupled
+    assert hash(listed) == hash(tupled)
+    assert hash(Circuit(2, (listed,))) == hash(Circuit(2, (tupled,)))
+
+
 @pytest.mark.parametrize("theta", [0.25, 1, True, "1/4"])
 def test_gate_rejects_a_theta_that_is_not_a_fraction(theta):
     with pytest.raises(TypeError, match="Fraction multiple of pi"):
@@ -491,6 +518,29 @@ def test_parallel_hadamards_run_breaks_on_other_gate():
     assert walk.graph_count == 8
     reference = circuit_unitary(Circuit(2, gates))
     assert phase_distance(total_unitary(walk), reference) < 1e-11
+
+
+@pytest.mark.parametrize(
+    "gates, layers",
+    [
+        pytest.param(
+            (Gate("H", target=0), Gate("HLAYER", targets=(1,)), Gate("H", target=2)),
+            [(0,), (1,), (2,)],
+            id="H-HLAYER-H",
+        ),
+        pytest.param(
+            (Gate("HLAYER", targets=(0, 1)), Gate("H", target=2), Gate("H", target=3)),
+            [(0, 1), (2, 3)],
+            id="HLAYER-H-H",
+        ),
+    ],
+)
+def test_parallel_hadamards_run_breaks_on_hlayer(gates, layers):
+    circuit = Circuit(4, gates)
+    walk = compile_circuit(circuit, parallel_hadamards=True)
+    expected = tuple(step for targets in layers for step in compile_hadamard_layer(targets, 4).steps)
+    assert walk.steps == expected
+    assert phase_distance(total_unitary(walk), circuit_unitary(circuit)) < 1e-11
 
 
 def random_circuit(rng, n_qubits, n_gates):

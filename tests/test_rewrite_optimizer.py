@@ -1891,12 +1891,12 @@ def test_optimize_compiled_circuit_matches_circuit_unitary(circuit):
 
 
 def test_the_corpus_digest_script_runs_on_two_seeds(capsys):
-    """tests/corpus_digest.py at 2 seeds: 7 programs, the part totals and the three digests."""
+    """tests/corpus_digest.py at 2 seeds: 7 programs, the part totals and the four digests."""
     import corpus_digest
 
     corpus_digest.main(["2"])
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 8
+    assert len(lines) == 9
     assert re.fullmatch(r"7 programs in \d+\.\d s", lines[0])
     assert re.fullmatch(r"sha256 [0-9a-f]{64}", lines[1])
     for line, (part, programs) in zip(
@@ -1905,6 +1905,7 @@ def test_the_corpus_digest_script_runs_on_two_seeds(capsys):
         assert re.fullmatch(rf"{part}: {programs} programs, final time (0|\d*π(/\d+)?), \d+ graphs", line)
     assert re.fullmatch(r"hadamard layers, 1-10 qubits, 1-3 targets: sha256 [0-9a-f]{64}", lines[6])
     assert re.fullmatch(r"simulate, compiled circuits from state 0: sha256 [0-9a-f]{64}", lines[7])
+    assert re.fullmatch(r"compile with parallel Hadamards, corpus circuits: sha256 [0-9a-f]{64}", lines[8])
 
 
 def test_the_optimize_profile_script_runs_on_two_seeds(capsys):
