@@ -76,11 +76,8 @@ __all__ = [
     "Circuit",
     "bit_value",
     "matching_graph",
-    "all_loops_graph",
-    "bit_set_loops_graph",
     "schedule_phases",
     "compile_hadamard_layer",
-    "compile_gate",
     "compile_circuit",
     "circuit_unitary",
     "mixing_pairs",
@@ -224,15 +221,6 @@ def matching_graph(n_vertices: int, flip_mask: int) -> Graph:
     return Graph(n_vertices, frozenset(pairs))
 
 
-def all_loops_graph(n_vertices: int) -> Graph:
-    return _loops(n_vertices, 0)
-
-
-def bit_set_loops_graph(n_vertices: int, bit_mask: int) -> Graph:
-    """Loops on every vertex whose index holds any bit of bit_mask."""
-    return Graph(n_vertices, loops=frozenset([v for v in range(n_vertices) if v & bit_mask]))
-
-
 def schedule_phases(phases: Mapping[int, Fraction], n_vertices: int) -> Tuple[TimedGraph, ...]:
     """Loop staircase applying exp(-i theta_v) to each vertex v.
 
@@ -336,23 +324,16 @@ def _gate_steps(gate: Gate, n_qubits: int) -> Tuple[TimedGraph, ...]:
     return (TimedGraph.of(_loops(n, mask), *_LOOP_PHASES[gate.kind]),)
 
 
-def compile_gate(gate: Gate, n_qubits: int) -> DynamicGraph:
-    """Walk program for one gate; exact up to a documented global phase.
+def compile_circuit(circuit: Circuit, parallel_hadamards: bool = False) -> DynamicGraph:
+    """Concatenate gate programs in circuit order, each exact up to a documented global phase.
 
     X, Y, Z, S, T, PHASE and CNOT compile with global phase 1. H and HLAYER
     compile to exp(-2i beta) times the gate (a single H comes out as -H).
-    """
-    return DynamicGraph(2 ** n_qubits, _gate_steps(gate, n_qubits))
-
-
-def compile_circuit(circuit: Circuit, parallel_hadamards: bool = False) -> DynamicGraph:
-    """Concatenate gate programs in circuit order.
-
     Each maximal run of adjacent H gates on distinct qubits compiles as the
     Hadamard layer on its targets (``compile_hadamard_layer``), one
-    sub-hypercube walk instead of one walk per qubit; without
-    ``parallel_hadamards`` every run is one H. An explicit HLAYER never
-    joins a run. Every other gate compiles on its own.
+    sub-hypercube walk instead of one walk per qubit, at that layer's
+    phase; without ``parallel_hadamards`` every run is one H. An explicit
+    HLAYER never joins a run. Every other gate compiles on its own.
     """
     steps: List[TimedGraph] = []
     run: List[int] = []

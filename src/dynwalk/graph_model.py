@@ -8,8 +8,8 @@ package they are integers: a step holds its duration as ``pi_num`` over
 computed on such integer pairs, so the rewrite passes cancel full periods
 and compare costs exactly without building a ``fractions.Fraction``. At the
 package's edge they are ``Fraction``s: ``TimedGraph`` takes one,
-``TimedGraph.duration``, ``DynamicGraph.total_time``, ``period`` and
-``rationalize`` return one, and ``format_angle`` and ``radians`` read one.
+``TimedGraph.duration``, ``DynamicGraph.total_time`` and ``period``
+return one, and ``format_angle`` and ``radians`` read one.
 ``float(d)`` of such a ``d`` is the multiple of pi, not an angle;
 ``radians(d)`` converts when a unitary is actually evaluated and
 ``format_angle(d)`` prints ``3π/2``.
@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import FrozenInstanceError, dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -72,7 +73,6 @@ __all__ = [
     "period",
     "parse_dynamic_graph",
     "serialize_dynamic_graph",
-    "rationalize",
 ]
 
 # 2^12 basis states. Measured on a 2-vCPU x86 machine, 1 BLAS thread, on 12
@@ -96,7 +96,7 @@ MAX_VERTICES = 4096
 # which a longer one would hit when printed.
 MAX_TIME_DIGITS = 1000
 
-# What rationalize (spectral norms, eigenvalue ratios) accepts as a small rational.
+# What ``_small_ratio`` (spectral norms, eigenvalue ratios) accepts as a small rational.
 RATIONAL_DENOMINATOR_LIMIT = 16
 RATIONAL_TOLERANCE = 1e-9
 
@@ -130,7 +130,7 @@ def format_angle(angle: Fraction) -> str:
 
 
 def _normalize_edge(pair: Sequence[int]) -> Tuple[int, int]:
-    a, b = pair
+    a, b = map(operator.index, pair)
     if a == b:
         raise ValueError(f"edge ({a}, {b}) joins a vertex to itself; use a loop")
     return (a, b) if a < b else (b, a)
@@ -184,10 +184,15 @@ class Graph:
         edges: Iterable[Sequence[int]] = (),
         loops: Iterable[int] = (),
     ) -> "Graph":
+        """The graph with the given edges, each a pair in either order, and loops, from any iterables.
+
+        Every vertex is read through ``operator.index``: a float raises
+        TypeError, and a numpy integer becomes a Python int.
+        """
         return cls(
             n_vertices,
             frozenset(_normalize_edge(pair) for pair in edges),
-            frozenset(int(v) for v in loops),
+            frozenset(map(operator.index, loops)),
         )
 
     @property
@@ -453,12 +458,6 @@ def supports_disjoint(a: Graph, b: Graph) -> bool:
     return not (support(a) & support(b))
 
 
-def rationalize(value: float) -> Optional[Fraction]:
-    """Best rational p/q with q <= RATIONAL_DENOMINATOR_LIMIT, or None beyond RATIONAL_TOLERANCE."""
-    ratio = _small_ratio(value)
-    return None if ratio is None else Fraction(*ratio)
-
-
 def _nearest_ratio(value: float, limit: int) -> Optional[Tuple[int, int]]:
     """The ratio p/q with q <= limit nearest the value, in lowest terms, if it lies within 1/(2 limit^2).
 
@@ -475,7 +474,7 @@ def _nearest_ratio(value: float, limit: int) -> Optional[Tuple[int, int]]:
 
 
 def _small_ratio(value: float) -> Optional[Tuple[int, int]]:
-    """rationalize's ratio as (p, q) in lowest terms, or None."""
+    """Best ratio p/q with q <= RATIONAL_DENOMINATOR_LIMIT, as (p, q) in lowest terms, or None beyond RATIONAL_TOLERANCE."""
     ratio = _nearest_ratio(value, RATIONAL_DENOMINATOR_LIMIT)
     if ratio is None or not abs(ratio[0] / ratio[1] - value) < RATIONAL_TOLERANCE:
         return None

@@ -34,10 +34,9 @@ not searched: all vertices form one component, and the one block is the
 n x n identity. ``_run`` applies a run of steps to a block, or to any
 n x m array, at O(n k m) per step. The blocks have three readers:
 
-* ``_product`` writes each block into a zeroed n x n result, for
-  ``step_unitary`` and ``total_unitary``: the entries between components
-  are exact +0.0, and so are the zeros of a component that holds every
-  vertex;
+* ``total_unitary`` writes each block into a zeroed n x n result: the
+  entries between components are exact +0.0, and so are the zeros of a
+  component that holds every vertex;
 * ``run_distance`` compares two runs up to a global phase: it lays both
   products out over the union of both runs' graphs, so tr(U^dag V) is the
   sum of ``np.vdot`` over the blocks. ``equiv`` and the optimizer's span
@@ -60,13 +59,11 @@ from it without forming the n x n step. Every other product computes
 the factors per call and drops them when it returns: the whole-program
 functions (``total_unitary``, ``laid_out_unitary``, ``evolve_state``,
 and so the ``compile``, ``unitary`` and ``simulate`` commands), which
-factor each step once however many blocks they apply it to, and
-``step_unitary``, the dense unitary of one step, kept as reference API.
-The optimizer reads column 0 of a compiled Hadamard layer
-through ``evolve_state`` of vertex 0, once per layer, and compares a
-fragment with the layer's gate through ``gate_compiler.circuit_distance``
-on the fragment's dense product, so it asks this module for no layer
-product.
+factor each step once however many blocks they apply it to. The
+optimizer reads column 0 of a compiled Hadamard layer through
+``evolve_state`` of vertex 0, once per layer, and compares a fragment
+with the layer's gate through ``gate_compiler.circuit_distance`` on the
+fragment's dense product, so it asks this module for no layer product.
 """
 
 from __future__ import annotations
@@ -81,7 +78,6 @@ from .graph_model import DynamicGraph, Graph, TimedGraph, _radians, components, 
 from .numerics import overlap_distance
 
 __all__ = [
-    "step_unitary",
     "total_unitary",
     "prefix_unitaries",
     "run_distance",
@@ -176,14 +172,15 @@ def _blocks(
         yield groups, start, np.equal.outer(rank, np.arange(start, min(start + block, width))).astype(np.complex128)
 
 
-def _product(n_vertices: int, steps: Sequence[TimedGraph]) -> np.ndarray:
-    """Product of the steps, later steps on the left, as a dense n x n array.
+def total_unitary(walk: DynamicGraph) -> np.ndarray:
+    """Product of all step unitaries, later steps applied on the left, as a dense n x n array.
 
     Each block of the layout goes into a zeroed result, so the entries
     between components are exact +0.0. When one component holds every
     vertex, its -0.0 become +0.0 as well, so that the bytes are those of
     the product formed on the n x n identity whatever the block count.
     """
+    n_vertices, steps = walk.n_vertices, walk.steps
     u = np.zeros((n_vertices, n_vertices), dtype=np.complex128)
     factors = lru_cache(maxsize=None)(_factors)  # each step factored once, whatever the block count
     for groups, start, rows in _blocks(n_vertices, steps):
@@ -196,20 +193,6 @@ def _product(n_vertices: int, steps: Sequence[TimedGraph]) -> np.ndarray:
                 np.add(rows, 0.0, out=rows)  # x + 0.0 is x, but -0.0 + 0.0 is +0.0
             u[members[:, :, None], columns[:, None, :]] = rows[members, : columns.shape[1]]
     return u
-
-
-def step_unitary(step: TimedGraph) -> np.ndarray:
-    """Unitary of one timed graph step, as a dense matrix, with the factors computed per call.
-
-    No package code calls it; the optimizer classifies a step from the
-    cached factors instead.
-    """
-    return _product(step.graph.n_vertices, (step,))
-
-
-def total_unitary(walk: DynamicGraph) -> np.ndarray:
-    """Product of all step unitaries, later steps applied on the left."""
-    return _product(walk.n_vertices, walk.steps)
 
 
 def prefix_unitaries(

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from dynwalk.graph_model import DynamicGraph, Graph, TimedGraph
-from dynwalk.walk_engine import step_unitary
+from dynwalk.walk_engine import total_unitary
 
 N_VERTICES = 8
 _QUARTERS_FULL_TURN = 8
@@ -103,7 +103,7 @@ def build_catalog() -> List[Entry]:
     def add(family: str, graph: Graph, quarters: int) -> None:
         duration = Fraction(quarters, 4)
         entries.append(
-            Entry(family, graph, duration, step_unitary(TimedGraph(graph, duration)))
+            Entry(family, graph, duration, total_unitary(DynamicGraph(graph.n_vertices, (TimedGraph(graph, duration),))))
         )
 
     for quarters in range(1, _QUARTERS_FULL_TURN):

@@ -23,8 +23,6 @@ import pytest
 import catalog
 import trace_fixtures as tf
 from dynwalk.gate_compiler import (
-    all_loops_graph,
-    bit_set_loops_graph,
     bit_value,
     compile_hadamard_layer,
     matching_graph,
@@ -42,7 +40,7 @@ from dynwalk.rewrite_optimizer import (
     _merge_complementary,
     optimize,
 )
-from dynwalk.walk_engine import step_unitary, total_unitary
+from dynwalk.walk_engine import total_unitary
 
 TOL = 1e-9
 
@@ -63,7 +61,7 @@ def _angle(quarters):
 def _flip_pair(n_vertices, mask):
     return (
         TimedGraph(matching_graph(n_vertices, mask), Fraction(1, 2)),
-        TimedGraph(all_loops_graph(n_vertices), Fraction(3, 2)),
+        TimedGraph(Graph(n_vertices, loops=frozenset(range(n_vertices))), Fraction(3, 2)),
     )
 
 
@@ -172,7 +170,7 @@ def test_criterion_05_paired_hadamards_fit_five_graphs():
 
     def h_fixture(qubit):
         mask = bit_value(qubit, 2)
-        phases = bit_set_loops_graph(4, mask)
+        phases = Graph(4, loops=frozenset(v for v in range(4) if v & mask))
         return (
             TimedGraph(phases, Fraction(3, 2)),
             TimedGraph(matching_graph(4, mask), Fraction(1, 4)),
@@ -223,12 +221,12 @@ def test_criterion_06_cube_walks_mix_uniformly():
         cube = Graph.make(size, edges=edges)
         weights = np.array([bin(v).count("1") for v in range(size)])
 
-        mix = step_unitary(TimedGraph(cube, Fraction(n, 4)))[:, 0]
+        mix = total_unitary(DynamicGraph(size, (TimedGraph(cube, Fraction(n, 4)),)))[:, 0]
         worst_prob = max(worst_prob, np.abs(np.abs(mix) ** 2 - 2.0**-n).max())
 
         for j in range(16 * n + 1):
             t = j * np.pi / 8
-            amplitude = step_unitary(TimedGraph(cube, Fraction(j, 8)))[:, 0]
+            amplitude = total_unitary(DynamicGraph(size, (TimedGraph(cube, Fraction(j, 8)),)))[:, 0]
             expected = (
                 (-1j) ** weights
                 * np.sin(t / n) ** weights
@@ -369,7 +367,7 @@ def _plant(rng, n_vertices, steps, flavor):
         )
     else:
         mask = 1 << rng.randrange(n_vertices.bit_length() - 1)
-        phases = bit_set_loops_graph(n_vertices, mask)
+        phases = Graph(n_vertices, loops=frozenset(v for v in range(n_vertices) if v & mask))
         steps.append(TimedGraph(phases, Fraction(3, 2)))
         steps.append(TimedGraph(matching_graph(n_vertices, mask), Fraction(1, 4)))
         steps.append(TimedGraph(phases, Fraction(3, 2)))
@@ -399,7 +397,7 @@ def test_criterion_10_randomized_rewrites_preserve_the_walk():
             cycle = period(step.graph)
             if cycle is not None and cycle > 0:
                 recurrence = np.abs(
-                    step_unitary(TimedGraph(step.graph, cycle)) - np.eye(n_vertices)
+                    total_unitary(DynamicGraph(n_vertices, (TimedGraph(step.graph, cycle),))) - np.eye(n_vertices)
                 ).max()
                 worst_period = max(worst_period, recurrence)
                 assert recurrence < TOL, f"seed {seed}: period misses identity"

@@ -21,7 +21,6 @@ from dynwalk.cli import main
 from dynwalk.gate_compiler import (
     Circuit,
     Gate,
-    all_loops_graph,
     circuit_unitary,
     compile_circuit,
     compile_hadamard_layer,
@@ -58,7 +57,7 @@ def bit_flip_walk(n_vertices=2):
         n_vertices,
         (
             TimedGraph(matching_graph(n_vertices, mask), Fraction(1, 2)),
-            TimedGraph(all_loops_graph(n_vertices), Fraction(3, 2)),
+            TimedGraph(Graph(n_vertices, loops=frozenset(range(n_vertices))), Fraction(3, 2)),
         ),
     )
 
@@ -68,9 +67,9 @@ def double_flip_walk():
         4,
         (
             TimedGraph(matching_graph(4, 2), Fraction(1, 2)),
-            TimedGraph(all_loops_graph(4), Fraction(3, 2)),
+            TimedGraph(Graph(4, loops=frozenset(range(4))), Fraction(3, 2)),
             TimedGraph(matching_graph(4, 1), Fraction(1, 2)),
-            TimedGraph(all_loops_graph(4), Fraction(3, 2)),
+            TimedGraph(Graph(4, loops=frozenset(range(4))), Fraction(3, 2)),
         ),
     )
 
@@ -647,7 +646,7 @@ def test_equiv_same_program(tmp_path, capsys):
 
 def test_equiv_up_to_global_phase(tmp_path, capsys):
     minus_identity = DynamicGraph(
-        2, (TimedGraph(all_loops_graph(2), Fraction(1, 1)),)
+        2, (TimedGraph(Graph(2, loops=frozenset(range(2))), Fraction(1, 1)),)
     )
     a = write_walk(tmp_path / "a.json", minus_identity)
     b = write_walk(tmp_path / "b.json", identity_walk(2))

@@ -15,15 +15,13 @@ from dynwalk.gate_compiler import (
     GATE_KINDS,
     MAX_QUBITS,
     _apply_gate,
+    _loops,
     Circuit,
     Gate,
-    all_loops_graph,
-    bit_set_loops_graph,
     bit_value,
     circuit_distance,
     circuit_unitary,
     compile_circuit,
-    compile_gate,
     compile_hadamard_layer,
     matching_graph,
     mixing_pairs,
@@ -89,9 +87,9 @@ def test_matching_graph_pairs_by_xor():
 
 
 def test_loop_builders():
-    assert all_loops_graph(4).loops == frozenset({0, 1, 2, 3})
-    assert bit_set_loops_graph(4, 2).loops == frozenset({2, 3})
-    assert bit_set_loops_graph(8, 5).loops == frozenset({1, 3, 4, 5, 6, 7})
+    assert _loops(4, 0).loops == frozenset({0, 1, 2, 3})
+    assert _loops(4, 2).loops == frozenset({2, 3})
+    assert _loops(8, 5).loops == frozenset({5, 7})
 
 
 # -- gate and circuit validation ---------------------------------------------
@@ -392,32 +390,32 @@ def test_gate_unitary_reference_values():
 @pytest.mark.parametrize("target, n_qubits", [(0, 1), (0, 2), (1, 2), (2, 3)])
 def test_catalog_gates_compile_exactly(kind, target, n_qubits):
     gate = Gate(kind, target=target)
-    compiled = total_unitary(compile_gate(gate, n_qubits))
+    compiled = total_unitary(compile_circuit(Circuit(n_qubits, (gate,))))
     assert np.abs(compiled - circuit_unitary(Circuit(n_qubits, (gate,)))).max() < 1e-11
 
 
 @pytest.mark.parametrize("control, target", [(0, 1), (1, 0), (0, 2), (2, 0)])
 def test_cnot_compiles_exactly(control, target):
     gate = Gate("CNOT", control=control, target=target)
-    compiled = total_unitary(compile_gate(gate, 3))
+    compiled = total_unitary(compile_circuit(Circuit(3, (gate,))))
     assert np.abs(compiled - circuit_unitary(Circuit(3, (gate,)))).max() < 1e-11
 
 
 @pytest.mark.parametrize("num, den", [(1, 4), (1, 1), (3, 2), (7, 4)])
 def test_phase_gate_compiles_exactly(num, den):
     gate = Gate("PHASE", target=1, theta=angle(num, den))
-    compiled = total_unitary(compile_gate(gate, 2))
+    compiled = total_unitary(compile_circuit(Circuit(2, (gate,))))
     assert np.abs(compiled - circuit_unitary(Circuit(2, (gate,)))).max() < 1e-11
 
 
 def test_phase_zero_compiles_to_nothing():
-    walk = compile_gate(Gate("PHASE", target=0, theta=angle(0)), 2)
+    walk = compile_circuit(Circuit(2, (Gate("PHASE", target=0, theta=angle(0)),)))
     assert walk.graph_count == 0
 
 
 def test_h_compiles_to_minus_h():
     gate = Gate("H", target=1)
-    compiled = total_unitary(compile_gate(gate, 2))
+    compiled = total_unitary(compile_circuit(Circuit(2, (gate,))))
     reference = circuit_unitary(Circuit(2, (gate,)))
     assert np.abs(compiled + reference).max() < 1e-11
     assert phase_distance(compiled, reference) < 1e-11
@@ -425,7 +423,7 @@ def test_h_compiles_to_minus_h():
 
 def test_hlayer_compiles_exactly():
     gate = Gate("HLAYER", targets=(0, 2))
-    compiled = total_unitary(compile_gate(gate, 3))
+    compiled = total_unitary(compile_circuit(Circuit(3, (gate,))))
     assert np.abs(compiled - circuit_unitary(Circuit(3, (gate,)))).max() < 1e-11
 
 
@@ -478,7 +476,7 @@ def test_compiled_gates_hold_the_comprehensions_graphs(kind, n_qubits):
     gates = gates_of_kind(kind, n_qubits)
     assert gates or (kind, n_qubits) == ("CNOT", 1)
     for gate in gates:
-        assert compile_gate(gate, n_qubits).steps == reference_steps(gate, n_qubits)
+        assert compile_circuit(Circuit(n_qubits, (gate,))).steps == reference_steps(gate, n_qubits)
 
 
 # -- whole circuits ------------------------------------------------------------

@@ -26,13 +26,12 @@ from dynwalk.graph_model import (
     parse_dynamic_graph,
     period,
     radians,
-    rationalize,
     serialize_dynamic_graph,
     spectrum,
     support,
     supports_disjoint,
 )
-from dynwalk.walk_engine import step_unitary
+from dynwalk.walk_engine import total_unitary
 
 PERIOD_TOL = 1e-9
 
@@ -158,6 +157,21 @@ def test_graph_make_rejects_self_pair():
         Graph.make(3, edges=[(1, 1)])
 
 
+@pytest.mark.parametrize(
+    "edges, loops",
+    [([], [1.7]), ([], [1.0]), ([(0.5, 1.5)], []), ([(0, 2.0)], []), ([], ["1"])],
+)
+def test_graph_make_refuses_vertices_that_are_not_integers(edges, loops):
+    with pytest.raises(TypeError):
+        Graph.make(3, edges, loops)
+
+
+def test_graph_make_reads_numpy_integers_as_ints():
+    graph = Graph.make(3, [np.array([2, 0])], np.array([1]))
+    assert graph == Graph(3, frozenset({(0, 2)}), frozenset({1}))
+    assert {type(v) for v in (*graph.loops, *next(iter(graph.edges)))} == {int}
+
+
 def test_graph_rejects_out_of_range():
     with pytest.raises(ValueError, match="negative vertex count"):
         Graph(-1)
@@ -233,18 +247,18 @@ def test_adjacency_and_support():
     assert not supports_disjoint(g, Graph.make(4, edges=[(1, 2)]))
 
 
-# -- rationalize and period --------------------------------------------------
+# -- small ratios and period -------------------------------------------------
 
 
 def test_rationalize_clean_values():
-    assert rationalize(0.5) == Fraction(1, 2)
-    assert rationalize(1.0) == Fraction(1)
-    assert rationalize(2 / 3) == Fraction(2, 3)
+    assert gm._small_ratio(0.5) == (1, 2)
+    assert gm._small_ratio(1.0) == (1, 1)
+    assert gm._small_ratio(2 / 3) == (2, 3)
 
 
 def test_rationalize_rejects_irrational():
-    assert rationalize(np.sqrt(2) / 2) is None
-    assert rationalize(1 / np.sqrt(3)) is None
+    assert gm._small_ratio(np.sqrt(2) / 2) is None
+    assert gm._small_ratio(1 / np.sqrt(3)) is None
 
 
 def hypercube_graph(dim):
@@ -320,7 +334,7 @@ def test_period_is_an_actual_recurrence(graph):
     """U(period) must come back to the identity, entrywise."""
     p = period(graph)
     assert p is not None
-    u = step_unitary(TimedGraph(graph, p))
+    u = total_unitary(DynamicGraph(graph.n_vertices, (TimedGraph(graph, p),)))
     assert np.abs(u - np.eye(graph.n_vertices)).max() < PERIOD_TOL
 
 
@@ -338,13 +352,13 @@ def period_per_eigenvalue(graph):
         magnitude = abs(float(lam))
         if magnitude / spec.norm < 1e-12:
             continue
-        ratio = rationalize(magnitude / spec.norm)
+        ratio = gm._small_ratio(magnitude / spec.norm)
         if ratio is None:
             return None
-        if ratio == 0:
+        if ratio[0] == 0:
             continue
-        numerators.add(ratio.numerator)
-        denominators.add(ratio.denominator)
+        numerators.add(ratio[0])
+        denominators.add(ratio[1])
     return Fraction(2 * math.lcm(*denominators), math.gcd(*numerators))
 
 

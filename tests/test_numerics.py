@@ -2,7 +2,7 @@
 
 The kernel is the one path every command takes from a graph to a unitary:
 ``graph_model.spectrum`` decomposes the graph's component blocks with
-numpy's batched ``eigh``, and ``walk_engine.step_unitary`` exponentiates
+numpy's batched ``eigh``, and ``walk_engine.total_unitary`` exponentiates
 them. The blocks are checked against the graph's own adjacency matrix, and
 the unitaries against scipy's expm on the same scaled Hamiltonian, so the
 eigendecomposition route never gets to grade its own homework. Spectra of
@@ -23,9 +23,9 @@ from hypothesis import strategies as st
 
 from adjacency import adjacency_matrix
 from dynwalk.gate_compiler import Circuit, circuit_distance
-from dynwalk.graph_model import Graph, TimedGraph, radians, spectrum
+from dynwalk.graph_model import DynamicGraph, Graph, TimedGraph, radians, spectrum
 from dynwalk.numerics import overlap_distance, phase_distance
-from dynwalk.walk_engine import step_unitary
+from dynwalk.walk_engine import total_unitary
 
 RECONSTRUCT_TOL = 1e-11
 UNITARY_TOL = 1e-10
@@ -83,7 +83,7 @@ def path(n):
 
 def unitary_at(graph, time):
     """The step unitary of ``graph`` run for ``time`` radians."""
-    return step_unitary(TimedGraph(graph, Fraction(time / np.pi)))
+    return total_unitary(DynamicGraph(graph.n_vertices, (TimedGraph(graph, Fraction(time / np.pi)),)))
 
 
 def sorted_spectrum(graph):
@@ -131,7 +131,7 @@ def test_frozen_spectrum_loops_only():
     assert np.allclose(sorted_spectrum(loops), [0.0, 1.0, 1.0, 1.0], atol=1e-12)
 
 
-# -- step_unitary ------------------------------------------------------------
+# -- one step's unitary -----------------------------------------------------
 
 
 @pytest.mark.parametrize(
@@ -145,7 +145,7 @@ def test_evolve_matches_scipy_expm(graph, time):
     matrix = adjacency_matrix(graph).astype(complex)
     norm = np.linalg.norm(matrix, 2)
     expected = scipy.linalg.expm(-1j * matrix * (radians(step.duration) / norm))
-    assert np.abs(step_unitary(step) - expected).max() < EXPM_TOL
+    assert np.abs(total_unitary(DynamicGraph(graph.n_vertices, (step,))) - expected).max() < EXPM_TOL
 
 
 def test_evolve_zero_matrix_is_identity():
@@ -155,16 +155,16 @@ def test_evolve_zero_matrix_is_identity():
 
 def test_evolve_edge_quarter_period_swaps():
     """One edge at t = pi/2 moves amplitude across with phase -i."""
-    u = step_unitary(TimedGraph(path(2), Fraction(1, 2)))
+    u = total_unitary(DynamicGraph(2, (TimedGraph(path(2), Fraction(1, 2)),)))
     expected = np.array([[0, -1j], [-1j, 0]])
     assert np.abs(u - expected).max() < 1e-12
 
 
 def test_evolve_semigroup_property():
     a, b = Fraction(2, 9), Fraction(3, 5)
-    u1 = step_unitary(TimedGraph(cycle(4), a))
-    u2 = step_unitary(TimedGraph(cycle(4), b))
-    combined = step_unitary(TimedGraph(cycle(4), a + b))
+    u1 = total_unitary(DynamicGraph(4, (TimedGraph(cycle(4), a),)))
+    u2 = total_unitary(DynamicGraph(4, (TimedGraph(cycle(4), b),)))
+    combined = total_unitary(DynamicGraph(4, (TimedGraph(cycle(4), a + b),)))
     assert np.abs(u2 @ u1 - combined).max() < 1e-12
 
 

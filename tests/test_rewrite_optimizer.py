@@ -34,16 +34,14 @@ import trace_fixtures as tf
 from dynwalk.gate_compiler import (
     Circuit,
     Gate,
-    all_loops_graph,
     bit_value,
     circuit_unitary,
     compile_circuit,
-    compile_gate,
     compile_hadamard_layer,
     matching_graph,
     schedule_phases,
 )
-from dynwalk.graph_model import DynamicGraph, Graph, TimedGraph, period, rationalize, spectrum
+from dynwalk.graph_model import DynamicGraph, Graph, TimedGraph, _small_ratio, period, spectrum
 from dynwalk.numerics import phase_distance
 from dynwalk.rewrite_optimizer import (
     ALL_RULES,
@@ -58,7 +56,7 @@ from dynwalk.rewrite_optimizer import (
     RewriteStep,
     optimize,
 )
-from dynwalk.walk_engine import step_unitary, total_unitary
+from dynwalk.walk_engine import total_unitary
 
 
 def angle(num, den=1):
@@ -179,7 +177,7 @@ def test_combine_pst_cancels_inverse_matchings():
 def test_combine_pst_equal_matchings_leave_loop_graph():
     walk = walk_of(match(4, 1, 1, 2), match(4, 1, 1, 2))
     combined = fold(4, walk.steps)
-    assert combined == (TimedGraph(all_loops_graph(4), angle(1)),)
+    assert combined == (TimedGraph(Graph(4, loops=frozenset(range(4))), angle(1)),)
     assert_same_program(walk, walk.replaced(0, 2, combined), tol=1e-12)
 
 
@@ -188,7 +186,7 @@ def test_combine_pst_fuses_masks():
     combined = fold(4, walk.steps)
     assert combined == (
         match(4, 3, 1, 2),
-        TimedGraph(all_loops_graph(4), angle(1, 2)),
+        TimedGraph(Graph(4, loops=frozenset(range(4))), angle(1, 2)),
     )
     assert_same_program(walk, walk.replaced(0, 2, combined), tol=1e-12)
 
@@ -196,14 +194,14 @@ def test_combine_pst_fuses_masks():
 def test_combine_pst_collapses_two_gate_run():
     walk = walk_of(
         match(4, 2, 1, 2),
-        TimedGraph(all_loops_graph(4), angle(3, 2)),
+        TimedGraph(Graph(4, loops=frozenset(range(4))), angle(3, 2)),
         match(4, 1, 1, 2),
-        TimedGraph(all_loops_graph(4), angle(3, 2)),
+        TimedGraph(Graph(4, loops=frozenset(range(4))), angle(3, 2)),
     )
     combined = fold(4, walk.steps)
     assert combined == (
         match(4, 3, 1, 2),
-        TimedGraph(all_loops_graph(4), angle(3, 2)),
+        TimedGraph(Graph(4, loops=frozenset(range(4))), angle(3, 2)),
     )
     assert_same_program(walk, walk.replaced(0, 4, combined), tol=1e-12)
     assert list(ro._combine_pst_sites(ro.ScanFacts(walk), 0)) == [(0, 4, combined, "")]
@@ -507,8 +505,8 @@ def test_hypercube_hadamard_rejects_when_not_cheaper():
 
 
 def test_hypercube_hadamard_reads_a_non_contiguous_subset():
-    first = compile_gate(Gate("H", target=0), 3)
-    second = compile_gate(Gate("H", target=2), 3)
+    first = compile_circuit(Circuit(3, (Gate("H", target=0),)))
+    second = compile_circuit(Circuit(3, (Gate("H", target=2),)))
     walk = DynamicGraph(8, first.steps + second.steps)
     replaced = walk.replaced(0, walk.graph_count, hadamard_layer_of(walk, 0, walk.graph_count))
     assert replaced.steps == compile_hadamard_layer([0, 2], 3).steps
@@ -518,7 +516,7 @@ def test_hypercube_hadamard_reads_a_non_contiguous_subset():
 def test_hypercube_hadamard_rejects_right_support_with_wrong_phases():
     # Z after the layer keeps column 0's support but flips half its signs
     walk = DynamicGraph(
-        8, compile_hadamard_layer([0, 2], 3).steps + compile_gate(Gate("Z", target=2), 3).steps
+        8, compile_hadamard_layer([0, 2], 3).steps + compile_circuit(Circuit(3, (Gate("Z", target=2),))).steps
     )
     assert hadamard_layer_of(walk, 0, walk.graph_count) == "fragment is not a Hadamard layer"
 
@@ -526,7 +524,7 @@ def test_hypercube_hadamard_rejects_right_support_with_wrong_phases():
 def test_hypercube_hadamard_rejects_a_fragment_only_the_full_check_sees(monkeypatch):
     # Z before the layer leaves vertex 0 alone, so column 0 still matches
     walk = DynamicGraph(
-        8, compile_gate(Gate("Z", target=2), 3).steps + compile_hadamard_layer([0, 2], 3).steps
+        8, compile_circuit(Circuit(3, (Gate("Z", target=2),))).steps + compile_hadamard_layer([0, 2], 3).steps
     )
     calls = []
     original = ro.circuit_distance
@@ -752,7 +750,7 @@ def test_cached_permutation_rebuilds_loops_only_steps(seed):
         flip = ro._phased_permutation(step)
         rebuilt = np.zeros((n, n), dtype=complex)
         rebuilt[list(flip.perm), range(n)] = [np.exp(-1j * np.pi * turns / flip.den) for turns in flip.turns]
-        assert np.abs(rebuilt - step_unitary(step)).max() < 1e-12
+        assert np.abs(rebuilt - total_unitary(DynamicGraph(n, (step,)))).max() < 1e-12
         assert flip.bitflip == (len(set(flip.turns)) == 1)
 
 
@@ -761,7 +759,7 @@ def dense_phased_permutation(step):
     n = step.graph.n_vertices
     if step.graph.is_loops_only:
         return ro._phased_permutation(step)
-    u = step_unitary(step)
+    u = total_unitary(DynamicGraph(n, (step,)))
     rows = np.abs(u).argmax(axis=0)
     if len(set(rows.tolist())) != n:
         return None
@@ -844,12 +842,12 @@ def random_hadamard_walk(rng, n_qubits):
     for _ in range(rng.randrange(2, 6)):
         kind = rng.randrange(4)
         if kind == 0:
-            steps.extend(compile_gate(Gate("H", target=rng.randrange(n_qubits)), n_qubits).steps)
+            steps.extend(compile_circuit(Circuit(n_qubits, (Gate("H", target=rng.randrange(n_qubits)),))).steps)
         elif kind == 1:
             # a layer padded with a global phase, which the pass strips
             targets = [q for q in range(n_qubits) if rng.random() < 0.6] or [0]
             steps.extend(compile_hadamard_layer(targets, n_qubits).steps)
-            steps.append(TimedGraph(all_loops_graph(n), angle(rng.randrange(1, 4), 4)))
+            steps.append(TimedGraph(Graph(n, loops=frozenset(range(n))), angle(rng.randrange(1, 4), 4)))
         elif kind == 2:
             steps.append(loops(n, [v for v in range(n) if rng.random() < 0.5] or [0], rng.randrange(1, 8), 4))
         else:
@@ -1023,7 +1021,7 @@ def fraction_merge_complementary(first, second):
 
 def fraction_tau(step):
     """The phase a looped singleton carries out of the step, in Fraction arithmetic."""
-    return step.duration / rationalize(spectrum(step.graph).norm) % 2
+    return step.duration / Fraction(*_small_ratio(spectrum(step.graph).norm)) % 2
 
 
 def fraction_landing(step, vertex, tau):
@@ -1037,7 +1035,7 @@ def fraction_landing(step, vertex, tau):
             TimedGraph(Graph.make(n, loops=set().union(*(v for phase, v in groups if phase >= high))), high - low)
             for high, low in zip(levels, levels[1:] + [0])
         )
-    residual = (tau - step.duration / rationalize(spectrum(graph).norm)) % 2
+    residual = (tau - step.duration / Fraction(*_small_ratio(spectrum(graph).norm))) % 2
     joined = TimedGraph(Graph(n, graph.edges, graph.loops | {vertex}), step.duration)
     return (joined,) if not residual else (joined, TimedGraph(Graph.make(n, loops=[vertex]), residual))
 
@@ -1336,7 +1334,7 @@ def test_a_neutral_bit_flip_fold_enables_a_merge():
     """
     walk = walk_of(match(4, 3, 1, 4), match(4, 1, 1, 2), match(4, 2, 1, 2))
     final, report = optimize(walk)
-    assert final.steps == (match(4, 3, 3, 4), TimedGraph(all_loops_graph(4), angle(1, 2)))
+    assert final.steps == (match(4, 3, 3, 4), TimedGraph(Graph(4, loops=frozenset(range(4))), angle(1, 2)))
     assert final.total_time() == angle(5, 4)
     assert [(r.rule, r.span, r.detail) for r in report.rewrites] == [
         (RULE_COMBINE_PST, (1, 3), "enabling"),
@@ -1419,14 +1417,14 @@ def test_one_run_classifies_each_distinct_step_once(monkeypatch):
 def test_optimize_collapses_double_bit_flip():
     walk = walk_of(
         match(4, 2, 1, 2),
-        TimedGraph(all_loops_graph(4), angle(3, 2)),
+        TimedGraph(Graph(4, loops=frozenset(range(4))), angle(3, 2)),
         match(4, 1, 1, 2),
-        TimedGraph(all_loops_graph(4), angle(3, 2)),
+        TimedGraph(Graph(4, loops=frozenset(range(4))), angle(3, 2)),
     )
     final, report = optimize(walk)
     assert final.steps == (
         match(4, 3, 1, 2),
-        TimedGraph(all_loops_graph(4), angle(3, 2)),
+        TimedGraph(Graph(4, loops=frozenset(range(4))), angle(3, 2)),
     )
     assert final.total_time() == angle(2)
     assert report.verified
@@ -1925,13 +1923,21 @@ def test_the_optimize_profile_script_runs_on_two_seeds(capsys):
 
 
 def test_the_code_lines_script_counts_every_module(capsys):
-    """tests/code_lines.py: one line per module of src/dynwalk, then their total; no blank, comment or docstring line counts."""
+    """tests/code_lines.py: one line per module of src/dynwalk, then their totals; no blank, comment or docstring line counts."""
     import code_lines
 
     source = '"""Module."""\n\n# a comment\nx = (1,\n     2)  # trailing\n\n\ndef f():\n    """Doc\n    string."""\n    return """a\nb"""\n'
     assert code_lines.code_lines(source) == 5
+    assert code_lines.exported_names(source) == 0
+    assert code_lines.exported_names(source + '__all__ = [\n    "x",\n    "f",\n]\n') == 2
     code_lines.main()
     *modules, total = capsys.readouterr().out.splitlines()
-    counts = dict(re.fullmatch(r"(\w+\.py): (\d+)", line).groups() for line in modules)
-    assert {"__init__.py", "graph_model.py", "rewrite_optimizer.py"} <= set(counts)
-    assert total == f"src/dynwalk: {sum(map(int, counts.values()))}"
+    rows = {name: (int(lines), int(names)) for name, lines, names in (
+        re.fullmatch(r"(\w+\.py): (\d+) code lines, (\d+) exported", line).groups() for line in modules
+    )}
+    assert {"__init__.py", "graph_model.py", "rewrite_optimizer.py"} <= set(rows)
+    for name, (_, names) in rows.items():
+        module = importlib.import_module("dynwalk" if name == "__init__.py" else f"dynwalk.{name[:-3]}")
+        assert names == len(module.__all__)
+    lines, names = (sum(column) for column in zip(*rows.values()))
+    assert total == f"src/dynwalk: {lines} code lines, {names} exported"

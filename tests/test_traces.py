@@ -16,7 +16,7 @@ import catalog
 import trace_fixtures as tf
 from dynwalk.graph_model import DynamicGraph, TimedGraph
 from dynwalk.numerics import phase_distance
-from dynwalk.walk_engine import step_unitary, total_unitary
+from dynwalk.walk_engine import total_unitary
 
 TOL = 1e-9
 
@@ -30,7 +30,7 @@ def partial_products(program):
     state = np.eye(program.n_vertices, dtype=complex)
     yield state
     for step in program.steps:
-        state = step_unitary(step) @ state
+        state = total_unitary(DynamicGraph(program.n_vertices, (step,))) @ state
         yield state
 
 
@@ -128,7 +128,7 @@ def test_the_closing_phase_identity_holds():
 
 def test_catalog_matches_a_known_step(cat):
     step = TimedGraph(tf._loops([1, 3, 5, 7]), Fraction(3, 2))
-    entry = cat.match_single(step_unitary(step))
+    entry = cat.match_single(total_unitary(DynamicGraph(8, (step,))))
     assert entry is not None
     assert entry.family == "loops"
     assert entry.graph == step.graph

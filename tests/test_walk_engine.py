@@ -14,7 +14,6 @@ from dynwalk.gate_compiler import (
     Gate,
     circuit_unitary,
     compile_circuit,
-    compile_gate,
     compile_hadamard_layer,
     mixing_pairs,
 )
@@ -32,7 +31,6 @@ from dynwalk.walk_engine import (
     graphs_commute,
     prefix_unitaries,
     run_distance,
-    step_unitary,
     total_unitary,
 )
 
@@ -52,20 +50,20 @@ def test_step_unitary_matches_expm():
     a = adjacency_matrix(step.graph).astype(float)
     norm = np.abs(np.linalg.eigvalsh(a)).max()
     expected = scipy.linalg.expm(-1j * a * (radians(step.duration) / norm))
-    assert np.abs(step_unitary(step) - expected).max() < TOL
+    assert np.abs(total_unitary(DynamicGraph(3, (step,))) - expected).max() < TOL
 
 
 def test_step_unitary_of_empty_graph_is_identity():
     step = TimedGraph(Graph.make(4), Fraction(5, 3))
-    assert np.array_equal(step_unitary(step), np.eye(4))
+    assert np.array_equal(total_unitary(DynamicGraph(4, (step,))), np.eye(4))
 
 
 def test_total_unitary_applies_later_steps_on_the_left():
     s1 = TimedGraph(Graph.make(3, edges=[(0, 1)]), Fraction(1, 2))
     s2 = TimedGraph(Graph.make(3, edges=[(1, 2)]), Fraction(1, 3))
     walk = DynamicGraph(3, (s1, s2))
-    u1 = step_unitary(s1)
-    u2 = step_unitary(s2)
+    u1 = total_unitary(DynamicGraph(3, (s1,)))
+    u2 = total_unitary(DynamicGraph(3, (s2,)))
     assert not np.allclose(u1 @ u2, u2 @ u1)
     assert np.abs(total_unitary(walk) - u2 @ u1).max() < TOL
 
@@ -161,7 +159,7 @@ def test_step_unitary_matches_expm_on_split_graphs(seed):
     for graph in graphs:
         for duration in DURATIONS:
             step = TimedGraph(graph, duration)
-            assert np.abs(step_unitary(step) - dense_step_unitary(step)).max() < TOL
+            assert np.abs(total_unitary(DynamicGraph(n, (step,))) - dense_step_unitary(step)).max() < TOL
 
 
 def test_spectrum_matches_dense_eigenvalues():
@@ -227,7 +225,7 @@ def test_ten_qubit_steps_decompose_only_component_blocks(graph, largest, monkeyp
 
 
 def test_step_unitary_of_quarter_period_matching_is_a_phased_bitflip():
-    u = step_unitary(TimedGraph(matching(8, 6), Fraction(1, 2)))
+    u = total_unitary(DynamicGraph(8, (TimedGraph(matching(8, 6), Fraction(1, 2)),)))
     expected = np.zeros((8, 8), dtype=complex)
     expected[np.arange(8) ^ 6, np.arange(8)] = -1j
     assert np.abs(u - expected).max() < 1e-12
@@ -357,7 +355,7 @@ def test_whole_program_functions_add_no_cached_factors():
     walk = DynamicGraph(5, tuple(TimedGraph(random_graph(rng, 5, 0.3, 0.4), d) for d in DURATIONS))
     total_unitary(walk)
     evolve_state(walk, np.eye(5)[0])
-    step_unitary(walk.steps[0])
+    total_unitary(DynamicGraph(5, walk.steps[:1]))
     assert we._cached_factors.cache_info().currsize == 0
 
 
@@ -536,7 +534,7 @@ def test_narrow_blocks_give_the_one_block_results(monkeypatch, circuit):
 
 def test_a_wide_single_gate_allocates_no_dense_array_beyond_its_result():
     """At 1024 vertices an n x n array of even one byte per entry would be 1 MiB."""
-    walk = compile_gate(Gate("H", target=3), 10)
+    walk = compile_circuit(Circuit(10, (Gate("H", target=3),)))
     total_unitary(walk)
     tracemalloc.start()
     try:

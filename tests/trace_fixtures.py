@@ -23,7 +23,6 @@ import numpy as np
 from dynwalk.gate_compiler import (
     Circuit,
     Gate,
-    all_loops_graph,
     matching_graph,
 )
 from dynwalk.graph_model import DynamicGraph, Graph, TimedGraph
@@ -468,7 +467,7 @@ def long_program() -> DynamicGraph:
         TimedGraph(matching_graph(8, 4), a(1, 4)),
         TimedGraph(_loops([4, 5, 6, 7]), a(3, 2)),
         TimedGraph(matching_graph(8, 2), a(1, 2)),
-        TimedGraph(all_loops_graph(8), a(3, 2)),
+        TimedGraph(_loops(range(8)), a(3, 2)),
         TimedGraph(_loops([1, 3, 5, 7]), a(3, 2)),
         TimedGraph(matching_graph(8, 1), a(1, 4)),
         TimedGraph(_loops([1, 3, 5, 7]), a(3, 2)),
