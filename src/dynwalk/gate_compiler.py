@@ -48,7 +48,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
 from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 import numpy as np
@@ -75,8 +74,6 @@ __all__ = [
     "Gate",
     "Circuit",
     "bit_value",
-    "matching_graph",
-    "schedule_phases",
     "compile_hadamard_layer",
     "compile_circuit",
     "circuit_unitary",
@@ -207,45 +204,18 @@ def _loops(n_vertices: int, bits: int) -> Graph:
     return Graph(n_vertices, loops=frozenset([v for v in range(n_vertices) if (v & bits) == bits]))
 
 
-def matching_graph(n_vertices: int, flip_mask: int) -> Graph:
-    """Perfect matching pairing every vertex v with v XOR flip_mask.
-
-    The mask must lie in 1..n_vertices - 1, and every pair must lie inside
-    the vertex set, which below a power of two some masks' pairings leave.
-    """
-    if not (0 < flip_mask < n_vertices):
-        raise ValueError(f"flip mask {flip_mask} out of range")
-    pairs = _pairs(n_vertices, flip_mask)
-    if any(partner >= n_vertices for _, partner in pairs):
-        raise ValueError(f"flip mask {flip_mask} pairs vertices out of range for {n_vertices} vertices")
-    return Graph(n_vertices, frozenset(pairs))
-
-
-def schedule_phases(phases: Mapping[int, Fraction], n_vertices: int) -> Tuple[TimedGraph, ...]:
-    """Loop staircase applying exp(-i theta_v) to each vertex v.
+def _staircase(turns: Mapping[int, int], den: int, n_vertices: int) -> Tuple[TimedGraph, ...]:
+    """Loop staircase applying exp(-i turns[v]/den pi) to each vertex v, each turns[v] an integer in [0, 2 den).
 
     Emits one loop graph per distinct nonzero phase, nested by threshold in
     descending order, so the total time equals the largest phase. That is
     optimal: every vertex holding the maximum phase must sit in loop graphs
-    for at least that long. Phases must be Fractions in [0, 2pi): a float
-    raises TypeError, and anything else is a caller bug and raises
-    ValueError. The phases are put over their common denominator and the
-    staircase is built from those integers (``_staircase``), as the
-    Hadamard layers, the phased-permutation folds, the loops-only runs and
-    the optimizer's landings of a phase on a loops-only step build theirs.
-    """
-    for angle in set(phases.values()):
-        if not isinstance(angle, Rational):
-            raise TypeError(f"phase must be a Fraction multiple of pi, got {angle!r}")
-    den = math.lcm(*(angle.denominator for angle in phases.values()))
-    return _staircase({v: angle.numerator * (den // angle.denominator) for v, angle in phases.items()}, den, n_vertices)
-
-
-def _staircase(turns: Mapping[int, int], den: int, n_vertices: int) -> Tuple[TimedGraph, ...]:
-    """schedule_phases of the phases turns[v]/den pi, each turns[v] an integer in [0, 2 den).
-
-    The checks read the smallest and largest vertex and each distinct
-    phase once, not every vertex.
+    for at least that long. The Hadamard layers, the phased-permutation
+    folds, the loops-only runs and the optimizer's landings of a phase on a
+    loops-only step all build theirs here. A vertex outside the vertex set
+    or a phase outside [0, 2pi) raises ValueError; the checks read the
+    smallest and largest vertex and each distinct phase once, not every
+    vertex.
     """
     for vertex in (min(turns), max(turns)) if turns else ():
         if not (0 <= vertex < n_vertices):

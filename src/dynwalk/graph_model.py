@@ -21,13 +21,18 @@ The JSON interchange format mirrors the in-memory model:
 
 ``parse_dynamic_graph`` accepts any JSON layout. It validates aggressively
 and reports the JSON path of the offending element, since hand-edited walk
-files are the normal input. A step's edge and loop lists are checked in one
-pass of plain inline tests per entry, which builds no path and calls no
-function; only the first entry that fails is tested again, in order, to
-name its defect and path. It also refuses more than ``MAX_VERTICES``
-vertices before building anything, since ``unitary`` and ``optimize`` hold
-n x n unitaries, and durations that need more than ``MAX_TIME_DIGITS``
-digits over a common denominator, which no command could print.
+files are the normal input. It refuses more than ``MAX_VERTICES`` vertices
+before building anything, since ``unitary`` and ``optimize`` hold n x n
+unitaries, and durations that need more than ``MAX_TIME_DIGITS`` digits
+over a common denominator, which no command could print.
+
+A step's edge and loop lists are read in one pass of plain inline tests
+per entry, which calls no function. The tests run in the order that names
+a defect: for an edge, a pair, then two integers (the first bad one is
+named), then distinct ends, then both in range, then new; for a loop, an
+integer, in range, new. The first entry that fails raises, with its index
+in the list as its path; a path is built for that entry only.
+
 ``serialize_dynamic_graph`` writes ``json.dumps(indent=2)``'s layout byte
 for byte, from one ``%`` template per step rather than json's pure-Python
 indenting encoder.
@@ -68,7 +73,6 @@ __all__ = [
     "format_angle",
     "spectrum",
     "components",
-    "support",
     "supports_disjoint",
     "period",
     "parse_dynamic_graph",
@@ -129,11 +133,11 @@ def format_angle(angle: Fraction) -> str:
     return head if den == 1 else f"{head}/{den}"
 
 
-def _normalize_edge(pair: Sequence[int]) -> Tuple[int, int]:
-    a, b = map(operator.index, pair)
-    if a == b:
-        raise ValueError(f"edge ({a}, {b}) joins a vertex to itself; use a loop")
-    return (a, b) if a < b else (b, a)
+def _vertex(value: object) -> int:
+    """The vertex as a Python int, by ``operator.index``; a bool raises TypeError, as ``Graph(True)`` does."""
+    if isinstance(value, bool):
+        raise TypeError(f"vertex must be an int, got {value!r}")
+    return operator.index(value)  # type: ignore[arg-type]
 
 
 @dataclass(frozen=True)
@@ -145,8 +149,8 @@ class Graph:
     duration it is given: its adjacency matrix is zero, so nothing moves.
     The optimizer's caches are keyed on graphs and steps, so the hash is
     computed once, on first use, and kept beside the fields, as is the set
-    of edge endpoints that ``degree_free`` and ``support`` read: equality
-    and repr read the fields alone.
+    of edge endpoints that ``degree_free`` and ``supports_disjoint`` read:
+    equality and repr read the fields alone.
     """
 
     n_vertices: int
@@ -186,14 +190,14 @@ class Graph:
     ) -> "Graph":
         """The graph with the given edges, each a pair in either order, and loops, from any iterables.
 
-        Every vertex is read through ``operator.index``: a float raises
-        TypeError, and a numpy integer becomes a Python int.
+        Every vertex is read through ``operator.index``: a float or a bool
+        raises TypeError, and a numpy integer becomes a Python int.
         """
-        return cls(
-            n_vertices,
-            frozenset(_normalize_edge(pair) for pair in edges),
-            frozenset(map(operator.index, loops)),
-        )
+        pairs = [sorted(map(_vertex, pair)) for pair in edges]
+        for a, b in pairs:
+            if a == b:
+                raise ValueError(f"edge ({a}, {b}) joins a vertex to itself; use a loop")
+        return cls(n_vertices, frozenset(map(tuple, pairs)), frozenset(map(_vertex, loops)))
 
     @property
     def is_empty(self) -> bool:
@@ -211,12 +215,6 @@ class Graph:
     def degree_free(self, vertex: int) -> bool:
         """True when no edge of this graph touches the vertex (loops ignored)."""
         return vertex not in self._endpoints
-
-    def sorted_edges(self) -> list:
-        return sorted(self.edges)
-
-    def sorted_loops(self) -> list:
-        return sorted(self.loops)
 
 
 class TimedGraph:
@@ -449,13 +447,9 @@ def spectrum(graph: Graph) -> Spectrum:
     return Spectrum(n, looped, tuple(blocks), norm)
 
 
-def support(graph: Graph) -> frozenset:
-    """Vertices touched by at least one edge or loop."""
-    return graph.loops | graph._endpoints
-
-
 def supports_disjoint(a: Graph, b: Graph) -> bool:
-    return not (support(a) & support(b))
+    """True when no vertex carries an edge or loop of both graphs."""
+    return (a.loops | a._endpoints).isdisjoint(b.loops | b._endpoints)
 
 
 def _nearest_ratio(value: float, limit: int) -> Optional[Tuple[int, int]]:
@@ -590,47 +584,41 @@ def _parse_step(obj: object, n_vertices: int, path: str) -> TimedGraph:
         _fail(path, "expected a step object")
     _expect_keys(obj, ("edges", "loops", "time"), path)
 
-    # Each entry passes plain inline tests, which build no path and call no
-    # function: exactly ``int``, as JSON decodes integers, so bools and
-    # floats fail. The first entry that fails one is tested again in the
-    # tests' order to name its defect. Every entry before it added one
-    # member, so its index is the count of members so far.
+    # One pass of plain inline tests per entry, in the order they name a
+    # defect: exactly ``int``, as JSON decodes integers, so bools and floats
+    # fail. Every entry before the first that fails added one member, so its
+    # index is the count of members so far; a path is built only for it.
     raw_edges = obj["edges"]
     if not isinstance(raw_edges, list):
         _fail(f"{path}.edges", "expected a list of [i, j] pairs")
     edges = set()
     for pair in raw_edges:
-        if type(pair) is list and len(pair) == 2:
-            i, j = pair
-            if type(i) is int and type(j) is int and i != j and 0 <= i < n_vertices and 0 <= j < n_vertices:
-                edge = (i, j) if i < j else (j, i)
-                if edge not in edges:
-                    edges.add(edge)
-                    continue
-        edge_path = f"{path}.edges[{len(edges)}]"
-        if not isinstance(pair, list) or len(pair) != 2:
-            _fail(edge_path, "expected a pair [i, j]")
-        i = _expect_int(pair[0], edge_path)
-        j = _expect_int(pair[1], edge_path)
+        if type(pair) is not list or len(pair) != 2:
+            _fail(f"{path}.edges[{len(edges)}]", "expected a pair [i, j]")
+        i, j = pair
+        if type(i) is not int or type(j) is not int:
+            _fail(f"{path}.edges[{len(edges)}]", f"expected an integer, got {j if type(i) is int else i!r}")
         if i == j:
-            _fail(edge_path, "self-pair; use loops instead")
+            _fail(f"{path}.edges[{len(edges)}]", "self-pair; use loops instead")
         if not (0 <= i < n_vertices and 0 <= j < n_vertices):
-            _fail(edge_path, f"vertex out of range 0..{n_vertices - 1}")
-        _fail(edge_path, f"duplicate edge {sorted(pair)}")
+            _fail(f"{path}.edges[{len(edges)}]", f"vertex out of range 0..{n_vertices - 1}")
+        edge = (i, j) if i < j else (j, i)
+        if edge in edges:
+            _fail(f"{path}.edges[{len(edges)}]", f"duplicate edge {list(edge)}")
+        edges.add(edge)
 
     raw_loops = obj["loops"]
     if not isinstance(raw_loops, list):
         _fail(f"{path}.loops", "expected a list of vertices")
     loops = set()
     for v in raw_loops:
-        if type(v) is int and 0 <= v < n_vertices and v not in loops:
-            loops.add(v)
-            continue
-        loop_path = f"{path}.loops[{len(loops)}]"
-        _expect_int(v, loop_path)
+        if type(v) is not int:
+            _fail(f"{path}.loops[{len(loops)}]", f"expected an integer, got {v!r}")
         if not (0 <= v < n_vertices):
-            _fail(loop_path, f"vertex out of range 0..{n_vertices - 1}")
-        _fail(loop_path, f"duplicate loop {v}")
+            _fail(f"{path}.loops[{len(loops)}]", f"vertex out of range 0..{n_vertices - 1}")
+        if v in loops:
+            _fail(f"{path}.loops[{len(loops)}]", f"duplicate loop {v}")
+        loops.add(v)
 
     num, den = _parse_time(obj["time"], f"{path}.time")
     return TimedGraph.of(Graph(n_vertices, frozenset(edges), frozenset(loops)), num, den)
@@ -686,8 +674,8 @@ def serialize_dynamic_graph(walk: DynamicGraph) -> str:
     """
     steps = []
     for step in walk.steps:
-        edges = step.graph.sorted_edges()
-        loops = step.graph.sorted_loops()
+        edges = sorted(step.graph.edges)
+        loops = sorted(step.graph.loops)
         template = _STEP % (_list_layout(_EDGE, len(edges)), _list_layout(_LOOP, len(loops)))
         times = (step.pi_num, step.pi_den)
         steps.append(template % (*chain.from_iterable(edges), *loops, *times))

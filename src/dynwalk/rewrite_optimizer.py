@@ -76,11 +76,10 @@ strict improvement and (0, 0) a cost-neutral change, whatever den is.
 Three rows price a site before they build it, each in integers whose
 value equals ``_gain`` of the built site, and build only the sites they
 can take. The loop staircase row prices a run from its per-vertex phase
-totals and builds the staircase (``gate_compiler._staircase``, the
-integer form of ``schedule_phases``) from the same totals. The
-fold row composes the phased-permutation run from its position once, left
-to right, with integer angle totals over one denominator, and prices each
-prefix that permutes by an involution from those totals: pi/2 and one
+totals and builds the staircase (``gate_compiler._staircase``) from the
+same totals. The fold row composes the phased-permutation run from its
+position once, left to right, with integer angle totals over one
+denominator, and prices each prefix that permutes by an involution from those totals: pi/2 and one
 graph for the matching if the prefix moves a vertex, plus the largest
 residue and one graph per distinct nonzero residue for the staircase; it
 folds (``_fold``, and so ``_staircase``) only a prefix that strictly
@@ -887,7 +886,7 @@ def _staircase_sites(facts: ScanFacts, start: int, window: Window = None) -> Ite
     """Re-emit a run of loops-only steps as one optimal staircase, when that is cheaper.
 
     The run is a diagonal, so its cheapest equivalent form is the
-    descending staircase (``schedule_phases``) of its per-vertex phase
+    descending staircase (``_staircase``) of its per-vertex phase
     totals mod 2pi, the fold COMBINE_PST would make of it. That staircase
     runs for the largest total and has one graph per distinct nonzero
     total, so the row prices it from the totals, as integers over the
@@ -935,7 +934,7 @@ def _singleton_moves(facts: ScanFacts, source: int) -> Iterator[Move]:
     resort, and no windowed follow-up scan reads them.
     """
     steps, memo = facts.walk.steps, facts.memo
-    for vertex in steps[source].graph.sorted_loops():
+    for vertex in sorted(steps[source].graph.loops):
         moved = memo.singleton_source(steps[source], vertex)
         if isinstance(moved, str):
             continue
@@ -1017,23 +1016,26 @@ def _enabling_singleton_sites(facts: ScanFacts) -> Iterator[Site]:
                 yield (*_splice(facts.walk.steps, source, target, left, landed), note)
 
 
-# The rule table, in the order the driver tries the rules: each row holds
-# the rule, its sites at one position for the improving scan, its sites
-# over the whole walk for the enabling search, and whether the scan offers
-# the row only as a last resort, after the other rows found nothing. The
-# last-resort rows are the ones whose sites are not span-local (see the
-# module docstring).
+# The rule rows, each (rule, sites), in the order ``optimize`` tries them.
+# _REGULAR holds each rule's sites at one position for the improving scan.
+# _LAST_RESORT holds the rows that scan offers only after the regular rows
+# found nothing: the ones whose sites are not span-local (see the module
+# docstring). _MOVES holds each rule's sites over the whole walk for the
+# enabling search.
 # MERGE_COMPLEMENTARY has no enabling sites: a merge saves the shorter of
 # two durations, and a normalized walk has no zero duration.
-_RULE_TABLE: Tuple[Tuple[str, Optional[PositionSites], Optional[WalkSites], bool], ...] = (
-    (RULE_SWAP_COMMUTING, None, _block_swap_sites, False),
-    (RULE_MERGE_IDENTICAL, _merge_identical_sites, None, False),
-    (RULE_COMBINE_PST, _combine_pst_sites, _everywhere(_combine_pst_sites), False),
-    (RULE_MERGE_COMPLEMENTARY, _merge_complementary_sites, None, False),
-    (RULE_MOVE_SINGLETON, _staircase_sites, None, False),
-    (RULE_MOVE_SINGLETON, _singleton_sites, _enabling_singleton_sites, True),
-    (RULE_HYPERCUBE_HADAMARD, _hypercube_sites, None, False),
-    (RULE_COMBINE_PST, _fold_sites, None, True),
+_REGULAR: Rows = (
+    (RULE_MERGE_IDENTICAL, _merge_identical_sites),
+    (RULE_COMBINE_PST, _combine_pst_sites),
+    (RULE_MERGE_COMPLEMENTARY, _merge_complementary_sites),
+    (RULE_MOVE_SINGLETON, _staircase_sites),
+    (RULE_HYPERCUBE_HADAMARD, _hypercube_sites),
+)
+_LAST_RESORT: Rows = ((RULE_MOVE_SINGLETON, _singleton_sites), (RULE_COMBINE_PST, _fold_sites))
+_MOVES: Moves = (
+    (RULE_SWAP_COMMUTING, _block_swap_sites),
+    (RULE_COMBINE_PST, _everywhere(_combine_pst_sites)),
+    (RULE_MOVE_SINGLETON, _enabling_singleton_sites),
 )
 
 
@@ -1041,14 +1043,6 @@ def _gain(facts: ScanFacts, start: int, stop: int, replacement: Tuple[TimedGraph
     """The price of replacing steps[start:stop] of the facts' walk: the span's time less the replacement's, by _span_time."""
     saved, den = _span_time(facts.walk.steps[start:stop], minus=replacement)
     return saved, den, (stop - start) - len(replacement)
-
-
-def _pick_rows(enabled: Set[str]) -> Tuple[Rows, Rows, Moves]:
-    """The enabled rule rows: the regular scan's, the last resort's and the enabling moves."""
-    table = [row for row in _RULE_TABLE if row[0] in enabled]
-    regular = tuple((rule, sites) for rule, sites, _, late in table if sites and not late)
-    last_resort = tuple((rule, sites) for rule, sites, _, late in table if sites and late)
-    return regular, last_resort, tuple((rule, sites) for rule, _, sites, _ in table if sites)
 
 
 def _scan(facts: ScanFacts, rows: Rows, skip: Set[Key], window: Window = None) -> Optional[Rewrite]:
@@ -1163,7 +1157,9 @@ def optimize(
     if max_iterations is not None and max_iterations < 0:
         raise ValueError(f"max_iterations must be 0 or more, got {max_iterations}")
     limit = max_iterations if max_iterations is not None else 10 * max(walk.graph_count, 1) ** 2
-    regular, last_resort, moves = _pick_rows(enabled)
+    regular, last_resort, moves = (
+        tuple(row for row in rows if row[0] in enabled) for rows in (_REGULAR, _LAST_RESORT, _MOVES)
+    )
 
     records: List[RewriteStep] = []
     rejected: List[str] = []

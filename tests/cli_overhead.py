@@ -38,8 +38,7 @@ sys.path[:0] = [os.path.join(os.path.dirname(HERE), "src")]
 
 import dynwalk  # noqa: E402
 from dynwalk import cli  # noqa: E402
-from dynwalk.gate_compiler import matching_graph  # noqa: E402
-from dynwalk.graph_model import DynamicGraph, TimedGraph, serialize_dynamic_graph  # noqa: E402
+from dynwalk.graph_model import DynamicGraph, Graph, TimedGraph, serialize_dynamic_graph  # noqa: E402
 
 ARGVS = {
     "simulate": ["simulate", "w.json"],
@@ -107,7 +106,7 @@ def main(argv) -> None:
 
     with tempfile.TemporaryDirectory() as folder:
         os.chdir(folder)
-        walk = DynamicGraph(2, (TimedGraph(matching_graph(2, 1), Fraction(1, 2)),))
+        walk = DynamicGraph(2, (TimedGraph(Graph(2, frozenset({(0, 1)})), Fraction(1, 2)),))
         with open("w.json", "w", encoding="utf-8") as handle:
             handle.write(serialize_dynamic_graph(walk))
         with open("c.json", "w", encoding="utf-8") as handle:

@@ -22,11 +22,7 @@ import pytest
 
 import catalog
 import trace_fixtures as tf
-from dynwalk.gate_compiler import (
-    bit_value,
-    compile_hadamard_layer,
-    matching_graph,
-)
+from dynwalk.gate_compiler import _pairs, bit_value, compile_hadamard_layer
 from dynwalk.graph_model import (
     DynamicGraph,
     Graph,
@@ -60,7 +56,7 @@ def _angle(quarters):
 
 def _flip_pair(n_vertices, mask):
     return (
-        TimedGraph(matching_graph(n_vertices, mask), Fraction(1, 2)),
+        TimedGraph(Graph(n_vertices, frozenset(_pairs(n_vertices, mask))), Fraction(1, 2)),
         TimedGraph(Graph(n_vertices, loops=frozenset(range(n_vertices))), Fraction(3, 2)),
     )
 
@@ -138,7 +134,7 @@ def test_criterion_04_flip_with_phases_compacts_to_two_graphs():
     walk = DynamicGraph(
         4,
         (
-            TimedGraph(matching_graph(4, 2), Fraction(1, 2)),
+            TimedGraph(Graph(4, frozenset(_pairs(4, 2))), Fraction(1, 2)),
             TimedGraph(Graph.make(4, loops=[2, 3]), Fraction(1, 1)),
             TimedGraph(Graph.make(4, loops=[1, 3]), Fraction(1, 1)),
         ),
@@ -173,7 +169,7 @@ def test_criterion_05_paired_hadamards_fit_five_graphs():
         phases = Graph(4, loops=frozenset(v for v in range(4) if v & mask))
         return (
             TimedGraph(phases, Fraction(3, 2)),
-            TimedGraph(matching_graph(4, mask), Fraction(1, 4)),
+            TimedGraph(Graph(4, frozenset(_pairs(4, mask))), Fraction(1, 4)),
             TimedGraph(phases, Fraction(3, 2)),
         )
 
@@ -369,7 +365,7 @@ def _plant(rng, n_vertices, steps, flavor):
         mask = 1 << rng.randrange(n_vertices.bit_length() - 1)
         phases = Graph(n_vertices, loops=frozenset(v for v in range(n_vertices) if v & mask))
         steps.append(TimedGraph(phases, Fraction(3, 2)))
-        steps.append(TimedGraph(matching_graph(n_vertices, mask), Fraction(1, 4)))
+        steps.append(TimedGraph(Graph(n_vertices, frozenset(_pairs(n_vertices, mask))), Fraction(1, 4)))
         steps.append(TimedGraph(phases, Fraction(3, 2)))
 
 

@@ -21,10 +21,10 @@ from dynwalk.cli import main
 from dynwalk.gate_compiler import (
     Circuit,
     Gate,
+    _pairs,
     circuit_unitary,
     compile_circuit,
     compile_hadamard_layer,
-    matching_graph,
     parse_circuit,
 )
 from dynwalk.graph_model import (
@@ -56,7 +56,7 @@ def bit_flip_walk(n_vertices=2):
     return DynamicGraph(
         n_vertices,
         (
-            TimedGraph(matching_graph(n_vertices, mask), Fraction(1, 2)),
+            TimedGraph(Graph(n_vertices, frozenset(_pairs(n_vertices, mask))), Fraction(1, 2)),
             TimedGraph(Graph(n_vertices, loops=frozenset(range(n_vertices))), Fraction(3, 2)),
         ),
     )
@@ -66,9 +66,9 @@ def double_flip_walk():
     return DynamicGraph(
         4,
         (
-            TimedGraph(matching_graph(4, 2), Fraction(1, 2)),
+            TimedGraph(Graph(4, frozenset(_pairs(4, 2))), Fraction(1, 2)),
             TimedGraph(Graph(4, loops=frozenset(range(4))), Fraction(3, 2)),
-            TimedGraph(matching_graph(4, 1), Fraction(1, 2)),
+            TimedGraph(Graph(4, frozenset(_pairs(4, 1))), Fraction(1, 2)),
             TimedGraph(Graph(4, loops=frozenset(range(4))), Fraction(3, 2)),
         ),
     )
@@ -380,8 +380,8 @@ def test_optimize_pass_subset(tmp_path, capsys):
     walk = DynamicGraph(
         4,
         (
-            TimedGraph(matching_graph(4, 1), Fraction(1, 2)),
-            TimedGraph(matching_graph(4, 1), Fraction(1, 2)),
+            TimedGraph(Graph(4, frozenset(_pairs(4, 1))), Fraction(1, 2)),
+            TimedGraph(Graph(4, frozenset(_pairs(4, 1))), Fraction(1, 2)),
         ),
     )
     walk_file = write_walk(tmp_path / "in.json", walk)

@@ -1,9 +1,12 @@
-"""Each public name has one import path, and the README's examples run.
+"""Each public name has one import path, is used by the package, and the README's examples run.
 
 The package itself exports only ``__version__``; every other public name
-is listed in the ``__all__`` of the one submodule that defines it.
+is listed in the ``__all__`` of the one submodule that defines it. Every
+exported function or class is read by package code other than its own
+definition, save the few ``UNUSED_EXPORTS`` names.
 """
 
+import ast
 import contextlib
 import importlib
 import inspect
@@ -20,6 +23,11 @@ from dynwalk.graph_model import parse_dynamic_graph
 SUBMODULES = [f"dynwalk.{info.name}" for info in pkgutil.iter_modules(dynwalk.__path__)]
 MODULES = ["dynwalk"] + SUBMODULES
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+# Exported functions that no package code reads by name: the commands,
+# which ``main`` looks up by name; the distance the benchmark's tracer
+# wraps; and the reference unitary the README compares a walk with.
+UNUSED_EXPORTS = {f"dynwalk.cli.cmd_{command}" for command in ("simulate", "unitary", "optimize", "compile", "equiv", "stats")}
+UNUSED_EXPORTS |= {"dynwalk.numerics.phase_distance", "dynwalk.gate_compiler.circuit_unitary"}
 
 
 @pytest.mark.parametrize("module_name", MODULES)
@@ -40,6 +48,36 @@ def test_exported_functions_and_classes_are_defined_where_they_are_listed(module
     defined = [getattr(module, name) for name in module.__all__]
     functions_and_classes = [obj for obj in defined if inspect.isfunction(obj) or inspect.isclass(obj)]
     assert [obj.__qualname__ for obj in functions_and_classes if obj.__module__ != module_name] == []
+
+
+def names_read(tree):
+    """Every name the module loads as an ``ast.Name`` or imports, outside the top-level definition of that name."""
+    read = set()
+    for node in tree.body:
+        own = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else None
+        for child in ast.walk(node):
+            if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load) and child.id != own:
+                read.add(child.id)
+            elif isinstance(child, ast.ImportFrom):
+                read.update(alias.name for alias in child.names)
+    return read
+
+
+def test_every_exported_function_and_class_is_read_by_the_package():
+    read = set()
+    for module_name in MODULES:
+        with open(importlib.import_module(module_name).__file__, encoding="utf-8") as handle:
+            read |= names_read(ast.parse(handle.read()))
+    unread = set()
+    for module_name in SUBMODULES:
+        module = importlib.import_module(module_name)
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if (inspect.isfunction(obj) or inspect.isclass(obj)) and name not in read:
+                unread.add(f"{module_name}.{name}")
+    assert sorted(unread - UNUSED_EXPORTS) == []
+    # and the allowlist names only exports that are still unread
+    assert sorted(UNUSED_EXPORTS - unread) == []
 
 
 def test_no_name_is_listed_by_two_modules():

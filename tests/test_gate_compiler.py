@@ -16,6 +16,8 @@ from dynwalk.gate_compiler import (
     MAX_QUBITS,
     _apply_gate,
     _loops,
+    _pairs,
+    _staircase,
     Circuit,
     Gate,
     bit_value,
@@ -23,10 +25,8 @@ from dynwalk.gate_compiler import (
     circuit_unitary,
     compile_circuit,
     compile_hadamard_layer,
-    matching_graph,
     mixing_pairs,
     parse_circuit,
-    schedule_phases,
 )
 from dynwalk.graph_model import DynamicGraph, Graph, ParseError, TimedGraph, radians
 from dynwalk.numerics import VERIFY_TOLERANCE, phase_distance
@@ -68,22 +68,17 @@ def test_bit_value_range_check():
 
 
 def test_matching_graph_pairs_by_xor():
-    g = matching_graph(4, 1)
-    assert g.edges == frozenset({(0, 1), (2, 3)})
-    assert matching_graph(8, 6).edges == frozenset({(0, 6), (1, 7), (2, 4), (3, 5)})
-    with pytest.raises(ValueError):
-        matching_graph(4, 4)
-    with pytest.raises(ValueError):
-        matching_graph(4, 0)
+    assert _pairs(4, 1) == [(0, 1), (2, 3)]
+    assert set(_pairs(8, 6)) == {(0, 6), (1, 7), (2, 4), (3, 5)}
     for n in range(2, 65):
         for mask in range(1, n):
             pairs = {(v, v ^ mask) for v in range(n) if v < v ^ mask}
             if max(b for _, b in pairs) < n:
-                assert matching_graph(n, mask) == Graph(n, frozenset(pairs))
+                assert Graph(n, frozenset(_pairs(n, mask))) == Graph(n, frozenset(pairs))
             else:
-                # the pairing runs past the last vertex: refused up front, naming the mask
-                with pytest.raises(ValueError, match=rf"^flip mask {mask} .*out of range for {n} vertices$"):
-                    matching_graph(n, mask)
+                # the pairing runs past the last vertex: the graph refuses the pair
+                with pytest.raises(ValueError, match=rf"out of range for {n} vertices$"):
+                    Graph(n, frozenset(_pairs(n, mask)))
 
 
 def test_loop_builders():
@@ -187,9 +182,9 @@ def test_circuit_validation():
 
 
 def test_schedule_phases_explicit_staircase():
-    phases = {0: angle(1, 2), 1: angle(3, 2), 2: angle(3, 2), 3: angle(1)}
-    steps = schedule_phases(phases, 4)
-    got = [(step.graph.sorted_loops(), step.duration) for step in steps]
+    # phases pi/2, 3pi/2, 3pi/2 and pi, in halves of pi
+    steps = _staircase({0: 1, 1: 3, 2: 3, 3: 2}, 2, 4)
+    got = [(sorted(step.graph.loops), step.duration) for step in steps]
     assert got == [
         ([1, 2], angle(1, 2)),
         ([1, 2, 3], angle(1, 2)),
@@ -201,37 +196,35 @@ def test_schedule_phases_explicit_staircase():
 
 def test_schedule_phases_unitary_is_target_diagonal():
     phases = {0: angle(1, 4), 2: angle(7, 4), 3: angle(1)}
-    u = total_unitary(DynamicGraph(4, schedule_phases(phases, 4)))
+    u = total_unitary(DynamicGraph(4, _staircase({v: int(phase * 4) for v, phase in phases.items()}, 4, 4)))
     expected = np.diag([np.exp(-1j * radians(phases.get(v, angle(0)))) for v in range(4)])
     assert np.abs(u - expected).max() < 1e-12
 
 
 def test_schedule_phases_drops_zero_entries():
-    steps = schedule_phases({0: angle(0), 1: angle(1, 2)}, 2)
+    steps = _staircase({0: 0, 1: 1}, 2, 2)
     assert steps == (TimedGraph(Graph.make(2, loops=[1]), angle(1, 2)),)
 
 
 def test_schedule_phases_empty_map():
-    steps = schedule_phases({}, 4)
+    steps = _staircase({}, 1, 4)
     assert steps == ()
     assert DynamicGraph(4, steps).total_time() == angle(0)
 
 
 def test_schedule_phases_rejects_bad_input():
     with pytest.raises(ValueError, match="phase 2π for vertex 0 not in"):
-        schedule_phases({0: angle(2)}, 4)
+        _staircase({0: 2}, 1, 4)
     with pytest.raises(ValueError, match="phase 5π/2 for vertex 1 not in"):
-        schedule_phases({0: angle(1, 4), 1: angle(5, 2)}, 4)
+        _staircase({0: 1, 1: 10}, 4, 4)
     with pytest.raises(ValueError):
-        schedule_phases({4: angle(1, 2)}, 4)
+        _staircase({4: 1}, 2, 4)
     with pytest.raises(ValueError, match="vertex -1 out of range"):
-        schedule_phases({-1: angle(1, 2), 0: angle(1)}, 4)
+        _staircase({-1: 1, 0: 2}, 2, 4)
     with pytest.raises(ValueError, match="vertex 4 out of range"):
-        schedule_phases({0: angle(1), 4: angle(0)}, 4)
+        _staircase({0: 1, 4: 0}, 1, 4)
     with pytest.raises(ValueError, match="for vertex 2 not in"):
-        schedule_phases({0: angle(1), 1: angle(1), 2: angle(-1, 2)}, 4)
-    with pytest.raises(TypeError, match="Fraction multiple of pi"):
-        schedule_phases({0: angle(1), 1: 0.5}, 4)
+        _staircase({0: 2, 1: 2, 2: -1}, 2, 4)
 
 
 @settings(max_examples=60, deadline=None)
@@ -240,7 +233,7 @@ def test_schedule_phases_rejects_bad_input():
 )
 def test_schedule_phases_property(raw):
     phases = {v: angle(k, 4) for v, k in raw.items()}
-    steps = schedule_phases(phases, 8)
+    steps = _staircase(raw, 4, 8)
     u = total_unitary(DynamicGraph(8, steps))
     expected = np.diag([np.exp(-1j * radians(phases.get(v, angle(0)))) for v in range(8)])
     assert np.abs(u - expected).max() < 1e-10
@@ -438,8 +431,9 @@ def reference_steps(gate, n_qubits):
     if gate.kind in ("H", "HLAYER"):
         masks = [bit_value(q, n_qubits) for q in sorted(gate.targets or (gate.target,))]
         k, union = len(masks), sum(masks)
-        beta = angle(k, 2) if k < 3 else angle(0)
-        stair = schedule_phases({v: (beta - angle((v & union).bit_count(), 2)) % 2 for v in range(n)}, n)
+        # beta and the staircase phases in halves of pi
+        beta = k if k < 3 else 0
+        stair = _staircase({v: (beta - (v & union).bit_count()) % 4 for v in range(n)}, 2, n)
         edges = {(v, v ^ m) for m in masks for v in range(n) if v < v ^ m}
         return stair + (TimedGraph(Graph.make(n, edges), angle(k, 4)),) + stair
     mask = bit_value(gate.target, n_qubits)

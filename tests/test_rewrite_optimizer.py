@@ -34,12 +34,12 @@ import trace_fixtures as tf
 from dynwalk.gate_compiler import (
     Circuit,
     Gate,
+    _pairs,
+    _staircase,
     bit_value,
     circuit_unitary,
     compile_circuit,
     compile_hadamard_layer,
-    matching_graph,
-    schedule_phases,
 )
 from dynwalk.graph_model import DynamicGraph, Graph, TimedGraph, _small_ratio, period, spectrum
 from dynwalk.numerics import phase_distance
@@ -68,7 +68,7 @@ def loops(n, vertices, num, den=1):
 
 
 def match(n, mask, num, den=1):
-    return TimedGraph(matching_graph(n, mask), angle(num, den))
+    return TimedGraph(Graph(n, frozenset(_pairs(n, mask))), angle(num, den))
 
 
 def walk_of(*steps):
@@ -648,13 +648,13 @@ def test_singleton_moves_skip_targets_beyond_the_corridor(monkeypatch):
 
 @pytest.mark.parametrize("others", [(), (2,), (0, 2, 3)])
 def test_loops_only_landing_is_the_staircase_of_its_two_phases(others):
-    """Every target duration and moved phase in quarter steps, against schedule_phases."""
+    """Every target duration and moved phase in quarter steps, against the staircase of its phases."""
     for t, tau in itertools.product(range(8), repeat=2):
         target = loops(4, (1, *others), t, 4)
         landed = ro._singleton_landing(target, 1, (tau, 4))
-        phases = {w: angle(t, 4) for w in others}
-        phases[1] = angle(t + tau, 4) % 2
-        assert landed == schedule_phases(phases, 4), (t, tau)
+        turns = {w: t for w in others}
+        turns[1] = (t + tau) % 8
+        assert landed == _staircase(turns, 4, 4), (t, tau)
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -669,9 +669,11 @@ def test_loops_only_landing_is_the_schedule_of_its_phases_at_any_width(seed):
         target = TimedGraph(Graph.make(n, loops=[vertex, *others]), angle(rng.randrange(4 * den), den))
         tau = angle(rng.randrange(16), 8)
         landed = ro._singleton_landing(target, vertex, (tau.numerator, tau.denominator))
-        phases = {w: target.duration % 2 for w in others}
-        phases[vertex] = (target.duration + tau) % 2
-        assert landed == schedule_phases(phases, n)
+        # both phases in turns of pi/(8 den), reduced mod 2pi
+        t, moved = int(target.duration * 8 * den), int(tau * 8 * den)
+        turns = {w: t % (16 * den) for w in others}
+        turns[vertex] = (t + moved) % (16 * den)
+        assert landed == _staircase(turns, 8 * den, n)
 
 
 @pytest.mark.parametrize("duration", [angle(2), angle(9, 4), angle(15, 4), angle(6)])
@@ -679,7 +681,8 @@ def test_a_loops_only_landing_on_a_long_target_lands(duration):
     """A target of 2pi or more still takes the phase as the staircase of its phases mod 2pi, and keeps the unitary."""
     target = loops(3, [0, 2], duration.numerator, duration.denominator)
     landed = ro._singleton_landing(target, 0, (3, 8))
-    assert landed == schedule_phases({0: (duration + angle(3, 8)) % 2, 2: duration % 2}, 3)
+    eighths = int(duration * 8)
+    assert landed == _staircase({0: (eighths + 3) % 16, 2: eighths % 16}, 8, 3)
     moved = walk_of(loops(3, [0], 3, 8), target)
     assert phase_distance(total_unitary(moved), total_unitary(DynamicGraph(3, landed))) < 1e-12
 
@@ -691,13 +694,14 @@ def random_loops_step(rng, n):
 
 
 def reference_staircase(run, n):
-    """The staircase of a loops-only run: per-vertex phase sums, then the schedule."""
+    """The staircase of a loops-only run: per-vertex phase sums over the run's common denominator, then the staircase."""
+    den = math.lcm(*(step.pi_den for step in run))
     totals = {}
     for step in run:
         for v in step.graph.loops:
-            totals[v] = (totals.get(v, angle(0)) + step.duration) % 2
+            totals[v] = (totals.get(v, 0) + step.pi_num * (den // step.pi_den)) % (2 * den)
     width = sum(1 for total in totals.values() if total)
-    return schedule_phases(totals, n), f"staircase over {width} vertices"
+    return _staircase(totals, den, n), f"staircase over {width} vertices"
 
 
 def staircase_cases(seed, memo=None):
@@ -794,11 +798,11 @@ def wide_permutation_steps():
     them tell it from a phased permutation.
     """
     for n in (128, 256):
-        yield TimedGraph(matching_graph(n, 3), angle(100001, 200000))
+        yield TimedGraph(Graph(n, frozenset(_pairs(n, 3))), angle(100001, 200000))
         for quarter in range(1, 9):
             duration = angle(quarter, 2)
-            yield TimedGraph(matching_graph(n, 1), duration)
-            yield TimedGraph(matching_graph(n, n - 1), duration)
+            yield TimedGraph(Graph(n, frozenset(_pairs(n, 1))), duration)
+            yield TimedGraph(Graph(n, frozenset(_pairs(n, n - 1))), duration)
             for masks in ((1, 2), (1, 4, 16), (2, 8, 32, 64)):
                 edges = [(v, v ^ m) for m in masks for v in range(n) if v < v ^ m]
                 yield TimedGraph(Graph.make(n, edges=edges), duration)
@@ -885,7 +889,7 @@ def test_follow_up_hadamard_sites_read_from_the_moved_facts_match_the_per_stop_s
     own.
     """
     rng = random.Random(5)
-    _, _, moves = ro._pick_rows(set(ALL_RULES))
+    moves = ro._MOVES
     candidates = found = 0
     for n_qubits in (1, 2, 3):
         for _ in range(4):
@@ -962,6 +966,13 @@ def test_span_time_sums_the_steps_less_the_others_exactly(seed):
         assert angle(*ro._span_time(steps)) == sum((s.duration for s in steps), angle(0))
 
 
+def offered_sites(facts):
+    """Every site the rule rows offer on the facts' walk: each scan row's at every position, then each move row's."""
+    positions = range(facts.walk.graph_count)
+    scanned = [site for _, sites in ro._REGULAR + ro._LAST_RESORT for index in positions for site in sites(facts, index)]
+    return scanned + [site for _, sites in ro._MOVES for site in sites(facts)]
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_gain_prices_every_site_from_its_durations(seed):
     """Every site the rows offer, and every singleton move and fold before the rows filter them on their price."""
@@ -978,16 +989,12 @@ def test_gain_prices_every_site_from_its_durations(seed):
         for stop, _ in ro._fold_prices(facts, index)
         if stop - index >= 2
     ]
-    for rule, sites, walk_sites, _ in ro._RULE_TABLE + (("unfiltered", None, lambda _: unfiltered, True),):
-        offered = list(walk_sites(facts)) if walk_sites else []
-        for index in range(walk.graph_count if sites else 0):
-            offered.extend(sites(facts, index))
-        for start, stop, replacement, _ in offered:
-            saved = sum((s.duration for s in walk.steps[start:stop]), angle(0)) - sum(
-                (s.duration for s in replacement), angle(0)
-            )
-            assert price(ro._gain(facts, start, stop, replacement)) == (saved, stop - start - len(replacement))
-            priced += 1
+    for start, stop, replacement, _ in offered_sites(facts) + unfiltered:
+        saved = sum((s.duration for s in walk.steps[start:stop]), angle(0)) - sum(
+            (s.duration for s in replacement), angle(0)
+        )
+        assert price(ro._gain(facts, start, stop, replacement)) == (saved, stop - start - len(replacement))
+        priced += 1
     assert priced > 0
 
 
@@ -1070,11 +1077,7 @@ def test_integer_prices_and_verdicts_match_fraction_arithmetic(seed):
             for stop, gain in ro._fold_prices(facts, index)
             if stop - index >= 2
         ]
-        for _, row, walk_sites, _ in ro._RULE_TABLE:
-            offered = list(walk_sites(facts)) if walk_sites else []
-            for index in range(walk.graph_count if row else 0):
-                offered.extend(row(facts, index))
-            sites += [(start, stop, replacement, None) for start, stop, replacement, _ in offered]
+        sites += [(start, stop, replacement, None) for start, stop, replacement, _ in offered_sites(facts)]
         assert sites
         for start, stop, replacement, gain in sites:
             expected = fraction_price(steps[start:stop], replacement)
@@ -1093,7 +1096,7 @@ def test_integer_prices_and_verdicts_match_fraction_arithmetic(seed):
             for duration in (step.duration, step.duration + 2):
                 num, den = ro._reduced(step.graph, duration.numerator, duration.denominator)
                 assert angle(num, den) == fraction_reduced(duration, step.graph)
-            for vertex in step.graph.sorted_loops():
+            for vertex in sorted(step.graph.loops):
                 moved = ro._singleton_source(step, vertex)
                 if isinstance(moved, str):
                     continue
@@ -1168,7 +1171,7 @@ def test_moved_facts_are_the_facts_of_the_moved_walk():
     Left of the window the products are the origin's own arrays, and from
     the window on they equal the moved walk's up to a global phase.
     """
-    _, _, moves = ro._pick_rows(set(ALL_RULES))
+    moves = ro._MOVES
     compared = spliced = 0
     for seed in range(40):
         walk = search_input(seed)
@@ -1187,7 +1190,7 @@ def test_moved_facts_are_the_facts_of_the_moved_walk():
 
 def test_regular_rows_offer_only_sites_that_start_at_their_position():
     """The rows the follow-up scan reads are span-local; singleton moves are not."""
-    regular, last_resort, _ = ro._pick_rows(set(ALL_RULES))
+    regular, last_resort = ro._REGULAR, ro._LAST_RESORT
     assert [sites for _, sites in last_resort] == [ro._singleton_sites, ro._fold_sites]
     for seed in range(40):
         walk = search_input(seed)
@@ -1203,7 +1206,7 @@ def test_sites_left_out_for_a_window_do_not_read_it(seed):
     rng = random.Random(seed)
     walk = search_input(seed)
     count = walk.graph_count
-    regular, _, _ = ro._pick_rows(set(ALL_RULES))
+    regular = ro._REGULAR
     rows = [sites for _, sites in regular if sites is not ro._hypercube_sites]
     for _ in range(6):
         start = rng.randrange(count)
@@ -1282,7 +1285,7 @@ def test_hadamard_layer_sites_pass_their_verification(n_qubits):
 
 def test_enabling_search_keeps_the_window_while_rewrites_are_skipped(monkeypatch):
     final, _ = optimize(search_input(0))
-    regular, _, moves = ro._pick_rows(set(ALL_RULES))
+    regular, moves = ro._REGULAR, ro._MOVES
     candidates = [window for _, window in neutral_moves(final, moves)]
     assert candidates
     windows = []
@@ -1304,7 +1307,7 @@ def test_enabling_search_keeps_the_window_while_rewrites_are_skipped(monkeypatch
 def test_enabling_search_passes_over_moves_that_keep_their_span(monkeypatch):
     step = match(2, 1, 1, 3)
     walk = walk_of(step, step, loops(2, [0], 1, 2))
-    regular, _, moves = ro._pick_rows(set(ALL_RULES))
+    regular, moves = ro._REGULAR, ro._MOVES
     kept = [
         (start, stop)
         for _, sites in moves
@@ -1516,6 +1519,18 @@ def test_optimize_normalization_records():
     assert report.verified
 
 
+def test_optimize_renormalizes_after_each_accepted_rewrite():
+    """Moving the loop out of C4 + loop leaves C4, whose period 2pi is shorter than the step's 4pi."""
+    c4 = Graph.make(6, edges=[(0, 1), (1, 2), (2, 3), (0, 3)])
+    walk = walk_of(TimedGraph(c4.union(Graph.make(6, loops=[4])), angle(5, 2)), loops(6, [4], 3, 4))
+    final, report = optimize(walk)
+    assert final.steps == (TimedGraph(c4, angle(1, 2)),)
+    assert [(r.rule, r.span) for r in report.rewrites] == [(RULE_MOVE_SINGLETON, (0, 2)), (RULE_NORMALIZE_TIME, (0, 1))]
+    assert report.rewrites[1].detail == "5π/2 -> π/2"
+    assert report.verified
+    assert_same_program(walk, final)
+
+
 def test_optimize_report_dict_shape():
     walk = walk_of(match(4, 1, 1, 2), match(4, 1, 1, 2))
     _, report = optimize(walk)
@@ -1708,7 +1723,7 @@ def random_step(rng, n):
         return TimedGraph(Graph.make(n, loops=vertices), duration)
     if kind == 1:
         mask = rng.randrange(1, n)
-        return TimedGraph(matching_graph(n, mask), duration)
+        return TimedGraph(Graph(n, frozenset(_pairs(n, mask))), duration)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     chosen = [p for p in pairs if rng.random() < 0.3]
     return TimedGraph(Graph.make(n, edges=chosen), duration)

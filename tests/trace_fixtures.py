@@ -20,11 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from dynwalk.gate_compiler import (
-    Circuit,
-    Gate,
-    matching_graph,
-)
+from dynwalk.gate_compiler import Circuit, Gate
 from dynwalk.graph_model import DynamicGraph, Graph, TimedGraph
 
 I = 1j
@@ -459,21 +455,26 @@ def _pairs(edges):
     return Graph.make(8, edges=edges)
 
 
+def _matching(mask):
+    """The perfect matching of each vertex v with v XOR mask."""
+    return _pairs([(v, v ^ mask) for v in range(8) if v < v ^ mask])
+
+
 def long_program() -> DynamicGraph:
     """The sixteen step program whose states the long table tracks."""
     a = Fraction
     steps = (
         TimedGraph(_loops([4, 5, 6, 7]), a(3, 2)),
-        TimedGraph(matching_graph(8, 4), a(1, 4)),
+        TimedGraph(_matching(4), a(1, 4)),
         TimedGraph(_loops([4, 5, 6, 7]), a(3, 2)),
-        TimedGraph(matching_graph(8, 2), a(1, 2)),
+        TimedGraph(_matching(2), a(1, 2)),
         TimedGraph(_loops(range(8)), a(3, 2)),
         TimedGraph(_loops([1, 3, 5, 7]), a(3, 2)),
-        TimedGraph(matching_graph(8, 1), a(1, 4)),
+        TimedGraph(_matching(1), a(1, 4)),
         TimedGraph(_loops([1, 3, 5, 7]), a(3, 2)),
         TimedGraph(_pairs([(4, 6), (5, 7)]), a(1, 2)),
         TimedGraph(_loops([4, 5, 6, 7]), a(3, 2)),
-        TimedGraph(matching_graph(8, 4), a(1, 2)),
+        TimedGraph(_matching(4), a(1, 2)),
         TimedGraph(_loops([4, 5, 6, 7]), a(1, 1)),
         TimedGraph(_loops([2, 3, 6, 7]), a(7, 4)),
         TimedGraph(_loops([1, 3, 5, 7]), a(1, 1)),
@@ -495,7 +496,7 @@ def short_program() -> DynamicGraph:
         TimedGraph(cube, a(1, 2)),
         TimedGraph(_loops([0, 2, 4, 6]), a(1, 2)),
         TimedGraph(_pairs([(0, 2), (1, 3)]), a(1, 2)),
-        TimedGraph(matching_graph(8, 4), a(1, 2)),
+        TimedGraph(_matching(4), a(1, 2)),
         TimedGraph(_loops([1, 2, 3, 4, 5, 6, 7]), a(1, 4)),
         TimedGraph(_loops([1, 2, 4, 5, 6, 7]), a(1, 4)),
         TimedGraph(_loops([2, 4, 5, 6, 7]), a(1, 4)),
