@@ -150,7 +150,11 @@ class Graph:
     The optimizer's caches are keyed on graphs and steps, so the hash is
     computed once, on first use, and kept beside the fields, as is the set
     of edge endpoints that ``degree_free`` and ``supports_disjoint`` read:
-    equality and repr read the fields alone.
+    equality and repr read the fields alone. ``Graph(...)`` checks each
+    vertex's range but not its type, so a float endpoint is read as its
+    integer part; ``Graph.make`` and the parser refuse non-integers. A
+    per-entry type check measured about +50 % on construction, which every
+    parse and compile would pay, so the constructor does not make it.
     """
 
     n_vertices: int

@@ -31,7 +31,8 @@ Each rule is a verdict on the steps it reads: a function of those steps
 (and the vertex count where it needs one) that returns the steps that
 replace them, or a string that says why the rule does not apply there.
 The driver works from one table of rule sites, which the site generators
-build from the verdicts. A site is a span [start, stop) of the program,
+build from the verdicts; the Hadamard-layer row judges each fragment of
+its sweep itself, from the walk's prefix products. A site is a span [start, stop) of the program,
 the steps that would replace it and a note for the report. Only the
 driver prices a site, from the span alone, records it and splices it in.
 Cost is lexicographic (total time, then graph count) and every accepted
@@ -105,16 +106,15 @@ singleton carries out of a step (``_singleton_source``, on the source
 step and the vertex); what a target step becomes when it absorbs that
 phase (``_singleton_landing``, on the target step, the vertex and the
 phase); and the compiled Hadamard layer per bit mask and qubit count
-(``_hadamard_layer``): its steps, its cost, its one-gate HLAYER circuit
-and column 0 of its product, an n-vector. The memo holds steps, small
-tuples and those columns, never an n x n array: no step's unitary, no
-span product and no layer product. Three verdicts are not kept. The
-bit-flip row builds the fold of a run (``_fold``) for every run of two
-or more phased bit flips, and ``_scan`` prices it afterwards; the fold
+(``_hadamard_layer``): its steps, its cost and its one-gate HLAYER
+circuit. The memo holds steps and small tuples, never an array: no
+step's unitary, no span product and no layer product. Three verdicts are
+not kept. The bit-flip row builds the fold of a run (``_fold``) for every
+run of two or more phased bit flips, and ``_scan`` prices it afterwards; the fold
 row builds a fold only for a prefix it has priced as an improvement. Few
 periods recur: a period is looked up only for a duration of 2pi or more,
 or for the empty graph (a nonempty graph's period is None or an even
-multiple of pi). The Hadamard-layer verdict (``_hypercube_hadamard``)
+multiple of pi). The Hadamard-layer row (``_hypercube_sites``)
 reads the fragment's product, not its steps. A landing on a loops-only
 target is the staircase (``_staircase``) of its per-vertex phases. A
 singleton site is built straight from the two singleton verdicts, for
@@ -147,10 +147,11 @@ only whole prefix products are multiplied here. The Hadamard-layer sites
 try the fragments from one start longest first, skipping fragments made
 only of phased permutations, whose product is a phased permutation and
 never a Hadamard layer, and stopping at the first that costs no more
-than the cheapest layer (``LAYER_FLOOR``). The verdict reads a fragment
+than the cheapest layer (``LAYER_FLOOR``). The row reads a fragment
 [i, s) as W_s W_i^dag: its bit mask from column 0, its cost from the
 prefix times, and the fragment's dense product only for a layer that is
-strictly cheaper and whose column 0 matches.
+strictly cheaper and whose column 0 matches the layer's closed form:
+2^(-k/2) times one phase on each of the 2^k vertices inside the mask.
 
 Every accepted rewrite is verified on its span alone. With Q the product
 of the steps before the span, P that of the steps after it, and S, S' the
@@ -190,7 +191,7 @@ from .graph_model import (
     supports_disjoint,
 )
 from .numerics import VERIFY_TOLERANCE
-from .walk_engine import _cached_factors, evolve_state, graphs_commute, prefix_unitaries, run_distance
+from .walk_engine import _cached_factors, graphs_commute, prefix_unitaries, run_distance
 
 __all__ = [
     "RULE_SWAP_COMMUTING",
@@ -650,8 +651,8 @@ class ScanFacts:
         The move keeps the step count, the window's time and its product up
         to phase, so the products outside the window are the origin's: left
         of it they are the same, right of it they differ only by a global
-        phase, which no Hadamard-layer verdict reads (see
-        _hypercube_hadamard). Only the products inside the window are new.
+        phase, which the Hadamard-layer row does not read (see
+        _hypercube_sites). Only the products inside the window are new.
         """
         return ScanFacts(self.walk.replaced(start, stop, replacement), self.memo, (self, start, stop))
 
@@ -701,64 +702,16 @@ Cost = Tuple[int, int, int]
 LAYER_FLOOR: Cost = (5, 4, 3)
 
 
-def _hadamard_layer(mask: int, n_qubits: int) -> Tuple[Tuple[TimedGraph, ...], Cost, Circuit, np.ndarray]:
-    """Hadamards on the qubits of a vertex bit mask: compiled steps, cost, gate and column 0.
+def _hadamard_layer(mask: int, n_qubits: int) -> Tuple[Tuple[TimedGraph, ...], Cost, Circuit]:
+    """Hadamards on the qubits of a vertex bit mask: compiled steps, cost and gate.
 
     The gate is the one-gate HLAYER circuit the steps compile, which
-    ``circuit_distance`` undoes; column 0 is that of the steps' product,
-    the image of vertex 0. The column is shared by every caller, so it is
-    read-only.
+    ``circuit_distance`` undoes.
     """
     targets = tuple(q for q in range(n_qubits) if mask & bit_value(q, n_qubits))
     layer = compile_hadamard_layer(targets, n_qubits)
-    column = evolve_state(layer, np.eye(1, layer.n_vertices, dtype=np.complex128)[0])
-    column.flags.writeable = False
     gate = Circuit(n_qubits, (Gate("HLAYER", targets=targets),))
-    return layer.steps, (*_span_time(layer.steps), len(layer.steps)), gate, column
-
-
-def _hypercube_hadamard(facts: ScanFacts, start: int, stop: int) -> StepsVerdict:
-    """Replace a fragment equal (up to phase) to Hadamards on a bit subset.
-
-    The fragment is steps[start:stop] of the facts' walk on 2^k vertices,
-    read from the walk's prefix products as W_stop W_start^dag, so the
-    memo does not keep this verdict. The subset is read off column 0 of
-    the fragment, one matrix-vector product. Hadamards on k bits spread
-    vertex 0 evenly over the 2^k vertices that differ from it only in those
-    bits, each with weight 2^-k >= 1/n, so the bit mask is the OR of the indices weighing
-    more than 1/(2n). The layer on that subset goes in only when it
-    strictly reduces (total time, graph count), which the facts' integer
-    times decide. Then one phase distance d of the fragment from the
-    layer's HLAYER gate decides, through ``circuit_distance``, the check
-    ``compile`` makes, which undoes the gate in the fragment's own array:
-    layers on two different subsets have trace overlap 0, so no other
-    subset could match. The compiled layer is exp(-2i beta) times that gate
-    to rounding, so d is the phase distance the driver's span verification
-    reads between the fragment and the layer's steps, up to rounding
-    (about 1e-15). For unitaries, ||F - e^{i phi} L||_F^2 = 2 n d at the
-    best phase, and column 0 takes part of that, so 1 - |l^dag c| <= n d
-    for the two columns 0: a column 0 that misses this twice over fails
-    without the dense fragment. No step reads a global phase of the
-    products. Unlike the merge rules this verdict enforces the cost drop
-    itself: the layer is a fixed-price replacement, not a local fusion, so
-    applying it blindly could pessimize a cheap fragment. The memo keeps
-    the layer's steps, cost, gate and column 0 per bit mask.
-    """
-    n = facts.walk.n_vertices
-    products = facts.products()
-    later, earlier = products[stop], products[start]
-    column = later @ earlier[0].conj()
-    mask = int(np.bitwise_or.reduce(np.flatnonzero(np.abs(column) ** 2 > 1.0 / (2 * n))))
-    if not mask:
-        return "fragment is not a Hadamard layer"
-    layer, cost, gate, layer_column = facts.memo.hadamard_layer(mask, n.bit_length() - 1)
-    if facts.costs_at_most(start, stop, cost):
-        return "layer replacement is not strictly cheaper"
-    if 1 - abs(np.vdot(layer_column, column)) >= 2 * n * VERIFY_TOLERANCE:
-        return "fragment is not a Hadamard layer"
-    if not circuit_distance(gate, [(np.eye(n), later @ earlier.conj().T)]) < VERIFY_TOLERANCE:
-        return "fragment is not a Hadamard layer"
-    return layer
+    return layer.steps, (*_span_time(layer.steps), len(layer.steps)), gate
 
 
 # ---------------------------------------------------------------------------
@@ -957,7 +910,7 @@ def _singleton_sites(facts: ScanFacts, source: int) -> Iterator[Site]:
 
 
 def _hypercube_sites(facts: ScanFacts, index: int, window: Window = None) -> Iterator[Site]:
-    """The longest Hadamard-layer fragment starting at the index.
+    """The longest fragment from the index that a cheaper Hadamard layer equals up to phase.
 
     A product of phased permutations is a phased permutation, never a
     Hadamard layer, so only fragments that reach past the first step that
@@ -966,7 +919,33 @@ def _hypercube_sites(facts: ScanFacts, index: int, window: Window = None) -> Ite
     phase) and its cost, so such a fragment keeps its verdict. The
     fragments are tried longest first, and the sweep stops at the first
     that costs no more than LAYER_FLOOR, as every shorter one costs less.
-    Every fragment is read from the facts' prefix products.
+
+    The walk has 2^k vertices, and a fragment [index, stop) is read from
+    the facts' prefix products as W_stop W_index^dag, fetched only once a
+    fragment passes the floor, so the memo does not keep this verdict.
+    Hadamards on the bits of a mask M send vertex 0 to 2^(-|M|/2) times one
+    phase on each of the 2^|M| vertices inside M, each of weight at least
+    1/n. So the support S of the fragment's column 0, one matrix-vector
+    product, is the set of entries weighing more than 1/(2n), and the mask
+    is its OR. The layer on that mask goes in only when it strictly reduces
+    (total time, graph count), which the facts' integer times decide, when
+    S holds exactly the 2^|M| vertices inside M, and when 1 - |sum_S c| /
+    sqrt|S| stays under 2n VERIFY_TOLERANCE: on such an S that is 1 -
+    |l^dag c| for the layer's own column 0, l, up to rounding. Then one
+    phase distance d of the fragment from the layer's HLAYER gate decides,
+    through ``circuit_distance``, the check ``compile`` makes, which undoes
+    the gate in the fragment's own array: layers on two different subsets
+    have trace overlap 0, so no other subset could match. The compiled
+    layer is exp(-2i beta) times that gate to rounding, so d is the phase
+    distance the driver's span verification reads between the fragment
+    and the layer's steps, up to rounding (about 1e-15). For unitaries, ||F - e^{i phi} L||_F^2 = 2 n d
+    at the best phase, and column 0 takes part of that, so 1 - |l^dag c| <=
+    n d: a column 0 that misses this twice over fails without the dense
+    fragment. No check reads a global phase of the products. Unlike the
+    merge rules this row enforces the cost drop itself: the layer is a
+    fixed-price replacement, not a local fusion, so applying it blindly
+    could pessimize a cheap fragment. The memo keeps the layer's steps,
+    cost and gate per bit mask.
     """
     n, count = facts.walk.n_vertices, facts.walk.graph_count
     if n < 2 or n & (n - 1) or not _reads(index, count, window):
@@ -977,8 +956,20 @@ def _hypercube_sites(facts: ScanFacts, index: int, window: Window = None) -> Ite
     for stop in range(highest, lowest - 1, -1):
         if facts.costs_at_most(index, stop, LAYER_FLOOR):
             return
-        layer = _hypercube_hadamard(facts, index, stop)
-        if not isinstance(layer, str):
+        products = facts.products()
+        later, earlier = products[stop], products[index]
+        column = later @ earlier[0].conj()
+        in_support = np.abs(column) ** 2 > 1.0 / (2 * n)
+        support = in_support.nonzero()[0]
+        mask = int(np.bitwise_or.reduce(support))
+        if not mask:
+            continue
+        layer, cost, gate = facts.memo.hadamard_layer(mask, n.bit_length() - 1)
+        if facts.costs_at_most(index, stop, cost) or len(support) != 1 << mask.bit_count():
+            continue
+        if 1 - abs(in_support.dot(column)) / math.sqrt(len(support)) >= 2 * n * VERIFY_TOLERANCE:
+            continue
+        if circuit_distance(gate, [(np.eye(n), later @ earlier.conj().T)]) < VERIFY_TOLERANCE:
             yield index, stop, layer, ""
             return
 
@@ -1057,7 +1048,7 @@ def _scan(facts: ScanFacts, rows: Rows, skip: Set[Key], window: Window = None) -
     sites were all skipped; only the regular rows take one. A site whose
     verdict reads none of the window keeps that verdict and its span's
     steps, so its skip; a Hadamard-layer fragment that holds the window
-    keeps its verdict and is never skipped (see _hypercube_hadamard). So
+    keeps its verdict and is never skipped (see _hypercube_sites). So
     the rows offer only the sites that read the window, and the first of
     those is the first improving rewrite of the rows over the whole walk,
     whatever the skip set. Every verdict reads forward from its position,

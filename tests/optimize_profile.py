@@ -9,8 +9,10 @@ the number of ``fractions.Fraction`` constructions (calls of
 makes), then one line per source file with its self time and share of
 the total, largest first; functions built into the interpreter are
 pooled as ``(built-in)``. ``fractions.py``'s line is printed whatever its
-share, at 0 when no ``Fraction`` code ran. The file has no ``test_``
-prefix, so pytest does not collect it.
+share, at 0 when no ``Fraction`` code ran. Under those lines it prints
+the ten functions with the largest cumulative time, largest first, each
+as ``file:line function: seconds s cumulative``. The file has no
+``test_`` prefix, so pytest does not collect it.
 
 Run from the repository root::
 
@@ -31,6 +33,7 @@ import corpus_digest  # noqa: E402
 from dynwalk.rewrite_optimizer import optimize  # noqa: E402
 
 FRACTIONS = "fractions.py"
+TOP = 10
 
 
 def main(argv=()) -> None:
@@ -53,6 +56,12 @@ def main(argv=()) -> None:
     print(f"optimize over {len(walks)} programs: {total:.2f} s of self time, {constructions} Fraction constructions")
     for module, own in sorted(self_s.items(), key=lambda item: (-item[1], item[0])):
         print(f"{module}: {own:.3f} s, {100 * own / total:.1f} %")
+    print(f"{TOP} functions by cumulative time:")
+    for (filename, line, function), (_, _, _, cumulative, _) in sorted(
+        stats.items(), key=lambda item: -item[1][3]
+    )[:TOP]:
+        module = "(built-in)" if filename == "~" else os.path.basename(filename)
+        print(f"{module}:{line} {function}: {cumulative:.3f} s cumulative")
 
 
 if __name__ == "__main__":

@@ -32,7 +32,7 @@ from dynwalk.graph_model import (
 from dynwalk.numerics import phase_distance
 from dynwalk.rewrite_optimizer import (
     ScanFacts,
-    _hypercube_hadamard,
+    _hypercube_sites,
     _merge_complementary,
     optimize,
 )
@@ -175,7 +175,8 @@ def test_criterion_05_paired_hadamards_fit_five_graphs():
 
     sequential = DynamicGraph(4, h_fixture(0) + h_fixture(1))
     assert sequential.total_time() == Fraction(13, 2)
-    layer_steps = _hypercube_hadamard(ScanFacts(sequential), 0, sequential.graph_count)
+    [(start, stop, layer_steps, _)] = _hypercube_sites(ScanFacts(sequential), 0)
+    assert (start, stop) == (0, 6)
     rewritten = sequential.replaced(0, 6, layer_steps)
     rewrite_distance = phase_distance(
         total_unitary(rewritten), total_unitary(sequential)

@@ -30,7 +30,7 @@ from dynwalk.gate_compiler import (
 )
 from dynwalk.graph_model import DynamicGraph, Graph, ParseError, TimedGraph, radians
 from dynwalk.numerics import VERIFY_TOLERANCE, phase_distance
-from dynwalk.walk_engine import laid_out_unitary, total_unitary
+from dynwalk.walk_engine import evolve_state, laid_out_unitary, total_unitary
 
 TOL = 1e-12
 
@@ -299,6 +299,24 @@ def test_layer_bracket_phase_is_the_lowest_quarter_turn(k):
     height = sum(step.duration for step in stair)
     beta = sum(step.duration for step in stair if 0 in step.graph.loops)
     assert (height, beta) == brute_force_beta(k)
+
+
+@pytest.mark.parametrize("q", range(1, 9))
+def test_layer_column_zero_is_an_even_spread_with_one_phase(q):
+    """Hadamards on the bits of a mask send vertex 0 to 2^(-k/2) times one phase on the 2^k vertices inside it.
+
+    The optimizer's Hadamard-layer row reads a fragment's column 0 by this
+    closed form: its support, the entries weighing more than 1/(2n), and
+    one common value there.
+    """
+    n = 2**q
+    for mask in range(1, n):
+        targets = [qubit for qubit in range(q) if mask & bit_value(qubit, q)]
+        column = evolve_state(compile_hadamard_layer(targets, q), np.eye(1, n, dtype=complex)[0])
+        inside = [v for v in range(n) if not v & ~mask]
+        assert np.flatnonzero(np.abs(column) ** 2 > 1 / (2 * n)).tolist() == inside
+        assert abs(abs(column[0]) - 2 ** (-len(targets) / 2)) < 1e-12
+        assert np.abs(column[inside] - column[0]).max() < 1e-12
 
 
 def test_layer_rejects_empty_targets():

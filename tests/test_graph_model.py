@@ -82,6 +82,14 @@ def test_equal_graphs_and_steps_built_apart_hash_equal_on_every_call():
     assert step != TimedGraph(Graph.make(4, [(0, 1), (2, 3)]), Fraction(1, 2))
 
 
+def test_a_step_is_not_equal_to_a_value_of_another_class():
+    # __eq__ answers NotImplemented, so Python falls back to identity
+    step = TimedGraph(Graph.make(2, edges=[(0, 1)]), Fraction(1, 2))
+    assert step.__eq__((step.graph, step.pi_num, step.pi_den)) is NotImplemented
+    assert (step == (step.graph, step.pi_num, step.pi_den)) is False
+    assert step != 0
+
+
 def test_angle_rejects_negative():
     # durations are checked where they enter a step
     with pytest.raises(ValueError, match="negative duration"):

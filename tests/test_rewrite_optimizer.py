@@ -9,6 +9,7 @@ replacement) and are asserted exactly. The unitary oracle is total_unitary, comp
 phase-invariant distance, the same check the driver itself performs.
 """
 
+import functools
 import gc
 import importlib
 import itertools
@@ -454,10 +455,23 @@ def test_move_singleton_rejects_mixed_target_with_loop():
 # -- HYPERCUBE_HADAMARD ---------------------------------------------------------------
 
 
-def hadamard_layer_of(walk, start, stop):
-    """The Hadamard-layer verdict on steps[start:stop], read from the facts of the span alone."""
+def hadamard_sites_of(walk, start, stop):
+    """The Hadamard-layer row's sites from the first step of steps[start:stop], read from the facts of the span alone."""
     span = DynamicGraph(walk.n_vertices, walk.steps[start:stop])
-    return ro._hypercube_hadamard(ro.ScanFacts(span), 0, span.graph_count)
+    return list(ro._hypercube_sites(ro.ScanFacts(span), 0))
+
+
+def dense_checks(monkeypatch):
+    """The gate of each circuit_distance call the optimizer makes from here on."""
+    calls = []
+    original = ro.circuit_distance
+
+    def counted(circuit, product):
+        calls.append(circuit)
+        return original(circuit, product)
+
+    monkeypatch.setattr(ro, "circuit_distance", counted)
+    return calls
 
 
 def single_qubit_h_fixture():
@@ -467,7 +481,9 @@ def single_qubit_h_fixture():
 def test_hypercube_hadamard_replaces_single_qubit_fragment():
     walk = single_qubit_h_fixture()
     assert walk.total_time() == angle(13, 4)
-    replaced = walk.replaced(0, 3, hadamard_layer_of(walk, 0, 3))
+    [(start, stop, steps, _)] = hadamard_sites_of(walk, 0, 3)
+    assert (start, stop) == (0, 3)
+    replaced = walk.replaced(0, 3, steps)
     layer = compile_hadamard_layer([0], 1)
     assert replaced.steps == layer.steps
     assert replaced.total_time() == angle(5, 4)
@@ -484,65 +500,78 @@ def test_hypercube_hadamard_fuses_two_sequential_fixtures():
         loops(4, [1, 3], 3, 2),
     )
     assert walk.total_time() == angle(13, 2)
-    replaced = walk.replaced(0, 6, hadamard_layer_of(walk, 0, 6))
     layer = compile_hadamard_layer([0, 1], 2)
-    assert replaced.steps == layer.steps
+    replaced = walk.replaced(0, 6, layer.steps)
     assert replaced.graph_count == 5
     assert replaced.total_time() == angle(5, 2)
     assert_same_program(walk, replaced)
     assert list(ro._hypercube_sites(ro.ScanFacts(walk), 0)) == [(0, 6, layer.steps, "")]
 
 
-def test_hypercube_hadamard_rejects_non_hadamard():
+def test_hypercube_hadamard_rejects_non_hadamard(monkeypatch):
     # X costs less than the layer, which is checked before the dense comparison
+    calls = dense_checks(monkeypatch)
     walk = walk_of(match(2, 1, 1, 2))
-    assert hadamard_layer_of(walk, 0, 1) == "layer replacement is not strictly cheaper"
+    assert hadamard_sites_of(walk, 0, 1) == []
+    assert calls == []
 
 
-def test_hypercube_hadamard_rejects_when_not_cheaper():
-    layer = compile_hadamard_layer([0], 1)
-    assert hadamard_layer_of(layer, 0, 3) == "layer replacement is not strictly cheaper"
+def test_hypercube_hadamard_rejects_when_not_cheaper(monkeypatch):
+    calls = dense_checks(monkeypatch)
+    for targets, n_qubits in (([0], 1), ([0, 1], 2), ([0, 2], 3)):
+        layer = compile_hadamard_layer(targets, n_qubits)
+        assert hadamard_sites_of(layer, 0, layer.graph_count) == []
+    assert calls == []
 
 
 def test_hypercube_hadamard_reads_a_non_contiguous_subset():
     first = compile_circuit(Circuit(3, (Gate("H", target=0),)))
     second = compile_circuit(Circuit(3, (Gate("H", target=2),)))
     walk = DynamicGraph(8, first.steps + second.steps)
-    replaced = walk.replaced(0, walk.graph_count, hadamard_layer_of(walk, 0, walk.graph_count))
+    [(start, stop, steps, _)] = hadamard_sites_of(walk, 0, walk.graph_count)
+    assert (start, stop) == (0, walk.graph_count)
+    replaced = walk.replaced(0, walk.graph_count, steps)
     assert replaced.steps == compile_hadamard_layer([0, 2], 3).steps
     assert_same_program(walk, replaced)
 
 
-def test_hypercube_hadamard_rejects_right_support_with_wrong_phases():
+def test_hypercube_hadamard_rejects_right_support_with_wrong_phases(monkeypatch):
     # Z after the layer keeps column 0's support but flips half its signs
+    calls = dense_checks(monkeypatch)
     walk = DynamicGraph(
         8, compile_hadamard_layer([0, 2], 3).steps + compile_circuit(Circuit(3, (Gate("Z", target=2),))).steps
     )
-    assert hadamard_layer_of(walk, 0, walk.graph_count) == "fragment is not a Hadamard layer"
+    assert hadamard_sites_of(walk, 0, walk.graph_count) == []
+    assert calls == []
+
+
+def test_hypercube_hadamard_rejects_an_even_spread_short_of_the_mask(monkeypatch):
+    # H, CNOT and X send vertex 0 to (|1> + |2>) / sqrt 2: one phase, but 2 of the 4 vertices inside mask 3
+    calls = dense_checks(monkeypatch)
+    circuit = Circuit(2, (Gate("H", target=0), Gate("CNOT", control=0, target=1), Gate("X", target=1)))
+    walk = compile_circuit(circuit)
+    assert (walk.total_time(), walk.graph_count) > (compile_hadamard_layer([0, 1], 2).total_time(), 5)
+    column = circuit_unitary(circuit)[:, 0]
+    assert np.flatnonzero(np.abs(column) > 0.5).tolist() == [1, 2] and abs(column[1] - column[2]) < 1e-12
+    assert hadamard_sites_of(walk, 0, walk.graph_count) == []
+    assert calls == []
 
 
 def test_hypercube_hadamard_rejects_a_fragment_only_the_full_check_sees(monkeypatch):
     # Z before the layer leaves vertex 0 alone, so column 0 still matches
+    calls = dense_checks(monkeypatch)
     walk = DynamicGraph(
         8, compile_circuit(Circuit(3, (Gate("Z", target=2),))).steps + compile_hadamard_layer([0, 2], 3).steps
     )
-    calls = []
-    original = ro.circuit_distance
-
-    def counted(circuit, product):
-        calls.append(circuit)
-        return original(circuit, product)
-
-    monkeypatch.setattr(ro, "circuit_distance", counted)
-    assert hadamard_layer_of(walk, 0, walk.graph_count) == "fragment is not a Hadamard layer"
+    assert hadamard_sites_of(walk, 0, walk.graph_count) == []
     assert calls == [Circuit(3, (Gate("HLAYER", targets=(0, 2)),))]
     layer = ro._hadamard_layer(bit_value(0, 3) | bit_value(2, 3), 3)
-    assert not any(isinstance(part, np.ndarray) and part.ndim == 2 for part in layer)
+    assert not any(isinstance(part, np.ndarray) for part in layer)
 
 
 def test_hypercube_hadamard_rejects_bad_span_and_size():
     walk = single_qubit_h_fixture()
-    assert hadamard_layer_of(walk, 2, 2) == "fragment is not a Hadamard layer"
+    assert hadamard_sites_of(walk, 2, 2) == []
     odd = walk_of(loops(3, [0], 1, 2))
     assert list(ro._hypercube_sites(ro.ScanFacts(odd), 0)) == []
 
@@ -823,10 +852,33 @@ def test_phased_permutation_reads_as_the_dense_step_does():
         assert any(verdict is not None and not verdict.bitflip for verdict in some)
 
 
-def per_stop_hypercube_sites(walk, index, window=None):
-    """The longest span from the index that the Hadamard-layer verdict accepts.
+@functools.cache
+def dense_hadamard_layers(n_qubits):
+    """(compiled steps, total unitary, (time, graph count)) of the Hadamard layer on every nonempty qubit subset."""
+    layers = []
+    for size in range(1, n_qubits + 1):
+        for targets in itertools.combinations(range(n_qubits), size):
+            layer = compile_hadamard_layer(targets, n_qubits)
+            layers.append((layer.steps, total_unitary(layer), (layer.total_time(), layer.graph_count)))
+    return layers
 
-    Each span's product is built on its own. With a window [a, b), only
+
+@functools.cache
+def dense_hadamard_layer(n, steps):
+    """The steps of the Hadamard layer the run's product equals (up to phase) and that strictly costs less, or None."""
+    fragment = DynamicGraph(n, steps)
+    product, cost = total_unitary(fragment), (fragment.total_time(), fragment.graph_count)
+    for layer_steps, unitary, layer_cost in dense_hadamard_layers(n.bit_length() - 1):
+        if layer_cost < cost and phase_distance(product, unitary) < ro.VERIFY_TOLERANCE:
+            return layer_steps
+    return None
+
+
+def per_stop_hypercube_sites(walk, index, window=None):
+    """The longest span from the index whose product is a cheaper Hadamard layer.
+
+    Each span's product is built on its own and compared with the total
+    unitary of the layer on every qubit subset. With a window [a, b), only
     spans that hold part of it but not all of it.
     """
     for stop in range(walk.graph_count, index, -1):
@@ -834,8 +886,8 @@ def per_stop_hypercube_sites(walk, index, window=None):
             a, b = window
             if stop <= a or index >= b or (index <= a and stop >= b):
                 continue
-        layer = hadamard_layer_of(walk, index, stop)
-        if not isinstance(layer, str):
+        layer = dense_hadamard_layer(walk.n_vertices, walk.steps[index:stop])
+        if layer is not None:
             return [(index, stop, layer, "")]
     return []
 
@@ -908,7 +960,7 @@ def test_no_hadamard_layer_costs_less_than_the_floor(n_qubits):
     for size in range(1, n_qubits + 1):
         for targets in itertools.combinations(range(n_qubits), size):
             mask = sum(bit_value(q, n_qubits) for q in targets)
-            _, cost, _, _ = ro._hadamard_layer(mask, n_qubits)
+            _, cost, _ = ro._hadamard_layer(mask, n_qubits)
             assert price(cost) >= price(ro.LAYER_FLOOR)
             assert (price(cost) == price(ro.LAYER_FLOOR)) == (size == 1)
 
@@ -1808,20 +1860,53 @@ def test_optimize_recovered_program_stays_under_the_singleton_call_ceiling(monke
 # layer. Before the sweep skipped fragments of phased permutations and the
 # follow-up scan skipped fragments that miss the changed window or hold all
 # of it, it tried 3,696 (1,583 without the skip, 2,340 without the window).
+# The sweep judges each fragment that passes the floor check, so a judged
+# fragment is a LAYER_FLOOR check that returns False; a one-target layer
+# costs the same as the floor but is another tuple.
 HYPERCUBE_CALL_CEILING = 1300
 
 
 def test_optimize_recovered_program_stays_under_the_hypercube_call_ceiling(monkeypatch):
     calls = []
-    real = ro._hypercube_hadamard
+    real = ro.ScanFacts.costs_at_most
 
-    def counted(facts, start, stop):
-        calls.append((start, stop))
-        return real(facts, start, stop)
+    def counted(facts, start, stop, cost):
+        cheaper = real(facts, start, stop, cost)
+        if cost is ro.LAYER_FLOOR and not cheaper:
+            calls.append((start, stop))
+        return cheaper
 
-    monkeypatch.setattr(ro, "_hypercube_hadamard", counted)
+    monkeypatch.setattr(ro.ScanFacts, "costs_at_most", counted)
     optimize(catalog.reconstruct(tf.LONG_TRACE).program())
     assert 0 < len(calls) <= HYPERCUBE_CALL_CEILING
+
+
+def test_optimize_builds_no_prefix_products_when_every_sweep_stops_at_the_floor(monkeypatch):
+    """The Hadamard-layer row fetches the products only for a fragment that passes the floor check."""
+    walk = walk_of(
+        TimedGraph(Graph.make(4, edges=[(0, 1), (1, 2)]), angle(1, 4)),
+        TimedGraph(Graph.make(4, edges=[(1, 2), (2, 3)]), angle(1, 3)),
+        TimedGraph(Graph.make(4, edges=[(0, 1), (1, 2)], loops=[3]), angle(1, 2)),
+    )
+    assert ro.ScanFacts(walk).run_end(0, "perm") == 0
+    floor_checks, products = [], []
+    real_costs, real_products = ro.ScanFacts.costs_at_most, ro.prefix_unitaries
+
+    def costs(facts, start, stop, cost):
+        cheaper = real_costs(facts, start, stop, cost)
+        if cost is ro.LAYER_FLOOR:
+            floor_checks.append(cheaper)
+        return cheaper
+
+    def counted(*args):
+        products.append(args)
+        return real_products(*args)
+
+    monkeypatch.setattr(ro.ScanFacts, "costs_at_most", costs)
+    monkeypatch.setattr(ro, "prefix_unitaries", counted)
+    optimize(walk)
+    assert floor_checks and all(floor_checks)
+    assert products == []
 
 
 # Optimizing the criterion-09 program applies 7,493 steps through the
@@ -1922,12 +2007,19 @@ def test_the_corpus_digest_script_runs_on_two_seeds(capsys):
 
 
 def test_the_optimize_profile_script_runs_on_two_seeds(capsys):
-    """tests/optimize_profile.py at 2 seeds: a header, then one share line per source file, fractions.py among them."""
+    """tests/optimize_profile.py at 2 seeds: a header, one share line per source file, fractions.py among them, then the ten functions of largest cumulative time."""
     import optimize_profile
 
     optimize_profile.main(["2"])
     header, *lines = capsys.readouterr().out.splitlines()
     assert re.fullmatch(r"optimize over 7 programs: \d+\.\d\d s of self time, \d+ Fraction constructions", header)
+    split = lines.index("10 functions by cumulative time:")
+    lines, top = lines[:split], lines[split + 1 :]
+    cumulative = [re.fullmatch(r"(.+):(\d+) (.+): (\d+\.\d{3}) s cumulative", line).groups() for line in top]
+    assert len(cumulative) == 10
+    assert ("rewrite_optimizer.py", "optimize") in {(module, function) for module, _, function, _ in cumulative}
+    seconds = [float(value) for *_, value in cumulative]
+    assert seconds == sorted(seconds, reverse=True)
     shares = {}
     for line in lines:
         module, seconds, share = re.fullmatch(r"(.+): (\d+\.\d{3}) s, (\d+\.\d) %", line).groups()
