@@ -863,7 +863,6 @@ def dense_hadamard_layers(n_qubits):
     return layers
 
 
-@functools.cache
 def dense_hadamard_layer(n, steps):
     """The steps of the Hadamard layer the run's product equals (up to phase) and that strictly costs less, or None."""
     fragment = DynamicGraph(n, steps)
