@@ -190,18 +190,28 @@ def bit_value(qubit: int, n_qubits: int) -> int:
     return 1 << (n_qubits - 1 - qubit)
 
 
-def _pairs(n_vertices: int, mask: int, control: int = 0) -> List[Tuple[int, int]]:
-    """The pairs (v, v XOR mask) of the v holding every control bit and lacking the mask's top bit.
+def _pairs(n_vertices: int, mask: int, control: int = 0) -> np.ndarray:
+    """The pairs (v, v XOR mask) of the v holding every control bit and lacking the mask's top bit, as a (b, 2) array.
 
-    Lacking that bit is what makes v the smaller vertex of its pair.
+    Lacking that bit is what makes v the smaller vertex of its pair. One
+    mask test over ``np.arange`` picks the smaller vertices, in ascending
+    order, and each row is (v, v XOR mask).
     """
     heads = control | (1 << (mask.bit_length() - 1))
-    return [(v, v ^ mask) for v in range(n_vertices) if (v & heads) == control]
+    vertices = np.arange(n_vertices)
+    smaller = vertices[(vertices & heads) == control]
+    return np.stack((smaller, smaller ^ mask), axis=1)
+
+
+def _matching(n_vertices: int, pairs: np.ndarray) -> Graph:
+    """The graph whose edges are the rows of a (b, 2) array from ``_pairs``."""
+    return Graph._of(n_vertices, frozenset(zip(*pairs.T.tolist())))
 
 
 def _loops(n_vertices: int, bits: int) -> Graph:
     """Loops on every vertex holding all of ``bits``; every vertex for 0."""
-    return Graph(n_vertices, loops=frozenset([v for v in range(n_vertices) if (v & bits) == bits]))
+    vertices = np.arange(n_vertices)
+    return Graph._of(n_vertices, loops=frozenset(vertices[(vertices & bits) == bits].tolist()))
 
 
 def _staircase(turns: Mapping[int, int], den: int, n_vertices: int) -> Tuple[TimedGraph, ...]:
@@ -232,7 +242,7 @@ def _staircase(turns: Mapping[int, int], den: int, n_vertices: int) -> Tuple[Tim
     for level, lower in zip(thresholds, thresholds[1:] + [0]):
         # the loops at this level are the vertices whose phase reaches it
         loops.update(at_level[level])
-        steps.append(TimedGraph.of(Graph(n_vertices, loops=frozenset(loops)), level - lower, den))
+        steps.append(TimedGraph.of(Graph._of(n_vertices, loops=frozenset(loops)), level - lower, den))
     return tuple(steps)
 
 
@@ -265,8 +275,7 @@ def compile_hadamard_layer(targets: Iterable[int], n_qubits: int) -> DynamicGrap
     level = [(beta - h) % 4 for h in range(k + 1)]
     stair = _staircase({v: level[(v & union).bit_count()] for v in range(n)}, 2, n)
 
-    edges = frozenset([pair for mask in masks for pair in _pairs(n, mask)])
-    walk = TimedGraph.of(Graph(n, edges), k, 4)
+    walk = TimedGraph.of(_matching(n, np.concatenate([_pairs(n, mask) for mask in masks])), k, 4)
     return DynamicGraph(n, stair + (walk,) + stair)
 
 
@@ -277,7 +286,7 @@ def _gate_steps(gate: Gate, n_qubits: int) -> Tuple[TimedGraph, ...]:
     mask = bit_value(gate.target, n_qubits)  # type: ignore[arg-type]
     if gate.kind in ("X", "Y", "CNOT"):
         control = 0 if gate.control is None else bit_value(gate.control, n_qubits)
-        matching = TimedGraph.of(Graph(n, frozenset(_pairs(n, mask, control))), 1, 2)
+        matching = TimedGraph.of(_matching(n, _pairs(n, mask, control)), 1, 2)
         if gate.kind == "Y":
             # loops pi after the matching: diag(1,-1) . (-i X) = Y with no phase
             return (matching, TimedGraph.of(_loops(n, mask), 1))
@@ -396,9 +405,9 @@ def mixing_pairs(circuit: Circuit) -> List[np.ndarray]:
     X, Y and H mix every v with v XOR their qubit's mask, HLAYER does so
     for each target, CNOT only for the v with the control bit set, and the
     diagonal gates mix nothing. There is one integer array per distinct
-    (control, mask), in order of first use, holding the compiler's pair
-    builder's pairs: each pair once, smaller vertex first, in ascending
-    order of the smaller vertex. A product laid out over components that
+    (control, mask), in order of first use: the compiler's pair builder's
+    own array, each pair once, smaller vertex first, in ascending order of
+    the smaller vertex. A product laid out over components that
     join these pairs stays in that layout under every gate of the circuit;
     see ``walk_engine.laid_out_unitary``.
     """
@@ -410,7 +419,7 @@ def mixing_pairs(circuit: Circuit) -> List[np.ndarray]:
         elif gate.kind in ("X", "Y", "H", "HLAYER"):
             for qubit in _gate_qubits(gate):
                 keys[0, bit_value(qubit, n_qubits)] = None
-    return [np.array(_pairs(circuit.n_vertices, mask, control)) for control, mask in keys]
+    return [_pairs(circuit.n_vertices, mask, control) for control, mask in keys]
 
 
 def circuit_distance(circuit: Circuit, blocks: Iterable[Tuple[np.ndarray, np.ndarray]]) -> float:

@@ -31,21 +31,25 @@ per entry, which calls no function. The tests run in the order that names
 a defect: for an edge, a pair, then two integers (the first bad one is
 named), then distinct ends, then both in range, then new; for a loop, an
 integer, in range, new. The first entry that fails raises, with its index
-in the list as its path; a path is built for that entry only.
+in the list as its path; a path is built for that entry only. A step that
+passes has had every check ``Graph(...)`` makes, so its graph is built by
+``Graph._of`` without a second pass over its entries.
 
 ``serialize_dynamic_graph`` writes ``json.dumps(indent=2)``'s layout byte
 for byte, from one ``%`` template per step rather than json's pure-Python
 indenting encoder.
 
 ``spectrum`` is the one place a graph's eigenvalues come from. It splits
-the graph into connected components from its edge list and hands each
-stack of equal-size component blocks to numpy's batched ``eigh``, so no
-n x n adjacency matrix is formed; the walk engine's step exponentials,
-``period`` and the spectral norms all read it. A stack whose blocks are
-all equal, such as a compiled X, CNOT or H step's matching or a Hadamard
-layer's 2^(q-k) k-cubes, is decomposed once: its eigenvalue and
-eigenvector arrays have leading dimension 1 and broadcast over the
-stack's components. A graph without edges is not searched at all.
+the graph into connected components from its edge list, grouped by size
+with one sort of the vertices by size and component (``components``), and
+hands each stack of equal-size component blocks to numpy's batched
+``eigh``, so no n x n adjacency matrix is formed; the walk engine's step
+exponentials, ``period`` and the spectral norms all read it. A stack
+whose blocks are all equal, such as a compiled X, CNOT or H step's
+matching or a Hadamard layer's 2^(q-k) k-cubes, is decomposed once: its
+eigenvalue and eigenvector arrays have leading dimension 1 and broadcast
+over the stack's components. A graph without edges is not searched at
+all.
 """
 
 from __future__ import annotations
@@ -150,11 +154,12 @@ class Graph:
     The optimizer's caches are keyed on graphs and steps, so the hash is
     computed once, on first use, and kept beside the fields, as is the set
     of edge endpoints that ``degree_free`` and ``supports_disjoint`` read:
-    equality and repr read the fields alone. ``Graph(...)`` checks each
-    vertex's range but not its type, so a float endpoint is read as its
-    integer part; ``Graph.make`` and the parser refuse non-integers. A
-    per-entry type check measured about +50 % on construction, which every
-    parse and compile would pay, so the constructor does not make it.
+    equality and repr read the fields alone. ``Graph(...)`` checks every
+    vertex: an endpoint or loop that is not exactly an ``int`` (a bool, a
+    float, a numpy integer) raises TypeError, and one out of range raises
+    ValueError; ``Graph.make`` takes any integers and sorts each pair. The
+    parser, the compiler and the optimizer build from parts they have
+    already checked, through ``Graph._of``, which checks nothing.
     """
 
     n_vertices: int
@@ -179,11 +184,27 @@ class Graph:
             raise ValueError("negative vertex count")
         for pair in self.edges:
             i, j = pair
+            if type(i) is not int or type(j) is not int:
+                raise TypeError(f"edge {pair} has a vertex that is not an int")
             if not (0 <= i < j < self.n_vertices):
                 raise ValueError(f"edge {pair} out of range for {self.n_vertices} vertices")
         for v in self.loops:
+            if type(v) is not int:
+                raise TypeError(f"loop {v!r} is not an int")
             if not (0 <= v < self.n_vertices):
                 raise ValueError(f"loop {v} out of range for {self.n_vertices} vertices")
+
+    @classmethod
+    def _of(cls, n_vertices: int, edges: frozenset = frozenset(), loops: frozenset = frozenset()) -> "Graph":
+        """The graph of parts already checked, as ``Graph(...)`` checks them, built without a check.
+
+        The parser and the builders in ``gate_compiler`` and
+        ``rewrite_optimizer`` make every vertex an int in range, and every
+        edge a pair (i, j) with i < j, before they build.
+        """
+        graph = object.__new__(cls)
+        vars(graph).update(n_vertices=n_vertices, edges=edges, loops=loops)
+        return graph
 
     @classmethod
     def make(
@@ -214,7 +235,7 @@ class Graph:
     def union(self, other: "Graph") -> "Graph":
         if self.n_vertices != other.n_vertices:
             raise ValueError("vertex sets differ")
-        return Graph(self.n_vertices, self.edges | other.edges, self.loops | other.loops)
+        return Graph._of(self.n_vertices, self.edges | other.edges, self.loops | other.loops)
 
     def degree_free(self, vertex: int) -> bool:
         """True when no edge of this graph touches the vertex (loops ignored)."""
@@ -398,10 +419,13 @@ def components(n_vertices: int, heads: np.ndarray, tails: np.ndarray) -> Tuple[n
         # connected: every vertex's label is vertex 0
         return np.full(n_vertices, n_vertices), [np.arange(n_vertices).reshape(1, -1)]
     size_of = np.bincount(labels, minlength=n_vertices)[labels]
-    groups = []
-    for k in sorted(set(size_of.tolist()) - {1}):
-        vertices = np.flatnonzero(size_of == k)
-        groups.append(vertices[np.argsort(labels[vertices], kind="stable")].reshape(-1, k))
+    # one stable sort by size, then component, keeps each component's
+    # vertices ascending; the order is cut where the size changes (with no
+    # vertex, the one cut pair is empty)
+    order = np.lexsort((labels, size_of))
+    sizes = size_of[order]
+    bounds = [0, *(np.flatnonzero(sizes[1:] != sizes[:-1]) + 1).tolist(), n_vertices]
+    groups = [order[a:b].reshape(-1, int(sizes[a])) for a, b in zip(bounds, bounds[1:]) if a < b and sizes[a] > 1]
     return size_of, groups
 
 
@@ -625,7 +649,7 @@ def _parse_step(obj: object, n_vertices: int, path: str) -> TimedGraph:
         loops.add(v)
 
     num, den = _parse_time(obj["time"], f"{path}.time")
-    return TimedGraph.of(Graph(n_vertices, frozenset(edges), frozenset(loops)), num, den)
+    return TimedGraph.of(Graph._of(n_vertices, frozenset(edges), frozenset(loops)), num, den)
 
 
 def parse_dynamic_graph(text: str) -> DynamicGraph:

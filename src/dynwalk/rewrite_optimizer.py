@@ -461,7 +461,7 @@ def _fold(n: int, forms: Sequence[Optional[PhasedPermutation]]) -> StepsVerdict:
     pairs = [(column, row) for column, row in enumerate(perm) if column < row]
     replacement: Tuple[TimedGraph, ...] = ()
     if pairs:
-        replacement = (TimedGraph.of(Graph(n, frozenset(pairs)), 1, 2),)
+        replacement = (TimedGraph.of(Graph._of(n, frozenset(pairs)), 1, 2),)
     return replacement + _staircase(dict(enumerate(residues)), den, n)
 
 
@@ -509,7 +509,7 @@ def _singleton_source(step: TimedGraph, vertex: int) -> SourceVerdict:
     num = step.pi_num * norm[1] % (2 * den)
     common = math.gcd(num, den)
     tau = (num // common, den // common)
-    remainder = Graph(graph.n_vertices, graph.edges, graph.loops - {vertex})
+    remainder = Graph._of(graph.n_vertices, graph.edges, graph.loops - {vertex})
     if remainder.is_empty:
         return tau, ()
     return tau, (TimedGraph.of(remainder, step.pi_num, step.pi_den),)
@@ -551,11 +551,11 @@ def _singleton_landing(step: TimedGraph, vertex: int, tau: Time) -> StepsVerdict
     consumed = step.pi_num * norm[1] * tau[1]
     if moved < consumed:
         return "singleton phase is shorter than the target"
-    joined = TimedGraph.of(Graph(n, graph.edges, graph.loops | {vertex}), step.pi_num, step.pi_den)
+    joined = TimedGraph.of(Graph._of(n, graph.edges, graph.loops | {vertex}), step.pi_num, step.pi_den)
     residual = (moved - consumed) % (2 * den)
     if not residual:
         return (joined,)
-    return joined, TimedGraph.of(Graph(n, loops=frozenset({vertex})), residual, den)
+    return joined, TimedGraph.of(Graph._of(n, loops=frozenset({vertex})), residual, den)
 
 
 def _corridor(steps: Tuple[TimedGraph, ...], source: int, vertex: int) -> Tuple[int, int]:

@@ -12,7 +12,13 @@ medians over the samples:
   plain reader refuses (an abbreviated option, or ``--`` before the
   positionals), which goes through the all-command parser.
 
-Both ``main`` timings capture stdout and empty the package's caches
+Given a qubit count q (at least 2), the script then prints one line for
+each of five one-gate circuits on q qubits, X, Y, S, CNOT(0→1) and H(0),
+with the median wall time of ``cli.main`` compiling the circuit and
+simulating the compiled walk from state 0: the path that width pays for
+in graph building, away from the benchmark harness.
+
+Every ``main`` timing captures stdout and empties the package's caches
 before each call, as a fresh process starts. Each sample times one call
 on its own clock reading. The file has no ``test_`` prefix, so pytest
 does not collect it.
@@ -21,6 +27,7 @@ Run from the repository root::
 
     python tests/cli_overhead.py            # 1000 samples each
     python tests/cli_overhead.py 200
+    python tests/cli_overhead.py 200 9      # and the five circuits on 9 qubits
 """
 
 import contextlib
@@ -57,6 +64,16 @@ REFUSED_ARGVS = {
     "compile": ["compile", "c.json", "--out", "o.json"],
     "equiv": ["equiv", "--", "w.json", "w.json"],
     "stats": ["stats", "--", "w.json"],
+}
+
+
+# the one-gate circuits timed at a given width
+WIDE_GATES = {
+    "X": {"kind": "X", "target": 0},
+    "Y": {"kind": "Y", "target": 0},
+    "S": {"kind": "S", "target": 0},
+    "CNOT": {"kind": "CNOT", "control": 0, "target": 1},
+    "H": {"kind": "H", "target": 0},
 }
 
 
@@ -98,6 +115,9 @@ def calling(args):
 
 def main(argv) -> None:
     samples = int(argv[0]) if argv else 1000
+    qubits = int(argv[1]) if len(argv) > 1 else None
+    if qubits is not None and qubits < 2:
+        raise SystemExit("the qubit count must be at least 2, for CNOT(0→1)")
     caches = package_caches()
 
     def clear() -> None:
@@ -120,6 +140,13 @@ def main(argv) -> None:
                 f" main {plain:.3f} ms, main through argparse {refused:.3f} ms",
                 flush=True,
             )
+        for name, gate in WIDE_GATES.items() if qubits else ():
+            with open("wide.json", "w", encoding="utf-8") as handle:
+                json.dump({"n_qubits": qubits, "gates": [gate]}, handle)
+            # each compile call writes the walk that simulate reads
+            compiled = median_ms(calling(["compile", "wide.json", "-o", "wide_walk.json"]), samples, before=clear)
+            simulated = median_ms(calling(["simulate", "wide_walk.json"]), samples, before=clear)
+            print(f"{name} on {qubits} qubits: compile {compiled:.3f} ms, simulate {simulated:.3f} ms", flush=True)
 
 
 if __name__ == "__main__":

@@ -21,6 +21,7 @@ from dynwalk.cli import main
 from dynwalk.gate_compiler import (
     Circuit,
     Gate,
+    _matching,
     _pairs,
     circuit_unitary,
     compile_circuit,
@@ -56,7 +57,7 @@ def bit_flip_walk(n_vertices=2):
     return DynamicGraph(
         n_vertices,
         (
-            TimedGraph(Graph(n_vertices, frozenset(_pairs(n_vertices, mask))), Fraction(1, 2)),
+            TimedGraph(_matching(n_vertices, _pairs(n_vertices, mask)), Fraction(1, 2)),
             TimedGraph(Graph(n_vertices, loops=frozenset(range(n_vertices))), Fraction(3, 2)),
         ),
     )
@@ -66,9 +67,9 @@ def double_flip_walk():
     return DynamicGraph(
         4,
         (
-            TimedGraph(Graph(4, frozenset(_pairs(4, 2))), Fraction(1, 2)),
+            TimedGraph(_matching(4, _pairs(4, 2)), Fraction(1, 2)),
             TimedGraph(Graph(4, loops=frozenset(range(4))), Fraction(3, 2)),
-            TimedGraph(Graph(4, frozenset(_pairs(4, 1))), Fraction(1, 2)),
+            TimedGraph(_matching(4, _pairs(4, 1)), Fraction(1, 2)),
             TimedGraph(Graph(4, loops=frozenset(range(4))), Fraction(3, 2)),
         ),
     )
@@ -380,8 +381,8 @@ def test_optimize_pass_subset(tmp_path, capsys):
     walk = DynamicGraph(
         4,
         (
-            TimedGraph(Graph(4, frozenset(_pairs(4, 1))), Fraction(1, 2)),
-            TimedGraph(Graph(4, frozenset(_pairs(4, 1))), Fraction(1, 2)),
+            TimedGraph(_matching(4, _pairs(4, 1)), Fraction(1, 2)),
+            TimedGraph(_matching(4, _pairs(4, 1)), Fraction(1, 2)),
         ),
     )
     walk_file = write_walk(tmp_path / "in.json", walk)
@@ -547,6 +548,38 @@ def test_compile_from_128_vertices_prints_the_dense_distance(tmp_path, capsys):
     circuit = parse_circuit(json.dumps(payload))
     expected = phase_distance(total_unitary(walk), circuit_unitary(circuit))
     assert abs(printed - expected) < 1e-13
+
+
+def test_no_command_checks_a_graph_twice(tmp_path, capsys, monkeypatch):
+    """The parser, the compiler and the optimizer build their graphs unchecked, so Graph.__post_init__ never runs."""
+    payload = {
+        "n_qubits": 3,
+        "gates": [
+            {"kind": "H", "target": 0},
+            {"kind": "CNOT", "control": 0, "target": 2},
+            {"kind": "X", "target": 1},
+            {"kind": "S", "target": 2},
+            {"kind": "Y", "target": 0},
+            {"kind": "HLAYER", "targets": [1, 2]},
+            {"kind": "X", "target": 1},
+        ],
+    }
+    circuit_file = write_circuit(tmp_path / "c.json", payload)
+    walk_file, optimized_file = str(tmp_path / "w.json"), str(tmp_path / "o.json")
+    checks = []
+    monkeypatch.setattr(Graph, "__post_init__", lambda graph: checks.append(graph))
+    for argv in (
+        ["compile", circuit_file, "-o", walk_file],
+        ["compile", circuit_file, "-o", walk_file, "--parallel-h"],
+        ["simulate", walk_file],
+        ["optimize", walk_file, "-o", optimized_file],
+        ["equiv", walk_file, optimized_file],
+        ["unitary", optimized_file],
+        ["stats", optimized_file],
+    ):
+        assert main(argv) == 0
+    assert "rewrites" in capsys.readouterr().out
+    assert checks == []
 
 
 def test_compile_bad_circuit_exits_2(tmp_path, capsys):
@@ -1040,17 +1073,21 @@ def test_the_module_runs_a_command_from_its_arguments(tmp_path):
 
 
 def test_the_overhead_script_times_every_command(tmp_path, capsys, monkeypatch):
-    """tests/cli_overhead.py still runs against the module's helpers: a header and one line per command."""
+    """tests/cli_overhead.py still runs against the module's helpers: a header, one line per command and one per wide circuit."""
     import cli_overhead
 
     monkeypatch.chdir(tmp_path)
-    cli_overhead.main(["2"])
+    cli_overhead.main(["2", "3"])
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 7
+    assert len(lines) == 12
     assert lines[0].endswith("median of 2 samples")
-    for command, line in zip(COMMANDS, lines[1:]):
+    for command, line in zip(COMMANDS, lines[1:7]):
         assert re.fullmatch(
             rf"{command}: every-command parser \d+\.\d{{3}} ms,"
             r" main \d+\.\d{3} ms, main through argparse \d+\.\d{3} ms",
             line,
         )
+    for gate, line in zip(["X", "Y", "S", "CNOT", "H"], lines[7:]):
+        assert re.fullmatch(rf"{gate} on 3 qubits: compile \d+\.\d{{3}} ms, simulate \d+\.\d{{3}} ms", line)
+    with pytest.raises(SystemExit, match="at least 2"):
+        cli_overhead.main(["2", "1"])

@@ -16,6 +16,7 @@ from dynwalk.gate_compiler import (
     MAX_QUBITS,
     _apply_gate,
     _loops,
+    _matching,
     _pairs,
     _staircase,
     Circuit,
@@ -68,17 +69,18 @@ def test_bit_value_range_check():
 
 
 def test_matching_graph_pairs_by_xor():
-    assert _pairs(4, 1) == [(0, 1), (2, 3)]
-    assert set(_pairs(8, 6)) == {(0, 6), (1, 7), (2, 4), (3, 5)}
+    assert _pairs(4, 1).tolist() == [[0, 1], [2, 3]]
+    assert _pairs(8, 6).tolist() == [[0, 6], [1, 7], [2, 4], [3, 5]]
     for n in range(2, 65):
         for mask in range(1, n):
             pairs = {(v, v ^ mask) for v in range(n) if v < v ^ mask}
+            edges = frozenset(map(tuple, _pairs(n, mask).tolist()))
             if max(b for _, b in pairs) < n:
-                assert Graph(n, frozenset(_pairs(n, mask))) == Graph(n, frozenset(pairs))
+                assert _matching(n, _pairs(n, mask)) == Graph(n, edges) == Graph(n, frozenset(pairs))
             else:
                 # the pairing runs past the last vertex: the graph refuses the pair
                 with pytest.raises(ValueError, match=rf"out of range for {n} vertices$"):
-                    Graph(n, frozenset(_pairs(n, mask)))
+                    Graph(n, edges)
 
 
 def test_loop_builders():
@@ -695,12 +697,29 @@ def test_mixing_pairs_follow_the_gates():
             Gate("CNOT", control=5, target=0),
         ),
     )
+    def listed_pairs(n, keys):
+        """Each (control, mask)'s pairs as np.array of a list of (v, v ^ mask) tuples."""
+        return [
+            np.array([(v, v ^ mask) for v in range(n) if v & control == control and v < v ^ mask])
+            for control, mask in keys
+        ]
+
     cases = [
-        (circuit, [(0, 1), (4, 2), (0, 2)]),
-        (wide, [(1, 32), (0, 4), (0, 1), (32, 1), (0, 2), (0, 16)]),
+        (circuit, [(0, 1), (4, 2), (0, 2)], numpy_pairs),
+        (wide, [(1, 32), (0, 4), (0, 1), (32, 1), (0, 2), (0, 16)], numpy_pairs),
     ]
-    for case, keys in cases:
-        expected = numpy_pairs(case.n_vertices, keys)
+    # every X, Y, H and HLAYER mask and every CNOT control and target at 1-8 qubits
+    for q in range(1, 9):
+        masks = [bit_value(t, q) for t in range(q)]
+        flips = [(0, mask) for mask in masks]
+        for kind in ("X", "Y", "H"):
+            cases.append((Circuit(q, tuple(Gate(kind, target=t) for t in range(q))), flips, listed_pairs))
+        cases.append((Circuit(q, (Gate("HLAYER", targets=tuple(range(q))),)), flips, listed_pairs))
+        controlled = [(c, t) for c in range(q) for t in range(q) if c != t]
+        cnots = tuple(Gate("CNOT", control=c, target=t) for c, t in controlled)
+        cases.append((Circuit(q, cnots), [(masks[c], masks[t]) for c, t in controlled], listed_pairs))
+    for case, keys, reference_pairs in cases:
+        expected = reference_pairs(case.n_vertices, keys)
         got = mixing_pairs(case)
         assert len(got) == len(expected)
         for array, reference in zip(got, expected):

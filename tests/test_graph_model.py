@@ -181,12 +181,20 @@ def test_graph_make_rejects_self_pair():
 def test_graph_make_refuses_vertices_that_are_not_integers(edges, loops):
     with pytest.raises(TypeError):
         Graph.make(3, edges, loops)
+    # so does the constructor: (0.5, 1.5) is no edge 0-1, and True no vertex 1
+    with pytest.raises(TypeError, match="not an int"):
+        Graph(3, frozenset(map(tuple, edges)), frozenset(loops))
 
 
 def test_graph_make_reads_numpy_integers_as_ints():
     graph = Graph.make(3, [np.array([2, 0])], np.array([1]))
     assert graph == Graph(3, frozenset({(0, 2)}), frozenset({1}))
     assert {type(v) for v in (*graph.loops, *next(iter(graph.edges)))} == {int}
+    # the constructor takes exactly int
+    with pytest.raises(TypeError, match="not an int"):
+        Graph(3, frozenset({(0, np.int64(2))}))
+    with pytest.raises(TypeError, match="not an int"):
+        Graph(3, loops=frozenset({np.intp(1)}))
 
 
 def test_graph_rejects_out_of_range():
@@ -329,6 +337,55 @@ def test_edge_free_spectrum_skips_the_component_search(graph, expected_period, m
     assert spec.norm == (1.0 if graph.loops else 0.0) and type(spec.norm) is float
     assert period(graph) == expected_period
     spectrum.cache_clear()
+
+
+def union_find_components(n, heads, tails):
+    """components' result, from union-find on the edge list and Python sorting."""
+    parent = list(range(n))
+
+    def root(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for i, j in zip(heads.tolist(), tails.tolist()):
+        parent[root(i)] = root(j)
+    members = {}
+    for v in range(n):
+        members.setdefault(root(v), []).append(v)
+    by_size = {}
+    for group in sorted(members.values()):
+        by_size.setdefault(len(group), []).append(group)
+    size_of = np.array([len(members[root(v)]) for v in range(n)])
+    return size_of, [np.array(by_size[k], dtype=np.intp) for k in sorted(by_size) if k > 1]
+
+
+def component_cases():
+    rng = np.random.default_rng(39)
+    for n in (4, 16, 100, 512, 4096):
+        for density in (0.2, 0.5, 1.0):
+            m = max(1, int(density * n))
+            heads, tails = rng.integers(0, n, m), rng.integers(0, n, m)
+            yield pytest.param(n, heads, tails, id=f"random {n} vertices, {m} edges")
+    for q in (2, 4, 9, 12):
+        n = 2**q
+        vertices = np.arange(n)
+        for mask, control in ((1, 0), (n // 2, 0), (n - 1, 0), (1, n // 2), (n // 2 + 1, 2)):
+            heads = vertices[(vertices & (control | 1 << (mask.bit_length() - 1))) == control]
+            yield pytest.param(n, heads, heads ^ mask, id=f"matching on {n} vertices, mask {mask}, control {control}")
+        cube = np.concatenate([vertices[(vertices & bit) == 0] for bit in (1, 2)])
+        yield pytest.param(n, cube, cube ^ np.where(np.arange(cube.size) < n // 2, 1, 2), id=f"2-cubes on {n} vertices")
+
+
+@pytest.mark.parametrize("n, heads, tails", component_cases())
+def test_components_match_a_union_find_reference(n, heads, tails):
+    size_of, groups = gm.components(n, heads, tails)
+    expected_sizes, expected_groups = union_find_components(n, heads, tails)
+    assert np.array_equal(size_of, expected_sizes)
+    assert len(groups) == len(expected_groups)
+    for members, expected in zip(groups, expected_groups):
+        assert members.dtype == expected.dtype and members.shape == expected.shape
+        assert np.array_equal(members, expected)
 
 
 def test_period_incommensurate_spectrum_is_infinite():

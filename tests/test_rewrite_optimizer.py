@@ -35,6 +35,7 @@ import trace_fixtures as tf
 from dynwalk.gate_compiler import (
     Circuit,
     Gate,
+    _matching,
     _pairs,
     _staircase,
     bit_value,
@@ -69,7 +70,7 @@ def loops(n, vertices, num, den=1):
 
 
 def match(n, mask, num, den=1):
-    return TimedGraph(Graph(n, frozenset(_pairs(n, mask))), angle(num, den))
+    return TimedGraph(_matching(n, _pairs(n, mask)), angle(num, den))
 
 
 def walk_of(*steps):
@@ -827,11 +828,11 @@ def wide_permutation_steps():
     them tell it from a phased permutation.
     """
     for n in (128, 256):
-        yield TimedGraph(Graph(n, frozenset(_pairs(n, 3))), angle(100001, 200000))
+        yield TimedGraph(_matching(n, _pairs(n, 3)), angle(100001, 200000))
         for quarter in range(1, 9):
             duration = angle(quarter, 2)
-            yield TimedGraph(Graph(n, frozenset(_pairs(n, 1))), duration)
-            yield TimedGraph(Graph(n, frozenset(_pairs(n, n - 1))), duration)
+            yield TimedGraph(_matching(n, _pairs(n, 1)), duration)
+            yield TimedGraph(_matching(n, _pairs(n, n - 1)), duration)
             for masks in ((1, 2), (1, 4, 16), (2, 8, 32, 64)):
                 edges = [(v, v ^ m) for m in masks for v in range(n) if v < v ^ m]
                 yield TimedGraph(Graph.make(n, edges=edges), duration)
@@ -1774,7 +1775,7 @@ def random_step(rng, n):
         return TimedGraph(Graph.make(n, loops=vertices), duration)
     if kind == 1:
         mask = rng.randrange(1, n)
-        return TimedGraph(Graph(n, frozenset(_pairs(n, mask))), duration)
+        return TimedGraph(_matching(n, _pairs(n, mask)), duration)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     chosen = [p for p in pairs if rng.random() < 0.3]
     return TimedGraph(Graph.make(n, edges=chosen), duration)
