@@ -48,8 +48,11 @@ exponentials, ``period`` and the spectral norms all read it. A stack
 whose blocks are all equal, such as a compiled X, CNOT or H step's
 matching or a Hadamard layer's 2^(q-k) k-cubes, is decomposed once: its
 eigenvalue and eigenvector arrays have leading dimension 1 and broadcast
-over the stack's components. A graph without edges is not searched at
-all.
+over the stack's components. Two kinds of graph are not searched at all:
+a graph without edges, and a matching whose loops all sit on unmatched
+vertices, which one degree count over the edge ends recognizes. Each of
+the matching's edges is a component, and all share the one edge's
+decomposition; the result is the search's, bit for bit.
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ from dataclasses import FrozenInstanceError, dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain
-from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -366,7 +369,9 @@ class Spectrum(NamedTuple):
     equal, as in a compiled X, CNOT or H step's matching and a Hadamard
     layer's cubes, they share one decomposition: eigenvalues (1, k) and
     eigenvectors (1, k, k), which broadcast over the b rows of the vertex
-    array.
+    array. A matching with no loop on a matched vertex has one entry,
+    k = 2, its edges as rows in order of their smaller end, read from the
+    edge list without a component search.
     ``norm`` is the spectral norm ||A||: the largest absolute eigenvalue
     over all components.
     """
@@ -429,31 +434,25 @@ def components(n_vertices: int, heads: np.ndarray, tails: np.ndarray) -> Tuple[n
     return size_of, groups
 
 
-@lru_cache(maxsize=4096)
-def spectrum(graph: Graph) -> Spectrum:
-    """Component-wise eigendecomposition of a graph's adjacency matrix.
+# The adjacency block of one edge, as a stack of one: the block every matching's
+# components share.
+_EDGE_BLOCK = np.array([[[0.0, 1.0], [1.0, 0.0]]])
+_EDGE_BLOCK.flags.writeable = False
 
-    Components come from the edge list; a graph without edges has none
-    and is not searched. Edge-free vertices need no decomposition; the
-    other components are grouped by size and each group is decomposed in
-    one batched call, or as its first block alone when every block of the
-    group equals it. The arrays are shared by every caller and therefore
-    read-only.
-    """
-    n = graph.n_vertices
-    loops = np.sort(np.fromiter(graph.loops, dtype=np.intp, count=len(graph.loops)))
-    if not graph.edges:
-        loops.flags.writeable = False
-        return Spectrum(n, loops, (), 1.0 if loops.size else 0.0)
-    ends = np.fromiter(chain.from_iterable(graph.edges), dtype=np.intp, count=2 * len(graph.edges))
-    heads, tails = ends[0::2], ends[1::2]
-    size_of, groups = components(n, heads, tails)
 
-    looped = loops[size_of[loops] == 1]
-    looped.flags.writeable = False
-    norm = 1.0 if looped.size else 0.0
-    blocks = []
-    slot = np.empty(n, dtype=np.intp)
+def _loop_free_matching(n_vertices: int, ends: np.ndarray, loops: np.ndarray) -> bool:
+    """True when no vertex is on two edges and no loop sits on a vertex with an edge."""
+    if ends.size > n_vertices:
+        return False  # more edge ends than vertices: some vertex has two
+    degree = np.bincount(ends, minlength=n_vertices)
+    return np.count_nonzero(degree) == ends.size and not np.count_nonzero(degree[loops])
+
+
+def _component_stacks(
+    n_vertices: int, heads: np.ndarray, tails: np.ndarray, loops: np.ndarray, size_of: np.ndarray, groups: List[np.ndarray]
+) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """Each size group's vertices and its (b, k, k) stack of adjacency blocks, or the first block alone when all are equal."""
+    slot = np.empty(n_vertices, dtype=np.intp)
     for members in groups:
         k = members.shape[1]
         # slot = row of the vertex in the stacked blocks; entry (u, v) of its
@@ -467,6 +466,42 @@ def spectrum(graph: Graph) -> Spectrum:
         stack = adjacency.reshape(-1, k, k)
         if len(stack) > 1 and (stack == stack[0]).all():
             stack = stack[:1]  # identical blocks share one decomposition
+        yield members, stack
+
+
+@lru_cache(maxsize=4096)
+def spectrum(graph: Graph) -> Spectrum:
+    """Component-wise eigendecomposition of a graph's adjacency matrix.
+
+    A graph without edges has no component to decompose and is not
+    searched. Nor is a matching whose loops all sit on unmatched vertices:
+    each edge is a component, ordered by its smaller end, and every block
+    is the one edge's, decomposed once. Any other graph's components come
+    from the edge list; edge-free vertices need no decomposition, and the
+    other components are grouped by size and each group is decomposed in
+    one batched call, or as its first block alone when every block of the
+    group equals it. The arrays are shared by every caller and therefore
+    read-only.
+    """
+    n = graph.n_vertices
+    loops = np.sort(np.fromiter(graph.loops, dtype=np.intp, count=len(graph.loops)))
+    if not graph.edges:
+        loops.flags.writeable = False
+        return Spectrum(n, loops, (), 1.0 if loops.size else 0.0)
+    ends = np.fromiter(chain.from_iterable(graph.edges), dtype=np.intp, count=2 * len(graph.edges))
+    heads, tails = ends[0::2], ends[1::2]
+    if _loop_free_matching(n, ends, loops):
+        # each edge is a component, and every block is the one edge's
+        looped = loops
+        stacks = [(ends.reshape(-1, 2)[np.argsort(heads)], _EDGE_BLOCK)]
+    else:
+        size_of, groups = components(n, heads, tails)
+        looped = loops[size_of[loops] == 1]
+        stacks = _component_stacks(n, heads, tails, loops, size_of, groups)
+    looped.flags.writeable = False
+    norm = 1.0 if looped.size else 0.0
+    blocks = []
+    for members, stack in stacks:
         eigenvalues, eigenvectors = np.linalg.eigh(stack)
         norm = max(norm, float(np.abs(eigenvalues).max()))
         for array in (members, eigenvalues, eigenvectors):

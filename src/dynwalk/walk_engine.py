@@ -60,10 +60,12 @@ the factors per call and drops them when it returns: the whole-program
 functions (``total_unitary``, ``laid_out_unitary``, ``evolve_state``,
 and so the ``compile``, ``unitary`` and ``simulate`` commands), which
 factor each step once however many blocks they apply it to. The
-optimizer reads column 0 of a compiled Hadamard layer through
-``evolve_state`` of vertex 0, once per layer, and compares a fragment
-with the layer's gate through ``gate_compiler.circuit_distance`` on the
-fragment's dense product, so it asks this module for no layer product.
+optimizer's Hadamard-layer row reads a fragment's own column 0 from its
+prefix products and checks it against the layer's closed form, 2^(-k/2)
+times one phase on each of the 2^k vertices inside the layer's mask, and
+compares the fragment with the layer's gate through
+``gate_compiler.circuit_distance`` on the fragment's dense product, so it
+asks this module for no layer product or column.
 """
 
 from __future__ import annotations

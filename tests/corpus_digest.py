@@ -18,12 +18,17 @@ compile every such Hadamard layer identically. The next line is a sha256
 over the stdout and exit code of ``simulate``, run through ``cli.main``
 from basis state 0, on every compiled circuit of the corpus, each written
 to a walk file first: two trees that print the same line write, parse,
-simulate and print those walks identically. A last line is a sha256 over
+simulate and print those walks identically. The ninth line is a sha256 over
 the serialized ``compile_circuit(c, parallel_hadamards=True)`` of every
 corpus circuit c, the circuits compiled above with each run of adjacent
 Hadamards on distinct qubits fused into one layer: two trees that print
 the same line compile those circuits identically on the fused path. The
-file has no ``test_`` prefix, so pytest does not collect it.
+last line is a sha256 over ``spectrum`` of every distinct graph of the
+corpus's input and output walks, in the order first seen: the shape,
+dtype and bytes of ``looped`` and of each block's members, eigenvalues
+and eigenvectors, then ``repr`` of the norm, so two trees that print the
+same line decompose those graphs bit for bit alike. The file has no
+``test_`` prefix, so pytest does not collect it.
 
 Run from the repository root::
 
@@ -43,6 +48,8 @@ import tempfile
 import time
 from fractions import Fraction
 
+import numpy as np
+
 HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path[:0] = [HERE, os.path.join(os.path.dirname(HERE), "src")]
 
@@ -50,7 +57,7 @@ import catalog  # noqa: E402
 import trace_fixtures as tf  # noqa: E402
 from dynwalk.cli import main as cli_main  # noqa: E402
 from dynwalk.gate_compiler import compile_circuit, compile_hadamard_layer  # noqa: E402
-from dynwalk.graph_model import format_angle, serialize_dynamic_graph  # noqa: E402
+from dynwalk.graph_model import format_angle, serialize_dynamic_graph, spectrum  # noqa: E402
 from dynwalk.rewrite_optimizer import optimize  # noqa: E402
 from test_rewrite_optimizer import random_circuit, random_walk  # noqa: E402
 
@@ -104,13 +111,27 @@ def fused_digest(seeds: int = SEEDS) -> str:
     return digest.hexdigest()
 
 
+def spectrum_digest(graphs) -> str:
+    """sha256 over the spectrum of each graph: shape, dtype and bytes of every array, then repr of the norm."""
+    digest = hashlib.sha256()
+    for graph in graphs:
+        spec = spectrum(graph)
+        for array in (spec.looped, *(array for members, pair in spec.blocks for array in (members, *pair))):
+            digest.update(f"{array.shape} {array.dtype.str}\n".encode())
+            digest.update(np.ascontiguousarray(array).tobytes())
+        digest.update(repr(spec.norm).encode())
+    return digest.hexdigest()
+
+
 def main(argv=()) -> None:
     seeds = int(argv[0]) if argv else SEEDS
     digest = hashlib.sha256()
     totals = {"corpus": (0, Fraction(0), 0)}
+    distinct = {}
     start = time.perf_counter()
     for part, walk in corpus(seeds):
         final, report = optimize(walk)
+        distinct.update(dict.fromkeys(step.graph for step in walk.steps + final.steps))
         digest.update(serialize_dynamic_graph(final).encode())
         digest.update(json.dumps(report.to_dict(), sort_keys=True).encode())
         digest.update(repr(report.phase_distance).encode())
@@ -124,6 +145,7 @@ def main(argv=()) -> None:
     print(f"hadamard layers, 1-10 qubits, 1-3 targets: sha256 {layer_digest()}")
     print(f"simulate, compiled circuits from state 0: sha256 {simulate_digest(seeds)}")
     print(f"compile with parallel Hadamards, corpus circuits: sha256 {fused_digest(seeds)}")
+    print(f"spectra of {len(distinct)} distinct input and output graphs: sha256 {spectrum_digest(distinct)}")
 
 
 if __name__ == "__main__":

@@ -6,7 +6,10 @@ command line) under cProfile, with the corpus built before profiling
 starts. It prints a header with the program count, the profiled time and
 the number of ``fractions.Fraction`` constructions (calls of
 ``Fraction.__new__``, which every ``Fraction`` operation that yields one
-makes), then one line per source file with its self time and share of
+makes), then ``spectrum: D decompositions, C component searches, E eigh
+calls``, the profile's counts of calls of ``graph_model.spectrum`` (its
+cache misses) and of the ``components`` and ``eigh`` calls it made, then
+one line per source file with its self time and share of
 the total, largest first; functions built into the interpreter are
 pooled as ``(built-in)``. ``fractions.py``'s line is printed whatever its
 share, at 0 when no ``Fraction`` code ran. Under those lines it prints
@@ -33,7 +36,24 @@ import corpus_digest  # noqa: E402
 from dynwalk.rewrite_optimizer import optimize  # noqa: E402
 
 FRACTIONS = "fractions.py"
+SPECTRUM = ("graph_model.py", "spectrum")
 TOP = 10
+
+
+def spectrum_counts(stats) -> tuple:
+    """Calls of graph_model.spectrum, and of components and eigh from it, in a pstats table."""
+    decompositions = searches = eighs = 0
+    for (filename, _, function), (_, calls, _, _, callers) in stats.items():
+        if (os.path.basename(filename), function) == SPECTRUM:
+            decompositions += calls
+        from_spectrum = sum(
+            counts[1] for (caller, _, name), counts in callers.items() if (os.path.basename(caller), name) == SPECTRUM
+        )
+        if function == "components":
+            searches += from_spectrum
+        elif function == "eigh":
+            eighs += from_spectrum
+    return decompositions, searches, eighs
 
 
 def main(argv=()) -> None:
@@ -54,6 +74,8 @@ def main(argv=()) -> None:
             constructions += calls
     total = sum(self_s.values())
     print(f"optimize over {len(walks)} programs: {total:.2f} s of self time, {constructions} Fraction constructions")
+    decompositions, searches, eighs = spectrum_counts(stats)
+    print(f"spectrum: {decompositions} decompositions, {searches} component searches, {eighs} eigh calls")
     for module, own in sorted(self_s.items(), key=lambda item: (-item[1], item[0])):
         print(f"{module}: {own:.3f} s, {100 * own / total:.1f} %")
     print(f"{TOP} functions by cumulative time:")

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import catalog
 import dynwalk.graph_model as gm
 from adjacency import adjacency_matrix
+from dynwalk.gate_compiler import _pairs
 from dynwalk.graph_model import (
     MAX_VERTICES,
     DynamicGraph,
@@ -386,6 +387,127 @@ def test_components_match_a_union_find_reference(n, heads, tails):
     for members, expected in zip(groups, expected_groups):
         assert members.dtype == expected.dtype and members.shape == expected.shape
         assert np.array_equal(members, expected)
+
+
+def component_spectrum(graph):
+    """spectrum's (looped, blocks, norm) by the component search: ``components``, then one stacked eigh per size group."""
+    n = graph.n_vertices
+    loops = np.array(sorted(graph.loops), dtype=np.intp)
+    edges = np.array(sorted(graph.edges), dtype=np.intp).reshape(-1, 2)
+    size_of, groups = gm.components(n, edges[:, 0], edges[:, 1])
+    looped = loops[size_of[loops] == 1]
+    norm = 1.0 if looped.size else 0.0
+    blocks = []
+    for members in groups:
+        k = members.shape[1]
+        place = {v: divmod(i, k) for i, v in enumerate(members.ravel().tolist())}
+        stack = np.zeros((len(members), k, k))
+        for i, j in graph.edges:
+            if size_of[i] == k:
+                (row, a), (_, b) = place[i], place[j]
+                stack[row, a, b] = stack[row, b, a] = 1.0
+        for v in graph.loops:
+            if size_of[v] == k:
+                row, a = place[v]
+                stack[row, a, a] = 1.0
+        if (stack == stack[0]).all():
+            stack = stack[:1]
+        eigenvalues, eigenvectors = np.linalg.eigh(stack)
+        norm = max(norm, float(np.abs(eigenvalues).max()))
+        blocks.append((members, eigenvalues, eigenvectors))
+    return looped, blocks, norm
+
+
+def with_loops(graph, rng, share):
+    """The graph plus loops on a random share of its unmatched vertices."""
+    ends = graph._endpoints
+    free = [v for v in range(graph.n_vertices) if v not in ends and rng.random() < share]
+    return Graph._of(graph.n_vertices, graph.edges, graph.loops | frozenset(free))
+
+
+def matching_graph(n, rows):
+    """The graph on n vertices whose edges are the rows (i, j), i < j."""
+    return Graph._of(n, frozenset(map(tuple, rows)))
+
+
+def matching_cases():
+    """Matchings with loops on unmatched vertices only: the graphs spectrum reads from the edge list."""
+    rng = random.Random(40)
+    for q in range(1, 7):
+        n = 2**q
+        for mask in range(1, n):
+            rows = _pairs(n, mask).tolist()
+            yield matching_graph(n, rows)
+            subset = [row for row in rows if rng.random() < 0.5] or rows[:1]
+            yield matching_graph(n, subset)
+            yield with_loops(matching_graph(n, subset), rng, 0.5)
+    for n in (1024, 4096):
+        for mask, control in ((1, 0), (n - 1, 0), (1, n // 2), (n // 2 + 6, 1)):
+            yield matching_graph(n, _pairs(n, mask, control).tolist())
+        yield with_loops(matching_graph(n, _pairs(n, 5, 2).tolist()), rng, 0.3)
+
+
+# a loop on a matched end, a vertex on two edges (with no more edge ends than
+# vertices), a 3-vertex path (with more)
+COMPONENT_PATH_GRAPHS = [
+    Graph.make(4, edges=[(0, 1), (2, 3)], loops=[3]),
+    Graph.make(6, edges=[(0, 1), (0, 2), (3, 4)]),
+    Graph.make(3, edges=[(0, 1), (1, 2)]),
+]
+
+
+def test_a_matching_spectrum_equals_the_component_search():
+    graphs = list(matching_cases()) + COMPONENT_PATH_GRAPHS
+    assert any(graph.loops for graph in graphs[:-3])
+    spectrum.cache_clear()
+    for graph in graphs:
+        spec = spectrum(graph)
+        looped, blocks, norm = component_spectrum(graph)
+        assert spec.looped.shape == looped.shape and spec.looped.dtype == looped.dtype, graph
+        assert np.array_equal(spec.looped, looped), graph
+        assert len(spec.blocks) == len(blocks), graph
+        for (members, (eigenvalues, eigenvectors)), expected in zip(spec.blocks, blocks):
+            for array, reference in zip((members, eigenvalues, eigenvectors), expected):
+                assert array.shape == reference.shape and array.dtype == reference.dtype, graph
+                assert np.array_equal(array, reference), graph
+        assert spec.norm == norm, graph
+    for graph in graphs[:-3]:
+        ((members, (eigenvalues, eigenvectors)),) = spectrum(graph).blocks
+        assert members.shape == (len(graph.edges), 2)
+        assert eigenvalues.shape == (1, 2) and eigenvectors.shape == (1, 2, 2)
+    spectrum.cache_clear()
+
+
+def test_a_matching_spectrum_searches_no_components(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a matching went through the component search")
+
+    seen, searched = [], []
+    eigh, search = np.linalg.eigh, gm.components
+
+    def recording_eigh(stack):
+        seen.append(stack.shape)
+        return eigh(stack)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    monkeypatch.setattr(gm, "components", refuse)
+    spectrum.cache_clear()
+    # CNOT with control qubit 3 and target qubit 7, and loops on every vertex the gate leaves alone
+    cnot = _pairs(1024, 1 << 7, 1 << 3)
+    idle = [v for v in range(1024) if not v & 1 << 3]
+    spec = spectrum(Graph._of(1024, frozenset(map(tuple, cnot.tolist())), frozenset(idle)))
+    assert seen == [(1, 2, 2)]
+    assert np.array_equal(spec.looped, idle) and np.array_equal(spec.blocks[0][0], cnot)
+
+    def recording_search(*args):
+        searched.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(gm, "components", recording_search)
+    for graph in COMPONENT_PATH_GRAPHS:
+        spectrum(graph)
+    assert len(searched) == len(COMPONENT_PATH_GRAPHS)
+    spectrum.cache_clear()
 
 
 def test_period_incommensurate_spectrum_is_infinite():

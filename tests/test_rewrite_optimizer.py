@@ -1989,12 +1989,12 @@ def test_optimize_compiled_circuit_matches_circuit_unitary(circuit):
 
 
 def test_the_corpus_digest_script_runs_on_two_seeds(capsys):
-    """tests/corpus_digest.py at 2 seeds: 7 programs, the part totals and the four digests."""
+    """tests/corpus_digest.py at 2 seeds: 7 programs, the part totals and the five digests."""
     import corpus_digest
 
     corpus_digest.main(["2"])
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 9
+    assert len(lines) == 10
     assert re.fullmatch(r"7 programs in \d+\.\d s", lines[0])
     assert re.fullmatch(r"sha256 [0-9a-f]{64}", lines[1])
     for line, (part, programs) in zip(
@@ -2004,15 +2004,20 @@ def test_the_corpus_digest_script_runs_on_two_seeds(capsys):
     assert re.fullmatch(r"hadamard layers, 1-10 qubits, 1-3 targets: sha256 [0-9a-f]{64}", lines[6])
     assert re.fullmatch(r"simulate, compiled circuits from state 0: sha256 [0-9a-f]{64}", lines[7])
     assert re.fullmatch(r"compile with parallel Hadamards, corpus circuits: sha256 [0-9a-f]{64}", lines[8])
+    assert re.fullmatch(r"spectra of \d+ distinct input and output graphs: sha256 [0-9a-f]{64}", lines[9])
 
 
 def test_the_optimize_profile_script_runs_on_two_seeds(capsys):
-    """tests/optimize_profile.py at 2 seeds: a header, one share line per source file, fractions.py among them, then the ten functions of largest cumulative time."""
+    """tests/optimize_profile.py at 2 seeds: a header, the spectrum counts, one share line per source file, fractions.py among them, then the ten functions of largest cumulative time."""
     import optimize_profile
 
     optimize_profile.main(["2"])
-    header, *lines = capsys.readouterr().out.splitlines()
+    header, counts, *lines = capsys.readouterr().out.splitlines()
     assert re.fullmatch(r"optimize over 7 programs: \d+\.\d\d s of self time, \d+ Fraction constructions", header)
+    decompositions, searches, _ = map(
+        int, re.fullmatch(r"spectrum: (\d+) decompositions, (\d+) component searches, (\d+) eigh calls", counts).groups()
+    )
+    assert searches <= decompositions
     split = lines.index("10 functions by cumulative time:")
     lines, top = lines[:split], lines[split + 1 :]
     cumulative = [re.fullmatch(r"(.+):(\d+) (.+): (\d+\.\d{3}) s cumulative", line).groups() for line in top]
