@@ -99,8 +99,12 @@ hash their graph's kept hash and two integers, vertices and phases as
 integer pairs, so a lookup hashes no ``Fraction``. It keeps the
 phased-permutation form of each step (``_phased_permutation``), whose
 angles are integers over one denominator, so that the fold row composes
-runs on integers; ``walk_engine.graphs_commute`` per
-graph pair for the block swaps; the merges of two steps
+runs on integers; the form of a loops-only step or a loop-free matching
+is read from its edge list and duration, and only any other graph's from
+its block exponentials; ``walk_engine.graphs_commute`` per
+graph pair for the block swaps, which decides equal graphs,
+support-disjoint ones and a side without edges from the edge lists and
+counts walks only for the other pairs; the merges of two steps
 (``_merge_identical``, ``_merge_complementary``); what a looped
 singleton carries out of a step (``_singleton_source``, on the source
 step and the vertex); what a target step becomes when it absorbs that
@@ -134,8 +138,9 @@ prefix products from the walk's: those left of the window are the
 walk's, those right of it the walk's up to a global phase, which no
 verdict reads, and only the window's are new, from a
 ``prefix_unitaries`` call that applies the window's steps to the product
-before it. A phased-permutation form is read from the step's block
-exponentials in ``walk_engine``'s factor cache, with no n x n step
+before it. The phased-permutation form of a step that is neither
+loops-only nor a loop-free matching is read from its block exponentials
+in ``walk_engine``'s factor cache (``_read_form``), with no n x n step
 formed, and every comparison of two runs, a verified span and the final
 check, from ``walk_engine.run_distance``, which takes the factors from
 that cache, as ``prefix_unitaries`` does. A fragment is compared
@@ -171,7 +176,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
@@ -308,29 +313,72 @@ class PhasedPermutation(NamedTuple):
 def _phased_permutation(step: TimedGraph) -> Optional[PhasedPermutation]:
     """The step as a phased permutation with clean angles, else None.
 
-    A loops-only step is exactly the identity with angle duration mod 2pi
-    on each looped vertex and 0 elsewhere, whatever the denominator. Any
-    other step is read from its block exponentials in the factor cache
-    that ``run_distance`` and ``prefix_unitaries`` share, without forming
-    the n x n step: each column's largest entry down its block fixes its
-    row; a looped singleton's entry is the step's phase and an idle
-    vertex's is 1. The rows must form a permutation, and the residual, the
-    largest of every other entry of the blocks, must stay under
-    VERIFY_TOLERANCE. Each distinct entry value is read once, by
-    _phase_angle, into its angle and then its integer turn; _phase_angle
-    refuses a value farther than VERIFY_TOLERANCE from exp(-i pi angle),
-    which bounds each column's distance from its rebuilt entry. These are
-    the entries of the dense step unitary, whose block columns are the
-    exponentials' own and whose other entries are exact zeros, so the
-    verdict is the one the dense step gives. Matchings at multiples of
-    pi/2 pass, among others, at denominators up to PHASE_DENOMINATOR_LIMIT.
+    Two kinds of step are read exactly from their edge lists and
+    durations. A loops-only step is the identity with angle duration
+    mod 2pi on each looped vertex and 0 elsewhere, whatever the
+    denominator. A loop-free matching (at least one edge, every vertex on
+    at most one edge, no loop on a matched vertex: ``spectrum``'s matching
+    test) has norm 1, so at duration t each edge runs cos t I - i sin t X,
+    each looped vertex picks up exp(-i t) and each idle vertex stays. It
+    is a phased permutation exactly when t is a multiple of pi/2: with h
+    = t mod 2pi in quarter turns, rows swap across each edge when h is
+    odd and stay when h is even, every matched or looped vertex gets the
+    angle h pi/2 and every idle vertex 0. Those are the forms the float
+    reader (``_read_form``) gives these steps, with den 2 for odd h and 1
+    for even h, the lcm of the lowest-terms angles. The one difference is
+    a duration within about 1e-9 of a quarter turn with a denominator
+    above 2, such as (1/2 + 1e-12) pi: the float reader's entrywise check
+    could pass it, and this rule refuses it, since such a step is not
+    exactly a phased permutation. Every other step goes to ``_read_form``,
+    the only way from here to the factor cache and so to ``spectrum``.
     """
-    n = step.graph.n_vertices
-    if step.graph.is_loops_only:
+    graph = step.graph
+    n = graph.n_vertices
+    if graph.is_loops_only:
         # num mod 2 den shares no factor with den, so the phase is in lowest terms over den
         phase = step.pi_num % (2 * step.pi_den)
-        turns = tuple(phase if v in step.graph.loops else 0 for v in range(n))
+        turns = tuple(phase if v in graph.loops else 0 for v in range(n))
         return PhasedPermutation(tuple(range(n)), turns, step.pi_den, len(set(turns)) == 1)
+    ends = graph._endpoints
+    if not graph.edges or len(ends) != 2 * len(graph.edges) or not graph.loops.isdisjoint(ends):
+        return _read_form(step)
+    if step.pi_den > 2:
+        return None
+    quarters = step.pi_num * (2 // step.pi_den) % 4
+    den = 1 + quarters % 2
+    turn = quarters * den // 2  # the angle quarters pi/2 is turn/den pi
+    rows = list(range(n))
+    if quarters % 2:
+        for i, j in graph.edges:
+            rows[i], rows[j] = j, i
+    turns = [0] * n
+    if turn:
+        for v in chain(ends, graph.loops):
+            turns[v] = turn
+    one_angle = not turn or len(ends) + len(graph.loops) == n
+    bitflip = one_angle and all(row == v ^ rows[0] for v, row in enumerate(rows))
+    return PhasedPermutation(tuple(rows), tuple(turns), den, bitflip)
+
+
+def _read_form(step: TimedGraph) -> Optional[PhasedPermutation]:
+    """The step as a phased permutation, read from its block exponentials, else None.
+
+    The exponentials come from the factor cache that ``run_distance`` and
+    ``prefix_unitaries`` share, and no n x n step is formed: each column's
+    largest entry down its block fixes its row; a looped singleton's entry
+    is the step's phase and an idle vertex's is 1. The rows must form a
+    permutation, and the residual, the largest of every other entry of
+    the blocks, must stay under VERIFY_TOLERANCE. Each distinct entry
+    value is read once, by _phase_angle, into its angle and then its
+    integer turn; _phase_angle refuses a value farther than
+    VERIFY_TOLERANCE from exp(-i pi angle), which bounds each column's
+    distance from its rebuilt entry. These are the entries of the dense
+    step unitary, whose block columns are the exponentials' own and whose
+    other entries are exact zeros, so the verdict is the one the dense
+    step gives. Matchings at multiples of pi/2 pass, among others, at
+    denominators up to PHASE_DENOMINATOR_LIMIT.
+    """
+    n = step.graph.n_vertices
     looped, phase, blocks = _cached_factors(step)
     rows = np.arange(n)
     values = np.ones(n, dtype=np.complex128)

@@ -55,7 +55,9 @@ and final checks; ``prefix_unitaries``, which gives the products of
 every prefix of a run on the n x n identity or a given starting
 product, for the Hadamard-layer fragments; and the optimizer's
 phased-permutation classifier, which reads a step's block exponentials
-from it without forming the n x n step. Every other product computes
+from it without forming the n x n step, for graphs that are neither
+loops-only nor loop-free matchings: it reads those from their edge
+lists. Every other product computes
 the factors per call and drops them when it returns: the whole-program
 functions (``total_unitary``, ``laid_out_unitary``, ``evolve_state``,
 and so the ``compile``, ``unitary`` and ``simulate`` commands), which
@@ -76,7 +78,7 @@ from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .graph_model import DynamicGraph, Graph, TimedGraph, _radians, components, spectrum
+from .graph_model import DynamicGraph, Graph, TimedGraph, _radians, components, spectrum, supports_disjoint
 from .numerics import overlap_distance
 
 __all__ = [
@@ -262,12 +264,21 @@ def _arcs(graph: Graph) -> List[Tuple[int, int]]:
 def graphs_commute(a: Graph, b: Graph) -> bool:
     """Exact test of whether two adjacency matrices commute, from the edge lists.
 
-    (AB)_ij counts the walks i -A- k -B- j, with a loop as a vertex's own
-    neighbour. (AB)^T = BA, so AB = BA exactly when those counts are
-    symmetric.
+    Three kinds of pair are decided without counting walks: equal graphs
+    commute, and so do support-disjoint ones, since AB = 0 = BA. A graph
+    D without edges is diagonal, and (DB - BD)_uv = (D_uu - D_vv) B_uv,
+    so it commutes with B exactly when each edge of B has both ends
+    looped in D or neither. For any other pair, (AB)_ij counts the walks
+    i -A- k -B- j, with a loop as a vertex's own neighbour. (AB)^T = BA,
+    so AB = BA exactly when those counts are symmetric.
     """
     if a.n_vertices != b.n_vertices:
         raise ValueError("vertex sets differ")
+    if a == b or supports_disjoint(a, b):
+        return True
+    if not a.edges or not b.edges:
+        diagonal, other = (b, a) if a.edges else (a, b)
+        return all((i in diagonal.loops) == (j in diagonal.loops) for i, j in other.edges)
     onward = defaultdict(list)
     for k, j in _arcs(b):
         onward[k].append(j)

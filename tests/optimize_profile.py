@@ -9,6 +9,12 @@ the number of ``fractions.Fraction`` constructions (calls of
 makes), then ``spectrum: D decompositions, C component searches, E eigh
 calls``, the profile's counts of calls of ``graph_model.spectrum`` (its
 cache misses) and of the ``components`` and ``eigh`` calls it made, then
+``forms: I from edge lists, F from block exponentials; commutation: J
+from edge lists, K by walk counts``: F counts the calls of
+``rewrite_optimizer._read_form`` and I the other calls of
+``_phased_permutation`` (the classifier's memo misses); K counts the
+walk counts ``walk_engine.graphs_commute`` made, half the calls of
+``_arcs`` (each count reads both graphs' arcs), and J its other calls. Then it prints
 one line per source file with its self time and share of
 the total, largest first; functions built into the interpreter are
 pooled as ``(built-in)``. ``fractions.py``'s line is printed whatever its
@@ -37,6 +43,10 @@ from dynwalk.rewrite_optimizer import optimize  # noqa: E402
 
 FRACTIONS = "fractions.py"
 SPECTRUM = ("graph_model.py", "spectrum")
+CLASSIFIER = ("rewrite_optimizer.py", "_phased_permutation")
+FLOAT_FORM = ("rewrite_optimizer.py", "_read_form")
+COMMUTE = ("walk_engine.py", "graphs_commute")
+ARCS = ("walk_engine.py", "_arcs")
 TOP = 10
 
 
@@ -54,6 +64,18 @@ def spectrum_counts(stats) -> tuple:
         elif function == "eigh":
             eighs += from_spectrum
     return decompositions, searches, eighs
+
+
+def route_counts(stats) -> tuple:
+    """Classifier forms from edge lists and from block exponentials, and commutation tests from edge lists and by walk counts.
+
+    A walk count reads both graphs' arcs, and ``_arcs`` has no other caller.
+    """
+    calls = Counter()
+    for (filename, _, function), (_, count, *_) in stats.items():
+        calls[os.path.basename(filename), function] += count
+    floats, walk_counts = calls[FLOAT_FORM], calls[ARCS] // 2
+    return calls[CLASSIFIER] - floats, floats, calls[COMMUTE] - walk_counts, walk_counts
 
 
 def main(argv=()) -> None:
@@ -76,6 +98,11 @@ def main(argv=()) -> None:
     print(f"optimize over {len(walks)} programs: {total:.2f} s of self time, {constructions} Fraction constructions")
     decompositions, searches, eighs = spectrum_counts(stats)
     print(f"spectrum: {decompositions} decompositions, {searches} component searches, {eighs} eigh calls")
+    exact, floats, edge_lists, walk_counts = route_counts(stats)
+    print(
+        f"forms: {exact} from edge lists, {floats} from block exponentials; "
+        f"commutation: {edge_lists} from edge lists, {walk_counts} by walk counts"
+    )
     for module, own in sorted(self_s.items(), key=lambda item: (-item[1], item[0])):
         print(f"{module}: {own:.3f} s, {100 * own / total:.1f} %")
     print(f"{TOP} functions by cumulative time:")

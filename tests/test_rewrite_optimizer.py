@@ -853,6 +853,60 @@ def test_phased_permutation_reads_as_the_dense_step_does():
         assert any(verdict is not None and not verdict.bitflip for verdict in some)
 
 
+def matching_steps():
+    """Every _pairs(2**q, mask) matching for q = 1..6, a seeded row subset of it and that subset with loops on unmatched vertices, at k/d pi for k = 1..16 and d = 1, 2, 3, 8."""
+    rng = random.Random(41)
+    for q in range(1, 7):
+        n = 2**q
+        for mask in range(1, n):
+            pairs = _pairs(n, mask)
+            subset = pairs[[row for row in range(len(pairs)) if rng.random() < 0.5] or [0]]
+            idle = sorted(set(range(n)) - set(subset.ravel().tolist()))
+            looped = [v for v in idle if rng.random() < 0.5] or idle
+            subgraph = _matching(n, subset)
+            graphs = (_matching(n, pairs), subgraph, Graph.make(n, edges=subgraph.edges, loops=looped))
+            for graph in graphs:
+                for den in (1, 2, 3, 8):
+                    for num in range(1, 17):
+                        yield TimedGraph(graph, angle(num, den))
+
+
+def test_matching_forms_from_edge_lists_equal_the_float_reader(monkeypatch):
+    """The integer route gives the block-exponential reader's form, tuple for tuple, on every matching step."""
+    steps = list(matching_steps())
+    with monkeypatch.context() as patched:
+        patched.setattr(ro, "_cached_factors", None)  # the integer route never calls it
+        exact = [ro._phased_permutation(step) for step in steps]
+    assert exact == [ro._read_form(step) for step in steps]
+    assert None in exact
+    assert any(form is not None and form.bitflip for form in exact)
+    assert any(form is not None and not form.bitflip and form.den == 2 for form in exact)
+    assert any(form is not None and not form.bitflip and form.den == 1 for form in exact)
+
+
+def test_a_matching_form_costs_no_spectrum(monkeypatch):
+    """A loop-free matching classifies with the factor cache raising; other graphs still reach the float reader."""
+
+    def refused(step):
+        raise AssertionError("the classifier read the factor cache")
+
+    monkeypatch.setattr(ro, "_cached_factors", refused)
+    n = 2**10
+    cnot = _matching(n, _pairs(n, bit_value(1, 10), bit_value(0, 10)))
+    idle = sorted(set(range(n)) - cnot._endpoints)
+    form = ro._phased_permutation(TimedGraph(Graph._of(n, cnot.edges, frozenset(idle)), angle(1, 2)))
+    assert form is not None and form.den == 2 and not form.bitflip
+    assert all(form.perm[i] == j and form.perm[j] == i for i, j in cnot.edges)
+    assert [form.turns[v] for v in idle] == [1] * len(idle)
+    for graph in (
+        Graph.make(3, edges=[(0, 1), (1, 2)]),
+        Graph.make(4, edges=[(0, 1)], loops=[1]),
+        Graph.make(4, edges=[(0, 1), (0, 2)]),
+    ):
+        with pytest.raises(AssertionError, match="factor cache"):
+            ro._phased_permutation(TimedGraph(graph, angle(1, 2)))
+
+
 @functools.cache
 def dense_hadamard_layers(n_qubits):
     """(compiled steps, total unitary, (time, graph count)) of the Hadamard layer on every nonempty qubit subset."""
@@ -2008,16 +2062,25 @@ def test_the_corpus_digest_script_runs_on_two_seeds(capsys):
 
 
 def test_the_optimize_profile_script_runs_on_two_seeds(capsys):
-    """tests/optimize_profile.py at 2 seeds: a header, the spectrum counts, one share line per source file, fractions.py among them, then the ten functions of largest cumulative time."""
+    """tests/optimize_profile.py at 2 seeds: a header, the spectrum counts, the classifier and commutation routes, one share line per source file, fractions.py among them, then the ten functions of largest cumulative time."""
     import optimize_profile
 
     optimize_profile.main(["2"])
-    header, counts, *lines = capsys.readouterr().out.splitlines()
+    header, counts, routes, *lines = capsys.readouterr().out.splitlines()
     assert re.fullmatch(r"optimize over 7 programs: \d+\.\d\d s of self time, \d+ Fraction constructions", header)
     decompositions, searches, _ = map(
         int, re.fullmatch(r"spectrum: (\d+) decompositions, (\d+) component searches, (\d+) eigh calls", counts).groups()
     )
     assert searches <= decompositions
+    exact, floats, edge_lists, walk_counts = map(
+        int,
+        re.fullmatch(
+            r"forms: (\d+) from edge lists, (\d+) from block exponentials; "
+            r"commutation: (\d+) from edge lists, (\d+) by walk counts",
+            routes,
+        ).groups(),
+    )
+    assert exact + floats > 0 and edge_lists + walk_counts > 0
     split = lines.index("10 functions by cumulative time:")
     lines, top = lines[:split], lines[split + 1 :]
     cumulative = [re.fullmatch(r"(.+):(\d+) (.+): (\d+\.\d{3}) s cumulative", line).groups() for line in top]

@@ -104,21 +104,69 @@ def test_graphs_commute_cases():
         graphs_commute(Graph.make(3), Graph.make(4))
 
 
+def commute_route(a, b):
+    """Which test decides the pair: equal graphs, disjoint supports, a side without edges, or the walk counts."""
+    if a == b:
+        return "equal"
+    if not (a.loops | a._endpoints) & (b.loops | b._endpoints):
+        return "disjoint"
+    return "edge-free" if not a.edges or not b.edges else "walks"
+
+
+def disjoint_graph(rng, graph, edge_chance, loop_chance):
+    """A random graph on the vertices that carry no edge or loop of the given graph."""
+    free = [v for v in range(graph.n_vertices) if v not in graph.loops and graph.degree_free(v)]
+    edges = [(i, j) for i in free for j in free if i < j and rng.random() < edge_chance]
+    return Graph.make(graph.n_vertices, edges=edges, loops=[v for v in free if rng.random() < loop_chance])
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_graphs_commute_matches_the_dense_products(seed):
-    """The walk counts decide exactly what the integer matrix products decide."""
+    """The edge-list routes and the walk counts decide exactly what the integer matrix products decide."""
     rng = np.random.default_rng(seed)
     verdicts = set()
-    for _ in range(100):
+    for _ in range(200):
         n = int(rng.integers(1, 9))
         edge_chance = float(rng.choice([0.05, 0.15, 0.4]))
         a = random_graph(rng, n, edge_chance, 0.5)
-        b = random_graph(rng, n, edge_chance, 0.5)
-        ma, mb = adjacency_matrix(a), adjacency_matrix(b)
-        expected = np.array_equal(ma @ mb, mb @ ma)
-        assert graphs_commute(a, b) == expected
-        verdicts.add(expected)
-    assert verdicts == {True, False}
+        kind = rng.integers(5)
+        if kind == 4:
+            n, (x, y) = 8, rng.choice(range(1, 8), size=2, replace=False)
+            a, b = matching(8, int(x)), matching(8, int(y))  # XOR matchings commute
+        elif kind == 0:
+            b = random_graph(rng, n, edge_chance, 0.5)
+        elif kind == 1:
+            b = random_graph(rng, n, 0.0, 0.5)  # loops only, or empty
+        elif kind == 2:
+            b = disjoint_graph(rng, a, 0.5, 0.5)
+        else:
+            b = Graph.make(n, edges=a.edges, loops=a.loops)
+        for first, second in ((a, b), (b, a)):
+            ma, mb = adjacency_matrix(first), adjacency_matrix(second)
+            expected = np.array_equal(ma @ mb, mb @ ma)
+            assert graphs_commute(first, second) == expected
+            verdicts.add((commute_route(first, second), expected))
+    assert {("equal", True), ("disjoint", True), ("edge-free", True), ("edge-free", False)} <= verdicts
+    assert {("walks", True), ("walks", False)} <= verdicts
+
+
+def test_graphs_commute_decides_three_kinds_of_pair_without_walk_counts(monkeypatch):
+    """Equal graphs, disjoint supports and a side without edges are decided without reading any arc list."""
+
+    def refused(graph):
+        raise AssertionError("graphs_commute counted walks")
+
+    monkeypatch.setattr(we, "_arcs", refused)
+    path = Graph.make(6, edges=[(0, 1), (1, 2)], loops=[5])
+    assert graphs_commute(path, Graph.make(6, edges=[(0, 1), (1, 2)], loops=[5]))
+    assert graphs_commute(path, Graph.make(6, edges=[(3, 4)]))
+    assert graphs_commute(path, Graph.make(6))
+    assert graphs_commute(Graph.make(6, loops=[0, 1, 2]), path)
+    assert graphs_commute(path, Graph.make(6, loops=[3, 5]))
+    assert not graphs_commute(path, Graph.make(6, loops=[1, 2]))
+    assert not graphs_commute(Graph.make(6, loops=[0, 3]), path)
+    with pytest.raises(AssertionError, match="counted walks"):
+        graphs_commute(path, matching(6, 1))
 
 
 def dense_step_unitary(step):
