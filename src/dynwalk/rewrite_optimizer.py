@@ -99,19 +99,20 @@ hash their graph's kept hash and two integers, vertices and phases as
 integer pairs, so a lookup hashes no ``Fraction``. It keeps the
 phased-permutation form of each step (``_phased_permutation``), whose
 angles are integers over one denominator, so that the fold row composes
-runs on integers; the form of a loops-only step or a loop-free matching
-is read from its edge list and duration, and only any other graph's from
-its block exponentials; ``walk_engine.graphs_commute`` per
-graph pair for the block swaps, which decides equal graphs,
-support-disjoint ones and a side without edges from the edge lists and
-counts walks only for the other pairs; the merges of two steps
-(``_merge_identical``, ``_merge_complementary``); what a looped
-singleton carries out of a step (``_singleton_source``, on the source
-step and the vertex); what a target step becomes when it absorbs that
-phase (``_singleton_landing``, on the target step, the vertex and the
-phase); and the compiled Hadamard layer per bit mask and qubit count
-(``_hadamard_layer``): its steps, its cost and its one-gate HLAYER
-circuit. The memo holds steps and small tuples, never an array: no
+runs on integers; the form of a step in which no vertex lies on two
+edges (loops-only steps, matchings with loops anywhere, the empty graph)
+is read from its edge list and duration, and only the form of a graph
+with a vertex on two edges from its block exponentials;
+``walk_engine.graphs_commute`` per graph pair for the block swaps, which
+decides equal graphs, support-disjoint ones and a side without edges
+from the edge lists and counts walks only for the other pairs; the
+merges of two steps (``_merge_identical``, ``_merge_complementary``);
+what a looped singleton carries out of a step (``_singleton_source``,
+on the source step and the vertex); what a target step becomes when it
+absorbs that phase (``_singleton_landing``, on the target step, the
+vertex and the phase); and the compiled Hadamard layer per bit mask and
+qubit count (``_hadamard_layer``): its steps, its cost and its one-gate
+HLAYER circuit. The memo holds steps and small tuples, never an array: no
 step's unitary, no span product and no layer product. Three verdicts are
 not kept. The bit-flip row builds the fold of a run (``_fold``) for every
 run of two or more phased bit flips, and ``_scan`` prices it afterwards; the fold
@@ -138,13 +139,13 @@ prefix products from the walk's: those left of the window are the
 walk's, those right of it the walk's up to a global phase, which no
 verdict reads, and only the window's are new, from a
 ``prefix_unitaries`` call that applies the window's steps to the product
-before it. The phased-permutation form of a step that is neither
-loops-only nor a loop-free matching is read from its block exponentials
-in ``walk_engine``'s factor cache (``_read_form``), with no n x n step
-formed, and every comparison of two runs, a verified span and the final
-check, from ``walk_engine.run_distance``, which takes the factors from
-that cache, as ``prefix_unitaries`` does. A fragment is compared
-with a Hadamard layer through ``gate_compiler.circuit_distance``, the
+before it. The phased-permutation form of a step with a vertex on two
+edges is read from its block exponentials in ``walk_engine``'s factor
+cache (``_read_form``), with no n x n step formed, and every
+comparison of two runs, a verified span and the final check, from
+``walk_engine.run_distance``, which takes the factors from that cache,
+as ``prefix_unitaries`` does. A fragment is compared with a Hadamard
+layer through ``gate_compiler.circuit_distance``, the
 check ``compile`` makes, which undoes the layer's gate in the fragment's
 own array. This module multiplies no step matrices: every step
 is applied by ``walk_engine``, one connected component at a time, and
@@ -313,51 +314,56 @@ class PhasedPermutation(NamedTuple):
 def _phased_permutation(step: TimedGraph) -> Optional[PhasedPermutation]:
     """The step as a phased permutation with clean angles, else None.
 
-    Two kinds of step are read exactly from their edge lists and
-    durations. A loops-only step is the identity with angle duration
-    mod 2pi on each looped vertex and 0 elsewhere, whatever the
-    denominator. A loop-free matching (at least one edge, every vertex on
-    at most one edge, no loop on a matched vertex: ``spectrum``'s matching
-    test) has norm 1, so at duration t each edge runs cos t I - i sin t X,
-    each looped vertex picks up exp(-i t) and each idle vertex stays. It
-    is a phased permutation exactly when t is a multiple of pi/2: with h
-    = t mod 2pi in quarter turns, rows swap across each edge when h is
-    odd and stay when h is even, every matched or looped vertex gets the
-    angle h pi/2 and every idle vertex 0. Those are the forms the float
-    reader (``_read_form``) gives these steps, with den 2 for odd h and 1
-    for even h, the lcm of the lowest-terms angles. The one difference is
-    a duration within about 1e-9 of a quarter turn with a denominator
-    above 2, such as (1/2 + 1e-12) pi: the float reader's entrywise check
-    could pass it, and this rule refuses it, since such a step is not
-    exactly a phased permutation. Every other step goes to ``_read_form``,
-    the only way from here to the factor cache and so to ``spectrum``.
+    One rule reads every step in which no vertex lies on two edges, loops
+    anywhere and the empty graph included, from its edge list and
+    duration t. Its components are single edges, looped vertices and idle
+    ones. An edge with one looped end is the block [[1, 1], [1, 0]], whose
+    eigenvalues (1 ± √5)/2 have an irrational ratio, so for t > 0 its
+    exponential is neither diagonal nor antidiagonal and the step is None.
+    Otherwise the norm nu is 2 when some edge has both ends looped (the
+    block [[1, 1], [1, 1]], eigenvalues 0 and 2) and 1 when none has (the
+    empty graph's step holds whatever nu is), and with s = t/nu each
+    unlooped edge runs cos s I - i sin s X, each both-looped edge exp(-i s)
+    times that, each looped edge-free vertex picks up exp(-i s) and each
+    idle vertex stays. So the step is a phased permutation exactly when it
+    has no edge or s is a multiple of pi/2: rows swap across every edge
+    when s is an odd multiple, unlooped edge ends and looped edge-free
+    vertices get the angle s, both-looped edge ends 2s and idle vertices
+    0, and den is the lcm of those angles' lowest-terms denominators. That
+    is the form the float reader (``_read_form``) gives, with two
+    differences. An edge-free step is read at any denominator, where the
+    float reader stops at PHASE_DENOMINATOR_LIMIT. A duration within about
+    1e-9 of an exact multiple of nu pi/2, such as (1/2 + 1e-12) pi on a
+    loop-free matching or (1 + 1e-12) pi on a both-looped edge, could pass
+    the float reader's entrywise check, and this rule refuses it, since
+    such a step is not exactly a phased permutation; no corpus or
+    benchmark input has one. Every other step, one with a vertex on two
+    edges, goes to ``_read_form``, the only way from here to the factor
+    cache and so to ``spectrum``.
     """
     graph = step.graph
-    n = graph.n_vertices
-    if graph.is_loops_only:
-        # num mod 2 den shares no factor with den, so the phase is in lowest terms over den
-        phase = step.pi_num % (2 * step.pi_den)
-        turns = tuple(phase if v in graph.loops else 0 for v in range(n))
-        return PhasedPermutation(tuple(range(n)), turns, step.pi_den, len(set(turns)) == 1)
-    ends = graph._endpoints
-    if not graph.edges or len(ends) != 2 * len(graph.edges) or not graph.loops.isdisjoint(ends):
+    ends, loops, n = graph._endpoints, graph.loops, graph.n_vertices
+    if len(ends) != 2 * len(graph.edges):
         return _read_form(step)
-    if step.pi_den > 2:
-        return None
-    quarters = step.pi_num * (2 // step.pi_den) % 4
-    den = 1 + quarters % 2
-    turn = quarters * den // 2  # the angle quarters pi/2 is turn/den pi
-    rows = list(range(n))
-    if quarters % 2:
+    looped = loops & ends
+    doubled = sum(i in looped and j in looped for i, j in graph.edges) if looped else 0
+    big = step.pi_den * (1 + bool(doubled))  # s = pi_num/big pi
+    if step.pi_num and 2 * doubled != len(looped) or graph.edges and 2 * step.pi_num % big:
+        return None  # an edge with one looped end at t > 0, or an edge at s off the multiples of pi/2
+    rows, swap = list(range(n)), bool(graph.edges) and 2 * step.pi_num // big % 2 == 1
+    if swap:
         for i, j in graph.edges:
             rows[i], rows[j] = j, i
-    turns = [0] * n
-    if turn:
-        for v in chain(ends, graph.loops):
-            turns[v] = turn
-    one_angle = not turn or len(ends) + len(graph.loops) == n
-    bitflip = one_angle and all(row == v ^ rows[0] for v, row in enumerate(rows))
-    return PhasedPermutation(tuple(rows), tuple(turns), den, bitflip)
+    single, double = step.pi_num % (2 * big), 2 * step.pi_num % (2 * big)  # the angles s and 2s over big
+    spread = len(ends) + len(loops) - 2 * len(looped)  # at angle s: unlooped edge ends, looped edge-free vertices
+    scale = math.gcd(big, spread and single, len(looped) and double)  # of big and the angles taken; idle 0 adds nothing
+    single, double, turns = single // scale, double // scale, [0] * n
+    for v in chain(ends, loops):
+        turns[v] = single
+    for v in looped:
+        turns[v] = double
+    bitflip = n > 0 and turns.count(turns[0]) == n and (not swap or rows == [v ^ rows[0] for v in range(n)])
+    return PhasedPermutation(tuple(rows), tuple(turns), big // scale, bitflip)
 
 
 def _read_form(step: TimedGraph) -> Optional[PhasedPermutation]:
@@ -375,8 +381,9 @@ def _read_form(step: TimedGraph) -> Optional[PhasedPermutation]:
     distance from its rebuilt entry. These are the entries of the dense
     step unitary, whose block columns are the exponentials' own and whose
     other entries are exact zeros, so the verdict is the one the dense
-    step gives. Matchings at multiples of pi/2 pass, among others, at
-    denominators up to PHASE_DENOMINATOR_LIMIT.
+    step gives. ``_phased_permutation`` sends it only graphs with a vertex
+    on two edges, such as the 3-vertex path at pi and hypercubes at their
+    transfer times.
     """
     n = step.graph.n_vertices
     looped, phase, blocks = _cached_factors(step)

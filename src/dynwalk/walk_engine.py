@@ -52,22 +52,21 @@ Three readers keep each step's factors in one ``lru_cache``,
 ``_cached_factors``, since the steps of one optimization recur across
 its calls: ``run_distance``, and so ``equiv`` and the optimizer's span
 and final checks; ``prefix_unitaries``, which gives the products of
-every prefix of a run on the n x n identity or a given starting
-product, for the Hadamard-layer fragments; and the optimizer's
-phased-permutation classifier, which reads a step's block exponentials
-from it without forming the n x n step, for graphs that are neither
-loops-only nor loop-free matchings: it reads those from their edge
-lists. Every other product computes
-the factors per call and drops them when it returns: the whole-program
-functions (``total_unitary``, ``laid_out_unitary``, ``evolve_state``,
-and so the ``compile``, ``unitary`` and ``simulate`` commands), which
-factor each step once however many blocks they apply it to. The
-optimizer's Hadamard-layer row reads a fragment's own column 0 from its
-prefix products and checks it against the layer's closed form, 2^(-k/2)
-times one phase on each of the 2^k vertices inside the layer's mask, and
-compares the fragment with the layer's gate through
-``gate_compiler.circuit_distance`` on the fragment's dense product, so it
-asks this module for no layer product or column.
+every prefix of a run on the n x n identity or a given starting product,
+for the Hadamard-layer fragments; and the optimizer's phased-permutation
+classifier, which reads a step's block exponentials from it without
+forming the n x n step, for graphs with a vertex on two edges only: it
+reads every other graph's form from its edge list. Every other product
+computes the factors per call and drops them when it returns: the
+whole-program functions (``total_unitary``, ``laid_out_unitary``,
+``evolve_state``, and so the ``compile``, ``unitary`` and ``simulate``
+commands), which factor each step once however many blocks they apply it
+to. The optimizer's Hadamard-layer row reads a fragment's own column 0
+from its prefix products and checks it against the layer's closed form,
+2^(-k/2) times one phase on each of the 2^k vertices inside the layer's
+mask, and compares the fragment with the layer's gate through
+``gate_compiler.circuit_distance`` on the fragment's dense product, so
+it asks this module for no layer product or column.
 """
 
 from __future__ import annotations

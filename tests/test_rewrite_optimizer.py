@@ -789,10 +789,8 @@ def test_cached_permutation_rebuilds_loops_only_steps(seed):
 
 
 def dense_phased_permutation(step):
-    """The classifier as it read the dense step unitary, kept as the reference."""
+    """The classifier as it read the dense step unitary, kept as the reference for every graph."""
     n = step.graph.n_vertices
-    if step.graph.is_loops_only:
-        return ro._phased_permutation(step)
     u = total_unitary(DynamicGraph(n, (step,)))
     rows = np.abs(u).argmax(axis=0)
     if len(set(rows.tolist())) != n:
@@ -854,38 +852,68 @@ def test_phased_permutation_reads_as_the_dense_step_does():
 
 
 def matching_steps():
-    """Every _pairs(2**q, mask) matching for q = 1..6, a seeded row subset of it and that subset with loops on unmatched vertices, at k/d pi for k = 1..16 and d = 1, 2, 3, 8."""
-    rng = random.Random(41)
+    """Steps in which no vertex lies on two edges, at k/d pi for k = 1..16 and d = 1, 2, 3, 8.
+
+    For each _pairs(2**q, mask) matching, q = 1..6: the matching, a seeded
+    row subset of it, that subset with loops on unmatched vertices, the
+    same with both ends looped on its last edge and on a seeded share of
+    the others, the same with one end of its last edge looped instead of
+    both, and the loops on unmatched vertices alone; and the empty graph
+    for each q.
+    """
+    rng, pick = random.Random(41), random.Random(42)
     for q in range(1, 7):
         n = 2**q
+        graphs = [Graph.make(n)]
         for mask in range(1, n):
             pairs = _pairs(n, mask)
             subset = pairs[[row for row in range(len(pairs)) if rng.random() < 0.5] or [0]]
             idle = sorted(set(range(n)) - set(subset.ravel().tolist()))
             looped = [v for v in idle if rng.random() < 0.5] or idle
-            subgraph = _matching(n, subset)
-            graphs = (_matching(n, pairs), subgraph, Graph.make(n, edges=subgraph.edges, loops=looped))
-            for graph in graphs:
-                for den in (1, 2, 3, 8):
-                    for num in range(1, 17):
-                        yield TimedGraph(graph, angle(num, den))
+            rows = subset.tolist()
+            doubled = [v for row in rows[:-1] if pick.random() < 0.5 for v in row]
+            edges = _matching(n, subset).edges
+            graphs += [
+                _matching(n, pairs),
+                _matching(n, subset),
+                Graph.make(n, edges=edges, loops=looped),
+                Graph.make(n, edges=edges, loops=looped + doubled + rows[-1]),
+                Graph.make(n, edges=edges, loops=looped + doubled + [rows[-1][pick.randrange(2)]]),
+                Graph.make(n, loops=looped),
+            ]
+        for graph in graphs:
+            for den in (1, 2, 3, 8):
+                for num in range(1, 17):
+                    yield TimedGraph(graph, angle(num, den))
+
+
+def looped_ends(graph):
+    """How many ends of each edge of the graph carry a loop."""
+    return {len(graph.loops.intersection(edge)) for edge in graph.edges}
 
 
 def test_matching_forms_from_edge_lists_equal_the_float_reader(monkeypatch):
-    """The integer route gives the block-exponential reader's form, tuple for tuple, on every matching step."""
+    """The closed form gives the block-exponential reader's form, tuple for tuple, on every step of matching_steps."""
     steps = list(matching_steps())
     with monkeypatch.context() as patched:
-        patched.setattr(ro, "_cached_factors", None)  # the integer route never calls it
+        patched.setattr(ro, "_cached_factors", None)  # the closed form never calls it
         exact = [ro._phased_permutation(step) for step in steps]
     assert exact == [ro._read_form(step) for step in steps]
     assert None in exact
     assert any(form is not None and form.bitflip for form in exact)
     assert any(form is not None and not form.bitflip and form.den == 2 for form in exact)
     assert any(form is not None and not form.bitflip and form.den == 1 for form in exact)
+    shapes = [looped_ends(step.graph) for step in steps]
+    assert all(form is None for form, shape in zip(exact, shapes) if 1 in shape)
+    assert all(form is not None for form, shape in zip(exact, shapes) if not shape)  # loops-only and empty
+    doubled = [(step.pi_den, form) for step, form, shape in zip(steps, exact, shapes) if shape in ({2}, {0, 2})]
+    assert any(den == 1 and form is not None for den, form in doubled)
+    assert all(form is None for den, form in doubled if den == 2)
+    assert any(not shape for shape in shapes) and any(1 in shape for shape in shapes) and doubled
 
 
 def test_a_matching_form_costs_no_spectrum(monkeypatch):
-    """A loop-free matching classifies with the factor cache raising; other graphs still reach the float reader."""
+    """A matching with loops anywhere classifies with the factor cache raising; a vertex on two edges reaches it."""
 
     def refused(step):
         raise AssertionError("the classifier read the factor cache")
@@ -898,13 +926,38 @@ def test_a_matching_form_costs_no_spectrum(monkeypatch):
     assert form is not None and form.den == 2 and not form.bitflip
     assert all(form.perm[i] == j and form.perm[j] == i for i, j in cnot.edges)
     assert [form.turns[v] for v in idle] == [1] * len(idle)
+    assert ro._phased_permutation(TimedGraph(Graph.make(4, edges=[(0, 1)], loops=[1]), angle(1, 2))) is None
+    both = ro._phased_permutation(TimedGraph(Graph.make(4, edges=[(0, 1)], loops=[0, 1, 3]), angle(1)))
+    assert both == ro.PhasedPermutation((1, 0, 2, 3), (2, 2, 0, 1), 2, False)
     for graph in (
         Graph.make(3, edges=[(0, 1), (1, 2)]),
-        Graph.make(4, edges=[(0, 1)], loops=[1]),
         Graph.make(4, edges=[(0, 1), (0, 2)]),
     ):
         with pytest.raises(AssertionError, match="factor cache"):
             ro._phased_permutation(TimedGraph(graph, angle(1, 2)))
+
+
+def test_transfer_steps_with_a_vertex_on_two_edges_are_read_from_block_exponentials(monkeypatch):
+    """P3 at pi, the 4-cycle at pi and the 3-cube at 3pi/2 are phased permutations only the float reader reads."""
+    read = []
+
+    def recorded(step):
+        read.append(step)
+        return float_reader(step)
+
+    float_reader = ro._read_form
+    monkeypatch.setattr(ro, "_read_form", recorded)
+    square, cube = ([(v, v ^ bit) for v in range(2**k) for bit in (1, 2, 4)[:k] if v < v ^ bit] for k in (2, 3))
+    form = ro.PhasedPermutation
+    cases = [
+        (Graph.make(3, edges=[(0, 1), (1, 2)]), angle(1), form((2, 1, 0), (1, 1, 1), 1, False)),
+        (Graph.make(4, edges=square), angle(1), form((3, 2, 1, 0), (1,) * 4, 1, True)),
+        (Graph.make(8, edges=cube), angle(3, 2), form(tuple(v ^ 7 for v in range(8)), (3,) * 8, 2, True)),
+    ]
+    for graph, duration, expected in cases:
+        step = TimedGraph(graph, duration)
+        assert ro._phased_permutation(step) == expected == dense_phased_permutation(step)
+    assert read == [TimedGraph(graph, duration) for graph, duration, _ in cases]
 
 
 @functools.cache
