@@ -40,19 +40,24 @@ for byte, from one ``%`` template per step rather than json's pure-Python
 indenting encoder.
 
 ``spectrum`` is the one place a graph's eigenvalues come from. It splits
-the graph into connected components from its edge list, grouped by size
-with one sort of the vertices by size and component (``components``), and
-hands each stack of equal-size component blocks to numpy's batched
-``eigh``, so no n x n adjacency matrix is formed; the walk engine's step
-exponentials, ``period`` and the spectral norms all read it. A stack
-whose blocks are all equal, such as a compiled X, CNOT or H step's
-matching or a Hadamard layer's 2^(q-k) k-cubes, is decomposed once: its
-eigenvalue and eigenvector arrays have leading dimension 1 and broadcast
-over the stack's components. Two kinds of graph are not searched at all:
-a graph without edges, and a matching whose loops all sit on unmatched
-vertices, which one degree count over the edge ends recognizes. Each of
-the matching's edges is a component, and all share the one edge's
-decomposition; the result is the search's, bit for bit.
+the graph into connected components from its edge list, groups them by
+size, and hands each stack of equal-size component blocks to numpy's
+batched ``eigh``, so no n x n adjacency matrix is formed; the walk
+engine's step exponentials, ``period`` and the spectral norms all read
+it. A stack whose blocks are all equal, such as a compiled X, CNOT or H
+step's matching or a Hadamard layer's 2^(q-k) k-cubes, is decomposed
+once: its eigenvalue and eigenvector arrays have leading dimension 1 and
+broadcast over the stack's components. A graph without edges, and a
+matching whose loops all sit on unmatched vertices, are not searched at
+all: each of the matching's edges is a component, and all share the one
+edge's decomposition. The components and blocks are found by one of two
+routes, chosen by vertex count alone. A graph on fewer than
+``LISTED_VERTICES`` vertices is read in one pass of Python over its edge
+and loop sets, with a depth-first search over adjacency lists, since on
+such graphs numpy's fixed cost per call outweighs its arithmetic. A
+larger one is read by numpy index work: one degree count over the edge
+ends recognizes a matching, and ``components`` sorts the vertices by
+size and component. Both routes give the same arrays, byte for byte.
 """
 
 from __future__ import annotations
@@ -62,7 +67,7 @@ import math
 import operator
 from dataclasses import FrozenInstanceError, dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import chain
 from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -107,6 +112,16 @@ MAX_VERTICES = 4096
 # which a longer one would hit when printed.
 MAX_TIME_DIGITS = 1000
 
+# Graphs on fewer vertices have their components and blocks read in Python
+# from the edge and loop sets (``_listed_stacks``); from here on by numpy index
+# work (``_searched_stacks``). Per ``spectrum`` miss, Python against numpy
+# (timeit, best of 9 x 1000, 2 vCPUs): an 8-vertex graph of a 3-path, an edge
+# and two loops 29 vs 72 us; the cube step of a 3-target Hadamard layer 30 vs
+# 54 us on 3 qubits, 50 vs 65 us on 5 and 77 vs 72 us on 6 (64 vertices);
+# sparse random graphs 40 vs 69 us on 16 vertices, 117 vs 176 us on 64;
+# matchings 13 vs 20 us on 8 vertices, 22 vs 23 us on 64.
+LISTED_VERTICES = 32
+
 # What ``_small_ratio`` (spectral norms, eigenvalue ratios) accepts as a small rational.
 RATIONAL_DENOMINATOR_LIMIT = 16
 RATIONAL_TOLERANCE = 1e-9
@@ -147,6 +162,28 @@ def _vertex(value: object) -> int:
     return operator.index(value)  # type: ignore[arg-type]
 
 
+class _kept:
+    """A value computed from the instance on its first read and kept in the instance's dict.
+
+    A non-data descriptor, so every later read finds the kept value in the
+    dict and never reaches it. Unlike ``functools.cached_property`` it
+    takes no lock on the first read, and it writes the dict directly, past
+    a frozen dataclass's ``__setattr__``.
+    """
+
+    def __init__(self, compute) -> None:
+        self.compute = compute
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = vars(instance)[self.name] = self.compute(instance)
+        return value
+
+
 @dataclass(frozen=True)
 class Graph:
     """An undirected graph with optional self-loops on range(n_vertices).
@@ -169,14 +206,14 @@ class Graph:
     edges: frozenset = field(default_factory=frozenset)
     loops: frozenset = field(default_factory=frozenset)
 
-    @cached_property
+    @_kept
     def _hash(self) -> int:
         return hash((self.n_vertices, self.edges, self.loops))
 
     def __hash__(self) -> int:
         return self._hash
 
-    @cached_property
+    @_kept
     def _endpoints(self) -> frozenset:
         return frozenset(chain.from_iterable(self.edges))
 
@@ -370,8 +407,10 @@ class Spectrum(NamedTuple):
     layer's cubes, they share one decomposition: eigenvalues (1, k) and
     eigenvectors (1, k, k), which broadcast over the b rows of the vertex
     array. A matching with no loop on a matched vertex has one entry,
-    k = 2, its edges as rows in order of their smaller end, read from the
-    edge list without a component search.
+    k = 2, its edges as rows in order of their smaller end, found without
+    a component search. The arrays are the same, byte for byte, whichever
+    route (Python below ``LISTED_VERTICES`` vertices, numpy index work from
+    there on) read the graph.
     ``norm`` is the spectral norm ||A||: the largest absolute eigenvalue
     over all components.
     """
@@ -469,6 +508,75 @@ def _component_stacks(
         yield members, stack
 
 
+def _listed_stacks(graph: Graph) -> Tuple[np.ndarray, List[Tuple[np.ndarray, np.ndarray]]]:
+    """spectrum's looped vertices and stacks of a small graph, read in Python from its edge and loop sets.
+
+    A graph in which no vertex lies on two edges and no loop on an edge's
+    end is a loop-free matching, or has no edge: its edges, in order of
+    their smaller end, share the one edge's block. Any other graph's
+    components come from a depth-first search over adjacency lists,
+    started at each edge end in ascending order, so the components of a
+    size come in order of their smallest vertex; each block is built as a
+    list and a size's stack is its first block when every block equals it.
+    """
+    loops, edges, ends = graph.loops, graph.edges, graph._endpoints
+    if len(ends) == 2 * len(edges) and loops.isdisjoint(ends):
+        stacks = [(np.array(sorted(edges), dtype=np.intp), _EDGE_BLOCK)] if edges else []
+        return np.array(sorted(loops), dtype=np.intp), stacks
+    neighbours: dict = {v: [] for v in ends}
+    for i, j in edges:
+        neighbours[i].append(j)
+        neighbours[j].append(i)
+    rows: dict = {}
+    blocks: dict = {}
+    seen: set = set()
+    for start in sorted(ends):
+        if start in seen:
+            continue
+        seen.add(start)
+        component, todo = [start], [start]
+        while todo:
+            for v in neighbours[todo.pop()]:
+                if v not in seen:
+                    seen.add(v)
+                    component.append(v)
+                    todo.append(v)
+        component.sort()
+        k = len(component)
+        place = {v: at for at, v in enumerate(component)}
+        block = [0.0] * (k * k)
+        for v in component:
+            row = place[v] * k
+            for w in neighbours[v]:
+                block[row + place[w]] = 1.0
+            if v in loops:
+                block[row + place[v]] = 1.0
+        rows.setdefault(k, []).append(component)
+        blocks.setdefault(k, []).append(block)
+    stacks = []
+    for k in sorted(rows):
+        group = blocks[k]
+        if group.count(group[0]) == len(group):
+            group = group[:1]  # identical blocks share one decomposition
+        stacks.append((np.array(rows[k], dtype=np.intp), np.array(group).reshape(-1, k, k)))
+    return np.array(sorted(loops - ends), dtype=np.intp), stacks
+
+
+def _searched_stacks(graph: Graph) -> Tuple[np.ndarray, Iterable[Tuple[np.ndarray, np.ndarray]]]:
+    """spectrum's looped vertices and stacks, from numpy index work on the edge list: the route for large graphs."""
+    n = graph.n_vertices
+    loops = np.sort(np.fromiter(graph.loops, dtype=np.intp, count=len(graph.loops)))
+    if not graph.edges:
+        return loops, ()
+    ends = np.fromiter(chain.from_iterable(graph.edges), dtype=np.intp, count=2 * len(graph.edges))
+    heads, tails = ends[0::2], ends[1::2]
+    if _loop_free_matching(n, ends, loops):
+        # each edge is a component, and every block is the one edge's
+        return loops, [(ends.reshape(-1, 2)[np.argsort(heads)], _EDGE_BLOCK)]
+    size_of, groups = components(n, heads, tails)
+    return loops[size_of[loops] == 1], _component_stacks(n, heads, tails, loops, size_of, groups)
+
+
 @lru_cache(maxsize=4096)
 def spectrum(graph: Graph) -> Spectrum:
     """Component-wise eigendecomposition of a graph's adjacency matrix.
@@ -480,24 +588,13 @@ def spectrum(graph: Graph) -> Spectrum:
     from the edge list; edge-free vertices need no decomposition, and the
     other components are grouped by size and each group is decomposed in
     one batched call, or as its first block alone when every block of the
-    group equals it. The arrays are shared by every caller and therefore
-    read-only.
+    group equals it. A graph on fewer than ``LISTED_VERTICES`` vertices is
+    read by one pass of Python over its edge and loop sets
+    (``_listed_stacks``), a larger one by numpy index work
+    (``_searched_stacks``); both give the same arrays, byte for byte. The
+    arrays are shared by every caller and therefore read-only.
     """
-    n = graph.n_vertices
-    loops = np.sort(np.fromiter(graph.loops, dtype=np.intp, count=len(graph.loops)))
-    if not graph.edges:
-        loops.flags.writeable = False
-        return Spectrum(n, loops, (), 1.0 if loops.size else 0.0)
-    ends = np.fromiter(chain.from_iterable(graph.edges), dtype=np.intp, count=2 * len(graph.edges))
-    heads, tails = ends[0::2], ends[1::2]
-    if _loop_free_matching(n, ends, loops):
-        # each edge is a component, and every block is the one edge's
-        looped = loops
-        stacks = [(ends.reshape(-1, 2)[np.argsort(heads)], _EDGE_BLOCK)]
-    else:
-        size_of, groups = components(n, heads, tails)
-        looped = loops[size_of[loops] == 1]
-        stacks = _component_stacks(n, heads, tails, loops, size_of, groups)
+    looped, stacks = (_listed_stacks if graph.n_vertices < LISTED_VERTICES else _searched_stacks)(graph)
     looped.flags.writeable = False
     norm = 1.0 if looped.size else 0.0
     blocks = []
@@ -507,7 +604,7 @@ def spectrum(graph: Graph) -> Spectrum:
         for array in (members, eigenvalues, eigenvectors):
             array.flags.writeable = False
         blocks.append((members, (eigenvalues, eigenvectors)))
-    return Spectrum(n, looped, tuple(blocks), norm)
+    return Spectrum(graph.n_vertices, looped, tuple(blocks), norm)
 
 
 def supports_disjoint(a: Graph, b: Graph) -> bool:

@@ -6,9 +6,12 @@ command line) under cProfile, with the corpus built before profiling
 starts. It prints a header with the program count, the profiled time and
 the number of ``fractions.Fraction`` constructions (calls of
 ``Fraction.__new__``, which every ``Fraction`` operation that yields one
-makes), then ``spectrum: D decompositions, C component searches, E eigh
-calls``, the profile's counts of calls of ``graph_model.spectrum`` (its
-cache misses) and of the ``components`` and ``eigh`` calls it made, then
+makes), then ``spectrum: D decompositions, L from edge lists, C
+component searches, E eigh calls``, the profile's counts of calls of
+``graph_model.spectrum`` (its cache misses), of the misses read by the
+Python edge-list route (``_listed_stacks``, every graph below
+``LISTED_VERTICES`` vertices) and of the ``components`` and ``eigh``
+calls made under it, then
 ``forms: I from edge lists, F from block exponentials; commutation: J
 from edge lists, K by walk counts``: F counts the calls of
 ``rewrite_optimizer._read_form`` and I the other calls of
@@ -43,6 +46,8 @@ from dynwalk.rewrite_optimizer import optimize  # noqa: E402
 
 FRACTIONS = "fractions.py"
 SPECTRUM = ("graph_model.py", "spectrum")
+LISTED = ("graph_model.py", "_listed_stacks")
+SEARCHED = ("graph_model.py", "_searched_stacks")
 CLASSIFIER = ("rewrite_optimizer.py", "_phased_permutation")
 FLOAT_FORM = ("rewrite_optimizer.py", "_read_form")
 COMMUTE = ("walk_engine.py", "graphs_commute")
@@ -51,19 +56,20 @@ TOP = 10
 
 
 def spectrum_counts(stats) -> tuple:
-    """Calls of graph_model.spectrum, and of components and eigh from it, in a pstats table."""
-    decompositions = searches = eighs = 0
+    """Calls of graph_model.spectrum, of its edge-list route, and of components and eigh under it, in a pstats table."""
+    decompositions = listed = searches = eighs = 0
     for (filename, _, function), (_, calls, _, _, callers) in stats.items():
-        if (os.path.basename(filename), function) == SPECTRUM:
+        own = (os.path.basename(filename), function)
+        if own == SPECTRUM:
             decompositions += calls
-        from_spectrum = sum(
-            counts[1] for (caller, _, name), counts in callers.items() if (os.path.basename(caller), name) == SPECTRUM
-        )
+        elif own == LISTED:
+            listed += calls
+        called_by = {(os.path.basename(caller), name): counts[1] for (caller, _, name), counts in callers.items()}
         if function == "components":
-            searches += from_spectrum
+            searches += called_by.get(SEARCHED, 0)
         elif function == "eigh":
-            eighs += from_spectrum
-    return decompositions, searches, eighs
+            eighs += called_by.get(SPECTRUM, 0)
+    return decompositions, listed, searches, eighs
 
 
 def route_counts(stats) -> tuple:
@@ -96,8 +102,11 @@ def main(argv=()) -> None:
             constructions += calls
     total = sum(self_s.values())
     print(f"optimize over {len(walks)} programs: {total:.2f} s of self time, {constructions} Fraction constructions")
-    decompositions, searches, eighs = spectrum_counts(stats)
-    print(f"spectrum: {decompositions} decompositions, {searches} component searches, {eighs} eigh calls")
+    decompositions, listed, searches, eighs = spectrum_counts(stats)
+    print(
+        f"spectrum: {decompositions} decompositions, {listed} from edge lists, "
+        f"{searches} component searches, {eighs} eigh calls"
+    )
     exact, floats, edge_lists, walk_counts = route_counts(stats)
     print(
         f"forms: {exact} from edge lists, {floats} from block exponentials; "

@@ -7,6 +7,7 @@ import math
 import pickle
 import random
 from fractions import Fraction
+from itertools import chain, combinations
 
 import numpy as np
 import pytest
@@ -234,6 +235,33 @@ def test_degree_free_matches_the_edge_scan():
     asked, fresh = Graph.make(3, edges=[(0, 1)]), Graph.make(3, edges=[(0, 1)])
     assert not asked.degree_free(0)
     assert asked == fresh and repr(asked) == repr(fresh) and hash(asked) == hash(fresh)
+
+
+@pytest.mark.parametrize("name", ["_endpoints", "_hash"])
+def test_a_graph_computes_its_kept_values_once(name, monkeypatch):
+    kept = vars(Graph)[name]
+    calls = []
+
+    def counting(graph):
+        calls.append(graph)
+        return compute(graph)
+
+    compute = kept.compute
+    monkeypatch.setattr(kept, "compute", counting)
+    rng = random.Random(43)
+    for n in (1, 2, 5, 8, 33):
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3]
+        for graph in (Graph.make(n, edges, [v for v in range(n) if rng.random() < 0.5]), Graph._of(n)):
+            calls.clear()
+            first = getattr(graph, name)
+            # every reader of either value, twice over
+            hash(graph), graph.degree_free(0), supports_disjoint(graph, graph), spectrum.__wrapped__(graph)
+            assert getattr(graph, name) is first and vars(graph)[name] is first
+            assert calls == [graph]
+            if name == "_endpoints":
+                assert first == frozenset(chain(*graph.edges))
+            else:
+                assert first == hash((graph.n_vertices, graph.edges, graph.loops)) == hash(graph)
 
 
 def test_graph_union_and_degree_free():
@@ -480,7 +508,7 @@ def test_a_matching_spectrum_equals_the_component_search():
 
 def test_a_matching_spectrum_searches_no_components(monkeypatch):
     def refuse(*args):
-        raise AssertionError("a matching went through the component search")
+        raise AssertionError("a graph went through the component search")
 
     seen, searched = [], []
     eigh, search = np.linalg.eigh, gm.components
@@ -498,16 +526,99 @@ def test_a_matching_spectrum_searches_no_components(monkeypatch):
     spec = spectrum(Graph._of(1024, frozenset(map(tuple, cnot.tolist())), frozenset(idle)))
     assert seen == [(1, 2, 2)]
     assert np.array_equal(spec.looped, idle) and np.array_equal(spec.blocks[0][0], cnot)
+    # below the bound no graph is searched, whatever its components
+    rng = random.Random(43)
+    small = COMPONENT_PATH_GRAPHS + [random_graph(rng, rng.randrange(1, gm.LISTED_VERTICES)) for _ in range(50)]
+    small += [Graph._of(gm.LISTED_VERTICES - 1, graph.edges, graph.loops) for graph in COMPONENT_PATH_GRAPHS]
+    for graph in small:
+        spectrum(graph)
 
     def recording_search(*args):
         searched.append(args)
         return search(*args)
 
+    # from the bound on, every graph with a component other than an edge is searched once
     monkeypatch.setattr(gm, "components", recording_search)
-    for graph in COMPONENT_PATH_GRAPHS:
+    wide = [Graph._of(n, graph.edges, graph.loops) for n in (gm.LISTED_VERTICES, 2 * gm.LISTED_VERTICES) for graph in COMPONENT_PATH_GRAPHS]
+    for graph in wide + wide:
         spectrum(graph)
-    assert len(searched) == len(COMPONENT_PATH_GRAPHS)
+    assert len(searched) == len(wide)
     spectrum.cache_clear()
+
+
+def assert_same_spectrum(spec, looped, blocks, norm, graph):
+    """The spectrum has the reference's arrays, shape, dtype and bytes, read-only, and its norm."""
+    assert spec.n_vertices == graph.n_vertices, graph
+    arrays = [spec.looped] + [array for members, pair in spec.blocks for array in (members, *pair)]
+    references = [looped] + [array for block in blocks for array in block]
+    assert len(arrays) == len(references), graph
+    for array, reference in zip(arrays, references):
+        assert array.shape == reference.shape and array.dtype == reference.dtype, graph
+        assert array.tobytes() == reference.tobytes(), graph
+        assert not array.flags.writeable, graph
+    assert spec.norm == norm and type(spec.norm) is float, graph
+
+
+def small_graph_cases():
+    """Graphs for both spectrum routes: every graph on up to 4 vertices, then larger ones up to the bound."""
+    bound = gm.LISTED_VERTICES
+    for n in range(1, 5):
+        pairs = list(combinations(range(n), 2))
+        for edge_mask in range(1 << len(pairs)):
+            for loop_mask in range(1 << n):
+                edges = [pair for at, pair in enumerate(pairs) if edge_mask >> at & 1]
+                yield Graph.make(n, edges, [v for v in range(n) if loop_mask >> v & 1])
+    rng = random.Random(43)
+    for n in range(5, bound + 1):
+        for density in (0.5 / n, 1.5 / n, 4.0 / n, 0.5):
+            edges = [pair for pair in combinations(range(n), 2) if rng.random() < density]
+            yield Graph.make(n, edges, [v for v in range(n) if rng.random() < 0.3])
+    for graph in matching_cases():
+        if graph.n_vertices <= bound:
+            yield graph
+            # a loop on a matched end
+            yield Graph._of(graph.n_vertices, graph.edges, graph.loops | {max(graph._endpoints)})
+    # unions of equal components, whose stack is one block, and of mixed sizes
+    triangle, path, star = [(0, 1), (0, 2), (1, 2)], [(0, 1), (1, 2)], [(0, 1), (0, 2), (0, 3)]
+    for parts, loops in (
+        ([triangle] * 4, []),
+        ([path] * 5, [1, 4, 7, 10, 13]),
+        ([path] * 3, [0, 4]),
+        ([star] * 6, [0, 4, 8, 12, 16, 20]),
+        ([path, triangle, star, path, [(0, 1)], triangle], [2, 3, 9]),
+        ([star, [(0, 1)], star, path, [(0, 1)]], [0, 5, 13]),
+    ):
+        edges, at = [], 0
+        for part in parts:
+            edges += [(at + i, at + j) for i, j in part]
+            at += 1 + max(map(max, part))
+        for n in (at, bound - 1):
+            yield Graph.make(n, edges, loops)
+    yield from COMPONENT_PATH_GRAPHS
+    for n in (bound - 1, bound):
+        yield Graph._of(n, frozenset(map(tuple, _pairs(n - n % 2, 1).tolist())))
+        for density in (1.0 / n, 3.0 / n):
+            edges = [pair for pair in combinations(range(n), 2) if rng.random() < density]
+            yield Graph.make(n, edges, [v for v in range(n) if rng.random() < 0.3])
+
+
+def test_the_edge_list_route_equals_the_numpy_route_bit_for_bit(monkeypatch):
+    graphs = list(small_graph_cases())
+    bound = gm.LISTED_VERTICES
+    assert {graph.n_vertices for graph in graphs} == set(range(1, bound + 1))
+    shared = 0
+    for graph in graphs:
+        expected = spectrum.__wrapped__(graph)
+        monkeypatch.setattr(gm, "LISTED_VERTICES", 0)
+        searched = spectrum.__wrapped__(graph)
+        monkeypatch.setattr(gm, "LISTED_VERTICES", bound + 1)
+        listed = spectrum.__wrapped__(graph)
+        monkeypatch.setattr(gm, "LISTED_VERTICES", bound)
+        looped, blocks, norm = component_spectrum(graph)
+        for spec in (expected, searched, listed):
+            assert_same_spectrum(spec, looped, blocks, norm, graph)
+        shared += any(len(members) > len(eigenvalues) for members, (eigenvalues, _) in listed.blocks)
+    assert shared > 100
 
 
 def test_period_incommensurate_spectrum_is_infinite():
