@@ -484,21 +484,25 @@ COMPONENT_PATH_GRAPHS = [
 ]
 
 
+def assert_same_spectrum(spec, looped, blocks, norm, graph):
+    """The spectrum has the reference's arrays, shape, dtype and bytes, read-only, and its norm."""
+    assert spec.n_vertices == graph.n_vertices, graph
+    arrays = [spec.looped] + [array for members, pair in spec.blocks for array in (members, *pair)]
+    references = [looped] + [array for block in blocks for array in block]
+    assert len(arrays) == len(references), graph
+    for array, reference in zip(arrays, references):
+        assert array.shape == reference.shape and array.dtype == reference.dtype, graph
+        assert array.tobytes() == reference.tobytes(), graph
+        assert not array.flags.writeable, graph
+    assert spec.norm == norm and type(spec.norm) is float, graph
+
+
 def test_a_matching_spectrum_equals_the_component_search():
     graphs = list(matching_cases()) + COMPONENT_PATH_GRAPHS
     assert any(graph.loops for graph in graphs[:-3])
     spectrum.cache_clear()
     for graph in graphs:
-        spec = spectrum(graph)
-        looped, blocks, norm = component_spectrum(graph)
-        assert spec.looped.shape == looped.shape and spec.looped.dtype == looped.dtype, graph
-        assert np.array_equal(spec.looped, looped), graph
-        assert len(spec.blocks) == len(blocks), graph
-        for (members, (eigenvalues, eigenvectors)), expected in zip(spec.blocks, blocks):
-            for array, reference in zip((members, eigenvalues, eigenvectors), expected):
-                assert array.shape == reference.shape and array.dtype == reference.dtype, graph
-                assert np.array_equal(array, reference), graph
-        assert spec.norm == norm, graph
+        assert_same_spectrum(spectrum(graph), *component_spectrum(graph), graph)
     for graph in graphs[:-3]:
         ((members, (eigenvalues, eigenvectors)),) = spectrum(graph).blocks
         assert members.shape == (len(graph.edges), 2)
@@ -544,19 +548,6 @@ def test_a_matching_spectrum_searches_no_components(monkeypatch):
         spectrum(graph)
     assert len(searched) == len(wide)
     spectrum.cache_clear()
-
-
-def assert_same_spectrum(spec, looped, blocks, norm, graph):
-    """The spectrum has the reference's arrays, shape, dtype and bytes, read-only, and its norm."""
-    assert spec.n_vertices == graph.n_vertices, graph
-    arrays = [spec.looped] + [array for members, pair in spec.blocks for array in (members, *pair)]
-    references = [looped] + [array for block in blocks for array in block]
-    assert len(arrays) == len(references), graph
-    for array, reference in zip(arrays, references):
-        assert array.shape == reference.shape and array.dtype == reference.dtype, graph
-        assert array.tobytes() == reference.tobytes(), graph
-        assert not array.flags.writeable, graph
-    assert spec.norm == norm and type(spec.norm) is float, graph
 
 
 def small_graph_cases():
