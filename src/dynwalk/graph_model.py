@@ -457,11 +457,10 @@ def components(n_vertices: int, heads: np.ndarray, tails: np.ndarray) -> Tuple[n
     Returns each vertex's component size and, for each size k > 1 in
     ascending order, the (b, k) array of the components of that size: one
     per row, each row ascending, rows in order of their smallest vertex.
+    A connected graph takes the same path, and its one group is the (1, n)
+    row of every vertex in order.
     """
     labels = _component_labels(n_vertices, heads, tails)
-    if n_vertices > 1 and not labels.any():
-        # connected: every vertex's label is vertex 0
-        return np.full(n_vertices, n_vertices), [np.arange(n_vertices).reshape(1, -1)]
     size_of = np.bincount(labels, minlength=n_vertices)[labels]
     # one stable sort by size, then component, keeps each component's
     # vertices ascending; the order is cut where the size changes (with no
@@ -481,8 +480,6 @@ _EDGE_BLOCK.flags.writeable = False
 
 def _loop_free_matching(n_vertices: int, ends: np.ndarray, loops: np.ndarray) -> bool:
     """True when no vertex is on two edges and no loop sits on a vertex with an edge."""
-    if ends.size > n_vertices:
-        return False  # more edge ends than vertices: some vertex has two
     degree = np.bincount(ends, minlength=n_vertices)
     return np.count_nonzero(degree) == ends.size and not np.count_nonzero(degree[loops])
 
@@ -655,7 +652,12 @@ def period(graph: Graph) -> Optional[Fraction]:
 
 
 def _period(graph: Graph) -> Optional[Tuple[int, int]]:
-    """period's value as (p, q) in lowest terms, or None."""
+    """period's value as (p, q) in lowest terms, or None.
+
+    A ratio in [1e-12, 1e-9) rationalizes to 0/1, and p = 0, q = 1 change
+    neither gcd(p) nor lcm(q); the norm's own ratio, exactly 1, is always
+    among the ratios, so the sets are never {0} and {1} alone.
+    """
     if graph.is_empty:
         return 0, 1
     spec = spectrum(graph)
@@ -670,8 +672,6 @@ def _period(graph: Graph) -> Optional[Tuple[int, int]]:
         ratio = _small_ratio(value)
         if ratio is None:
             return None
-        if ratio[0] == 0:
-            continue
         numerators.add(ratio[0])
         denominators.add(ratio[1])
     lcm_q = math.lcm(*denominators)

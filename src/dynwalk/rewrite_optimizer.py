@@ -104,8 +104,9 @@ edges (loops-only steps, matchings with loops anywhere, the empty graph)
 is read from its edge list and duration, and only the form of a graph
 with a vertex on two edges from its block exponentials;
 ``walk_engine.graphs_commute`` per graph pair for the block swaps, which
-decides equal graphs, support-disjoint ones and a side without edges
-from the edge lists and counts walks only for the other pairs; the
+decides from the edge lists every pair in which one graph's edges avoid
+the other's edges and loops, support-disjoint pairs and a side without
+edges among them, and counts walks only for the other pairs; the
 merges of two steps (``_merge_identical``, ``_merge_complementary``);
 what a looped singleton carries out of a step (``_singleton_source``,
 on the source step and the vertex); what a target step becomes when it
@@ -433,10 +434,10 @@ def _phase_angle(target: complex) -> Optional[Tuple[int, int]]:
     theta/pi is the ratio of denominator at most PHASE_DENOMINATOR_LIMIT
     nearest the target's angle, which ``_nearest_ratio`` finds when it
     lies within 1/(2 * 64^2) of it; a farther one misses the target by
-    far more than VERIFY_TOLERANCE.
+    far more than VERIFY_TOLERANCE. The last check also refuses a target
+    whose modulus is off 1 by more than VERIFY_TOLERANCE, an infinite one
+    included, since |exp(-i theta) - target| >= |1 - |target||.
     """
-    if abs(abs(target) - 1.0) > VERIFY_TOLERANCE:
-        return None
     theta = (-cmath.phase(target)) % (2.0 * math.pi)
     ratio = _nearest_ratio(theta / math.pi, PHASE_DENOMINATOR_LIMIT)
     if ratio is None:

@@ -77,7 +77,7 @@ from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .graph_model import DynamicGraph, Graph, TimedGraph, _radians, components, spectrum, supports_disjoint
+from .graph_model import DynamicGraph, Graph, TimedGraph, _radians, components, spectrum
 from .numerics import overlap_distance
 
 __all__ = [
@@ -263,21 +263,23 @@ def _arcs(graph: Graph) -> List[Tuple[int, int]]:
 def graphs_commute(a: Graph, b: Graph) -> bool:
     """Exact test of whether two adjacency matrices commute, from the edge lists.
 
-    Three kinds of pair are decided without counting walks: equal graphs
-    commute, and so do support-disjoint ones, since AB = 0 = BA. A graph
-    D without edges is diagonal, and (DB - BD)_uv = (D_uu - D_vv) B_uv,
-    so it commutes with B exactly when each edge of B has both ends
-    looped in D or neither. For any other pair, (AB)_ij counts the walks
-    i -A- k -B- j, with a loop as a vertex's own neighbour. (AB)^T = BA,
-    so AB = BA exactly when those counts are symmetric.
+    Write A = D + E, D the diagonal of A (its loops) and E its edges. When
+    no edge of A touches a vertex that carries an edge or loop of B, E is
+    zero outside the rows and columns of A's edge ends and B is zero in
+    them, so EB = 0 = BE and AB - BA = DB - BD, whose entry (u, v) is
+    (D_uu - D_vv) B_uv. So A and B commute exactly when each edge of B
+    has both ends looped in A or neither. The rule is tried with each
+    graph as A; it decides, among others, support-disjoint pairs and
+    every pair with a side without edges. For any other pair, equal
+    graphs included, (AB)_ij counts the walks i -A- k -B- j, with a loop
+    as a vertex's own neighbour. (AB)^T = BA, so AB = BA exactly when
+    those counts are symmetric.
     """
     if a.n_vertices != b.n_vertices:
         raise ValueError("vertex sets differ")
-    if a == b or supports_disjoint(a, b):
-        return True
-    if not a.edges or not b.edges:
-        diagonal, other = (b, a) if a.edges else (a, b)
-        return all((i in diagonal.loops) == (j in diagonal.loops) for i, j in other.edges)
+    for first, other in ((a, b), (b, a)):
+        if first._endpoints.isdisjoint(other._endpoints) and first._endpoints.isdisjoint(other.loops):
+            return all((i in first.loops) == (j in first.loops) for i, j in other.edges)
     onward = defaultdict(list)
     for k, j in _arcs(b):
         onward[k].append(j)

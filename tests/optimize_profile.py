@@ -3,7 +3,11 @@
 The script runs ``optimize`` on every program of ``corpus_digest.corpus()``
 (seeds 0-299 and the three named programs, or the seed count given on the
 command line) under cProfile, with the corpus built before profiling
-starts. It prints a header with the program count, the profiled time and
+starts. Building the corpus compiles and checks circuits, which fills the
+package's ``lru_cache``s, so every one of them is emptied before each
+``optimize`` call, with the profiler stopped: each call starts cold, as a
+command-line call does and as ``perfbench/worker.run_pass`` has it before
+each call. It prints a header with the program count, the profiled time and
 the number of ``fractions.Fraction`` constructions (calls of
 ``Fraction.__new__``, which every ``Fraction`` operation that yields one
 makes), then ``spectrum: D decompositions, L from edge lists, C
@@ -17,7 +21,8 @@ from edge lists, K by walk counts``: F counts the calls of
 ``rewrite_optimizer._read_form`` and I the other calls of
 ``_phased_permutation`` (the classifier's memo misses); K counts the
 walk counts ``walk_engine.graphs_commute`` made, half the calls of
-``_arcs`` (each count reads both graphs' arcs), and J its other calls. Then it prints
+``_arcs`` (each count reads both graphs' arcs), and J its other calls,
+the pairs its rule on one graph's loops decided. Then it prints
 one line per source file with its self time and share of
 the total, largest first; functions built into the interpreter are
 pooled as ``(built-in)``. ``fractions.py``'s line is printed whatever its
@@ -84,14 +89,28 @@ def route_counts(stats) -> tuple:
     return calls[CLASSIFIER] - floats, floats, calls[COMMUTE] - walk_counts, walk_counts
 
 
+def package_caches() -> set:
+    """Every lru_cache of the package's modules, each once however many modules import it."""
+    return {
+        value
+        for name, module in sys.modules.items()
+        if name.startswith("dynwalk.")
+        for value in vars(module).values()
+        if callable(getattr(value, "cache_clear", None))
+    }
+
+
 def main(argv=()) -> None:
     seeds = int(argv[0]) if argv else corpus_digest.SEEDS
     walks = [walk for _, walk in corpus_digest.corpus(seeds)]
+    caches = package_caches()
     profile = cProfile.Profile()
-    profile.enable()
     for walk in walks:
+        for cache in caches:
+            cache.cache_clear()
+        profile.enable()
         optimize(walk)
-    profile.disable()
+        profile.disable()
     stats = pstats.Stats(profile).stats
     self_s: Counter = Counter({FRACTIONS: 0.0})
     constructions = 0

@@ -374,7 +374,7 @@ def union_find_components(n, heads, tails):
 
     def root(v):
         while parent[v] != v:
-            v = parent[v]
+            parent[v] = v = parent[parent[v]]  # path halving keeps a 4,096-vertex path fast
         return v
 
     for i, j in zip(heads.tolist(), tails.tolist()):
@@ -404,17 +404,24 @@ def component_cases():
             yield pytest.param(n, heads, heads ^ mask, id=f"matching on {n} vertices, mask {mask}, control {control}")
         cube = np.concatenate([vertices[(vertices & bit) == 0] for bit in (1, 2)])
         yield pytest.param(n, cube, cube ^ np.where(np.arange(cube.size) < n // 2, 1, 2), id=f"2-cubes on {n} vertices")
+    # connected graphs: one component of every vertex
+    for q in (1, 4, 9, 12):
+        n = 2**q
+        vertices = np.arange(n)
+        yield pytest.param(n, vertices[:-1], vertices[1:], id=f"path on {n} vertices")
+        yield pytest.param(n, np.zeros(n - 1, dtype=np.intp), vertices[1:], id=f"star on {n} vertices")
+        heads = np.concatenate([vertices[(vertices & 1 << bit) == 0] for bit in range(q)])
+        yield pytest.param(n, heads, heads ^ np.repeat(1 << np.arange(q), n // 2), id=f"{q}-cube on {n} vertices")
 
 
 @pytest.mark.parametrize("n, heads, tails", component_cases())
 def test_components_match_a_union_find_reference(n, heads, tails):
     size_of, groups = gm.components(n, heads, tails)
     expected_sizes, expected_groups = union_find_components(n, heads, tails)
-    assert np.array_equal(size_of, expected_sizes)
+    for array, expected in zip((size_of, *groups), (expected_sizes, *expected_groups)):
+        assert array.dtype == expected.dtype and array.shape == expected.shape
+        assert array.tobytes() == expected.tobytes()
     assert len(groups) == len(expected_groups)
-    for members, expected in zip(groups, expected_groups):
-        assert members.dtype == expected.dtype and members.shape == expected.shape
-        assert np.array_equal(members, expected)
 
 
 def component_spectrum(graph):
@@ -610,6 +617,15 @@ def test_the_edge_list_route_equals_the_numpy_route_bit_for_bit(monkeypatch):
             assert_same_spectrum(spec, looped, blocks, norm, graph)
         shared += any(len(members) > len(eigenvalues) for members, (eigenvalues, _) in listed.blocks)
     assert shared > 100
+
+
+def test_period_ignores_a_ratio_that_rounds_to_zero(monkeypatch):
+    """A ratio in [1e-12, 1e-9) rationalizes to 0/1 and changes neither gcd(p) nor lcm(q)."""
+    graph = Graph.make(2, edges=[(0, 1)])
+    for tiny in ([], [2e-12], [6e-10, -1.998e-9]):
+        spec = type("Stub", (), {"norm": 2.0, "eigenvalues": lambda self, tiny=tiny: np.array([2.0, -1.0, *tiny])})()
+        monkeypatch.setattr(gm, "spectrum", lambda graph, spec=spec: spec)
+        assert gm._period(graph) == (4, 1)  # ratios 1 and 1/2: 2pi * lcm(1, 2) / gcd(1, 1)
 
 
 def test_period_incommensurate_spectrum_is_infinite():

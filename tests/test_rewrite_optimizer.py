@@ -9,6 +9,7 @@ replacement) and are asserted exactly. The unitary oracle is total_unitary, comp
 phase-invariant distance, the same check the driver itself performs.
 """
 
+import cmath
 import functools
 import gc
 import importlib
@@ -809,6 +810,19 @@ def dense_phased_permutation(step):
     den = math.lcm(*(a.denominator for a in angle_of.values()))
     turns = tuple(a.numerator * (den // a.denominator) for a in angles)
     return ro.PhasedPermutation(tuple(rows.tolist()), turns, den, bitflip)
+
+
+def test_phase_angle_refuses_targets_off_the_unit_circle():
+    """A modulus 1 +- 2e-9 misses exp(-i theta) by more than VERIFY_TOLERANCE at every exact angle, and so does an infinite one."""
+    for den in (1, 2, 3, 8, 64):
+        for num in range(2 * den):
+            target = cmath.exp(-1j * math.pi * num / den)
+            common = math.gcd(num, den)
+            assert ro._phase_angle(target) == (num // common, den // common)
+            for scale in (1 - 2e-9, 1 + 2e-9):
+                assert ro._phase_angle(scale * target) is None
+    for target in (complex("inf"), complex("-inf"), complex("infj"), complex("inf+infj")):
+        assert ro._phase_angle(target) is None
 
 
 def random_small_step(rng):

@@ -105,12 +105,11 @@ def test_graphs_commute_cases():
 
 
 def commute_route(a, b):
-    """Which test decides the pair: equal graphs, disjoint supports, a side without edges, or the walk counts."""
-    if a == b:
-        return "equal"
-    if not (a.loops | a._endpoints) & (b.loops | b._endpoints):
-        return "disjoint"
-    return "edge-free" if not a.edges or not b.edges else "walks"
+    """Which test decides the pair: the diagonal rule, when one graph's edges avoid the other's edges and loops, or the walk counts."""
+    for first, other in ((a, b), (b, a)):
+        if not first._endpoints & (other.loops | other._endpoints):
+            return "diagonal"
+    return "walks"
 
 
 def disjoint_graph(rng, graph, edge_chance, loop_chance):
@@ -120,16 +119,28 @@ def disjoint_graph(rng, graph, edge_chance, loop_chance):
     return Graph.make(graph.n_vertices, edges=edges, loops=[v for v in free if rng.random() < loop_chance])
 
 
+def looped_over(rng, graph, loop_chance):
+    """A random graph whose edges avoid the given graph's edges and loops, with loops on some of its edge ends."""
+    apart = disjoint_graph(rng, graph, 0.5, 0.5)
+    ends = [v for v in sorted(graph._endpoints) if rng.random() < loop_chance]
+    return Graph.make(graph.n_vertices, edges=apart.edges, loops=apart.loops | set(ends))
+
+
 @pytest.mark.parametrize("seed", range(6))
-def test_graphs_commute_matches_the_dense_products(seed):
-    """The edge-list routes and the walk counts decide exactly what the integer matrix products decide."""
+def test_graphs_commute_matches_the_dense_products(seed, monkeypatch):
+    """The diagonal rule and the walk counts decide exactly what the integer matrix products decide.
+
+    The rule reads no arc list, and a walk count reads both graphs' arcs.
+    """
+    arcs, read = [], we._arcs
+    monkeypatch.setattr(we, "_arcs", lambda graph: arcs.append(graph) or read(graph))
     rng = np.random.default_rng(seed)
     verdicts = set()
-    for _ in range(200):
+    for _ in range(240):
         n = int(rng.integers(1, 9))
         edge_chance = float(rng.choice([0.05, 0.15, 0.4]))
         a = random_graph(rng, n, edge_chance, 0.5)
-        kind = rng.integers(5)
+        kind = rng.integers(6)
         if kind == 4:
             n, (x, y) = 8, rng.choice(range(1, 8), size=2, replace=False)
             a, b = matching(8, int(x)), matching(8, int(y))  # XOR matchings commute
@@ -139,34 +150,52 @@ def test_graphs_commute_matches_the_dense_products(seed):
             b = random_graph(rng, n, 0.0, 0.5)  # loops only, or empty
         elif kind == 2:
             b = disjoint_graph(rng, a, 0.5, 0.5)
-        else:
+        elif kind == 3:
             b = Graph.make(n, edges=a.edges, loops=a.loops)
+        else:
+            b = looped_over(rng, a, float(rng.choice([0.5, 1.0])))
         for first, second in ((a, b), (b, a)):
             ma, mb = adjacency_matrix(first), adjacency_matrix(second)
             expected = np.array_equal(ma @ mb, mb @ ma)
+            arcs.clear()
             assert graphs_commute(first, second) == expected
-            verdicts.add((commute_route(first, second), expected))
-    assert {("equal", True), ("disjoint", True), ("edge-free", True), ("edge-free", False)} <= verdicts
-    assert {("walks", True), ("walks", False)} <= verdicts
+            route = commute_route(first, second)
+            assert len(arcs) == (0 if route == "diagonal" else 2)
+            verdicts.add((route, expected))
+            verdicts.add((f"kind {kind}", expected))
+    assert {("diagonal", True), ("diagonal", False), ("walks", True), ("walks", False)} <= verdicts
+    assert {("kind 5", True), ("kind 5", False)} <= verdicts
 
 
 def test_graphs_commute_decides_three_kinds_of_pair_without_walk_counts(monkeypatch):
-    """Equal graphs, disjoint supports and a side without edges are decided without reading any arc list."""
+    """Disjoint supports, a side without edges, and edges apart from the other's support with loops on its edge ends.
+
+    The diagonal rule decides each kind in both orders without reading any
+    arc list; equal graphs with edges go to the walk counts.
+    """
 
     def refused(graph):
         raise AssertionError("graphs_commute counted walks")
 
     monkeypatch.setattr(we, "_arcs", refused)
     path = Graph.make(6, edges=[(0, 1), (1, 2)], loops=[5])
-    assert graphs_commute(path, Graph.make(6, edges=[(0, 1), (1, 2)], loops=[5]))
-    assert graphs_commute(path, Graph.make(6, edges=[(3, 4)]))
-    assert graphs_commute(path, Graph.make(6))
-    assert graphs_commute(Graph.make(6, loops=[0, 1, 2]), path)
-    assert graphs_commute(path, Graph.make(6, loops=[3, 5]))
-    assert not graphs_commute(path, Graph.make(6, loops=[1, 2]))
-    assert not graphs_commute(Graph.make(6, loops=[0, 3]), path)
-    with pytest.raises(AssertionError, match="counted walks"):
-        graphs_commute(path, matching(6, 1))
+    for other, commute in [
+        (Graph.make(6, edges=[(3, 4)]), True),
+        (Graph.make(6), True),
+        (Graph.make(6, loops=[0, 1, 2]), True),
+        (Graph.make(6, loops=[3, 5]), True),
+        (Graph.make(6, loops=[1, 2]), False),
+        (Graph.make(6, loops=[0, 3]), False),
+        (Graph.make(6, edges=[(3, 4)], loops=[0, 1, 2, 3]), True),
+        (Graph.make(6, edges=[(3, 4)], loops=[0, 1, 2]), True),
+        (Graph.make(6, edges=[(3, 4)], loops=[0, 1]), False),
+        (Graph.make(6, edges=[(3, 4)], loops=[2]), False),
+    ]:
+        assert graphs_commute(path, other) == commute
+        assert graphs_commute(other, path) == commute
+    for other in (Graph.make(6, edges=[(0, 1), (1, 2)], loops=[5]), matching(6, 1)):
+        with pytest.raises(AssertionError, match="counted walks"):
+            graphs_commute(path, other)
 
 
 def dense_step_unitary(step):
