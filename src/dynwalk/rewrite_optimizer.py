@@ -104,10 +104,10 @@ edges (loops-only steps, matchings with loops anywhere, the empty graph)
 is read from its edge list and duration, and only the form of a graph
 with a vertex on two edges from its block exponentials;
 ``walk_engine.graphs_commute`` per graph pair for the block swaps, which
-decides from the edge lists every pair in which one graph's edges avoid
-the other's edges and loops, support-disjoint pairs and a side without
-edges among them, and counts walks only for the other pairs; the
-merges of two steps (``_merge_identical``, ``_merge_complementary``);
+decides from one graph's loops every pair in which that graph's edges
+avoid the other's edges and loops (support-disjoint pairs and a side
+without edges among them), and counts walks for the other pairs, equal
+graphs with edges included; the merges of two steps (``_merge_identical``, ``_merge_complementary``);
 what a looped singleton carries out of a step (``_singleton_source``,
 on the source step and the vertex); what a target step becomes when it
 absorbs that phase (``_singleton_landing``, on the target step, the

@@ -8,6 +8,7 @@ import pickle
 import random
 from fractions import Fraction
 from itertools import chain, combinations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -623,7 +624,7 @@ def test_period_ignores_a_ratio_that_rounds_to_zero(monkeypatch):
     """A ratio in [1e-12, 1e-9) rationalizes to 0/1 and changes neither gcd(p) nor lcm(q)."""
     graph = Graph.make(2, edges=[(0, 1)])
     for tiny in ([], [2e-12], [6e-10, -1.998e-9]):
-        spec = type("Stub", (), {"norm": 2.0, "eigenvalues": lambda self, tiny=tiny: np.array([2.0, -1.0, *tiny])})()
+        spec = SimpleNamespace(norm=2.0, eigenvalues=lambda tiny=tiny: np.array([2.0, -1.0, *tiny]))
         monkeypatch.setattr(gm, "spectrum", lambda graph, spec=spec: spec)
         assert gm._period(graph) == (4, 1)  # ratios 1 and 1/2: 2pi * lcm(1, 2) / gcd(1, 1)
 
