@@ -50,6 +50,7 @@ from .gate_compiler import circuit_distance, compile_circuit, mixing_pairs, pars
 from .graph_model import (
     DynamicGraph,
     ParseError,
+    _check_time_digits,
     _decode_json,
     format_angle,
     parse_dynamic_graph,
@@ -265,6 +266,10 @@ def cmd_compile(args: argparse.Namespace) -> CommandResult:
     except ParseError as err:
         raise CliInputError(f"{args.circuit}: {err}") from err
     walk = compile_circuit(circuit, parallel_hadamards=args.parallel_h)
+    try:
+        _check_time_digits(walk.steps)
+    except ParseError as err:
+        raise CliInputError(f"{args.circuit}: compiled walk: {err}") from err
     # the distance of W from C, read off C^dag W in blocks of W's layout
     # over the union of its graphs and the pairs the gates mix
     distance = circuit_distance(circuit, laid_out_unitary(walk, mixing_pairs(circuit)))

@@ -24,7 +24,8 @@ and reports the JSON path of the offending element, since hand-edited walk
 files are the normal input. It refuses more than ``MAX_VERTICES`` vertices
 before building anything, since ``unitary`` and ``optimize`` hold n x n
 unitaries, and durations that need more than ``MAX_TIME_DIGITS`` digits
-over a common denominator, which no command could print.
+over a common denominator, which no command could print; ``compile``
+refuses such a compiled walk by the same check (``_check_time_digits``).
 
 A step's edge and loop lists are read in one pass of plain inline tests
 per entry, which calls no function. The tests run in the order that names
@@ -680,6 +681,24 @@ def _period(graph: Graph) -> Optional[Tuple[int, int]]:
     return 2 * lcm_q // common, gcd_p // common
 
 
+def _reduced(graph: Graph, num: int, den: int) -> Tuple[int, int]:
+    """num/den modulo the graph's period, in lowest terms if num/den is; aperiodic (None) keeps it, period 0 zeroes it.
+
+    A nonempty graph's largest eigenvalue ratio is exactly 1, so its period
+    is None or an even multiple of pi, and a duration under 2pi needs no
+    lookup.
+    """
+    if num < 2 * den and not graph.is_empty:
+        return num, den
+    cycle = _period(graph)
+    if cycle is None:
+        return num, den
+    p, q = cycle
+    num, den = (num * q % (p * den), den * q) if p else (0, 1)
+    common = math.gcd(num, den)
+    return num // common, den // common
+
+
 class ParseError(ValueError):
     """Raised for malformed walk JSON; the message carries the JSON path."""
 
@@ -802,10 +821,15 @@ def parse_dynamic_graph(text: str) -> DynamicGraph:
         _parse_step(step, n_vertices, f"sequence[{index}]")
         for index, step in enumerate(raw_sequence)
     )
+    _check_time_digits(steps)
+    return DynamicGraph(n_vertices, steps)
+
+
+def _check_time_digits(steps: Sequence[TimedGraph]) -> None:
+    """Raise ParseError when the steps' durations, or their sum, need more than MAX_TIME_DIGITS digits over a common denominator."""
     total, den = _span_time(steps)
     if max(den, total) >= 10**MAX_TIME_DIGITS:
         _fail("sequence", f"the durations need more than {MAX_TIME_DIGITS} digits over a common denominator")
-    return DynamicGraph(n_vertices, steps)
 
 
 # json.dumps(indent=2)'s layout of a walk: one step of the sequence, with its

@@ -40,15 +40,17 @@ step strictly decreases it, so the driver terminates.
 When no rule fires, the driver scans the last-resort rows (the
 per-vertex singleton moves, then the wider COMBINE_PST fold), and when
 those find nothing either it spends a bounded search on cost-neutral
-enabling moves (commuting swaps of adjacent blocks, singleton moves, or
-neutral phased bit-flip folds) that let a strictly improving rewrite of
-the regular rows land immediately after. The fold waits so that it never
-preempts the regular rules, the loop staircase among them: its spans
-start early and reach far, and the scan takes the leftmost position. The
-singleton moves wait too: they are the only sites whose verdict reads
-steps away from their position, as a move reads every step up to its
-target. Every regular site is span-local, a verdict on a contiguous run
-of steps from its own position.
+enabling moves (commuting swaps of adjacent blocks, or singleton moves)
+that let a strictly improving rewrite of the regular rows land
+immediately after. Both kinds are neutral by construction: a swap
+re-orders the same steps, and only the singleton moves priced (0, 0) are
+offered. COMBINE_PST alone has no enabling move. The last-resort fold
+waits so that it never preempts the regular rules, the loop staircase
+among them: its spans start early and reach far, and the scan takes the
+leftmost position. The singleton moves wait too: they are the only sites
+whose verdict reads steps away from their position, as a move reads
+every step up to its target. Every regular site is span-local, a verdict
+on a contiguous run of steps from its own position.
 
 A rewrite that fails verification is skipped from then on, on every walk,
 by what the verification reads: the steps of its span and their
@@ -189,7 +191,7 @@ from .graph_model import (
     Graph,
     TimedGraph,
     _nearest_ratio,
-    _period,
+    _reduced,
     _small_ratio,
     _span_time,
     format_angle,
@@ -410,22 +412,6 @@ def _read_form(step: TimedGraph) -> Optional[PhasedPermutation]:
     den = math.lcm(*(a_den for _, a_den in angle_of.values()))
     turn_of = {value: a_num * (den // a_den) for value, (a_num, a_den) in angle_of.items()}
     return PhasedPermutation(tuple(rows.tolist()), tuple(map(turn_of.__getitem__, entries)), den, bitflip)
-
-
-def _reduced(graph: Graph, num: int, den: int) -> Tuple[int, int]:
-    """num/den modulo the graph's period, over a multiple of den; aperiodic (None) keeps it, period 0 zeroes it.
-
-    A nonempty graph's largest eigenvalue ratio is exactly 1, so its period
-    is None or an even multiple of pi, and a duration under 2pi needs no
-    lookup.
-    """
-    if num < 2 * den and not graph.is_empty:
-        return num, den
-    cycle = _period(graph)
-    if cycle is None:
-        return num, den
-    p, q = cycle
-    return (num * q % (p * den), den * q) if p else (0, 1)
 
 
 def _phase_angle(target: complex) -> Optional[Tuple[int, int]]:
@@ -1043,17 +1029,6 @@ def _block_swap_sites(facts: ScanFacts) -> Iterator[Site]:
                     yield i, i + total, right + left, f"swap blocks {a}+{total - a}"
 
 
-def _everywhere(sites: PositionSites) -> WalkSites:
-    """A scan rule's sites at every position, noted as enabling moves."""
-
-    def enabling(facts: ScanFacts) -> Iterator[Site]:
-        for index in range(facts.walk.graph_count):
-            for start, stop, replacement, _ in sites(facts, index):
-                yield start, stop, replacement, "enabling"
-
-    return enabling
-
-
 def _enabling_singleton_sites(facts: ScanFacts) -> Iterator[Site]:
     """The cost-neutral singleton moves, out of every source."""
     for source in range(facts.walk.graph_count):
@@ -1067,10 +1042,12 @@ def _enabling_singleton_sites(facts: ScanFacts) -> Iterator[Site]:
 # _REGULAR holds each rule's sites at one position for the improving scan.
 # _LAST_RESORT holds the rows that scan offers only after the regular rows
 # found nothing: the ones whose sites are not span-local (see the module
-# docstring). _MOVES holds each rule's sites over the whole walk for the
-# enabling search.
+# docstring). _MOVES holds each rule's cost-neutral sites over the whole
+# walk for the enabling search.
 # MERGE_COMPLEMENTARY has no enabling sites: a merge saves the shorter of
-# two durations, and a normalized walk has no zero duration.
+# two durations, and a normalized walk has no zero duration. Nor has
+# COMBINE_PST: a neutral fold of a run was offered once in a corpus of 603
+# programs and never landed.
 _REGULAR: Rows = (
     (RULE_MERGE_IDENTICAL, _merge_identical_sites),
     (RULE_COMBINE_PST, _combine_pst_sites),
@@ -1081,7 +1058,6 @@ _REGULAR: Rows = (
 _LAST_RESORT: Rows = ((RULE_MOVE_SINGLETON, _singleton_sites), (RULE_COMBINE_PST, _fold_sites))
 _MOVES: Moves = (
     (RULE_SWAP_COMMUTING, _block_swap_sites),
-    (RULE_COMBINE_PST, _everywhere(_combine_pst_sites)),
     (RULE_MOVE_SINGLETON, _enabling_singleton_sites),
 )
 
@@ -1135,12 +1111,15 @@ def _find_enabling_pair(
 ) -> Optional[List[Rewrite]]:
     """A cost-neutral move that lets the scan land a strict improvement.
 
-    The driver searches only when every improving rewrite of the walk is
-    skipped, so the follow-up scan after a move reads just the window the
-    move rewrote. It reads only the regular rows, whose sites are all
-    span-local, so a move that would enable only a singleton move or a
-    fold is not taken. A move that rewrites its span into the same steps
-    leaves the walk as it was, so it is passed over, as is a skipped move.
+    Every move row offers only cost-neutral sites (block swaps re-order
+    the same steps; singleton moves are built only when priced (0, 0)), so
+    no move is priced here. The driver searches only when every improving
+    rewrite of the walk is skipped, so the follow-up scan after a move
+    reads just the window the move rewrote. It reads only the regular
+    rows, whose sites are all span-local, so a move that would enable only
+    a singleton move or a fold is not taken. A move that rewrites its span
+    into the same steps leaves the walk as it was, so it is passed over, as
+    is a skipped move.
     Each candidate's ScanFacts come from the walk's through ``moved``, so
     the prefix products left and right of the window are built once per
     search, and only the window's are built per candidate.
@@ -1148,9 +1127,6 @@ def _find_enabling_pair(
     walk = facts.walk
     for rule, sites in moves:
         for start, stop, replacement, note in sites(facts):
-            saved, _, removed = _gain(facts, start, stop, replacement)
-            if saved or removed:
-                continue
             span = walk.steps[start:stop]
             if replacement == span or (span, replacement) in skip:
                 continue

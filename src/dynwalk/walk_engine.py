@@ -77,7 +77,7 @@ from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .graph_model import DynamicGraph, Graph, TimedGraph, _radians, components, spectrum
+from .graph_model import DynamicGraph, Graph, TimedGraph, _radians, _reduced, components, spectrum
 from .numerics import overlap_distance
 
 __all__ = [
@@ -113,9 +113,14 @@ BLOCK_ENTRIES = 2**19
 
 
 def _factors(step: TimedGraph) -> Factors:
-    """The step's kernel factors, from the spectrum of its graph: one exponential per decomposition."""
+    """The step's kernel factors, from the spectrum of its graph: one exponential per decomposition.
+
+    The rate comes from the duration reduced modulo the graph's period, so
+    a long periodic step loses no bits to its float angle; a step shorter
+    than its period keeps its own.
+    """
     spec = spectrum(step.graph)
-    rate = _radians(step.pi_num, step.pi_den) / spec.norm if spec.norm else 0.0
+    rate = _radians(*_reduced(step.graph, step.pi_num, step.pi_den)) / spec.norm if spec.norm else 0.0
     blocks = []
     for members, (eigenvalues, vectors) in spec.blocks:
         exponential = (vectors * np.exp(-1j * rate * eigenvalues)[..., None, :]) @ np.swapaxes(vectors, -1, -2)

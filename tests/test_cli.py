@@ -654,6 +654,55 @@ def test_durations_just_under_the_digit_bound_run(tmp_path, capsys, command):
         assert merged.duration == Fraction(1, 10**498 + 1) + Fraction(1, 10**500 + 3)
 
 
+def phase_circuit(tmp_path, *pi_dens):
+    gates = [{"kind": "PHASE", "target": 0, "theta": {"pi_num": 1, "pi_den": den}} for den in pi_dens]
+    return write_circuit(tmp_path / "c.json", {"n_qubits": 1, "gates": gates})
+
+
+@pytest.mark.parametrize(
+    "pi_dens",
+    [
+        # the summed time would need about 8,000 digits, past the int-to-str limit
+        (10**3999 + 1, 10**3999 + 3),
+        # printable, but a walk no other command would read
+        (10**1500 + 1,),
+    ],
+)
+def test_compile_refuses_a_walk_past_the_digit_bound(tmp_path, capsys, pi_dens):
+    circuit_file = phase_circuit(tmp_path, *pi_dens)
+    out = tmp_path / "out.json"
+    assert main(["compile", circuit_file, "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {circuit_file}: compiled walk: sequence: the durations need more than 1000 digits"
+        " over a common denominator\n"
+    )
+    assert not out.exists()
+
+
+def test_compile_writes_a_walk_just_under_the_digit_bound(tmp_path, capsys):
+    circuit_file = phase_circuit(tmp_path, 10**998 + 1)
+    out = tmp_path / "out.json"
+    assert main(["compile", circuit_file, "-o", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert main(["stats", str(out)]) == 0
+
+
+def test_a_long_periodic_step_runs_as_its_reduced_duration(tmp_path, capsys):
+    # one edge has period 2pi, so (10^12 + 1/2)pi acts as pi/2: a full swap
+    walk_file = huge_time_walk(tmp_path, 2 * 10**12 + 1, 2)
+    out = tmp_path / "out.json"
+    assert main(["optimize", walk_file, "-o", str(out)]) == 0
+    (step,) = parse_dynamic_graph(out.read_text()).steps
+    assert step.duration == Fraction(1, 2)
+    assert float(capsys.readouterr().out.splitlines()[3].split(":")[1]) < 1e-12
+    assert main(["simulate", walk_file]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert abs(parse_amplitude(lines[0].split(maxsplit=1)[1])) < 1e-12
+    assert abs(parse_amplitude(lines[1].split(maxsplit=1)[1]) + 1j) < 1e-12
+
+
 def test_compile_verification_failure_writes_nothing(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "circuit_distance", lambda circuit, blocks: 1.0)
     circuit_file = write_circuit(

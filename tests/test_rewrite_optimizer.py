@@ -44,7 +44,7 @@ from dynwalk.gate_compiler import (
     compile_circuit,
     compile_hadamard_layer,
 )
-from dynwalk.graph_model import DynamicGraph, Graph, TimedGraph, _small_ratio, period, spectrum
+from dynwalk.graph_model import DynamicGraph, Graph, TimedGraph, _reduced, _small_ratio, period, spectrum
 from dynwalk.numerics import phase_distance
 from dynwalk.rewrite_optimizer import (
     ALL_RULES,
@@ -136,7 +136,10 @@ def test_merge_identical_reduces_modulo_period():
 
 @pytest.mark.parametrize("seed", range(4))
 def test_a_duration_under_two_pi_needs_no_period(seed):
-    """A nonempty graph's period is None or an even multiple of pi, so _reduced looks it up only from 2pi on."""
+    """A nonempty graph's period is None or an even multiple of pi, so _reduced looks it up only from 2pi on.
+
+    What it returns is in lowest terms, as the durations it is given are.
+    """
     rng = random.Random(seed)
     for _ in range(500):
         n = rng.randrange(1, 9)
@@ -147,7 +150,8 @@ def test_a_duration_under_two_pi_needs_no_period(seed):
             assert cycle is None or (cycle > 0 and cycle.denominator == 1 and cycle.numerator % 2 == 0)
         duration = angle(rng.randrange(0, 24), rng.choice([1, 2, 3, 4, 8]))
         expected = duration if cycle is None else duration % cycle if cycle else 0
-        assert Fraction(*ro._reduced(graph, duration.numerator, duration.denominator)) == expected
+        num, den = _reduced(graph, duration.numerator, duration.denominator)
+        assert Fraction(num, den) == expected and math.gcd(num, den) == 1
 
 
 def test_merge_identical_drops_full_period():
@@ -1267,7 +1271,7 @@ def test_integer_prices_and_verdicts_match_fraction_arithmetic(seed):
         longer = steps + tuple(TimedGraph(step.graph, 3 * step.duration + angle(7, 4)) for step in steps)
         for step in longer:
             for duration in (step.duration, step.duration + 2):
-                num, den = ro._reduced(step.graph, duration.numerator, duration.denominator)
+                num, den = _reduced(step.graph, duration.numerator, duration.denominator)
                 assert angle(num, den) == fraction_reduced(duration, step.graph)
             for vertex in sorted(step.graph.loops):
                 moved = ro._singleton_source(step, vertex)
@@ -1312,16 +1316,15 @@ def enabling_searches(walk):
 def neutral_moves(walk, moves, skip=()):
     """Every enabling candidate: the facts of the moved walk and the window it rewrote.
 
-    A candidate is cost-neutral, changes its span and is not skipped. Its
-    facts come from the walk's, as the enabling search derives them.
+    A candidate changes its span and is not skipped; every move is
+    cost-neutral (test_every_enabling_move_is_cost_neutral). Its facts come
+    from the walk's, as the enabling search derives them.
     """
     facts = ro.ScanFacts(walk)
     for _, sites in moves:
         for start, stop, replacement, _ in sites(facts):
             span = walk.steps[start:stop]
-            if price(ro._gain(facts, start, stop, replacement)) != (0, 0) or replacement == span:
-                continue
-            if (span, replacement) not in skip:
+            if replacement != span and (span, replacement) not in skip:
                 yield facts.moved(start, stop, replacement), (start, stop)
 
 
@@ -1329,6 +1332,27 @@ def search_input(seed):
     """Seeds 0-29: random walks on 2-8 vertices; 30-39: compiled random 2-qubit circuits."""
     rng = random.Random(seed)
     return random_walk(rng) if seed < 30 else compile_circuit(random_circuit(rng, widths=(2,)))
+
+
+def test_every_enabling_move_is_cost_neutral():
+    """Every site of every move row keeps its span's time and graph count.
+
+    The enabling search prices no move, and the follow-up scan's window
+    holds only after a move that keeps its span's cost. Checked on the
+    window tests' inputs and on every walk an enabling search reads.
+    """
+    offered = Counter()
+    for seed in range(40):
+        walk = search_input(seed)
+        for current in [walk] + [searched for searched, _, _, _ in enabling_searches(walk)]:
+            facts = ro.ScanFacts(current)
+            for rule, sites in ro._MOVES:
+                for start, stop, replacement, _ in sites(facts):
+                    saved, _, removed = ro._gain(facts, start, stop, replacement)
+                    assert saved == 0 and removed == 0, (seed, rule, start, stop)
+                    offered[rule] += 1
+    assert [rule for rule, _ in ro._MOVES] == [RULE_SWAP_COMMUTING, RULE_MOVE_SINGLETON]
+    assert offered[RULE_SWAP_COMMUTING] >= 100 and offered[RULE_MOVE_SINGLETON] >= 100, offered
 
 
 def random_rewrite(rng, walk, start, stop):
@@ -1501,26 +1525,24 @@ def test_enabling_search_passes_over_moves_that_keep_their_span(monkeypatch):
     assert walk not in scanned
 
 
-def test_a_neutral_bit_flip_fold_enables_a_merge():
-    """The enabling search offers a COMBINE_PST fold that keeps its span's cost.
+def test_a_bit_flip_run_only_a_neutral_fold_would_merge_stays_as_it_is():
+    """The enabling search offers no COMBINE_PST fold, so this walk ends as it does without COMBINE_PST.
 
-    X_1 and X_2 at pi/2 each fold into X_3 at pi/2 and the all-loops phase
-    at pi/2: the same time and graph count, but the new X_3 step merges
-    with the X_3 step before it. No benchmark program takes this move.
+    X_1 and X_2 at pi/2 would fold into X_3 at pi/2 and the all-loops
+    phase at pi/2: the same time and graph count, after which the new X_3
+    step would merge with the X_3 step before it. No enabling move is a
+    fold, so the walk keeps its 3 graphs at 5pi/4, with no rewrite.
     """
     walk = walk_of(match(4, 3, 1, 4), match(4, 1, 1, 2), match(4, 2, 1, 2))
     final, report = optimize(walk)
-    assert final.steps == (match(4, 3, 3, 4), TimedGraph(Graph(4, loops=frozenset(range(4))), angle(1, 2)))
+    assert final.steps == walk.steps
+    assert final.graph_count == 3
     assert final.total_time() == angle(5, 4)
-    assert [(r.rule, r.span, r.detail) for r in report.rewrites] == [
-        (RULE_COMBINE_PST, (1, 3), "enabling"),
-        (RULE_MERGE_IDENTICAL, (0, 2), ""),
-    ]
+    assert report.rewrites == ()
     assert report.verified
     assert_same_program(walk, final)
     without_fold, report = optimize(walk, passes=[rule for rule in ALL_RULES if rule != RULE_COMBINE_PST])
-    assert without_fold.graph_count == 3
-    assert without_fold.total_time() == angle(5, 4)
+    assert without_fold.steps == final.steps
     assert report.rewrites == ()
 
 
@@ -1870,9 +1892,9 @@ def test_optimize_never_retries_a_failed_rewrite_after_the_walk_changes(monkeypa
 
 
 def test_optimize_checks_output_against_input(monkeypatch):
-    # a wrong period makes the normalization cut 11pi/4 down to pi/4; a
-    # duration under 2pi would never look the period up
-    monkeypatch.setattr(ro, "_period", lambda graph: (1, 2))
+    # a wrong period, pi/2, makes the optimizer's reduction cut 11pi/4 down
+    # to pi/4; the final check reduces by the true period, 2pi
+    monkeypatch.setattr(ro, "_reduced", lambda graph, num, den: (2 * num % den, 2 * den))
     walk = walk_of(loops(2, [0], 11, 4))
     final, report = optimize(walk)
     assert final.steps[0].duration == angle(1, 4)
