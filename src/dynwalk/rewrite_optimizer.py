@@ -1170,7 +1170,9 @@ def optimize(
     change (iteration cap) or on a rejected one (rejection cap).
     Finally the output's total unitary is compared with the input's; the
     report keeps that distance, and a failure there is recorded as a
-    rejection too. The rules' verdicts are kept in one memo for the call
+    rejection too. Both products reduce a step of at least its graph's
+    period by that period (see ``walk_engine._factors``), so the checks
+    do not test the period itself. The rules' verdicts are kept in one memo for the call
     (see ``_Memo``), so nothing of a run outlives it.
     """
     enabled = set(ALL_RULES if passes is None else passes)

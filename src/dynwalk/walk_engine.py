@@ -117,7 +117,10 @@ def _factors(step: TimedGraph) -> Factors:
 
     The rate comes from the duration reduced modulo the graph's period, so
     a long periodic step loses no bits to its float angle; a step shorter
-    than its period keeps its own.
+    than its period keeps its own. The optimizer's span and final checks
+    run through here too, so on a step of at least its period they reduce
+    by the same period the rewrites do and cannot catch a wrong one; the
+    tests check the period against expm at the unreduced angle.
     """
     spec = spectrum(step.graph)
     rate = _radians(*_reduced(step.graph, step.pi_num, step.pi_den)) / spec.norm if spec.norm else 0.0

@@ -33,7 +33,7 @@ from dynwalk.graph_model import (
     spectrum,
     supports_disjoint,
 )
-from dynwalk.walk_engine import total_unitary
+from test_walk_engine import dense_step_unitary
 
 PERIOD_TOL = 1e-9
 
@@ -646,10 +646,15 @@ def test_period_incommensurate_spectrum_is_infinite():
     ],
 )
 def test_period_is_an_actual_recurrence(graph):
-    """U(period) must come back to the identity, entrywise."""
+    """U(period) must come back to the identity, entrywise.
+
+    The step engine reduces a duration modulo the period before it
+    exponentiates, so U(period) is formed here by expm at the unreduced
+    angle, from the whole adjacency matrix.
+    """
     p = period(graph)
     assert p is not None
-    u = total_unitary(DynamicGraph(graph.n_vertices, (TimedGraph(graph, p),)))
+    u = dense_step_unitary(TimedGraph(graph, p))
     assert np.abs(u - np.eye(graph.n_vertices)).max() < PERIOD_TOL
 
 

@@ -21,6 +21,7 @@ from dynwalk.graph_model import (
     DynamicGraph,
     Graph,
     TimedGraph,
+    period,
     radians,
     spectrum,
 )
@@ -220,6 +221,13 @@ def random_graph(rng, n_vertices, edge_chance, loop_chance):
 
 DURATIONS = [Fraction(0), Fraction(5, 13), Fraction(17, 11), Fraction(1, 2)]
 
+# Steps of 2pi and longer, with the tolerance of their expm comparison. The
+# engine reduces such a step modulo its graph's period before it
+# exponentiates, and expm takes the unreduced angle, so a wrong period or a
+# wrong reduction is off by O(1). At (10^6 + 1/2)pi expm's scaling and
+# squaring leaves about 1e-9 of its own (7.2e-10 at most on these graphs).
+LONG_DURATIONS = [(Fraction(37, 4), TOL), (Fraction(2 * 10**6 + 1, 2), 1e-8)]
+
 
 @pytest.mark.parametrize("seed", range(12))
 def test_step_unitary_matches_expm_on_split_graphs(seed):
@@ -234,9 +242,31 @@ def test_step_unitary_matches_expm_on_split_graphs(seed):
         random_graph(rng, n, 0.6, 0.0).union(Graph.make(n, loops=[n - 1])),
     ]
     for graph in graphs:
-        for duration in DURATIONS:
+        for duration, tol in [(duration, TOL) for duration in DURATIONS] + LONG_DURATIONS:
             step = TimedGraph(graph, duration)
-            assert np.abs(total_unitary(DynamicGraph(n, (step,))) - dense_step_unitary(step)).max() < TOL
+            assert np.abs(total_unitary(DynamicGraph(n, (step,))) - dense_step_unitary(step)).max() < tol
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        Graph.make(2, edges=[(0, 1)]),
+        Graph.make(4, loops=[0, 2]),
+        Graph.make(3, edges=[(0, 1), (1, 2)]),
+        Graph.make(3, edges=[(0, 1), (1, 2)], loops=[1]),
+        Graph.make(8, edges=[(v, v ^ bit) for v in range(8) for bit in (1, 2, 4) if v < v ^ bit]),
+        matching(8, 6).union(Graph.make(8, loops=[0, 6])),
+    ],
+)
+def test_long_steps_on_periodic_graphs_match_expm(graph):
+    """Steps longer than the period are reduced by it, and still equal expm at the whole angle."""
+    cycle = period(graph)
+    assert cycle is not None
+    for duration, tol in LONG_DURATIONS + [(cycle * 3 + Fraction(1, 3), TOL)]:
+        assert duration > cycle
+        step = TimedGraph(graph, duration)
+        n = graph.n_vertices
+        assert np.abs(total_unitary(DynamicGraph(n, (step,))) - dense_step_unitary(step)).max() < tol
 
 
 def test_spectrum_matches_dense_eigenvalues():
