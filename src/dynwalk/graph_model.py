@@ -23,9 +23,10 @@ The JSON interchange format mirrors the in-memory model:
 and reports the JSON path of the offending element, since hand-edited walk
 files are the normal input. It refuses more than ``MAX_VERTICES`` vertices
 before building anything, since ``unitary`` and ``optimize`` hold n x n
-unitaries, and durations that need more than ``MAX_TIME_DIGITS`` digits
-over a common denominator, which no command could print; ``compile``
-refuses such a compiled walk by the same check (``_check_time_digits``).
+unitaries, durations that need more than ``MAX_TIME_DIGITS`` digits
+over a common denominator, which no command could print, and a total time
+whose radians are not a finite float; ``compile`` refuses such a compiled
+walk by the same check (``_check_time_digits``).
 
 A step's edge and loop lists are read in one pass of plain inline tests
 per entry, which calls no function. The tests run in the order that names
@@ -749,13 +750,17 @@ def _parse_time(obj: object, path: str) -> Tuple[int, int]:
         _fail(f"{path}.pi_den", "denominator must be at least 1")
     common = math.gcd(num, den)
     num, den = num // common, den // common
-    try:
-        finite = math.isfinite(_radians(num, den))
-    except OverflowError:
-        finite = False
-    if not finite:
+    if not _finite_radians(num, den):
         _fail(path, "time in radians is not a finite float")
     return num, den
+
+
+def _finite_radians(num: int, den: int) -> bool:
+    """Whether the angle num/den pi is a finite float in radians."""
+    try:
+        return math.isfinite(_radians(num, den))
+    except OverflowError:
+        return False
 
 
 def _parse_step(obj: object, n_vertices: int, path: str) -> TimedGraph:
@@ -826,10 +831,18 @@ def parse_dynamic_graph(text: str) -> DynamicGraph:
 
 
 def _check_time_digits(steps: Sequence[TimedGraph]) -> None:
-    """Raise ParseError when the steps' durations, or their sum, need more than MAX_TIME_DIGITS digits over a common denominator."""
+    """Raise ParseError when the steps' durations, or their sum, need more than MAX_TIME_DIGITS digits over a common denominator.
+
+    It also raises when their sum in radians is not a finite float, which
+    ``stats`` and ``optimize`` print and ``--report`` writes: each step is
+    checked on its own by ``_parse_time``, and two steps of 5 10^307 pi
+    each pass that check.
+    """
     total, den = _span_time(steps)
     if max(den, total) >= 10**MAX_TIME_DIGITS:
         _fail("sequence", f"the durations need more than {MAX_TIME_DIGITS} digits over a common denominator")
+    if not _finite_radians(total, den):
+        _fail("sequence", "the total time in radians is not a finite float")
 
 
 # json.dumps(indent=2)'s layout of a walk: one step of the sequence, with its

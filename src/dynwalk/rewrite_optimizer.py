@@ -32,9 +32,11 @@ Each rule is a verdict on the steps it reads: a function of those steps
 replace them, or a string that says why the rule does not apply there.
 The driver works from one table of rule sites, which the site generators
 build from the verdicts; the Hadamard-layer row judges each fragment of
-its sweep itself, from the walk's prefix products. A site is a span [start, stop) of the program,
-the steps that would replace it and a note for the report. Only the
-driver prices a site, from the span alone, records it and splices it in.
+its sweep itself, from the walk's prefix products, and the COMBINE_PST
+rows build each fold from the composition that priced it. A site is a
+span [start, stop) of the program, the steps that would replace it and a
+note for the report. Only the driver prices a site, from the span alone,
+records it and splices it in.
 Cost is lexicographic (total time, then graph count) and every accepted
 step strictly decreases it, so the driver terminates.
 When no rule fires, the driver scans the last-resort rows (the
@@ -76,17 +78,21 @@ the one price the scan ranks by: (saved, den, removed), the time saved
 saved/den pi and the graphs removed. (saved, removed) > (0, 0) is a
 strict improvement and (0, 0) a cost-neutral change, whatever den is.
 
-Three rows price a site before they build it, each in integers whose
+Four rows price a site before they build it, each in integers whose
 value equals ``_gain`` of the built site, and build only the sites they
 can take. The loop staircase row prices a run from its per-vertex phase
 totals and builds the staircase (``gate_compiler._staircase``) from the
-same totals. The fold row composes the phased-permutation run from its
-position once, left to right, with integer angle totals over one
-denominator, and prices each prefix that permutes by an involution from those totals: pi/2 and one
-graph for the matching if the prefix moves a vertex, plus the largest
-residue and one graph per distinct nonzero residue for the staircase; it
-folds (``_fold``, and so ``_staircase``) only a prefix that strictly
-improves. A singleton move leaves the steps between its source and target
+same totals. Both COMBINE_PST rows compose their run once
+(``_fold_prices``), left to right, with integer angle totals over one
+denominator, and price each prefix that permutes by an involution from
+those totals: pi/2 and one graph for the matching if the prefix moves a
+vertex, plus the largest residue and one graph per distinct nonzero
+residue for the staircase. The same composition gives the prefix's
+permutation and residues, from which ``_fold`` builds the matching and
+the staircase, so no run is composed twice. The fold row folds each
+prefix of two or more steps that strictly improves; the bit-flip row
+takes the last entry, the whole run, every prefix of which folds, and
+folds it only when it strictly improves. A singleton move leaves the steps between its source and target
 as they were, so it is priced from those two steps against what stays of
 the source and what landed, and its site is built only when it strictly
 improves, for the last-resort row, or is exactly neutral, for the
@@ -117,10 +123,9 @@ vertex and the phase); and the compiled Hadamard layer per bit mask and
 qubit count (``_hadamard_layer``): its steps, its cost and its one-gate
 HLAYER circuit. The memo holds steps and small tuples, never an array: no
 step's unitary, no span product and no layer product. Three verdicts are
-not kept. The bit-flip row builds the fold of a run (``_fold``) for every
-run of two or more phased bit flips, and ``_scan`` prices it afterwards; the fold
-row builds a fold only for a prefix it has priced as an improvement. Few
-periods recur: a period is looked up only for a duration of 2pi or more,
+not kept. Both COMBINE_PST rows build a fold (``_fold``) only for a run
+or prefix they have priced as a strict improvement, from the composition
+that priced it. Few periods recur: a period is looked up only for a duration of 2pi or more,
 or for the empty graph (a nonempty graph's period is None or an even
 multiple of pi). The Hadamard-layer row (``_hypercube_sites``)
 reads the fragment's product, not its steps. A landing on a loops-only
@@ -481,30 +486,19 @@ def _residues(perm: List[int], totals: List[int], den: int) -> Optional[List[int
     return residues
 
 
-def _fold(n: int, forms: Sequence[Optional[PhasedPermutation]]) -> StepsVerdict:
-    """Collapse a run of phased-permutation steps, given their forms, into matching + staircase.
+def _fold(n: int, perm: List[int], residues: List[int], den: int) -> Tuple[TimedGraph, ...]:
+    """The fold of a run of phased-permutation steps, from what ``_fold_prices`` composed of it.
 
-    Every step of the run must act as a permutation with a clean fraction
-    of pi as the phase of each entry (see _phased_permutation). The run
-    composes exactly to D P, with D diagonal; P must be an involution. The
-    replacement is a quarter-period matching on the 2-cycles of P (-i X on
-    each pair) followed by the loop staircase that pays each vertex's
-    remaining phase, or just the staircase when P is the identity. A run
-    of phase * X_mask steps thus becomes the matching on the XOR of the
-    masks plus at most one all-loops graph.
+    The run composes exactly to D P, with D diagonal and P = perm an
+    involution. The replacement is a quarter-period matching on the
+    2-cycles of P (-i X on each pair) followed by the loop staircase that
+    pays each vertex's residue over den, or just the staircase when P is
+    the identity. A run of phase * X_mask steps thus becomes the matching
+    on the XOR of the masks plus at most one all-loops graph.
     """
-    if None in forms:
-        return "step is not a phased permutation"
-    den = math.lcm(2, *(form.den for form in forms))
-    *_, (perm, totals) = _compositions(n, forms, den)
-    residues = _residues(perm, totals, den)
-    if residues is None:
-        return "the run's permutation is not an involution"
     pairs = [(column, row) for column, row in enumerate(perm) if column < row]
-    replacement: Tuple[TimedGraph, ...] = ()
-    if pairs:
-        replacement = (TimedGraph.of(Graph._of(n, frozenset(pairs)), 1, 2),)
-    return replacement + _staircase(dict(enumerate(residues)), den, n)
+    matching = (TimedGraph.of(Graph._of(n, frozenset(pairs)), 1, 2),) if pairs else ()
+    return matching + _staircase(dict(enumerate(residues)), den, n)
 
 
 def _merge_complementary(first: TimedGraph, second: TimedGraph) -> StepsVerdict:
@@ -830,45 +824,49 @@ def _merge_identical_sites(facts: ScanFacts, index: int, window: Window = None) 
 
 
 def _combine_pst_sites(facts: ScanFacts, index: int, window: Window = None) -> Iterator[Site]:
-    """The whole run of phased bit flips from the index, on 2^k vertices.
+    """The fold of the whole run of phased bit flips from the index, on 2^k vertices, when it strictly improves.
 
-    The verdict reads the run and the step that ends it.
+    The run's product is the phase * X_mask of the XOR of its masks, so
+    every prefix folds, and the last entry of ``_fold_prices`` prices the
+    whole run. The verdict reads the run and the step that ends it.
     """
     n = facts.walk.n_vertices
-    if n < 1 or n & (n - 1):
+    stop = index if n & (n - 1) else facts.run_end(index, "flip")  # no run, and no step classified, off 2^k vertices
+    if stop - index < 2 or not _reads(index, stop + 1, window):
         return
-    stop = facts.run_end(index, "flip")
-    if stop - index >= 2 and _reads(index, stop + 1, window):
-        yield from _offer(index, stop, _fold(n, facts.forms(index, stop)))
+    *_, (_, (saved, _, removed), perm, residues, den) = _fold_prices(facts, index, stop)
+    if (saved, removed) > (0, 0):
+        yield index, stop, _fold(n, perm, residues, den), ""
 
 
-def _fold_prices(facts: ScanFacts, index: int) -> Iterator[Tuple[int, Price]]:
-    """(stop, price of the fold) for each prefix [index, stop) of the run from the index that folds.
+def _fold_prices(facts: ScanFacts, index: int, stop: int) -> Iterator[Tuple[int, Price, List[int], List[int], int]]:
+    """(end, price, perm, residues, den) for each prefix [index, end) of the run steps[index:stop] that folds.
 
     The run of phased permutations is composed once, left to right, and a
     prefix that permutes by an involution is priced from its totals: its
     fold runs pi/2 for the matching, if the prefix moves a vertex, plus the
     largest residue, in one graph for the matching plus one per distinct
-    nonzero residue. The price is the value of _gain of the fold, without
-    building it.
+    nonzero residue. The price is the value of _gain of the fold, and
+    perm, residues and den are what ``_fold`` builds it from, so no run is
+    composed twice.
     """
     n = facts.walk.n_vertices
-    forms = facts.forms(index, facts.run_end(index, "perm"))
+    forms = facts.forms(index, stop)
     den = math.lcm(2, *(form.den for form in forms))
-    for stop, (perm, totals) in enumerate(_compositions(n, forms, den), index + 1):
+    for end, (perm, totals) in enumerate(_compositions(n, forms, den), index + 1):
         residues = _residues(perm, totals, den)
         if residues is not None:
             moved = perm != list(range(n))
             time = (den // 2 if moved else 0) + max(residues)
-            saved = (facts.times[stop] - facts.times[index]) * den - time * facts.den
-            yield stop, (saved, den * facts.den, stop - index - moved - len(set(residues) - {0}))
+            saved = (facts.times[end] - facts.times[index]) * den - time * facts.den
+            yield end, (saved, den * facts.den, end - index - moved - len(set(residues) - {0})), perm, residues, den
 
 
 def _fold_sites(facts: ScanFacts, index: int) -> Iterator[Site]:
     """Every run of two or more phased permutations from the index whose fold strictly improves on it."""
-    for stop, (saved, _, removed) in _fold_prices(facts, index):
+    for stop, (saved, _, removed), perm, residues, den in _fold_prices(facts, index, facts.run_end(index, "perm")):
         if stop - index >= 2 and (saved, removed) > (0, 0):
-            yield from _offer(index, stop, _fold(facts.walk.n_vertices, facts.forms(index, stop)), "fold")
+            yield index, stop, _fold(facts.walk.n_vertices, perm, residues, den), "fold"
 
 
 def _merge_complementary_sites(facts: ScanFacts, index: int, window: Window = None) -> Iterator[Site]:

@@ -121,6 +121,14 @@ def _factors(step: TimedGraph) -> Factors:
     run through here too, so on a step of at least its period they reduce
     by the same period the rewrites do and cannot catch a wrong one; the
     tests check the period against expm at the unreduced angle.
+
+    A step of a graph without a period has nothing to reduce by and runs
+    at its float angle, so a long one loses bits: the path on 4 vertices
+    run for (10^12 + 1/2) pi is off by 5.0e-4 from vertex 0, against angles
+    reduced mod 2 pi in 60-digit arithmetic. The optimizer's final check
+    cannot see this, as both sides exponentiate the same angle, and no
+    float kernel could mend it: the float eigenvalues alone put an error
+    of about t 2^-52 into the angles at t radians.
     """
     spec = spectrum(step.graph)
     rate = _radians(*_reduced(step.graph, step.pi_num, step.pi_den)) / spec.norm if spec.norm else 0.0

@@ -22,7 +22,12 @@ from edge lists, K by walk counts``: F counts the calls of
 ``_phased_permutation`` (the classifier's memo misses); K counts the
 walk counts ``walk_engine.graphs_commute`` made, half the calls of
 ``_arcs`` (each count reads both graphs' arcs), and J its other calls,
-the pairs its rule on one graph's loops decided. Then it prints
+the pairs its rule on one graph's loops decided, then ``folds: bit-flip
+row B built, M improving; fold row B built, M improving``: the COMBINE_PST
+folds each of its two rows (``_combine_pst_sites`` and ``_fold_sites``)
+built and how many of them strictly improve on their span by ``_gain``,
+counted in a second, unprofiled pass over the corpus with each row
+wrapped (both build exactly the folds they yield). Then it prints
 one line per source file with its self time and share of
 the total, largest first; functions built into the interpreter are
 pooled as ``(built-in)``. ``fractions.py``'s line is printed whatever its
@@ -47,6 +52,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path[:0] = [HERE, os.path.join(os.path.dirname(HERE), "src")]
 
 import corpus_digest  # noqa: E402
+import dynwalk.rewrite_optimizer as ro  # noqa: E402
 from dynwalk.rewrite_optimizer import optimize  # noqa: E402
 
 FRACTIONS = "fractions.py"
@@ -87,6 +93,33 @@ def route_counts(stats) -> tuple:
         calls[os.path.basename(filename), function] += count
     floats, walk_counts = calls[FLOAT_FORM], calls[ARCS] // 2
     return calls[CLASSIFIER] - floats, floats, calls[COMMUTE] - walk_counts, walk_counts
+
+
+def fold_counts(walks) -> dict:
+    """Per COMBINE_PST fold row, the folds it built while ``optimize`` ran on the walks, and how many strictly improve.
+
+    Each row is swapped, in the module's row tables, for a wrapper that
+    prices every site it yields by ``_gain``, and put back afterwards.
+    """
+    counts = {name: Counter() for name in ("bit-flip row", "fold row")}
+
+    def counted(name, sites):
+        def wrapper(facts, *args):
+            for start, stop, replacement, note in sites(facts, *args):
+                saved, _, removed = ro._gain(facts, start, stop, replacement)
+                counts[name].update(built=1, improving=(saved, removed) > (0, 0))
+                yield start, stop, replacement, note
+        return wrapper
+
+    wrapped = {ro._combine_pst_sites: counted("bit-flip row", ro._combine_pst_sites), ro._fold_sites: counted("fold row", ro._fold_sites)}
+    tables = ro._REGULAR, ro._LAST_RESORT
+    ro._REGULAR, ro._LAST_RESORT = (tuple((rule, wrapped.get(sites, sites)) for rule, sites in table) for table in tables)
+    try:
+        for walk in walks:
+            optimize(walk)
+    finally:
+        ro._REGULAR, ro._LAST_RESORT = tables
+    return counts
 
 
 def package_caches() -> set:
@@ -130,6 +163,10 @@ def main(argv=()) -> None:
     print(
         f"forms: {exact} from edge lists, {floats} from block exponentials; "
         f"commutation: {edge_lists} from edge lists, {walk_counts} by walk counts"
+    )
+    print(
+        "folds: "
+        + "; ".join(f"{name} {count['built']} built, {count['improving']} improving" for name, count in fold_counts(walks).items())
     )
     for module, own in sorted(self_s.items(), key=lambda item: (-item[1], item[0])):
         print(f"{module}: {own:.3f} s, {100 * own / total:.1f} %")

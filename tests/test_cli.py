@@ -624,6 +624,36 @@ def test_a_denominator_beyond_the_float_range_runs(tmp_path, capsys, command):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("command", ["stats", "optimize"])
+def test_a_total_time_too_large_for_a_float_exits_2(tmp_path, capsys, command):
+    # each step of 5 10^307 pi is a finite angle, their sum of about 3.1e308 radians is not
+    step = {"edges": [[0, 1]], "loops": [], "time": {"pi_num": 5 * 10**307, "pi_den": 1}}
+    walk_file = tmp_path / "w.json"
+    walk_file.write_text(json.dumps({"n_vertices": 2, "sequence": [step, step]}))
+    out, report = tmp_path / "out.json", tmp_path / "report.json"
+    extra = ["-o", str(out), "--report", str(report)] if command == "optimize" else []
+    assert main([command, str(walk_file), *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {walk_file}: sequence: the total time in radians is not a finite float\n"
+    assert not out.exists() and not report.exists()
+
+
+@pytest.mark.parametrize("command", ["stats", "optimize"])
+def test_a_total_time_just_inside_the_float_range_runs(tmp_path, capsys, command):
+    # two steps of 2.5 10^307 pi sum to about 1.6e308 radians, under the largest float
+    step = {"edges": [[0, 1]], "loops": [], "time": {"pi_num": 25 * 10**306, "pi_den": 1}}
+    walk_file = tmp_path / "w.json"
+    walk_file.write_text(json.dumps({"n_vertices": 2, "sequence": [step, step]}))
+    report = tmp_path / "report.json"
+    extra = ["-o", str(tmp_path / "out.json"), "--report", str(report)] if command == "optimize" else []
+    assert main([command, str(walk_file), *extra]) == 0
+    assert capsys.readouterr().err == ""
+    if command == "optimize":
+        # Infinity or NaN would not be JSON: parse_constant fails on either
+        assert json.loads(report.read_text(), parse_constant=pytest.fail)["initial"]["time"]["radians"] > 1.5e308
+
+
 def two_edge_steps_walk(tmp_path, *pi_dens):
     steps = [{"edges": [[0, 1]], "loops": [], "time": {"pi_num": 1, "pi_den": den}} for den in pi_dens]
     walk_file = tmp_path / "w.json"

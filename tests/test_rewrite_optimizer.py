@@ -84,9 +84,16 @@ def price(gain):
     return Fraction(saved, den), removed
 
 
+def fold_entries(facts, index):
+    """The entries of _fold_prices over the run of phased permutations from the index."""
+    return ro._fold_prices(facts, index, facts.run_end(index, "perm"))
+
+
 def fold(n, run):
-    """The fold of a run of steps, from their phased-permutation forms."""
-    return ro._fold(n, [ro._phased_permutation(step) for step in run])
+    """The fold of a run of steps, built from the entry _fold_prices composed for the whole run; None when it does not fold."""
+    facts = ro.ScanFacts(DynamicGraph(n, tuple(run)))
+    folds = {stop: ro._fold(n, perm, residues, den) for stop, _, perm, residues, den in fold_entries(facts, 0)}
+    return folds.get(len(run))
 
 
 def assert_same_program(a, b, tol=1e-9):
@@ -215,8 +222,10 @@ def test_combine_pst_collapses_two_gate_run():
 
 
 def test_combine_pst_rejects_unclassifiable_step():
+    # the second step is not a phased permutation, so only the first step's prefix is priced
     walk = walk_of(match(4, 1, 1, 2), match(4, 2, 1, 4))
-    assert fold(4, walk.steps) == "step is not a phased permutation"
+    assert [stop for stop, *_ in fold_entries(ro.ScanFacts(walk), 0)] == [1]
+    assert fold(4, walk.steps) is None
 
 
 def test_combine_pst_rejects_short_span():
@@ -245,10 +254,12 @@ def test_combine_pst_folds_matching_into_partial_matching():
 
 
 def test_combine_pst_offers_every_walk_that_holds_a_run_the_same_site():
-    walk = walk_of(match(4, 1, 1, 2), match(4, 2, 1, 2), loops(4, [0], 1, 2))
-    other = walk.replaced(2, 3, [loops(4, [1], 1, 4)])
+    # X_1, the all-loops phase and X_2 fold into X_3 and one all-loops step, one graph fewer
+    walk = walk_of(match(4, 1, 1, 2), loops(4, range(4), 1, 2), match(4, 2, 1, 2), loops(4, [0], 1, 2))
+    other = walk.replaced(3, 4, [loops(4, [1], 1, 4)])
     sites = list(ro._combine_pst_sites(ro.ScanFacts(walk), 0))
-    assert sites == [(0, 2, fold(4, walk.steps[:2]), "")]
+    assert sites == [(0, 3, (match(4, 3, 1, 2), loops(4, range(4), 1)), "")]
+    assert sites[0][2] == fold(4, walk.steps[:3])
     assert list(ro._combine_pst_sites(ro.ScanFacts(other), 0)) == sites
 
 
@@ -257,7 +268,9 @@ def test_combine_pst_rejects_three_cycle():
         TimedGraph(Graph.make(4, edges=[(0, 1)]), angle(1, 2)),
         TimedGraph(Graph.make(4, edges=[(1, 2)]), angle(1, 2)),
     )
-    assert fold(4, walk.steps) == "the run's permutation is not an involution"
+    # the two steps compose to a three-cycle, so only the first step's prefix is priced
+    assert [stop for stop, *_ in fold_entries(ro.ScanFacts(walk), 0)] == [1]
+    assert fold(4, walk.steps) is None
 
 
 def random_phased_permutation_run(rng, most):
@@ -286,37 +299,94 @@ def test_combine_pst_fold_keeps_the_exact_unitary(seed):
     perm = np.abs(product).argmax(axis=0)
     folded = fold(n, walk.steps)
     if not np.array_equal(perm[perm], np.arange(n)):
-        assert isinstance(folded, str)
+        assert folded is None
         return
     assert np.abs(total_unitary(walk.replaced(0, len(steps), folded)) - product).max() < 1e-9
 
 
+def random_bit_flip_walk(rng):
+    """2-8 steps on 4 or 8 vertices: XOR matchings at pi/2 and 3pi/2 and all-loops phases, with one-loop steps ending runs."""
+    n = rng.choice([4, 8])
+    steps = []
+    for _ in range(rng.randrange(2, 9)):
+        kind = rng.random()
+        if kind < 0.45:
+            steps.append(match(n, rng.randrange(1, n), rng.choice([1, 3]), 2))
+        elif kind < 0.85:
+            steps.append(loops(n, range(n), rng.randint(1, 7), 4))
+        else:
+            steps.append(loops(n, [rng.randrange(n)], 1, 2))
+    return DynamicGraph(n, tuple(steps))
+
+
+def bit_flip_walks(seed):
+    """A random bit-flip walk and a normalized compiled random circuit."""
+    rng = random.Random(seed)
+    return random_bit_flip_walk(rng), ro._normalize(compile_circuit(random_circuit(rng)))[0]
+
+
+def assert_same_unitary(first, second, n):
+    """The two runs have the same product, global phase included."""
+    assert np.abs(total_unitary(DynamicGraph(n, first)) - total_unitary(DynamicGraph(n, second))).max() < 1e-9
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_fold_prices_are_the_gains_of_the_folds(seed):
-    """Each prefix's price from the composed totals is _gain of its fold, and the row offers the improving ones."""
+    """Each prefix that permutes by an involution has one entry, priced at _gain of the fold built from it.
+
+    The fold row offers the improving prefixes of two steps or more, and
+    the bit-flip row, on random bit-flip walks and compiled circuits, the
+    fold of the whole flip run when _gain says it improves, and nothing
+    otherwise.
+    """
     rng = random.Random(seed)
     walk = random_phased_permutation_run(rng, 7)
-    facts = ro.ScanFacts(walk)
+    n, facts = walk.n_vertices, ro.ScanFacts(walk)
     for index in range(walk.graph_count):
-        prices = dict(ro._fold_prices(facts, index))
-        folds = {stop: fold(walk.n_vertices, walk.steps[index:stop]) for stop in range(index + 1, walk.graph_count + 1)}
-        assert set(prices) == {stop for stop, fold in folds.items() if not isinstance(fold, str)}
-        for stop, gain in prices.items():
+        entries = list(fold_entries(facts, index))
+        folds = {stop: ro._fold(n, perm, residues, den) for stop, _, perm, residues, den in entries}
+        involutions = set()
+        for stop in range(index + 1, walk.graph_count + 1):
+            perm = np.abs(total_unitary(DynamicGraph(n, walk.steps[index:stop]))).argmax(axis=0)
+            if np.array_equal(perm[perm], np.arange(n)):
+                involutions.add(stop)
+        assert set(folds) == involutions and len(entries) == len(folds)
+        for stop, gain, *_ in entries:
             assert price(gain) == price(ro._gain(facts, index, stop, folds[stop]))
-        improving = [stop for stop, gain in prices.items() if stop - index >= 2 and price(gain) > (0, 0)]
+            assert_same_unitary(walk.steps[index:stop], folds[stop], n)
+        improving = [stop for stop, gain, *_ in entries if stop - index >= 2 and price(gain) > (0, 0)]
         assert list(ro._fold_sites(facts, index)) == [(index, stop, folds[stop], "fold") for stop in improving]
+    for walk in bit_flip_walks(seed):
+        n, facts = walk.n_vertices, ro.ScanFacts(walk)
+        for index in range(walk.graph_count):
+            stop = facts.run_end(index, "flip")
+            sites = list(ro._combine_pst_sites(facts, index))
+            if stop - index < 2:
+                assert sites == []
+                continue
+            whole = fold(n, walk.steps[index:stop])
+            assert_same_unitary(walk.steps[index:stop], whole, n)
+            improves = price(ro._gain(facts, index, stop, whole)) > (0, 0)
+            assert sites == ([(index, stop, whole, "")] if improves else [])
 
 
 def test_fold_sites_are_both_offered_and_passed_over():
-    offered = passed = 0
+    """Both fold rows offer some folds and pass over others, the bit-flip row on bit-flip walks and compiled circuits."""
+    offered = passed = flips_offered = flips_passed = 0
     for seed in range(20):
         rng = random.Random(seed)
         facts = ro.ScanFacts(random_phased_permutation_run(rng, 7))
         for index in range(facts.walk.graph_count):
             sites = len(list(ro._fold_sites(facts, index)))
             offered += sites
-            passed += sum(stop - index >= 2 for stop, _ in ro._fold_prices(facts, index)) - sites
-    assert offered and passed
+            passed += sum(stop - index >= 2 for stop, *_ in fold_entries(facts, index)) - sites
+        for walk in bit_flip_walks(seed):
+            facts = ro.ScanFacts(walk)
+            for index in range(walk.graph_count):
+                sites = len(list(ro._combine_pst_sites(facts, index)))
+                flips_offered += sites
+                flips_passed += facts.run_end(index, "flip") - index >= 2 and not sites
+    assert offered and passed and flips_offered and flips_passed, (offered, passed, flips_offered, flips_passed)
 
 
 # -- MERGE_COMPLEMENTARY ------------------------------------------------------------
@@ -1161,9 +1231,9 @@ def test_gain_prices_every_site_from_its_durations(seed):
         for source in range(walk.graph_count)
         for _, _, target, left, landed in ro._singleton_moves(facts, source)
     ] + [
-        (index, stop, fold(walk.n_vertices, walk.steps[index:stop]), "")
+        (index, stop, ro._fold(walk.n_vertices, perm, residues, den), "")
         for index in range(walk.graph_count)
-        for stop, _ in ro._fold_prices(facts, index)
+        for stop, _, perm, residues, den in fold_entries(facts, index)
         if stop - index >= 2
     ]
     for start, stop, replacement, _ in offered_sites(facts) + unfiltered:
@@ -1249,9 +1319,9 @@ def test_integer_prices_and_verdicts_match_fraction_arithmetic(seed):
             for source in range(walk.graph_count)
             for gain, _, target, left, landed in ro._singleton_moves(facts, source)
         ] + [
-            (index, stop, fold(walk.n_vertices, steps[index:stop]), gain)
+            (index, stop, ro._fold(walk.n_vertices, perm, residues, den), gain)
             for index in range(walk.graph_count)
-            for stop, gain in ro._fold_prices(facts, index)
+            for stop, gain, perm, residues, den in fold_entries(facts, index)
             if stop - index >= 2
         ]
         sites += [(start, stop, replacement, None) for start, stop, replacement, _ in offered_sites(facts)]
@@ -2151,7 +2221,7 @@ def test_the_corpus_digest_script_runs_on_two_seeds(capsys):
 
 
 def test_the_optimize_profile_script_runs_on_two_seeds(capsys):
-    """tests/optimize_profile.py at 2 seeds: a header, the spectrum counts, the classifier and commutation routes, one share line per source file, fractions.py among them, then the ten functions of largest cumulative time."""
+    """tests/optimize_profile.py at 2 seeds: a header, the spectrum counts, the classifier and commutation routes, the fold counts, one share line per source file, fractions.py among them, then the ten functions of largest cumulative time."""
     import cli_overhead
     import optimize_profile
 
@@ -2159,7 +2229,7 @@ def test_the_optimize_profile_script_runs_on_two_seeds(capsys):
     for cache in cli_overhead.package_caches():
         cache.cache_clear()
     optimize_profile.main(["2"])
-    header, counts, routes, *lines = capsys.readouterr().out.splitlines()
+    header, counts, routes, folds, *lines = capsys.readouterr().out.splitlines()
     assert re.fullmatch(r"optimize over 7 programs: \d+\.\d\d s of self time, \d+ Fraction constructions", header)
     decompositions, listed, searches, _ = map(
         int,
@@ -2178,6 +2248,14 @@ def test_the_optimize_profile_script_runs_on_two_seeds(capsys):
         ).groups(),
     )
     assert exact + floats > 0 and edge_lists + walk_counts > 0
+    flips, flips_improving, wide, wide_improving = map(
+        int,
+        re.fullmatch(
+            r"folds: bit-flip row (\d+) built, (\d+) improving; fold row (\d+) built, (\d+) improving", folds
+        ).groups(),
+    )
+    # both rows build only the folds that strictly improve
+    assert flips == flips_improving and wide == wide_improving and flips + wide > 0
     split = lines.index("10 functions by cumulative time:")
     lines, top = lines[:split], lines[split + 1 :]
     cumulative = [re.fullmatch(r"(.+):(\d+) (.+): (\d+\.\d{3}) s cumulative", line).groups() for line in top]
