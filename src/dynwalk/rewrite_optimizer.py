@@ -92,19 +92,19 @@ permutation and residues, from which ``_fold`` builds the matching and
 the staircase, so no run is composed twice. The fold row folds each
 prefix of two or more steps that strictly improves; the bit-flip row
 takes the last entry, the whole run, every prefix of which folds, and
-folds it only when it strictly improves. A singleton move leaves the steps between its source and target
-as they were, so it is priced from those two steps against what stays of
-the source and what landed, and its site is built only when it strictly
-improves, for the last-resort row, or is exactly neutral, for the
-enabling search.
+folds it only when it strictly improves. A singleton move leaves the
+steps between its source and target as they were, so it is priced from
+those two steps against what stays of the source and what landed, and
+its site is built only when it strictly improves, for the last-resort
+row, or is exactly neutral, for the enabling search.
 
 The rescanned walks differ from the current one only where a neutral
 move changed them, so the step-local verdicts are pure functions, and
-one memo (``_Memo``) per ``optimize`` call keeps them, keyed on what they
-read. Every ``ScanFacts`` of the call shares it, and it goes when the
-call returns, so no verdict outlives its run. Its keys are steps, which
-hash their graph's kept hash and two integers, vertices and phases as
-integer pairs, so a lookup hashes no ``Fraction``. It keeps the
+one memo (``_Memo``) per ``optimize`` call keeps them, keyed on what
+they read. Every ``ScanFacts`` of the call shares it, and it goes when
+the call returns, so no verdict outlives its run. Its keys are steps,
+which hash their graph's kept hash and two integers, vertices and phases
+as integer pairs, so a lookup hashes no ``Fraction``. It keeps the
 phased-permutation form of each step (``_phased_permutation``), whose
 angles are integers over one denominator, so that the fold row composes
 runs on integers; the form of a step in which no vertex lies on two
@@ -115,25 +115,27 @@ with a vertex on two edges from its block exponentials;
 decides from one graph's loops every pair in which that graph's edges
 avoid the other's edges and loops (support-disjoint pairs and a side
 without edges among them), and counts walks for the other pairs, equal
-graphs with edges included; the merges of two steps (``_merge_identical``, ``_merge_complementary``);
-what a looped singleton carries out of a step (``_singleton_source``,
-on the source step and the vertex); what a target step becomes when it
-absorbs that phase (``_singleton_landing``, on the target step, the
-vertex and the phase); and the compiled Hadamard layer per bit mask and
-qubit count (``_hadamard_layer``): its steps, its cost and its one-gate
-HLAYER circuit. The memo holds steps and small tuples, never an array: no
+graphs with edges included; the merges of two steps
+(``_merge_identical``, ``_merge_complementary``); what a looped
+singleton carries out of a step (``_singleton_source``, on the source
+step and the vertex); what a target step becomes when it absorbs that
+phase (``_singleton_landing``, on the target step, the vertex and the
+phase); and the compiled Hadamard layer per bit mask and qubit count
+(``_hadamard_layer``): its steps, its cost and its one-gate HLAYER
+circuit. The memo holds steps and small tuples, never an array: no
 step's unitary, no span product and no layer product. Three verdicts are
 not kept. Both COMBINE_PST rows build a fold (``_fold``) only for a run
 or prefix they have priced as a strict improvement, from the composition
-that priced it. Few periods recur: a period is looked up only for a duration of 2pi or more,
-or for the empty graph (a nonempty graph's period is None or an even
-multiple of pi). The Hadamard-layer row (``_hypercube_sites``)
-reads the fragment's product, not its steps. A landing on a loops-only
-target is the staircase (``_staircase``) of its per-vertex phases. A
-singleton site is built straight from the two singleton verdicts, for
-the targets of the corridor only: outward from the source on each side,
-up to and including the first step that attaches an edge to the vertex,
-since that step blocks every target beyond it.
+that priced it. Few periods recur: a period is looked up only for a
+duration of 2pi or more, or for the empty graph (a nonempty graph's
+period is None or an even multiple of pi). The Hadamard-layer row
+(``_hypercube_sites``) reads the fragment's product, not its steps. A
+landing on a loops-only target is the staircase (``_staircase``) of its
+per-vertex phases. A singleton site is built straight from the two
+singleton verdicts, for the targets of the corridor only: outward from
+the source on each side, up to and including the first step that
+attaches an edge to the vertex, since that step blocks every target
+beyond it.
 
 What every position of a scan reads of the walk as a whole is computed
 once per walk, in the ``ScanFacts`` the driver passes to every row: the

@@ -111,7 +111,10 @@ def fold_counts(walks) -> dict:
                 yield start, stop, replacement, note
         return wrapper
 
-    wrapped = {ro._combine_pst_sites: counted("bit-flip row", ro._combine_pst_sites), ro._fold_sites: counted("fold row", ro._fold_sites)}
+    wrapped = {
+        ro._combine_pst_sites: counted("bit-flip row", ro._combine_pst_sites),
+        ro._fold_sites: counted("fold row", ro._fold_sites),
+    }
     tables = ro._REGULAR, ro._LAST_RESORT
     ro._REGULAR, ro._LAST_RESORT = (tuple((rule, wrapped.get(sites, sites)) for rule, sites in table) for table in tables)
     try:
@@ -164,10 +167,8 @@ def main(argv=()) -> None:
         f"forms: {exact} from edge lists, {floats} from block exponentials; "
         f"commutation: {edge_lists} from edge lists, {walk_counts} by walk counts"
     )
-    print(
-        "folds: "
-        + "; ".join(f"{name} {count['built']} built, {count['improving']} improving" for name, count in fold_counts(walks).items())
-    )
+    folds = fold_counts(walks)
+    print("folds: " + "; ".join(f"{name} {c['built']} built, {c['improving']} improving" for name, c in folds.items()))
     for module, own in sorted(self_s.items(), key=lambda item: (-item[1], item[0])):
         print(f"{module}: {own:.3f} s, {100 * own / total:.1f} %")
     print(f"{TOP} functions by cumulative time:")
