@@ -63,7 +63,6 @@ from .graph_model import (
     _expect_keys,
     _fail,
     _parse_time,
-    format_angle,
     radians,
 )
 from .numerics import overlap_distance
@@ -222,20 +221,13 @@ def _staircase(turns: Mapping[int, int], den: int, n_vertices: int) -> Tuple[Tim
     optimal: every vertex holding the maximum phase must sit in loop graphs
     for at least that long. The Hadamard layers, the phased-permutation
     folds, the loops-only runs and the optimizer's landings of a phase on a
-    loops-only step all build theirs here. A vertex outside the vertex set
-    or a phase outside [0, 2pi) raises ValueError; the checks read the
-    smallest and largest vertex and each distinct phase once, not every
-    vertex.
+    loops-only step all build theirs here, and each reduces its turns
+    modulo 2 den over vertices of its walk just before the call, so the
+    builder checks neither.
     """
-    for vertex in (min(turns), max(turns)) if turns else ():
-        if not (0 <= vertex < n_vertices):
-            raise ValueError(f"vertex {vertex} out of range")
     at_level: Dict[int, List[int]] = {}
     for vertex, turn in turns.items():
         at_level.setdefault(turn, []).append(vertex)
-    for turn, vertices in at_level.items():
-        if not 0 <= turn < 2 * den:
-            raise ValueError(f"phase {format_angle(Fraction(turn, den))} for vertex {vertices[0]} not in [0, 2pi)")
     thresholds = sorted(filter(None, at_level), reverse=True)
     steps = []
     loops: Set[int] = set()

@@ -509,10 +509,10 @@ def _merge_complementary(first: TimedGraph, second: TimedGraph) -> StepsVerdict:
     [A at s, B at t] with s <= t becomes [A union B at s, B at t - s];
     the second step disappears when the durations tie. Sound because
     disjoint supports make the adjacency matrices commute and the shared
-    norm keeps the evolution rates aligned.
+    norm keeps the evolution rates aligned. An empty step, which a
+    normalized walk does not hold, fails on the norms, and two merge into
+    holds whose product is the identity.
     """
-    if first.graph.is_empty or second.graph.is_empty:
-        return "empty step"
     if not supports_disjoint(first.graph, second.graph):
         return "supports overlap"
     if abs(spectrum(first.graph).norm - spectrum(second.graph).norm) > NORM_TOLERANCE:
@@ -564,7 +564,9 @@ def _singleton_landing(step: TimedGraph, vertex: int, tau: Time) -> StepsVerdict
       mod 2pi on its other loops and that phase on the vertex;
     * the target leaves the vertex entirely untouched and tau covers at
       least the target's normalized duration: the vertex joins the target
-      with a loop, and any remaining phase trails as a one-vertex step.
+      with a loop, and any remaining phase trails as a one-vertex step. The
+      target of a normalized walk is neither empty nor of zero duration;
+      an empty one at a positive duration is refused as longer than tau.
     """
     graph = step.graph
     n = graph.n_vertices
@@ -578,8 +580,6 @@ def _singleton_landing(step: TimedGraph, vertex: int, tau: Time) -> StepsVerdict
         return _staircase(turns, den, n)
     if not graph.degree_free(vertex):
         return "target attaches edges to the vertex"
-    if graph.is_empty:
-        return "target step is empty"
     norm = _small_ratio(spectrum(graph).norm)
     if norm is None:
         return "target norm is not a small rational"
@@ -757,7 +757,12 @@ def _hadamard_layer(mask: int, n_qubits: int) -> Tuple[Tuple[TimedGraph, ...], C
 
 
 def _normalize(walk: DynamicGraph) -> Tuple[DynamicGraph, List[RewriteStep]]:
-    """Reduce durations modulo periods and drop steps that do nothing."""
+    """Reduce durations modulo periods and drop steps that do nothing.
+
+    The walk it returns holds no empty graph and no zero duration, and the
+    driver scans no other walk: the rules rely on that and do not check it
+    (a merge or landing on an empty step, a move priced on a zero duration).
+    """
     records: List[RewriteStep] = []
     steps: List[TimedGraph] = []
     for index, step in enumerate(walk.steps):
@@ -990,7 +995,7 @@ def _hypercube_sites(facts: ScanFacts, index: int, window: Window = None) -> Ite
     cost and gate per bit mask.
     """
     n, count = facts.walk.n_vertices, facts.walk.graph_count
-    if n < 2 or n & (n - 1) or not _reads(index, count, window):
+    if n & (n - 1) or not _reads(index, count, window):
         return
     lowest, highest = facts.run_end(index, "perm") + 1, count
     if window is not None and index <= window[0]:
@@ -1071,9 +1076,11 @@ def _gain(facts: ScanFacts, start: int, stop: int, replacement: Tuple[TimedGraph
 def _scan(facts: ScanFacts, rows: Rows, skip: Set[Key], window: Window = None) -> Optional[Rewrite]:
     """First strictly improving rewrite, leftmost position first.
 
-    At one position each row offers its best improving site that is not
-    skipped: the one that removes the most steps, then saves the most time,
-    then lies leftmost.
+    At one position each row offers its best site that is not skipped: the
+    one that removes the most steps, then saves the most time, then lies
+    leftmost. Every row offers only strictly improving sites on a
+    normalized walk, so the improving test here selects nothing: it guards
+    termination, as a row that offered a neutral site could loop forever.
 
     A window [start, stop) says that the walk is one cost-neutral,
     unitary-keeping rewrite of those steps away from a walk whose improving

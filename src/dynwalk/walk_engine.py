@@ -170,15 +170,15 @@ def _blocks(
     vertices form one component and the one block is ``np.eye(n)``; an
     empty vertex set has no block. Otherwise the components are those of
     the union of the steps' blocks and of the links, each a (b, k) array
-    whose rows are vertex sets to join; a single step's blocks, with no
-    links, are its components. A vertex that no component holds is its
-    own, of rank 0.
+    whose rows are vertex sets to join. A single step with no links takes
+    the same path: ``components`` gives back its blocks' vertex arrays,
+    byte for byte. A vertex that no component holds is its own, of rank 0.
     """
     if 0 < n_vertices < SPLIT_VERTICES:
         yield [np.arange(n_vertices).reshape(1, -1)], 0, np.eye(n_vertices, dtype=np.complex128)
         return
     groups = [members for step in steps for members, _ in spectrum(step.graph).blocks] + list(links)
-    if (len(steps) > 1 or len(links)) and groups:
+    if groups:
         heads = np.concatenate([members[:, :-1] for members in groups], axis=None)
         tails = np.concatenate([members[:, 1:] for members in groups], axis=None)
         _, groups = components(n_vertices, heads, tails)

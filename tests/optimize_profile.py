@@ -27,7 +27,12 @@ row B built, M improving; fold row B built, M improving``: the COMBINE_PST
 folds each of its two rows (``_combine_pst_sites`` and ``_fold_sites``)
 built and how many of them strictly improve on their span by ``_gain``,
 counted in a second, unprofiled pass over the corpus with each row
-wrapped (both build exactly the folds they yield). Then it prints
+wrapped (both build exactly the folds they yield), then ``staircases:
+layer A, fold B, loops-only run C, landing D; widest W vertices``: the
+loop staircases ``gate_compiler._staircase`` built in that same pass for
+each of its four callers (``compile_hadamard_layer``, ``_fold``,
+``_staircase_sites`` and the loops-only branch of ``_singleton_landing``)
+and the most vertices one build was handed. Then it prints
 one line per source file with its self time and share of
 the total, largest first; functions built into the interpreter are
 pooled as ``(built-in)``. ``fractions.py``'s line is printed whatever its
@@ -52,6 +57,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path[:0] = [HERE, os.path.join(os.path.dirname(HERE), "src")]
 
 import corpus_digest  # noqa: E402
+import dynwalk.gate_compiler as gate_compiler  # noqa: E402
 import dynwalk.rewrite_optimizer as ro  # noqa: E402
 from dynwalk.rewrite_optimizer import optimize  # noqa: E402
 
@@ -64,6 +70,13 @@ FLOAT_FORM = ("rewrite_optimizer.py", "_read_form")
 COMMUTE = ("walk_engine.py", "graphs_commute")
 ARCS = ("walk_engine.py", "_arcs")
 TOP = 10
+# The callers of gate_compiler._staircase, by function name, and their labels.
+STAIRCASE_CALLERS = {
+    "compile_hadamard_layer": "layer",
+    "_fold": "fold",
+    "_staircase_sites": "loops-only run",
+    "_singleton_landing": "landing",
+}
 
 
 def spectrum_counts(stats) -> tuple:
@@ -95,13 +108,26 @@ def route_counts(stats) -> tuple:
     return calls[CLASSIFIER] - floats, floats, calls[COMMUTE] - walk_counts, walk_counts
 
 
-def fold_counts(walks) -> dict:
-    """Per COMBINE_PST fold row, the folds it built while ``optimize`` ran on the walks, and how many strictly improve.
+def build_counts(walks) -> tuple:
+    """What ``optimize`` built while it ran on the walks: folds per COMBINE_PST fold row, staircases per caller.
 
-    Each row is swapped, in the module's row tables, for a wrapper that
-    prices every site it yields by ``_gain``, and put back afterwards.
+    Per fold row, the folds it built and how many strictly improve: each
+    row is swapped, in the module's row tables, for a wrapper that prices
+    every site it yields by ``_gain``. Per caller of ``_staircase``, named
+    by the function that called it, the staircases built, and the most
+    vertices one build was handed: both modules' bindings are swapped for
+    a counting wrapper. Everything is put back afterwards.
     """
     counts = {name: Counter() for name in ("bit-flip row", "fold row")}
+    staircases = Counter({name: 0 for name in STAIRCASE_CALLERS.values()})
+    widest = 0
+    real = gate_compiler._staircase
+
+    def staircase(turns, den, n_vertices):
+        nonlocal widest
+        staircases[STAIRCASE_CALLERS[sys._getframe(1).f_code.co_name]] += 1
+        widest = max(widest, len(turns))
+        return real(turns, den, n_vertices)
 
     def counted(name, sites):
         def wrapper(facts, *args):
@@ -117,12 +143,14 @@ def fold_counts(walks) -> dict:
     }
     tables = ro._REGULAR, ro._LAST_RESORT
     ro._REGULAR, ro._LAST_RESORT = (tuple((rule, wrapped.get(sites, sites)) for rule, sites in table) for table in tables)
+    gate_compiler._staircase = ro._staircase = staircase
     try:
         for walk in walks:
             optimize(walk)
     finally:
         ro._REGULAR, ro._LAST_RESORT = tables
-    return counts
+        gate_compiler._staircase = ro._staircase = real
+    return counts, staircases, widest
 
 
 def package_caches() -> set:
@@ -167,8 +195,9 @@ def main(argv=()) -> None:
         f"forms: {exact} from edge lists, {floats} from block exponentials; "
         f"commutation: {edge_lists} from edge lists, {walk_counts} by walk counts"
     )
-    folds = fold_counts(walks)
+    folds, staircases, widest = build_counts(walks)
     print("folds: " + "; ".join(f"{name} {c['built']} built, {c['improving']} improving" for name, c in folds.items()))
+    print("staircases: " + ", ".join(f"{name} {count}" for name, count in staircases.items()) + f"; widest {widest} vertices")
     for module, own in sorted(self_s.items(), key=lambda item: (-item[1], item[0])):
         print(f"{module}: {own:.3f} s, {100 * own / total:.1f} %")
     print(f"{TOP} functions by cumulative time:")

@@ -18,6 +18,7 @@ import math
 import pkgutil
 import random
 import re
+import sys
 import weakref
 from collections import Counter
 from fractions import Fraction
@@ -29,10 +30,12 @@ from hypothesis import strategies as st
 
 import catalog
 import dynwalk
+import dynwalk.gate_compiler as gate_compiler
 import dynwalk.rewrite_optimizer as ro
 import dynwalk.walk_engine as walk_engine
 import pinned_outputs
 import trace_fixtures as tf
+from test_gate_compiler import random_gate
 from dynwalk.gate_compiler import (
     Circuit,
     Gate,
@@ -59,7 +62,7 @@ from dynwalk.rewrite_optimizer import (
     RewriteStep,
     optimize,
 )
-from dynwalk.walk_engine import total_unitary
+from dynwalk.walk_engine import run_distance, total_unitary
 
 
 def angle(num, den=1):
@@ -429,9 +432,18 @@ def test_merge_complementary_rejects_overlap():
 
 
 def test_merge_complementary_rejects_empty_step():
+    """A normalized walk holds no empty step; given one, the verdict needs no guard of its own.
+
+    One empty step fails on the norms (0 against at least 1), and two merge
+    into holds whose product is the identity, as the walk's is.
+    """
     walk = walk_of(loops(2, [0], 1, 2), TimedGraph(Graph.make(2), angle(1, 2)))
-    assert ro._merge_complementary(*walk.steps) == "empty step"
+    assert ro._merge_complementary(*walk.steps) == "spectral norms differ"
     assert list(ro._merge_complementary_sites(ro.ScanFacts(walk), 0)) == []
+    holds = walk_of(TimedGraph(Graph.make(2), angle(1, 2)), TimedGraph(Graph.make(2), angle(3, 4)))
+    merged = ro._merge_complementary(*holds.steps)
+    assert all(step.graph.is_empty for step in merged) and len(merged) == 2
+    assert run_distance(2, holds.steps, merged) < 1e-12
 
 
 # -- MOVE_SINGLETON: the two singleton verdicts and the moves they build --------------
@@ -1425,6 +1437,82 @@ def test_every_enabling_move_is_cost_neutral():
     assert offered[RULE_SWAP_COMMUTING] >= 100 and offered[RULE_MOVE_SINGLETON] >= 100, offered
 
 
+def test_every_scan_site_strictly_improves():
+    """Every site of every regular and last-resort row, at every position, saves time or graphs.
+
+    The counterpart of test_every_enabling_move_is_cost_neutral: every row
+    filters its own sites, so ``_scan``'s improving test drops none and only
+    guards termination. Checked on the window tests' inputs, normalized, on
+    every walk an enabling search reads, and on compiled corpus circuits,
+    whose Hadamards reach the Hadamard-layer row; every row offers sites.
+    """
+    walks = []
+    for seed in range(40):
+        walk, _ = ro._normalize(search_input(seed))
+        walks += [walk] + [searched for searched, _, _, _ in enabling_searches(walk)]
+    walks += [ro._normalize(compile_circuit(random_circuit(random.Random(seed))))[0] for seed in range(12)]
+    rows = ro._REGULAR + ro._LAST_RESORT
+    offered = Counter()
+    for walk in walks:
+        facts = ro.ScanFacts(walk)
+        for rule, sites in rows:
+            for index in range(walk.graph_count):
+                for start, stop, replacement, _ in sites(facts, index):
+                    saved, _, removed = ro._gain(facts, start, stop, replacement)
+                    assert (saved, removed) > (0, 0), (rule, sites.__name__, start, stop)
+                    offered[sites] += 1
+    assert all(offered[sites] for _, sites in rows), {sites.__name__: offered[sites] for _, sites in rows}
+
+
+def test_every_staircase_and_every_scanned_walk_keep_the_invariants_their_makers_set(monkeypatch):
+    """The invariants the builder and the rules rely on, checked at the places that establish them.
+
+    Each of the four callers of ``_staircase`` (the Hadamard layer, the
+    fold, the loops-only row and the loops-only landing) reduces its turns
+    modulo 2 den over the walk's vertices just before the call, and
+    ``_normalize`` leaves no empty step and no zero duration in any walk the
+    driver scans, enabling candidates included. Both ``_staircase``
+    bindings and ``ScanFacts`` are wrapped while ``optimize`` runs on the
+    digest corpus's seeds and the window tests' inputs and while circuits
+    with H runs and HLAYER gates compile, with and without
+    ``parallel_hadamards``.
+    """
+    callers = Counter()
+
+    def staircase(turns, den, n_vertices):
+        caller = sys._getframe(1).f_code.co_name
+        assert all(0 <= vertex < n_vertices and 0 <= turn < 2 * den for vertex, turn in turns.items()), (
+            caller, turns, den, n_vertices,
+        )
+        callers[caller] += 1
+        return _staircase(turns, den, n_vertices)
+
+    scanned = Counter()
+    real_init = ro.ScanFacts.__init__
+
+    def init(self, walk, memo=None, origin=None):
+        assert all(step.pi_num > 0 and not step.graph.is_empty for step in walk.steps), walk
+        scanned["candidate" if origin is not None else "walk"] += 1
+        real_init(self, walk, memo, origin)
+
+    monkeypatch.setattr(gate_compiler, "_staircase", staircase)
+    monkeypatch.setattr(ro, "_staircase", staircase)
+    monkeypatch.setattr(ro.ScanFacts, "__init__", init)
+    for seed in range(20):
+        optimize(random_walk(random.Random(seed)))
+        optimize(compile_circuit(random_circuit(random.Random(seed))))
+    for seed in range(40):
+        optimize(search_input(seed))
+    rng = np.random.default_rng(5)
+    for _ in range(30):
+        n_qubits = int(rng.integers(1, 5))
+        circuit = Circuit(n_qubits, tuple(random_gate(rng, n_qubits) for _ in range(8)))
+        for parallel in (False, True):
+            compile_circuit(circuit, parallel_hadamards=parallel)
+    assert set(callers) == {"compile_hadamard_layer", "_fold", "_staircase_sites", "_singleton_landing"}, callers
+    assert scanned["walk"] and scanned["candidate"], scanned
+
+
 def random_rewrite(rng, walk, start, stop):
     """The walk with steps[start:stop] replaced by as many random steps."""
     n = walk.n_vertices
@@ -2221,7 +2309,7 @@ def test_the_corpus_digest_script_runs_on_two_seeds(capsys):
 
 
 def test_the_optimize_profile_script_runs_on_two_seeds(capsys):
-    """tests/optimize_profile.py at 2 seeds: a header, the spectrum counts, the classifier and commutation routes, the fold counts, one share line per source file, fractions.py among them, then the ten functions of largest cumulative time."""
+    """tests/optimize_profile.py at 2 seeds: a header, the spectrum counts, the classifier and commutation routes, the fold and staircase counts, one share line per source file, fractions.py among them, then the ten functions of largest cumulative time."""
     import cli_overhead
     import optimize_profile
 
@@ -2229,7 +2317,7 @@ def test_the_optimize_profile_script_runs_on_two_seeds(capsys):
     for cache in cli_overhead.package_caches():
         cache.cache_clear()
     optimize_profile.main(["2"])
-    header, counts, routes, folds, *lines = capsys.readouterr().out.splitlines()
+    header, counts, routes, folds, staircases, *lines = capsys.readouterr().out.splitlines()
     assert re.fullmatch(r"optimize over 7 programs: \d+\.\d\d s of self time, \d+ Fraction constructions", header)
     decompositions, listed, searches, _ = map(
         int,
@@ -2256,6 +2344,14 @@ def test_the_optimize_profile_script_runs_on_two_seeds(capsys):
     )
     # both rows build only the folds that strictly improve
     assert flips == flips_improving and wide == wide_improving and flips + wide > 0
+    layer, folded, run, landing, widest = map(
+        int,
+        re.fullmatch(
+            r"staircases: layer (\d+), fold (\d+), loops-only run (\d+), landing (\d+); widest (\d+) vertices", staircases
+        ).groups(),
+    )
+    # every fold builds one staircase, and each caller is reached
+    assert folded == flips + wide and min(layer, run, landing) > 0 and widest > 0
     split = lines.index("10 functions by cumulative time:")
     lines, top = lines[:split], lines[split + 1 :]
     cumulative = [re.fullmatch(r"(.+):(\d+) (.+): (\d+\.\d{3}) s cumulative", line).groups() for line in top]
