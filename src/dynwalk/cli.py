@@ -29,6 +29,13 @@ a negative number, a missing or extra argument, a value its type refuses,
 no command or an unknown one) builds the parser with all six commands and
 parses the call once, so its help, usage and errors are argparse's own.
 
+Every input file, a walk, a circuit or a ``--state`` amplitude file, has
+one reader, ``_load``: it reads the file as UTF-8 text and parses it, and
+a file that cannot be read, is not UTF-8 or does not parse ends the call
+with one ``error:`` line naming the file. A reader that closes standard
+output early (``| head``) ends the output quietly, with the command's own
+exit code and no traceback.
+
 Exit codes: 0 success, 1 verification or equivalence failure, 2 malformed
 input (bad file, bad JSON, bad flag values).
 """
@@ -42,13 +49,12 @@ import os
 import re
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
 from .gate_compiler import circuit_distance, compile_circuit, mixing_pairs, parse_circuit
 from .graph_model import (
-    DynamicGraph,
     ParseError,
     _check_time_digits,
     _decode_json,
@@ -93,11 +99,14 @@ def _read_text(path: str) -> str:
             return handle.read()
     except OSError as err:
         raise CliInputError(f"cannot read {path}: {err.strerror or err}") from err
+    except UnicodeDecodeError as err:
+        raise CliInputError(f"cannot read {path}: not UTF-8 text ({err.reason} at byte {err.start})") from err
 
 
-def _load_walk(path: str) -> DynamicGraph:
+def _load(path: str, parse: Callable[[str], Any]) -> Any:
+    """The file's text read by ``parse``: every input file and document of a command comes through here."""
     try:
-        return parse_dynamic_graph(_read_text(path))
+        return parse(_read_text(path))
     except ParseError as err:
         raise CliInputError(f"{path}: {err}") from err
 
@@ -142,10 +151,7 @@ def _initial_state(text: str, n_vertices: int) -> np.ndarray:
         state[int(digits)] = 1.0
         return state
     if os.path.exists(label):
-        try:
-            data = _decode_json(_read_text(label))
-        except ParseError as err:
-            raise CliInputError(f"{label}: {err}") from err
+        data = _load(label, _decode_json)
         if not isinstance(data, list) or len(data) != n_vertices:
             raise CliInputError(f"{label}: expected a list of {n_vertices} [re, im] pairs")
         for k, pair in enumerate(data):
@@ -189,7 +195,7 @@ def _state_norm(final: np.ndarray) -> float:
 
 
 def cmd_simulate(args: argparse.Namespace) -> CommandResult:
-    walk = _load_walk(args.walk)
+    walk = _load(args.walk, parse_dynamic_graph)
     state = _initial_state(args.state, walk.n_vertices)
     final = evolve_state(walk, state)
     norm = _state_norm(final)
@@ -205,7 +211,7 @@ def _unitary_rows(u: np.ndarray) -> Iterator[str]:
 
 
 def cmd_unitary(args: argparse.Namespace) -> CommandResult:
-    walk = _load_walk(args.walk)
+    walk = _load(args.walk, parse_dynamic_graph)
     u = total_unitary(walk)
     if args.csv:
         _write_text(args.csv, (row + "\n" for row in _unitary_rows(u)))
@@ -230,7 +236,7 @@ def _parse_passes(text: Optional[str]) -> Optional[List[str]]:
 def cmd_optimize(args: argparse.Namespace) -> CommandResult:
     if args.max_iter is not None and args.max_iter < 0:
         raise CliInputError(f"--max-iter must be 0 or more, got {args.max_iter}")
-    walk = _load_walk(args.walk)
+    walk = _load(args.walk, parse_dynamic_graph)
     passes = _parse_passes(args.passes)
     simplified, report = optimize(walk, passes=passes, max_iterations=args.max_iter)
     distance = report.phase_distance
@@ -261,10 +267,7 @@ def cmd_optimize(args: argparse.Namespace) -> CommandResult:
 
 
 def cmd_compile(args: argparse.Namespace) -> CommandResult:
-    try:
-        circuit = parse_circuit(_read_text(args.circuit))
-    except ParseError as err:
-        raise CliInputError(f"{args.circuit}: {err}") from err
+    circuit = _load(args.circuit, parse_circuit)
     walk = compile_circuit(circuit, parallel_hadamards=args.parallel_h)
     try:
         _check_time_digits(walk.steps)
@@ -286,8 +289,8 @@ def cmd_compile(args: argparse.Namespace) -> CommandResult:
 
 
 def cmd_equiv(args: argparse.Namespace) -> CommandResult:
-    first = _load_walk(args.first)
-    second = _load_walk(args.second)
+    first = _load(args.first, parse_dynamic_graph)
+    second = _load(args.second, parse_dynamic_graph)
     if first.n_vertices != second.n_vertices:
         raise CliInputError(
             f"vertex counts differ: {first.n_vertices} vs {second.n_vertices}"
@@ -299,7 +302,7 @@ def cmd_equiv(args: argparse.Namespace) -> CommandResult:
 
 
 def cmd_stats(args: argparse.Namespace) -> CommandResult:
-    walk = _load_walk(args.walk)
+    walk = _load(args.walk, parse_dynamic_graph)
     lines = [f"vertices: {walk.n_vertices}", f"graphs: {walk.graph_count}"]
     total = walk.total_time()
     lines.append(f"total time: {format_angle(total)} ({radians(total):.4f})")
@@ -424,8 +427,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CliInputError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    for line in result.lines:
-        print(line)
+    try:
+        for line in result.lines:
+            print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone: send the interpreter's final flush to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return result.exit_code
 
 

@@ -40,7 +40,10 @@ unitary W over the union of the walk's graphs and the gates'
 component, so the undo runs on each block's rows as on the dense
 product. The optimizer's Hadamard-layer verdict undoes a one-gate HLAYER
 circuit on the fragment's dense product, one block. ``parse_circuit``
-refuses more than ``MAX_QUBITS`` qubits, the walk vertex ceiling.
+reads its document's prologue with the walk parser's
+(``graph_model._document``), so both formats refuse the same defects
+with the same messages; it refuses more than ``MAX_QUBITS`` qubits, the
+walk vertex ceiling.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ from .graph_model import (
     Graph,
     ParseError,
     TimedGraph,
-    _decode_json,
+    _document,
     _expect_int,
     _expect_keys,
     _fail,
@@ -446,7 +449,7 @@ def _parse_gate(obj: object, n_qubits: int, path: str) -> Gate:
     if kind not in GATE_KINDS:
         _fail(f"{path}.kind", f"expected one of {', '.join(GATE_KINDS)}, got {kind!r}")
     fields = _GATE_FIELDS[kind]
-    _expect_keys(obj, ("kind",) + fields, path)
+    _expect_keys(obj, ("kind",) + fields, path, "expected a gate object")
 
     def qubit(value: object, where: str) -> int:
         index = _expect_int(value, where)
@@ -479,18 +482,7 @@ def _parse_gate(obj: object, n_qubits: int, path: str) -> Gate:
 
 def parse_circuit(text: str) -> Circuit:
     """Parse circuit JSON, raising ParseError with a JSON path on defects."""
-    data = _decode_json(text)
-    if not isinstance(data, dict):
-        _fail("$", "expected a top-level object")
-    _expect_keys(data, ("n_qubits", "gates"), "$")
-    n_qubits = _expect_int(data["n_qubits"], "n_qubits")
-    if n_qubits < 1:
-        _fail("n_qubits", "must be at least 1")
-    if n_qubits > MAX_QUBITS:
-        _fail("n_qubits", f"must be at most {MAX_QUBITS}")
-    raw_gates = data["gates"]
-    if not isinstance(raw_gates, list):
-        _fail("gates", "expected a list")
+    n_qubits, raw_gates = _document(text, "n_qubits", MAX_QUBITS, "gates", "expected a list")
     gates = tuple(
         _parse_gate(obj, n_qubits, f"gates[{index}]") for index, obj in enumerate(raw_gates)
     )

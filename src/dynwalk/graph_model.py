@@ -21,12 +21,18 @@ The JSON interchange format mirrors the in-memory model:
 
 ``parse_dynamic_graph`` accepts any JSON layout. It validates aggressively
 and reports the JSON path of the offending element, since hand-edited walk
-files are the normal input. It refuses more than ``MAX_VERTICES`` vertices
-before building anything, since ``unitary`` and ``optimize`` hold n x n
-unitaries, durations that need more than ``MAX_TIME_DIGITS`` digits
-over a common denominator, which no command could print, and a total time
-whose radians are not a finite float; ``compile`` refuses such a compiled
-walk by the same check (``_check_time_digits``).
+files are the normal input. A walk and a circuit document
+(``gate_compiler.parse_circuit``) share one prologue, ``_document``: the
+JSON is decoded, the top level must be an object with exactly its two
+keys, the size an integer from 1 to the format's ceiling and the items a
+list. Every object of either format is checked to be one, and to hold
+exactly its keys, by one function, ``_expect_keys``. The walk parser
+refuses more than ``MAX_VERTICES`` vertices before building anything,
+since ``unitary`` and ``optimize`` hold n x n unitaries, durations that
+need more than ``MAX_TIME_DIGITS`` digits over a common denominator,
+which no command could print, and a total time whose radians are not a
+finite float; ``compile`` refuses such a compiled walk by the same check
+(``_check_time_digits``).
 
 A step's edge and loop lists are read in one pass of plain inline tests
 per entry, which calls no function. The tests run in the order that names
@@ -727,8 +733,10 @@ def _expect_int(value: object, path: str) -> int:
     return value
 
 
-def _expect_keys(obj: dict, keys: Sequence[str], path: str) -> None:
-    """Fail unless the object holds exactly these keys: an unknown one first, then a missing one."""
+def _expect_keys(obj: object, keys: Sequence[str], path: str, expected: str) -> None:
+    """Fail unless obj is an object (else with ``expected``) holding exactly these keys: an unknown one first, then a missing one."""
+    if not isinstance(obj, dict):
+        _fail(path, expected)
     for key in obj:
         if key not in keys:
             _fail(path, f"unknown field {key!r}")
@@ -739,9 +747,7 @@ def _expect_keys(obj: dict, keys: Sequence[str], path: str) -> None:
 
 def _parse_time(obj: object, path: str) -> Tuple[int, int]:
     """The time object's multiple of pi as (numerator, denominator) in lowest terms."""
-    if not isinstance(obj, dict):
-        _fail(path, "expected an object with pi_num and pi_den")
-    _expect_keys(obj, ("pi_num", "pi_den"), path)
+    _expect_keys(obj, ("pi_num", "pi_den"), path, "expected an object with pi_num and pi_den")
     num = _expect_int(obj["pi_num"], f"{path}.pi_num")
     den = _expect_int(obj["pi_den"], f"{path}.pi_den")
     if num < 0:
@@ -764,9 +770,7 @@ def _finite_radians(num: int, den: int) -> bool:
 
 
 def _parse_step(obj: object, n_vertices: int, path: str) -> TimedGraph:
-    if not isinstance(obj, dict):
-        _fail(path, "expected a step object")
-    _expect_keys(obj, ("edges", "loops", "time"), path)
+    _expect_keys(obj, ("edges", "loops", "time"), path, "expected a step object")
 
     # One pass of plain inline tests per entry, in the order they name a
     # defect: exactly ``int``, as JSON decodes integers, so bools and floats
@@ -808,20 +812,29 @@ def _parse_step(obj: object, n_vertices: int, path: str) -> TimedGraph:
     return TimedGraph.of(Graph._of(n_vertices, frozenset(edges), frozenset(loops)), num, den)
 
 
+def _document(text: str, size: str, most: int, items: str, expected: str) -> Tuple[int, list]:
+    """The size and the item list of a walk or circuit document: the prologue both formats share.
+
+    The text must decode to an object with exactly the keys ``size`` and
+    ``items``; the size must be an integer from 1 to ``most``, and the
+    items a list (else ``expected`` names the defect). Each check raises
+    ParseError with its JSON path, in that order.
+    """
+    data = _decode_json(text)
+    _expect_keys(data, (size, items), "$", "expected a top-level object")
+    count = _expect_int(data[size], size)
+    if count < 1:
+        _fail(size, "must be at least 1")
+    if count > most:
+        _fail(size, f"must be at most {most}")
+    if not isinstance(data[items], list):
+        _fail(items, expected)
+    return count, data[items]
+
+
 def parse_dynamic_graph(text: str) -> DynamicGraph:
     """Parse walk JSON, raising ParseError with a JSON path on any defect."""
-    data = _decode_json(text)
-    if not isinstance(data, dict):
-        _fail("$", "expected a top-level object")
-    _expect_keys(data, ("n_vertices", "sequence"), "$")
-    n_vertices = _expect_int(data["n_vertices"], "n_vertices")
-    if n_vertices < 1:
-        _fail("n_vertices", "must be at least 1")
-    if n_vertices > MAX_VERTICES:
-        _fail("n_vertices", f"must be at most {MAX_VERTICES}")
-    raw_sequence = data["sequence"]
-    if not isinstance(raw_sequence, list):
-        _fail("sequence", "expected a list of steps")
+    n_vertices, raw_sequence = _document(text, "n_vertices", MAX_VERTICES, "sequence", "expected a list of steps")
     steps = tuple(
         _parse_step(step, n_vertices, f"sequence[{index}]")
         for index, step in enumerate(raw_sequence)

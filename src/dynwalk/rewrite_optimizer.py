@@ -172,8 +172,13 @@ strictly cheaper and whose column 0 matches the layer's closed form:
 Every accepted rewrite is verified on its span alone. With Q the product
 of the steps before the span, P that of the steps after it, and S, S' the
 old and new span products, tr((P S Q)^dag P S' Q) = tr(S^dag S'), so the
-phase distance of the two spans is exactly that of the two programs. A
-failure rolls back and is reported rather than silently kept. At the end
+phase distance of the two spans is exactly that of the two programs. The
+driver takes a chain of one rewrite, or of an enabling move and its
+follow-up, and verifies each rewrite in turn on the walk before it, so a
+follow-up is checked on the walk its move made. The first failure ends
+the chain: the walk stays as it was before the chain, the failure is
+reported rather than silently kept, and only the failed rewrite is
+skipped from then on. At the end
 ``optimize`` compares the products of its input and its output, which
 also covers the period reductions of the normalization, and reports that
 distance. Both checks read ``run_distance``, which holds at most
@@ -1143,11 +1148,6 @@ def _find_enabling_pair(
     return None
 
 
-def _apply(walk: DynamicGraph, rewrite: Rewrite) -> DynamicGraph:
-    record, replacement = rewrite
-    return walk.replaced(*record.span, replacement)
-
-
 def _span_verified(walk: DynamicGraph, rewrite: Rewrite) -> bool:
     """Whether the rewrite keeps the program unitary, checked on its span."""
     record, replacement = rewrite
@@ -1166,10 +1166,13 @@ def optimize(
     for a strictly decreasing singleton move or fold of a phased-permutation
     run (COMBINE_PST beyond phase * X_mask runs), and when that fails too
     search for one cost-neutral enabling move whose successor rewrite
-    strictly improves, committing the two together. Every accepted change is
-    checked on its span to VERIFY_TOLERANCE; a failed check rolls back, is
-    recorded in the report, and the rewrite that failed (its span's steps
-    and their replacement) is never tried again, on any walk.
+    strictly improves, committing the two together. One loop verifies and
+    applies the chain: each rewrite is checked on its span to
+    VERIFY_TOLERANCE on the walk before it, the move's walk for the
+    follow-up. The first failure keeps the walk as it was before the chain,
+    is recorded in the report, and skips that rewrite alone (its span's
+    steps and their replacement): it is never tried again, on any walk,
+    and a rewrite after it is not verified.
     ``max_iterations`` caps the changes tried, accepted and rejected alike
     (an enabling move and its successor count as one). Unknown passes and
     a negative cap raise ``ValueError``. The report's ``stop_reason`` says
@@ -1210,22 +1213,20 @@ def optimize(
         if chain is None:
             stop_reason = STOP_FIXPOINT
             break
-        programs = [current]
-        for rewrite in chain:
-            programs.append(_apply(programs[-1], rewrite))
-        verified = (_span_verified(program, rewrite) for program, rewrite in zip(programs, chain))
-        failed = next((i for i, ok in enumerate(verified) if not ok), None)
         tried += 1
-        stop_reason = STOP_ITERATION_CAP if failed is None else STOP_REJECTION_CAP
-        if failed is None:
-            current, extra = _normalize(programs[-1])
-            records.extend(record for record, _ in chain)
-            records.extend(extra)
+        program, stop_reason = current, STOP_ITERATION_CAP
+        for record, replacement in chain:
+            if not _span_verified(program, (record, replacement)):
+                rules = "+".join(step.rule for step, _ in chain)
+                rejected.append(f"{rules} at {chain[0][0].span}: verification failed")
+                skip.add((program.steps[slice(*record.span)], replacement))
+                stop_reason = STOP_REJECTION_CAP
+                break
+            program = program.replaced(*record.span, replacement)
         else:
-            rules = "+".join(record.rule for record, _ in chain)
-            rejected.append(f"{rules} at {chain[0][0].span}: verification failed")
-            record, replacement = chain[failed]
-            skip.add((programs[failed].steps[slice(*record.span)], replacement))
+            current, extra = _normalize(program)
+            records.extend(step for step, _ in chain)
+            records.extend(extra)
 
     distance = run_distance(walk.n_vertices, walk.steps, current.steps)
     if not distance < VERIFY_TOLERANCE:

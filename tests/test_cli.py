@@ -870,6 +870,23 @@ def test_undecodable_json_exits_2(tmp_path, capsys, command, body):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["stats", "compile", "simulate --state"])
+def test_a_file_that_is_not_utf8_exits_2(tmp_path, capsys, command):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    bad = str(bad)
+    good = write_walk(tmp_path / "good.json", identity_walk(2))
+    argv = {
+        "stats": ["stats", bad],
+        "compile": ["compile", bad, "-o", str(tmp_path / "x.json")],
+        "simulate --state": ["simulate", good, "--state", bad],
+    }[command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot read {bad}: not UTF-8 text (invalid start byte at byte 0)\n"
+
+
 def test_a_basis_index_with_more_digits_than_the_vertex_count_is_out_of_range(tmp_path, capsys):
     walk_file = write_walk(tmp_path / "hold.json", identity_walk(3))
     assert main(["simulate", walk_file, "--state", "1" * 5000]) == 2
@@ -1114,13 +1131,17 @@ def test_main_calls_the_handler_bound_when_it_runs(tmp_path, capsys, monkeypatch
     assert capsys.readouterr().out.splitlines()[0] == "vertices: 2"
 
 
-def run_module(*argv):
-    """``python -m dynwalk.cli`` with these arguments: main reads them from sys.argv."""
+def module_env():
+    """The environment in which ``python -m dynwalk.cli`` imports this package and prints UTF-8."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path, PYTHONIOENCODING="utf-8")
+    return dict(os.environ, PYTHONPATH=path, PYTHONIOENCODING="utf-8")
+
+
+def run_module(*argv):
+    """``python -m dynwalk.cli`` with these arguments: main reads them from sys.argv."""
     return subprocess.run(
-        [sys.executable, "-m", "dynwalk.cli", *argv], capture_output=True, env=env, timeout=120
+        [sys.executable, "-m", "dynwalk.cli", *argv], capture_output=True, env=module_env(), timeout=120
     )
 
 
@@ -1149,6 +1170,20 @@ def test_the_module_runs_a_command_from_its_arguments(tmp_path):
         "step 1: 0 edges, 2 loops, time 3π/2 (4.7124), norm 1.000000, period 2π\n"
     )
     assert done.stderr == b""
+
+
+def test_a_reader_that_closes_early_ends_the_output_quietly(tmp_path):
+    """``dynwalk unitary w.json | head -n 1`` on 128 vertices: the rows outrun any pipe buffer."""
+    walk_file = write_walk(tmp_path / "w.json", identity_walk(128))
+    with subprocess.Popen(
+        [sys.executable, "-m", "dynwalk.cli", "unitary", walk_file],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=module_env(),
+    ) as process:
+        assert process.stdout.readline().startswith(b"1.000000000000+0.000000000000i,")
+        process.stdout.close()
+        err = process.stderr.read()
+        assert process.wait(timeout=120) == 0
+    assert err == b""
 
 
 def test_the_overhead_script_times_every_command(tmp_path, capsys, monkeypatch):

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import catalog
 import dynwalk.graph_model as gm
 from adjacency import adjacency_matrix
-from dynwalk.gate_compiler import _pairs
+from dynwalk.gate_compiler import _pairs, parse_circuit
 from dynwalk.graph_model import (
     MAX_VERTICES,
     DynamicGraph,
@@ -805,6 +805,51 @@ def test_parse_errors_carry_json_paths(mutate, fragment):
     with pytest.raises(ParseError) as err:
         parse_dynamic_graph(json.dumps(doc))
     assert fragment in str(err.value)
+
+
+# Each defect of the document prologue, as (walk document, walk message,
+# circuit document, circuit message): both formats read it in one place.
+PROLOGUE_DEFECTS = {
+    "top level not an object": (
+        [], "$: expected a top-level object",
+        "gates", "$: expected a top-level object",
+    ),
+    "an unknown key": (
+        {"n_vertices": 2, "sequence": [], "extra": 1}, "$: unknown field 'extra'",
+        {"n_qubits": 1, "gates": [], "extra": 1}, "$: unknown field 'extra'",
+    ),
+    "a missing key": (
+        {"n_vertices": 2}, "$: missing field 'sequence'",
+        {"gates": []}, "$: missing field 'n_qubits'",
+    ),
+    "a size that is not an integer": (
+        {"n_vertices": "2", "sequence": []}, "n_vertices: expected an integer, got '2'",
+        {"n_qubits": True, "gates": []}, "n_qubits: expected an integer, got True",
+    ),
+    "a size of 0": (
+        {"n_vertices": 0, "sequence": []}, "n_vertices: must be at least 1",
+        {"n_qubits": 0, "gates": []}, "n_qubits: must be at least 1",
+    ),
+    "a size above the ceiling": (
+        {"n_vertices": 4097, "sequence": []}, "n_vertices: must be at most 4096",
+        {"n_qubits": 13, "gates": []}, "n_qubits: must be at most 12",
+    ),
+    "items that are not a list": (
+        {"n_vertices": 2, "sequence": {}}, "sequence: expected a list of steps",
+        {"n_qubits": 1, "gates": "H"}, "gates: expected a list",
+    ),
+}
+
+
+@pytest.mark.parametrize("defect", list(PROLOGUE_DEFECTS))
+def test_both_formats_name_each_prologue_defect_in_full(defect):
+    walk, walk_message, circuit, circuit_message = PROLOGUE_DEFECTS[defect]
+    with pytest.raises(ParseError) as err:
+        parse_dynamic_graph(json.dumps(walk))
+    assert str(err.value) == walk_message
+    with pytest.raises(ParseError) as err:
+        parse_circuit(json.dumps(circuit))
+    assert str(err.value) == circuit_message
 
 
 def test_parse_rejects_invalid_json():

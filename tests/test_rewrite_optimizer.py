@@ -2049,6 +2049,46 @@ def test_optimize_never_retries_a_failed_rewrite_after_the_walk_changes(monkeypa
     assert final.steps == (path, path, TimedGraph(edge.graph, angle(1, 2)))
 
 
+@pytest.mark.parametrize("failing", [RULE_SWAP_COMMUTING, RULE_MERGE_IDENTICAL])
+def test_an_enabling_chain_is_verified_rewrite_by_rewrite_and_skips_only_the_failed_one(monkeypatch, failing):
+    """X_1, X_2, X_1 at pi/4: the swap of (0, 2) enables the merge of (1, 3), and one of the two fails.
+
+    Each rewrite is verified on the walk before it, so the merge on the
+    swapped walk; a failed swap leaves the merge unverified. Either way the
+    walk stays as it was, and only the failed rewrite's span steps and
+    replacement are skipped.
+    """
+    first, second = match(4, 1, 1, 4), match(4, 2, 1, 4)
+    walk = walk_of(first, second, first)
+    swapped = walk_of(second, first, first)
+    real = ro._span_verified
+    checks, skips = [], []
+
+    def fails_one(program, rewrite):
+        checks.append((program, rewrite[0].rule, rewrite[0].span))
+        return rewrite[0].rule != failing and real(program, rewrite)
+
+    def search(facts, rows, moves, skip):
+        skips.append(skip)
+        return enabling(facts, rows, moves, skip)
+
+    enabling = ro._find_enabling_pair
+    monkeypatch.setattr(ro, "_span_verified", fails_one)
+    monkeypatch.setattr(ro, "_find_enabling_pair", search)
+    final, report = optimize(walk, max_iterations=1)
+    move = (walk, RULE_SWAP_COMMUTING, (0, 2))
+    if failing == RULE_SWAP_COMMUTING:
+        assert checks == [move]
+        assert skips[0] == {(walk.steps[0:2], swapped.steps[0:2])}
+    else:
+        assert checks == [move, (swapped, RULE_MERGE_IDENTICAL, (1, 3))]
+        assert skips[0] == {((first, first), (match(4, 1, 1, 2),))}
+    assert final == walk
+    assert report.rewrites == ()
+    assert report.rejected == ("SWAP_COMMUTING+MERGE_IDENTICAL at (0, 2): verification failed",)
+    assert report.stop_reason == "rejection cap"
+
+
 def test_optimize_checks_output_against_input(monkeypatch):
     # a wrong period, pi/2, makes the optimizer's reduction cut 11pi/4 down
     # to pi/4; the final check reduces by the true period, 2pi
