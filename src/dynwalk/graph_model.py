@@ -58,7 +58,7 @@ once: its eigenvalue and eigenvector arrays have leading dimension 1 and
 broadcast over the stack's components. A graph without edges, and a
 matching whose loops all sit on unmatched vertices, are not searched at
 all: each of the matching's edges is a component, and all share the one
-edge's decomposition. The components and blocks are found by one of two
+edge's decomposition, bit for bit the one the search would make. The components and blocks are found by one of two
 routes, chosen by vertex count alone. A graph on fewer than
 ``LISTED_VERTICES`` vertices is read in one pass of Python over its edge
 and loop sets, with a depth-first search over adjacency lists, since on

@@ -823,16 +823,17 @@ def _reads(lo: int, hi: int, window: Window) -> bool:
     return window is None or (lo < window[1] and window[0] < hi)
 
 
-def _offer(start: int, stop: int, verdict: StepsVerdict, note: str = "") -> Iterator[Site]:
-    """The site of a verdict on steps[start:stop], when the rule applies there."""
-    if not isinstance(verdict, str):
-        yield start, stop, verdict, note
+def _pair_sites(facts: ScanFacts, index: int, window: Window, verdict: Callable[..., StepsVerdict]) -> Iterator[Site]:
+    """The site of the verdict on steps[index:index + 2], when the pair reads the window and the rule applies."""
+    steps = facts.walk.steps
+    if index + 2 <= len(steps) and _reads(index, index + 2, window):
+        merged = verdict(*steps[index : index + 2])
+        if not isinstance(merged, str):
+            yield index, index + 2, merged, ""
 
 
 def _merge_identical_sites(facts: ScanFacts, index: int, window: Window = None) -> Iterator[Site]:
-    steps = facts.walk.steps
-    if index + 2 <= len(steps) and _reads(index, index + 2, window):
-        yield from _offer(index, index + 2, facts.memo.merge_identical(*steps[index : index + 2]))
+    return _pair_sites(facts, index, window, facts.memo.merge_identical)
 
 
 def _combine_pst_sites(facts: ScanFacts, index: int, window: Window = None) -> Iterator[Site]:
@@ -882,17 +883,16 @@ def _fold_sites(facts: ScanFacts, index: int) -> Iterator[Site]:
 
 
 def _merge_complementary_sites(facts: ScanFacts, index: int, window: Window = None) -> Iterator[Site]:
-    steps = facts.walk.steps
-    if index + 2 <= len(steps) and _reads(index, index + 2, window):
-        yield from _offer(index, index + 2, facts.memo.merge_complementary(*steps[index : index + 2]))
+    return _pair_sites(facts, index, window, facts.memo.merge_complementary)
 
 
 def _staircase_sites(facts: ScanFacts, start: int, window: Window = None) -> Iterator[Site]:
     """Re-emit a run of loops-only steps as one optimal staircase, when that is cheaper.
 
-    The run is a diagonal, so its cheapest equivalent form is the
-    descending staircase (``_staircase``) of its per-vertex phase
-    totals mod 2pi, the fold COMBINE_PST would make of it. That staircase
+    The run is a diagonal, whatever the denominators of its steps'
+    durations, so its cheapest equivalent form is the descending
+    staircase (``_staircase``) of its per-vertex phase totals mod 2pi,
+    the fold COMBINE_PST would make of it. That staircase
     runs for the largest total and has one graph per distinct nonzero
     total, so the row prices it from the totals, as integers over the
     facts' denominator, and builds it from the same totals only when it
@@ -1103,18 +1103,16 @@ def _scan(facts: ScanFacts, rows: Rows, skip: Set[Key], window: Window = None) -
     reach = () if window is None else (window,)
     for index in range(walk.graph_count if window is None else window[1]):
         for rule, sites in rows:
-            best: Optional[Tuple[tuple, Rewrite]] = None
+            best: Optional[Tuple[tuple, str, Tuple[TimedGraph, ...]]] = None
             for start, stop, replacement, note in sites(facts, index, *reach):
                 saved, den, removed = _gain(facts, start, stop, replacement)
-                if (saved, removed) <= (0, 0) or (walk.steps[start:stop], replacement) in skip:
-                    continue
-                time_saved = Fraction(saved, den)
-                rank = (-removed, -time_saved, start, stop)
-                if best is None or rank < best[0]:
-                    record = RewriteStep(rule, (start, stop), time_saved, removed, note)
-                    best = (rank, (record, replacement))
+                if (saved, removed) > (0, 0) and (walk.steps[start:stop], replacement) not in skip:
+                    rank = (-removed, Fraction(-saved, den), start, stop)
+                    if best is None or rank < best[0]:
+                        best = (rank, note, replacement)
             if best is not None:
-                return best[1]
+                (less_removed, less_saved, *span), note, replacement = best
+                return RewriteStep(rule, tuple(span), -less_saved, -less_removed, note), replacement
     return None
 
 
@@ -1196,24 +1194,19 @@ def optimize(
         tuple(row for row in rows if row[0] in enabled) for rows in (_REGULAR, _LAST_RESORT, _MOVES)
     )
 
-    records: List[RewriteStep] = []
     rejected: List[str] = []
     skip: Set[Key] = set()
     memo = _Memo()
 
-    current, norm_records = _normalize(walk)
-    records.extend(norm_records)
-
-    tried = 0
+    current, records = _normalize(walk)
     stop_reason = STOP_ITERATION_CAP
-    while tried < limit:
+    for _ in range(limit):
         facts = ScanFacts(current, memo)
         found = _scan(facts, regular, skip) or _scan(facts, last_resort, skip)
         chain = [found] if found is not None else _find_enabling_pair(facts, regular, moves, skip)
         if chain is None:
             stop_reason = STOP_FIXPOINT
             break
-        tried += 1
         program, stop_reason = current, STOP_ITERATION_CAP
         for record, replacement in chain:
             if not _span_verified(program, (record, replacement)):

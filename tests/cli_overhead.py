@@ -77,15 +77,20 @@ WIDE_GATES = {
 }
 
 
-def package_caches() -> list:
-    """Every lru_cache in the package, emptied before each call of main."""
-    return [
+def package_caches() -> set:
+    """Every lru_cache of the package's modules, each once however many modules import it.
+
+    This script empties them before each call of main, and
+    ``optimize_profile.py`` and ``width_ladder.py`` before each profiled
+    or timed run, so that each starts cold, as a fresh process does.
+    """
+    return {
         value
-        for name, module in sorted(sys.modules.items())
+        for name, module in sys.modules.items()
         if name == "dynwalk" or name.startswith("dynwalk.")
         for value in vars(module).values()
         if callable(getattr(value, "cache_clear", None))
-    ]
+    }
 
 
 def median_ms(call, samples: int, before=None) -> float:

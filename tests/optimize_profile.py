@@ -57,6 +57,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path[:0] = [HERE, os.path.join(os.path.dirname(HERE), "src")]
 
 import corpus_digest  # noqa: E402
+from cli_overhead import package_caches  # noqa: E402
 import dynwalk.gate_compiler as gate_compiler  # noqa: E402
 import dynwalk.rewrite_optimizer as ro  # noqa: E402
 from dynwalk.rewrite_optimizer import optimize  # noqa: E402
@@ -151,17 +152,6 @@ def build_counts(walks) -> tuple:
         ro._REGULAR, ro._LAST_RESORT = tables
         gate_compiler._staircase = ro._staircase = real
     return counts, staircases, widest
-
-
-def package_caches() -> set:
-    """Every lru_cache of the package's modules, each once however many modules import it."""
-    return {
-        value
-        for name, module in sys.modules.items()
-        if name.startswith("dynwalk.")
-        for value in vars(module).values()
-        if callable(getattr(value, "cache_clear", None))
-    }
 
 
 def main(argv=()) -> None:

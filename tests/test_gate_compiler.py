@@ -742,7 +742,7 @@ def test_undo_circuit_refuses_a_product_of_the_wrong_size():
 
 
 def test_the_width_ladder_script_runs_its_smallest_rungs(capsys):
-    """tests/width_ladder.py still runs against mixing_pairs and the walk engine's factor cache."""
+    """tests/width_ladder.py still runs against mixing_pairs and the package's caches."""
     import width_ladder
 
     width_ladder.main(["3"])

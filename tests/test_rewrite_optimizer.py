@@ -1464,6 +1464,48 @@ def test_every_scan_site_strictly_improves():
     assert all(offered[sites] for _, sites in rows), {sites.__name__: offered[sites] for _, sites in rows}
 
 
+def test_the_scan_picks_the_site_that_removes_most_then_saves_most_and_keeps_the_first_of_a_tie():
+    """``_scan``'s pick among one row's sites at a position, on crafted sites of a fake row.
+
+    At position 0 of four loops-only steps of pi/4, the row offers spans
+    from step 0 on with one-step replacements, so each site's price is set
+    by its span and its replacement's duration: more steps removed beats
+    more time saved, then more time saved wins, and a full tie keeps the
+    site offered first. A skipped site and one that does not improve are
+    passed over, however well they would rank.
+    """
+    walk = walk_of(*(loops(2, {step % 2}, 1, 4) for step in range(4)))
+
+    def one(num, den=1, vertex=0):
+        return (loops(2, {vertex}, num, den),)
+
+    def pick(sites, skip=()):
+        def row(facts, index, *reach):
+            return iter(sites if index == 0 else ())
+
+        return ro._scan(ro.ScanFacts(walk), ((RULE_MOVE_SINGLETON, row),), set(skip))
+
+    two_saving_more = (0, 2, one(1, 8), "one removed, 3π/8 saved")
+    three_saving_less = (0, 3, one(5, 8), "two removed, π/8 saved")
+    three_saving_more = (0, 3, one(3, 8), "two removed, 3π/8 saved")
+    three_tied = (0, 3, one(3, 8, vertex=1), "two removed, 3π/8 saved, offered second")
+    four_skipped = (0, 4, one(1, 8), "three removed, 7π/8 saved, skipped")
+    four_costlier = (0, 4, one(2), "three removed, π lost")
+
+    def picked(start, stop, replacement, note, removed, saved):
+        return RewriteStep(RULE_MOVE_SINGLETON, (start, stop), saved, removed, note), replacement
+
+    assert pick([two_saving_more, three_saving_less]) == picked(*three_saving_less, 2, angle(1, 8))
+    assert pick([three_saving_less, two_saving_more]) == picked(*three_saving_less, 2, angle(1, 8))
+    assert pick([three_saving_less, three_saving_more]) == picked(*three_saving_more, 2, angle(3, 8))
+    assert pick([three_saving_more, three_tied]) == picked(*three_saving_more, 2, angle(3, 8))
+    assert pick([three_tied, three_saving_more]) == picked(*three_tied, 2, angle(3, 8))
+    skip = {(walk.steps[0:4], four_skipped[2])}
+    assert pick([four_skipped, four_costlier, three_saving_less], skip) == picked(*three_saving_less, 2, angle(1, 8))
+    assert pick([four_skipped, four_costlier], skip) is None
+    assert pick([four_skipped]) == picked(*four_skipped, 3, angle(7, 8))
+
+
 def test_every_staircase_and_every_scanned_walk_keep_the_invariants_their_makers_set(monkeypatch):
     """The invariants the builder and the rules rely on, checked at the places that establish them.
 

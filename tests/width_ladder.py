@@ -20,8 +20,8 @@ walk, so that two trees can be compared line by line. With
 gigabytes from 12 qubits on, and instead compiles one H per qubit, whose
 union of graphs does not split, and prints the same figures as the first
 line for the ``compile`` check and for ``equiv`` of that walk against
-itself. Both runs of ``equiv`` start from empty spectrum and factor
-caches, as a fresh ``equiv`` does. From 4 qubits on, a last line gives
+itself. Both runs of ``equiv`` start with every cache of the package
+empty (``cli_overhead.package_caches``), as a fresh ``equiv`` does. From 4 qubits on, a last line gives
 the same figures for both checks of one HLAYER on the first q - 3
 qubits, whose walk step is 8 equal 2^(q-3)-vertex cubes that share one
 decomposition.
@@ -45,11 +45,12 @@ import time
 import tracemalloc
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-sys.path[:0] = [os.path.join(os.path.dirname(HERE), "src")]
+sys.path[:0] = [HERE, os.path.join(os.path.dirname(HERE), "src")]
 
+from cli_overhead import package_caches  # noqa: E402
 from dynwalk import walk_engine  # noqa: E402
 from dynwalk.gate_compiler import Circuit, Gate, circuit_distance, compile_circuit, mixing_pairs  # noqa: E402
-from dynwalk.graph_model import format_angle, serialize_dynamic_graph, spectrum  # noqa: E402
+from dynwalk.graph_model import format_angle, serialize_dynamic_graph  # noqa: E402
 from dynwalk.rewrite_optimizer import optimize  # noqa: E402
 
 GATES = (
@@ -71,8 +72,8 @@ def compile_check(circuit: Circuit, walk) -> float:
 
 def equiv_check(circuit: Circuit, walk) -> float:
     """The check of ``dynwalk equiv`` of the walk against itself, from empty caches."""
-    spectrum.cache_clear()
-    walk_engine._cached_factors.cache_clear()
+    for cache in package_caches():
+        cache.cache_clear()
     return walk_engine.run_distance(walk.n_vertices, walk.steps, walk.steps)
 
 
