@@ -58,14 +58,15 @@ once: its eigenvalue and eigenvector arrays have leading dimension 1 and
 broadcast over the stack's components. A graph without edges, and a
 matching whose loops all sit on unmatched vertices, are not searched at
 all: each of the matching's edges is a component, and all share the one
-edge's decomposition, bit for bit the one the search would make. The components and blocks are found by one of two
-routes, chosen by vertex count alone. A graph on fewer than
-``LISTED_VERTICES`` vertices is read in one pass of Python over its edge
-and loop sets, with a depth-first search over adjacency lists, since on
-such graphs numpy's fixed cost per call outweighs its arithmetic. A
-larger one is read by numpy index work: one degree count over the edge
-ends recognizes a matching, and ``components`` sorts the vertices by
-size and component. Both routes give the same arrays, byte for byte.
+edge's decomposition, bit for bit the one the search would make. The
+components and blocks are found by one of two routes, chosen by vertex
+count alone. A graph on fewer than ``LISTED_VERTICES`` vertices is read
+in one pass of Python over its edge and loop sets, with a depth-first
+search over adjacency lists, since on such graphs numpy's fixed cost per
+call outweighs its arithmetic. A larger one is read by numpy index work:
+one degree count over the edge ends recognizes a matching, and
+``components`` sorts the vertices by size and component. Both routes give
+the same arrays, byte for byte.
 """
 
 from __future__ import annotations
