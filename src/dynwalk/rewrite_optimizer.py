@@ -68,6 +68,20 @@ part of the window but not all of it. The leftmost best of those is the
 site the full scan of the regular rows would take, whatever the skip
 set. A move that leaves its span as it was is never tried.
 
+The same argument lets the regular scan after an accepted rewrite resume
+rather than start over. ``optimize`` finds the window where the new walk
+differs from the scanned one, their common prefix and suffix aside, so
+that it also covers the normalization; the rewrite kept the window's
+product up to phase and lowered its cost. If the scan before had an
+empty skip set and took its rewrite at position a, every position below
+a offered no site then: there the new scan offers only the sites that
+read the window, as a fragment that holds the whole window is the old
+fragment up to phase at no higher cost, so no cheaper layer, and it
+judges every position from a on in full. After a last-resort rewrite or
+an enabling chain the regular rows found nothing anywhere, so the
+window alone is scanned. The first scan, and every scan once a rewrite
+has failed, is a full scan.
+
 Every duration here is a pair of integers, a step's ``pi_num`` over
 ``pi_den`` (see ``graph_model``): periods, phases, merges and residues
 are computed on such pairs and no ``Fraction`` is built until a value
@@ -96,7 +110,10 @@ folds it only when it strictly improves. A singleton move leaves the
 steps between its source and target as they were, so it is priced from
 those two steps against what stays of the source and what landed, and
 its site is built only when it strictly improves, for the last-resort
-row, or is exactly neutral, for the enabling search.
+row, or is exactly neutral, for the enabling search. The last-resort row
+prices a move whose source keeps a remainder only onto a target that is
+the lone loop on the vertex, as no other such move can improve (see
+``_singleton_moves``).
 
 The rescanned walks differ from the current one only where a neutral
 move changed them, so the step-local verdicts are pure functions, and
@@ -142,11 +159,13 @@ once per walk, in the ``ScanFacts`` the driver passes to every row: the
 prefix times as integers over one denominator, the ends of the runs of
 phased permutations, of phased bit flips and of loops-only steps, and,
 only once the Hadamard-layer row asks, the prefix products
-W_0 .. W_count from one ``walk_engine.prefix_unitaries`` call. The facts live
-as long as their walk's scans; no module-level state holds them. Each
-candidate of the enabling search sums its own prefix times and takes its
-prefix products from the walk's: those left of the window are the
-walk's, those right of it the walk's up to a global phase, which no
+W_0 .. W_count from one ``walk_engine.prefix_unitaries`` call for the
+first walk. The facts live as long as their walk's scans; no
+module-level state holds them. The facts of each later walk, and those
+of each candidate of the enabling search, come from the facts before
+(``ScanFacts.replaced``): they sum their own prefix times and take their
+prefix products from the walk before, whose products left of the window
+are theirs, those right of it theirs up to a global phase, which no
 verdict reads, and only the window's are new, from a
 ``prefix_unitaries`` call that applies the window's steps to the product
 before it. The phased-permutation form of a step with a vertex on two
@@ -166,8 +185,10 @@ never a Hadamard layer, and stopping at the first that costs no more
 than the cheapest layer (``LAYER_FLOOR``). The row reads a fragment
 [i, s) as W_s W_i^dag: its bit mask from column 0, its cost from the
 prefix times, and the fragment's dense product only for a layer that is
-strictly cheaper and whose column 0 matches the layer's closed form:
-2^(-k/2) times one phase on each of the 2^k vertices inside the mask.
+strictly cheaper, whose column 0 matches the layer's closed form, 2^(-k/2)
+times one phase on each of the 2^k vertices inside the mask, and whose
+column v, for the mask's lowest bit v, is column 0 with the sign flipped
+on the vertices that hold bit v, as the layer's is.
 
 Every accepted rewrite is verified on its span alone. With Q the product
 of the steps before the span, P that of the steps after it, and S, S' the
@@ -671,9 +692,13 @@ class ScanFacts:
       own when none is given).
 
     The run ends and the products are built on first use, the products
-    only by the Hadamard-layer row. The facts of an enabling candidate
-    (``moved``) keep the walk they were moved from as their origin, whose
-    products they share outside the window.
+    only by the Hadamard-layer row. Facts made by ``replaced``, those of an
+    enabling candidate and those of the walk after an accepted rewrite,
+    keep the facts they were made from as their origin, whose products they
+    share outside the window, and drop it once they have spliced them in.
+    Facts replaced before they have spliced pass on their own origin, over
+    both windows, so every origin is fresh or spliced, and no chain of
+    earlier facts stays alive.
     """
 
     def __init__(
@@ -688,16 +713,22 @@ class ScanFacts:
         self._ends: Dict[str, List[int]] = {}
         self._products: Optional[List[np.ndarray]] = None
 
-    def moved(self, start: int, stop: int, replacement: Tuple[TimedGraph, ...]) -> "ScanFacts":
-        """The facts of the walk after a cost-neutral move rewrote steps[start:stop].
+    def replaced(self, start: int, stop: int, replacement: Tuple[TimedGraph, ...]) -> "ScanFacts":
+        """The facts of the walk after steps[start:stop] became the replacement, of any length.
 
-        The move keeps the step count, the window's time and its product up
-        to phase, so the products outside the window are the origin's: left
-        of it they are the same, right of it they differ only by a global
-        phase, which the Hadamard-layer row does not read (see
-        _hypercube_sites). Only the products inside the window are new.
+        The replacement keeps the window's product up to phase, as every
+        verified rewrite and every neutral move does, so the products
+        outside the window are the origin's: left of it they are the same,
+        right of it they differ only by a global phase, which the
+        Hadamard-layer row does not read (see _hypercube_sites). Only the
+        products inside the new window are new. A move keeps the window's
+        length; a rewrite may shorten it.
         """
-        return ScanFacts(self.walk.replaced(start, stop, replacement), self.memo, (self, start, stop))
+        origin = (self, start, stop)
+        if self._products is None and self._origin is not None:  # not spliced yet: share its origin
+            root, lo, hi = self._origin
+            origin = (root, min(lo, start), max(hi, stop + root.walk.graph_count - self.walk.graph_count))
+        return ScanFacts(self.walk.replaced(start, stop, replacement), self.memo, origin)
 
     def costs_at_most(self, start: int, stop: int, cost: Cost) -> bool:
         """Whether steps[start:stop] cost no more than (total time num/den, graph count)."""
@@ -728,8 +759,11 @@ class ScanFacts:
             else:
                 origin, start, stop = self._origin
                 shared = origin.products()
-                inside = prefix_unitaries(n, steps[start : stop - 1], shared[start])[1:]
-                self._products = shared[: start + 1] + inside + shared[stop:]
+                end = stop + len(steps) - origin.walk.graph_count  # the new window is [start, end)
+                inside = prefix_unitaries(n, steps[start : max(start, end - 1)], shared[start])[1:]
+                # W_end is the origin's W_stop up to phase; an emptied window keeps only W_start
+                self._products = shared[: start + 1] + inside + shared[stop + (end == start) :]
+                self._origin = None
         return self._products
 
 
@@ -925,8 +959,8 @@ def _staircase_sites(facts: ScanFacts, start: int, window: Window = None) -> Ite
 Move = Tuple[Price, int, int, Tuple[TimedGraph, ...], Tuple[TimedGraph, ...]]
 
 
-def _singleton_moves(facts: ScanFacts, source: int) -> Iterator[Move]:
-    """Every elementary singleton move out of the source step, with its price.
+def _singleton_moves(facts: ScanFacts, source: int, improving: bool = False) -> Iterator[Move]:
+    """Every elementary singleton move out of the source step, with its price, or only those that may improve.
 
     Each move comes straight from the two memoized verdicts: what a looped
     singleton carries out of the source, and what each target of its
@@ -937,6 +971,16 @@ def _singleton_moves(facts: ScanFacts, source: int) -> Iterator[Move]:
     steps from the source to the target, which may lie on either side, so
     its site is not span-local: the scan offers these moves only as a last
     resort, and no windowed follow-up scan reads them.
+
+    With ``improving``, for the last-resort row, a move whose source keeps
+    a remainder is priced only onto a target that is the lone loop on the
+    vertex, as on a normalized walk no other such move strictly improves.
+    The remainder keeps the source's time and graph, so the move saves
+    what the target loses. A joined target keeps its duration, and a
+    loops-only target that loops another vertex runs under 2pi, its
+    period, so that vertex's phase, its duration, is a level of the
+    staircase it lands as. Either way the landing runs at least as long
+    as the target, in one graph or more.
     """
     steps, memo = facts.walk.steps, facts.memo
     for vertex in sorted(steps[source].graph.loops):
@@ -946,6 +990,9 @@ def _singleton_moves(facts: ScanFacts, source: int) -> Iterator[Move]:
         tau, left = moved
         first, last = _corridor(steps, source, vertex)
         for target in (*range(first, source), *range(source + 1, last + 1)):
+            graph = steps[target].graph
+            if improving and left and (graph.edges or graph.loops != {vertex}):
+                continue
             landed = memo.singleton_landing(steps[target], vertex, tau)
             if isinstance(landed, str):
                 continue
@@ -955,7 +1002,7 @@ def _singleton_moves(facts: ScanFacts, source: int) -> Iterator[Move]:
 
 def _singleton_sites(facts: ScanFacts, source: int) -> Iterator[Site]:
     """The strictly improving singleton moves out of the source."""
-    for (saved, _, removed), vertex, target, left, landed in _singleton_moves(facts, source):
+    for (saved, _, removed), vertex, target, left, landed in _singleton_moves(facts, source, True):
         if (saved, removed) > (0, 0):
             note = f"vertex {vertex}: step {source} -> step {target}"
             yield (*_splice(facts.walk.steps, source, target, left, landed), note)
@@ -993,7 +1040,17 @@ def _hypercube_sites(facts: ScanFacts, index: int, window: Window = None) -> Ite
     and the layer's steps, up to rounding (about 1e-15). For unitaries, ||F - e^{i phi} L||_F^2 = 2 n d
     at the best phase, and column 0 takes part of that, so 1 - |l^dag c| <=
     n d: a column 0 that misses this twice over fails without the dense
-    fragment. No check reads a global phase of the products. Unlike the
+    fragment. A second column comes before the dense check: with v = M &
+    -M, the lowest bit of the mask, the layer's column v is S_v times its
+    column 0, S_v being -1 on the vertices that hold bit v and 1
+    elsewhere. With F = e^{i phi} L + E, ||F e_v - S_v F e_0|| <= ||E e_v|| +
+    ||E e_0||, whose square is at most 2 ||E||_F^2 = 4 n d, so a fragment
+    whose second column misses by 8 n VERIFY_TOLERANCE or more fails the
+    dense check too; on the corpus's accepted layers it misses by under
+    1e-21 n VERIFY_TOLERANCE. It costs one more matrix-vector product, and
+    most fragments whose column 0 matches and which are no layer, such as
+    a layer after a Z on a qubit of the mask, fail it. No check reads a
+    global phase of the products. Unlike the
     merge rules this row enforces the cost drop itself: the layer is a
     fixed-price replacement, not a local fusion, so applying it blindly
     could pessimize a cheap fragment. The memo keeps the layer's steps,
@@ -1020,6 +1077,11 @@ def _hypercube_sites(facts: ScanFacts, index: int, window: Window = None) -> Ite
         if facts.costs_at_most(index, stop, cost) or len(support) != 1 << mask.bit_count():
             continue
         if 1 - abs(in_support.dot(column)) / math.sqrt(len(support)) >= 2 * n * VERIFY_TOLERANCE:
+            continue
+        bit = mask & -mask
+        flipped = np.where(np.arange(n) & bit, -column, column)
+        second = later @ earlier[bit].conj() - flipped
+        if np.vdot(second, second).real >= 8 * n * VERIFY_TOLERANCE:
             continue
         if circuit_distance(gate, [(np.eye(n), later @ earlier.conj().T)]) < VERIFY_TOLERANCE:
             yield index, stop, layer, ""
@@ -1078,7 +1140,9 @@ def _gain(facts: ScanFacts, start: int, stop: int, replacement: Tuple[TimedGraph
     return saved, den, (stop - start) - len(replacement)
 
 
-def _scan(facts: ScanFacts, rows: Rows, skip: Set[Key], window: Window = None) -> Optional[Rewrite]:
+def _scan(
+    facts: ScanFacts, rows: Rows, skip: Set[Key], window: Window = None, resume: Optional[int] = None
+) -> Optional[Rewrite]:
     """First strictly improving rewrite, leftmost position first.
 
     At one position each row offers its best site that is not skipped: the
@@ -1098,13 +1162,23 @@ def _scan(facts: ScanFacts, rows: Rows, skip: Set[Key], window: Window = None) -
     whatever the skip set. Every verdict reads forward from its position,
     a merge [i, i + 2) and a run or fragment from i on, so no position at
     or past the window's end offers such a site, and the scan stops there.
+
+    A resumed scan (``resume``) judges the positions below it through the
+    window alone and every position from it on in full. ``optimize``
+    resumes at the position a of the rewrite the last regular scan took
+    with an empty skip set, the window being where that rewrite and the
+    normalization changed the walk: every position below a offered no
+    site before, and the same argument holds for an improving rewrite,
+    which keeps the window's product up to phase and lowers its cost, so a
+    fragment that holds the whole window stays no cheaper layer.
     """
     walk = facts.walk
-    reach = () if window is None else (window,)
-    for index in range(walk.graph_count if window is None else window[1]):
+    full = 0 if window is None else walk.graph_count if resume is None else resume
+    windowed = range(0 if window is None else min(full, window[1]))
+    for index in chain(windowed, range(full, walk.graph_count)):
         for rule, sites in rows:
             best: Optional[Tuple[tuple, str, Tuple[TimedGraph, ...]]] = None
-            for start, stop, replacement, note in sites(facts, index, *reach):
+            for start, stop, replacement, note in sites(facts, index, *(() if index >= full else (window,))):
                 saved, den, removed = _gain(facts, start, stop, replacement)
                 if (saved, removed) > (0, 0) and (walk.steps[start:stop], replacement) not in skip:
                     rank = (-removed, Fraction(-saved, den), start, stop)
@@ -1130,7 +1204,7 @@ def _find_enabling_pair(
     a singleton move or a fold is not taken. A move that rewrites its span
     into the same steps leaves the walk as it was, so it is passed over, as
     is a skipped move.
-    Each candidate's ScanFacts come from the walk's through ``moved``, so
+    Each candidate's ScanFacts come from the walk's through ``replaced``, so
     the prefix products left and right of the window are built once per
     search, and only the window's are built per candidate.
     """
@@ -1140,10 +1214,21 @@ def _find_enabling_pair(
             span = walk.steps[start:stop]
             if replacement == span or (span, replacement) in skip:
                 continue
-            follow = _scan(facts.moved(start, stop, replacement), rows, skip, (start, stop))
+            follow = _scan(facts.replaced(start, stop, replacement), rows, skip, (start, stop))
             if follow is not None:
                 return [(RewriteStep(rule, (start, stop), Fraction(0), 0, note), replacement), follow]
     return None
+
+
+def _changed(old: Sequence[TimedGraph], new: Sequence[TimedGraph]) -> Tuple[int, int, int]:
+    """Where two runs differ: steps [lo, old_stop) of the old became [lo, new_stop) of the new.
+
+    Outside that window the runs are their common prefix and suffix.
+    """
+    shorter = min(len(old), len(new))
+    lo = next((i for i in range(shorter) if old[i] != new[i]), shorter)
+    tail = next((k for k in range(shorter - lo) if old[-1 - k] != new[-1 - k]), shorter - lo)
+    return lo, len(old) - tail, len(new) - tail
 
 
 def _span_verified(walk: DynamicGraph, rewrite: Rewrite) -> bool:
@@ -1164,7 +1249,10 @@ def optimize(
     for a strictly decreasing singleton move or fold of a phased-permutation
     run (COMBINE_PST beyond phase * X_mask runs), and when that fails too
     search for one cost-neutral enabling move whose successor rewrite
-    strictly improves, committing the two together. One loop verifies and
+    strictly improves, committing the two together. After an accepted
+    change the next scan reads the walk's facts carried over from the
+    walk before and resumes where the walk changed (see the module
+    docstring). One loop verifies and
     applies the chain: each rewrite is checked on its span to
     VERIFY_TOLERANCE on the walk before it, the move's walk for the
     follow-up. The first failure keeps the walk as it was before the chain,
@@ -1199,15 +1287,20 @@ def optimize(
     memo = _Memo()
 
     current, records = _normalize(walk)
+    # the facts of the walk, each walk's from the last one's; the window where the
+    # last accepted chain changed it while no rewrite had failed, and where its
+    # regular pick lay, if the regular rows found it
+    facts, window, resume = ScanFacts(current, memo), None, None
     stop_reason = STOP_ITERATION_CAP
     for _ in range(limit):
-        facts = ScanFacts(current, memo)
-        found = _scan(facts, regular, skip) or _scan(facts, last_resort, skip)
+        found = _scan(facts, regular, skip, window, resume)
+        resume = found[0].span[0] if found is not None else None
+        found = found or _scan(facts, last_resort, skip)
         chain = [found] if found is not None else _find_enabling_pair(facts, regular, moves, skip)
         if chain is None:
             stop_reason = STOP_FIXPOINT
             break
-        program, stop_reason = current, STOP_ITERATION_CAP
+        program, stop_reason, window = current, STOP_ITERATION_CAP, None
         for record, replacement in chain:
             if not _span_verified(program, (record, replacement)):
                 rules = "+".join(step.rule for step, _ in chain)
@@ -1220,6 +1313,9 @@ def optimize(
             current, extra = _normalize(program)
             records.extend(step for step, _ in chain)
             records.extend(extra)
+            lo, old_stop, new_stop = _changed(facts.walk.steps, current.steps)
+            facts = facts.replaced(lo, old_stop, current.steps[lo:new_stop])
+            window = None if skip else (lo, new_stop)
 
     distance = run_distance(walk.n_vertices, walk.steps, current.steps)
     if not distance < VERIFY_TOLERANCE:

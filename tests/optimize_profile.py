@@ -32,7 +32,17 @@ layer A, fold B, loops-only run C, landing D; widest W vertices``: the
 loop staircases ``gate_compiler._staircase`` built in that same pass for
 each of its four callers (``compile_hadamard_layer``, ``_fold``,
 ``_staircase_sites`` and the loops-only branch of ``_singleton_landing``)
-and the most vertices one build was handed. Then it prints
+and the most vertices one build was handed, then ``work: scans F
+full, R resumed, U follow-up, L last-resort; Hadamard fragments J
+judged, D dense checks; prefix products P calls, S steps; singleton
+moves M priced``, counted in a third unprofiled pass
+(``work_counts``): the ``_scan`` calls of the regular rows without a
+window (F), with one from ``optimize`` (R) and from the enabling search
+(U), and those of the last-resort rows (L); the fragments the
+Hadamard-layer row judged past its ``LAYER_FLOOR`` check and the dense
+``circuit_distance`` checks among them; the ``prefix_unitaries`` calls
+and the steps they applied; and the singleton moves ``_singleton_moves``
+priced. Then it prints
 one line per source file with its self time and share of
 the total, largest first; functions built into the interpreter are
 pooled as ``(built-in)``. ``fractions.py``'s line is printed whatever its
@@ -154,6 +164,58 @@ def build_counts(walks) -> tuple:
     return counts, staircases, widest
 
 
+def work_counts(walks) -> Counter:
+    """What ``optimize`` did while it ran on the walks, counted by wrapping the module's functions.
+
+    The scans are told apart by their rows, their window and their
+    caller: a follow-up scan is the enabling search's. Everything is put
+    back afterwards.
+    """
+    counts = Counter()
+    names = ("_scan", "circuit_distance", "prefix_unitaries", "_singleton_moves")
+    real, real_costs = {name: getattr(ro, name) for name in names}, ro.ScanFacts.costs_at_most
+    last_resort = {sites for _, sites in ro._LAST_RESORT}
+
+    def scan(facts, rows, skip, *args):
+        if rows and rows[0][1] in last_resort:
+            counts["last-resort"] += 1
+        elif sys._getframe(1).f_code.co_name == "_find_enabling_pair":
+            counts["follow-up"] += 1
+        else:
+            counts["resumed" if args and args[0] is not None else "full"] += 1
+        return real["_scan"](facts, rows, skip, *args)
+
+    def costs_at_most(facts, start, stop, cost):
+        cheaper = real_costs(facts, start, stop, cost)
+        counts["judged"] += cost is ro.LAYER_FLOOR and not cheaper
+        return cheaper
+
+    def circuit_distance(*args):
+        counts["dense"] += 1
+        return real["circuit_distance"](*args)
+
+    def prefix_unitaries(n_vertices, steps, *args):
+        counts.update(products=1, product_steps=len(steps))
+        return real["prefix_unitaries"](n_vertices, steps, *args)
+
+    def singleton_moves(*args):
+        for move in real["_singleton_moves"](*args):
+            counts["moves"] += 1
+            yield move
+
+    for name, wrapper in zip(names, (scan, circuit_distance, prefix_unitaries, singleton_moves)):
+        setattr(ro, name, wrapper)
+    ro.ScanFacts.costs_at_most = costs_at_most
+    try:
+        for walk in walks:
+            optimize(walk)
+    finally:
+        for name, function in real.items():
+            setattr(ro, name, function)
+        ro.ScanFacts.costs_at_most = real_costs
+    return counts
+
+
 def main(argv=()) -> None:
     seeds = int(argv[0]) if argv else corpus_digest.SEEDS
     walks = [walk for _, walk in corpus_digest.corpus(seeds)]
@@ -188,6 +250,13 @@ def main(argv=()) -> None:
     folds, staircases, widest = build_counts(walks)
     print("folds: " + "; ".join(f"{name} {c['built']} built, {c['improving']} improving" for name, c in folds.items()))
     print("staircases: " + ", ".join(f"{name} {count}" for name, count in staircases.items()) + f"; widest {widest} vertices")
+    work = work_counts(walks)
+    print(
+        f"work: scans {work['full']} full, {work['resumed']} resumed, {work['follow-up']} follow-up,"
+        f" {work['last-resort']} last-resort; Hadamard fragments {work['judged']} judged,"
+        f" {work['dense']} dense checks; prefix products {work['products']} calls, {work['product_steps']} steps;"
+        f" singleton moves {work['moves']} priced"
+    )
     for module, own in sorted(self_s.items(), key=lambda item: (-item[1], item[0])):
         print(f"{module}: {own:.3f} s, {100 * own / total:.1f} %")
     print(f"{TOP} functions by cumulative time:")

@@ -33,6 +33,7 @@ import dynwalk
 import dynwalk.gate_compiler as gate_compiler
 import dynwalk.rewrite_optimizer as ro
 import dynwalk.walk_engine as walk_engine
+import length_ladder
 import pinned_outputs
 import trace_fixtures as tf
 from test_gate_compiler import random_gate
@@ -62,7 +63,7 @@ from dynwalk.rewrite_optimizer import (
     RewriteStep,
     optimize,
 )
-from dynwalk.walk_engine import run_distance, total_unitary
+from dynwalk.walk_engine import prefix_unitaries, run_distance, total_unitary
 
 
 def angle(num, den=1):
@@ -645,14 +646,29 @@ def test_hypercube_hadamard_rejects_an_even_spread_short_of_the_mask(monkeypatch
     assert calls == []
 
 
+def z_before_layer(qubit):
+    """Z on the qubit, then Hadamards on qubits 0 and 2 of 3."""
+    steps = compile_circuit(Circuit(3, (Gate("Z", target=qubit),))).steps
+    return DynamicGraph(8, steps + compile_hadamard_layer([0, 2], 3).steps)
+
+
 def test_hypercube_hadamard_rejects_a_fragment_only_the_full_check_sees(monkeypatch):
-    # Z before the layer leaves vertex 0 alone, so column 0 still matches
+    """Z before the layer leaves vertex 0 alone, so column 0 still matches.
+
+    The second column is that of the mask's lowest bit, qubit 2's. A Z on
+    qubit 0 leaves that column alone too, so only the dense check sees it;
+    a Z on qubit 2 flips it, so the second column rejects it with no dense
+    check.
+    """
     calls = dense_checks(monkeypatch)
-    walk = DynamicGraph(
-        8, compile_circuit(Circuit(3, (Gate("Z", target=2),))).steps + compile_hadamard_layer([0, 2], 3).steps
-    )
+    assert bit_value(2, 3) == (bit_value(0, 3) | bit_value(2, 3)) & -(bit_value(0, 3) | bit_value(2, 3))
+    walk = z_before_layer(0)
     assert hadamard_sites_of(walk, 0, walk.graph_count) == []
     assert calls == [Circuit(3, (Gate("HLAYER", targets=(0, 2)),))]
+    calls.clear()
+    walk = z_before_layer(2)
+    assert hadamard_sites_of(walk, 0, walk.graph_count) == []
+    assert calls == []
     layer = ro._hadamard_layer(bit_value(0, 3) | bit_value(2, 3), 3)
     assert not any(isinstance(part, np.ndarray) for part in layer)
 
@@ -709,15 +725,18 @@ def random_singleton_step(rng, n):
     return TimedGraph(Graph.make(n, edges=pairs, loops=looped), duration)
 
 
-@pytest.mark.parametrize("seed", range(30))
-def test_singleton_moves_match_the_brute_force_enumeration(seed):
-    """Every move is enumerated, each with the price _gain gives its site, and the rows filter on that price."""
-    rng = random.Random(seed)
-    n = rng.randrange(2, 9)
-    walk = DynamicGraph(n, tuple(random_singleton_step(rng, n) for _ in range(rng.randrange(2, 9))))
+def check_singleton_rows(walk):
+    """The moves of every source against the brute-force enumeration, and both rows against the moves' prices.
+
+    Every move is enumerated, each with the price _gain gives its site;
+    the last-resort row, which prices only the moves that may improve,
+    yields exactly the strictly improving ones, and the enabling row the
+    neutral ones. Returns the moves priced in full and by the pruned
+    enumeration, and the improving moves.
+    """
     note = "vertex {vertex}: step {source} -> step {target}"
     facts = ro.ScanFacts(walk)
-    improving, neutral = [], []
+    improving, neutral, every, pruned = [], [], 0, 0
     for source in range(walk.graph_count):
         sites = []
         for gain, vertex, target, left, landed in ro._singleton_moves(facts, source):
@@ -729,8 +748,48 @@ def test_singleton_moves_match_the_brute_force_enumeration(seed):
             if price(gain) == (0, 0):
                 neutral.append((*site, f"enabling move of vertex {vertex}"))
         assert sites == brute_force_singleton_moves(walk, source, note)
+        every += len(sites)
+        pruned += len(list(ro._singleton_moves(facts, source, True)))
     assert [site for source in range(walk.graph_count) for site in ro._singleton_sites(facts, source)] == improving
     assert list(ro._enabling_singleton_sites(facts)) == neutral
+    return every, pruned, len(improving)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_singleton_moves_match_the_brute_force_enumeration(seed):
+    """Every move is enumerated, each with the price _gain gives its site, and the rows filter on that price."""
+    rng = random.Random(seed)
+    n = rng.randrange(2, 9)
+    walk = DynamicGraph(n, tuple(random_singleton_step(rng, n) for _ in range(rng.randrange(2, 9))))
+    check_singleton_rows(walk)
+
+
+def test_the_pruned_last_resort_row_yields_every_improving_move():
+    """On every walk a last-resort scan reads, the pruned row yields what the full enumeration finds improving.
+
+    The walks are those ``optimize`` hands its last-resort scans on random
+    walks, on compiled corpus circuits and on a compiled 40-gate circuit;
+    they are normalized, as the pruning's argument needs. The pruning skips
+    moves on them, and some moves improve.
+    """
+    walks = []
+    real = ro._scan
+
+    def recorded(facts, rows, skip, *args):
+        if rows == ro._LAST_RESORT:
+            walks.append(facts.walk)
+        return real(facts, rows, skip, *args)
+
+    inputs = [random_walk(random.Random(seed)) for seed in range(20)]
+    inputs += [compile_circuit(random_circuit(random.Random(seed))) for seed in range(12)]
+    inputs.append(compile_circuit(length_ladder.random_circuit(40, 1)))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ro, "_scan", recorded)
+        for walk in inputs:
+            optimize(walk)
+    counts = [check_singleton_rows(walk) for walk in walks]
+    every, pruned, improving = map(sum, zip(*counts))
+    assert len(walks) >= len(inputs) and pruned < every and improving > 0, (len(walks), every, pruned, improving)
 
 
 def test_singleton_rows_both_take_and_pass_over_moves():
@@ -1407,7 +1466,7 @@ def neutral_moves(walk, moves, skip=()):
         for start, stop, replacement, _ in sites(facts):
             span = walk.steps[start:stop]
             if replacement != span and (span, replacement) not in skip:
-                yield facts.moved(start, stop, replacement), (start, stop)
+                yield facts.replaced(start, stop, replacement), (start, stop)
 
 
 def search_input(seed):
@@ -1585,6 +1644,46 @@ def test_moved_facts_are_the_facts_of_the_moved_walk():
     assert compared >= 1500 and spliced >= 1000, (compared, spliced)
 
 
+def test_replaced_facts_splice_the_products_of_windows_that_grow_shrink_and_empty():
+    """``replaced`` against fresh facts, for windows at the start, inside and at the end of the walk.
+
+    A step splits into two halves (the window grows), two halves join (it
+    shrinks), and a loop step at 2pi goes (it empties). Each keeps the
+    window's product, so the spliced products equal the new walk's up to
+    phase, with the origin's own arrays left of the window; the facts of a
+    walk replaced twice before they splice splice once, from the first.
+    """
+    rng = random.Random(11)
+    checked = 0
+    for n in (4, 8):
+        base = tuple(random_step(rng, n) for _ in range(5))
+        turn = TimedGraph(Graph.make(n, loops=[0]), angle(2))
+        for p, step in enumerate(base):
+            halves = (TimedGraph(step.graph, step.duration / 2),) * 2
+            cases = [
+                (base, p, p + 1, halves),
+                (base[:p] + halves + base[p + 1 :], p, p + 2, (step,)),
+                (base[:p] + (turn,) + base[p:], p, p + 1, ()),
+                (base + (turn,), len(base), len(base) + 1, ()),
+            ]
+            for steps, lo, hi, replacement in cases:
+                once = steps[:lo] + replacement + steps[hi:]
+                first = (TimedGraph(once[0].graph, once[0].duration / 2),) * 2
+                origin = ro.ScanFacts(DynamicGraph(n, steps))
+                facts = origin.replaced(lo, hi, replacement)
+                twice = origin.replaced(lo, hi, replacement).replaced(0, 1, first)
+                assert facts.walk.steps == once and twice.walk.steps == first + once[1:]
+                assert twice._origin[0] is origin
+                for derived, shared in ((facts, lo + 1), (twice, 1)):
+                    fresh = prefix_unitaries(n, derived.walk.steps)
+                    products = derived.products()
+                    assert len(products) == len(fresh) and derived._origin is None
+                    assert all(a is b for a, b in zip(products[:shared], origin.products()))
+                    assert all(phase_distance(a, b) < 1e-12 for a, b in zip(products, fresh)), (p, lo, hi)
+                    checked += 1
+    assert checked == 2 * 2 * 5 * 4
+
+
 def test_regular_rows_offer_only_sites_that_start_at_their_position():
     """The rows the follow-up scan reads are span-local; singleton moves are not."""
     regular, last_resort = ro._REGULAR, ro._LAST_RESORT
@@ -1663,6 +1762,70 @@ def test_windowed_follow_up_scan_matches_the_full_scan_while_rewrites_are_skippe
                 changed += follow != ro._scan(fresh, rows, set())
     # follow-ups land, and the skip sets change what some of them find
     assert landed >= 20 and changed >= 5
+
+
+def resumed_scans(walk):
+    """Run optimize on the walk, checking every regular scan it makes and every product splice.
+
+    Each regular scan of ``optimize`` (not the enabling search's) must pick
+    what a full scan of fresh facts of its walk picks, and every time facts
+    splice their prefix products from their origin, the spliced products
+    must equal fresh ``prefix_unitaries`` of their walk up to a global
+    phase. Returns the (window, resume) of each scan and the splice count.
+    """
+    scans, spliced = [], []
+    real_scan, real_products = ro._scan, ro.ScanFacts.products
+
+    def scan(facts, rows, skip, window=None, resume=None):
+        found = real_scan(facts, rows, skip, window, resume)
+        if rows == ro._REGULAR and sys._getframe(1).f_code.co_name == "optimize":
+            assert found == real_scan(ro.ScanFacts(facts.walk), rows, skip), (window, resume)
+            scans.append((window, resume))
+        return found
+
+    def products(facts):
+        splices = facts._products is None and facts._origin is not None
+        carried = real_products(facts)
+        if splices:
+            fresh = prefix_unitaries(facts.walk.n_vertices, facts.walk.steps)
+            assert len(carried) == len(fresh)
+            assert all(phase_distance(a, b) < 1e-12 for a, b in zip(carried, fresh))
+            spliced.append(facts.walk)
+        return carried
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ro, "_scan", scan)
+        patch.setattr(ro.ScanFacts, "products", products)
+        optimize(walk)
+    return scans, len(spliced)
+
+
+RESUMED_SCAN_INPUTS = {
+    "random walks and 2-qubit circuits": lambda: [search_input(seed) for seed in range(40)],
+    "corpus circuits": lambda: [compile_circuit(random_circuit(random.Random(seed))) for seed in range(20)],
+    "40 gates": lambda: [compile_circuit(length_ladder.random_circuit(40, 1))],
+    "80 gates": lambda: [compile_circuit(length_ladder.random_circuit(80, 2))],
+}
+
+
+@pytest.mark.parametrize("kind", list(RESUMED_SCAN_INPUTS))
+def test_every_resumed_scan_picks_what_a_full_scan_of_fresh_facts_picks(kind):
+    """At every iteration of ``optimize``, the resumed or windowed scan against a full scan; the carried products against fresh ones.
+
+    The inputs are the window tests' random walks and compiled 2-qubit
+    circuits, compiled corpus circuits, and compiled 3-qubit circuits of 40
+    and 80 gates. Scans resume below a rewrite's position, read a window
+    alone after a last-resort rewrite or an enabling chain, and the
+    products are spliced.
+    """
+    resumed = windowed = spliced = 0
+    for walk in RESUMED_SCAN_INPUTS[kind]():
+        scans, splices = resumed_scans(walk)
+        assert scans[0] == (None, None)
+        resumed += sum(window is not None and resume is not None and resume > 0 for window, resume in scans)
+        windowed += sum(window is not None and resume is None for window, resume in scans)
+        spliced += splices
+    assert resumed and windowed and spliced, (resumed, windowed, spliced)
 
 
 @pytest.mark.parametrize("n_qubits", [1, 2, 3])
@@ -2391,7 +2554,7 @@ def test_the_corpus_digest_script_runs_on_two_seeds(capsys):
 
 
 def test_the_optimize_profile_script_runs_on_two_seeds(capsys):
-    """tests/optimize_profile.py at 2 seeds: a header, the spectrum counts, the classifier and commutation routes, the fold and staircase counts, one share line per source file, fractions.py among them, then the ten functions of largest cumulative time."""
+    """tests/optimize_profile.py at 2 seeds: a header, the spectrum counts, the classifier and commutation routes, the fold and staircase counts, the work counts, one share line per source file, fractions.py among them, then the ten functions of largest cumulative time."""
     import cli_overhead
     import optimize_profile
 
@@ -2399,7 +2562,7 @@ def test_the_optimize_profile_script_runs_on_two_seeds(capsys):
     for cache in cli_overhead.package_caches():
         cache.cache_clear()
     optimize_profile.main(["2"])
-    header, counts, routes, folds, staircases, *lines = capsys.readouterr().out.splitlines()
+    header, counts, routes, folds, staircases, work, *lines = capsys.readouterr().out.splitlines()
     assert re.fullmatch(r"optimize over 7 programs: \d+\.\d\d s of self time, \d+ Fraction constructions", header)
     decompositions, listed, searches, _ = map(
         int,
@@ -2434,6 +2597,18 @@ def test_the_optimize_profile_script_runs_on_two_seeds(capsys):
     )
     # every fold builds one staircase, and each caller is reached
     assert folded == flips + wide and min(layer, run, landing) > 0 and widest > 0
+    full, resumed, follow_up, last_resort, judged, dense, products, steps, moves = map(
+        int,
+        re.fullmatch(
+            r"work: scans (\d+) full, (\d+) resumed, (\d+) follow-up, (\d+) last-resort;"
+            r" Hadamard fragments (\d+) judged, (\d+) dense checks; prefix products (\d+) calls, (\d+) steps;"
+            r" singleton moves (\d+) priced",
+            work,
+        ).groups(),
+    )
+    # each of the 7 programs starts with a full scan and ends on a last-resort scan that finds nothing
+    assert full >= 7 and last_resort >= 7 and resumed + follow_up > 0
+    assert dense <= judged and steps >= products > 0 and moves > 0
     split = lines.index("10 functions by cumulative time:")
     lines, top = lines[:split], lines[split + 1 :]
     cumulative = [re.fullmatch(r"(.+):(\d+) (.+): (\d+\.\d{3}) s cumulative", line).groups() for line in top]
@@ -2448,6 +2623,24 @@ def test_the_optimize_profile_script_runs_on_two_seeds(capsys):
     assert {"fractions.py", "rewrite_optimizer.py"} <= set(shares)
     assert list(shares.values()) == sorted(shares.values(), reverse=True)
     assert abs(sum(shares.values()) - 100) < 0.05 * len(shares) + 0.1
+
+
+def test_the_length_ladder_script_runs_its_smallest_rungs(capsys):
+    """tests/length_ladder.py on 5 and 10 gates at seeds 1 and 2: one line per circuit, in order."""
+    length_ladder.main(["5", "10", "--seeds", "1", "2"])
+    lines = capsys.readouterr().out.splitlines()
+    rungs = [(5, 1), (5, 2), (10, 1), (10, 2)]
+    assert len(lines) == len(rungs)
+    for line, (n_gates, seed) in zip(lines, rungs):
+        steps, graphs = map(int, re.fullmatch(
+            rf"{n_gates} gates, seed {seed}: (\d+) steps -> (\d+) graphs at (0|\d*π(/\d+)?),"
+            r" output [0-9a-f]{16}, optimize \d+\.\d{3} s",
+            line,
+        ).groups()[:2])
+        walk = compile_circuit(length_ladder.random_circuit(n_gates, seed))
+        assert steps == walk.graph_count and graphs <= steps
+    length_ladder.main(["5"])
+    assert capsys.readouterr().out.startswith("5 gates, seed 1: ")
 
 
 def test_the_code_lines_script_counts_every_module(capsys):
