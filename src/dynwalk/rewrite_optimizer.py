@@ -1002,7 +1002,7 @@ def _singleton_moves(facts: ScanFacts, source: int, improving: bool = False) -> 
 
 def _singleton_sites(facts: ScanFacts, source: int) -> Iterator[Site]:
     """The strictly improving singleton moves out of the source."""
-    for (saved, _, removed), vertex, target, left, landed in _singleton_moves(facts, source, True):
+    for (saved, _, removed), vertex, target, left, landed in _singleton_moves(facts, source, improving=True):
         if (saved, removed) > (0, 0):
             note = f"vertex {vertex}: step {source} -> step {target}"
             yield (*_splice(facts.walk.steps, source, target, left, landed), note)
@@ -1045,8 +1045,8 @@ def _hypercube_sites(facts: ScanFacts, index: int, window: Window = None) -> Ite
     column 0, S_v being -1 on the vertices that hold bit v and 1
     elsewhere. With F = e^{i phi} L + E, ||F e_v - S_v F e_0|| <= ||E e_v|| +
     ||E e_0||, whose square is at most 2 ||E||_F^2 = 4 n d, so a fragment
-    whose second column misses by 8 n VERIFY_TOLERANCE or more fails the
-    dense check too; on the corpus's accepted layers it misses by under
+    for which ||F e_v - S_v F e_0||^2 reaches 8 n VERIFY_TOLERANCE fails
+    the dense check too; on the corpus's accepted layers it stays under
     1e-21 n VERIFY_TOLERANCE. It costs one more matrix-vector product, and
     most fragments whose column 0 matches and which are no layer, such as
     a layer after a Z on a qubit of the mask, fail it. No check reads a
@@ -1173,12 +1173,13 @@ def _scan(
     fragment that holds the whole window stays no cheaper layer.
     """
     walk = facts.walk
+    reach = () if window is None else (window,)
     full = 0 if window is None else walk.graph_count if resume is None else resume
     windowed = range(0 if window is None else min(full, window[1]))
     for index in chain(windowed, range(full, walk.graph_count)):
         for rule, sites in rows:
             best: Optional[Tuple[tuple, str, Tuple[TimedGraph, ...]]] = None
-            for start, stop, replacement, note in sites(facts, index, *(() if index >= full else (window,))):
+            for start, stop, replacement, note in sites(facts, index, *(reach if index < full else ())):
                 saved, den, removed = _gain(facts, start, stop, replacement)
                 if (saved, removed) > (0, 0) and (walk.steps[start:stop], replacement) not in skip:
                     rank = (-removed, Fraction(-saved, den), start, stop)

@@ -198,8 +198,8 @@ def work_counts(walks) -> Counter:
         counts.update(products=1, product_steps=len(steps))
         return real["prefix_unitaries"](n_vertices, steps, *args)
 
-    def singleton_moves(*args):
-        for move in real["_singleton_moves"](*args):
+    def singleton_moves(*args, **kwargs):
+        for move in real["_singleton_moves"](*args, **kwargs):
             counts["moves"] += 1
             yield move
 

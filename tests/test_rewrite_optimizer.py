@@ -749,7 +749,7 @@ def check_singleton_rows(walk):
                 neutral.append((*site, f"enabling move of vertex {vertex}"))
         assert sites == brute_force_singleton_moves(walk, source, note)
         every += len(sites)
-        pruned += len(list(ro._singleton_moves(facts, source, True)))
+        pruned += len(list(ro._singleton_moves(facts, source, improving=True)))
     assert [site for source in range(walk.graph_count) for site in ro._singleton_sites(facts, source)] == improving
     assert list(ro._enabling_singleton_sites(facts)) == neutral
     return every, pruned, len(improving)
