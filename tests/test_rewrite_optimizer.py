@@ -661,7 +661,8 @@ def test_hypercube_hadamard_rejects_a_fragment_only_the_full_check_sees(monkeypa
     check.
     """
     calls = dense_checks(monkeypatch)
-    assert bit_value(2, 3) == (bit_value(0, 3) | bit_value(2, 3)) & -(bit_value(0, 3) | bit_value(2, 3))
+    mask = bit_value(0, 3) | bit_value(2, 3)
+    assert mask & -mask == bit_value(2, 3)
     walk = z_before_layer(0)
     assert hadamard_sites_of(walk, 0, walk.graph_count) == []
     assert calls == [Circuit(3, (Gate("HLAYER", targets=(0, 2)),))]
@@ -669,7 +670,7 @@ def test_hypercube_hadamard_rejects_a_fragment_only_the_full_check_sees(monkeypa
     walk = z_before_layer(2)
     assert hadamard_sites_of(walk, 0, walk.graph_count) == []
     assert calls == []
-    layer = ro._hadamard_layer(bit_value(0, 3) | bit_value(2, 3), 3)
+    layer = ro._hadamard_layer(mask, 3)
     assert not any(isinstance(part, np.ndarray) for part in layer)
 
 
@@ -1593,7 +1594,8 @@ def test_every_staircase_and_every_scanned_walk_keep_the_invariants_their_makers
 
     def init(self, walk, memo=None, origin=None):
         assert all(step.pi_num > 0 and not step.graph.is_empty for step in walk.steps), walk
-        scanned["candidate" if origin is not None else "walk"] += 1
+        # the facts made by replaced for the enabling search are its candidates'
+        scanned["candidate" if sys._getframe(2).f_code.co_name == "_find_enabling_pair" else "walk"] += 1
         real_init(self, walk, memo, origin)
 
     monkeypatch.setattr(gate_compiler, "_staircase", staircase)
@@ -1942,7 +1944,7 @@ def test_optimize_makes_one_memo_shares_it_and_frees_it(monkeypatch):
 
     def recorded(facts, *args):
         real_init(facts, *args)
-        holders.append((facts.memo is memos[-1](), facts._origin is not None))
+        holders.append((facts.memo is memos[-1](), sys._getframe(2).f_code.co_name == "_find_enabling_pair"))
 
     monkeypatch.setattr(ro, "_Memo", tracked)
     monkeypatch.setattr(ro.ScanFacts, "__init__", recorded)
