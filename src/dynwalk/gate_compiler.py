@@ -39,7 +39,8 @@ unitary W over the union of the walk's graphs and the gates'
 ``mixing_pairs``: every gate then maps a row to rows of the same
 component, so the undo runs on each block's rows as on the dense
 product. The optimizer's Hadamard-layer verdict undoes a one-gate HLAYER
-circuit on the fragment's dense product, one block. ``parse_circuit``
+circuit on a copy of the later of a fragment's two prefix products and
+reads the trace against the earlier one, one block. ``parse_circuit``
 reads its document's prologue with the walk parser's
 (``graph_model._document``), so both formats refuse the same defects
 with the same messages; it refuses more than ``MAX_QUBITS`` qubits, the
@@ -420,25 +421,29 @@ def mixing_pairs(circuit: Circuit) -> List[np.ndarray]:
 def circuit_distance(circuit: Circuit, blocks: Iterable[Tuple[np.ndarray, np.ndarray]]) -> float:
     """Phase distance of a product from the circuit's unitary C, undoing C in place.
 
-    ``blocks`` yields (identity, product) pairs of n x m blocks: columns of
-    the identity laid out over components that join the circuit's
-    ``mixing_pairs``, and the same columns of the product laid out alike,
-    as ``walk_engine.laid_out_unitary`` yields them. A dense n x n product
-    U is the one pair (I, U). Each gate acts on a block's rows as on the
-    dense product's, so the gates' adjoints, last gate first, leave C^dag
-    times the product in each block's own array, which is overwritten.
-    tr(C^dag product) is the sum of ``np.vdot(identity, block)``, and the
-    result is ``numerics.overlap_distance`` of it: the phase distance of
-    the product from ``circuit_unitary(circuit)`` up to rounding.
+    ``blocks`` yields (B, P) pairs of n x m blocks. Each gate acts on a
+    block's rows as on a dense product's, so the gates' adjoints, last gate
+    first, leave C^dag P in P's own array, which is overwritten, and
+    tr(B^dag C^dag P) = tr(C^dag P B^dag) is ``np.vdot`` of B and it. The
+    result is ``numerics.overlap_distance`` of the sum of those traces:
+    for one pair, the phase distance of P B^dag from
+    ``circuit_unitary(circuit)`` up to rounding, so a dense n x n product U
+    is the one pair (I, U), and W_s W_i^dag, for unitaries W_i and W_s, the
+    one pair (W_i, W_s), with no product formed. ``compile`` passes
+    (identity, product) pairs: columns of the identity laid out over
+    components that join the circuit's ``mixing_pairs``, and the same
+    columns of the product laid out alike, as
+    ``walk_engine.laid_out_unitary`` yields them, whose traces sum to
+    tr(C^dag product).
     """
     n = circuit.n_vertices
     trace = 0
-    for identity, product in blocks:
-        if product.shape != identity.shape or len(product) != n:
-            raise ValueError(f"product has shape {product.shape}, expected ({n}, {identity.shape[-1]})")
+    for basis, product in blocks:
+        if product.shape != basis.shape or len(product) != n:
+            raise ValueError(f"product has shape {product.shape}, expected ({n}, {basis.shape[-1]})")
         for gate in reversed(circuit.gates):
             _apply_gate(gate, circuit.n_qubits, product, adjoint=True)
-        trace += np.vdot(identity, product)
+        trace += np.vdot(basis, product)
     return overlap_distance(trace, n)
 
 

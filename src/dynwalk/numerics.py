@@ -10,7 +10,7 @@ of steps: ``equiv`` and the optimizer's span checks and final check.
 ``gate_compiler.circuit_distance`` compares a product with a circuit:
 ``compile`` and the optimizer's Hadamard-layer match, with the trace of
 C^dag times the product, formed in each block's own array; the
-optimizer's product is one dense block.
+optimizer's fragment is one block, read off its two prefix products.
 ``phase_distance`` of two dense matrices is the public reference form
 that tests and users call; no package code calls it. Nothing else lives
 here: a graph's spectrum comes from ``graph_model.spectrum`` and a

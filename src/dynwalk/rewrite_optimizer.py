@@ -146,7 +146,8 @@ or prefix they have priced as a strict improvement, from the composition
 that priced it. Few periods recur: a period is looked up only for a
 duration of 2pi or more, or for the empty graph (a nonempty graph's
 period is None or an even multiple of pi). The Hadamard-layer row
-(``_hypercube_sites``) reads the fragment's product, not its steps. A
+(``_hypercube_sites``) reads the walk's prefix products, not the
+fragment's steps. A
 landing on a loops-only target is the staircase (``_staircase``) of its
 per-vertex phases. A singleton site is built straight from the two
 singleton verdicts, for the targets of the corridor only: outward from
@@ -174,21 +175,22 @@ cache (``_read_form``), with no n x n step formed, and every
 comparison of two runs, a verified span and the final check, from
 ``walk_engine.run_distance``, which takes the factors from that cache,
 as ``prefix_unitaries`` does. A fragment is compared with a Hadamard
-layer through ``gate_compiler.circuit_distance``, the
-check ``compile`` makes, which undoes the layer's gate in the fragment's
-own array. This module multiplies no step matrices: every step
-is applied by ``walk_engine``, one connected component at a time, and
-only whole prefix products are multiplied here. The Hadamard-layer sites
+layer through ``gate_compiler.circuit_distance``, the check ``compile``
+makes, which undoes the layer's gate on a copy of the fragment's later
+prefix product and reads the trace against the earlier one. This module
+multiplies no step matrices: every step is applied by ``walk_engine``,
+one connected component at a time, and no matrix-matrix product is
+formed here at all. The Hadamard-layer sites
 try the fragments from one start longest first, skipping fragments made
 only of phased permutations, whose product is a phased permutation and
 never a Hadamard layer, and stopping at the first that costs no more
 than the cheapest layer (``LAYER_FLOOR``). The row reads a fragment
 [i, s) as W_s W_i^dag: its bit mask from column 0, its cost from the
-prefix times, and the fragment's dense product only for a layer that is
-strictly cheaper, whose column 0 matches the layer's closed form, 2^(-k/2)
-times one phase on each of the 2^k vertices inside the mask, and whose
-column v, for the mask's lowest bit v, is column 0 with the sign flipped
-on the vertices that hold bit v, as the layer's is.
+prefix times, and, only for a layer that is strictly cheaper and whose
+column 0 matches the layer's closed form, 2^(-k/2) times one phase on
+each of the 2^k vertices inside the mask, its distance from the layer's
+gate C through tr(C^dag W_s W_i^dag) = tr(W_i^dag C^dag W_s), which
+costs O(k n^2) and forms no fragment product.
 
 Every accepted rewrite is verified on its span alone. With Q the product
 of the steps before the span, P that of the steps after it, and S, S' the
@@ -1031,25 +1033,20 @@ def _hypercube_sites(facts: ScanFacts, index: int, window: Window = None) -> Ite
     S holds exactly the 2^|M| vertices inside M, and when 1 - |sum_S c| /
     sqrt|S| stays under 2n VERIFY_TOLERANCE: on such an S that is 1 -
     |l^dag c| for the layer's own column 0, l, up to rounding. Then one
-    phase distance d of the fragment from the layer's HLAYER gate decides,
-    through ``circuit_distance``, the check ``compile`` makes, which undoes
-    the gate in the fragment's own array: layers on two different subsets
-    have trace overlap 0, so no other subset could match. The compiled
-    layer is exp(-2i beta) times that gate to rounding, so d is the phase
-    distance the driver's span verification reads between the fragment
-    and the layer's steps, up to rounding (about 1e-15). For unitaries, ||F - e^{i phi} L||_F^2 = 2 n d
-    at the best phase, and column 0 takes part of that, so 1 - |l^dag c| <=
-    n d: a column 0 that misses this twice over fails without the dense
-    fragment. A second column comes before the dense check: with v = M &
-    -M, the lowest bit of the mask, the layer's column v is S_v times its
-    column 0, S_v being -1 on the vertices that hold bit v and 1
-    elsewhere. With F = e^{i phi} L + E, ||F e_v - S_v F e_0|| <= ||E e_v|| +
-    ||E e_0||, whose square is at most 2 ||E||_F^2 = 4 n d, so a fragment
-    for which ||F e_v - S_v F e_0||^2 reaches 8 n VERIFY_TOLERANCE fails
-    the dense check too; on the corpus's accepted layers it stays under
-    1e-21 n VERIFY_TOLERANCE. It costs one more matrix-vector product, and
-    most fragments whose column 0 matches and which are no layer, such as
-    a layer after a Z on a qubit of the mask, fail it. No check reads a
+    phase distance d of the fragment from the layer's HLAYER gate C decides,
+    through ``circuit_distance``, the check ``compile`` makes, read off the
+    two prefix products with no fragment product formed: tr(C^dag W_stop
+    W_index^dag) = tr(W_index^dag C^dag W_stop), so the gate is undone on a
+    copy of W_stop, as ``circuit_distance`` overwrites its array and the
+    facts share W_stop with later walks, and the trace is the copy's
+    overlap with W_index, O(|M| n^2) in all. Layers on two different
+    subsets have trace overlap 0, so no other subset could match. The
+    compiled layer is exp(-2i beta) times that gate to rounding, so d is
+    the phase distance the driver's span verification reads between the
+    fragment and the layer's steps, up to rounding (about 1e-15). For
+    unitaries, ||F - e^{i phi} L||_F^2 = 2 n d at the best phase, and
+    column 0 takes part of that, so 1 - |l^dag c| <= n d: a column 0 that
+    misses this twice over fails the full check too. No check reads a
     global phase of the products. Unlike the
     merge rules this row enforces the cost drop itself: the layer is a
     fixed-price replacement, not a local fusion, so applying it blindly
@@ -1078,12 +1075,7 @@ def _hypercube_sites(facts: ScanFacts, index: int, window: Window = None) -> Ite
             continue
         if 1 - abs(in_support.dot(column)) / math.sqrt(len(support)) >= 2 * n * VERIFY_TOLERANCE:
             continue
-        bit = mask & -mask
-        flipped = np.where(np.arange(n) & bit, -column, column)
-        second = later @ earlier[bit].conj() - flipped
-        if np.vdot(second, second).real >= 8 * n * VERIFY_TOLERANCE:
-            continue
-        if circuit_distance(gate, [(np.eye(n), later @ earlier.conj().T)]) < VERIFY_TOLERANCE:
+        if circuit_distance(gate, [(earlier, later.copy())]) < VERIFY_TOLERANCE:
             yield index, stop, layer, ""
             return
 

@@ -65,8 +65,8 @@ to. The optimizer's Hadamard-layer row reads a fragment's own column 0
 from its prefix products and checks it against the layer's closed form,
 2^(-k/2) times one phase on each of the 2^k vertices inside the layer's
 mask, and compares the fragment with the layer's gate through
-``gate_compiler.circuit_distance`` on the fragment's dense product, so
-it asks this module for no layer product or column.
+``gate_compiler.circuit_distance`` on the fragment's two prefix
+products, so it asks this module for no layer product or column.
 """
 
 from __future__ import annotations

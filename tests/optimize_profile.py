@@ -35,14 +35,18 @@ each of its four callers (``compile_hadamard_layer``, ``_fold``,
 and the most vertices one build was handed, then ``work: scans F
 full, R resumed, U follow-up, L last-resort; Hadamard fragments J
 judged, D dense checks; prefix products P calls, S steps; singleton
-moves M priced``, counted in a third unprofiled pass
-(``work_counts``): the ``_scan`` calls of the regular rows without a
-window (F), with one from ``optimize`` (R) and from the enabling search
-(U), and those of the last-resort rows (L); the fragments the
-Hadamard-layer row judged past its ``LAYER_FLOOR`` check and the dense
-``circuit_distance`` checks among them; the ``prefix_unitaries`` calls
-and the steps they applied; and the singleton moves ``_singleton_moves``
-priced. Then it prints
+moves M priced; enabling searches E, C candidates; run_distance V
+calls``, counted in a third unprofiled pass (``work_counts``): the
+``_scan`` calls of the regular rows without a window (F), with one from
+``optimize`` (R) and from the enabling search (U), and those of the
+last-resort rows (L); the fragments the Hadamard-layer row judged past
+its ``LAYER_FLOOR`` check and the full ``circuit_distance`` checks among
+them; the ``prefix_unitaries`` calls and the steps they applied; the
+singleton moves ``_singleton_moves`` priced; the ``_find_enabling_pair``
+calls and the neutral moves their move rows offered, of which those that
+change the walk and are not skipped each get one follow-up scan (U); and
+the ``run_distance`` calls, the span checks and the final checks. Then
+it prints
 one line per source file with its self time and share of
 the total, largest first; functions built into the interpreter are
 pooled as ``(built-in)``. ``fractions.py``'s line is printed whatever its
@@ -172,8 +176,8 @@ def work_counts(walks) -> Counter:
     back afterwards.
     """
     counts = Counter()
-    names = ("_scan", "circuit_distance", "prefix_unitaries", "_singleton_moves")
-    real, real_costs = {name: getattr(ro, name) for name in names}, ro.ScanFacts.costs_at_most
+    names = ("_scan", "circuit_distance", "prefix_unitaries", "_singleton_moves", "_find_enabling_pair", "run_distance")
+    real, real_costs, real_moves = {name: getattr(ro, name) for name in names}, ro.ScanFacts.costs_at_most, ro._MOVES
     last_resort = {sites for _, sites in ro._LAST_RESORT}
 
     def scan(facts, rows, skip, *args):
@@ -203,9 +207,26 @@ def work_counts(walks) -> Counter:
             counts["moves"] += 1
             yield move
 
-    for name, wrapper in zip(names, (scan, circuit_distance, prefix_unitaries, singleton_moves)):
+    def find_enabling_pair(*args):
+        counts["searches"] += 1
+        return real["_find_enabling_pair"](*args)
+
+    def run_distance(*args):
+        counts["run_distance"] += 1
+        return real["run_distance"](*args)
+
+    def offered(sites):
+        def wrapper(facts):
+            for site in sites(facts):
+                counts["candidates"] += 1
+                yield site
+        return wrapper
+
+    wrappers = (scan, circuit_distance, prefix_unitaries, singleton_moves, find_enabling_pair, run_distance)
+    for name, wrapper in zip(names, wrappers):
         setattr(ro, name, wrapper)
     ro.ScanFacts.costs_at_most = costs_at_most
+    ro._MOVES = tuple((rule, offered(sites)) for rule, sites in real_moves)
     try:
         for walk in walks:
             optimize(walk)
@@ -213,6 +234,7 @@ def work_counts(walks) -> Counter:
         for name, function in real.items():
             setattr(ro, name, function)
         ro.ScanFacts.costs_at_most = real_costs
+        ro._MOVES = real_moves
     return counts
 
 
@@ -255,7 +277,8 @@ def main(argv=()) -> None:
         f"work: scans {work['full']} full, {work['resumed']} resumed, {work['follow-up']} follow-up,"
         f" {work['last-resort']} last-resort; Hadamard fragments {work['judged']} judged,"
         f" {work['dense']} dense checks; prefix products {work['products']} calls, {work['product_steps']} steps;"
-        f" singleton moves {work['moves']} priced"
+        f" singleton moves {work['moves']} priced; enabling searches {work['searches']},"
+        f" {work['candidates']} candidates; run_distance {work['run_distance']} calls"
     )
     for module, own in sorted(self_s.items(), key=lambda item: (-item[1], item[0])):
         print(f"{module}: {own:.3f} s, {100 * own / total:.1f} %")

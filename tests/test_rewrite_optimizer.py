@@ -655,23 +655,49 @@ def z_before_layer(qubit):
 def test_hypercube_hadamard_rejects_a_fragment_only_the_full_check_sees(monkeypatch):
     """Z before the layer leaves vertex 0 alone, so column 0 still matches.
 
-    The second column is that of the mask's lowest bit, qubit 2's. A Z on
-    qubit 0 leaves that column alone too, so only the dense check sees it;
-    a Z on qubit 2 flips it, so the second column rejects it with no dense
-    check.
+    A Z on a qubit of the mask, 0 or 2, flips other columns of the
+    fragment, so each reaches the full check once and is refused there.
     """
     calls = dense_checks(monkeypatch)
-    mask = bit_value(0, 3) | bit_value(2, 3)
-    assert mask & -mask == bit_value(2, 3)
-    walk = z_before_layer(0)
-    assert hadamard_sites_of(walk, 0, walk.graph_count) == []
-    assert calls == [Circuit(3, (Gate("HLAYER", targets=(0, 2)),))]
-    calls.clear()
-    walk = z_before_layer(2)
-    assert hadamard_sites_of(walk, 0, walk.graph_count) == []
-    assert calls == []
-    layer = ro._hadamard_layer(mask, 3)
+    for qubit in (0, 2):
+        walk = z_before_layer(qubit)
+        assert hadamard_sites_of(walk, 0, walk.graph_count) == []
+        assert calls == [Circuit(3, (Gate("HLAYER", targets=(0, 2)),))]
+        calls.clear()
+    layer = ro._hadamard_layer(bit_value(0, 3) | bit_value(2, 3), 3)
     assert not any(isinstance(part, np.ndarray) for part in layer)
+
+
+def test_the_full_hadamard_check_reads_the_fragment_off_its_prefix_products(monkeypatch):
+    """Every full check against the dense fragment W_s W_i^dag, which the row no longer forms.
+
+    The row passes (W_i, a copy of W_s), and the distance must equal the
+    one read off the dense fragment to 1e-12, with the same verdict. The
+    facts' prefix products, which later walks share, must come out of every
+    sweep byte for byte as they went in.
+    """
+    checks = []
+    real = ro.circuit_distance
+
+    def compared(gate, blocks):
+        [(earlier, later)] = blocks
+        dense = real(gate, [(np.eye(len(later)), later @ earlier.conj().T)])
+        distance = real(gate, blocks)
+        assert abs(distance - dense) < 1e-12
+        checks.append((distance < ro.VERIFY_TOLERANCE, dense < ro.VERIFY_TOLERANCE))
+        return distance
+
+    monkeypatch.setattr(ro, "circuit_distance", compared)
+    walks = [z_before_layer(0), z_before_layer(2)]
+    walks += [compile_circuit(random_circuit(random.Random(seed))) for seed in range(20)]
+    for walk in walks:
+        facts = ro.ScanFacts(walk)
+        before = [product.tobytes() for product in facts.products()]
+        for index in range(walk.graph_count):
+            list(ro._hypercube_sites(facts, index))
+        assert [product.tobytes() for product in facts.products()] == before
+    assert all(verdict == dense for verdict, dense in checks)
+    assert {verdict for verdict, _ in checks} == {True, False}
 
 
 def test_hypercube_hadamard_rejects_bad_span_and_size():
@@ -2599,18 +2625,22 @@ def test_the_optimize_profile_script_runs_on_two_seeds(capsys):
     )
     # every fold builds one staircase, and each caller is reached
     assert folded == flips + wide and min(layer, run, landing) > 0 and widest > 0
-    full, resumed, follow_up, last_resort, judged, dense, products, steps, moves = map(
+    full, resumed, follow_up, last_resort, judged, dense, products, steps, moves, searches, candidates, distances = map(
         int,
         re.fullmatch(
             r"work: scans (\d+) full, (\d+) resumed, (\d+) follow-up, (\d+) last-resort;"
             r" Hadamard fragments (\d+) judged, (\d+) dense checks; prefix products (\d+) calls, (\d+) steps;"
-            r" singleton moves (\d+) priced",
+            r" singleton moves (\d+) priced; enabling searches (\d+), (\d+) candidates; run_distance (\d+) calls",
             work,
         ).groups(),
     )
     # each of the 7 programs starts with a full scan and ends on a last-resort scan that finds nothing
     assert full >= 7 and last_resort >= 7 and resumed + follow_up > 0
     assert dense <= judged and steps >= products > 0 and moves > 0
+    # the last-resort scan that finds nothing is followed by an enabling search; each follow-up scans one candidate
+    assert searches >= 7 and candidates >= follow_up
+    # each program's final check, and a span check per accepted or rejected chain
+    assert distances > 7
     split = lines.index("10 functions by cumulative time:")
     lines, top = lines[:split], lines[split + 1 :]
     cumulative = [re.fullmatch(r"(.+):(\d+) (.+): (\d+\.\d{3}) s cumulative", line).groups() for line in top]
