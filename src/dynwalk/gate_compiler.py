@@ -38,7 +38,8 @@ forms C^dag W block by block in ``walk_engine``'s layout of the walk's
 unitary W over the union of the walk's graphs and the gates'
 ``mixing_pairs``: every gate then maps a row to rows of the same
 component, so the undo runs on each block's rows as on the dense
-product. The optimizer's Hadamard-layer verdict undoes a one-gate HLAYER
+product. The optimizer's Hadamard-layer verdict, once the fragment's own
+trace and column 0 leave a layer possible, undoes a one-gate HLAYER
 circuit on a copy of the later of a fragment's two prefix products and
 reads the trace against the earlier one, one block. ``parse_circuit``
 reads its document's prologue with the walk parser's

@@ -10,7 +10,9 @@ of steps: ``equiv`` and the optimizer's span checks and final check.
 ``gate_compiler.circuit_distance`` compares a product with a circuit:
 ``compile`` and the optimizer's Hadamard-layer match, with the trace of
 C^dag times the product, formed in each block's own array; the
-optimizer's fragment is one block, read off its two prefix products.
+optimizer's fragment is one block, read off its two prefix products,
+and reaches this check only after its own trace and its column 0 have
+left a layer possible.
 ``phase_distance`` of two dense matrices is the public reference form
 that tests and users call; no package code calls it. Nothing else lives
 here: a graph's spectrum comes from ``graph_model.spectrum`` and a

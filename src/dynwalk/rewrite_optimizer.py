@@ -185,8 +185,11 @@ try the fragments from one start longest first, skipping fragments made
 only of phased permutations, whose product is a phased permutation and
 never a Hadamard layer, and stopping at the first that costs no more
 than the cheapest layer (``LAYER_FLOOR``). The row reads a fragment
-[i, s) as W_s W_i^dag: its bit mask from column 0, its cost from the
-prefix times, and, only for a layer that is strictly cheaper and whose
+[i, s) as W_s W_i^dag: below ``walk_engine.SPLIT_VERTICES`` vertices
+first its trace tr(W_i^dag W_s), and it refuses the fragment when that
+is too large for any Hadamard layer, which is traceless, to pass the
+full check; then its bit mask from column 0, its cost from the prefix
+times, and, only for a layer that is strictly cheaper and whose
 column 0 matches the layer's closed form, 2^(-k/2) times one phase on
 each of the 2^k vertices inside the mask, its distance from the layer's
 gate C through tr(C^dag W_s W_i^dag) = tr(W_i^dag C^dag W_s), which
@@ -235,7 +238,7 @@ from .graph_model import (
     supports_disjoint,
 )
 from .numerics import VERIFY_TOLERANCE
-from .walk_engine import _cached_factors, graphs_commute, prefix_unitaries, run_distance
+from .walk_engine import SPLIT_VERTICES, _cached_factors, graphs_commute, prefix_unitaries, run_distance
 
 __all__ = [
     "RULE_SWAP_COMMUTING",
@@ -1024,11 +1027,23 @@ def _hypercube_sites(facts: ScanFacts, index: int, window: Window = None) -> Ite
     The walk has 2^k vertices, and a fragment [index, stop) is read from
     the facts' prefix products as W_stop W_index^dag, fetched only once a
     fragment passes the floor, so the memo does not keep this verdict.
-    Hadamards on the bits of a mask M send vertex 0 to 2^(-|M|/2) times one
-    phase on each of the 2^|M| vertices inside M, each of weight at least
-    1/n. So the support S of the fragment's column 0, one matrix-vector
-    product, is the set of entries weighing more than 1/(2n), and the mask
-    is its OR. The layer on that mask goes in only when it strictly reduces
+    Every Hadamard layer's gate C is traceless, and a fragment F at phase
+    distance d < VERIFY_TOLERANCE from it has ||F - e^{i phi} C||_F^2 =
+    2 n d at the best phase, so |tr F| = |tr(F - e^{i phi} C)| <= sqrt n
+    ||F - e^{i phi} C||_F < n sqrt(2 VERIFY_TOLERANCE). The row first
+    refuses a fragment whose trace, tr(W_index^dag W_stop) read as the
+    ``vdot`` of the two products, reaches that bound: no layer would pass
+    the full check there, so no verdict changes, and on the benchmark's
+    and the corpus's walks most judged fragments go there. It does so
+    below ``walk_engine.SPLIT_VERTICES`` only. From there on the ``vdot``
+    reads two n x n products, twice the traffic of column 0's
+    matrix-vector product, and the fragments of wide walks are mostly
+    traceless (5 of 286 refused at 10 qubits), so the test cost the width
+    ladder more than it saved. Hadamards on the bits of a mask M send
+    vertex 0 to 2^(-|M|/2) times one phase on each of the 2^|M| vertices
+    inside M, each of weight at least 1/n. So the support S of the
+    fragment's column 0, one matrix-vector product, is the set of entries
+    weighing more than 1/(2n), and the mask is its OR. The layer on that mask goes in only when it strictly reduces
     (total time, graph count), which the facts' integer times decide, when
     S holds exactly the 2^|M| vertices inside M, and when 1 - |sum_S c| /
     sqrt|S| stays under 2n VERIFY_TOLERANCE: on such an S that is 1 -
@@ -1064,6 +1079,8 @@ def _hypercube_sites(facts: ScanFacts, index: int, window: Window = None) -> Ite
             return
         products = facts.products()
         later, earlier = products[stop], products[index]
+        if n < SPLIT_VERTICES and abs(np.vdot(earlier, later)) >= n * math.sqrt(2 * VERIFY_TOLERANCE):
+            continue
         column = later @ earlier[0].conj()
         in_support = np.abs(column) ** 2 > 1.0 / (2 * n)
         support = in_support.nonzero()[0]

@@ -61,10 +61,12 @@ computes the factors per call and drops them when it returns: the
 whole-program functions (``total_unitary``, ``laid_out_unitary``,
 ``evolve_state``, and so the ``compile``, ``unitary`` and ``simulate``
 commands), which factor each step once however many blocks they apply it
-to. The optimizer's Hadamard-layer row reads a fragment's own column 0
-from its prefix products and checks it against the layer's closed form,
-2^(-k/2) times one phase on each of the 2^k vertices inside the layer's
-mask, and compares the fragment with the layer's gate through
+to. The optimizer's Hadamard-layer row reads, below ``SPLIT_VERTICES``,
+a fragment's trace off its two prefix products first, refusing one too
+large for any traceless Hadamard layer, then the fragment's own column 0,
+which it checks against the layer's closed form, 2^(-k/2) times one
+phase on each of the 2^k vertices inside the layer's mask, and compares
+the fragment with the layer's gate through
 ``gate_compiler.circuit_distance`` on the fragment's two prefix
 products, so it asks this module for no layer product or column.
 """

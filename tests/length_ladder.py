@@ -7,10 +7,14 @@ gates from X, Y, Z, S, T, H and CNOT on 3 qubits with
 once. It prints one line per circuit: the gate count and seed, the
 compiled step count, the output's graph count and total time, a short
 sha256 of the serialized output walk, so that two trees can be compared
-line by line, and the wall time of the ``optimize`` call. Every cache of
-the package (``cli_overhead.package_caches``) is emptied before each
-call, as in a fresh process. The file has no ``test_`` prefix, so pytest
-does not collect it.
+line by line, and the wall time of the ``optimize`` call. Under it, it
+prints the circuit's ``work:`` line (``optimize_profile.work_counts``),
+counted in a second, untimed ``optimize`` call: counts of scans,
+fragments, checks and products that machine load does not move, so two
+trees can be compared on them too. Every cache of the package
+(``cli_overhead.package_caches``) is emptied before each call, as in a
+fresh process. The file has no ``test_`` prefix, so pytest does not
+collect it.
 
 Run from the repository root::
 
@@ -51,6 +55,10 @@ def random_circuit(n_gates: int, seed: int) -> Circuit:
 
 
 def rung(n_gates: int, seed: int) -> str:
+    """The circuit's timing line, then its work line."""
+    # here, not at the top: optimize_profile reads the test module that imports this script
+    import optimize_profile
+
     walk = compile_circuit(random_circuit(n_gates, seed))
     for cache in package_caches():
         cache.cache_clear()
@@ -58,9 +66,12 @@ def rung(n_gates: int, seed: int) -> str:
     final, report = optimize(walk)
     seconds = time.perf_counter() - start
     output = hashlib.sha256(serialize_dynamic_graph(final).encode()).hexdigest()[:16]
+    for cache in package_caches():
+        cache.cache_clear()
     return (
         f"{n_gates} gates, seed {seed}: {walk.graph_count} steps -> {report.final_count} graphs"
-        f" at {format_angle(report.final_time)}, output {output}, optimize {seconds:.3f} s"
+        f" at {format_angle(report.final_time)}, output {output}, optimize {seconds:.3f} s\n"
+        + optimize_profile.work_line(optimize_profile.work_counts([walk]))
     )
 
 

@@ -34,19 +34,24 @@ each of its four callers (``compile_hadamard_layer``, ``_fold``,
 ``_staircase_sites`` and the loops-only branch of ``_singleton_landing``)
 and the most vertices one build was handed, then ``work: scans F
 full, R resumed, U follow-up, L last-resort; Hadamard fragments J
-judged, D dense checks; prefix products P calls, S steps; singleton
-moves M priced; enabling searches E, C candidates; run_distance V
-calls``, counted in a third unprofiled pass (``work_counts``): the
+judged, T refused by trace, D dense checks; prefix products P calls, S
+steps; singleton moves M priced; block swaps K commutation lookups;
+enabling searches E, C candidates; run_distance V calls``, counted in a
+third unprofiled pass (``work_counts``, printed by ``work_line``): the
 ``_scan`` calls of the regular rows without a window (F), with one from
 ``optimize`` (R) and from the enabling search (U), and those of the
 last-resort rows (L); the fragments the Hadamard-layer row judged past
-its ``LAYER_FLOOR`` check and the full ``circuit_distance`` checks among
-them; the ``prefix_unitaries`` calls and the steps they applied; the
-singleton moves ``_singleton_moves`` priced; the ``_find_enabling_pair``
-calls and the neutral moves their move rows offered, of which those that
-change the walk and are not skipped each get one follow-up scan (U); and
-the ``run_distance`` calls, the span checks and the final checks. Then
-it prints
+its ``LAYER_FLOOR`` check, those among them it refused by their trace
+(below ``SPLIT_VERTICES`` vertices, a trace of modulus n sqrt(2
+``VERIFY_TOLERANCE``) or more, which no Hadamard layer has) and the full
+``circuit_distance`` checks among the rest; the ``prefix_unitaries``
+calls and the steps they applied; the singleton moves
+``_singleton_moves`` priced; the commutation lookups of
+``_block_swap_sites``, one per pair of graphs it asks about, memoized or
+not; the ``_find_enabling_pair`` calls and the neutral moves their move
+rows offered, of which those that change the walk and are not skipped
+each get one follow-up scan (U); and the ``run_distance`` calls, the
+span checks and the final checks. Then it prints
 one line per source file with its self time and share of
 the total, largest first; functions built into the interpreter are
 pooled as ``(built-in)``. ``fractions.py``'s line is printed whatever its
@@ -62,10 +67,13 @@ Run from the repository root::
 """
 
 import cProfile
+import math
 import os
 import pstats
 import sys
 from collections import Counter
+
+import numpy as np
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path[:0] = [HERE, os.path.join(os.path.dirname(HERE), "src")]
@@ -172,12 +180,17 @@ def work_counts(walks) -> Counter:
     """What ``optimize`` did while it ran on the walks, counted by wrapping the module's functions.
 
     The scans are told apart by their rows, their window and their
-    caller: a follow-up scan is the enabling search's. Everything is put
-    back afterwards.
+    caller: a follow-up scan is the enabling search's. A fragment judged
+    past the floor is refused by its trace on the row's own test, read
+    off the prefix products the row fetches next. The commutation lookups
+    are the calls of each memo's ``commute``, which only
+    ``_block_swap_sites`` makes. Everything is put back afterwards.
     """
     counts = Counter()
     names = ("_scan", "circuit_distance", "prefix_unitaries", "_singleton_moves", "_find_enabling_pair", "run_distance")
     real, real_costs, real_moves = {name: getattr(ro, name) for name in names}, ro.ScanFacts.costs_at_most, ro._MOVES
+    real_memo = ro._Memo.__init__
+    bound = math.sqrt(2 * ro.VERIFY_TOLERANCE)
     last_resort = {sites for _, sites in ro._LAST_RESORT}
 
     def scan(facts, rows, skip, *args):
@@ -191,8 +204,21 @@ def work_counts(walks) -> Counter:
 
     def costs_at_most(facts, start, stop, cost):
         cheaper = real_costs(facts, start, stop, cost)
-        counts["judged"] += cost is ro.LAYER_FLOOR and not cheaper
+        if cost is ro.LAYER_FLOOR and not cheaper:
+            n, products = facts.walk.n_vertices, facts.products()
+            counts["judged"] += 1
+            counts["refused"] += n < ro.SPLIT_VERTICES and abs(np.vdot(products[start], products[stop])) >= n * bound
         return cheaper
+
+    def memo(self):
+        real_memo(self)
+        lookup = self.commute
+
+        def commute(*args):
+            counts["lookups"] += 1
+            return lookup(*args)
+
+        self.commute = commute
 
     def circuit_distance(*args):
         counts["dense"] += 1
@@ -226,6 +252,7 @@ def work_counts(walks) -> Counter:
     for name, wrapper in zip(names, wrappers):
         setattr(ro, name, wrapper)
     ro.ScanFacts.costs_at_most = costs_at_most
+    ro._Memo.__init__ = memo
     ro._MOVES = tuple((rule, offered(sites)) for rule, sites in real_moves)
     try:
         for walk in walks:
@@ -234,8 +261,21 @@ def work_counts(walks) -> Counter:
         for name, function in real.items():
             setattr(ro, name, function)
         ro.ScanFacts.costs_at_most = real_costs
+        ro._Memo.__init__ = real_memo
         ro._MOVES = real_moves
     return counts
+
+
+def work_line(work: Counter) -> str:
+    """The ``work:`` line of ``work_counts``."""
+    return (
+        f"work: scans {work['full']} full, {work['resumed']} resumed, {work['follow-up']} follow-up,"
+        f" {work['last-resort']} last-resort; Hadamard fragments {work['judged']} judged,"
+        f" {work['refused']} refused by trace, {work['dense']} dense checks;"
+        f" prefix products {work['products']} calls, {work['product_steps']} steps;"
+        f" singleton moves {work['moves']} priced; block swaps {work['lookups']} commutation lookups;"
+        f" enabling searches {work['searches']}, {work['candidates']} candidates; run_distance {work['run_distance']} calls"
+    )
 
 
 def main(argv=()) -> None:
@@ -272,14 +312,7 @@ def main(argv=()) -> None:
     folds, staircases, widest = build_counts(walks)
     print("folds: " + "; ".join(f"{name} {c['built']} built, {c['improving']} improving" for name, c in folds.items()))
     print("staircases: " + ", ".join(f"{name} {count}" for name, count in staircases.items()) + f"; widest {widest} vertices")
-    work = work_counts(walks)
-    print(
-        f"work: scans {work['full']} full, {work['resumed']} resumed, {work['follow-up']} follow-up,"
-        f" {work['last-resort']} last-resort; Hadamard fragments {work['judged']} judged,"
-        f" {work['dense']} dense checks; prefix products {work['products']} calls, {work['product_steps']} steps;"
-        f" singleton moves {work['moves']} priced; enabling searches {work['searches']},"
-        f" {work['candidates']} candidates; run_distance {work['run_distance']} calls"
-    )
+    print(work_line(work_counts(walks)))
     for module, own in sorted(self_s.items(), key=lambda item: (-item[1], item[0])):
         print(f"{module}: {own:.3f} s, {100 * own / total:.1f} %")
     print(f"{TOP} functions by cumulative time:")

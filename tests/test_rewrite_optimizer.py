@@ -579,8 +579,9 @@ def test_hypercube_hadamard_replaces_single_qubit_fragment():
     assert_same_program(walk, replaced)
 
 
-def test_hypercube_hadamard_fuses_two_sequential_fixtures():
-    walk = walk_of(
+def fused_two_qubit_fixture():
+    """Two single-qubit Hadamard fixtures in a row, on bits 2 and 1 of 4 vertices."""
+    return walk_of(
         loops(4, [2, 3], 3, 2),
         match(4, 2, 1, 4),
         loops(4, [2, 3], 3, 2),
@@ -588,6 +589,10 @@ def test_hypercube_hadamard_fuses_two_sequential_fixtures():
         match(4, 1, 1, 4),
         loops(4, [1, 3], 3, 2),
     )
+
+
+def test_hypercube_hadamard_fuses_two_sequential_fixtures():
+    walk = fused_two_qubit_fixture()
     assert walk.total_time() == angle(13, 2)
     layer = compile_hadamard_layer([0, 1], 2)
     replaced = walk.replaced(0, 6, layer.steps)
@@ -698,6 +703,58 @@ def test_the_full_hadamard_check_reads_the_fragment_off_its_prefix_products(monk
         assert [product.tobytes() for product in facts.products()] == before
     assert all(verdict == dense for verdict, dense in checks)
     assert {verdict for verdict, _ in checks} == {True, False}
+
+
+def test_the_trace_refuses_only_fragments_the_full_check_refuses(monkeypatch):
+    """A Hadamard layer is traceless, so below SPLIT_VERTICES the row refuses a fragment whose trace is too large for one.
+
+    Every fragment [i, s) the sweep from every position judges past the
+    floor, with a nonzero column-0 mask, is judged here both ways: its
+    trace tr(W_s W_i^dag) = tr(W_i^dag W_s) and the full check against the
+    layer on its mask. One that passes the full check has a trace of
+    rounding size, and one whose trace reaches the row's bound fails the
+    full check, and both occur. The row itself must send no fragment whose
+    trace reaches the bound to the full check, and must still send some
+    that pass it.
+    """
+    checks = []
+    real = ro.circuit_distance
+
+    def checked(gate, blocks):
+        [(earlier, later)] = blocks
+        trace, distance = abs(np.vdot(earlier, later)) / len(later), real(gate, blocks)
+        checks.append((trace, distance < ro.VERIFY_TOLERANCE))
+        return distance
+
+    monkeypatch.setattr(ro, "circuit_distance", checked)
+    bound = math.sqrt(2 * ro.VERIFY_TOLERANCE)
+    rng = random.Random(5)
+    walks = [z_before_layer(0), z_before_layer(2), single_qubit_h_fixture(), fused_two_qubit_fixture()]
+    walks += [compile_circuit(random_circuit(random.Random(seed))) for seed in range(20)]
+    walks += [DynamicGraph(8, tuple(random_singleton_step(rng, 8) for _ in range(8))) for _ in range(4)]
+    branches = Counter()
+    for walk in walks:
+        n, count = walk.n_vertices, walk.graph_count
+        facts = ro.ScanFacts(walk)
+        for index in range(count):
+            list(ro._hypercube_sites(facts, index))
+            for stop in range(count, facts.run_end(index, "perm"), -1):
+                if facts.costs_at_most(index, stop, ro.LAYER_FLOOR):
+                    break
+                earlier, later = facts.products()[index], facts.products()[stop]
+                support = np.flatnonzero(np.abs(later @ earlier[0].conj()) ** 2 > 1.0 / (2 * n))
+                mask = int(np.bitwise_or.reduce(support))
+                if not mask:
+                    continue
+                _, _, gate = facts.memo.hadamard_layer(mask, n.bit_length() - 1)
+                trace = abs(np.vdot(earlier, later)) / n
+                layer = real(gate, [(earlier, later.copy())]) < ro.VERIFY_TOLERANCE
+                assert not layer or trace <= 1e-12, (walk, index, stop)
+                assert trace < bound or not layer, (walk, index, stop)
+                branches.update(refused=trace >= bound, layer=layer)
+    assert branches["refused"] and branches["layer"]
+    assert all(trace < bound for trace, _ in checks)
+    assert {layer for _, layer in checks} == {True, False}
 
 
 def test_hypercube_hadamard_rejects_bad_span_and_size():
@@ -2581,6 +2638,23 @@ def test_the_corpus_digest_script_runs_on_two_seeds(capsys):
     assert re.fullmatch(r"spectra of \d+ distinct input and output graphs: sha256 [0-9a-f]{64}", lines[9])
 
 
+WORK_LINE = (
+    r"work: scans (?P<full>\d+) full, (?P<resumed>\d+) resumed, (?P<follow_up>\d+) follow-up,"
+    r" (?P<last_resort>\d+) last-resort; Hadamard fragments (?P<judged>\d+) judged,"
+    r" (?P<refused>\d+) refused by trace, (?P<dense>\d+) dense checks;"
+    r" prefix products (?P<products>\d+) calls, (?P<steps>\d+) steps; singleton moves (?P<moves>\d+) priced;"
+    r" block swaps (?P<lookups>\d+) commutation lookups; enabling searches (?P<searches>\d+),"
+    r" (?P<candidates>\d+) candidates; run_distance (?P<distances>\d+) calls"
+)
+
+
+def work_of(line):
+    """The counts of a ``work:`` line, by name; the trace refuses only judged fragments, and only the rest reach the full check."""
+    work = {name: int(value) for name, value in re.fullmatch(WORK_LINE, line).groupdict().items()}
+    assert work["refused"] <= work["judged"] and work["dense"] <= work["judged"] - work["refused"]
+    return work
+
+
 def test_the_optimize_profile_script_runs_on_two_seeds(capsys):
     """tests/optimize_profile.py at 2 seeds: a header, the spectrum counts, the classifier and commutation routes, the fold and staircase counts, the work counts, one share line per source file, fractions.py among them, then the ten functions of largest cumulative time."""
     import cli_overhead
@@ -2625,22 +2699,14 @@ def test_the_optimize_profile_script_runs_on_two_seeds(capsys):
     )
     # every fold builds one staircase, and each caller is reached
     assert folded == flips + wide and min(layer, run, landing) > 0 and widest > 0
-    full, resumed, follow_up, last_resort, judged, dense, products, steps, moves, searches, candidates, distances = map(
-        int,
-        re.fullmatch(
-            r"work: scans (\d+) full, (\d+) resumed, (\d+) follow-up, (\d+) last-resort;"
-            r" Hadamard fragments (\d+) judged, (\d+) dense checks; prefix products (\d+) calls, (\d+) steps;"
-            r" singleton moves (\d+) priced; enabling searches (\d+), (\d+) candidates; run_distance (\d+) calls",
-            work,
-        ).groups(),
-    )
+    work = work_of(work)
     # each of the 7 programs starts with a full scan and ends on a last-resort scan that finds nothing
-    assert full >= 7 and last_resort >= 7 and resumed + follow_up > 0
-    assert dense <= judged and steps >= products > 0 and moves > 0
+    assert work["full"] >= 7 and work["last_resort"] >= 7 and work["resumed"] + work["follow_up"] > 0
+    assert work["refused"] > 0 and work["steps"] >= work["products"] > 0 and work["moves"] > 0
     # the last-resort scan that finds nothing is followed by an enabling search; each follow-up scans one candidate
-    assert searches >= 7 and candidates >= follow_up
+    assert work["searches"] >= 7 and work["candidates"] >= work["follow_up"] and work["lookups"] > 0
     # each program's final check, and a span check per accepted or rejected chain
-    assert distances > 7
+    assert work["distances"] > 7
     split = lines.index("10 functions by cumulative time:")
     lines, top = lines[:split], lines[split + 1 :]
     cumulative = [re.fullmatch(r"(.+):(\d+) (.+): (\d+\.\d{3}) s cumulative", line).groups() for line in top]
@@ -2658,12 +2724,12 @@ def test_the_optimize_profile_script_runs_on_two_seeds(capsys):
 
 
 def test_the_length_ladder_script_runs_its_smallest_rungs(capsys):
-    """tests/length_ladder.py on 5 and 10 gates at seeds 1 and 2: one line per circuit, in order."""
+    """tests/length_ladder.py on 5 and 10 gates at seeds 1 and 2: a timing line and a work line per circuit, in order."""
     length_ladder.main(["5", "10", "--seeds", "1", "2"])
     lines = capsys.readouterr().out.splitlines()
     rungs = [(5, 1), (5, 2), (10, 1), (10, 2)]
-    assert len(lines) == len(rungs)
-    for line, (n_gates, seed) in zip(lines, rungs):
+    assert len(lines) == 2 * len(rungs)
+    for line, work, (n_gates, seed) in zip(lines[::2], lines[1::2], rungs):
         steps, graphs = map(int, re.fullmatch(
             rf"{n_gates} gates, seed {seed}: (\d+) steps -> (\d+) graphs at (0|\d*π(/\d+)?),"
             r" output [0-9a-f]{16}, optimize \d+\.\d{3} s",
@@ -2671,6 +2737,9 @@ def test_the_length_ladder_script_runs_its_smallest_rungs(capsys):
         ).groups()[:2])
         walk = compile_circuit(length_ladder.random_circuit(n_gates, seed))
         assert steps == walk.graph_count and graphs <= steps
+        # one program: one full scan first, one last-resort scan that finds nothing and the final check
+        work = work_of(work)
+        assert work["full"] >= 1 and work["last_resort"] >= 1 and work["distances"] >= 1
     length_ladder.main(["5"])
     assert capsys.readouterr().out.startswith("5 gates, seed 1: ")
 
