@@ -128,15 +128,16 @@ runs on integers; the form of a step in which no vertex lies on two
 edges (loops-only steps, matchings with loops anywhere, the empty graph)
 is read from its edge list and duration, and only the form of a graph
 with a vertex on two edges from its block exponentials;
-``walk_engine.graphs_commute`` per graph pair for the block swaps, which
-decides from one graph's loops every pair in which that graph's edges
-avoid the other's edges and loops (support-disjoint pairs and a side
-without edges among them), and counts walks for the other pairs, equal
-graphs with edges included; the merges of two steps
-(``_merge_identical``, ``_merge_complementary``); what a looped
-singleton carries out of a step (``_singleton_source``, on the source
-step and the vertex); what a target step becomes when it absorbs that
-phase (``_singleton_landing``, on the target step, the vertex and the
+``walk_engine.graphs_commute`` per graph pair for the block swaps, asked
+once per step pair of the walk an enabling search reads (see
+``_block_swap_sites``), which decides from one graph's loops every pair
+in which that graph's edges avoid the other's edges and loops
+(support-disjoint pairs and a side without edges among them), and counts
+walks for the other pairs, equal graphs with edges included; the merges
+of two steps (``_merge_identical``, ``_merge_complementary``); what a
+looped singleton carries out of a step (``_singleton_source``, on the
+source step and the vertex); what a target step becomes when it absorbs
+that phase (``_singleton_landing``, on the target step, the vertex and the
 phase); and the compiled Hadamard layer per bit mask and qubit count
 (``_hadamard_layer``): its steps, its cost and its one-gate HLAYER
 circuit. The memo holds steps and small tuples, never an array: no
@@ -1098,16 +1099,27 @@ def _hypercube_sites(facts: ScanFacts, index: int, window: Window = None) -> Ite
 
 
 def _block_swap_sites(facts: ScanFacts) -> Iterator[Site]:
-    """Exchanges of adjacent commuting blocks, small blocks before large."""
-    steps = facts.walk.steps
-    count = len(steps)
+    """Exchanges of adjacent commuting blocks, small blocks before large.
+
+    The blocks [i, m) and [m, e) commute exactly when every step of the
+    first commutes with every step of the second, that is when no pair
+    (s, t) in the rectangle [i, m) x [m, e) fails to commute. So the memo
+    is asked once per step pair s < t of the walk, each time an enabling
+    search reads the row, and table[k][l], the number of pairs s < k,
+    t < l that do not commute (a 2-D prefix sum), makes each block one
+    O(1) test: the rectangle's count, read off its four corners, is 0.
+    The blocks come in the order of the direct enumeration: total length
+    e - i, then split point m - i, then start i.
+    """
+    steps, count = facts.walk.steps, facts.walk.graph_count
+    apart = [[s < t and not facts.memo.commute(a.graph, b.graph) for t, b in enumerate(steps)] for s, a in enumerate(steps)]
+    sums = np.array(apart, dtype=int).reshape(count, count).cumsum(0).cumsum(1).tolist()
+    table = [[0] * (count + 1)] + [[0, *row] for row in sums]
     for total in range(2, count + 1):
         for a in range(1, total):
-            for i in range(0, count - total + 1):
-                left = steps[i : i + a]
-                right = steps[i + a : i + total]
-                if all(facts.memo.commute(s.graph, t.graph) for s in left for t in right):
-                    yield i, i + total, right + left, f"swap blocks {a}+{total - a}"
+            for i, m, e in zip(range(count - total + 1), range(a, count), range(total, count + 1)):
+                if table[m][e] - table[i][e] - table[m][m] + table[i][m] == 0:
+                    yield i, e, steps[m:e] + steps[i:m], f"swap blocks {a}+{total - a}"
 
 
 def _enabling_singleton_sites(facts: ScanFacts) -> Iterator[Site]:

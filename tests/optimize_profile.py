@@ -35,12 +35,12 @@ each of its four callers (``compile_hadamard_layer``, ``_fold``,
 and the most vertices one build was handed, then ``work: scans F
 full, R resumed, U follow-up, L last-resort; Hadamard fragments J
 judged, T refused by trace, D dense checks; prefix products P calls, S
-steps; singleton moves M priced; block swaps K commutation lookups;
-enabling searches E, C candidates; run_distance V calls``, counted in a
-third unprofiled pass (``work_counts``, printed by ``work_line``): the
-``_scan`` calls of the regular rows without a window (F), with one from
-``optimize`` (R) and from the enabling search (U), and those of the
-last-resort rows (L); the fragments the Hadamard-layer row judged past
+steps; singleton moves M priced; block swaps K commutation lookups, G
+verdicts; enabling searches E, C candidates; run_distance V calls``,
+counted in a third unprofiled pass (``work_counts``, printed by
+``work_line``): the ``_scan`` calls of the regular rows without a window
+(F), with one from ``optimize`` (R) and from the enabling search (U),
+and those of the last-resort rows (L); the fragments the Hadamard-layer row judged past
 its ``LAYER_FLOOR`` check, those among them it refused by their trace
 (below ``SPLIT_VERTICES`` vertices, a trace of modulus n sqrt(2
 ``VERIFY_TOLERANCE``) or more, which no Hadamard layer has) and the full
@@ -48,9 +48,12 @@ its ``LAYER_FLOOR`` check, those among them it refused by their trace
 calls and the steps they applied; the singleton moves
 ``_singleton_moves`` priced; the commutation lookups of
 ``_block_swap_sites``, one per pair of graphs it asks about, memoized or
-not; the ``_find_enabling_pair`` calls and the neutral moves their move
-rows offered, of which those that change the walk and are not skipped
-each get one follow-up scan (U); and the ``run_distance`` calls, the
+not, and the verdicts among them, the calls of
+``walk_engine.graphs_commute`` the memos made, one per distinct pair of
+graphs an ``optimize`` call asked about (G); the
+``_find_enabling_pair`` calls and the neutral moves their move rows
+offered, of which those that change the walk and are not skipped each
+get one follow-up scan (U); and the ``run_distance`` calls, the
 span checks and the final checks. Then it prints
 one line per source file with its self time and share of
 the total, largest first; functions built into the interpreter are
@@ -184,10 +187,15 @@ def work_counts(walks) -> Counter:
     past the floor is refused by its trace on the row's own test, read
     off the prefix products the row fetches next. The commutation lookups
     are the calls of each memo's ``commute``, which only
-    ``_block_swap_sites`` makes. Everything is put back afterwards.
+    ``_block_swap_sites`` makes, and the verdicts the calls of the
+    module's ``graphs_commute``, which each memo caches when it is made,
+    so they are its misses. Everything is put back afterwards.
     """
     counts = Counter()
-    names = ("_scan", "circuit_distance", "prefix_unitaries", "_singleton_moves", "_find_enabling_pair", "run_distance")
+    names = (
+        "_scan", "circuit_distance", "prefix_unitaries", "_singleton_moves", "_find_enabling_pair", "run_distance",
+        "graphs_commute",
+    )
     real, real_costs, real_moves = {name: getattr(ro, name) for name in names}, ro.ScanFacts.costs_at_most, ro._MOVES
     real_memo = ro._Memo.__init__
     bound = math.sqrt(2 * ro.VERIFY_TOLERANCE)
@@ -241,6 +249,10 @@ def work_counts(walks) -> Counter:
         counts["run_distance"] += 1
         return real["run_distance"](*args)
 
+    def graphs_commute(*args):
+        counts["verdicts"] += 1
+        return real["graphs_commute"](*args)
+
     def offered(sites):
         def wrapper(facts):
             for site in sites(facts):
@@ -248,7 +260,7 @@ def work_counts(walks) -> Counter:
                 yield site
         return wrapper
 
-    wrappers = (scan, circuit_distance, prefix_unitaries, singleton_moves, find_enabling_pair, run_distance)
+    wrappers = (scan, circuit_distance, prefix_unitaries, singleton_moves, find_enabling_pair, run_distance, graphs_commute)
     for name, wrapper in zip(names, wrappers):
         setattr(ro, name, wrapper)
     ro.ScanFacts.costs_at_most = costs_at_most
@@ -273,7 +285,8 @@ def work_line(work: Counter) -> str:
         f" {work['last-resort']} last-resort; Hadamard fragments {work['judged']} judged,"
         f" {work['refused']} refused by trace, {work['dense']} dense checks;"
         f" prefix products {work['products']} calls, {work['product_steps']} steps;"
-        f" singleton moves {work['moves']} priced; block swaps {work['lookups']} commutation lookups;"
+        f" singleton moves {work['moves']} priced;"
+        f" block swaps {work['lookups']} commutation lookups, {work['verdicts']} verdicts;"
         f" enabling searches {work['searches']}, {work['candidates']} candidates; run_distance {work['run_distance']} calls"
     )
 

@@ -130,6 +130,41 @@ def test_swap_commuting_rejects_bad_index():
     assert list(ro._block_swap_sites(ro.ScanFacts(walk))) == []
 
 
+def defined_block_swap_sites(walk):
+    """The block swaps by their definition, every pair of every block tested, in the order the row yields them."""
+    commute = functools.cache(walk_engine.graphs_commute)
+    steps, count = walk.steps, walk.graph_count
+    for total in range(2, count + 1):
+        for a in range(1, total):
+            for i in range(count - total + 1):
+                left, right = steps[i : i + a], steps[i + a : i + total]
+                if all(commute(s.graph, t.graph) for s in left for t in right):
+                    yield i, i + total, right + left, f"swap blocks {a}+{total - a}"
+
+
+def test_block_swaps_read_from_the_table_are_the_defined_ones_in_order():
+    """The prefix-sum table against the pairwise definition.
+
+    The walks are 40 random walks, three of them cut to 0, 1 and 2 steps,
+    20 compiled corpus circuits and the 20-gate length-ladder circuit.
+    Some blocks of one split and total length are offered at several
+    starts, so the order of the starts is read too.
+    """
+    walks = []
+    for seed in range(40):
+        walk = random_walk(random.Random(seed))
+        walks.append(DynamicGraph(walk.n_vertices, walk.steps[:seed]) if seed < 3 else walk)
+    walks += [compile_circuit(random_circuit(random.Random(seed))) for seed in range(20)]
+    walks.append(compile_circuit(length_ladder.random_circuit(20, 1)))
+    repeated = 0
+    for walk in walks:
+        sites = list(ro._block_swap_sites(ro.ScanFacts(walk)))
+        assert sites == list(defined_block_swap_sites(walk))
+        notes = Counter(note for *_, note in sites)
+        repeated += any(times > 1 for times in notes.values())
+    assert repeated > 0
+
+
 # -- MERGE_IDENTICAL ----------------------------------------------------------------
 
 
@@ -2643,15 +2678,21 @@ WORK_LINE = (
     r" (?P<last_resort>\d+) last-resort; Hadamard fragments (?P<judged>\d+) judged,"
     r" (?P<refused>\d+) refused by trace, (?P<dense>\d+) dense checks;"
     r" prefix products (?P<products>\d+) calls, (?P<steps>\d+) steps; singleton moves (?P<moves>\d+) priced;"
-    r" block swaps (?P<lookups>\d+) commutation lookups; enabling searches (?P<searches>\d+),"
+    r" block swaps (?P<lookups>\d+) commutation lookups, (?P<verdicts>\d+) verdicts;"
+    r" enabling searches (?P<searches>\d+),"
     r" (?P<candidates>\d+) candidates; run_distance (?P<distances>\d+) calls"
 )
 
 
 def work_of(line):
-    """The counts of a ``work:`` line, by name; the trace refuses only judged fragments, and only the rest reach the full check."""
+    """The counts of a ``work:`` line, by name.
+
+    The trace refuses only judged fragments, and only the rest reach the
+    full check; every commutation verdict is a lookup the memo missed.
+    """
     work = {name: int(value) for name, value in re.fullmatch(WORK_LINE, line).groupdict().items()}
     assert work["refused"] <= work["judged"] and work["dense"] <= work["judged"] - work["refused"]
+    assert work["verdicts"] <= work["lookups"]
     return work
 
 
@@ -2704,7 +2745,7 @@ def test_the_optimize_profile_script_runs_on_two_seeds(capsys):
     assert work["full"] >= 7 and work["last_resort"] >= 7 and work["resumed"] + work["follow_up"] > 0
     assert work["refused"] > 0 and work["steps"] >= work["products"] > 0 and work["moves"] > 0
     # the last-resort scan that finds nothing is followed by an enabling search; each follow-up scans one candidate
-    assert work["searches"] >= 7 and work["candidates"] >= work["follow_up"] and work["lookups"] > 0
+    assert work["searches"] >= 7 and work["candidates"] >= work["follow_up"] and work["verdicts"] > 0
     # each program's final check, and a span check per accepted or rejected chain
     assert work["distances"] > 7
     split = lines.index("10 functions by cumulative time:")
