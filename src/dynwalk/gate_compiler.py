@@ -27,12 +27,11 @@ the table's order.
 
 Qubit 0 is the leftmost wire, i.e. the most significant bit of a vertex
 index. Composition order matches program order: later gates multiply on
-the left. The reference side updates one array in place, a gate at a time
-on views of its qubit axis, so a gate costs O(4^n) and at most a half-size
-temporary, never a dense 2^n x 2^n product or a fresh array:
-``circuit_unitary`` applies the gates to the identity, and
-``circuit_distance`` applies their adjoints, last gate first, to a given
-product and reads the phase distance off the trace of C^dag times it.
+the left. The check side undoes a circuit C in place on a given product,
+a gate at a time on views of its qubit axis, so a gate costs O(4^n) and at
+most a half-size temporary, never a dense 2^n x 2^n product or a fresh
+array: ``circuit_distance`` applies the gates' adjoints, last gate first,
+and reads the phase distance off the trace of C^dag times the product.
 That is the package's one check of a product against gates. ``compile``
 forms C^dag W block by block in ``walk_engine``'s layout of the walk's
 unitary W over the union of the walk's graphs and the gates'
@@ -80,7 +79,6 @@ __all__ = [
     "bit_value",
     "compile_hadamard_layer",
     "compile_circuit",
-    "circuit_unitary",
     "mixing_pairs",
     "circuit_distance",
     "parse_circuit",
@@ -330,14 +328,15 @@ _SQRT_HALF = 1.0 / math.sqrt(2.0)
 _DIAGONAL_PHASES = {"Z": -1.0 + 0j, "S": 1j, "T": complex(np.exp(1j * math.pi / 4))}
 
 
-def _apply_gate(gate: Gate, n_qubits: int, rows: np.ndarray, adjoint: bool = False) -> None:
-    """Multiply ``rows`` (2^n x m, C-contiguous) in place by the gate's unitary or its adjoint.
+def _undo_gate(gate: Gate, n_qubits: int, rows: np.ndarray) -> None:
+    """Multiply ``rows`` (2^n x m, C-contiguous) in place by the gate's adjoint.
 
     The gate acts on the views ``rows.reshape(2^q, 2, -1)[:, 0]`` and
-    ``[:, 1]`` of its qubit q: a diagonal gate scales the bit-set half, X
-    swaps the halves, Y swaps them with -i and i, and H is a butterfly
-    with one half-size temporary. CNOT swaps the two quarters with the
-    control bit set. Only the diagonal gates differ from their adjoints.
+    ``[:, 1]`` of its qubit q: a diagonal gate scales the bit-set half by
+    its phase's conjugate, X swaps the halves, Y swaps them with -i and i,
+    and H is a butterfly with one half-size temporary. CNOT swaps the two
+    quarters with the control bit set. X, Y, H and CNOT are their own
+    adjoints.
     """
     if not rows.flags.c_contiguous:
         raise ValueError("rows must be C-contiguous to be updated in place")
@@ -364,12 +363,10 @@ def _apply_gate(gate: Gate, n_qubits: int, rows: np.ndarray, adjoint: bool = Fal
             zero *= _SQRT_HALF
             np.subtract(kept, one, out=one)
             one *= _SQRT_HALF
+        elif gate.kind == "PHASE":
+            one *= complex(np.exp(1j * radians(gate.theta))).conjugate()  # type: ignore[arg-type]
         else:
-            if gate.kind == "PHASE":
-                phase = complex(np.exp(1j * radians(gate.theta)))  # type: ignore[arg-type]
-            else:
-                phase = _DIAGONAL_PHASES[gate.kind]
-            one *= phase.conjugate() if adjoint else phase
+            one *= _DIAGONAL_PHASES[gate.kind].conjugate()
 
 
 def _swap(first: np.ndarray, second: np.ndarray) -> None:
@@ -381,19 +378,6 @@ def _swap(first: np.ndarray, second: np.ndarray) -> None:
     kept = first.copy()
     np.positive(second, out=first)
     np.positive(kept, out=second)
-
-
-def circuit_unitary(circuit: Circuit) -> np.ndarray:
-    """Reference dense unitary of the whole circuit, built gate by gate in one array.
-
-    Public reference API: no package code calls it, since ``compile``
-    checks through ``circuit_distance``; it is the oracle side that tests
-    and users compare a walk's unitary with.
-    """
-    u = np.eye(circuit.n_vertices, dtype=np.complex128)
-    for gate in circuit.gates:
-        _apply_gate(gate, circuit.n_qubits, u)
-    return u
 
 
 def mixing_pairs(circuit: Circuit) -> List[np.ndarray]:
@@ -427,13 +411,12 @@ def circuit_distance(circuit: Circuit, blocks: Iterable[Tuple[np.ndarray, np.nda
     first, leave C^dag P in P's own array, which is overwritten, and
     tr(B^dag C^dag P) = tr(C^dag P B^dag) is ``np.vdot`` of B and it. The
     result is ``numerics.overlap_distance`` of the sum of those traces:
-    for one pair, the phase distance of P B^dag from
-    ``circuit_unitary(circuit)`` up to rounding, so a dense n x n product U
-    is the one pair (I, U), and W_s W_i^dag, for unitaries W_i and W_s, the
-    one pair (W_i, W_s), with no product formed. ``compile`` passes
-    (identity, product) pairs: columns of the identity laid out over
-    components that join the circuit's ``mixing_pairs``, and the same
-    columns of the product laid out alike, as
+    for one pair, the phase distance of P B^dag from C up to rounding, so a
+    dense n x n product U is the one pair (I, U), and W_s W_i^dag, for
+    unitaries W_i and W_s, the one pair (W_i, W_s), with no product formed.
+    ``compile`` passes (identity, product) pairs: columns of the identity
+    laid out over components that join the circuit's ``mixing_pairs``, and
+    the same columns of the product laid out alike, as
     ``walk_engine.laid_out_unitary`` yields them, whose traces sum to
     tr(C^dag product).
     """
@@ -443,7 +426,7 @@ def circuit_distance(circuit: Circuit, blocks: Iterable[Tuple[np.ndarray, np.nda
         if product.shape != basis.shape or len(product) != n:
             raise ValueError(f"product has shape {product.shape}, expected ({n}, {basis.shape[-1]})")
         for gate in reversed(circuit.gates):
-            _apply_gate(gate, circuit.n_qubits, product, adjoint=True)
+            _undo_gate(gate, circuit.n_qubits, product)
         trace += np.vdot(basis, product)
     return overlap_distance(trace, n)
 

@@ -406,10 +406,11 @@ class Spectrum(NamedTuple):
 
     ``looped`` lists the edge-free vertices that carry a loop: each is a
     1x1 block with eigenvalue 1. Edge-free vertices without a loop have
-    eigenvalue 0 and are listed nowhere. ``blocks`` holds one entry per
-    component size k > 1: the (b, k) array of the components' vertices,
-    each row ascending, and numpy's batched ``eigh`` of their k x k
-    adjacency blocks, whose rows and columns follow that vertex order:
+    eigenvalue 0 and are listed nowhere, nor counted: their number is the
+    graph's vertex count less the listed vertices. ``blocks`` holds one
+    entry per component size k > 1: the (b, k) array of the components'
+    vertices, each row ascending, and numpy's batched ``eigh`` of their
+    k x k adjacency blocks, whose rows and columns follow that vertex order:
     eigenvalues (b, k), ascending per block, and eigenvectors (b, k, k),
     one per column, so each block is V diag(w) V^T. When all b blocks are
     equal, as in a compiled X, CNOT or H step's matching and a Hadamard
@@ -424,20 +425,9 @@ class Spectrum(NamedTuple):
     over all components.
     """
 
-    n_vertices: int
     looped: np.ndarray
     blocks: Tuple[Tuple[np.ndarray, Tuple[np.ndarray, np.ndarray]], ...]
     norm: float
-
-    def eigenvalues(self) -> np.ndarray:
-        """Every eigenvalue of the adjacency matrix with its multiplicity, unordered."""
-        parts = [np.ones(self.looped.size)]
-        parts += [
-            eigenvalues.repeat(len(members) // len(eigenvalues), axis=0).ravel()
-            for members, (eigenvalues, _) in self.blocks
-        ]
-        idle = self.n_vertices - sum(part.size for part in parts)
-        return np.concatenate(parts + [np.zeros(idle)])
 
 
 def _component_labels(n_vertices: int, heads: np.ndarray, tails: np.ndarray) -> np.ndarray:
@@ -610,7 +600,7 @@ def spectrum(graph: Graph) -> Spectrum:
         for array in (members, eigenvalues, eigenvectors):
             array.flags.writeable = False
         blocks.append((members, (eigenvalues, eigenvectors)))
-    return Spectrum(graph.n_vertices, looped, tuple(blocks), norm)
+    return Spectrum(looped, tuple(blocks), norm)
 
 
 def supports_disjoint(a: Graph, b: Graph) -> bool:
@@ -663,15 +653,20 @@ def period(graph: Graph) -> Optional[Fraction]:
 def _period(graph: Graph) -> Optional[Tuple[int, int]]:
     """period's value as (p, q) in lowest terms, or None.
 
-    A ratio in [1e-12, 1e-9) rationalizes to 0/1, and p = 0, q = 1 change
-    neither gcd(p) nor lcm(q); the norm's own ratio, exactly 1, is always
-    among the ratios, so the sets are never {0} and {1} alone.
+    The ratios are read off the spectrum as it is stored: 1 for the looped
+    vertices, if any, then each block's own eigenvalue array, so a shared
+    decomposition counts once and the idle vertices, eigenvalue 0, not at
+    all. Repeats change no distinct ratio. A ratio in [1e-12, 1e-9)
+    rationalizes to 0/1, and p = 0, q = 1 change neither gcd(p) nor
+    lcm(q); the norm's own ratio, exactly 1, is always among the ratios,
+    so the sets are never {0} and {1} alone.
     """
     if graph.is_empty:
         return 0, 1
     spec = spectrum(graph)
+    parts = ([np.ones(1)] if spec.looped.size else []) + [eigenvalues.ravel() for _, (eigenvalues, _) in spec.blocks]
     # zero eigenvalues sit still and impose no constraint
-    ratios = np.sort(np.abs(spec.eigenvalues()) / spec.norm)
+    ratios = np.sort(np.abs(np.concatenate(parts)) / spec.norm)
     ratios = ratios[ratios >= 1e-12]
     # ratios equal to within 1e-12 are rationalized once
     distinct = ratios[np.diff(ratios, prepend=-1.0) > 1e-12]

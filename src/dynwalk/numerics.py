@@ -13,10 +13,10 @@ C^dag times the product, formed in each block's own array; the
 optimizer's fragment is one block, read off its two prefix products,
 and reaches this check only after its own trace and its column 0 have
 left a layer possible.
-``phase_distance`` of two dense matrices is the public reference form
-that tests and users call; no package code calls it. Nothing else lives
-here: a graph's spectrum comes from ``graph_model.spectrum`` and a
-step's unitary from ``walk_engine``.
+``phase_distance`` of two dense matrices is the dense form that tests
+call and that perfbench's tracer looks up by name; no package code calls
+it. Nothing else lives here: a graph's spectrum comes from
+``graph_model.spectrum`` and a step's unitary from ``walk_engine``.
 """
 
 from __future__ import annotations

@@ -23,7 +23,6 @@ from dynwalk.gate_compiler import (
     Gate,
     _matching,
     _pairs,
-    circuit_unitary,
     compile_circuit,
     compile_hadamard_layer,
     parse_circuit,
@@ -37,6 +36,7 @@ from dynwalk.graph_model import (
 )
 from dynwalk.numerics import phase_distance
 from dynwalk.walk_engine import evolve_state, total_unitary
+from references import circuit_unitary
 
 AMPLITUDE = re.compile(r"([+-]?[\d.]+(?:[eE][+-]?\d+)?)([+-][\d.]+(?:[eE][+-]?\d+)?)i")
 

@@ -14,16 +14,15 @@ from hypothesis import strategies as st
 from dynwalk.gate_compiler import (
     GATE_KINDS,
     MAX_QUBITS,
-    _apply_gate,
     _loops,
     _matching,
     _pairs,
     _staircase,
+    _undo_gate,
     Circuit,
     Gate,
     bit_value,
     circuit_distance,
-    circuit_unitary,
     compile_circuit,
     compile_hadamard_layer,
     mixing_pairs,
@@ -32,6 +31,7 @@ from dynwalk.gate_compiler import (
 from dynwalk.graph_model import DynamicGraph, Graph, ParseError, TimedGraph, radians
 from dynwalk.numerics import VERIFY_TOLERANCE, phase_distance
 from dynwalk.walk_engine import evolve_state, laid_out_unitary, total_unitary
+from references import circuit_unitary
 
 TOL = 1e-12
 
@@ -581,19 +581,18 @@ def every_gate(n_qubits):
 
 
 @pytest.mark.parametrize("n_qubits", range(1, 6))
-def test_gate_then_its_adjoint_in_place_gives_the_rows_back(n_qubits):
+def test_undoing_a_gate_applies_its_conjugate_transpose(n_qubits):
     rng = np.random.default_rng(n_qubits)
     shape = (2**n_qubits, 3)
     original = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     for gate in every_gate(n_qubits):
-        matrix = kron_gate_matrix(gate, n_qubits)
         rows = original.copy()
-        _apply_gate(gate, n_qubits, rows)
-        assert np.abs(rows - matrix @ original).max() < 1e-14
-        _apply_gate(gate, n_qubits, rows, adjoint=True)
-        assert np.abs(rows - original).max() < 1e-14
-        _apply_gate(gate, n_qubits, rows, adjoint=True)
-        assert np.abs(rows - matrix.conj().T @ original).max() < 1e-14
+        _undo_gate(gate, n_qubits, rows)
+        assert np.abs(rows - kron_gate_matrix(gate, n_qubits).conj().T @ original).max() < 1e-14, gate
+        # X, Y, H, HLAYER and CNOT are their own inverses
+        if gate.kind in ("X", "Y", "H", "HLAYER", "CNOT"):
+            _undo_gate(gate, n_qubits, rows)
+            assert np.abs(rows - original).max() < 1e-14, gate
 
 
 def check_distance(circuit, walk):
@@ -718,7 +717,7 @@ def test_gates_refuse_rows_that_are_not_c_contiguous():
     for rows in (np.eye(4, dtype=complex)[:, ::2], np.asfortranarray(np.arange(16.0).reshape(4, 4) + 0j)):
         before = rows.copy()
         with pytest.raises(ValueError, match="C-contiguous"):
-            _apply_gate(gate, 2, rows)
+            _undo_gate(gate, 2, rows)
         assert np.array_equal(rows, before)
     with pytest.raises(ValueError, match="C-contiguous"):
         circuit_distance(Circuit(2, (gate,)), [(np.eye(4), np.eye(4, dtype=complex)[:, ::-1])])

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import catalog
 import dynwalk.graph_model as gm
+import references
 from adjacency import adjacency_matrix
 from dynwalk.gate_compiler import _pairs, parse_circuit
 from dynwalk.graph_model import (
@@ -494,11 +495,10 @@ COMPONENT_PATH_GRAPHS = [
 
 def assert_same_spectrum(spec, looped, blocks, norm, graph):
     """The spectrum has the reference's arrays, shape, dtype and bytes, read-only, and its norm."""
-    assert spec.n_vertices == graph.n_vertices, graph
     arrays = [spec.looped] + [array for members, pair in spec.blocks for array in (members, *pair)]
-    references = [looped] + [array for block in blocks for array in block]
-    assert len(arrays) == len(references), graph
-    for array, reference in zip(arrays, references):
+    expected = [looped] + [array for block in blocks for array in block]
+    assert len(arrays) == len(expected), graph
+    for array, reference in zip(arrays, expected):
         assert array.shape == reference.shape and array.dtype == reference.dtype, graph
         assert array.tobytes() == reference.tobytes(), graph
         assert not array.flags.writeable, graph
@@ -624,7 +624,8 @@ def test_period_ignores_a_ratio_that_rounds_to_zero(monkeypatch):
     """A ratio in [1e-12, 1e-9) rationalizes to 0/1 and changes neither gcd(p) nor lcm(q)."""
     graph = Graph.make(2, edges=[(0, 1)])
     for tiny in ([], [2e-12], [6e-10, -1.998e-9]):
-        spec = SimpleNamespace(norm=2.0, eigenvalues=lambda tiny=tiny: np.array([2.0, -1.0, *tiny]))
+        block = (None, (np.array([[2.0, -1.0, *tiny]]), None))
+        spec = SimpleNamespace(looped=np.array([], dtype=np.int64), blocks=(block,), norm=2.0)
         monkeypatch.setattr(gm, "spectrum", lambda graph, spec=spec: spec)
         assert gm._period(graph) == (4, 1)  # ratios 1 and 1/2: 2pi * lcm(1, 2) / gcd(1, 1)
 
@@ -668,7 +669,7 @@ def period_per_eigenvalue(graph):
         return Fraction(0)
     spec = spectrum(graph)
     numerators, denominators = set(), set()
-    for lam in spec.eigenvalues():
+    for lam in references.eigenvalues(spec, graph.n_vertices):
         magnitude = abs(float(lam))
         if magnitude / spec.norm < 1e-12:
             continue
@@ -696,7 +697,14 @@ def test_period_matches_the_per_eigenvalue_result():
     graphs = {entry.graph for entry in catalog.build_catalog()}
     rng = random.Random(7)
     graphs |= {random_graph(rng, rng.randrange(1, 11)) for _ in range(300)}
-    graphs |= {hypercube_graph(dim) for dim in range(1, 6)}
+    graphs |= {hypercube_graph(dim) for dim in range(1, 8)}
+    # shared stacks on the numpy route, with and without a loop on every vertex
+    for n in (64, 128):
+        matched = matching_graph(n, _pairs(n, 1).tolist())
+        graphs |= {matched, Graph._of(n, matched.edges, frozenset(range(n)))}
+    # looped edges beside triangles: only the second stack holds the ratio 1/2
+    triangles = [(v + i, v + j) for v in range(32, 62, 3) for i, j in ((0, 1), (1, 2), (0, 2))]
+    graphs.add(Graph.make(64, edges=_pairs(32, 1).tolist() + triangles, loops=range(32)))
     outcomes = {period(graph) is not None for graph in graphs}
     assert outcomes == {True, False}
     for graph in graphs:

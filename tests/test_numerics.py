@@ -21,6 +21,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import references
 from adjacency import adjacency_matrix
 from dynwalk.gate_compiler import Circuit, circuit_distance
 from dynwalk.graph_model import DynamicGraph, Graph, TimedGraph, radians, spectrum
@@ -87,7 +88,7 @@ def unitary_at(graph, time):
 
 
 def sorted_spectrum(graph):
-    return np.sort(spectrum(graph).eigenvalues())
+    return np.sort(references.eigenvalues(spectrum(graph), graph.n_vertices))
 
 
 # -- spectrum blocks -------------------------------------------------------

@@ -36,6 +36,7 @@ import dynwalk.walk_engine as walk_engine
 import length_ladder
 import pinned_outputs
 import trace_fixtures as tf
+from references import circuit_unitary
 from test_gate_compiler import random_gate
 from dynwalk.gate_compiler import (
     Circuit,
@@ -44,7 +45,6 @@ from dynwalk.gate_compiler import (
     _pairs,
     _staircase,
     bit_value,
-    circuit_unitary,
     compile_circuit,
     compile_hadamard_layer,
 )

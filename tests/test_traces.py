@@ -14,6 +14,7 @@ import pytest
 
 import catalog
 import trace_fixtures as tf
+from references import circuit_unitary
 from dynwalk.graph_model import DynamicGraph, TimedGraph
 from dynwalk.numerics import phase_distance
 from dynwalk.walk_engine import total_unitary
@@ -58,8 +59,6 @@ def test_short_states_are_unitary(index):
 
 
 def test_programs_implement_the_reference_circuit():
-    from dynwalk.gate_compiler import circuit_unitary
-
     target = circuit_unitary(tf.reference_circuit())
     assert phase_distance(total_unitary(tf.long_program()), target) < TOL
     assert phase_distance(total_unitary(tf.short_program()), target) < TOL
